@@ -5,7 +5,7 @@
 # for that line (with a timeout) instead of sleeping and hoping.
 #
 # Covers:
-#   1. the two-process lockstep demo (two_party_server/_client), both
+#   1. the dealt two-process demo (two_party_server/_client), both
 #      backends — bit-identical to the in-memory path or exit 1;
 #   2. the concurrent serving stack: a live reactor pi_server handling a
 #      multi_client load generator that checks every prediction against
@@ -79,7 +79,7 @@ finish_server() {
     wait "$pid"
 }
 
-echo "== two-process lockstep smoke (ephemeral ports) =="
+echo "== dealt two-process smoke (ephemeral ports) =="
 for backend in cheetah delphi; do
     echo "-- backend $backend"
     start_server "target/smoke-two-party-$backend.log" \

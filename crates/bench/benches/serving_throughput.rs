@@ -1,21 +1,16 @@
 //! Concurrent serving throughput: aggregate online inferences/second
 //! for 1 vs 4 vs 8 concurrent clients drawing from one shared material
-//! pool, on the in-memory transport and over a real `PiServer` TCP
-//! accept loop, for both backends.
+//! pool on the in-memory transport, for both backends, plus burst and
+//! batched waves over TCP against the `ReactorServer`.
 //!
-//! Every row times the same total amount of work (`TOTAL_INFERENCES`
-//! online inferences), split across the row's client count — so the
-//! mean duration of `clients/4` vs `clients/1` *is* the aggregate
-//! throughput ratio. The server's material for the whole batch is
-//! preprocessed outside the timed section (`iter_custom`), and its
-//! ledger is asserted clean afterwards. The `mem` rows therefore
-//! measure the **online phase only** — the paper's claim about what a
-//! client waits for. The `tcp` rows ride the dealt contract, whose
-//! client regenerates its correlated-randomness half from the
-//! server-dealt seed *inside* each request (the simulation's stand-in
-//! for the trusted dealer's delivery), so they additionally include
-//! that per-request client-side dealer work plus connect/reveal —
-//! compare tcp rows against each other, not against mem rows.
+//! Every `mem` row times the same total amount of work
+//! (`TOTAL_INFERENCES` online inferences), split across the row's
+//! client count — so the mean duration of `clients/4` vs `clients/1`
+//! *is* the aggregate throughput ratio. The material for the whole
+//! batch is preprocessed outside the timed section (`iter_custom`), and
+//! the ledger is asserted clean afterwards, so these rows measure the
+//! **online phase only** — the paper's claim about what a client waits
+//! for.
 //!
 //! Expect the 4-client row to finish ≥2× faster than the 1-client row
 //! on a multi-core serving box (each in-flight inference alternates two
@@ -41,10 +36,9 @@
 //! 256 clients, guarded by `ci/bench_guard_rules.json`.
 
 use c2pi_core::reactor::{ReactorClient, ReactorConfig, ReactorReply, ReactorServer};
-use c2pi_core::server::{PiClient, PiServer, PiServerConfig};
 use c2pi_nn::model::{alexnet, ZooConfig};
 use c2pi_pi::engine::{specs_of, PiBackend, PiConfig};
-use c2pi_pi::{PiSession, SharedPiSession};
+use c2pi_pi::PiSession;
 use c2pi_tensor::Tensor;
 use criterion::{criterion_group, criterion_main, report_metric, BenchmarkId, Criterion};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -62,12 +56,12 @@ const BURST_CLIENTS: [usize; 2] = [64, 256];
 /// path (`served == BURST_POOL`, the rest answered `BUSY`).
 const BURST_POOL: usize = 16;
 
-fn shared_session(backend: PiBackend) -> SharedPiSession {
+fn shared_session(backend: PiBackend) -> PiSession {
     let model =
         alexnet(&ZooConfig { width_div: 32, seed: 3, image_size: 16, ..Default::default() })
             .unwrap();
     let cfg = PiConfig { backend, ..Default::default() };
-    PiSession::new(&specs_of(model.seq()), [3, 16, 16], cfg).unwrap().into_shared()
+    PiSession::new(&specs_of(model.seq()), [3, 16, 16], cfg).unwrap()
 }
 
 fn input() -> Tensor {
@@ -88,7 +82,7 @@ fn warm_mean(runs: &[f64]) -> Option<f64> {
 /// Runs `total` in-process online inferences split over `clients`
 /// concurrent threads against one shared pool, returning the wall time
 /// of the concurrent section only.
-fn run_mem(session: &SharedPiSession, clients: usize, total: usize, x: &Tensor) -> Duration {
+fn run_mem(session: &PiSession, clients: usize, total: usize, x: &Tensor) -> Duration {
     let per_client = total / clients;
     let start = Instant::now();
     std::thread::scope(|scope| {
@@ -105,38 +99,13 @@ fn run_mem(session: &SharedPiSession, clients: usize, total: usize, x: &Tensor) 
     start.elapsed()
 }
 
-/// Same work over a live `PiServer`: `clients` threads each running
-/// `total / clients` connect–infer–reveal round trips on loopback TCP.
-fn run_tcp(
-    server_addr: std::net::SocketAddr,
-    client_session: &SharedPiSession,
-    clients: usize,
-    total: usize,
-    x: &Tensor,
-) -> Duration {
-    let per_client = total / clients;
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..clients {
-            let client = PiClient::new(client_session.clone());
-            let xx = x.clone();
-            scope.spawn(move || {
-                for _ in 0..per_client {
-                    client.infer(server_addr, &xx).unwrap();
-                }
-            });
-        }
-    });
-    start.elapsed()
-}
-
 /// Fires `clients` one-shot requests at a reactor server
 /// simultaneously (no retries). With the pool preloaded below the
 /// client count the wave exercises the serve and shed paths together;
 /// returns the wall time of the whole wave plus the served/busy split.
 fn run_burst(
     addr: std::net::SocketAddr,
-    client_session: &SharedPiSession,
+    client_session: &PiSession,
     clients: usize,
     x: &Tensor,
 ) -> (Duration, usize, usize) {
@@ -168,7 +137,7 @@ fn run_burst(
 /// wall time for the whole wave to complete.
 fn run_wave(
     addr: std::net::SocketAddr,
-    client_session: &SharedPiSession,
+    client_session: &PiSession,
     clients: usize,
     x: &Tensor,
 ) -> Duration {
@@ -224,46 +193,6 @@ fn bench_serving(c: &mut Criterion) {
             (means.iter().find(|(c, _)| *c == 1), means.iter().find(|(c, _)| *c == 4))
         {
             ratio_report.push((format!("mem/{name}"), t1 / t4));
-        }
-
-        // --- tcp-loopback: a live PiServer accept loop, one connection
-        // per inference. Replenishment off: the pool is preloaded
-        // outside the timed section so rows stay online-only.
-        let serve_session = shared_session(backend);
-        let server = PiServer::bind(
-            serve_session.clone(),
-            "127.0.0.1:0",
-            PiServerConfig { worker_cap: 8, pool_low: 0, pool_high: 0, ..Default::default() },
-        )
-        .unwrap();
-        let addr = server.local_addr();
-        let client_session = shared_session(backend);
-        let mut means: Vec<(usize, f64)> = Vec::new();
-        for clients in CLIENT_COUNTS {
-            let mut local = Vec::new();
-            group.bench_with_input(
-                BenchmarkId::new(format!("tcp/{name}"), clients),
-                &clients,
-                |b, &clients| {
-                    b.iter_custom(|_| {
-                        serve_session.preprocess(TOTAL_INFERENCES).unwrap();
-                        let d = run_tcp(addr, &client_session, clients, TOTAL_INFERENCES, &x);
-                        local.push(d.as_secs_f64());
-                        d
-                    })
-                },
-            );
-            if let Some(mean) = warm_mean(&local) {
-                means.push((clients, mean));
-            }
-        }
-        assert_eq!(server.session().ledger().generated_inline, 0);
-        assert_eq!(server.errors(), 0);
-        server.shutdown();
-        if let (Some(&(_, t1)), Some(&(_, t4))) =
-            (means.iter().find(|(c, _)| *c == 1), means.iter().find(|(c, _)| *c == 4))
-        {
-            ratio_report.push((format!("tcp/{name}"), t1 / t4));
         }
     }
     // --- reactor burst: 64/256 simultaneous one-shot clients against a
@@ -344,7 +273,7 @@ fn bench_serving(c: &mut Criterion) {
     const WAVE_ROUNDS: usize = 3;
     let off_session = shared_session(PiBackend::Cheetah);
     let on_session = shared_session(PiBackend::Cheetah);
-    let wave_server = |session: &SharedPiSession, coalesce: bool| {
+    let wave_server = |session: &PiSession, coalesce: bool| {
         ReactorServer::bind(
             Arc::clone(session.core()),
             "127.0.0.1:0",

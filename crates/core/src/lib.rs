@@ -8,29 +8,25 @@
 //!   backend under mem/LAN/WAN network models, and emits a ranked
 //!   [`planner::DeploymentPlan`] that plugs back into the builder
 //!   ([`session::C2piBuilder::plan`]) and into
-//!   [`server::PiServerConfig`] sizing;
-//! * [`boundary`] — Algorithm 1's original single-attack form (now a
-//!   deprecated shim over the planner's probe machinery);
+//!   [`reactor::ReactorConfig`] sizing
+//!   ([`planner::DeploymentPlan::reactor_config`]);
 //! * [`defense`] — boundary defenses beyond uniform noise, with the one
 //!   [`defense::defense_seed`] stream every evaluator and the serving
 //!   session share;
 //! * [`noise`] — the uniform-noise share defense and the
 //!   noised-activation accuracy evaluation (Figures 6–7);
-//! * [`session`] — the serving API: the [`session::C2pi`] builder
-//!   compiles a deployment into a long-lived [`session::C2piSession`]
-//!   with an explicit offline/online phase split (`preprocess` ahead of
-//!   traffic, `infer`/`infer_batch` online);
-//! * [`pipeline`] — the end-to-end flow of Figure 2, plus the deprecated
-//!   pre-session `C2piPipeline` shims;
-//! * [`server`] — concurrent multi-client serving: the [`server::PiServer`]
-//!   TCP accept loop spawns bounded workers over one shared session
-//!   whose material pool a background dealer keeps topped up, and
-//!   [`server::PiClient`] is the matching one-call client;
-//! * [`reactor`] — serving at scale: the [`reactor::ReactorServer`]
-//!   multiplexes thousands of connections over a readiness loop and a
-//!   fixed worker set drawing from per-core material shards, sheds
-//!   overload with typed backpressure frames, and answers `STATS`
-//!   requests with Prometheus-style metrics.
+//! * [`session`] — the end-to-end flow of Figure 2 as a serving API: the
+//!   [`session::C2pi`] builder compiles a deployment into a long-lived
+//!   [`session::C2piSession`] with an explicit offline/online phase
+//!   split (`preprocess` ahead of traffic, `infer`/`infer_batch`
+//!   online);
+//! * [`reactor`] — the one network serving stack: the
+//!   [`reactor::ReactorServer`] multiplexes thousands of connections
+//!   over a readiness loop and a fixed worker set drawing from per-core
+//!   material shards, speaks the dealt two-party contract to every
+//!   [`reactor::ReactorClient`], sheds overload with typed backpressure
+//!   frames, and answers `STATS` requests with Prometheus-style
+//!   metrics.
 //!
 //! ```
 //! use c2pi_core::session::C2pi;
@@ -62,31 +58,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod boundary;
 pub mod defense;
 pub mod error;
 pub mod noise;
-pub mod pipeline;
 pub mod planner;
 pub mod reactor;
-pub mod server;
 pub mod session;
 pub mod split_learning;
 
-pub use boundary::{BoundaryConfig, BoundaryTrace};
 pub use defense::{defense_seed, Defense};
 pub use error::C2piError;
-pub use pipeline::{plain_prediction, InferenceResult, Split};
 pub use planner::{DeploymentPlan, DeploymentPlanner, PlanChoice, PlannerConfig};
-pub use reactor::{ReactorClient, ReactorConfig, ReactorReply, ReactorServer};
-pub use server::{ClientInference, PiClient, PiServer, PiServerConfig};
-pub use session::{C2pi, C2piBuilder, C2piSession};
-
-#[allow(deprecated)]
-pub use boundary::search_boundary;
-
-#[allow(deprecated)]
-pub use pipeline::{C2piPipeline, PipelineConfig};
+pub use reactor::{ClientInference, ReactorClient, ReactorConfig, ReactorReply, ReactorServer};
+pub use session::{plain_prediction, C2pi, C2piBuilder, C2piSession, InferenceResult, Split};
 
 /// Convenience result alias for C2PI operations.
 pub type Result<T> = std::result::Result<T, C2piError>;

@@ -25,7 +25,7 @@
 //! 4. **ranking** — the result is a serializable [`DeploymentPlan`]
 //!    whose [`PlanChoice`] rows plug straight back into
 //!    [`C2pi::builder`](crate::session::C2piBuilder::plan) and
-//!    [`DeploymentPlan::server_config`].
+//!    [`DeploymentPlan::reactor_config`].
 //!
 //! The default cost coefficients are fixed constants, so the whole plan
 //! — including its rendered table ([`DeploymentPlan::render_table`]) —
@@ -53,10 +53,8 @@
 //! # }
 //! ```
 
-use crate::boundary::{AccuracyProbe, SsimProbe};
 use crate::defense::{defended_accuracy, defense_seed, Defense};
 use crate::noise::baseline_accuracy;
-use crate::server::PiServerConfig;
 use crate::{C2piError, Result};
 use c2pi_attacks::eval::avg_ssim_with;
 use c2pi_attacks::probe::{quick_panel, ProbeSpec};
@@ -267,34 +265,15 @@ impl DeploymentPlan {
         self.ranked.iter().find(|c| c.net == net && c.backend == backend)
     }
 
-    /// A [`PiServerConfig`] sized from the plan's best deployment: the
-    /// replenisher must outpace consumption, so the pool watermarks
-    /// scale with the offline/online compute ratio (an offline phase
-    /// `r`× slower than online needs ≈ `r` material sets buffered per
-    /// worker to absorb a sustained burst).
-    pub fn server_config(&self, worker_cap: usize) -> PiServerConfig {
-        let defaults = PiServerConfig::default();
-        let Some(best) = self.best() else {
-            return PiServerConfig { worker_cap, ..defaults };
-        };
-        let row =
-            self.costs.iter().find(|r| r.boundary == best.boundary && r.backend == best.backend);
-        let ratio = row
-            .map(|r| (r.offline_compute_seconds / r.online_compute_seconds.max(1e-9)).ceil())
-            .unwrap_or(1.0)
-            .clamp(1.0, 64.0) as usize;
-        let pool_low = (worker_cap * ratio).max(1);
-        PiServerConfig { worker_cap, pool_low, pool_high: pool_low * 2, ..defaults }
-    }
-
     /// A [`ReactorConfig`](crate::reactor::ReactorConfig) sized from
-    /// the plan's best deployment, for the readiness-driven server.
-    /// Same offline/online compute-ratio
-    /// argument as [`DeploymentPlan::server_config`], but the
-    /// watermarks are **per shard** (one shard and one replenisher per
-    /// worker), and the suggested `BUSY` retry-after is priced at one
-    /// offline material-generation interval — the soonest a retrying
-    /// client can expect fresh stock.
+    /// the plan's best deployment: the replenishers must outpace
+    /// consumption, so the pool watermarks scale with the
+    /// offline/online compute ratio (an offline phase `r`× slower than
+    /// online needs ≈ `r` material sets buffered per worker to absorb a
+    /// sustained burst). The watermarks are **per shard** (one shard
+    /// and one replenisher per worker), and the suggested `BUSY`
+    /// retry-after is priced at one offline material-generation
+    /// interval — the soonest a retrying client can expect fresh stock.
     pub fn reactor_config(&self, workers: usize) -> crate::reactor::ReactorConfig {
         let defaults = crate::reactor::ReactorConfig::default();
         let workers = workers.max(1);
@@ -497,8 +476,17 @@ impl DeploymentPlan {
     }
 }
 
-/// Privacy-gate parameters shared by the planner's audit and the
-/// deprecated `search_boundary` shim.
+/// One phase-1 probe of Algorithm 1: the attack's average SSIM at a
+/// candidate boundary.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct SsimProbe {
+    /// Candidate boundary.
+    pub id: BoundaryId,
+    /// Average SSIM the IDPA achieved there.
+    pub avg_ssim: f32,
+}
+
+/// Privacy-gate parameters of one [`probe_one`] sweep.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ProbeGate {
     pub defense: Defense,
@@ -548,32 +536,6 @@ pub(crate) fn probe_one(
         None => Some(0),
     };
     Ok((probes, first_safe))
-}
-
-/// Phase 2 of Algorithm 1: walks from `start_idx` toward the tail until
-/// the defended accuracy is within `max_drop` of baseline. Returns
-/// `(baseline, probes, chosen_idx, chosen_accuracy)`.
-pub(crate) fn gate_accuracy(
-    model: &mut Model,
-    candidates: &[BoundaryId],
-    start_idx: usize,
-    defense: Defense,
-    max_drop: f32,
-    eval_data: &Dataset,
-    seed: u64,
-) -> Result<(f32, Vec<AccuracyProbe>, usize, f32)> {
-    let baseline = baseline_accuracy(model, eval_data)?;
-    let target = baseline - max_drop;
-    let mut probes = Vec::new();
-    let mut idx = start_idx;
-    let mut acc = defended_accuracy(model, candidates[idx], defense, eval_data, seed)?;
-    probes.push(AccuracyProbe { id: candidates[idx], accuracy: acc });
-    while acc < target && idx + 1 < candidates.len() {
-        idx += 1;
-        acc = defended_accuracy(model, candidates[idx], defense, eval_data, seed)?;
-        probes.push(AccuracyProbe { id: candidates[idx], accuracy: acc });
-    }
-    Ok((baseline, probes, idx, acc))
 }
 
 /// The planner: sweeps, audits, prices and ranks deployments of one
@@ -864,8 +826,7 @@ fn snapshot(bytes: u64, flights: u64) -> c2pi_transport::TrafficSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::plain_prediction;
-    use crate::session::C2pi;
+    use crate::session::{plain_prediction, C2pi, Split};
     use c2pi_data::synth::{SynthConfig, SynthDataset};
     use c2pi_nn::model::{alexnet, ZooConfig};
 
@@ -970,19 +931,8 @@ mod tests {
         session.preprocess(1).unwrap();
         let got = session.infer(&x).unwrap();
         assert_eq!(got.prediction, clear);
-        assert_eq!(session.split(), crate::pipeline::Split::At(best.boundary));
+        assert_eq!(session.split(), Split::At(best.boundary));
         assert_eq!(session.backend_name(), best.backend.name());
-    }
-
-    #[test]
-    fn server_config_scales_watermarks_with_offline_ratio() {
-        let (mut model, data) = setup();
-        let plan =
-            DeploymentPlanner::new(&mut model, &data, &data, cost_only_cfg()).plan().unwrap();
-        let cfg = plan.server_config(4);
-        assert_eq!(cfg.worker_cap, 4);
-        assert!(cfg.pool_low >= 4);
-        assert_eq!(cfg.pool_high, cfg.pool_low * 2);
     }
 
     #[test]
@@ -993,6 +943,8 @@ mod tests {
         let cfg = plan.reactor_config(4);
         assert_eq!(cfg.workers, 4);
         assert_eq!(cfg.max_batch, 8);
+        assert!(cfg.pool_low >= 1);
+        assert_eq!(cfg.pool_high, cfg.pool_low * 2);
         // A quarter of the measured online run, clamped to [1ms, 25ms].
         let window = cfg.batch_window.as_secs_f64();
         assert!((0.001..=0.025).contains(&window), "window {window}s out of bounds");
@@ -1074,5 +1026,103 @@ mod tests {
         assert!(seen_private);
         assert!(!plan.ranked.is_empty());
         assert_eq!(plan.probe_labels, vec!["mla:10".to_string()]);
+    }
+
+    /// A scripted fake IDPA: returns a reconstruction whose SSIM is high
+    /// for conv ids up to `succeeds_until` and pure noise afterwards —
+    /// lets us test Algorithm 1's phase-1 control flow deterministically.
+    struct ScriptedAttack {
+        succeeds_until: usize,
+        probes: Vec<usize>,
+        reference: Tensor,
+    }
+
+    impl Idpa for ScriptedAttack {
+        fn name(&self) -> &'static str {
+            "scripted"
+        }
+        fn prepare(
+            &mut self,
+            _model: &mut Model,
+            id: BoundaryId,
+            _train: &Dataset,
+            _noise: f32,
+        ) -> c2pi_attacks::Result<()> {
+            self.probes.push(id.conv_id);
+            Ok(())
+        }
+        fn recover(
+            &mut self,
+            model: &mut Model,
+            id: BoundaryId,
+            _activation: &Tensor,
+        ) -> c2pi_attacks::Result<Tensor> {
+            let [c, h, w] = model.input_shape();
+            if id.conv_id <= self.succeeds_until {
+                // "Perfect" recovery: the evaluated image itself.
+                Ok(self.reference.clone())
+            } else {
+                Ok(Tensor::rand_uniform(&[1, c, h, w], 0.0, 1.0, 999 + id.conv_id as u64))
+            }
+        }
+    }
+
+    /// Sweeps a [`ScriptedAttack`] over `candidates` (empty: the paper's
+    /// post-ReLU cut of every convolution); returns the conv ids it was
+    /// prepared at, the probes taken and the first safe index.
+    fn scripted_sweep(
+        succeeds_until: usize,
+        candidates: &[BoundaryId],
+    ) -> (Vec<usize>, Vec<SsimProbe>, Option<usize>) {
+        let (mut model, data) = setup();
+        let all: Vec<BoundaryId> = (1..=model.num_convs()).map(BoundaryId::relu).collect();
+        let candidates = if candidates.is_empty() { &all } else { candidates };
+        let mut attack = ScriptedAttack {
+            succeeds_until,
+            probes: Vec::new(),
+            reference: data.images()[0].clone(),
+        };
+        let gate = ProbeGate {
+            defense: Defense::Uniform { magnitude: 0.0 },
+            ssim_threshold: 0.3,
+            eval_images: 1,
+            seed: 47,
+        };
+        let (probes, first_safe) =
+            probe_one(&mut model, &mut attack, &data, &data, candidates, gate).unwrap();
+        (attack.probes, probes, first_safe)
+    }
+
+    #[test]
+    fn phase1_stops_at_first_success_from_tail() {
+        // The attack succeeds through conv 4: the sweep probes from the
+        // tail (7) down to 4 and the first safe candidate is relu(5).
+        let (prepared, probes, first_safe) = scripted_sweep(4, &[]);
+        assert_eq!(prepared, vec![7, 6, 5, 4]);
+        assert_eq!(probes.len(), 4);
+        assert_eq!(probes.last().unwrap().id, BoundaryId::relu(4));
+        assert_eq!(first_safe, Some(4), "index of relu(5)");
+    }
+
+    #[test]
+    fn attack_that_never_succeeds_yields_earliest_boundary() {
+        let (prepared, _, first_safe) = scripted_sweep(0, &[]);
+        assert_eq!(prepared, vec![7, 6, 5, 4, 3, 2, 1]);
+        assert_eq!(first_safe, Some(0));
+    }
+
+    #[test]
+    fn attack_succeeding_at_the_tail_leaves_nothing_safe() {
+        let (_, probes, first_safe) = scripted_sweep(99, &[]);
+        assert_eq!(probes.len(), 1, "stopped immediately");
+        assert_eq!(first_safe, None);
+    }
+
+    #[test]
+    fn explicit_candidates_are_respected() {
+        let cands = [BoundaryId::relu(2), BoundaryId::relu(5)];
+        let (prepared, _, first_safe) = scripted_sweep(0, &cands);
+        assert_eq!(prepared, vec![5, 2]);
+        assert_eq!(first_safe, Some(0), "relu(2)");
     }
 }

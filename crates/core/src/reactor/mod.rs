@@ -2,10 +2,9 @@
 //! connection over a fixed worker set, per-core material shards with
 //! work stealing, typed backpressure, and a stats endpoint.
 //!
-//! [`crate::server::PiServer`] spawns a thread per connection and
-//! blocks it for the whole protocol; fine for tens of clients, fatal at
-//! thousands (a stack and a scheduler slot per idle socket). The
-//! reactor inverts that:
+//! A thread per connection, blocked for the whole protocol, is fine for
+//! tens of clients and fatal at thousands (a stack and a scheduler slot
+//! per idle socket). The reactor inverts that:
 //!
 //! * the **reactor thread** owns a nonblocking listener and a
 //!   [`polling::Poller`] — on Linux a real epoll instance by default.
@@ -75,9 +74,9 @@
 //!                   STATS = [3] ‖ Prometheus-style UTF-8 text
 //! ```
 //!
-//! After `OK` the byte stream is exactly the classic dealt serving
-//! contract ([`c2pi_pi::SessionCore::serve_prepared`] /
-//! [`c2pi_pi::SharedPiSession::request_one`]); the reactor adds one
+//! After `OK` the byte stream is exactly the dealt serving contract
+//! ([`c2pi_pi::SessionCore::serve_prepared`] /
+//! [`c2pi_pi::PiSession::request_one`]); the reactor adds one
 //! request/response exchange in front, nothing inside.
 //!
 //! **Determinism.** Sharding never touches material *content*: every
@@ -99,8 +98,7 @@
 //! let mut prefix = Sequential::new();
 //! prefix.push(Conv2d::new(1, 2, 3, 1, 1, 1, 1));
 //! prefix.push(Relu::new());
-//! let session =
-//!     PiSession::new(&specs_of(&prefix), [1, 8, 8], PiConfig::default())?.into_shared();
+//! let session = PiSession::new(&specs_of(&prefix), [1, 8, 8], PiConfig::default())?;
 //! let server = ReactorServer::bind(
 //!     Arc::clone(session.core()),
 //!     "127.0.0.1:0",
@@ -119,11 +117,11 @@
 pub mod batch;
 pub mod metrics;
 
-use crate::server::ClientInference;
 use crate::{C2piError, Result};
 use batch::{BatchCollector, Deposit, FlushReason};
-use c2pi_pi::SharedPiSession;
-use c2pi_pi::{PoolTake, Replenisher, RestoreReport, SessionCore, ShardedMaterialPool};
+use c2pi_pi::{
+    PartyOutcome, PiSession, PoolTake, Replenisher, RestoreReport, SessionCore, ShardedMaterialPool,
+};
 use c2pi_tensor::Tensor;
 use c2pi_transport::{Channel, Side, TcpChannel, TcpListenerTransport, TransportError};
 use metrics::{MetricsSnapshot, ReactorMetrics, ShardSnapshot};
@@ -897,6 +895,23 @@ fn serve_batch(worker: usize, chs: Vec<TcpChannel>, reason: FlushReason, shared:
     }
 }
 
+/// Result of one served [`ReactorClient`] request: the reconstructed
+/// logits of the crypto prefix, the argmax prediction, and the client
+/// party's cost report.
+#[derive(Debug, Clone)]
+pub struct ClientInference {
+    /// Reconstructed boundary activation (the logits under full PI).
+    pub logits: Tensor,
+    /// `argmax` of the logits.
+    pub prediction: usize,
+    /// How many clients shared the fused protocol run that served this
+    /// inference, as reported by the server's `OK` frame: `1` unless
+    /// the [`ReactorServer`] coalesced it with concurrent requests.
+    pub batch: usize,
+    /// The client party's outcome (share, dims, report).
+    pub outcome: PartyOutcome,
+}
+
 /// One reply from a [`ReactorServer`] to an inference request.
 #[derive(Debug)]
 pub enum ReactorReply {
@@ -913,19 +928,21 @@ pub enum ReactorReply {
 }
 
 /// Client for a [`ReactorServer`]: speaks the REQ/OK/BUSY/STATS
-/// envelope, then the classic dealt contract. Must wrap a session
-/// compiled from **identical** specs and config as the server's.
-/// Cloneable and `&self` throughout.
+/// envelope, then the dealt contract. Must wrap a session compiled from
+/// **identical** specs and config as the server's (only the
+/// per-inference seed travels on the wire). Cloneable and `&self`
+/// throughout — one client can drive many threads of concurrent
+/// requests.
 #[derive(Debug, Clone)]
 pub struct ReactorClient {
-    session: SharedPiSession,
+    session: PiSession,
     connect_timeout: Duration,
     retries: usize,
 }
 
 impl ReactorClient {
-    /// Wraps a shared session compiled identically to the server's.
-    pub fn new(session: SharedPiSession) -> Self {
+    /// Wraps a session compiled identically to the server's.
+    pub fn new(session: PiSession) -> Self {
         ReactorClient { session, connect_timeout: Duration::from_secs(10), retries: 8 }
     }
 
@@ -945,7 +962,7 @@ impl ReactorClient {
     }
 
     /// The wrapped session.
-    pub fn session(&self) -> &SharedPiSession {
+    pub fn session(&self) -> &PiSession {
         &self.session
     }
 
@@ -1053,7 +1070,6 @@ mod tests {
     use c2pi_nn::layers::{Conv2d, MaxPool2d, Relu};
     use c2pi_nn::Sequential;
     use c2pi_pi::engine::{specs_of, PiConfig};
-    use c2pi_pi::PiSession;
 
     fn tiny_prefix() -> Sequential {
         let mut s = Sequential::new();
@@ -1063,10 +1079,8 @@ mod tests {
         s
     }
 
-    fn shared_session() -> SharedPiSession {
-        PiSession::new(&specs_of(&tiny_prefix()), [1, 8, 8], PiConfig::default())
-            .unwrap()
-            .into_shared()
+    fn shared_session() -> PiSession {
+        PiSession::new(&specs_of(&tiny_prefix()), [1, 8, 8], PiConfig::default()).unwrap()
     }
 
     fn server_core() -> Arc<SessionCore> {
@@ -1289,6 +1303,63 @@ mod tests {
         let x = Tensor::rand_uniform(&[1, 1, 8, 8], -1.0, 1.0, 4);
         client.infer(server.local_addr(), &x).unwrap();
         server.drain().unwrap();
+    }
+
+    #[test]
+    fn silent_client_times_out_and_frees_the_worker() {
+        let server = ReactorServer::bind(
+            server_core(),
+            "127.0.0.1:0",
+            ReactorConfig {
+                workers: 1,
+                pool_low: 0,
+                pool_high: 0,
+                client_timeout: Duration::from_millis(200),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        server.preprocess(2).unwrap();
+        let addr = server.local_addr();
+        // A client that is admitted and dealt its seed, then never sends
+        // its input share: the only worker blocks on it.
+        let silent = TcpChannel::connect_retry(addr, Side::Client, Duration::from_secs(5)).unwrap();
+        silent.send_bytes(&req_frame(KIND_INFER)).unwrap();
+        assert_eq!(silent.recv_bytes().unwrap(), [TAG_OK]);
+        silent.recv_bytes().unwrap(); // the dealt seed
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.metrics_snapshot().errors == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let text = server.metrics_snapshot().render_prometheus();
+        assert_eq!(
+            metric_value(&text, "c2pi_errors_total"),
+            Some(1.0),
+            "silent client must time out"
+        );
+        assert_eq!(server.pool().ledger().consumed, 1, "its material is counted consumed");
+        // The freed worker serves a real client afterwards. The served
+        // counter trails the client's last byte by a beat.
+        let client = ReactorClient::new(shared_session());
+        let x = Tensor::rand_uniform(&[1, 1, 8, 8], -1.0, 1.0, 7);
+        client.infer(addr, &x).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.served() == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(server.served(), 1);
+        server.drain().unwrap();
+    }
+
+    #[test]
+    fn client_surfaces_unreachable_server() {
+        let client =
+            ReactorClient::new(shared_session()).with_connect_timeout(Duration::from_millis(200));
+        let x = Tensor::zeros(&[1, 1, 8, 8]);
+        // A bound-then-dropped listener guarantees a dead port.
+        let addr = TcpListenerTransport::bind("127.0.0.1:0").unwrap().local_addr();
+        assert!(client.infer(addr, &x).is_err());
+        assert!(client.stats(addr).is_err());
     }
 
     /// The headline capacity claim: 256 truly concurrent client

@@ -25,17 +25,53 @@
 //! ```
 
 use crate::defense::{defense_seed, Defense};
-use crate::pipeline::{InferenceResult, Split};
 use crate::{C2piError, Result};
 use c2pi_mpc::share::ShareVec;
 use c2pi_mpc::FixedPoint;
 use c2pi_nn::{BoundaryId, Model, Sequential};
 use c2pi_pi::engine::{specs_of, PiConfig};
-use c2pi_pi::report::PreprocessLedger;
+use c2pi_pi::report::{PiReport, PreprocessLedger};
 use c2pi_pi::{IntoBackend, PiSession};
 use c2pi_tensor::Tensor;
 use c2pi_transport::{TrafficSnapshot, Transport};
 use std::sync::Arc;
+
+/// Where the crypto/clear split sits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Split {
+    /// Split at a boundary layer: layers up to and including it run
+    /// under MPC, the rest in the clear (C2PI proper).
+    At(BoundaryId),
+    /// No clear segment: the entire network runs under MPC (the
+    /// conventional full-PI baseline, "boundary at the last layer").
+    Full,
+}
+
+/// Result of one C2PI inference.
+#[derive(Debug, Clone)]
+pub struct InferenceResult {
+    /// Output logits.
+    pub logits: Tensor,
+    /// Argmax class.
+    pub prediction: usize,
+    /// The (noised) boundary activation the server reconstructed — what
+    /// an IDPA would attack. `None` for full PI.
+    pub revealed_activation: Option<Tensor>,
+    /// Cost profile (crypto phase plus the reveal flight).
+    pub report: PiReport,
+}
+
+/// Convenience: the plaintext prediction of a model (reference for
+/// end-to-end tests and accuracy comparisons). Runs on the immutable
+/// [`Model::predict`] path, so a shared reference suffices.
+///
+/// # Errors
+///
+/// Propagates layer errors.
+pub fn plain_prediction(model: &Model, x: &Tensor) -> Result<usize> {
+    let logits = model.predict(x)?;
+    Ok(logits.argmax().unwrap_or(0))
+}
 
 /// Entry point of the builder API.
 pub struct C2pi;
@@ -351,7 +387,6 @@ impl C2piSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::plain_prediction;
     use c2pi_nn::model::{alexnet, ZooConfig};
     use c2pi_pi::{cheetah, delphi, PiBackend};
 
@@ -385,14 +420,17 @@ mod tests {
         let model = tiny_model();
         let xs: Vec<Tensor> =
             (0..2).map(|s| Tensor::rand_uniform(&[1, 3, 16, 16], 0.0, 1.0, s)).collect();
-        let expected: Vec<usize> =
-            xs.iter().map(|x| plain_prediction(&tiny_model(), x).unwrap()).collect();
+        let expected: Vec<Tensor> = xs.iter().map(|x| model.predict(x).unwrap()).collect();
         let mut session = C2pi::builder(model).full_pi().noise(0.0).build().unwrap();
+        assert_eq!(session.clear_layer_count(), 0);
         session.preprocess(xs.len()).unwrap();
         let results = session.infer_batch(&xs).unwrap();
         assert_eq!(results.len(), 2);
         for (res, want) in results.iter().zip(&expected) {
-            assert_eq!(res.prediction, *want);
+            assert_eq!(Some(res.prediction), want.argmax());
+            for (a, b) in want.as_slice().iter().zip(res.logits.as_slice()) {
+                assert!((a - b).abs() < 0.05, "{a} vs {b}");
+            }
             assert!(res.revealed_activation.is_none());
         }
         let ledger = session.ledger();
@@ -427,6 +465,46 @@ mod tests {
         // Same input, same session: the revealed activations differ
         // because each inference draws fresh noise.
         assert!(a.sub(&b).unwrap().map(f32::abs).max() > 1e-4);
+    }
+
+    #[test]
+    fn noise_perturbs_revealed_activation_within_lambda() {
+        let model = tiny_model();
+        let x = Tensor::rand_uniform(&[1, 3, 16, 16], 0.0, 1.0, 4);
+        let boundary = BoundaryId::relu(3);
+        let clean_act = model.clone().forward_to_cut(boundary, &x).unwrap();
+        let mut session = C2pi::builder(model).split_at(boundary).noise(0.5).build().unwrap();
+        let revealed = session.infer(&x).unwrap().revealed_activation.unwrap();
+        // The revealed activation deviates by up to λ (plus fixed-point
+        // error) but not more.
+        let dev = revealed.sub(&clean_act).unwrap().map(f32::abs).max();
+        assert!(dev > 0.05 && dev <= 0.5 + 0.05, "deviation {dev}");
+    }
+
+    #[test]
+    fn reveal_flight_is_counted() {
+        let x = Tensor::rand_uniform(&[1, 3, 16, 16], 0.0, 1.0, 6);
+        let mut session =
+            C2pi::builder(tiny_model()).split_at(BoundaryId::relu(1)).build().unwrap();
+        let res = session.infer(&x).unwrap();
+        // At least the input-share flight plus the reveal flight.
+        assert!(res.report.online.flights >= 2);
+    }
+
+    #[test]
+    fn earlier_boundary_is_cheaper() {
+        let x = Tensor::rand_uniform(&[1, 3, 16, 16], 0.0, 1.0, 3);
+        let mut early = C2pi::builder(tiny_model()).split_at(BoundaryId::relu(2)).build().unwrap();
+        let mut full = C2pi::builder(tiny_model()).full_pi().build().unwrap();
+        let re = early.infer(&x).unwrap().report;
+        let rf = full.infer(&x).unwrap().report;
+        assert!(
+            rf.comm_mb() > re.comm_mb(),
+            "full {} MB vs early {} MB",
+            rf.comm_mb(),
+            re.comm_mb()
+        );
+        assert!(rf.online.bytes_total() > re.online.bytes_total());
     }
 
     #[test]

@@ -243,9 +243,11 @@ fn both_backends_serve_identical_protocol_results() {
     }
     // On Linux the two passes genuinely covered epoll and peek; make
     // the default explicit so a regression to peek-by-default fails
-    // loudly rather than silently halving the coverage.
+    // loudly rather than silently halving the coverage. (Under the CI
+    // step that forces peek through the environment, peek *is* the
+    // default.)
     #[cfg(target_os = "linux")]
-    {
+    if !std::env::var("POLLING_FORCE_PEEK").is_ok_and(|v| v == "1") {
         let server =
             ReactorServer::bind(server_core(), "127.0.0.1:0", ReactorConfig::default()).unwrap();
         assert_eq!(server.metrics_snapshot().poll_backend, "epoll");

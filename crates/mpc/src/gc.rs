@@ -13,10 +13,10 @@
 //!   single operand label under a per-gate tweak;
 //! * outputs are decoded with one permute bit per output wire.
 //!
-//! The classic four-row scheme is kept as a reference implementation
-//! ([`garble_open_classic`] / [`evaluate_classic`]): the cross-scheme
-//! parity tests pin that both schemes decode the same plaintext results
-//! for the ReLU and maxpool circuits, and the table-bytes tests pin the
+//! The classic four-row scheme survives only as a test-only reference
+//! (the `classic` module beside the tests): the cross-scheme parity
+//! tests pin that both schemes decode the same plaintext results for
+//! the ReLU and maxpool circuits, and the table-bytes tests pin the
 //! 2×-smaller material footprint of the half-gates path.
 //!
 //! The module also provides the masked-ReLU circuit used by
@@ -24,7 +24,7 @@
 //! zeroes it when negative, and re-masks the result with the garbler's
 //! fresh randomness so the parties end with additive shares.
 
-use crate::prg::{hash128, prf128_pair, Prg};
+use crate::prg::{hash128, Prg};
 use crate::{MpcError, Result};
 use std::sync::OnceLock;
 
@@ -442,28 +442,6 @@ impl OpenGarbled {
     }
 }
 
-/// The classic four-row garbling artifact, kept as the reference
-/// implementation the half-gates scheme is tested against.
-#[derive(Debug, Clone)]
-pub struct ClassicOpenGarbled {
-    /// Four-row point-and-permute tables for each AND gate, in gate
-    /// order.
-    pub tables: Vec<[u128; 4]>,
-    /// Label pairs for the garbler's input wires.
-    pub garbler_label_pairs: Vec<(u128, u128)>,
-    /// Label pairs for the evaluator's input wires.
-    pub evaluator_label_pairs: Vec<(u128, u128)>,
-    /// Permute bit of each output wire's zero label (for decoding).
-    pub output_decode: Vec<bool>,
-}
-
-impl ClassicOpenGarbled {
-    /// Bytes the AND tables occupy (4 rows × 16 B per gate).
-    pub fn table_bytes(&self) -> usize {
-        self.tables.len() * 64
-    }
-}
-
 /// Selects the active labels for `bits` from per-wire label pairs.
 ///
 /// # Panics
@@ -606,98 +584,6 @@ pub fn evaluate(
         .collect())
 }
 
-/// Reference implementation: garbles `circuit` with the classic
-/// four-row point-and-permute tables (each row
-/// `prf128_pair(Wa, Wb, gate) ⊕ Wout`, indexed by the operand permute
-/// bits). Free-XOR labels are shared with the half-gates path; only the
-/// AND-gate encoding differs — which is exactly what the cross-scheme
-/// parity tests exercise.
-pub fn garble_open_classic(circuit: &Circuit, prg: &mut Prg) -> ClassicOpenGarbled {
-    let delta = prg.next_u128() | 1;
-    let mut zero = vec![0u128; circuit.n_wires];
-    for &w in circuit.garbler_inputs.iter().chain(circuit.evaluator_inputs.iter()) {
-        zero[w] = prg.next_u128();
-    }
-    let mut tables = Vec::with_capacity(circuit.and_count());
-    for (gid, gate) in circuit.gates.iter().enumerate() {
-        match *gate {
-            Gate::Xor { a, b, out } => zero[out] = zero[a] ^ zero[b],
-            Gate::Inv { a, out } => zero[out] = zero[a] ^ delta,
-            Gate::And { a, b, out } => {
-                let w0 = prg.next_u128();
-                zero[out] = w0;
-                let mut rows = [0u128; 4];
-                for ia in 0..2u8 {
-                    for ib in 0..2u8 {
-                        let la = zero[a] ^ if ia == 1 { delta } else { 0 };
-                        let lb = zero[b] ^ if ib == 1 { delta } else { 0 };
-                        let lo = w0 ^ if ia & ib == 1 { delta } else { 0 };
-                        let slot = (((la & 1) as usize) << 1) | ((lb & 1) as usize);
-                        rows[slot] = prf128_pair(la, lb, gid as u64) ^ lo;
-                    }
-                }
-                tables.push(rows);
-            }
-        }
-    }
-    let garbler_label_pairs =
-        circuit.garbler_inputs.iter().map(|&w| (zero[w], zero[w] ^ delta)).collect();
-    let evaluator_label_pairs =
-        circuit.evaluator_inputs.iter().map(|&w| (zero[w], zero[w] ^ delta)).collect();
-    let output_decode = circuit.outputs.iter().map(|&w| zero[w] & 1 == 1).collect();
-    ClassicOpenGarbled { tables, garbler_label_pairs, evaluator_label_pairs, output_decode }
-}
-
-/// Reference implementation: evaluates a classic four-row garbling
-/// (one `prf128_pair` call per AND, row selected by the operand permute
-/// bits).
-///
-/// # Errors
-///
-/// Returns an error when label/table counts disagree with the circuit.
-pub fn evaluate_classic(
-    circuit: &Circuit,
-    tables: &[[u128; 4]],
-    garbler_labels: &[u128],
-    evaluator_labels: &[u128],
-    output_decode: &[bool],
-) -> Result<Vec<bool>> {
-    if garbler_labels.len() != circuit.garbler_inputs.len()
-        || evaluator_labels.len() != circuit.evaluator_inputs.len()
-        || tables.len() != circuit.and_count()
-        || output_decode.len() != circuit.outputs.len()
-    {
-        return Err(MpcError::Protocol("garbled artifact counts disagree with circuit".into()));
-    }
-    let mut label = vec![0u128; circuit.n_wires];
-    for (&w, &l) in circuit.garbler_inputs.iter().zip(garbler_labels) {
-        label[w] = l;
-    }
-    for (&w, &l) in circuit.evaluator_inputs.iter().zip(evaluator_labels) {
-        label[w] = l;
-    }
-    let mut and_idx = 0usize;
-    for (gid, gate) in circuit.gates.iter().enumerate() {
-        match *gate {
-            Gate::Xor { a, b, out } => label[out] = label[a] ^ label[b],
-            Gate::Inv { a, out } => label[out] = label[a],
-            Gate::And { a, b, out } => {
-                let la = label[a];
-                let lb = label[b];
-                let slot = (((la & 1) as usize) << 1) | ((lb & 1) as usize);
-                label[out] = prf128_pair(la, lb, gid as u64) ^ tables[and_idx][slot];
-                and_idx += 1;
-            }
-        }
-    }
-    Ok(circuit
-        .outputs
-        .iter()
-        .zip(output_decode.iter())
-        .map(|(&w, &d)| ((label[w] & 1) == 1) ^ d)
-        .collect())
-}
-
 /// Little-endian bit decomposition of a ring element.
 pub fn to_bits(v: u64, bits: usize) -> Vec<bool> {
     (0..bits).map(|i| (v >> i) & 1 == 1).collect()
@@ -708,8 +594,132 @@ pub fn from_bits(bits: &[bool]) -> u64 {
     bits.iter().enumerate().fold(0u64, |acc, (i, &b)| acc | ((b as u64) << i))
 }
 
+/// The classic four-row garbling scheme: the reference the half-gates
+/// scheme is tested against (cross-scheme parity, 2× table bytes).
+#[cfg(test)]
+mod classic {
+    use super::{Circuit, Gate};
+    use crate::prg::{prf128_pair, Prg};
+    use crate::{MpcError, Result};
+
+    /// The classic four-row garbling artifact, kept as the reference
+    /// implementation the half-gates scheme is tested against.
+    #[derive(Debug, Clone)]
+    pub struct ClassicOpenGarbled {
+        /// Four-row point-and-permute tables for each AND gate, in gate
+        /// order.
+        pub tables: Vec<[u128; 4]>,
+        /// Label pairs for the garbler's input wires.
+        pub garbler_label_pairs: Vec<(u128, u128)>,
+        /// Label pairs for the evaluator's input wires.
+        pub evaluator_label_pairs: Vec<(u128, u128)>,
+        /// Permute bit of each output wire's zero label (for decoding).
+        pub output_decode: Vec<bool>,
+    }
+
+    impl ClassicOpenGarbled {
+        /// Bytes the AND tables occupy (4 rows × 16 B per gate).
+        pub fn table_bytes(&self) -> usize {
+            self.tables.len() * 64
+        }
+    }
+
+    /// Reference implementation: garbles `circuit` with the classic
+    /// four-row point-and-permute tables (each row
+    /// `prf128_pair(Wa, Wb, gate) ⊕ Wout`, indexed by the operand permute
+    /// bits). Free-XOR labels are shared with the half-gates path; only the
+    /// AND-gate encoding differs — which is exactly what the cross-scheme
+    /// parity tests exercise.
+    pub fn garble_open_classic(circuit: &Circuit, prg: &mut Prg) -> ClassicOpenGarbled {
+        let delta = prg.next_u128() | 1;
+        let mut zero = vec![0u128; circuit.n_wires];
+        for &w in circuit.garbler_inputs.iter().chain(circuit.evaluator_inputs.iter()) {
+            zero[w] = prg.next_u128();
+        }
+        let mut tables = Vec::with_capacity(circuit.and_count());
+        for (gid, gate) in circuit.gates.iter().enumerate() {
+            match *gate {
+                Gate::Xor { a, b, out } => zero[out] = zero[a] ^ zero[b],
+                Gate::Inv { a, out } => zero[out] = zero[a] ^ delta,
+                Gate::And { a, b, out } => {
+                    let w0 = prg.next_u128();
+                    zero[out] = w0;
+                    let mut rows = [0u128; 4];
+                    for ia in 0..2u8 {
+                        for ib in 0..2u8 {
+                            let la = zero[a] ^ if ia == 1 { delta } else { 0 };
+                            let lb = zero[b] ^ if ib == 1 { delta } else { 0 };
+                            let lo = w0 ^ if ia & ib == 1 { delta } else { 0 };
+                            let slot = (((la & 1) as usize) << 1) | ((lb & 1) as usize);
+                            rows[slot] = prf128_pair(la, lb, gid as u64) ^ lo;
+                        }
+                    }
+                    tables.push(rows);
+                }
+            }
+        }
+        let garbler_label_pairs =
+            circuit.garbler_inputs.iter().map(|&w| (zero[w], zero[w] ^ delta)).collect();
+        let evaluator_label_pairs =
+            circuit.evaluator_inputs.iter().map(|&w| (zero[w], zero[w] ^ delta)).collect();
+        let output_decode = circuit.outputs.iter().map(|&w| zero[w] & 1 == 1).collect();
+        ClassicOpenGarbled { tables, garbler_label_pairs, evaluator_label_pairs, output_decode }
+    }
+
+    /// Reference implementation: evaluates a classic four-row garbling
+    /// (one `prf128_pair` call per AND, row selected by the operand permute
+    /// bits).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when label/table counts disagree with the circuit.
+    pub fn evaluate_classic(
+        circuit: &Circuit,
+        tables: &[[u128; 4]],
+        garbler_labels: &[u128],
+        evaluator_labels: &[u128],
+        output_decode: &[bool],
+    ) -> Result<Vec<bool>> {
+        if garbler_labels.len() != circuit.garbler_inputs.len()
+            || evaluator_labels.len() != circuit.evaluator_inputs.len()
+            || tables.len() != circuit.and_count()
+            || output_decode.len() != circuit.outputs.len()
+        {
+            return Err(MpcError::Protocol("garbled artifact counts disagree with circuit".into()));
+        }
+        let mut label = vec![0u128; circuit.n_wires];
+        for (&w, &l) in circuit.garbler_inputs.iter().zip(garbler_labels) {
+            label[w] = l;
+        }
+        for (&w, &l) in circuit.evaluator_inputs.iter().zip(evaluator_labels) {
+            label[w] = l;
+        }
+        let mut and_idx = 0usize;
+        for (gid, gate) in circuit.gates.iter().enumerate() {
+            match *gate {
+                Gate::Xor { a, b, out } => label[out] = label[a] ^ label[b],
+                Gate::Inv { a, out } => label[out] = label[a],
+                Gate::And { a, b, out } => {
+                    let la = label[a];
+                    let lb = label[b];
+                    let slot = (((la & 1) as usize) << 1) | ((lb & 1) as usize);
+                    label[out] = prf128_pair(la, lb, gid as u64) ^ tables[and_idx][slot];
+                    and_idx += 1;
+                }
+            }
+        }
+        Ok(circuit
+            .outputs
+            .iter()
+            .zip(output_decode.iter())
+            .map(|(&w, &d)| ((label[w] & 1) == 1) ^ d)
+            .collect())
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::classic::{evaluate_classic, garble_open_classic};
     use super::*;
     use crate::fixed::FixedPoint;
     use crate::share::share_secret;

@@ -124,7 +124,7 @@ impl Default for Calibrator {
 impl Calibrator {
     fn time_prefix(&self, seq: &Sequential, backend: PiBackend) -> Result<(f64, OpCounts)> {
         let cfg = PiConfig { backend, ..Default::default() };
-        let mut session = PiSession::new(&specs_of(seq), [1, 16, 16], cfg)?;
+        let session = PiSession::new(&specs_of(seq), [1, 16, 16], cfg)?;
         session.preprocess(self.reps + 1)?;
         let x = Tensor::rand_uniform(&[1, 1, 16, 16], -1.0, 1.0, self.seed);
         // Warm-up inference (page-in, lazy allocations), untimed.

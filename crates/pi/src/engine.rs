@@ -145,7 +145,7 @@ pub fn specs_of(seq: &Sequential) -> Vec<LayerSpec> {
 /// and protocol errors from the underlying MPC stack.
 pub fn run_prefix(specs: &[LayerSpec], x: &Tensor, cfg: &PiConfig) -> Result<PiOutcome> {
     let (_, c, h, w) = x.shape().as_nchw()?;
-    let mut session = PiSession::new(specs, [c, h, w], *cfg)?;
+    let session = PiSession::new(specs, [c, h, w], *cfg)?;
     session.infer(x)
 }
 

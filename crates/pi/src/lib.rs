@@ -12,7 +12,11 @@
 //!   hand it to [`session::PiSession::with_backend`]; the engine has no
 //!   backend-specific code paths.
 //!
-//! The serving API is the two-phase [`session::PiSession`]:
+//! The serving API is the two-phase [`session::PiSession`] — one
+//! cheaply cloneable handle whose entry points all take `&self` — and
+//! the one two-party contract it speaks across processes, the dealt
+//! [`session::PiSession::serve_one`] / [`session::PiSession::request_one`]
+//! pair:
 //!
 //! ```
 //! use c2pi_pi::engine::{specs_of, PiConfig};
@@ -28,17 +32,17 @@
 //!
 //! // Compile once per deployment.
 //! let cfg = PiConfig::default();
-//! let mut session = PiSession::new(&specs_of(&prefix), [1, 8, 8], cfg)?;
+//! let session = PiSession::new(&specs_of(&prefix), [1, 8, 8], cfg)?;
 //! // Offline phase: correlated randomness for 4 future inferences.
 //! session.preprocess(4)?;
 //! // Online phase: consumes one pooled material set per input.
 //! let x = Tensor::rand_uniform(&[1, 1, 8, 8], -1.0, 1.0, 2);
 //! let outcome = session.infer(&x)?;
 //! assert_eq!(outcome.report.preprocessing.generated_inline, 0);
-//! // For concurrent serving, convert to the cheaply cloneable handle
-//! // whose inference entry points take `&self`:
-//! let shared = session.into_shared();
-//! assert_eq!(shared.backend_name(), "cheetah");
+//! // For concurrent serving, hand each worker thread a clone: they
+//! // all draw from the one pool.
+//! let worker = session.clone();
+//! assert_eq!(worker.ledger().consumed, 1);
 //! # Ok(())
 //! # }
 //! ```

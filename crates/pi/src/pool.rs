@@ -173,6 +173,27 @@ impl SessionCore {
         DealtSeed { seed, nonce: self.session_fingerprint(), steps: self.step_meta() }
     }
 
+    /// **Dealt contract, client side**: decodes the first frame a server
+    /// sent ([`SessionCore::serve_prepared`]), checks that the seed was
+    /// dealt for this exact deployment (nonce and plan shape), and
+    /// expands the material it stands for.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PiError::BadConfig`] for a malformed frame or a seed
+    /// dealt under another deployment, plus dealer errors.
+    pub fn expand_dealt(&self, frame: &[u8]) -> Result<InferenceMaterial> {
+        let dealt = DealtSeed::decode(frame)?;
+        if dealt != self.dealt_seed(dealt.seed) {
+            return Err(PiError::BadConfig(
+                "dealt seed was not produced for this deployment (backend, plan shape \
+                 or master configuration differ)"
+                    .into(),
+            ));
+        }
+        self.deal(dealt.seed)
+    }
+
     /// Runs the trusted-dealer stand-in for one inference: walks the
     /// plan and expands both parties' correlated-randomness halves from
     /// the compact [`DealtSeed`] for `seed`. Deterministic in `seed`

@@ -16,12 +16,11 @@
 //!
 //! Internally a session is two shareable parts (see [`crate::pool`]):
 //! an immutable [`crate::pool::SessionCore`] and a thread-safe
-//! [`MaterialPool`]. [`PiSession`] is the convenient exclusive handle;
-//! [`PiSession::into_shared`] (or [`PiSession::shared`]) yields a
-//! [`SharedPiSession`] — a cheaply cloneable handle whose inference
-//! entry points take `&self`, so any number of threads serve concurrent
-//! online inferences against one pool while a
-//! [`crate::pool::Replenisher`] keeps it topped up in the background.
+//! [`MaterialPool`]. [`PiSession`] is the one handle onto them: clones
+//! are cheap `Arc` bumps and every entry point takes `&self`, so any
+//! number of threads serve concurrent online inferences against one
+//! pool while a [`crate::pool::Replenisher`] keeps it topped up in the
+//! background.
 //!
 //! Every [`crate::report::PiReport`] carries a
 //! [`crate::report::PreprocessLedger`] stating whether its run consumed
@@ -36,17 +35,14 @@
 //! The parties talk over whatever [`c2pi_transport::Channel`] the
 //! session's [`c2pi_transport::Transport`] produces
 //! ([`PiSession::with_transport`]): the in-memory default, an in-line
-//! simulated LAN/WAN, or TCP framing. For genuinely separate processes
-//! there are two contracts:
-//!
-//! * lockstep ([`PiSession::infer_client`] / [`PiSession::infer_server`])
-//!   — both processes hold identical sessions and consume their pools in
-//!   the same order (the `two_party` example binaries);
-//! * dealt ([`SharedPiSession::serve_one`] /
-//!   [`SharedPiSession::request_one`]) — the server's pool decides which
-//!   material each connection gets and *deals* the seed to the client
-//!   first, so many concurrent clients can draw from one pool in any
-//!   order (the `PiServer` accept loop in `c2pi-core`).
+//! simulated LAN/WAN, or TCP framing. Genuinely separate processes speak
+//! the one two-party contract, the **dealt** contract
+//! ([`PiSession::serve_one`] / [`PiSession::request_one`]): the server's
+//! pool decides which material each connection gets and *deals* the
+//! compact seed to the client as the first frame, so many concurrent
+//! clients can draw from one pool in any order (the `two_party` example
+//! binaries, and the reactor in `c2pi-core` via
+//! [`SessionCore::serve_prepared`]).
 
 use crate::backend::PiBackendImpl;
 use crate::engine::{PiConfig, PiOutcome};
@@ -57,7 +53,6 @@ use crate::pool::{
 use crate::report::{OpCounts, PiReport};
 use crate::{PiError, Result};
 use c2pi_mpc::beaver::truncate_share;
-use c2pi_mpc::dealer::DealtSeed;
 use c2pi_mpc::prg::Prg;
 use c2pi_mpc::ring::{im2col_ring, RingMatrix};
 use c2pi_mpc::share::{share_secret, ShareVec};
@@ -67,30 +62,10 @@ use c2pi_transport::{Channel, MemTransport, Side, Transport};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A long-lived private-inference session over one compiled crypto
-/// prefix — the exclusive (`&mut self`) handle. See the
-/// [module docs](crate::session) for the phase model and
-/// [`SharedPiSession`] for the concurrent-serving handle.
-pub struct PiSession {
-    shared: SharedPiSession,
-}
-
-impl std::fmt::Debug for PiSession {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PiSession")
-            .field("backend", &self.shared.backend_name())
-            .field("transport", &self.shared.transport_label())
-            .field("steps", &self.shared.step_count())
-            .field("pooled", &self.shared.pooled())
-            .field("ledger", &self.shared.ledger())
-            .finish()
-    }
-}
-
-/// One party's result of a transport-split inference
-/// ([`PiSession::infer_client`] / [`PiSession::infer_server`]): this
-/// side's additive share of the boundary activation plus the run's cost
-/// report (traffic as seen by this side's channel counter).
+/// One party's result of a dealt-contract inference
+/// ([`PiSession::serve_one`] / [`PiSession::request_one`]): this side's
+/// additive share of the boundary activation plus the run's cost report
+/// (traffic as seen by this side's channel counter).
 #[derive(Debug, Clone)]
 pub struct PartyOutcome {
     /// This party's additive share of the boundary activation.
@@ -99,6 +74,39 @@ pub struct PartyOutcome {
     pub dims: Vec<usize>,
     /// Cost profile of the run.
     pub report: PiReport,
+}
+
+/// A long-lived private-inference session over one compiled crypto
+/// prefix: an `Arc`-shared immutable [`SessionCore`] plus an
+/// `Arc`-shared [`MaterialPool`]. See the [module docs](crate::session)
+/// for the phase model.
+///
+/// Clones are cheap and every entry point takes `&self`, so a serving
+/// system hands one clone to each worker thread; they draw material
+/// from the one pool with exact ledger accounting while a
+/// [`Replenisher`] (spawned via [`PiSession::spawn_replenisher`]) keeps
+/// the pool above its low watermark.
+#[derive(Clone)]
+pub struct PiSession {
+    core: Arc<SessionCore>,
+    pool: Arc<MaterialPool>,
+    transport: Arc<dyn Transport>,
+}
+
+/// The name [`PiSession`] went by when the concurrent-serving handle was
+/// a separate type; kept because callers spell it.
+pub type SharedPiSession = PiSession;
+
+impl std::fmt::Debug for PiSession {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PiSession")
+            .field("backend", &self.backend_name())
+            .field("transport", &self.transport_label())
+            .field("steps", &self.step_count())
+            .field("pooled", &self.pooled())
+            .field("ledger", &self.ledger())
+            .finish()
+    }
 }
 
 impl PiSession {
@@ -131,168 +139,22 @@ impl PiSession {
         let plan = compile(specs, (c, h, w), cfg.fixed)?;
         let core = Arc::new(SessionCore { plan, cfg, backend });
         let pool = Arc::new(MaterialPool::new(Arc::clone(&core)));
-        Ok(PiSession { shared: SharedPiSession { core, pool, transport: Arc::new(MemTransport) } })
+        Ok(PiSession { core, pool, transport: Arc::new(MemTransport) })
     }
 
-    /// Replaces the transport the in-process party threads talk over
-    /// (the default is the in-memory pair). Accepts any
-    /// [`Transport`] — e.g. `SimTransport::new(NetModel::wan())` to put
-    /// WAN latency on the online wall clock, or an
-    /// `Arc<dyn Transport>`.
+    /// Replaces the transport the in-process party threads of
+    /// [`PiSession::infer`] talk over (the default is the in-memory
+    /// pair). Accepts any [`Transport`] — e.g.
+    /// `SimTransport::new(NetModel::wan())` to put WAN latency on the
+    /// online wall clock, or an `Arc<dyn Transport>`.
     pub fn with_transport<T: Transport + 'static>(mut self, transport: T) -> Self {
-        self.shared = self.shared.with_transport(transport);
+        self.transport = Arc::new(transport);
         self
     }
 
-    /// Converts this exclusive handle into the cheaply cloneable
-    /// [`SharedPiSession`] used for concurrent serving. Pooled material
-    /// and the ledger carry over.
-    pub fn into_shared(self) -> SharedPiSession {
-        self.shared
-    }
-
-    /// A shared handle onto the *same* core, pool and ledger as this
-    /// session (clones are cheap `Arc` bumps).
-    pub fn shared(&self) -> SharedPiSession {
-        self.shared.clone()
-    }
-
-    /// Label of the active transport (`mem`, `sim-wan`, …).
-    pub fn transport_label(&self) -> String {
-        self.shared.transport_label()
-    }
-
-    /// The backend's engine name.
-    pub fn backend_name(&self) -> &'static str {
-        self.shared.backend_name()
-    }
-
-    /// Engine configuration the session was built with.
-    pub fn config(&self) -> &PiConfig {
-        self.shared.config()
-    }
-
-    /// Number of crypto-prefix steps.
-    pub fn step_count(&self) -> usize {
-        self.shared.step_count()
-    }
-
-    /// Public shape of the boundary activation.
-    pub fn out_dims(&self) -> &[usize] {
-        &self.shared.core.plan.out_dims
-    }
-
-    /// Material sets currently pooled for future inferences.
-    pub fn pooled(&self) -> usize {
-        self.shared.pooled()
-    }
-
-    /// Current preprocessing ledger.
-    pub fn ledger(&self) -> crate::report::PreprocessLedger {
-        self.shared.ledger()
-    }
-
-    /// Offline phase: generates correlated randomness for `n` future
-    /// inferences and pools it. Input-independent; run it ahead of
-    /// traffic so [`PiSession::infer`] stays on the cheap path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dealer errors (caller shape bugs).
-    pub fn preprocess(&mut self, n: usize) -> Result<()> {
-        self.shared.preprocess(n)
-    }
-
-    /// Online phase: runs one private inference on a `[1, c, h, w]`
-    /// input, consuming one pooled material set (generating inline if
-    /// the pool is dry).
-    ///
-    /// # Errors
-    ///
-    /// Returns engine, shape or protocol errors.
-    pub fn infer(&mut self, x: &Tensor) -> Result<PiOutcome> {
-        self.shared.infer(x)
-    }
-
-    /// Online phase over a batch: one outcome per input, consuming one
-    /// pooled material set each. Preprocess at least `xs.len()` sets
-    /// first to keep the whole batch on the online path.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first erroring inference.
-    pub fn infer_batch(&mut self, xs: &[Tensor]) -> Result<Vec<PiOutcome>> {
-        self.shared.infer_batch(xs)
-    }
-
-    /// Runs only the **client** party of one inference over an external
-    /// channel — the entry point for genuinely separate processes (see
-    /// the `two_party` example binaries, which connect
-    /// [`c2pi_transport::TcpChannel`]s).
-    ///
-    /// Both processes must build the session with identical specs and
-    /// configuration: the deterministic dealer stands in for the
-    /// trusted third party, so equal master seeds make both sides draw
-    /// matching correlated-randomness halves (each keeps its own half
-    /// and discards the other). For many concurrent clients against one
-    /// server pool, use the dealt contract
-    /// ([`SharedPiSession::request_one`]) instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PiError::BadConfig`] when `ch` is not the client end,
-    /// plus the engine, shape and protocol errors of
-    /// [`PiSession::infer`].
-    pub fn infer_client(&mut self, ch: &dyn Channel, x: &Tensor) -> Result<PartyOutcome> {
-        self.shared.infer_client(ch, x)
-    }
-
-    /// Runs only the **server** party of one inference over an external
-    /// channel. See [`PiSession::infer_client`] for the two-process
-    /// contract.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PiError::BadConfig`] when `ch` is not the server end,
-    /// plus engine and protocol errors.
-    pub fn infer_server(&mut self, ch: &dyn Channel) -> Result<PartyOutcome> {
-        self.shared.infer_server(ch)
-    }
-}
-
-/// The concurrent-serving handle onto one compiled session: an
-/// `Arc`-shared immutable [`SessionCore`] plus an `Arc`-shared
-/// [`MaterialPool`].
-///
-/// Clones are cheap and all inference entry points take `&self`, so a
-/// serving system hands one clone to each worker thread; they draw
-/// material from the one pool with exact ledger accounting while a
-/// [`Replenisher`] (spawned via
-/// [`SharedPiSession::spawn_replenisher`]) keeps the pool above its low
-/// watermark. Obtain one with [`PiSession::into_shared`].
-#[derive(Clone)]
-pub struct SharedPiSession {
-    core: Arc<SessionCore>,
-    pool: Arc<MaterialPool>,
-    transport: Arc<dyn Transport>,
-}
-
-impl std::fmt::Debug for SharedPiSession {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedPiSession")
-            .field("backend", &self.backend_name())
-            .field("transport", &self.transport_label())
-            .field("steps", &self.step_count())
-            .field("pooled", &self.pooled())
-            .finish()
-    }
-}
-
-impl SharedPiSession {
-    /// Replaces the transport used by the in-process [`SharedPiSession::infer`]
-    /// path.
-    pub fn with_transport<T: Transport + 'static>(mut self, transport: T) -> Self {
-        self.transport = Arc::new(transport);
+    /// Identity, kept with [`SharedPiSession`] from when sharing was a
+    /// conversion: a session is already the cloneable `&self` handle.
+    pub fn into_shared(self) -> Self {
         self
     }
 
@@ -341,12 +203,14 @@ impl SharedPiSession {
         self.pool.ledger()
     }
 
-    /// Offline phase for `n` future inferences (thread-safe; see
-    /// [`MaterialPool::preprocess`]).
+    /// Offline phase: generates correlated randomness for `n` future
+    /// inferences and pools it. Input-independent and thread-safe (see
+    /// [`MaterialPool::preprocess`]); run it ahead of traffic so
+    /// [`PiSession::infer`] stays on the cheap path.
     ///
     /// # Errors
     ///
-    /// Propagates dealer errors.
+    /// Propagates dealer errors (caller shape bugs).
     pub fn preprocess(&self, n: usize) -> Result<()> {
         self.pool.preprocess(n)
     }
@@ -371,9 +235,10 @@ impl SharedPiSession {
     }
 
     /// Online phase: one private inference on a `[1, c, h, w]` input,
-    /// with both parties running as threads of this process. Safe to
-    /// call from many threads at once — concurrent calls draw from the
-    /// one shared pool.
+    /// with both parties running as threads of this process, consuming
+    /// one pooled material set (generating inline if the pool is dry).
+    /// Safe to call from many threads at once — concurrent calls draw
+    /// from the one shared pool.
     ///
     /// # Errors
     ///
@@ -417,7 +282,9 @@ impl SharedPiSession {
         })
     }
 
-    /// Online phase over a batch: one outcome per input.
+    /// Online phase over a batch: one outcome per input, consuming one
+    /// pooled material set each. Preprocess at least `xs.len()` sets
+    /// first to keep the whole batch on the online path.
     ///
     /// # Errors
     ///
@@ -432,11 +299,11 @@ impl SharedPiSession {
     /// ([`SessionCore::serve_batch_prepared`]), amortizing its per-layer
     /// compute across the batch, while each member keeps its own
     /// channel, pool item, seed and masks. One in-process client thread
-    /// per member plays the dealt-contract client
-    /// (receive [`DealtSeed`], expand, run the online protocol).
+    /// per member plays the dealt-contract client (receive the dealt
+    /// seed, expand, run the online protocol).
     ///
     /// Per-member results are bit-for-bit what `xs.len()` separate
-    /// [`SharedPiSession::infer`] calls would produce — pinned by the
+    /// [`PiSession::infer`] calls would produce — pinned by the
     /// session tests — because fusing changes only *when* the server
     /// computes, never *what* any member's transcript contains.
     ///
@@ -478,13 +345,8 @@ impl SharedPiSession {
                 .zip(xs)
                 .map(|(cep, x)| {
                     scope.spawn(move || -> Result<ShareVec> {
-                        let dealt = DealtSeed::decode(&cep.recv_bytes()?)?;
-                        if dealt != core.dealt_seed(dealt.seed) {
-                            return Err(PiError::BadConfig(
-                                "dealt seed was not produced for this deployment".into(),
-                            ));
-                        }
-                        let InferenceMaterial { seed, cmats, .. } = core.deal(dealt.seed)?;
+                        let InferenceMaterial { seed, cmats, .. } =
+                            core.expand_dealt(&cep.recv_bytes()?)?;
                         client_thread(&*cep, &core.plan, cmats, x, &core.cfg, &*core.backend, seed)
                     })
                 })
@@ -524,90 +386,42 @@ impl SharedPiSession {
             .collect()
     }
 
-    /// Lockstep client party over an external channel (see
-    /// [`PiSession::infer_client`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PiError::BadConfig`] when `ch` is not the client end,
-    /// plus engine, shape and protocol errors.
-    pub fn infer_client(&self, ch: &dyn Channel, x: &Tensor) -> Result<PartyOutcome> {
-        if ch.side() != Side::Client {
-            return Err(PiError::BadConfig("infer_client needs the client channel end".into()));
-        }
-        self.check_input(x)?;
-        let InferenceMaterial { seed, cmats, smats: _, counts } = self.pool.take()?;
-        let before = ch.counter().snapshot();
-        let start = Instant::now();
-        let share = client_thread(
-            ch,
-            &self.core.plan,
-            cmats,
-            x,
-            &self.core.cfg,
-            &*self.core.backend,
-            seed,
-        )?;
-        Ok(self.party_outcome(share, counts, ch, before, start.elapsed().as_secs_f64()))
-    }
-
-    /// Lockstep server party over an external channel (see
-    /// [`PiSession::infer_server`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PiError::BadConfig`] when `ch` is not the server end,
-    /// plus engine and protocol errors.
-    pub fn infer_server(&self, ch: &dyn Channel) -> Result<PartyOutcome> {
-        if ch.side() != Side::Server {
-            return Err(PiError::BadConfig("infer_server needs the server channel end".into()));
-        }
-        let InferenceMaterial { seed, cmats: _, smats, counts } = self.pool.take()?;
-        let before = ch.counter().snapshot();
-        let start = Instant::now();
-        let share =
-            server_thread(ch, &self.core.plan, smats, &self.core.cfg, &*self.core.backend, seed)?;
-        Ok(self.party_outcome(share, counts, ch, before, start.elapsed().as_secs_f64()))
-    }
-
     /// **Dealt contract, server side**: serves one inference to the
-    /// client on `ch`. Takes one material set from the shared pool,
-    /// *deals* its compact [`DealtSeed`] to the client as the first
-    /// frame (the deterministic dealer standing in for the trusted
-    /// third party delivering the client's correlated-randomness half —
-    /// seed-compressed, so the frame is tens of bytes regardless of how
-    /// large the expanded material is), then runs the server party of
-    /// the online protocol.
+    /// client on `ch`. Takes one material set from the shared pool and
+    /// hands it to [`SessionCore::serve_prepared`], which *deals* its
+    /// compact seed to the client as the first frame (the deterministic
+    /// dealer standing in for the trusted third party delivering the
+    /// client's correlated-randomness half — seed-compressed, so the
+    /// frame is tens of bytes regardless of how large the expanded
+    /// material is), then runs the server party of the online protocol.
     ///
-    /// This is the entry point a concurrent accept loop (one worker per
-    /// connection) calls against one shared pool — material is assigned
-    /// per connection in pool order, so clients need no coordination.
+    /// Material is assigned per connection in pool order, so concurrent
+    /// clients need no coordination.
     ///
     /// # Errors
     ///
-    /// Returns [`PiError::BadConfig`] when `ch` is not the server end,
-    /// plus engine and protocol errors.
+    /// Returns [`PiError::BadConfig`] when `ch` is not the server end
+    /// (before any material is taken), plus engine and protocol errors.
     pub fn serve_one(&self, ch: &dyn Channel) -> Result<PartyOutcome> {
         if ch.side() != Side::Server {
             return Err(PiError::BadConfig("serve_one needs the server channel end".into()));
         }
         let material = self.pool.take()?;
+        let counts = material.counts.clone();
         let before = ch.counter().snapshot();
         let start = Instant::now();
-        ch.send_bytes(&self.core.dealt_seed(material.seed).encode())?;
-        let InferenceMaterial { seed, cmats: _, smats, counts } = material;
-        let share =
-            server_thread(ch, &self.core.plan, smats, &self.core.cfg, &*self.core.backend, seed)?;
+        let share = self.core.serve_prepared(ch, material)?;
         Ok(self.party_outcome(share, counts, ch, before, start.elapsed().as_secs_f64()))
     }
 
     /// **Dealt contract, client side**: requests one inference from a
-    /// server running [`SharedPiSession::serve_one`] on the other end of
-    /// `ch`. Receives the compact [`DealtSeed`], validates that it was
-    /// dealt for this exact deployment (nonce and plan shape), expands
-    /// this party's correlated-randomness half from it (dealer time on
-    /// the client's critical path, recorded as inline in this session's
-    /// ledger), and runs the client party of the online protocol.
+    /// server running [`PiSession::serve_one`] (or
+    /// [`SessionCore::serve_prepared`]) on the other end of `ch`.
+    /// Receives the compact dealt seed, validates and expands this
+    /// party's correlated-randomness half from it
+    /// ([`SessionCore::expand_dealt`] — dealer time on the client's
+    /// critical path, recorded as inline in this session's ledger), and
+    /// runs the client party of the online protocol.
     ///
     /// Both processes must compile their sessions from identical specs
     /// and configuration — only the seed-compressed dealt artifact
@@ -624,16 +438,9 @@ impl SharedPiSession {
         }
         self.check_input(x)?;
         let before = ch.counter().snapshot();
-        let dealt = DealtSeed::decode(&ch.recv_bytes()?)?;
-        if dealt != self.core.dealt_seed(dealt.seed) {
-            return Err(PiError::BadConfig(
-                "dealt seed was not produced for this deployment (backend, plan shape \
-                 or master configuration differ)"
-                    .into(),
-            ));
-        }
+        let frame = ch.recv_bytes()?;
         let deal_start = Instant::now();
-        let InferenceMaterial { seed, cmats, smats: _, counts } = self.core.deal(dealt.seed)?;
+        let InferenceMaterial { seed, cmats, smats: _, counts } = self.core.expand_dealt(&frame)?;
         self.pool.note_dealt_inline(deal_start.elapsed().as_secs_f64(), &counts);
         let start = Instant::now();
         let share = client_thread(
@@ -677,12 +484,12 @@ impl SharedPiSession {
 
 impl SessionCore {
     /// **Dealt contract, server side, caller-supplied material**: like
-    /// [`SharedPiSession::serve_one`] but over material the caller
-    /// already took from a pool — the entry point for serving layers
-    /// that separate pool policy (sharding, work stealing, backpressure)
-    /// from protocol execution, such as the `c2pi-core` reactor. Deals
-    /// the compact [`DealtSeed`] as the first frame, then runs the
-    /// server party; returns this side's share of the boundary
+    /// [`PiSession::serve_one`] but over material the caller already
+    /// took from a pool — the entry point for serving layers that
+    /// separate pool policy (sharding, work stealing, backpressure) from
+    /// protocol execution, such as the `c2pi-core` reactor. Deals the
+    /// compact [`c2pi_mpc::dealer::DealtSeed`] as the first frame, then
+    /// runs the server party; returns this side's share of the boundary
     /// activation (the caller sends it to the client to reconstruct).
     ///
     /// # Errors
@@ -1120,7 +927,7 @@ mod tests {
         let x = Tensor::rand_uniform(&[1, 1, 8, 8], -1.0, 1.0, 3);
         let plain = seq.forward_eval(&x).unwrap();
         let cfg = PiConfig::default();
-        let mut session = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
+        let session = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
         session.preprocess(1).unwrap();
         let pooled = session.infer(&x).unwrap();
         assert_close(&plain, &pooled.reconstruct(cfg.fixed).unwrap(), 0.02);
@@ -1139,7 +946,7 @@ mod tests {
         let xs: Vec<Tensor> =
             (0..3).map(|s| Tensor::rand_uniform(&[1, 1, 8, 8], -1.0, 1.0, s)).collect();
         let cfg = PiConfig::default();
-        let mut session = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
+        let session = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
         session.preprocess(3).unwrap();
         assert_eq!(session.pooled(), 3);
         let outs = session.infer_batch(&xs).unwrap();
@@ -1150,7 +957,7 @@ mod tests {
             assert_close(&plain, &out.reconstruct(cfg.fixed).unwrap(), 0.02);
         }
         // The same input twice gets different masks (fresh correlations).
-        let mut session2 = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
+        let session2 = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
         session2.preprocess(2).unwrap();
         let a = session2.infer(&xs[0]).unwrap();
         let b = session2.infer(&xs[0]).unwrap();
@@ -1163,9 +970,9 @@ mod tests {
         let xs: Vec<Tensor> =
             (0..2).map(|s| Tensor::rand_uniform(&[1, 1, 8, 8], -1.0, 1.0, 10 + s)).collect();
         let cfg = PiConfig::default();
-        let mut batched = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
+        let batched = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
         let from_batch = batched.infer_batch(&xs).unwrap();
-        let mut sequential = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
+        let sequential = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
         let first = sequential.infer(&xs[0]).unwrap();
         let second = sequential.infer(&xs[1]).unwrap();
         assert_eq!(from_batch[0].client_share.as_raw(), first.client_share.as_raw());
@@ -1185,9 +992,9 @@ mod tests {
             let cfg = PiConfig { backend, ..Default::default() };
             // Reference: sequential dealt serving (serve_one/request_one
             // over per-member pool items, in pool order).
-            let server = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap().into_shared();
+            let server = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
             server.preprocess(3).unwrap();
-            let client = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap().into_shared();
+            let client = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
             let mut want = Vec::new();
             for x in &xs {
                 let (cch, sch, _) = c2pi_transport::channel_pair();
@@ -1199,7 +1006,7 @@ mod tests {
             }
             // Fused: same specs, fresh session (same master seed stream),
             // one batched run over all three inputs.
-            let fused = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap().into_shared();
+            let fused = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
             fused.preprocess(3).unwrap();
             let outs = fused.infer_batch_dealt(&xs).unwrap();
             assert_eq!(outs.len(), 3);
@@ -1232,15 +1039,15 @@ mod tests {
         let seq = tiny_prefix();
         let x = Tensor::rand_uniform(&[1, 1, 8, 8], -1.0, 1.0, 60);
         let cfg = PiConfig::default();
-        let solo = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap().into_shared();
+        let solo = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
         solo.preprocess(1).unwrap();
-        let client = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap().into_shared();
+        let client = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
         let (cch, sch, _) = c2pi_transport::channel_pair();
         let srv = solo.clone();
         let t = std::thread::spawn(move || srv.serve_one(&sch).unwrap());
         let want = client.request_one(&cch, &x).unwrap();
         t.join().unwrap();
-        let fused = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap().into_shared();
+        let fused = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
         fused.preprocess(1).unwrap();
         let outs = fused.infer_batch_dealt(std::slice::from_ref(&x)).unwrap();
         assert_eq!(outs.len(), 1);
@@ -1254,7 +1061,7 @@ mod tests {
         let x = Tensor::rand_uniform(&[1, 1, 8, 8], -1.0, 1.0, 5);
         let plain = seq.forward_eval(&x).unwrap();
         let cfg = PiConfig { backend: PiBackend::Delphi, ..Default::default() };
-        let mut session = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
+        let session = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
         session.preprocess(1).unwrap();
         let out = session.infer(&x).unwrap();
         assert_close(&plain, &out.reconstruct(cfg.fixed).unwrap(), 0.02);
@@ -1265,7 +1072,7 @@ mod tests {
     fn wrong_input_shape_is_rejected() {
         let seq = tiny_prefix();
         let cfg = PiConfig::default();
-        let mut session = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
+        let session = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
         let bad = Tensor::zeros(&[1, 1, 6, 6]);
         assert!(matches!(session.infer(&bad), Err(PiError::BadConfig(_))));
     }
@@ -1276,11 +1083,11 @@ mod tests {
         let seq = tiny_prefix();
         let x = Tensor::rand_uniform(&[1, 1, 8, 8], -1.0, 1.0, 21);
         let cfg = PiConfig::default();
-        let mut mem = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
+        let mem = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
         let want = mem.infer(&x).unwrap();
         // A fast simulated network: the protocol transcript (and thus
         // the shares) must be identical, only the wall clock differs.
-        let mut sim = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg)
+        let sim = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg)
             .unwrap()
             .with_transport(SimTransport::new(NetModel::custom("fast", 1e12, 1e-5)));
         assert_eq!(sim.transport_label(), "sim-fast");
@@ -1288,7 +1095,7 @@ mod tests {
         assert_eq!(got.client_share.as_raw(), want.client_share.as_raw());
         assert_eq!(got.server_share.as_raw(), want.server_share.as_raw());
         // Real TCP framing over loopback: same story.
-        let mut tcp = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg)
+        let tcp = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg)
             .unwrap()
             .with_transport(TcpLoopbackTransport);
         let got = tcp.infer(&x).unwrap();
@@ -1303,20 +1110,17 @@ mod tests {
         let seq = tiny_prefix();
         let x = Tensor::rand_uniform(&[1, 1, 8, 8], -1.0, 1.0, 22);
         let cfg = PiConfig::default();
-        // Reference: both parties in one session.
-        let mut reference = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
-        let want = reference.infer(&x).unwrap();
-        // Two sessions with identical seeds, one per party, talking TCP.
-        let (cch, sch, _) = tcp_loopback_pair().unwrap();
         let specs = specs_of(&seq);
-        let specs_srv = specs.clone();
-        let server = std::thread::spawn(move || {
-            let mut s = PiSession::new(&specs_srv, [1, 8, 8], cfg).unwrap();
-            s.infer_server(&sch).unwrap()
-        });
-        let mut c = PiSession::new(&specs, [1, 8, 8], cfg).unwrap();
-        let client_out = c.infer_client(&cch, &x).unwrap();
-        let server_out = server.join().unwrap();
+        // Reference: both parties in one session.
+        let want = PiSession::new(&specs, [1, 8, 8], cfg).unwrap().infer(&x).unwrap();
+        // One session per party, talking TCP: a fresh server pool deals
+        // the first seed of the same stream the reference consumed.
+        let (cch, sch, _) = tcp_loopback_pair().unwrap();
+        let server = PiSession::new(&specs, [1, 8, 8], cfg).unwrap();
+        let t = std::thread::spawn(move || server.serve_one(&sch).unwrap());
+        let client = PiSession::new(&specs, [1, 8, 8], cfg).unwrap();
+        let client_out = client.request_one(&cch, &x).unwrap();
+        let server_out = t.join().unwrap();
         assert_eq!(client_out.share.as_raw(), want.client_share.as_raw());
         assert_eq!(server_out.share.as_raw(), want.server_share.as_raw());
         assert_eq!(client_out.dims, want.dims);
@@ -1327,11 +1131,13 @@ mod tests {
         use c2pi_transport::tcp_loopback_pair;
         let seq = tiny_prefix();
         let cfg = PiConfig::default();
-        let mut session = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
+        let session = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
+        session.preprocess(1).unwrap();
         let (cch, sch, _) = tcp_loopback_pair().unwrap();
         let x = Tensor::zeros(&[1, 1, 8, 8]);
-        assert!(matches!(session.infer_client(&sch, &x), Err(PiError::BadConfig(_))));
-        assert!(matches!(session.infer_server(&cch), Err(PiError::BadConfig(_))));
+        assert!(matches!(session.request_one(&sch, &x), Err(PiError::BadConfig(_))));
+        assert!(matches!(session.serve_one(&cch), Err(PiError::BadConfig(_))));
+        assert_eq!(session.pooled(), 1, "a rejected call takes no material");
     }
 
     #[test]
@@ -1341,9 +1147,9 @@ mod tests {
         let x = Tensor::rand_uniform(&[1, 1, 8, 8], -1.0, 1.0, 31);
         let plain = seq.forward_eval(&x).unwrap();
         let cfg = PiConfig::default();
-        let server = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap().into_shared();
+        let server = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
         server.preprocess(1).unwrap();
-        let client = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap().into_shared();
+        let client = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
         let (cch, sch, _) = tcp_loopback_pair().unwrap();
         let srv = server.clone();
         let t = std::thread::spawn(move || srv.serve_one(&sch).unwrap());
@@ -1363,7 +1169,7 @@ mod tests {
     fn shared_handle_serves_concurrent_inferences_from_one_pool() {
         let seq = tiny_prefix();
         let cfg = PiConfig::default();
-        let shared = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap().into_shared();
+        let shared = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
         shared.preprocess(4).unwrap();
         let x = Tensor::rand_uniform(&[1, 1, 8, 8], -1.0, 1.0, 40);
         let plain = tiny_prefix().forward_eval(&x).unwrap();

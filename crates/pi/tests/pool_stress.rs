@@ -42,7 +42,7 @@ fn concurrent_pool_accounting_is_exact_and_outputs_match_sequential() {
 
     // Sequential reference: same master seed, same undersized budget,
     // one thread draining the pool in order.
-    let mut sequential = PiSession::new(&specs, [1, 8, 8], cfg).unwrap();
+    let sequential = PiSession::new(&specs, [1, 8, 8], cfg).unwrap();
     sequential.preprocess(OFFLINE_BUDGET).unwrap();
     let mut want: Vec<Vec<u64>> = (0..total)
         .map(|_| {

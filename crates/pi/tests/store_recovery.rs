@@ -38,7 +38,7 @@ fn reconstruct(out: &PiOutcome) -> Vec<u64> {
 #[test]
 fn delphi_dealt_bytes_drop_50x_under_seed_compression() {
     let cfg = PiConfig { backend: PiBackend::Delphi, ..Default::default() };
-    let mut session = PiSession::new(&specs_of(&tiny_prefix()), [1, 8, 8], cfg).unwrap();
+    let session = PiSession::new(&specs_of(&tiny_prefix()), [1, 8, 8], cfg).unwrap();
     session.preprocess(1).unwrap();
     let ledger = session.ledger();
     assert!(ledger.seed_bytes > 0, "dealt seeds must be accounted");

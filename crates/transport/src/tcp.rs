@@ -209,21 +209,6 @@ impl TcpChannel {
             }
         }
     }
-
-    /// Binds `addr` and accepts exactly one connection (the one-shot
-    /// server pattern of the `two_party` demo).
-    ///
-    /// Prefer binding port 0 through [`TcpListenerTransport`] when the
-    /// peer needs to learn the ephemeral port before connecting — a
-    /// caller-fixed port forces the `sleep`-and-hope race this helper
-    /// was historically used with.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TransportError::Io`] when binding or accepting fails.
-    pub fn serve_once(addr: impl ToSocketAddrs, side: Side) -> Result<Self> {
-        TcpListenerTransport::bind(addr)?.accept(side)
-    }
 }
 
 /// A bound-but-not-yet-connected TCP listener that hands channels to a
@@ -236,9 +221,9 @@ impl TcpChannel {
 ///   / [`TcpListenerTransport::port`], so tests, examples and CI never
 ///   race on a fixed port number;
 /// * **accept loops** — [`TcpListenerTransport::accept`] yields one
-///   framed [`TcpChannel`] per client connection, which is what a
-///   multi-client server (e.g. `c2pi-core`'s `PiServer`) spawns a worker
-///   around.
+///   framed [`TcpChannel`] per client connection (the `two_party`
+///   demo server), and [`TcpListenerTransport::try_accept`] feeds a
+///   readiness loop (`c2pi-core`'s `ReactorServer`).
 ///
 /// ```no_run
 /// use c2pi_transport::{Side, TcpChannel, TcpListenerTransport};

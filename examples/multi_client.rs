@@ -106,7 +106,7 @@ fn main() {
     let model = common::demo_model();
     // In-process fallback server so the example is self-contained.
     let inprocess = if opts.addr.is_none() {
-        let session = common::build_session(opts.backend).into_shared();
+        let session = common::build_session(opts.backend);
         let cfg = ReactorConfig {
             workers: opts.clients.max(1),
             pool_low: 2,
@@ -149,7 +149,7 @@ fn main() {
                 let fixed_seed = opts.fixed_seed;
                 let dump = opts.dump_bits.is_some();
                 scope.spawn(move || {
-                    let client = ReactorClient::new(common::build_session(backend).into_shared())
+                    let client = ReactorClient::new(common::build_session(backend))
                         .with_connect_timeout(Duration::from_secs(30))
                         .with_retries(retries);
                     let [c, h, w] = common::INPUT_CHW;
@@ -230,7 +230,7 @@ fn main() {
         // Fetch before tearing the in-process server down; against a
         // --serve-n server this races its graceful drain, so treat a
         // refused stats connection as informational, not fatal.
-        let client = ReactorClient::new(common::build_session(opts.backend).into_shared())
+        let client = ReactorClient::new(common::build_session(opts.backend))
             .with_connect_timeout(Duration::from_secs(5));
         match client.stats(addr) {
             Ok(text) => print!("{text}"),

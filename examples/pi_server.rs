@@ -109,7 +109,7 @@ fn parse_opts() -> Opts {
 
 fn main() {
     let opts = parse_opts();
-    let session = common::build_session(opts.backend).into_shared();
+    let session = common::build_session(opts.backend);
     // The reactor owns its own sharded pool (created inside bind, warm-
     // booted from the persistent segments when --persist is set), so the
     // initial offline phase always runs after bind, against that pool.

@@ -18,9 +18,8 @@
 //! ```
 
 use c2pi_suite::attacks::probe::ProbeSpec;
-use c2pi_suite::core::pipeline::plain_prediction;
 use c2pi_suite::core::planner::{DeploymentPlanner, PlannerConfig};
-use c2pi_suite::core::session::C2pi;
+use c2pi_suite::core::session::{plain_prediction, C2pi};
 use c2pi_suite::data::synth::{SynthConfig, SynthDataset};
 use c2pi_suite::nn::model::{alexnet, ZooConfig};
 use c2pi_suite::nn::train::{train_classifier, TrainConfig};
@@ -128,10 +127,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         best.boundary,
         best.net,
     );
-    let server = plan.server_config(4);
+    let server = plan.reactor_config(4);
     println!(
-        "suggested serving config: worker_cap {}, pool watermarks {}..{}",
-        server.worker_cap, server.pool_low, server.pool_high
+        "suggested reactor config: {} workers, per-shard pool watermarks {}..{}, \
+         batch window {:.1} ms x{}",
+        server.workers,
+        server.pool_low,
+        server.pool_high,
+        server.batch_window.as_secs_f64() * 1e3,
+        server.max_batch,
     );
     if ok != smoke.len() {
         return Err("round-trip predictions diverged from the clear model".into());

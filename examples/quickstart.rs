@@ -7,8 +7,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use c2pi_suite::core::pipeline::plain_prediction;
-use c2pi_suite::core::session::C2pi;
+use c2pi_suite::core::session::{plain_prediction, C2pi};
 use c2pi_suite::data::synth::{SynthConfig, SynthDataset};
 use c2pi_suite::nn::model::{alexnet, ZooConfig};
 use c2pi_suite::nn::train::{evaluate_accuracy, train_classifier, TrainConfig};

@@ -1,8 +1,9 @@
 //! Two-process demo, client side: holds the input, connects to the
-//! server over framed TCP, runs its party of the protocol, reconstructs
-//! the prediction from the revealed share — and verifies the result is
-//! **bit-identical** to the single-process in-memory path (exits
-//! non-zero otherwise, so CI can use this as a smoke test).
+//! server over framed TCP, runs its party of the dealt contract
+//! (`request_one`: expand the dealt seed, run the client party),
+//! reconstructs the prediction from the revealed share — and verifies
+//! the result is **bit-identical** to the single-process in-memory path
+//! (exits non-zero otherwise, so CI can use this as a smoke test).
 //!
 //! ```text
 //! cargo run --release --example two_party_client -- --backend cheetah --addr 127.0.0.1:7878
@@ -18,7 +19,7 @@ use std::time::Duration;
 
 fn main() {
     let args = common::parse_args();
-    let mut session = common::build_session(args.backend);
+    let session = common::build_session(args.backend);
     let fp = session.config().fixed;
     let [c, h, w] = common::INPUT_CHW;
     let x = Tensor::rand_uniform(&[1, c, h, w], 0.0, 1.0, 1);
@@ -26,7 +27,7 @@ fn main() {
     println!("[client] backend {} — connecting to {}", session.backend_name(), args.addr);
     let ch = TcpChannel::connect_retry(&args.addr[..], Side::Client, Duration::from_secs(10))
         .expect("connect to server");
-    let outcome = session.infer_client(&ch, &x).expect("client party run");
+    let outcome = session.request_one(&ch, &x).expect("client party run");
     let server_share = ShareVec::from_raw(ch.recv_u64s().expect("revealed share"));
     let raw = reconstruct(&outcome.share, &server_share);
     let logits = fp.decode_tensor(&raw, &outcome.dims).expect("decode logits");
@@ -40,9 +41,10 @@ fn main() {
     );
 
     // Reference: the same deployment with both parties in this process
-    // over the in-memory transport. Same seeds, same dealer, same
-    // transcript — the logits must match bit for bit.
-    let mut reference = common::build_session(args.backend);
+    // over the in-memory transport. The server's fresh pool dealt the
+    // first seed of the stream this fresh session draws from: same
+    // dealer, same transcript — the logits must match bit for bit.
+    let reference = common::build_session(args.backend);
     let ref_outcome = reference.infer(&x).expect("in-memory reference run");
     let ref_logits = ref_outcome.reconstruct(fp).expect("reference logits");
     let ref_prediction = ref_logits.argmax().unwrap_or(0);

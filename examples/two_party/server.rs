@@ -1,6 +1,7 @@
 //! Two-process demo, server side: holds the model, serves one private
-//! inference over a framed TCP connection, then reveals its share of
-//! the result to the client.
+//! inference over a framed TCP connection through the dealt contract
+//! (`serve_one`: deal the seed, run the server party), then reveals its
+//! share of the result to the client.
 //!
 //! ```text
 //! cargo run --release --example two_party_server -- --backend cheetah --addr 127.0.0.1:7878
@@ -16,7 +17,7 @@ use c2pi_suite::transport::{Channel, Side, TcpListenerTransport};
 
 fn main() {
     let args = common::parse_args();
-    let mut session = common::build_session(args.backend);
+    let session = common::build_session(args.backend);
     // Bind first (port 0 gets an ephemeral port), *then* announce the
     // real address — supervisors wait for the line instead of sleeping
     // and hoping.
@@ -28,7 +29,7 @@ fn main() {
     );
     common::announce_listening(listener.local_addr());
     let ch = listener.accept(Side::Server).expect("accept");
-    let outcome = session.infer_server(&ch).expect("server party run");
+    let outcome = session.serve_one(&ch).expect("server party run");
     // Full-PI reveal: the server sends its share; only the client learns
     // the prediction.
     ch.send_u64s(outcome.share.as_raw()).expect("reveal share");

@@ -2,8 +2,7 @@
 //! boundary → crypto-clear inference, checked against plaintext, through
 //! the session-based serving API.
 
-use c2pi_suite::core::pipeline::plain_prediction;
-use c2pi_suite::core::session::C2pi;
+use c2pi_suite::core::session::{plain_prediction, C2pi};
 use c2pi_suite::core::Split;
 use c2pi_suite::data::synth::{SynthConfig, SynthDataset};
 use c2pi_suite::nn::model::{alexnet, by_name, ZooConfig};
