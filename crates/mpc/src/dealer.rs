@@ -44,7 +44,11 @@ pub struct DealtSeed {
 }
 
 const DEALT_MAGIC: u16 = 0xD517;
-const DEALT_VERSION: u8 = 1;
+/// Names the function `seed → material` as much as the byte layout:
+/// version 2 is the fixed-key AES gate hash (version 1 garbled under a
+/// ChaCha8 hash), so a peer on the other function is refused up front
+/// instead of expanding tables the evaluator cannot decode.
+const DEALT_VERSION: u8 = 2;
 /// Fixed wire overhead of [`DealtSeed::encode`]: magic, version,
 /// reserved byte, seed, nonce, step count.
 const DEALT_HEADER_BYTES: usize = 2 + 1 + 1 + 8 + 8 + 2;

@@ -11,7 +11,11 @@
 //!   ciphertexts per gate instead of the classic four-row table. Each
 //!   half is one correlation-robust hash [`crate::prg::hash128`] of a
 //!   single operand label under a per-gate tweak;
-//! * outputs are decoded with one permute bit per output wire.
+//! * outputs are decoded with one permute bit per output wire;
+//! * evaluation is one walk (`eval_lanes`) over `K` garblings of the
+//!   same circuit in lock step, so an AND gate hashes `K` independent
+//!   labels per [`crate::prg::hash128_many`] call and the AES pipeline
+//!   stays full; [`evaluate`] is its `K = 1` case.
 //!
 //! The classic four-row scheme survives only as a test-only reference
 //! (the `classic` module beside the tests): the cross-scheme parity
@@ -24,7 +28,7 @@
 //! zeroes it when negative, and re-masks the result with the garbler's
 //! fresh randomness so the parties end with additive shares.
 
-use crate::prg::{hash128, Prg};
+use crate::prg::{hash128_many, Prg};
 use crate::{MpcError, Result};
 use std::sync::OnceLock;
 
@@ -65,6 +69,7 @@ pub enum Gate {
 #[derive(Debug, Clone, Default)]
 pub struct Circuit {
     n_wires: usize,
+    n_ands: usize,
     garbler_inputs: Vec<WireId>,
     evaluator_inputs: Vec<WireId>,
     gates: Vec<Gate>,
@@ -74,7 +79,7 @@ pub struct Circuit {
 impl Circuit {
     /// Number of AND gates (the communication cost driver).
     pub fn and_count(&self) -> usize {
-        self.gates.iter().filter(|g| matches!(g, Gate::And { .. })).count()
+        self.n_ands
     }
 
     /// Number of XOR gates (free under free-XOR: zero tables, zero hash
@@ -176,6 +181,7 @@ impl CircuitBuilder {
     pub fn and(&mut self, a: WireId, b: WireId) -> WireId {
         let out = self.fresh();
         self.circuit.gates.push(Gate::And { a, b, out });
+        self.circuit.n_ands += 1;
         out
     }
 
@@ -464,8 +470,9 @@ pub fn select_labels(pairs: &[(u128, u128)], bits: &[bool]) -> Vec<u128> {
 /// Wc⁰ = H(Wa⁰, 2g) ⊕ p_a·T_G ⊕ H(Wb⁰, 2g+1) ⊕ p_b·(T_E ⊕ Wa⁰)
 /// ```
 ///
-/// Four hash calls and two ciphertexts per AND; XOR/NOT gates touch no
-/// hash and emit nothing. Draws from `prg` in the same order as
+/// Four hashes — issued as one four-lane batch, they are independent —
+/// and two ciphertexts per AND; XOR/NOT gates touch no hash and emit
+/// nothing. Draws from `prg` in the same order as
 /// [`garble`], so fixing the garbler bits of an open garbling
 /// afterwards reproduces [`garble`] bit for bit.
 pub fn garble_open(circuit: &Circuit, prg: &mut Prg) -> OpenGarbled {
@@ -484,10 +491,9 @@ pub fn garble_open(circuit: &Circuit, prg: &mut Prg) -> OpenGarbled {
                 let pa = wa0 & 1 == 1;
                 let pb = wb0 & 1 == 1;
                 let t = (gid as u64) << 1;
-                let ha0 = hash128(wa0, t);
-                let ha1 = hash128(wa0 ^ delta, t);
-                let hb0 = hash128(wb0, t | 1);
-                let hb1 = hash128(wb0 ^ delta, t | 1);
+                let mut h = [wa0, wa0 ^ delta, wb0, wb0 ^ delta];
+                hash128_many(&mut h, &[t, t, t | 1, t | 1]);
+                let [ha0, ha1, hb0, hb1] = h;
                 let tg = ha0 ^ ha1 ^ if pb { delta } else { 0 };
                 let te = hb0 ^ hb1 ^ wa0;
                 let wg0 = ha0 ^ if pa { tg } else { 0 };
@@ -552,36 +558,89 @@ pub fn evaluate(
     {
         return Err(MpcError::Protocol("garbled artifact counts disagree with circuit".into()));
     }
-    let mut label = vec![0u128; circuit.n_wires];
+    let mut label = vec![[0u128; 1]; circuit.n_wires];
+    load_lane(circuit, &mut label, 0, garbler_labels, evaluator_labels);
+    eval_lanes(circuit, [tables], &mut label);
+    Ok(decode_lane(circuit, &label, 0, output_decode).collect())
+}
+
+/// Writes one garbling's active input labels into lane `lane` of a
+/// lock-step wire buffer (`label[wire][lane]`, one entry per circuit
+/// wire). `garbler_labels` may arrive in pieces, in wire order.
+///
+/// # Panics
+///
+/// Panics when `label` is shorter than the circuit's wire count.
+pub(crate) fn load_lane<'a, const K: usize>(
+    circuit: &Circuit,
+    label: &mut [[u128; K]],
+    lane: usize,
+    garbler_labels: impl IntoIterator<Item = &'a u128>,
+    evaluator_labels: &[u128],
+) {
     for (&w, &l) in circuit.garbler_inputs.iter().zip(garbler_labels) {
-        label[w] = l;
+        label[w][lane] = l;
     }
     for (&w, &l) in circuit.evaluator_inputs.iter().zip(evaluator_labels) {
-        label[w] = l;
+        label[w][lane] = l;
     }
+}
+
+/// The evaluation walk, over `K` garblings of `circuit` at once: lane
+/// `k` of every wire belongs to the garbling whose AND tables are
+/// `tables[k]`. Input wires must be loaded ([`load_lane`]) on entry; on
+/// return every wire holds its active labels.
+///
+/// The lanes never mix — each computes exactly what a walk of its own
+/// would — but they reach every AND gate together, so its two hashes per
+/// lane become two `K`-lane [`hash128_many`] batches whose AES rounds
+/// overlap instead of queueing behind one another. XOR and NOT stay
+/// label arithmetic, `K` XORs wide.
+///
+/// # Panics
+///
+/// Panics when `label` or a lane's `tables` is shorter than the circuit
+/// needs; callers validate counts first.
+pub(crate) fn eval_lanes<const K: usize>(
+    circuit: &Circuit,
+    tables: [&[[u128; 2]]; K],
+    label: &mut [[u128; K]],
+) {
     let mut and_idx = 0usize;
     for (gid, gate) in circuit.gates.iter().enumerate() {
         match *gate {
-            Gate::Xor { a, b, out } => label[out] = label[a] ^ label[b],
+            Gate::Xor { a, b, out } => {
+                let (la, lb) = (label[a], label[b]);
+                label[out] = std::array::from_fn(|k| la[k] ^ lb[k]);
+            }
             Gate::Inv { a, out } => label[out] = label[a],
             Gate::And { a, b, out } => {
-                let la = label[a];
-                let lb = label[b];
-                let [tg, te] = tables[and_idx];
+                let (la, lb) = (label[a], label[b]);
                 let t = (gid as u64) << 1;
-                let wg = hash128(la, t) ^ if la & 1 == 1 { tg } else { 0 };
-                let we = hash128(lb, t | 1) ^ if lb & 1 == 1 { te ^ la } else { 0 };
-                label[out] = wg ^ we;
+                let (mut ha, mut hb) = (la, lb);
+                hash128_many(&mut ha, &[t; K]);
+                hash128_many(&mut hb, &[t | 1; K]);
+                label[out] = std::array::from_fn(|k| {
+                    let [tg, te] = tables[k][and_idx];
+                    let wg = ha[k] ^ if la[k] & 1 == 1 { tg } else { 0 };
+                    let we = hb[k] ^ if lb[k] & 1 == 1 { te ^ la[k] } else { 0 };
+                    wg ^ we
+                });
                 and_idx += 1;
             }
         }
     }
-    Ok(circuit
-        .outputs
-        .iter()
-        .zip(output_decode.iter())
-        .map(|(&w, &d)| ((label[w] & 1) == 1) ^ d)
-        .collect())
+}
+
+/// Lane `lane`'s decoded output bits after [`eval_lanes`], in output
+/// order.
+pub(crate) fn decode_lane<'a, const K: usize>(
+    circuit: &'a Circuit,
+    label: &'a [[u128; K]],
+    lane: usize,
+    output_decode: &'a [bool],
+) -> impl Iterator<Item = bool> + 'a {
+    circuit.outputs.iter().zip(output_decode).map(move |(&w, &d)| (label[w][lane] & 1 == 1) ^ d)
 }
 
 /// Little-endian bit decomposition of a ring element.
@@ -599,8 +658,18 @@ pub fn from_bits(bits: &[bool]) -> u64 {
 #[cfg(test)]
 mod classic {
     use super::{Circuit, Gate};
-    use crate::prg::{prf128_pair, Prg};
+    use crate::prg::Prg;
     use crate::{MpcError, Result};
+
+    /// PRF keyed by *two* labels, the classic scheme's row cipher:
+    /// `H(a, b, tweak)`. The two 128-bit labels fill a 256-bit ChaCha12
+    /// key exactly; the tweak rides in the nonce.
+    pub fn prf128_pair(a: u128, b: u128, tweak: u64) -> u128 {
+        let mut key = [0u8; 32];
+        key[..16].copy_from_slice(&a.to_le_bytes());
+        key[16..].copy_from_slice(&b.to_le_bytes());
+        Prg::from_seed_nonce(key, tweak).next_u128()
+    }
 
     /// The classic four-row garbling artifact, kept as the reference
     /// implementation the half-gates scheme is tested against.
@@ -736,6 +805,15 @@ mod tests {
             .collect();
         evaluate(circuit, &garbled.tables, &garbled.garbler_labels, &labels, &garbled.output_decode)
             .unwrap()
+    }
+
+    #[test]
+    fn pair_prf_depends_on_both_keys() {
+        use super::classic::prf128_pair;
+        let (a, b) = (11u128, 22u128);
+        assert_ne!(prf128_pair(a, b, 0), prf128_pair(b, a, 0));
+        assert_ne!(prf128_pair(a, b, 0), prf128_pair(a, b ^ 1, 0));
+        assert_eq!(prf128_pair(a, b, 5), prf128_pair(a, b, 5));
     }
 
     #[test]

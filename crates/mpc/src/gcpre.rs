@@ -23,9 +23,13 @@
 //! 2. garbler → evaluator: the active labels for `g = x₁ + δ = x − m`
 //!    (one frame, 16 bytes/label) — selecting labels is an XOR, the
 //!    garbler does no cryptographic work;
-//! 3. the evaluator evaluates every item (fanned out across the
-//!    available cores) and decodes its output share `f(x) − r`; the
-//!    garbler's share is `r`.
+//! 3. the evaluator evaluates every item and decodes its output share
+//!    `f(x) − r`; the garbler's share is `r`. Items are cut into bands
+//!    of `par_band`: a layer that fits one band runs on the calling
+//!    thread, a larger one spreads its bands evenly over the cores.
+//!    Inside a band, items advance eight at a time in lock step
+//!    (`gc::eval_lanes`) — they are garblings of one circuit, so an AND
+//!    gate hashes eight independent labels per batch.
 //!
 //! `δ` is uniform (masked by `m`) and the labels reveal exactly one
 //! circuit path, so the online messages leak nothing beyond the
@@ -47,8 +51,8 @@
 //! definition; it is only the *evaluator's* half that must never see Δ.
 
 use crate::gc::{
-    evaluate, from_bits, garble_open, maxpool4_unit_circuit, relu_unit_circuit, select_labels,
-    to_bits, Circuit, UNIT_BITS,
+    decode_lane, eval_lanes, garble_open, load_lane, maxpool4_unit_circuit, relu_unit_circuit,
+    Circuit, UNIT_BITS,
 };
 use crate::prg::Prg;
 use crate::share::ShareVec;
@@ -211,18 +215,16 @@ impl PreGarbledServer {
     }
 }
 
-/// One *band's* garbled artifacts, produced inside the parallel
-/// fan-out and concatenated afterwards. Accumulating per band (not per
-/// item) keeps allocations at five exact-sized vectors per worker band
-/// and makes the final flatten a handful of bulk copies.
-#[derive(Debug, Default, Clone)]
-struct BandGarbling {
-    tables: Vec<[u128; 2]>,
-    eval_labels: Vec<u128>,
-    fixed_labels: Vec<u128>,
-    decode: Vec<bool>,
-    labels0: Vec<u128>,
-    deltas: Vec<u128>,
+/// One band's window into the six output arrays of [`pregarble`], all
+/// cut at the same item boundaries, so a band's worker writes its items
+/// in place and nothing is copied or allocated per band.
+struct BandOut<'a> {
+    tables: &'a mut [[u128; 2]],
+    eval_labels: &'a mut [u128],
+    fixed_labels: &'a mut [u128],
+    decode: &'a mut [bool],
+    labels0: &'a mut [u128],
+    deltas: &'a mut [u128],
 }
 
 /// Garbles `items` instances of `op`'s masked unit circuit with fresh
@@ -250,58 +252,58 @@ pub fn pregarble(
     let circuit = op.unit_circuit();
     let online_wires = in_elems * UNIT_BITS;
     let band = par_band.max(1);
-    let mut bands: Vec<BandGarbling> = vec![BandGarbling::default(); items.div_ceil(band).max(1)];
-    {
-        let masks = &masks;
-        let out_share = &out_share;
-        let seeds = &seeds;
-        // One-slot chunks: the rayon shim only offers par_chunks_mut,
-        // so this is its spelling of `bands.par_iter_mut()` — the `1`
-        // is not a tuning knob; band sizing happens via `band` above.
-        bands.par_chunks_mut(1).enumerate().for_each(|(bi, chunk)| {
-            let slot = &mut chunk[0];
-            let start = bi * band;
-            let end = (start + band).min(items);
-            slot.tables.reserve_exact((end - start) * ands);
-            slot.eval_labels.reserve_exact((end - start) * online_wires);
-            slot.fixed_labels.reserve_exact((end - start) * UNIT_BITS);
-            slot.decode.reserve_exact((end - start) * UNIT_BITS);
-            slot.labels0.reserve_exact((end - start) * online_wires);
-            slot.deltas.reserve_exact(end - start);
-            for i in start..end {
-                let open = garble_open(circuit, &mut Prg::from_seed(seeds[i]));
-                for (w, &(l0, l1)) in open.evaluator_label_pairs.iter().enumerate() {
-                    let m = masks[i * in_elems + w / UNIT_BITS];
-                    slot.eval_labels.push(if (m >> (w % UNIT_BITS)) & 1 == 1 { l1 } else { l0 });
-                }
-                let mask_bits = to_bits(out_share[i].wrapping_neg(), UNIT_BITS);
-                slot.fixed_labels
-                    .extend(select_labels(&open.garbler_label_pairs[online_wires..], &mask_bits));
-                slot.labels0.extend(open.garbler_label_pairs[..online_wires].iter().map(|p| p.0));
-                slot.deltas.push(open.delta);
-                slot.tables.extend(open.tables);
-                slot.decode.extend(open.output_decode);
+    let mut tables = vec![[0u128; 2]; items * ands];
+    let mut eval_labels = vec![0u128; inputs * UNIT_BITS];
+    let mut fixed_labels = vec![0u128; items * UNIT_BITS];
+    let mut decode = vec![false; items * UNIT_BITS];
+    let mut labels0 = vec![0u128; inputs * UNIT_BITS];
+    let mut deltas = vec![0u128; items];
+    let mut bands: Vec<BandOut<'_>> = tables
+        .chunks_mut(band * ands)
+        .zip(eval_labels.chunks_mut(band * online_wires))
+        .zip(fixed_labels.chunks_mut(band * UNIT_BITS))
+        .zip(decode.chunks_mut(band * UNIT_BITS))
+        .zip(labels0.chunks_mut(band * online_wires))
+        .zip(deltas.chunks_mut(band))
+        .map(|(((((tables, eval_labels), fixed_labels), decode), labels0), deltas)| BandOut {
+            tables,
+            eval_labels,
+            fixed_labels,
+            decode,
+            labels0,
+            deltas,
+        })
+        .collect();
+    // One-slot chunks: the rayon shim only offers par_chunks_mut, so
+    // this is its spelling of `bands.par_iter_mut()` — the `1` is not a
+    // tuning knob; band sizing happens via `band` above.
+    bands.par_chunks_mut(1).enumerate().for_each(|(bi, chunk)| {
+        let out = &mut chunk[0];
+        for k in 0..out.deltas.len() {
+            let i = bi * band + k;
+            let open = garble_open(circuit, &mut Prg::from_seed(seeds[i]));
+            let online = k * online_wires..(k + 1) * online_wires;
+            let unit = k * UNIT_BITS..(k + 1) * UNIT_BITS;
+            let pairs = open.evaluator_label_pairs.iter().enumerate();
+            for (slot, (w, &(l0, l1))) in out.eval_labels[online.clone()].iter_mut().zip(pairs) {
+                let m = masks[i * in_elems + w / UNIT_BITS];
+                *slot = if (m >> (w % UNIT_BITS)) & 1 == 1 { l1 } else { l0 };
             }
-        });
-    }
-    let mut client = PreGarbledClient {
-        op,
-        masks,
-        tables: Vec::with_capacity(items * ands),
-        eval_labels: Vec::with_capacity(inputs * UNIT_BITS),
-        fixed_labels: Vec::with_capacity(items * UNIT_BITS),
-        decode: Vec::with_capacity(items * UNIT_BITS),
-    };
-    let mut labels0 = Vec::with_capacity(inputs * UNIT_BITS);
-    let mut deltas = Vec::with_capacity(items);
-    for slot in bands {
-        client.tables.extend(slot.tables);
-        client.eval_labels.extend(slot.eval_labels);
-        client.fixed_labels.extend(slot.fixed_labels);
-        client.decode.extend(slot.decode);
-        labels0.extend(slot.labels0);
-        deltas.extend(slot.deltas);
-    }
+            let neg_r = out_share[i].wrapping_neg();
+            let pairs = open.garbler_label_pairs[online_wires..].iter().enumerate();
+            for (slot, (bit, &(l0, l1))) in out.fixed_labels[unit.clone()].iter_mut().zip(pairs) {
+                *slot = if (neg_r >> bit) & 1 == 1 { l1 } else { l0 };
+            }
+            let zeros = open.garbler_label_pairs[..online_wires].iter().map(|p| p.0);
+            for (slot, l0) in out.labels0[online].iter_mut().zip(zeros) {
+                *slot = l0;
+            }
+            out.deltas[k] = open.delta;
+            out.tables[k * ands..(k + 1) * ands].copy_from_slice(&open.tables);
+            out.decode[unit].copy_from_slice(&open.output_decode);
+        }
+    });
+    let client = PreGarbledClient { op, masks, tables, eval_labels, fixed_labels, decode };
     (client, PreGarbledServer { op, labels0, deltas, out_share })
 }
 
@@ -477,36 +479,71 @@ pub fn eval_pregarbled(
     {
         return Err(MpcError::Protocol("pre-garbled artifact counts disagree".into()));
     }
-    let circuit = mat.op.unit_circuit();
-    let online_wires = in_elems * UNIT_BITS;
     let mut out = vec![0u64; items];
     let band = par_band.max(1);
     out.par_chunks_mut(band).enumerate().for_each(|(bi, chunk)| {
-        let mut garbler = vec![0u128; online_wires + UNIT_BITS];
-        for (k, slot) in chunk.iter_mut().enumerate() {
-            let i = bi * band + k;
-            garbler[..online_wires]
-                .copy_from_slice(&garbler_labels[i * online_wires..(i + 1) * online_wires]);
-            garbler[online_wires..]
-                .copy_from_slice(&mat.fixed_labels[i * UNIT_BITS..(i + 1) * UNIT_BITS]);
-            let bits = evaluate(
-                circuit,
-                &mat.tables[i * ands..(i + 1) * ands],
-                &garbler,
-                &mat.eval_labels[i * online_wires..(i + 1) * online_wires],
-                &mat.decode[i * UNIT_BITS..(i + 1) * UNIT_BITS],
-            )
-            .expect("lengths validated above");
-            *slot = from_bits(&bits);
+        // One wire buffer per lane count, reused by every group of the
+        // band (an empty Vec until a group of that width shows up).
+        let (mut wide, mut narrow) = (Vec::new(), Vec::new());
+        let mut first = bi * band;
+        let mut groups = chunk.chunks_exact_mut(EVAL_LANES);
+        for group in groups.by_ref() {
+            eval_group::<EVAL_LANES>(mat, garbler_labels, first, &mut wide, group);
+            first += EVAL_LANES;
+        }
+        for slot in groups.into_remainder().chunks_exact_mut(1) {
+            eval_group::<1>(mat, garbler_labels, first, &mut narrow, slot);
+            first += 1;
         }
     });
     Ok(ShareVec::from_raw(out))
+}
+
+/// Items of a band evaluated per lock-step walk: enough independent AES
+/// chains to cover the round latency (see [`crate::prg::hash128_many`]).
+const EVAL_LANES: usize = 8;
+
+/// Evaluates items `first .. first + K` of `mat` in lock step into
+/// `out`, with `label` as the (resized-once) wire buffer. Counts were
+/// validated by the caller.
+fn eval_group<const K: usize>(
+    mat: &PreGarbledClient,
+    garbler_labels: &[u128],
+    first: usize,
+    label: &mut Vec<[u128; K]>,
+    out: &mut [u64],
+) {
+    let circuit = mat.op.unit_circuit();
+    let online_wires = mat.op.in_elems() * UNIT_BITS;
+    let ands = mat.op.ands_per_item();
+    label.resize(circuit.wire_count(), [0; K]);
+    for k in 0..K {
+        let i = first + k;
+        let online = i * online_wires..(i + 1) * online_wires;
+        let fixed = &mat.fixed_labels[i * UNIT_BITS..(i + 1) * UNIT_BITS];
+        load_lane(
+            circuit,
+            label,
+            k,
+            garbler_labels[online.clone()].iter().chain(fixed),
+            &mat.eval_labels[online],
+        );
+    }
+    let tables = std::array::from_fn(|k| &mat.tables[(first + k) * ands..(first + k + 1) * ands]);
+    eval_lanes(circuit, tables, label);
+    for (k, slot) in out.iter_mut().enumerate() {
+        let decode = &mat.decode[(first + k) * UNIT_BITS..(first + k + 1) * UNIT_BITS];
+        *slot = decode_lane(circuit, label, k, decode)
+            .enumerate()
+            .fold(0, |acc, (bit, b)| acc | (b as u64) << bit);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixed::FixedPoint;
+    use crate::gc::{evaluate, from_bits, to_bits};
     use crate::share::{reconstruct, share_secret};
     use c2pi_transport::channel_pair;
 
@@ -565,15 +602,89 @@ mod tests {
         let (c, _) = run_layer(MaskedOp::Relu, &values, 11, 64);
         assert_eq!(a, b);
         assert_eq!(a, c);
-        let mut prg_x = Prg::from_u64(19);
-        let mut prg_y = Prg::from_u64(19);
-        let (cx, sx) = pregarble(MaskedOp::Relu, 5, &mut prg_x, 2);
-        let (cy, sy) = pregarble(MaskedOp::Relu, 5, &mut prg_y, 5);
-        assert_eq!(cx.tables, cy.tables);
-        assert_eq!(cx.eval_labels, cy.eval_labels);
-        assert_eq!(sx.labels0, sy.labels0);
-        assert_eq!(sx.deltas, sy.deltas);
-        assert_eq!(sx.out_share, sy.out_share);
+    }
+
+    #[test]
+    fn lock_step_equals_per_item_equals_plaintext_at_every_band_and_remainder() {
+        // Item counts on both sides of the lane width (full groups, a
+        // K = 1 tail, both), bands that cut groups short, and both unit
+        // circuits. Three independent routes to every output share:
+        // the lock-step walk, one `evaluate` per item, and the plaintext
+        // circuit — which also pins that the batched four-lane garbling
+        // hash produced tables the evaluator's hash opens.
+        const BANDS: [usize; 4] = [1, 3, 8, 1024];
+        for op in [MaskedOp::Relu, MaskedOp::Maxpool4] {
+            let circuit = op.unit_circuit();
+            let (ands, wires) = (op.ands_per_item(), op.in_elems() * UNIT_BITS);
+            for items in [1usize, 7, 8, 9, 23] {
+                let seed = 1000 + items as u64;
+                let (cmat, smat) = pregarble(op, items, &mut Prg::from_u64(seed), BANDS[0]);
+                for band in &BANDS[1..] {
+                    let (c, s) = pregarble(op, items, &mut Prg::from_u64(seed), *band);
+                    assert_eq!(
+                        (&c.masks, &c.tables, &c.eval_labels, &c.fixed_labels, &c.decode),
+                        (
+                            &cmat.masks,
+                            &cmat.tables,
+                            &cmat.eval_labels,
+                            &cmat.fixed_labels,
+                            &cmat.decode
+                        ),
+                        "{op:?} × {items}: client half differs at band {band}"
+                    );
+                    assert_eq!(
+                        (&s.labels0, &s.deltas, &s.out_share),
+                        (&smat.labels0, &smat.deltas, &smat.out_share),
+                        "{op:?} × {items}: server half differs at band {band}"
+                    );
+                }
+                // Small signed values, so ReLU and max see both signs.
+                let mut prg = Prg::from_u64(seed ^ 0xABCD);
+                let x: Vec<u64> =
+                    (0..cmat.inputs()).map(|_| (prg.next_u64() as i16) as i64 as u64).collect();
+                let g: Vec<u64> =
+                    x.iter().zip(&cmat.masks).map(|(x, m)| x.wrapping_sub(*m)).collect();
+                let labels = smat.select_garbler_labels(&g).unwrap();
+
+                let mut per_item = Vec::new();
+                let mut plain = Vec::new();
+                for i in 0..items {
+                    let elems = i * op.in_elems()..(i + 1) * op.in_elems();
+                    let mut garbler = labels[i * wires..(i + 1) * wires].to_vec();
+                    garbler.extend(&cmat.fixed_labels[i * UNIT_BITS..(i + 1) * UNIT_BITS]);
+                    let bits = evaluate(
+                        circuit,
+                        &cmat.tables[i * ands..(i + 1) * ands],
+                        &garbler,
+                        &cmat.eval_labels[i * wires..(i + 1) * wires],
+                        &cmat.decode[i * UNIT_BITS..(i + 1) * UNIT_BITS],
+                    )
+                    .unwrap();
+                    per_item.push(from_bits(&bits));
+                    let r = smat.out_share[i];
+                    let mut g_bits: Vec<bool> =
+                        g[elems.clone()].iter().flat_map(|&v| to_bits(v, UNIT_BITS)).collect();
+                    g_bits.extend(to_bits(r.wrapping_neg(), UNIT_BITS));
+                    let e_bits: Vec<bool> = cmat.masks[elems.clone()]
+                        .iter()
+                        .flat_map(|&m| to_bits(m, UNIT_BITS))
+                        .collect();
+                    plain.push(from_bits(&circuit.eval_plain(&g_bits, &e_bits).unwrap()));
+                    // And the plaintext circuit means what it should.
+                    let signed = x[elems].iter().map(|&v| v as i64);
+                    let want = match op {
+                        MaskedOp::Relu => signed.max().unwrap().max(0),
+                        MaskedOp::Maxpool4 => signed.max().unwrap(),
+                    };
+                    assert_eq!(plain[i].wrapping_add(r), want as u64, "{op:?} item {i}");
+                }
+                assert_eq!(per_item, plain, "{op:?} × {items}");
+                for band in BANDS {
+                    let y = eval_pregarbled(&cmat, &labels, band).unwrap();
+                    assert_eq!(y.as_raw(), &per_item[..], "{op:?} × {items} at band {band}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //! | Module | Provides |
 //! |--------|----------|
 //! | [`fixed`] | fixed-point encoding into the ring `Z_2^64` |
-//! | [`prg`] | ChaCha12 pseudorandom generator / PRF (no AES crate offline) |
+//! | [`prg`] | ChaCha12 pseudorandom generator / PRF, and the fixed-key AES gate hash of the garbling kernel |
 //! | [`share`] | additive secret sharing over `Z_2^64` |
 //! | [`dealer`] | trusted-dealer correlated randomness (Beaver triples, base-OT seeds) — stands in for the HE offline phases, see DESIGN.md §3 |
 //! | [`ot`] | IKNP OT extension: random OTs, chosen-message OTs, bit triples |
 //! | [`gmw`] | boolean sharing, batched AND, log-depth comparison, DReLU |
 //! | [`beaver`] | arithmetic multiplication / matmul with triples + truncation |
-//! | [`gc`] | Yao garbled circuits with free-XOR and point-and-permute |
+//! | [`gc`] | Yao garbled circuits: free-XOR, point-and-permute, half-gates ANDs, lock-step evaluation |
 //! | [`gcpre`] | offline-garbled masked non-linearities: input-independent garbling in the offline phase, a one-round-trip label exchange online |
 //! | [`relu`] | the two secure ReLU protocols (GC-based à la Delphi, comparison-based à la Cheetah/CrypTFlow2) and secure max-pooling |
 //!
@@ -40,9 +40,10 @@
 //! assert_eq!(fp.decode(raw[1]), -0.25);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)] // relaxed from forbid: aes/ni.rs holds the one scoped allow
 #![warn(missing_docs)]
 
+mod aes;
 pub mod beaver;
 pub mod dealer;
 pub mod error;

@@ -1,15 +1,26 @@
-//! ChaCha12 pseudorandom generator and PRF, written from scratch.
+//! The crate's symmetric primitives: a ChaCha12 stream generator and
+//! PRF, and the fixed-key AES gate hash of the garbled-circuit kernel.
 //!
-//! The sanctioned offline crate set has no AES implementation, so the
-//! garbling PRF, OT-extension expansion and share expansion all run on
-//! ChaCha12 (12 rounds: the conservative speed/security point used by
-//! `rand`'s own StdRng). The implementation below is the RFC 8439 block
-//! function with a 12-round schedule.
+//! * [`Prg`], [`SeedSequence`], [`indexed_seed`] and [`prf128`] run on
+//!   ChaCha12, written from scratch (the RFC 8439 block function on a
+//!   12-round schedule — the conservative speed/security point `rand`'s
+//!   own `StdRng` uses). Share expansion, dealer correlations and
+//!   OT-extension hashing need PRG/PRF strength and draw from here.
+//! * [`hash128`] / [`hash128_many`] are the tweakable correlation-robust
+//!   hash half-gates garbling spends on every AND gate. It needs far
+//!   less than a PRF and is the hottest function in the system, so it
+//!   runs on fixed-key AES-128 (hardware rounds where the CPU has them,
+//!   a bit-identical portable implementation elsewhere).
 
-/// ChaCha block function with a configurable double-round count.
-fn chacha_core(key: &[u32; 8], counter: u64, nonce: u64, double_rounds: usize) -> [u32; 16] {
+use crate::aes;
+
+/// Words in one ChaCha block, and in [`Prg`]'s buffer.
+const BLOCK_WORDS: usize = 16;
+
+/// The ChaCha12 block function (RFC 8439 layout, six double rounds).
+fn chacha_block(key: &[u32; 8], counter: u64, nonce: u64) -> [u32; BLOCK_WORDS] {
     const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
-    let mut state = [0u32; 16];
+    let mut state = [0u32; BLOCK_WORDS];
     state[0..4].copy_from_slice(&SIGMA);
     state[4..12].copy_from_slice(key);
     state[12] = counter as u32;
@@ -17,7 +28,7 @@ fn chacha_core(key: &[u32; 8], counter: u64, nonce: u64, double_rounds: usize) -
     state[14] = nonce as u32;
     state[15] = (nonce >> 32) as u32;
     let mut w = state;
-    for _ in 0..double_rounds {
+    for _ in 0..6 {
         // Two rounds per iteration: one column round, one diagonal round.
         quarter(&mut w, 0, 4, 8, 12);
         quarter(&mut w, 1, 5, 9, 13);
@@ -34,13 +45,8 @@ fn chacha_core(key: &[u32; 8], counter: u64, nonce: u64, double_rounds: usize) -
     w
 }
 
-/// ChaCha12 block state (the PRG/PRF security point).
-fn chacha_block(key: &[u32; 8], counter: u64, nonce: u64) -> [u32; 16] {
-    chacha_core(key, counter, nonce, 6)
-}
-
 #[inline]
-fn quarter(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
+fn quarter(s: &mut [u32; BLOCK_WORDS], a: usize, b: usize, c: usize, d: usize) {
     s[a] = s[a].wrapping_add(s[b]);
     s[d] = (s[d] ^ s[a]).rotate_left(16);
     s[c] = s[c].wrapping_add(s[d]);
@@ -53,6 +59,11 @@ fn quarter(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
 
 /// A seeded ChaCha12 stream generator.
 ///
+/// The stream is a sequence of 32-bit words — the blocks of counters
+/// 0, 1, 2, … laid end to end — and every accessor consumes whole words
+/// from it in order, so any interleaving of calls reads the same words
+/// the one-word-at-a-time [`Prg::next_u32`] would.
+///
 /// ```
 /// use c2pi_mpc::prg::Prg;
 /// let mut a = Prg::from_seed([7u8; 32]);
@@ -64,7 +75,7 @@ pub struct Prg {
     key: [u32; 8],
     nonce: u64,
     counter: u64,
-    buf: [u32; 16],
+    buf: [u32; BLOCK_WORDS],
     pos: usize,
 }
 
@@ -75,7 +86,7 @@ impl Prg {
         for (i, k) in key.iter_mut().enumerate() {
             *k = u32::from_le_bytes(seed[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
         }
-        Prg { key, nonce: 0, counter: 0, buf: [0; 16], pos: 16 }
+        Prg { key, nonce: 0, counter: 0, buf: [0; BLOCK_WORDS], pos: BLOCK_WORDS }
     }
 
     /// Creates a generator from a 256-bit seed and an explicit stream
@@ -110,9 +121,24 @@ impl Prg {
         self.pos = 0;
     }
 
+    /// Hands the next `n` stream words to `emit`, in order, as the
+    /// longest runs the buffer holds — the bulk accessors' way of paying
+    /// the refill check once per run instead of once per word.
+    fn take_words(&mut self, mut n: usize, mut emit: impl FnMut(&[u32])) {
+        while n > 0 {
+            if self.pos == BLOCK_WORDS {
+                self.refill();
+            }
+            let run = n.min(BLOCK_WORDS - self.pos);
+            emit(&self.buf[self.pos..self.pos + run]);
+            self.pos += run;
+            n -= run;
+        }
+    }
+
     /// Next 32 random bits.
     pub fn next_u32(&mut self) -> u32 {
-        if self.pos >= 16 {
+        if self.pos == BLOCK_WORDS {
             self.refill();
         }
         let v = self.buf[self.pos];
@@ -132,7 +158,20 @@ impl Prg {
 
     /// Fills a `u64` vector.
     pub fn next_u64s(&mut self, n: usize) -> Vec<u64> {
-        (0..n).map(|_| self.next_u64()).collect()
+        let mut out = Vec::with_capacity(n);
+        // A run may start or end mid-element when single words were
+        // drawn before; the odd word waits here for its other half.
+        let mut low: Option<u32> = None;
+        self.take_words(2 * n, |mut run| {
+            if let Some(lo) = low.take() {
+                out.push(lo as u64 | (run[0] as u64) << 32);
+                run = &run[1..];
+            }
+            let pairs = run.chunks_exact(2);
+            low = pairs.remainder().first().copied();
+            out.extend(pairs.map(|p| p[0] as u64 | (p[1] as u64) << 32));
+        });
+        out
     }
 
     /// Next random bit.
@@ -140,11 +179,20 @@ impl Prg {
         self.next_u32() & 1 == 1
     }
 
-    /// Fills a byte buffer.
+    /// Fills a byte buffer. A length that is not a multiple of four
+    /// still consumes a whole final word (its high bytes are dropped).
     pub fn fill_bytes(&mut self, out: &mut [u8]) {
-        for chunk in out.chunks_mut(4) {
-            let v = self.next_u32().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
+        let (body, tail) = out.split_at_mut(out.len() & !3);
+        let words = body.len() / 4;
+        let mut quads = body.chunks_exact_mut(4);
+        self.take_words(words, |run| {
+            for (w, quad) in run.iter().zip(quads.by_ref()) {
+                quad.copy_from_slice(&w.to_le_bytes());
+            }
+        });
+        if !tail.is_empty() {
+            let w = self.next_u32().to_le_bytes();
+            tail.copy_from_slice(&w[..tail.len()]);
         }
     }
 
@@ -243,11 +291,10 @@ pub fn indexed_seed(master: u64, domain: &[u8], index: u64) -> u64 {
     Prg::from_seed(key).next_u64()
 }
 
-/// Fixed-key PRF used for garbling and OT hashing:
-/// `H(key, tweak) -> u128`.
+/// PRF used for OT-extension hashing: `H(key, tweak) -> u128`.
 ///
-/// Instantiated as one ChaCha12 block keyed by `key` (a 128-bit wire
-/// label, zero-extended) with the tweak in the nonce slot.
+/// One ChaCha12 block keyed by `key` (a 128-bit value, zero-extended)
+/// with the tweak in the nonce slot.
 pub fn prf128(key: u128, tweak: u64) -> u128 {
     let mut k = [0u32; 8];
     let bytes = key.to_le_bytes();
@@ -262,53 +309,46 @@ pub fn prf128(key: u128, tweak: u64) -> u128 {
 }
 
 /// Tweakable correlation-robust hash for half-gates garbling:
-/// `H(label, tweak) -> u128`.
+/// `H(label, tweak) = π(π(label) ⊕ tweak) ⊕ π(label)`, with `π` AES-128
+/// under a fixed public key.
 ///
-/// Garbling hashes need correlation robustness, not full PRF/PRG
-/// strength — real GC implementations run fixed-key AES here, far below
-/// a 12-round ChaCha PRF. This is one ChaCha**8** block (the fastest
-/// unbroken round count, used by `rand`'s throughput profile) keyed by
-/// the 128-bit wire label with the per-gate tweak in the nonce slot,
-/// counter 2 for domain separation from [`prf128`]/[`prf128_pair`].
-/// Half-gates spends four of these per AND garbled and two per AND
-/// evaluated, so the reduced rounds are the kernel's cost driver.
+/// This is the two-call tweakable Matyas–Meyer–Oseas construction, the
+/// one with a proof of *tweakable circular* correlation robustness —
+/// what free-XOR half-gates needs, because the evaluator sees hashes of
+/// labels that differ by the secret Δ under tweaks the garbler chose.
+/// The cheaper single-call `π(2x ⊕ t) ⊕ 2x ⊕ t` is not used: it lacks
+/// that property. The tweak is the gate index (two per AND gate), so
+/// every hash in a garbling is domain separated.
+///
+/// Both parties of a session expand the same dealt seed and must reach
+/// the same tables, so this is one function of `(label, tweak)` on every
+/// host: AES instructions where the CPU has them, a portable
+/// implementation of the same permutation elsewhere, never a different
+/// hash. Half-gates spends four of these per AND garbled and two per AND
+/// evaluated; it is the [`hash128_many`] batch of one.
 pub fn hash128(label: u128, tweak: u64) -> u128 {
-    let mut k = [0u32; 8];
-    let bytes = label.to_le_bytes();
-    for (i, kk) in k.iter_mut().take(4).enumerate() {
-        *kk = u32::from_le_bytes(bytes[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
-    }
-    let block = chacha_core(&k, 2, tweak, 4);
-    (block[0] as u128)
-        | ((block[1] as u128) << 32)
-        | ((block[2] as u128) << 64)
-        | ((block[3] as u128) << 96)
+    let mut l = [label];
+    hash128_many(&mut l, &[tweak]);
+    l[0]
 }
 
-/// PRF variant keyed by *two* labels, used by AND-gate garbling:
-/// `H(a, b, tweak)`.
+/// `N` independent [`hash128`]s at once: `labels[i] ← H(labels[i],
+/// tweaks[i])`.
 ///
-/// The two 128-bit labels fill the 256-bit ChaCha key exactly, so the
-/// pair PRF costs a single block — the per-AND-gate cost driver of both
-/// garbling (four rows) and evaluation (one row).
-pub fn prf128_pair(a: u128, b: u128, tweak: u64) -> u128 {
-    let mut k = [0u32; 8];
-    let ab = a.to_le_bytes();
-    let bb = b.to_le_bytes();
-    for i in 0..4 {
-        k[i] = u32::from_le_bytes(ab[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
-        k[i + 4] = u32::from_le_bytes(bb[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
-    }
-    let block = chacha_block(&k, 1, tweak);
-    (block[0] as u128)
-        | ((block[1] as u128) << 32)
-        | ((block[2] as u128) << 64)
-        | ((block[3] as u128) << 96)
+/// One AES round waits several cycles on the round before it, but the
+/// unit can start a new one every cycle, so a lone hash leaves the
+/// pipeline mostly idle. The batch runs rounds-outer, lanes-inner; its
+/// `N` chains overlap and the cost per hash falls until `N` covers that
+/// latency (about eight).
+#[inline]
+pub fn hash128_many<const N: usize>(labels: &mut [u128; N], tweaks: &[u64; N]) {
+    aes::hash_many(labels, tweaks);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn deterministic_given_seed() {
@@ -341,12 +381,106 @@ mod tests {
         assert!((frac - 0.5).abs() < 0.02, "bit fraction {frac}");
     }
 
+    /// A one-word-at-a-time generator, every accessor composed from
+    /// `next_u32`: the oracle the run-based bulk accessors of [`Prg`]
+    /// are checked against.
+    struct ScalarPrg {
+        key: [u32; 8],
+        nonce: u64,
+        counter: u64,
+        buf: [u32; 16],
+        pos: usize,
+    }
+
+    impl ScalarPrg {
+        fn shadow(prg: &Prg) -> Self {
+            assert_eq!((prg.counter, prg.pos), (0, BLOCK_WORDS), "shadow a fresh generator");
+            ScalarPrg { key: prg.key, nonce: prg.nonce, counter: 0, buf: [0; 16], pos: 16 }
+        }
+
+        fn next_u32(&mut self) -> u32 {
+            if self.pos >= 16 {
+                self.buf = chacha_block(&self.key, self.counter, self.nonce);
+                self.counter = self.counter.wrapping_add(1);
+                self.pos = 0;
+            }
+            self.pos += 1;
+            self.buf[self.pos - 1]
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            (self.next_u32() as u64) | ((self.next_u32() as u64) << 32)
+        }
+
+        fn next_u128(&mut self) -> u128 {
+            (self.next_u64() as u128) | ((self.next_u64() as u128) << 64)
+        }
+
+        fn fill_bytes(&mut self, out: &mut [u8]) {
+            for chunk in out.chunks_mut(4) {
+                let v = self.next_u32().to_le_bytes();
+                chunk.copy_from_slice(&v[..chunk.len()]);
+            }
+        }
+
+        fn fork(&mut self) -> Prg {
+            let mut seed = [0u8; 32];
+            self.fill_bytes(&mut seed);
+            Prg::from_seed(seed)
+        }
+    }
+
     #[test]
     fn fill_bytes_handles_ragged_lengths() {
-        let mut prg = Prg::from_u64(9);
-        let mut buf = [0u8; 7];
-        prg.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
+        for len in [0usize, 1, 3, 4, 7, 63, 64, 65, 255, 256, 257, 1021] {
+            let mut prg = Prg::from_u64(9);
+            let mut oracle = ScalarPrg::shadow(&prg);
+            let (mut got, mut want) = (vec![0u8; len], vec![0u8; len]);
+            prg.fill_bytes(&mut got);
+            oracle.fill_bytes(&mut want);
+            assert_eq!(got, want, "fill_bytes({len})");
+            // A ragged tail consumed its whole last word.
+            assert_eq!(prg.next_u32(), oracle.next_u32(), "after fill_bytes({len})");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn any_interleaving_reads_the_scalar_stream(
+            seed in any::<u64>(),
+            nonce in any::<u64>(),
+            // Each draw packs an accessor (mod 7) and a length (div 7).
+            ops in proptest::collection::vec(0usize..2100, 1..40),
+        ) {
+            let mut key = [0u8; 32];
+            Prg::from_u64(seed).fill_bytes(&mut key);
+            let mut prg = Prg::from_seed_nonce(key, nonce);
+            let mut oracle = ScalarPrg::shadow(&prg);
+            for (op, n) in ops.into_iter().map(|v| (v % 7, v / 7)) {
+                match op {
+                    0 => prop_assert_eq!(prg.next_u32(), oracle.next_u32()),
+                    1 => prop_assert_eq!(prg.next_u64(), oracle.next_u64()),
+                    2 => prop_assert_eq!(prg.next_u128(), oracle.next_u128()),
+                    3 => prop_assert_eq!(prg.next_bool(), oracle.next_u32() & 1 == 1),
+                    4 => {
+                        let want: Vec<u64> = (0..n).map(|_| oracle.next_u64()).collect();
+                        prop_assert_eq!(prg.next_u64s(n), want);
+                    }
+                    5 => {
+                        let (mut got, mut want) = (vec![0u8; n], vec![0u8; n]);
+                        prg.fill_bytes(&mut got);
+                        oracle.fill_bytes(&mut want);
+                        prop_assert_eq!(got, want);
+                    }
+                    _ => {
+                        let (mut a, mut b) = (prg.fork(), oracle.fork());
+                        prop_assert_eq!(a.next_u128(), b.next_u128());
+                    }
+                }
+            }
+            prop_assert_eq!(prg.next_u32(), oracle.next_u32());
+        }
     }
 
     #[test]
@@ -363,16 +497,25 @@ mod tests {
         assert_eq!(hash128(l, 3), hash128(l, 3));
         assert_ne!(hash128(l, 3), hash128(l, 4));
         assert_ne!(hash128(l, 3), hash128(l ^ 1, 3));
-        // Distinct counter domain: never collides with the PRF stream.
+        // A different primitive altogether: never collides with the PRF.
         assert_ne!(hash128(l, 3), prf128(l, 3));
     }
 
     #[test]
-    fn pair_prf_depends_on_both_keys() {
-        let (a, b) = (11u128, 22u128);
-        assert_ne!(prf128_pair(a, b, 0), prf128_pair(b, a, 0));
-        assert_ne!(prf128_pair(a, b, 0), prf128_pair(a, b ^ 1, 0));
-        assert_eq!(prf128_pair(a, b, 5), prf128_pair(a, b, 5));
+    fn hash128_is_pinned() {
+        // Garbler and evaluator may run on different hosts and must hash
+        // identically; a change of construction, key or byte order has
+        // to fail here, not in a cross-host run. `hash128_many` goes
+        // through whichever AES path this CPU selects; the parity tests
+        // in `aes` tie that to the portable one.
+        const LABEL: u128 = 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210;
+        const PINNED: [u128; 2] =
+            [0xd716_c653_d5cf_13e5_7ad0_6874_dfee_a88e, 0xda9c_425b_a2a7_914c_eb66_2e0d_f8e4_e40e];
+        assert_eq!(hash128(LABEL, 0), PINNED[0]);
+        assert_eq!(hash128(LABEL, 0x8000_0000_0000_0001), PINNED[1]);
+        let mut four = [LABEL; 4];
+        hash128_many(&mut four, &[0, 0x8000_0000_0000_0001, 0, 0x8000_0000_0000_0001]);
+        assert_eq!(four, [PINNED[0], PINNED[1], PINNED[0], PINNED[1]]);
     }
 
     #[test]

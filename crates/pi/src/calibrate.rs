@@ -55,17 +55,23 @@ pub struct OnlineCostModel {
 }
 
 impl OnlineCostModel {
-    /// Default Delphi-like coefficients. Since the offline-garbling
-    /// refactor the online phase only *evaluates* pre-garbled circuits
-    /// (one PRF per AND gate; garbling, tables and OT moved offline),
-    /// so the per-element cost sits roughly 5× under the old
-    /// garble-online figures — still well above Cheetah's
-    /// comparison-based path.
+    /// Default Delphi-like coefficients. The online phase only
+    /// *evaluates* pre-garbled circuits, so a non-linear item costs its
+    /// AND count times the evaluation kernel's per-AND time. That time
+    /// is read off `c2pi_benchmark`'s traced `solo_delphi_split` run as
+    /// `mpc.gcpre.eval_ms ÷ mpc.gcpre.and_gates_per_inf`: 8.7–12.1 ms
+    /// over 553 952 ANDs, 16–22 ns, on the fixed-key AES gate hash
+    /// evaluated eight items in lock step (two cores at 2.1 GHz, both
+    /// circuits mixed). At 18 ns per AND a ReLU (192 ANDs) is 3.5 µs and
+    /// a 2×2 max window (701 ANDs) 12.6 µs — about two orders of
+    /// magnitude above Cheetah's comparison-based path, as published.
+    /// Against the same run's measured online time this default reads a
+    /// `pi.calibrate.default_residual` of 0.8–1.0.
     pub fn delphi() -> Self {
         OnlineCostModel {
             sec_per_mac: 4.0e-9,
-            sec_per_relu_elem: 5.0e-7,
-            sec_per_pool_window: 2.0e-6,
+            sec_per_relu_elem: 3.5e-6,
+            sec_per_pool_window: 1.26e-5,
             base_seconds: 1.0e-3,
         }
     }

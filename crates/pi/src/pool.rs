@@ -180,8 +180,10 @@ impl SessionCore {
     ///
     /// # Errors
     ///
-    /// Returns [`PiError::BadConfig`] for a malformed frame or a seed
-    /// dealt under another deployment, plus dealer errors.
+    /// Returns the decoder's [`PiError::Mpc`] protocol error for a
+    /// malformed frame or one from a peer on another `DealtSeed` version
+    /// (a different expansion function), [`PiError::BadConfig`] for a
+    /// seed dealt under another deployment, plus dealer errors.
     pub fn expand_dealt(&self, frame: &[u8]) -> Result<InferenceMaterial> {
         let dealt = DealtSeed::decode(frame)?;
         if dealt != self.dealt_seed(dealt.seed) {
@@ -856,6 +858,24 @@ mod tests {
         assert_eq!(l.consumed, 3);
         assert_eq!(l.available, 0);
         assert_eq!(l.generated_offline + l.generated_inline, l.consumed + l.available);
+    }
+
+    #[test]
+    fn a_frame_from_the_previous_gate_hash_is_refused_not_expanded() {
+        // A version-1 peer garbled under a different hash; expanding its
+        // seed would produce tables this side cannot decode. The frame
+        // is otherwise exactly what this deployment would have dealt.
+        let core = tiny_core();
+        let mut frame = core.dealt_seed(7).encode();
+        assert!(core.expand_dealt(&frame).is_ok());
+        assert_eq!(frame[2], 2, "DealtSeed version byte");
+        frame[2] = 1;
+        match core.expand_dealt(&frame) {
+            Err(PiError::Mpc(c2pi_mpc::MpcError::Protocol(why))) => {
+                assert_eq!(why, "dealt seed: unsupported version")
+            }
+            other => panic!("expected a typed version error, got {:?}", other.map(|m| m.seed)),
+        }
     }
 
     #[test]

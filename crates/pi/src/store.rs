@@ -10,6 +10,12 @@
 //! locally and resumes the exact ledger, which is why a warm-booted
 //! server serves bit-identical results without re-preprocessing.
 //!
+//! Because the log holds seeds and never tables, a change to how a seed
+//! *expands* (the garbling hash, say) does not touch this format:
+//! `VERSION` below moves only when the header or record layout does.
+//! Peers that would expand differently are told apart on the wire, by
+//! the `DealtSeed` version byte.
+//!
 //! ## On-disk format (all integers little-endian)
 //!
 //! ```text
