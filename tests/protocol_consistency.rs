@@ -270,3 +270,90 @@ fn client_share_alone_reveals_nothing_obvious() {
     let distinct: std::collections::HashSet<&u64> = raw.iter().collect();
     assert!(distinct.len() > raw.len() / 2, "shares look non-uniform");
 }
+
+/// One party-pair transcript, reduced to what must never move: an
+/// FNV-1a fold of `client_share ‖ server_share` raw words, the
+/// per-direction online bytes, and the flight count.
+type Transcript = (u64, u64, u64, u64);
+
+fn transcript(
+    client: &c2pi_suite::mpc::share::ShareVec,
+    server: &c2pi_suite::mpc::share::ShareVec,
+    online: &c2pi_suite::transport::TrafficSnapshot,
+) -> Transcript {
+    let fold =
+        client.as_raw().iter().chain(server.as_raw()).fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
+            w.to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        });
+    (fold, online.bytes_client_to_server, online.bytes_server_to_client, online.flights)
+}
+
+#[test]
+fn serving_transcripts_match_their_goldens_at_every_entry_point() {
+    // Every other determinism net compares one serving path with
+    // another; this one pins absolute output, so a change that moves
+    // *all* paths together still fails. Tiny conv→ReLU→maxpool prefix,
+    // default dealer seed, fixed inputs, fresh session per entry point
+    // (each consumes the first sets of the same seed stream). The
+    // dealt entry points count the `DealtSeed` frame; `infer` has none.
+    use c2pi_suite::pi::PiSession;
+    use c2pi_suite::transport::channel_pair;
+
+    let mut seq = Sequential::new();
+    seq.push(Conv2d::new(1, 3, 3, 1, 1, 1, 1));
+    seq.push(Relu::new());
+    seq.push(MaxPool2d::new(2, 2));
+    let specs = specs_of(&seq);
+    let input = |salt: usize| {
+        let v = (0..64).map(|i| ((i * 37 + salt * 11) % 64) as f32 / 32.0 - 1.0).collect();
+        Tensor::from_vec(v, &[1, 1, 8, 8]).unwrap()
+    };
+    let (x0, x1) = (input(0), input(1));
+
+    // (infer, serve_one/request_one, batch member 0, batch member 1)
+    let goldens: [(PiBackend, [Transcript; 4]); 2] = [
+        (
+            PiBackend::Cheetah,
+            [
+                (0x5361_d520_eadc_a19a, 31_580, 26_460, 72),
+                (0x5361_d520_eadc_a19a, 31_580, 26_497, 73),
+                (0x5361_d520_eadc_a19a, 31_580, 26_497, 73),
+                (0xd51c_d554_60f8_7809, 31_580, 26_497, 73),
+            ],
+        ),
+        (
+            PiBackend::Delphi,
+            [
+                (0xe3bf_0c22_838e_16d1, 8_192, 393_216, 4),
+                (0xe3bf_0c22_838e_16d1, 8_192, 393_253, 5),
+                (0xe3bf_0c22_838e_16d1, 8_192, 393_253, 5),
+                (0x02cd_b0ba_1481_c733, 8_192, 393_253, 5),
+            ],
+        ),
+    ];
+    for (backend, want) in goldens {
+        let cfg = PiConfig { backend, ..Default::default() };
+        let session = || PiSession::new(&specs, [1, 8, 8], cfg).unwrap();
+
+        let solo = session().infer(&x0).unwrap();
+        let infer = transcript(&solo.client_share, &solo.server_share, &solo.report.online);
+
+        let (cch, sch, counter) = channel_pair();
+        let server = session();
+        let t = std::thread::spawn(move || server.serve_one(&sch).unwrap());
+        let c = session().request_one(&cch, &x0).unwrap();
+        let s = t.join().unwrap();
+        let dealt = transcript(&c.share, &s.share, &counter.snapshot());
+
+        let fused = session().infer_batch_dealt(&[x0.clone(), x1.clone()]).unwrap();
+        let members: Vec<Transcript> = fused
+            .iter()
+            .map(|m| transcript(&m.client_share, &m.server_share, &m.report.online))
+            .collect();
+
+        let got = [infer, dealt, members[0], members[1]];
+        assert_eq!(got, want, "{backend:?}: got {got:#x?}");
+    }
+}
