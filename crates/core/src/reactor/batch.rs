@@ -1,13 +1,14 @@
 //! The reactor's batch-coalescing stage: a window between "request
 //! parsed" and "protocol started" in which concurrent `infer` requests
-//! fuse into one batched run.
+//! fuse into one protocol run.
 //!
 //! A [`BatchCollector`] sits between request parsing and protocol
-//! dispatch. Workers *deposit* admitted infer connections into it; a
-//! deposit either queues (the window is still open and the batch not
-//! full) or *flushes* — returns the whole pending batch for one fused
-//! [`c2pi_pi::SessionCore::serve_batch_prepared`] run. Three things
-//! flush a batch, each tagged with its [`FlushReason`]:
+//! dispatch, and every infer request passes through it. Workers
+//! *deposit* admitted infer connections into it; a deposit either
+//! queues (the window is still open and the batch not full) or
+//! *flushes* — returns the whole pending batch for one
+//! [`c2pi_pi::SessionCore::serve_prepared`] run. Three things flush a
+//! batch, each tagged with its [`FlushReason`]:
 //!
 //! * **Full** — the deposit that makes the batch reach `max_batch`;
 //! * **Window** — the reactor tick notices the *oldest* queued request
@@ -28,8 +29,8 @@
 //! preserve deposit order (concatenating all flushes replays the
 //! deposit sequence), no batch exceeds `max_batch`, and a disabled
 //! collector (`max_batch ≤ 1` or a zero window) flushes every deposit
-//! immediately as a singleton — which is why `max_batch = 1` serving is
-//! *identical* to the unbatched reactor path, not merely equivalent.
+//! immediately as a singleton — so an uncoalesced server is the same
+//! serving code running runs of one.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -88,8 +89,7 @@ impl<T> BatchCollector<T> {
     }
 
     /// Whether coalescing is on. Off (`max_batch ≤ 1` or a zero
-    /// window), every deposit flushes immediately as a singleton and
-    /// the serving layer takes the exact unbatched code path.
+    /// window), every deposit flushes immediately as a singleton.
     pub fn enabled(&self) -> bool {
         self.max_batch > 1 && self.window > Duration::ZERO
     }

@@ -13,8 +13,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Histogram bucket upper bounds, in milliseconds. Chosen to bracket
-/// the measured online latencies (Cheetah ~22 ms, Delphi ~67 ms in
-/// memory; hundreds of ms under load or simulated WAN).
+/// the measured online latencies (Delphi ~12 ms, Cheetah ~21 ms in
+/// memory; 60–160 ms through the reactor; more under load or simulated
+/// WAN).
 pub const LATENCY_BUCKETS_MS: [u64; 13] =
     [1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000];
 
@@ -60,12 +61,12 @@ pub struct HistogramSnapshot {
     pub sum_seconds: f64,
 }
 
-/// Batch-size histogram bucket upper bounds (members per fused run).
-/// Powers of two up to the largest `max_batch` a deployment plausibly
-/// configures; a batch of 1 is the unbatched path.
+/// Batch-size histogram bucket upper bounds (members per protocol
+/// run). Powers of two up to the largest `max_batch` a deployment
+/// plausibly configures; an uncoalesced server records only runs of 1.
 pub const BATCH_SIZE_BUCKETS: [u64; 6] = [1, 2, 4, 8, 16, 32];
 
-/// Fixed-bucket histogram of fused-batch sizes.
+/// Fixed-bucket histogram of protocol-run sizes.
 #[derive(Debug, Default)]
 pub struct BatchSizeHistogram {
     buckets: [AtomicU64; BATCH_SIZE_BUCKETS.len() + 1],
@@ -74,7 +75,7 @@ pub struct BatchSizeHistogram {
 }
 
 impl BatchSizeHistogram {
-    /// Records one fused run of `size` members.
+    /// Records one run of `size` members.
     pub fn record(&self, size: usize) {
         let size = size as u64;
         let at =
@@ -98,9 +99,9 @@ impl BatchSizeHistogram {
 pub struct BatchSizeSnapshot {
     /// Per-bucket (non-cumulative) counts; the last entry is +Inf.
     pub buckets: Vec<u64>,
-    /// Fused runs executed.
+    /// Protocol runs executed.
     pub count: u64,
-    /// Total members across all fused runs (`sum / count` is the mean
+    /// Total members across all runs (`sum / count` is the mean
     /// batch size).
     pub sum_members: u64,
 }
@@ -128,7 +129,8 @@ pub struct ReactorMetrics {
     pub(crate) draining: AtomicBool,
     /// Online latency of served inferences (take → share revealed).
     pub(crate) latency: LatencyHistogram,
-    /// Fused batch runs executed (a batch of 1 counts too).
+    /// Protocol runs executed, of any size: an uncoalesced server reads
+    /// `batches == served`.
     pub(crate) batches: AtomicU64,
     /// Members served in genuinely fused runs (batches of ≥ 2) — the
     /// coalescing win the smoke test asserts on.
@@ -139,7 +141,7 @@ pub struct ReactorMetrics {
     pub(crate) flush_window: AtomicU64,
     /// Partial batches flushed (and served) at drain.
     pub(crate) flush_drain: AtomicU64,
-    /// Members per fused run.
+    /// Members served per run.
     pub(crate) batch_size: BatchSizeHistogram,
 }
 
@@ -148,8 +150,9 @@ impl ReactorMetrics {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Accounts one fused run of `size` members flushed for `reason`
-    /// (see [`crate::reactor::batch::FlushReason`]): the run counter,
+    /// Accounts one protocol run that *served* `size ≥ 1` members,
+    /// flushed for `reason` (see
+    /// [`crate::reactor::batch::FlushReason`]): the run counter,
     /// the size histogram, the per-reason flush counter, and — for
     /// genuine fusions (`size ≥ 2`) — the coalesced-member counter.
     pub(crate) fn record_batch(&self, size: usize, reason: crate::reactor::batch::FlushReason) {
@@ -219,13 +222,13 @@ pub struct MetricsSnapshot {
     pub shards: Vec<ShardSnapshot>,
     /// Online-latency histogram of served inferences.
     pub latency: HistogramSnapshot,
-    /// Fused batch runs executed.
+    /// Protocol runs executed, of any size.
     pub batches: u64,
     /// Members served in batches of ≥ 2.
     pub coalesced: u64,
     /// Batch flushes by reason: (full, window, drain).
     pub flushes: (u64, u64, u64),
-    /// Members-per-fused-run histogram.
+    /// Members-served-per-run histogram.
     pub batch_size: BatchSizeSnapshot,
     /// Requests currently queued in the batch collector, waiting for
     /// their coalescing window. Filled in by the reactor's snapshot
@@ -353,7 +356,7 @@ impl MetricsSnapshot {
         );
         let _ = writeln!(out, "c2pi_online_latency_seconds_sum {:.6}", self.latency.sum_seconds);
         let _ = writeln!(out, "c2pi_online_latency_seconds_count {}", self.latency.count);
-        let _ = writeln!(out, "# HELP c2pi_batches_total Fused batch protocol runs executed.");
+        let _ = writeln!(out, "# HELP c2pi_batches_total Protocol runs executed, of any size.");
         let _ = writeln!(out, "# TYPE c2pi_batches_total counter");
         let _ = writeln!(out, "c2pi_batches_total {}", self.batches);
         let _ = writeln!(
@@ -374,7 +377,7 @@ impl MetricsSnapshot {
         let _ = writeln!(out, "c2pi_batch_flush_total{{reason=\"full\"}} {full}");
         let _ = writeln!(out, "c2pi_batch_flush_total{{reason=\"window\"}} {window}");
         let _ = writeln!(out, "c2pi_batch_flush_total{{reason=\"drain\"}} {drain}");
-        let _ = writeln!(out, "# HELP c2pi_batch_size Members per fused batch run.");
+        let _ = writeln!(out, "# HELP c2pi_batch_size Members served per protocol run.");
         let _ = writeln!(out, "# TYPE c2pi_batch_size histogram");
         let mut cumulative = 0u64;
         for (bound, n) in BATCH_SIZE_BUCKETS.iter().zip(&self.batch_size.buckets) {

@@ -25,24 +25,23 @@
 //! * one **replenisher per shard** keeps the shards topped up
 //!   (offline phase, input-independent).
 //!
-//! **Cross-client batching** (off by default) adds one stage between
-//! request parsing and protocol dispatch: a [`batch::BatchCollector`].
-//! With [`ReactorConfig::batch_window`] and [`ReactorConfig::max_batch`]
-//! set, concurrent `infer` requests arriving within the window coalesce
-//! into one fused protocol run
-//! ([`c2pi_pi::SessionCore::serve_batch_prepared`]): the k members
-//! share every round trip's compute, each still consumes exactly one
-//! pooled material set, and each gets its own per-member wire content
-//! back — results are bit-for-bit what k sequential runs on the same
-//! material would produce (DESIGN.md §10). A batch flushes when it
-//! fills (`Full`), when its oldest member has waited the window
-//! (`Window` — the reactor arms its poller timeout with the batch
-//! deadline, and a deposit that opens a new window notifies the poller
-//! to re-arm, so the flush fires when due rather than on a polling
-//! tick), or at drain (`Drain` — a queued request was admitted and is
-//! *served*, never shed). With the default `max_batch = 1` the
-//! collector is disabled and serving takes the exact unbatched code
-//! path.
+//! **One request handler.** Every `infer` request is deposited into a
+//! [`batch::BatchCollector`], which hands back *runs*: with the default
+//! [`ReactorConfig::max_batch`] of 1 (or a zero
+//! [`ReactorConfig::batch_window`]) each deposit comes straight back as
+//! a run of one; with both set, concurrent requests arriving within the
+//! window coalesce into one fused run. Either way the same function
+//! takes one pooled material set per member, sheds whatever the stock
+//! does not cover, and runs
+//! [`c2pi_pi::SessionCore::serve_prepared`] over the run: the k members
+//! share every round trip's compute, and each gets its own per-member
+//! wire content back — a run of k is k runs of one, member by member
+//! (DESIGN.md §10). A batch flushes when it fills (`Full`), when its
+//! oldest member has waited the window (`Window` — the reactor arms its
+//! poller timeout with the batch deadline, and a deposit that opens a
+//! new window notifies the poller to re-arm, so the flush fires when
+//! due rather than on a polling tick), or at drain (`Drain` — a queued
+//! request was admitted and is *served*, never shed).
 //!
 //! **Backpressure is explicit.** Whenever the server cannot serve — all
 //! shards empty, dispatch queue full, `max_clients` reached, or the
@@ -57,22 +56,11 @@
 //!
 //! ## Wire protocol
 //!
-//! Framing is the transport's usual 4-byte little-endian length prefix.
 //! The client speaks first (a connection that never speaks costs the
-//! reactor one poller slot, not a thread):
-//!
-//! ```text
-//! client → server   REQ   = "C2PQ" ‖ version(u8) ‖ kind(u8: 1=infer, 2=stats)
-//! server → client   OK    = [1]            solo admit: the dealt contract
-//!                                          runs (DealtSeed frame, protocol,
-//!                                          revealed server share)
-//!                   OK    = [1] ‖ batch(u16 LE)
-//!                                          batch admit: same contract, and
-//!                                          the frame reports how many
-//!                                          members share the fused run
-//!                   BUSY  = [2] ‖ retry_ms(u32 LE) ‖ draining(u8)
-//!                   STATS = [3] ‖ Prometheus-style UTF-8 text
-//! ```
+//! reactor one poller slot, not a thread): one `REQ` frame, answered by
+//! `OK`, `BUSY` or `STATS`. [`envelope`] owns those bytes — typed
+//! [`envelope::Request`] / [`envelope::Reply`] with one `encode` and one
+//! `decode` each, used by both ends.
 //!
 //! After `OK` the byte stream is exactly the dealt serving contract
 //! ([`c2pi_pi::SessionCore::serve_prepared`] /
@@ -115,15 +103,17 @@
 //! ```
 
 pub mod batch;
+pub mod envelope;
 pub mod metrics;
 
 use crate::{C2piError, Result};
 use batch::{BatchCollector, Deposit, FlushReason};
 use c2pi_pi::{
-    PartyOutcome, PiSession, PoolTake, Replenisher, RestoreReport, SessionCore, ShardedMaterialPool,
+    PartyOutcome, PiSession, Replenisher, RestoreReport, SessionCore, ShardedMaterialPool,
 };
 use c2pi_tensor::Tensor;
 use c2pi_transport::{Channel, Side, TcpChannel, TcpListenerTransport, TransportError};
+use envelope::{Reply, Request};
 use metrics::{MetricsSnapshot, ReactorMetrics, ShardSnapshot};
 use polling::{Backend, Poller};
 use std::collections::HashMap;
@@ -134,22 +124,6 @@ use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Request-frame magic: "C2PI request", version-gated.
-const REQ_MAGIC: [u8; 4] = *b"C2PQ";
-/// Wire-protocol version of the REQ/OK/BUSY/STATS envelope. Version 2
-/// added the batch-capable `OK` form (`[1] ‖ batch(u16 LE)`).
-const PROTO_VERSION: u8 = 2;
-/// REQ kind: run one online inference.
-const KIND_INFER: u8 = 1;
-/// REQ kind: return the metrics exposition.
-const KIND_STATS: u8 = 2;
-/// Reply tag: request admitted, dealt contract follows.
-const TAG_OK: u8 = 1;
-/// Reply tag: shed with backpressure (retry_ms u32 LE + draining u8).
-const TAG_BUSY: u8 = 2;
-/// Reply tag: metrics exposition follows as UTF-8 text.
-const TAG_STATS: u8 = 3;
 
 /// How many pending accepts the reactor admits per wakeup. The bound is
 /// a fairness device: a connect storm cannot monopolize the loop,
@@ -208,7 +182,7 @@ pub struct ReactorConfig {
     /// Coalescing window for cross-client batching: how long the first
     /// member of a forming batch may wait for company before the batch
     /// is flushed anyway. `Duration::ZERO` (default) disables
-    /// coalescing entirely — serving takes the exact unbatched path.
+    /// coalescing: every request is served as a run of one.
     /// The reactor arms its poller timeout with the window deadline, so
     /// the flush fires when due.
     pub batch_window: Duration,
@@ -306,13 +280,18 @@ impl Shared {
         snap
     }
 
+    fn busy(&self, draining: bool) -> Vec<u8> {
+        let retry_ms = u32::try_from(self.retry_after.as_millis()).unwrap_or(u32::MAX);
+        Reply::Busy { retry_ms, draining }.encode()
+    }
+
     /// Sheds one connection with a best-effort `BUSY` frame.
     /// `counted_active` says whether the connection was admitted into
     /// the active gauge (queue-full and drain sheds) or turned away at
     /// the door (`max_clients` sheds).
     fn shed(&self, stream: TcpStream, counted_active: bool) {
         self.metrics.add(&self.metrics.shed);
-        let frame = busy_frame(self.retry_after, self.draining());
+        let frame = self.busy(self.draining());
         // Best-effort: the client may already be gone, and a shed must
         // never block the reactor — short write timeout, errors ignored.
         let _ = stream.set_nonblocking(false);
@@ -330,25 +309,9 @@ impl Shared {
     /// stage): best-effort `BUSY` frame, shed counter, active gauge.
     fn shed_channel(&self, ch: &TcpChannel, draining: bool) {
         self.metrics.add(&self.metrics.shed);
-        let _ = ch.send_bytes(&busy_frame(self.retry_after, draining));
+        let _ = ch.send_bytes(&self.busy(draining));
         self.metrics.connection_done();
     }
-}
-
-fn req_frame(kind: u8) -> [u8; 6] {
-    [REQ_MAGIC[0], REQ_MAGIC[1], REQ_MAGIC[2], REQ_MAGIC[3], PROTO_VERSION, kind]
-}
-
-fn parse_req(frame: &[u8]) -> Option<u8> {
-    if frame.len() != 6 || frame[..4] != REQ_MAGIC || frame[4] != PROTO_VERSION {
-        return None;
-    }
-    matches!(frame[5], KIND_INFER | KIND_STATS).then_some(frame[5])
-}
-
-fn busy_frame(retry_after: Duration, draining: bool) -> [u8; 6] {
-    let ms = (retry_after.as_millis().min(u32::MAX as u128) as u32).to_le_bytes();
-    [TAG_BUSY, ms[0], ms[1], ms[2], ms[3], u8::from(draining)]
 }
 
 /// A running readiness-driven PI server. See the [module docs](self)
@@ -694,7 +657,7 @@ fn worker_loop(worker: usize, rx: &Mutex<Receiver<Job>>, shared: &Shared) {
         let job = { rx.lock().expect("dispatch queue mutex poisoned").recv() };
         match job {
             Ok(Job::Conn(stream)) => serve_connection(worker, stream, shared),
-            Ok(Job::Batch(chs, reason)) => serve_batch(worker, chs, reason, shared),
+            Ok(Job::Batch(chs, reason)) => serve_run(worker, chs, reason, shared),
             Ok(Job::Shutdown) | Err(_) => break,
         }
     }
@@ -738,107 +701,50 @@ fn serve_connection(worker: usize, stream: TcpStream, shared: &Shared) {
             return;
         }
     };
-    let Some(kind) = parse_req(&req) else {
-        shared.metrics.add(&shared.metrics.errors);
-        shared.metrics.connection_done();
-        return;
-    };
-    match kind {
-        KIND_STATS => {
-            let text = shared.snapshot().render_prometheus();
-            let mut frame = Vec::with_capacity(1 + text.len());
-            frame.push(TAG_STATS);
-            frame.extend_from_slice(text.as_bytes());
+    match Request::decode(&req) {
+        Err(_) => {
+            shared.metrics.add(&shared.metrics.errors);
+            shared.metrics.connection_done();
+        }
+        Ok(Request::Stats) => {
+            let frame = Reply::Stats(shared.snapshot().render_prometheus()).encode();
             match ch.send_bytes(&frame) {
                 Ok(()) => shared.metrics.add(&shared.metrics.stats_served),
                 Err(_) => shared.metrics.add(&shared.metrics.errors),
             }
             shared.metrics.connection_done();
         }
-        _ if shared.collector.enabled() => {
-            match shared.collector.deposit(ch, Instant::now()) {
-                // Waiting for company; the armed window deadline or a
-                // filling deposit will flush it. Still active, by
-                // design. The reactor may be asleep with no deadline
-                // armed (this deposit could have opened the window), so
-                // wake it to re-arm its wait timeout.
-                Deposit::Queued => shared.poller.notify(),
-                // This deposit filled the batch (or raced the drain
-                // close): serve it right here, on this worker.
-                Deposit::Flush(chs, reason) => serve_batch(worker, chs, reason, shared),
-            }
-        }
-        _ => {
-            serve_infer_one(worker, &ch, shared);
-            shared.metrics.connection_done();
-        }
+        // Every infer request goes through the collector; with
+        // coalescing off it hands the request straight back as a run
+        // of one.
+        Ok(Request::Infer) => match shared.collector.deposit(ch, Instant::now()) {
+            // Waiting for company; the armed window deadline or a
+            // filling deposit will flush it. Still active, by design.
+            // The reactor may be asleep with no deadline armed (this
+            // deposit could have opened the window), so wake it to
+            // re-arm its wait timeout.
+            Deposit::Queued => shared.poller.notify(),
+            // This deposit completed a run (or raced the drain close):
+            // serve it right here, on this worker.
+            Deposit::Flush(chs, reason) => serve_run(worker, chs, reason, shared),
+        },
     }
 }
 
-/// The unbatched infer path: one pooled material set, one
-/// [`c2pi_pi::SessionCore::serve_prepared`] run, solo `OK` frame. This
-/// is the *only* serving code when coalescing is disabled — identical
-/// to the pre-batching reactor, not merely equivalent.
-fn serve_infer_one(worker: usize, ch: &TcpChannel, shared: &Shared) {
-    match shared.pool.try_take(worker) {
-        Ok(PoolTake::Material(material)) => {
-            if ch.send_bytes(&[TAG_OK]).is_err() {
-                // The material is consumed (ledger-exact) but the
-                // client is gone; the set is lost to this error.
-                shared.metrics.add(&shared.metrics.errors);
-                return;
-            }
-            let start = Instant::now();
-            let served = shared
-                .core
-                .serve_prepared(ch, *material)
-                .map_err(C2piError::Pi)
-                .and_then(|share| ch.send_u64s(share.as_raw()).map_err(pi_err));
-            match served {
-                Ok(()) => {
-                    shared.metrics.latency.record(start.elapsed());
-                    shared.metrics.add(&shared.metrics.served);
-                }
-                Err(_) => shared.metrics.add(&shared.metrics.errors),
-            }
-        }
-        // Starved or shutting down: typed backpressure, no block,
-        // no inline dealing.
-        Ok(PoolTake::Empty) => {
-            shared.metrics.add(&shared.metrics.shed);
-            let frame = busy_frame(shared.retry_after, shared.draining());
-            let _ = ch.send_bytes(&frame);
-        }
-        Ok(PoolTake::ShutDown) => {
-            shared.metrics.add(&shared.metrics.shed);
-            let _ = ch.send_bytes(&busy_frame(shared.retry_after, true));
-        }
-        Err(_) => shared.metrics.add(&shared.metrics.errors),
-    }
-}
-
-/// Serves one flushed batch: takes one material set per member (partial
-/// stock sheds the uncovered tail with typed backpressure, never
-/// silently), announces the fused run with the batch-capable `OK`
-/// frame, and runs [`c2pi_pi::SessionCore::serve_batch_prepared`] over
-/// all members at once. A batch of one takes [`serve_infer_one`] — the
-/// exact solo path.
+/// Serves one flushed run of `k ≥ 1` admitted requests: takes one
+/// material set per member (partial stock sheds the uncovered tail with
+/// typed backpressure, never silently), announces the run to the `m`
+/// covered members with the `OK` frame, runs
+/// [`c2pi_pi::SessionCore::serve_prepared`] over all of them at once,
+/// reveals each member's server share and accounts the run under its
+/// *served* size `m`.
 ///
-/// Failure granularity is the batch: if any member errors
-/// mid-protocol, the whole fused run fails and every member's material
-/// is lost (counted per member in `errors`). That is the documented
-/// price of fusing rounds; see DESIGN.md §10.
-fn serve_batch(worker: usize, chs: Vec<TcpChannel>, reason: FlushReason, shared: &Shared) {
+/// Failure granularity is the run: if any member errors mid-protocol,
+/// the whole run fails and every member's material is lost (counted per
+/// member in `errors`). That is the documented price of fusing rounds;
+/// see DESIGN.md §10.
+fn serve_run(worker: usize, chs: Vec<TcpChannel>, reason: FlushReason, shared: &Shared) {
     let k = chs.len();
-    if k == 0 {
-        return;
-    }
-    shared.metrics.record_batch(k, reason);
-    if k == 1 {
-        serve_infer_one(worker, &chs[0], shared);
-        shared.metrics.connection_done();
-        return;
-    }
     let (materials, shut) = match shared.pool.try_take_n(worker, k) {
         Ok(took) => took,
         Err(_) => {
@@ -851,6 +757,8 @@ fn serve_batch(worker: usize, chs: Vec<TcpChannel>, reason: FlushReason, shared:
     };
     // Members the stock does not cover are shed, in arrival order from
     // the back — the earliest arrivals (who waited longest) get served.
+    // Starved or shutting down: typed backpressure, no block, no
+    // inline dealing.
     let m = materials.len();
     for ch in &chs[m..] {
         shared.shed_channel(ch, shut || shared.draining());
@@ -858,15 +766,16 @@ fn serve_batch(worker: usize, chs: Vec<TcpChannel>, reason: FlushReason, shared:
     if m == 0 {
         return;
     }
+    shared.metrics.record_batch(m, reason);
     let members = &chs[..m];
-    let size = (m as u16).to_le_bytes();
+    let ok = Reply::Ok { batch: u16::try_from(m).unwrap_or(u16::MAX) }.encode();
     let start = Instant::now();
     let result = members
         .iter()
-        .try_for_each(|ch| ch.send_bytes(&[TAG_OK, size[0], size[1]]).map_err(pi_err))
+        .try_for_each(|ch| ch.send_bytes(&ok).map_err(pi_err))
         .and_then(|()| {
             let eps: Vec<&dyn Channel> = members.iter().map(|ch| ch as &dyn Channel).collect();
-            shared.core.serve_batch_prepared(&eps, materials).map_err(C2piError::Pi)
+            shared.core.serve_prepared(&eps, materials).map_err(C2piError::Pi)
         })
         .and_then(|shares| {
             members
@@ -876,14 +785,16 @@ fn serve_batch(worker: usize, chs: Vec<TcpChannel>, reason: FlushReason, shared:
         });
     match result {
         Ok(()) => {
-            // Every member waited for the whole fused run; each records
-            // the batch's wall-clock latency.
+            // Every member waited for the whole run; each records its
+            // wall-clock latency.
             let elapsed = start.elapsed();
             for _ in 0..m {
                 shared.metrics.latency.record(elapsed);
                 shared.metrics.add(&shared.metrics.served);
             }
         }
+        // The material is consumed (ledger-exact) but the run is lost
+        // to this error.
         Err(_) => {
             for _ in 0..m {
                 shared.metrics.add(&shared.metrics.errors);
@@ -978,18 +889,12 @@ impl ReactorClient {
     pub fn request(&self, addr: impl ToSocketAddrs + Clone, x: &Tensor) -> Result<ReactorReply> {
         let ch =
             TcpChannel::connect_retry(addr, Side::Client, self.connect_timeout).map_err(pi_err)?;
-        ch.send_bytes(&req_frame(KIND_INFER)).map_err(pi_err)?;
-        let reply = ch.recv_bytes().map_err(pi_err)?;
-        match reply.as_slice() {
-            // Solo admit, or batch admit carrying how many members
-            // share the fused run. The dealt contract after the frame
-            // is identical either way — fusing never changes any
-            // member's wire content.
-            [TAG_OK] | [TAG_OK, _, _] => {
-                let batch = match reply.as_slice() {
-                    [_, lo, hi] => usize::from(u16::from_le_bytes([*lo, *hi])).max(1),
-                    _ => 1,
-                };
+        ch.send_bytes(&Request::Infer.encode()).map_err(pi_err)?;
+        match Reply::decode(&ch.recv_bytes().map_err(pi_err)?)? {
+            // The dealt contract after the frame is the same whatever
+            // the run's size — sharing a run never changes any member's
+            // wire content.
+            Reply::Ok { batch } => {
                 let outcome = self.session.request_one(&ch, x).map_err(C2piError::Pi)?;
                 let server_share =
                     c2pi_mpc::share::ShareVec::from_raw(ch.recv_u64s().map_err(pi_err)?);
@@ -1000,19 +905,17 @@ impl ReactorClient {
                 Ok(ReactorReply::Served(Box::new(ClientInference {
                     logits,
                     prediction,
-                    batch,
+                    batch: usize::from(batch),
                     outcome,
                 })))
             }
-            [TAG_BUSY, a, b, c, d, draining] => Ok(ReactorReply::Busy {
-                retry_after: Duration::from_millis(u64::from(u32::from_le_bytes([*a, *b, *c, *d]))),
-                draining: *draining != 0,
+            Reply::Busy { retry_ms, draining } => Ok(ReactorReply::Busy {
+                retry_after: Duration::from_millis(u64::from(retry_ms)),
+                draining,
             }),
-            other => Err(C2piError::BadConfig(format!(
-                "unexpected reactor reply ({} bytes, tag {:?})",
-                other.len(),
-                other.first()
-            ))),
+            Reply::Stats(_) => {
+                Err(C2piError::BadConfig("STATS reply to an inference request".into()))
+            }
         }
     }
 
@@ -1053,11 +956,9 @@ impl ReactorClient {
     pub fn stats(&self, addr: impl ToSocketAddrs + Clone) -> Result<String> {
         let ch =
             TcpChannel::connect_retry(addr, Side::Client, self.connect_timeout).map_err(pi_err)?;
-        ch.send_bytes(&req_frame(KIND_STATS)).map_err(pi_err)?;
-        let reply = ch.recv_bytes().map_err(pi_err)?;
-        match reply.split_first() {
-            Some((&TAG_STATS, text)) => String::from_utf8(text.to_vec())
-                .map_err(|_| C2piError::BadConfig("stats reply is not UTF-8".into())),
+        ch.send_bytes(&Request::Stats.encode()).map_err(pi_err)?;
+        match Reply::decode(&ch.recv_bytes().map_err(pi_err)?)? {
+            Reply::Stats(text) => Ok(text),
             _ => Err(C2piError::BadConfig("unexpected reply to a STATS request".into())),
         }
     }
@@ -1324,8 +1225,8 @@ mod tests {
         // A client that is admitted and dealt its seed, then never sends
         // its input share: the only worker blocks on it.
         let silent = TcpChannel::connect_retry(addr, Side::Client, Duration::from_secs(5)).unwrap();
-        silent.send_bytes(&req_frame(KIND_INFER)).unwrap();
-        assert_eq!(silent.recv_bytes().unwrap(), [TAG_OK]);
+        silent.send_bytes(&Request::Infer.encode()).unwrap();
+        assert_eq!(silent.recv_bytes().unwrap(), Reply::Ok { batch: 1 }.encode());
         silent.recv_bytes().unwrap(); // the dealt seed
         let deadline = Instant::now() + Duration::from_secs(10);
         while server.metrics_snapshot().errors == 0 && Instant::now() < deadline {
@@ -1348,6 +1249,58 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert_eq!(server.served(), 1);
+        server.drain().unwrap();
+    }
+
+    #[test]
+    fn a_partly_covered_flush_is_accounted_at_its_served_size() {
+        // Two deposits fill a batch of two, but stock covers one: the
+        // earlier arrival runs alone, the later one is shed, and every
+        // run-size metric reads 1 — a solo run is not "coalesced".
+        let server = ReactorServer::bind(
+            server_core(),
+            "127.0.0.1:0",
+            ReactorConfig {
+                workers: 1,
+                shards: 1,
+                pool_low: 0,
+                pool_high: 0,
+                batch_window: Duration::from_secs(30),
+                max_batch: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        server.preprocess(1).unwrap();
+        let addr = server.local_addr();
+        let x = Tensor::rand_uniform(&[1, 1, 8, 8], -1.0, 1.0, 12);
+        let replies: Vec<ReactorReply> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    let x = &x;
+                    scope.spawn(move || {
+                        ReactorClient::new(shared_session()).request(addr, x).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let batches: Vec<usize> = replies
+            .iter()
+            .filter_map(|r| if let ReactorReply::Served(s) = r { Some(s.batch) } else { None })
+            .collect();
+        assert_eq!(batches, [1], "one member served, announced as a run of one");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut snap = server.metrics_snapshot();
+        while (snap.served < 1 || snap.active > 0) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+            snap = server.metrics_snapshot();
+        }
+        assert_eq!((snap.served, snap.shed, snap.errors, snap.active), (1, 1, 0, 0));
+        assert_eq!(snap.coalesced, 0);
+        assert_eq!((snap.batches, snap.batch_size.sum_members), (1, 1));
+        assert_eq!(snap.flushes, (1, 0, 0));
+        assert_eq!(server.pool().ledger().consumed, 1);
         server.drain().unwrap();
     }
 

@@ -89,42 +89,23 @@ pub fn linear_client<C: Channel + ?Sized>(
     Ok(corr.wa_share.clone())
 }
 
-/// Server side of the masked linear-layer protocol: receives `X₀ − A`,
-/// computes `W·(X₀ − A) + W·X₁ + share(W·A)` as its output share.
-///
-/// # Errors
-///
-/// Returns transport errors or shape mismatches.
-pub fn linear_server<C: Channel + ?Sized>(
-    ep: &C,
-    w: &RingMatrix,
-    x1: &RingMatrix,
-    corr: &LinearCorrServer,
-) -> Result<RingMatrix> {
-    let raw = ep.recv_u64s()?;
-    let masked = RingMatrix::from_vec(raw, x1.rows(), x1.cols())?;
-    let wd = w.matmul(&masked)?;
-    let wx1 = w.matmul(x1)?;
-    wd.add(&wx1)?.add(&corr.wa_share)
-}
-
-/// Server side of the masked linear protocol **fused over a batch of
-/// clients** sharing one weight matrix: receives each member's
-/// `X₀ − A` flight (one per member, exactly as unbatched), column-stacks
-/// the batch and runs **one** wide `W·[·|·|…]` product instead of `k`
-/// narrow ones, then splits the columns back and adds each member's own
-/// `share(W·Aᵢ)`.
+/// Server side of the masked linear-layer protocol over `k ≥ 1`
+/// members sharing one weight matrix: receives each member's `X₀ − A`
+/// flight (one per member, in slice order), column-stacks the members
+/// and runs **one** wide `W·[·|·|…]` product per operand, then splits
+/// the columns back and adds each member's own `share(W·Aᵢ)`, giving
+/// `W·(X₀ − A) + W·X₁ + share(W·A)` as that member's output share.
 ///
 /// Ring matmul accumulates every output column independently (and
-/// wrapping `u64` addition is exact), so each member's output share is
-/// bit-for-bit what [`linear_server`] would have produced — batching
-/// changes the compute schedule, never the bytes.
+/// wrapping `u64` addition is exact), so a member's output share does
+/// not depend on who else is in the run: `k` members in one call are
+/// bit-for-bit `k` calls of one.
 ///
 /// # Errors
 ///
 /// Returns transport errors or shape mismatches; the per-member slices
-/// must have equal length.
-pub fn linear_server_batch<C: Channel + ?Sized>(
+/// must have equal nonzero length.
+pub fn linear_server_members<C: Channel + ?Sized>(
     eps: &[&C],
     w: &RingMatrix,
     x1s: &[RingMatrix],
@@ -133,7 +114,7 @@ pub fn linear_server_batch<C: Channel + ?Sized>(
     let k = eps.len();
     if x1s.len() != k || corrs.len() != k || k == 0 {
         return Err(MpcError::BadConfig(format!(
-            "linear_server_batch over {k} channels, {} shares, {} correlations",
+            "linear_server_members over {k} channels, {} shares, {} correlations",
             x1s.len(),
             corrs.len()
         )));
@@ -155,6 +136,22 @@ pub fn linear_server_batch<C: Channel + ?Sized>(
         .zip(corrs)
         .map(|(y, corr)| y.add(&corr.wa_share))
         .collect()
+}
+
+/// [`linear_server_members`] for one member — the spelling the
+/// repository benchmark times.
+///
+/// # Errors
+///
+/// As [`linear_server_members`].
+pub fn linear_server<C: Channel + ?Sized>(
+    ep: &C,
+    w: &RingMatrix,
+    x1: &RingMatrix,
+    corr: &LinearCorrServer,
+) -> Result<RingMatrix> {
+    let mut ys = linear_server_members(&[ep], w, std::slice::from_ref(x1), &[corr])?;
+    Ok(ys.pop().expect("one member in, one share out"))
 }
 
 /// Client side of the masked elementwise affine protocol (server-known
@@ -364,7 +361,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_linear_server_is_bit_identical_to_per_member_runs() {
+    fn k_members_in_one_run_are_bit_identical_to_k_runs_of_one() {
         let (m, k, n, batch) = (3, 4, 2, 3);
         let mut dealer = Dealer::new(57);
         let mut prg = Prg::from_u64(8);
@@ -382,8 +379,8 @@ mod tests {
             x0s.push(RingMatrix::from_vec(x0.into_raw(), k, n).unwrap());
             x1s.push(RingMatrix::from_vec(x1.into_raw(), k, n).unwrap());
         }
-        // Reference: each member served by the unbatched server over its
-        // own replayed flight.
+        // Reference: each member served by a run of one over its own
+        // replayed flight.
         let mut want = Vec::new();
         for i in 0..batch {
             let (client, server, _) = channel_pair();
@@ -397,8 +394,8 @@ mod tests {
         }
         let eps: Vec<_> = pairs.iter().map(|(_, s, _)| s).collect();
         let corr_refs: Vec<&LinearCorrServer> = corr_ss.iter().collect();
-        let got = linear_server_batch(&eps, &w, &x1s, &corr_refs).unwrap();
-        assert_eq!(got, want, "fused output shares must match the unbatched ones bit-for-bit");
+        let got = linear_server_members(&eps, &w, &x1s, &corr_refs).unwrap();
+        assert_eq!(got, want, "a member's output share must not depend on who shares its run");
         // Each member still pays exactly its own single flight.
         for (_, _, counter) in &pairs {
             let snap = counter.snapshot();
@@ -406,7 +403,7 @@ mod tests {
             assert_eq!(snap.flights, 1);
         }
         // Length mismatches are rejected up front.
-        assert!(linear_server_batch(&eps[..2], &w, &x1s, &corr_refs).is_err());
+        assert!(linear_server_members(&eps[..2], &w, &x1s, &corr_refs).is_err());
     }
 
     #[test]

@@ -322,59 +322,24 @@ fn unpack_labels(raw: &[u8]) -> Result<Vec<u128>> {
     Ok(raw.chunks_exact(16).map(|c| u128::from_le_bytes(c.try_into().expect("16 bytes"))).collect())
 }
 
-/// Garbler (server) side of the online phase over one pre-garbled
-/// layer: receives `δ`, selects the active labels for `x₁ + δ` (pure
-/// XOR — no garbling, no OT), sends them back, and returns the dealt
-/// output share `r`.
-///
-/// # Errors
-///
-/// Returns transport errors, or a protocol error when the share length
-/// disagrees with the material.
-pub fn pre_gc_garbler<C: Channel + ?Sized>(
-    ep: &C,
-    mat: &PreGarbledServer,
-    share: &ShareVec,
-) -> Result<ShareVec> {
-    if share.len() != mat.inputs() {
-        return Err(MpcError::Protocol(format!(
-            "pre-garbled material for {} inputs, share has {}",
-            mat.inputs(),
-            share.len()
-        )));
-    }
-    let delta = ep.recv_u64s().map_err(MpcError::from)?;
-    if delta.len() != mat.inputs() {
-        return Err(MpcError::Protocol(format!(
-            "expected {} masked inputs, got {}",
-            mat.inputs(),
-            delta.len()
-        )));
-    }
-    let g: Vec<u64> =
-        share.as_raw().iter().zip(delta.iter()).map(|(&x1, &d)| x1.wrapping_add(d)).collect();
-    let labels = mat.select_garbler_labels(&g)?;
-    ep.send_bytes(&pack_labels(&labels)).map_err(MpcError::from)?;
-    Ok(ShareVec::from_raw(mat.out_share.clone()))
-}
-
-/// Garbler side of one pre-garbled layer **fused over a batch of
-/// evaluators**, each with its own material and channel: receives every
-/// member's `δ` flight, selects the active labels for all `k` members'
-/// unit circuits in one parallel region, then answers each member's
-/// label flight. Per member the wire traffic is exactly one `δ`/label
-/// round trip — identical to [`pre_gc_garbler`] — only the garbler's
-/// compute between the flights is batched.
+/// Garbler (server) side of the online phase of one pre-garbled layer
+/// over `k ≥ 1` evaluators, each with its own material and channel:
+/// receives every member's `δ` flight (slice order), selects the active
+/// labels for `x₁ + δ` of all members' unit circuits in one parallel
+/// region (pure XOR — no garbling, no OT), answers each member's label
+/// flight, and returns the dealt output shares `r`. Per member the wire
+/// traffic is exactly one `δ`/label round trip.
 ///
 /// Label selection is a per-wire conditional XOR with each member's own
-/// material, so every member's labels (and dealt output share) are
-/// bit-for-bit what the unbatched garbler would have sent.
+/// material, so a member's labels and output share do not depend on who
+/// else is in the run: `k` members in one call are bit-for-bit `k`
+/// calls of one.
 ///
 /// # Errors
 ///
 /// Returns transport errors, or a protocol error when slice lengths or
 /// any member's share disagrees with its material.
-pub fn pre_gc_garbler_batch<C: Channel + ?Sized>(
+pub fn pre_gc_garbler_members<C: Channel + ?Sized>(
     eps: &[&C],
     mats: &[&PreGarbledServer],
     shares: &[&ShareVec],
@@ -382,7 +347,7 @@ pub fn pre_gc_garbler_batch<C: Channel + ?Sized>(
     let k = eps.len();
     if mats.len() != k || shares.len() != k || k == 0 {
         return Err(MpcError::BadConfig(format!(
-            "pre_gc_garbler_batch over {k} channels, {} materials, {} shares",
+            "pre_gc_garbler_members over {k} channels, {} materials, {} shares",
             mats.len(),
             shares.len()
         )));
@@ -419,6 +384,21 @@ pub fn pre_gc_garbler_batch<C: Channel + ?Sized>(
         out.push(ShareVec::from_raw(mat.out_share.clone()));
     }
     Ok(out)
+}
+
+/// [`pre_gc_garbler_members`] for one evaluator — the spelling the
+/// repository benchmark times.
+///
+/// # Errors
+///
+/// As [`pre_gc_garbler_members`].
+pub fn pre_gc_garbler<C: Channel + ?Sized>(
+    ep: &C,
+    mat: &PreGarbledServer,
+    share: &ShareVec,
+) -> Result<ShareVec> {
+    let mut out = pre_gc_garbler_members(&[ep], &[mat], &[share])?;
+    Ok(out.pop().expect("one member in, one share out"))
 }
 
 /// Evaluator (client) side of the online phase: sends `δ = x₀ − m`,
@@ -688,11 +668,11 @@ mod tests {
     }
 
     #[test]
-    fn batched_garbler_is_bit_identical_to_per_member_runs() {
+    fn k_evaluators_in_one_run_are_bit_identical_to_k_runs_of_one() {
         // Three members, each with independently drawn material and
-        // shares. The fused garbler must send every member the exact
-        // label flight (and return the exact out-share) that three
-        // separate pre_gc_garbler calls would have produced.
+        // shares. One run over all three must send every member the
+        // exact label flight (and return the exact out-share) that
+        // three runs of one produce.
         let fp = FixedPoint::default();
         let members: Vec<Vec<f32>> = vec![
             vec![-3.0, -0.5, 0.0, 2.5],
@@ -713,8 +693,8 @@ mod tests {
             x0s.push(x0);
             x1s.push(x1);
         }
-        // Reference: per-member unbatched runs on clones of the same
-        // material and shares.
+        // Reference: runs of one on clones of the same material and
+        // shares.
         let mut ref_y = Vec::new();
         for i in 0..members.len() {
             let (client, server, _) = channel_pair();
@@ -725,7 +705,7 @@ mod tests {
             let y1 = t.join().unwrap();
             ref_y.push(reconstruct(&y0, &y1));
         }
-        // Fused: one garbler thread over all three channels.
+        // One garbler thread over all three channels.
         let mut servers = Vec::new();
         let mut clients = Vec::new();
         for _ in 0..members.len() {
@@ -739,7 +719,7 @@ mod tests {
             let eps: Vec<&_> = servers.iter().collect();
             let mats: Vec<&PreGarbledServer> = smats_cl.iter().collect();
             let shares: Vec<&ShareVec> = x1s_cl.iter().collect();
-            pre_gc_garbler_batch(&eps, &mats, &shares).unwrap()
+            pre_gc_garbler_members(&eps, &mats, &shares).unwrap()
         });
         let mut eval_threads = Vec::new();
         for ((client, cmat), x0) in clients.into_iter().zip(cmats).zip(x0s) {
@@ -758,7 +738,7 @@ mod tests {
         // Length mismatches rejected up front.
         let (_, lone, _) = channel_pair();
         let eps: Vec<&_> = vec![&lone];
-        assert!(pre_gc_garbler_batch(&eps, &[], &[]).is_err());
+        assert!(pre_gc_garbler_members(&eps, &[], &[]).is_err());
     }
 
     #[test]

@@ -18,12 +18,12 @@ use crate::cost::OfflineCostModel;
 use crate::engine::PiConfig;
 use crate::report::OpCounts;
 use crate::{PiError, Result};
-use c2pi_mpc::beaver::{linear_client, linear_server};
+use c2pi_mpc::beaver::{linear_client, linear_server_members};
 use c2pi_mpc::dealer::{Dealer, LinearCorrClient, LinearCorrServer};
 use c2pi_mpc::prg::Prg;
 use c2pi_mpc::ring::RingMatrix;
 use c2pi_mpc::share::ShareVec;
-use c2pi_transport::{Channel, Side};
+use c2pi_transport::Channel;
 use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
@@ -41,10 +41,21 @@ pub type NlMaterial = Box<dyn Any + Send>;
 /// A protocol suite the engine can execute the crypto prefix with.
 ///
 /// The `prepare_*` hooks run in the offline phase (dealer side) and the
-/// `*_online` hooks in the online phase (inside the party threads). The
-/// linear-layer hooks default to the masked-linear protocol both Delphi
-/// and Cheetah share; override them for backends with a different linear
-/// execution.
+/// six `*_online_*` hooks in the online phase, one per (operation,
+/// party): the **client** hooks run one inference over one channel; the
+/// **server** hooks run `k ≥ 1` members in lock step, one
+/// channel/share/material/PRG per member in slice order, because the
+/// server party is one walk whether it serves one client or a coalesced
+/// batch. A member's transcript and output share must not depend on who
+/// else is in its run (`k` members in one call ≡ `k` calls of one);
+/// serving members in index order at every flight is deadlock-free
+/// because clients progress independently and flights buffer in the
+/// transport.
+///
+/// A third backend implements `name`, `cost_model`, the two `prepare_*`
+/// hooks for its non-linear material and the four non-linear online
+/// hooks; the two linear hooks default to the masked-linear protocol
+/// both built-ins share.
 pub trait PiBackendImpl: fmt::Debug + Send + Sync {
     /// Engine name for reports (`delphi` / `cheetah` / yours).
     fn name(&self) -> &'static str;
@@ -84,42 +95,69 @@ pub trait PiBackendImpl: fmt::Debug + Send + Sync {
         counts: &mut OpCounts,
     ) -> (NlMaterial, NlMaterial);
 
-    /// Online ReLU on a share of `n` elements. `side` says which party
-    /// this thread is; `prg` is the party's local randomness (the
-    /// garbler's wire labels for GC backends).
+    /// Client party of the online ReLU on a share of `n` elements.
+    /// `prg` is the party's local randomness.
     ///
     /// # Errors
     ///
     /// Returns protocol/transport errors, or [`PiError::BadConfig`] when
-    /// `material` is not this backend's type.
-    fn relu_online(
+    /// `material` is not this backend's client half.
+    fn relu_online_client(
         &self,
         ep: &dyn Channel,
-        side: Side,
         share: &ShareVec,
         material: NlMaterial,
         cfg: &PiConfig,
         prg: &mut Prg,
     ) -> Result<ShareVec>;
 
-    /// Online 2×2 max pool. `quads` holds the gathered window elements
-    /// (`4·windows` values, window-major — the public permutation is
-    /// applied by the engine on both sides); returns one share per
-    /// window.
+    /// Server party of the online ReLU over `k` members.
     ///
     /// # Errors
     ///
-    /// Returns protocol/transport errors, or [`PiError::BadConfig`] when
-    /// `material` is not this backend's type.
-    fn maxpool_online(
+    /// Returns the first member's protocol/transport error, or
+    /// [`PiError::BadConfig`] on an arity mismatch or when a material
+    /// is not this backend's server half.
+    fn relu_online_server(
+        &self,
+        eps: &[&dyn Channel],
+        shares: &[ShareVec],
+        materials: Vec<NlMaterial>,
+        cfg: &PiConfig,
+        prgs: &mut [Prg],
+    ) -> Result<Vec<ShareVec>>;
+
+    /// Client party of the online 2×2 max pool. `quads` holds the
+    /// gathered window elements (`4·windows` values, window-major — the
+    /// public permutation is applied by the engine on both sides);
+    /// returns one share per window.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::relu_online_client`].
+    fn maxpool_online_client(
         &self,
         ep: &dyn Channel,
-        side: Side,
         quads: &ShareVec,
         material: NlMaterial,
         cfg: &PiConfig,
         prg: &mut Prg,
     ) -> Result<ShareVec>;
+
+    /// Server party of the online 2×2 max pool over `k` members, each
+    /// with its own gathered `quads`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::relu_online_server`].
+    fn maxpool_online_server(
+        &self,
+        eps: &[&dyn Channel],
+        quads: &[ShareVec],
+        materials: Vec<NlMaterial>,
+        cfg: &PiConfig,
+        prgs: &mut [Prg],
+    ) -> Result<Vec<ShareVec>>;
 
     /// Offline correlation for a linear layer with server-known weights
     /// `w` applied to a shared input with `cols` columns. Defaults to
@@ -137,7 +175,7 @@ pub trait PiBackendImpl: fmt::Debug + Send + Sync {
         Ok(dealer.linear_corr(w, cols)?)
     }
 
-    /// Client side of the online linear-layer protocol. Defaults to the
+    /// Client party of the online linear layer. Defaults to the
     /// one-flight masked-linear protocol.
     ///
     /// # Errors
@@ -152,110 +190,25 @@ pub trait PiBackendImpl: fmt::Debug + Send + Sync {
         Ok(linear_client(ep, x0, corr)?)
     }
 
-    /// Server side of the online linear-layer protocol.
+    /// Server party of the online linear layer over `k` members sharing
+    /// the weight matrix `w`. Defaults to the masked-linear protocol
+    /// with one column-stacked product over all members.
     ///
     /// # Errors
     ///
     /// Returns transport or shape errors.
     fn linear_online_server(
         &self,
-        ep: &dyn Channel,
-        w: &RingMatrix,
-        x1: &RingMatrix,
-        corr: &LinearCorrServer,
-    ) -> Result<RingMatrix> {
-        Ok(linear_server(ep, w, x1, corr)?)
-    }
-
-    // --- Batched server-side hooks ------------------------------------
-    //
-    // The reactor's coalescer fuses k concurrent inferences into one
-    // protocol run; these hooks are the per-layer entry points it walks.
-    // Each batch member keeps its own channel, material, and PRG, so the
-    // defaults below — a per-member loop over the scalar hooks — are
-    // bit-for-bit the unbatched protocol and safe for custom backends.
-    // The loops are deadlock-free: clients progress independently and
-    // flights buffer in the transport, so serving members in index order
-    // never blocks on a member that is still mid-computation. Built-in
-    // backends override these to fuse the server-side compute (wider
-    // matmuls, one parallel GC region) while leaving every member's wire
-    // traffic unchanged.
-
-    /// Online ReLU over `k` batch members, one channel/share/material/PRG
-    /// per member. Defaults to a per-member loop over [`Self::relu_online`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first member's protocol/transport error.
-    fn relu_online_batch(
-        &self,
-        eps: &[&dyn Channel],
-        side: Side,
-        shares: &[ShareVec],
-        materials: Vec<NlMaterial>,
-        cfg: &PiConfig,
-        prgs: &mut [Prg],
-    ) -> Result<Vec<ShareVec>> {
-        check_batch_arity("relu", eps.len(), shares.len(), materials.len(), prgs.len())?;
-        let mut out = Vec::with_capacity(eps.len());
-        for (((ep, share), material), prg) in
-            eps.iter().zip(shares).zip(materials).zip(prgs.iter_mut())
-        {
-            out.push(self.relu_online(*ep, side, share, material, cfg, prg)?);
-        }
-        Ok(out)
-    }
-
-    /// Online 2×2 max pool over `k` batch members. Defaults to a
-    /// per-member loop over [`Self::maxpool_online`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first member's protocol/transport error.
-    fn maxpool_online_batch(
-        &self,
-        eps: &[&dyn Channel],
-        side: Side,
-        quads: &[ShareVec],
-        materials: Vec<NlMaterial>,
-        cfg: &PiConfig,
-        prgs: &mut [Prg],
-    ) -> Result<Vec<ShareVec>> {
-        check_batch_arity("maxpool", eps.len(), quads.len(), materials.len(), prgs.len())?;
-        let mut out = Vec::with_capacity(eps.len());
-        for (((ep, quad), material), prg) in
-            eps.iter().zip(quads).zip(materials).zip(prgs.iter_mut())
-        {
-            out.push(self.maxpool_online(*ep, side, quad, material, cfg, prg)?);
-        }
-        Ok(out)
-    }
-
-    /// Server side of the online linear layer over `k` batch members
-    /// sharing the weight matrix `w`. Defaults to a per-member loop over
-    /// [`Self::linear_online_server`]; built-ins override it with one
-    /// column-stacked matmul over all members.
-    ///
-    /// # Errors
-    ///
-    /// Returns transport or shape errors.
-    fn linear_online_server_batch(
-        &self,
         eps: &[&dyn Channel],
         w: &RingMatrix,
         x1s: &[RingMatrix],
         corrs: &[&LinearCorrServer],
     ) -> Result<Vec<RingMatrix>> {
-        check_batch_arity("linear", eps.len(), x1s.len(), corrs.len(), eps.len())?;
-        let mut out = Vec::with_capacity(eps.len());
-        for ((ep, x1), corr) in eps.iter().zip(x1s).zip(corrs) {
-            out.push(self.linear_online_server(*ep, w, x1, corr)?);
-        }
-        Ok(out)
+        Ok(linear_server_members(eps, w, x1s, corrs)?)
     }
 }
 
-/// Uniform arity check for the batched hooks: every per-member slice
+/// Uniform arity check for the server hooks: every per-member slice
 /// must cover the same nonempty member set.
 fn check_batch_arity(
     what: &str,
@@ -266,7 +219,7 @@ fn check_batch_arity(
 ) -> Result<()> {
     if eps == 0 || shares != eps || materials != eps || prgs != eps {
         return Err(PiError::BadConfig(format!(
-            "batched {what} over {eps} channels, {shares} shares, {materials} materials, {prgs} prgs"
+            "{what} over {eps} channels, {shares} shares, {materials} materials, {prgs} prgs"
         )));
     }
     Ok(())

@@ -4,19 +4,17 @@
 //! circuits; lean lattice offline modelled by
 //! [`OfflineCostModel::cheetah`].
 
-use super::{downcast_material, split_quads, NlMaterial, PiBackendImpl};
+use super::{check_batch_arity, downcast_material, split_quads, NlMaterial, PiBackendImpl};
 use crate::cost::OfflineCostModel;
 use crate::engine::PiConfig;
 use crate::report::OpCounts;
 use crate::Result;
-use c2pi_mpc::beaver::linear_server_batch;
-use c2pi_mpc::dealer::{Dealer, LinearCorrServer, TripleShare};
+use c2pi_mpc::dealer::{Dealer, TripleShare};
 use c2pi_mpc::ot::BitTriples;
 use c2pi_mpc::prg::Prg;
 use c2pi_mpc::relu::{drelu_bit_triples, max_interactive, relu_interactive};
-use c2pi_mpc::ring::RingMatrix;
 use c2pi_mpc::share::ShareVec;
-use c2pi_transport::{Channel, Side};
+use c2pi_transport::Channel;
 
 /// One comparison stage's correlations: DReLU bit triples plus the two
 /// Beaver triple sets the multiplexer consumes.
@@ -41,6 +39,54 @@ fn stage_for(dealer: &mut Dealer, n: usize, counts: &mut OpCounts) -> (Stage, St
     let (ta0, ta1) = dealer.beaver_triples(n);
     let (tb0, tb1) = dealer.beaver_triples(n);
     ((b0, ta0, tb0), (b1, ta1, tb1))
+}
+
+/// One party of the comparison-based ReLU. The protocol is symmetric:
+/// `is_client` only breaks ties inside the triple-consuming
+/// sub-protocols.
+fn relu_party(
+    ep: &dyn Channel,
+    is_client: bool,
+    share: &ShareVec,
+    material: NlMaterial,
+) -> Result<ShareVec> {
+    let mut mat = downcast_material::<CmpMaterial>(material, "cheetah")?;
+    let (mut bits, ta, tb) = mat.stages.remove(0);
+    Ok(relu_interactive(ep, is_client, share, &mut bits, &ta, &tb)?)
+}
+
+/// One party of the 4-way max tournament (three comparison stages).
+fn maxpool_party(
+    ep: &dyn Channel,
+    is_client: bool,
+    quads: &ShareVec,
+    material: NlMaterial,
+) -> Result<ShareVec> {
+    let mut mat = downcast_material::<CmpMaterial>(material, "cheetah")?;
+    let [a, b, c, d] = split_quads(quads);
+    let (mut bt1, ta1, tb1) = mat.stages.remove(0);
+    let m1 = max_interactive(ep, is_client, &a, &b, &mut bt1, &ta1, &tb1)?;
+    let (mut bt2, ta2, tb2) = mat.stages.remove(0);
+    let m2 = max_interactive(ep, is_client, &c, &d, &mut bt2, &ta2, &tb2)?;
+    let (mut bt3, ta3, tb3) = mat.stages.remove(0);
+    Ok(max_interactive(ep, is_client, &m1, &m2, &mut bt3, &ta3, &tb3)?)
+}
+
+/// The server party of a multi-round comparison protocol over `k`
+/// members: one member after the other, each to completion.
+fn each_member(
+    what: &str,
+    eps: &[&dyn Channel],
+    shares: &[ShareVec],
+    materials: Vec<NlMaterial>,
+    party: fn(&dyn Channel, bool, &ShareVec, NlMaterial) -> Result<ShareVec>,
+) -> Result<Vec<ShareVec>> {
+    check_batch_arity(what, eps.len(), shares.len(), materials.len(), eps.len())?;
+    eps.iter()
+        .zip(shares)
+        .zip(materials)
+        .map(|((ep, share), material)| party(*ep, false, share, material))
+        .collect()
 }
 
 impl PiBackendImpl for Cheetah {
@@ -89,51 +135,47 @@ impl PiBackendImpl for Cheetah {
         (Box::new(CmpMaterial { stages: stages_c }), Box::new(CmpMaterial { stages: stages_s }))
     }
 
-    fn relu_online(
+    fn relu_online_client(
         &self,
         ep: &dyn Channel,
-        side: Side,
         share: &ShareVec,
         material: NlMaterial,
         _cfg: &PiConfig,
         _prg: &mut Prg,
     ) -> Result<ShareVec> {
-        let mut mat = downcast_material::<CmpMaterial>(material, "cheetah")?;
-        let (mut bits, ta, tb) = mat.stages.remove(0);
-        let is_client = side == Side::Client;
-        Ok(relu_interactive(ep, is_client, share, &mut bits, &ta, &tb)?)
+        relu_party(ep, true, share, material)
     }
 
-    fn maxpool_online(
+    fn relu_online_server(
+        &self,
+        eps: &[&dyn Channel],
+        shares: &[ShareVec],
+        materials: Vec<NlMaterial>,
+        _cfg: &PiConfig,
+        _prgs: &mut [Prg],
+    ) -> Result<Vec<ShareVec>> {
+        each_member("cheetah relu", eps, shares, materials, relu_party)
+    }
+
+    fn maxpool_online_client(
         &self,
         ep: &dyn Channel,
-        side: Side,
         quads: &ShareVec,
         material: NlMaterial,
         _cfg: &PiConfig,
         _prg: &mut Prg,
     ) -> Result<ShareVec> {
-        let mut mat = downcast_material::<CmpMaterial>(material, "cheetah")?;
-        let is_client = side == Side::Client;
-        let [a, b, c, d] = split_quads(quads);
-        let (mut bt1, ta1, tb1) = mat.stages.remove(0);
-        let m1 = max_interactive(ep, is_client, &a, &b, &mut bt1, &ta1, &tb1)?;
-        let (mut bt2, ta2, tb2) = mat.stages.remove(0);
-        let m2 = max_interactive(ep, is_client, &c, &d, &mut bt2, &ta2, &tb2)?;
-        let (mut bt3, ta3, tb3) = mat.stages.remove(0);
-        Ok(max_interactive(ep, is_client, &m1, &m2, &mut bt3, &ta3, &tb3)?)
+        maxpool_party(ep, true, quads, material)
     }
 
-    // The multi-round comparison protocols stay per-member loops (the
-    // trait defaults); only the linear layers fuse — one column-stacked
-    // matmul over all k members' masked inputs.
-    fn linear_online_server_batch(
+    fn maxpool_online_server(
         &self,
         eps: &[&dyn Channel],
-        w: &RingMatrix,
-        x1s: &[RingMatrix],
-        corrs: &[&LinearCorrServer],
-    ) -> Result<Vec<RingMatrix>> {
-        Ok(linear_server_batch(eps, w, x1s, corrs)?)
+        quads: &[ShareVec],
+        materials: Vec<NlMaterial>,
+        _cfg: &PiConfig,
+        _prgs: &mut [Prg],
+    ) -> Result<Vec<ShareVec>> {
+        each_member("cheetah maxpool", eps, quads, materials, maxpool_party)
     }
 }

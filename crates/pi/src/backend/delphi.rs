@@ -12,18 +12,16 @@ use crate::cost::OfflineCostModel;
 use crate::engine::PiConfig;
 use crate::report::OpCounts;
 use crate::Result;
-use c2pi_mpc::beaver::linear_server_batch;
-use c2pi_mpc::dealer::{Dealer, LinearCorrServer};
+use c2pi_mpc::dealer::Dealer;
 use c2pi_mpc::gc::UNIT_BITS;
 use c2pi_mpc::gcpre::{
-    pre_gc_evaluator, pre_gc_garbler, pre_gc_garbler_batch, pregarble, MaskedOp, PreGarbledClient,
+    pre_gc_evaluator, pre_gc_garbler_members, pregarble, MaskedOp, PreGarbledClient,
     PreGarbledServer,
 };
 use c2pi_mpc::ot::KAPPA;
 use c2pi_mpc::prg::Prg;
-use c2pi_mpc::ring::RingMatrix;
 use c2pi_mpc::share::ShareVec;
-use c2pi_transport::{Channel, Side};
+use c2pi_transport::Channel;
 
 /// Client (evaluator) half of one offline-garbled non-linear layer.
 struct GcClient {
@@ -65,60 +63,36 @@ impl Delphi {
         (Box::new(GcClient { mat: cmat }), Box::new(GcServer { mat: smat }))
     }
 
-    /// Shared online path of both non-linear hooks: one `δ`/label round
-    /// trip, then parallel evaluation on the client.
-    fn nl_online(
+    /// Evaluator party of both non-linear hooks: one `δ`/label round
+    /// trip, then parallel evaluation.
+    fn nl_client(
         &self,
         ep: &dyn Channel,
-        side: Side,
         share: &ShareVec,
         material: NlMaterial,
         cfg: &PiConfig,
     ) -> Result<ShareVec> {
-        match side {
-            Side::Client => {
-                let mat = downcast_material::<GcClient>(material, "delphi")?;
-                Ok(pre_gc_evaluator(ep, &mat.mat, share, cfg.gc_chunk.max(1))?)
-            }
-            Side::Server => {
-                let mat = downcast_material::<GcServer>(material, "delphi")?;
-                Ok(pre_gc_garbler(ep, &mat.mat, share)?)
-            }
-        }
+        let mat = downcast_material::<GcClient>(material, "delphi")?;
+        Ok(pre_gc_evaluator(ep, &mat.mat, share, cfg.gc_chunk.max(1))?)
     }
 
-    /// Batched variant of [`Self::nl_online`]. On the garbler (server)
-    /// side all `k` members' label selections run in one fused parallel
-    /// region ([`pre_gc_garbler_batch`]); the evaluator side stays a
-    /// per-member loop — clients are separate processes and never batch.
-    fn nl_online_batch(
+    /// Garbler party of both non-linear hooks: all `k` members' label
+    /// selections run in one parallel region
+    /// ([`pre_gc_garbler_members`]).
+    fn nl_server(
         &self,
         eps: &[&dyn Channel],
-        side: Side,
         shares: &[ShareVec],
         materials: Vec<NlMaterial>,
-        cfg: &PiConfig,
     ) -> Result<Vec<ShareVec>> {
-        check_batch_arity("delphi nl", eps.len(), shares.len(), materials.len(), eps.len())?;
-        match side {
-            Side::Client => {
-                let mut out = Vec::with_capacity(eps.len());
-                for ((ep, share), material) in eps.iter().zip(shares).zip(materials) {
-                    let mat = downcast_material::<GcClient>(material, "delphi")?;
-                    out.push(pre_gc_evaluator(*ep, &mat.mat, share, cfg.gc_chunk.max(1))?);
-                }
-                Ok(out)
-            }
-            Side::Server => {
-                let mats: Vec<Box<GcServer>> = materials
-                    .into_iter()
-                    .map(|m| downcast_material::<GcServer>(m, "delphi"))
-                    .collect::<Result<_>>()?;
-                let mat_refs: Vec<&PreGarbledServer> = mats.iter().map(|m| &m.mat).collect();
-                let share_refs: Vec<&ShareVec> = shares.iter().collect();
-                Ok(pre_gc_garbler_batch(eps, &mat_refs, &share_refs)?)
-            }
-        }
+        check_batch_arity("delphi garbler", eps.len(), shares.len(), materials.len(), eps.len())?;
+        let mats: Vec<Box<GcServer>> = materials
+            .into_iter()
+            .map(|m| downcast_material::<GcServer>(m, "delphi"))
+            .collect::<Result<_>>()?;
+        let mat_refs: Vec<&PreGarbledServer> = mats.iter().map(|m| &m.mat).collect();
+        let share_refs: Vec<&ShareVec> = shares.iter().collect();
+        Ok(pre_gc_garbler_members(eps, &mat_refs, &share_refs)?)
     }
 }
 
@@ -158,61 +132,47 @@ impl PiBackendImpl for Delphi {
         self.prepare_layer(dealer, MaskedOp::Maxpool4, windows, cfg, counts)
     }
 
-    fn relu_online(
+    fn relu_online_client(
         &self,
         ep: &dyn Channel,
-        side: Side,
         share: &ShareVec,
         material: NlMaterial,
         cfg: &PiConfig,
         _prg: &mut Prg,
     ) -> Result<ShareVec> {
-        self.nl_online(ep, side, share, material, cfg)
+        self.nl_client(ep, share, material, cfg)
     }
 
-    fn maxpool_online(
+    fn relu_online_server(
+        &self,
+        eps: &[&dyn Channel],
+        shares: &[ShareVec],
+        materials: Vec<NlMaterial>,
+        _cfg: &PiConfig,
+        _prgs: &mut [Prg],
+    ) -> Result<Vec<ShareVec>> {
+        self.nl_server(eps, shares, materials)
+    }
+
+    fn maxpool_online_client(
         &self,
         ep: &dyn Channel,
-        side: Side,
         quads: &ShareVec,
         material: NlMaterial,
         cfg: &PiConfig,
         _prg: &mut Prg,
     ) -> Result<ShareVec> {
-        self.nl_online(ep, side, quads, material, cfg)
+        self.nl_client(ep, quads, material, cfg)
     }
 
-    fn relu_online_batch(
+    fn maxpool_online_server(
         &self,
         eps: &[&dyn Channel],
-        side: Side,
-        shares: &[ShareVec],
-        materials: Vec<NlMaterial>,
-        cfg: &PiConfig,
-        _prgs: &mut [Prg],
-    ) -> Result<Vec<ShareVec>> {
-        self.nl_online_batch(eps, side, shares, materials, cfg)
-    }
-
-    fn maxpool_online_batch(
-        &self,
-        eps: &[&dyn Channel],
-        side: Side,
         quads: &[ShareVec],
         materials: Vec<NlMaterial>,
-        cfg: &PiConfig,
+        _cfg: &PiConfig,
         _prgs: &mut [Prg],
     ) -> Result<Vec<ShareVec>> {
-        self.nl_online_batch(eps, side, quads, materials, cfg)
-    }
-
-    fn linear_online_server_batch(
-        &self,
-        eps: &[&dyn Channel],
-        w: &RingMatrix,
-        x1s: &[RingMatrix],
-        corrs: &[&LinearCorrServer],
-    ) -> Result<Vec<RingMatrix>> {
-        Ok(linear_server_batch(eps, w, x1s, corrs)?)
+        self.nl_server(eps, quads, materials)
     }
 }

@@ -53,6 +53,7 @@ use crate::pool::{
 use crate::report::{OpCounts, PiReport};
 use crate::{PiError, Result};
 use c2pi_mpc::beaver::truncate_share;
+use c2pi_mpc::dealer::LinearCorrServer;
 use c2pi_mpc::prg::Prg;
 use c2pi_mpc::ring::{im2col_ring, RingMatrix};
 use c2pi_mpc::share::{share_secret, ShareVec};
@@ -253,15 +254,15 @@ impl PiSession {
         let backend = &*self.core.backend;
         let start = Instant::now();
         let (client_res, server_res) = std::thread::scope(|scope| {
-            let server =
-                scope.spawn(move || server_thread(&*sep, plan, smats, &cfg, backend, seed));
-            let client = client_thread(&*cep, plan, cmats, x, &cfg, backend, seed);
+            let server = scope
+                .spawn(move || server_walk(&[&*sep], plan, vec![smats], &cfg, backend, &[seed]));
+            let client = client_walk(&*cep, plan, cmats, x, &cfg, backend, seed);
             let server = server.join().map_err(|_| PiError::PartyPanic("server"));
             (client, server)
         });
         let online_seconds = start.elapsed().as_secs_f64();
         let client_share = client_res?;
-        let server_share = server_res??;
+        let server_share = server_res??.pop().expect("one member in, one share out");
         let online = counter.snapshot();
         let model = self.core.backend.cost_model();
         let offline = model.offline_traffic(&counts);
@@ -294,17 +295,18 @@ impl PiSession {
     }
 
     /// Online phase over a **fused** batch through the dealt contract:
-    /// one coalesced protocol run serves all of `xs` — the server party
-    /// walks every member's layers together
-    /// ([`SessionCore::serve_batch_prepared`]), amortizing its per-layer
-    /// compute across the batch, while each member keeps its own
-    /// channel, pool item, seed and masks. One in-process client thread
-    /// per member plays the dealt-contract client (receive the dealt
-    /// seed, expand, run the online protocol).
+    /// one protocol run serves all of `xs` — the server party walks
+    /// every member's layers together ([`SessionCore::serve_prepared`]
+    /// over `xs.len()` members), amortizing its per-layer compute
+    /// across the batch, while each member keeps its own channel, pool
+    /// item, seed and masks. One in-process client thread per member
+    /// plays the dealt-contract client (receive the dealt seed, expand,
+    /// run the online protocol).
     ///
     /// Per-member results are bit-for-bit what `xs.len()` separate
     /// [`PiSession::infer`] calls would produce — pinned by the
-    /// session tests — because fusing changes only *when* the server
+    /// session tests — because a run of `k` is `k` runs of one, member
+    /// by member: sharing a run changes only *when* the server
     /// computes, never *what* any member's transcript contains.
     ///
     /// # Errors
@@ -338,7 +340,7 @@ impl PiSession {
         let (client_res, server_res) = std::thread::scope(|scope| {
             let server = scope.spawn(move || {
                 let eps: Vec<&dyn Channel> = seps.iter().map(|s| &**s).collect();
-                core.serve_batch_prepared(&eps, materials)
+                core.serve_prepared(&eps, materials)
             });
             let clients: Vec<_> = ceps
                 .into_iter()
@@ -347,7 +349,7 @@ impl PiSession {
                     scope.spawn(move || -> Result<ShareVec> {
                         let InferenceMaterial { seed, cmats, .. } =
                             core.expand_dealt(&cep.recv_bytes()?)?;
-                        client_thread(&*cep, &core.plan, cmats, x, &core.cfg, &*core.backend, seed)
+                        client_walk(&*cep, &core.plan, cmats, x, &core.cfg, &*core.backend, seed)
                     })
                 })
                 .collect();
@@ -410,7 +412,11 @@ impl PiSession {
         let counts = material.counts.clone();
         let before = ch.counter().snapshot();
         let start = Instant::now();
-        let share = self.core.serve_prepared(ch, material)?;
+        let share = self
+            .core
+            .serve_prepared(&[ch], vec![material])?
+            .pop()
+            .expect("one member in, one share out");
         Ok(self.party_outcome(share, counts, ch, before, start.elapsed().as_secs_f64()))
     }
 
@@ -443,15 +449,8 @@ impl PiSession {
         let InferenceMaterial { seed, cmats, smats: _, counts } = self.core.expand_dealt(&frame)?;
         self.pool.note_dealt_inline(deal_start.elapsed().as_secs_f64(), &counts);
         let start = Instant::now();
-        let share = client_thread(
-            ch,
-            &self.core.plan,
-            cmats,
-            x,
-            &self.core.cfg,
-            &*self.core.backend,
-            seed,
-        )?;
+        let share =
+            client_walk(ch, &self.core.plan, cmats, x, &self.core.cfg, &*self.core.backend, seed)?;
         Ok(self.party_outcome(share, counts, ch, before, start.elapsed().as_secs_f64()))
     }
 
@@ -485,49 +484,27 @@ impl PiSession {
 impl SessionCore {
     /// **Dealt contract, server side, caller-supplied material**: like
     /// [`PiSession::serve_one`] but over material the caller already
-    /// took from a pool — the entry point for serving layers that
-    /// separate pool policy (sharding, work stealing, backpressure) from
-    /// protocol execution, such as the `c2pi-core` reactor. Deals the
-    /// compact [`c2pi_mpc::dealer::DealtSeed`] as the first frame, then
-    /// runs the server party; returns this side's share of the boundary
-    /// activation (the caller sends it to the client to reconstruct).
+    /// took from a pool, and over `k ≥ 1` members at once — the entry
+    /// point for serving layers that separate pool policy (sharding,
+    /// work stealing, backpressure, coalescing) from protocol
+    /// execution, such as the `c2pi-core` reactor. Deals each member
+    /// its compact [`c2pi_mpc::dealer::DealtSeed`] as the first frame,
+    /// then runs the server party over all members in lock step;
+    /// returns this side's share of each member's boundary activation,
+    /// in member order (the caller sends it to the client to
+    /// reconstruct).
+    ///
+    /// A member's wire transcript, masks and output share do not depend
+    /// on who else is in the run: serving `k` members in one call is
+    /// bit-for-bit `k` calls of one over the same materials.
     ///
     /// # Errors
     ///
-    /// Returns [`PiError::BadConfig`] when `ch` is not the server end,
-    /// plus engine and protocol errors. The material is consumed either
-    /// way.
-    pub fn serve_prepared(
-        &self,
-        ch: &dyn Channel,
-        material: InferenceMaterial,
-    ) -> Result<ShareVec> {
-        if ch.side() != Side::Server {
-            return Err(PiError::BadConfig("serve_prepared needs the server channel end".into()));
-        }
-        ch.send_bytes(&self.dealt_seed(material.seed).encode())?;
-        let InferenceMaterial { seed, cmats: _, smats, counts: _ } = material;
-        server_thread(ch, &self.plan, smats, &self.cfg, &*self.backend, seed)
-    }
-
-    /// **Dealt contract, fused batch**: like
-    /// [`SessionCore::serve_prepared`] over `k` members at once — one
-    /// caller-supplied material set per channel, each dealt to its
-    /// member as the first frame, then one batched server walk
-    /// (`server_thread_batch`) that fuses the per-layer compute while
-    /// keeping every member's wire transcript, masks and seed stream
-    /// exactly what a solo [`SessionCore::serve_prepared`] run would
-    /// have produced. A batch of one delegates to the solo path, so
-    /// `max_batch = 1` serving is *the same code*, not merely
-    /// equivalent code.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PiError::BadConfig`] on arity mismatches or a
-    /// non-server channel end, plus engine and protocol errors — one
-    /// member's failure fails the whole fused run. The material is
+    /// Returns [`PiError::BadConfig`] on an empty or mismatched member
+    /// set or a non-server channel end, plus engine and protocol errors
+    /// — one member's failure fails the whole run. The material is
     /// consumed either way.
-    pub fn serve_batch_prepared(
+    pub fn serve_prepared(
         &self,
         chs: &[&dyn Channel],
         materials: Vec<InferenceMaterial>,
@@ -535,19 +512,12 @@ impl SessionCore {
         let k = chs.len();
         if k == 0 || materials.len() != k {
             return Err(PiError::BadConfig(format!(
-                "serve_batch_prepared over {k} channels, {} material sets",
+                "serve_prepared over {k} channels, {} material sets",
                 materials.len()
             )));
         }
-        if k == 1 {
-            let mut materials = materials;
-            let only = materials.pop().expect("len checked above");
-            return Ok(vec![self.serve_prepared(chs[0], only)?]);
-        }
         if chs.iter().any(|ch| ch.side() != Side::Server) {
-            return Err(PiError::BadConfig(
-                "serve_batch_prepared needs server channel ends".into(),
-            ));
+            return Err(PiError::BadConfig("serve_prepared needs server channel ends".into()));
         }
         let mut seeds = Vec::with_capacity(k);
         let mut smats_all = Vec::with_capacity(k);
@@ -557,7 +527,7 @@ impl SessionCore {
             seeds.push(seed);
             smats_all.push(smats);
         }
-        server_thread_batch(chs, &self.plan, smats_all, &self.cfg, &*self.backend, &seeds)
+        server_walk(chs, &self.plan, smats_all, &self.cfg, &*self.backend, &seeds)
     }
 }
 
@@ -617,7 +587,20 @@ fn avg_pool_share(
     truncate_share(&ShareVec::from_raw(out), is_client, fp)
 }
 
-pub(crate) fn client_thread(
+/// A linear step's input share as the matrix its weights multiply:
+/// im2col columns for a convolution, one column for a fully connected
+/// layer.
+fn linear_input(step: &Step, cur: &ShareVec) -> Result<RingMatrix> {
+    match step {
+        Step::Conv { c, h, w, geom } => Ok(im2col_ring(cur.as_raw(), *c, *h, *w, *geom)?),
+        Step::Fc { k } => Ok(RingMatrix::from_vec(cur.as_raw().to_vec(), *k, 1)?),
+        _ => Err(PiError::BadConfig("not a linear step".into())),
+    }
+}
+
+/// The client party of one online inference: shares the input, then
+/// walks the plan over its half of one material set.
+pub(crate) fn client_walk(
     ep: &dyn Channel,
     plan: &Plan,
     mats: Vec<ClientMat>,
@@ -635,23 +618,16 @@ pub(crate) fn client_thread(
     let mut cur = x0;
     for (step, mat) in plan.steps.iter().zip(mats) {
         match (step, mat) {
-            (Step::Conv { c, h, w, geom }, ClientMat::Lin(corr)) => {
-                let cols = im2col_ring(cur.as_raw(), *c, *h, *w, *geom)?;
-                let y = backend.linear_online_client(ep, &cols, &corr)?;
-                cur = truncate_share(&ShareVec::from_raw(y.into_vec()), true, fp);
-            }
-            (Step::Fc { k }, ClientMat::Lin(corr)) => {
-                let xm = RingMatrix::from_vec(cur.as_raw().to_vec(), *k, 1)?;
-                let y = backend.linear_online_client(ep, &xm, &corr)?;
+            (Step::Conv { .. } | Step::Fc { .. }, ClientMat::Lin(corr)) => {
+                let y = backend.linear_online_client(ep, &linear_input(step, &cur)?, &corr)?;
                 cur = truncate_share(&ShareVec::from_raw(y.into_vec()), true, fp);
             }
             (Step::Relu { n: _ }, ClientMat::Nl(material)) => {
-                cur = backend.relu_online(ep, Side::Client, &cur, material, cfg, &mut prg)?;
+                cur = backend.relu_online_client(ep, &cur, material, cfg, &mut prg)?;
             }
             (Step::MaxPool { c, h, w }, ClientMat::Nl(material)) => {
-                let idx = pool_windows(*c, *h, *w);
-                let quads = gather(&cur, &idx);
-                cur = backend.maxpool_online(ep, Side::Client, &quads, material, cfg, &mut prg)?;
+                let quads = gather(&cur, &pool_windows(*c, *h, *w));
+                cur = backend.maxpool_online_client(ep, &quads, material, cfg, &mut prg)?;
             }
             (Step::AvgPool { c, h, w, window, stride }, ClientMat::None) => {
                 cur = avg_pool_share(&cur, (*c, *h, *w), (*window, *stride), true, fp);
@@ -667,97 +643,28 @@ pub(crate) fn client_thread(
     Ok(cur)
 }
 
-pub(crate) fn server_thread(
-    ep: &dyn Channel,
-    plan: &Plan,
-    mats: Vec<ServerMat>,
-    cfg: &PiConfig,
-    backend: &dyn PiBackendImpl,
-    seed: u64,
-) -> Result<ShareVec> {
-    let fp = cfg.fixed;
-    let mut prg = Prg::from_u64(seed ^ 0x5E2F_E27A);
-    let mut cur = ShareVec::from_raw(ep.recv_u64s()?);
-    for ((step, data), mat) in plan.steps.iter().zip(plan.data.iter()).zip(mats) {
-        match (step, data, mat) {
-            (
-                Step::Conv { c, h, w, geom },
-                StepData::Lin { w: w_ring, bias2f, .. },
-                ServerMat::Lin(corr),
-            ) => {
-                let cols = im2col_ring(cur.as_raw(), *c, *h, *w, *geom)?;
-                let mut y = backend.linear_online_server(ep, w_ring, &cols, &corr)?;
-                let oh_ow = y.cols();
-                for (row, &b) in y.as_mut_slice().chunks_exact_mut(oh_ow).zip(bias2f.iter()) {
-                    for v in row {
-                        *v = v.wrapping_add(b);
-                    }
-                }
-                cur = truncate_share(&ShareVec::from_raw(y.into_vec()), false, fp);
-            }
-            (Step::Fc { k }, StepData::Lin { w: w_ring, bias2f, .. }, ServerMat::Lin(corr)) => {
-                let xm = RingMatrix::from_vec(cur.as_raw().to_vec(), *k, 1)?;
-                let mut y = backend.linear_online_server(ep, w_ring, &xm, &corr)?;
-                for (v, &b) in y.as_mut_slice().iter_mut().zip(bias2f.iter()) {
-                    *v = v.wrapping_add(b);
-                }
-                cur = truncate_share(&ShareVec::from_raw(y.into_vec()), false, fp);
-            }
-            (Step::Relu { n: _ }, StepData::None, ServerMat::Nl(material)) => {
-                cur = backend.relu_online(ep, Side::Server, &cur, material, cfg, &mut prg)?;
-            }
-            (Step::MaxPool { c, h, w }, StepData::None, ServerMat::Nl(material)) => {
-                let idx = pool_windows(*c, *h, *w);
-                let quads = gather(&cur, &idx);
-                cur = backend.maxpool_online(ep, Side::Server, &quads, material, cfg, &mut prg)?;
-            }
-            (Step::AvgPool { c, h, w, window, stride }, StepData::None, ServerMat::None) => {
-                cur = avg_pool_share(&cur, (*c, *h, *w), (*window, *stride), false, fp);
-            }
-            (Step::Flatten, StepData::None, ServerMat::None) => {}
-            (Step::Affine, StepData::Affine { scale, shift2f }, ServerMat::Affine(corr)) => {
-                let y = c2pi_mpc::beaver::affine_server(ep, scale, &cur, &corr)?;
-                let shifted: Vec<u64> = y
-                    .as_raw()
-                    .iter()
-                    .zip(shift2f.iter())
-                    .map(|(&v, &s)| v.wrapping_add(s))
-                    .collect();
-                cur = truncate_share(&ShareVec::from_raw(shifted), false, fp);
-            }
-            _ => return Err(PiError::BadConfig("plan/material mismatch (server)".into())),
-        }
-    }
-    Ok(cur)
+fn server_mismatch() -> PiError {
+    PiError::BadConfig("plan/material mismatch (server)".into())
 }
 
-fn batch_mismatch() -> PiError {
-    PiError::BadConfig("plan/material mismatch (batched server)".into())
+/// Unwraps one step's per-member materials as the variant the step
+/// consumes.
+fn step_mats<T>(mats: Vec<ServerMat>, pick: fn(ServerMat) -> Option<T>) -> Result<Vec<T>> {
+    mats.into_iter().map(|m| pick(m).ok_or_else(server_mismatch)).collect()
 }
 
-fn lin_mats(mats: Vec<ServerMat>) -> Result<Vec<c2pi_mpc::dealer::LinearCorrServer>> {
-    mats.into_iter()
-        .map(|m| if let ServerMat::Lin(c) = m { Ok(c) } else { Err(batch_mismatch()) })
-        .collect()
-}
-
-fn nl_mats(mats: Vec<ServerMat>) -> Result<Vec<crate::backend::NlMaterial>> {
-    mats.into_iter()
-        .map(|m| if let ServerMat::Nl(c) = m { Ok(c) } else { Err(batch_mismatch()) })
-        .collect()
-}
-
-/// The fused server party: walks the plan **once** for `k` members,
-/// calling the backend's batched per-layer hooks so the server-side
-/// compute of each layer spans the whole batch (column-stacked matmuls,
-/// one parallel GC label-selection region), while every member keeps its
-/// own channel, material, masks, and PRG stream (seeded exactly as
-/// [`server_thread`] seeds a solo run).
+/// The server party: walks the plan **once** for `k ≥ 1` members in
+/// lock step, calling the backend's server hooks so each layer's
+/// compute spans all members (column-stacked matmuls, one parallel GC
+/// label-selection region), while every member keeps its own channel,
+/// material, masks and PRG stream. In-process inference and
+/// [`PiSession::serve_one`] run it with one member; a coalescing serving
+/// layer with as many as it fused.
 ///
 /// Member order is served deterministically (slice order) at every
 /// flight; per-member sequential sub-loops are deadlock-free because
 /// clients progress independently and flights buffer in the transport.
-pub(crate) fn server_thread_batch(
+pub(crate) fn server_walk(
     eps: &[&dyn Channel],
     plan: &Plan,
     mats: Vec<Vec<ServerMat>>,
@@ -768,7 +675,7 @@ pub(crate) fn server_thread_batch(
     let k = eps.len();
     if k == 0 || mats.len() != k || seeds.len() != k {
         return Err(PiError::BadConfig(format!(
-            "batched server over {k} channels, {} material sets, {} seeds",
+            "server walk over {k} channels, {} material sets, {} seeds",
             mats.len(),
             seeds.len()
         )));
@@ -782,25 +689,25 @@ pub(crate) fn server_thread_batch(
     let mut iters: Vec<std::vec::IntoIter<ServerMat>> =
         mats.into_iter().map(Vec::into_iter).collect();
     for (step, data) in plan.steps.iter().zip(plan.data.iter()) {
-        let step_mats: Vec<ServerMat> = iters
+        let mats: Vec<ServerMat> = iters
             .iter_mut()
-            .map(|it| it.next().ok_or_else(batch_mismatch))
+            .map(|it| it.next().ok_or_else(server_mismatch))
             .collect::<Result<_>>()?;
         match (step, data) {
-            (Step::Conv { c, h, w, geom }, StepData::Lin { w: w_ring, bias2f, .. }) => {
-                let corrs = lin_mats(step_mats)?;
-                let mut cols = Vec::with_capacity(k);
-                for cur in &curs {
-                    cols.push(im2col_ring(cur.as_raw(), *c, *h, *w, *geom)?);
-                }
-                let corr_refs: Vec<&c2pi_mpc::dealer::LinearCorrServer> = corrs.iter().collect();
-                let ys = backend.linear_online_server_batch(eps, w_ring, &cols, &corr_refs)?;
+            (Step::Conv { .. } | Step::Fc { .. }, StepData::Lin { w: w_ring, bias2f, .. }) => {
+                let corrs =
+                    step_mats(mats, |m| if let ServerMat::Lin(c) = m { Some(c) } else { None })?;
+                let corr_refs: Vec<&LinearCorrServer> = corrs.iter().collect();
+                let xs: Vec<RingMatrix> =
+                    curs.iter().map(|cur| linear_input(step, cur)).collect::<Result<_>>()?;
+                let ys = backend.linear_online_server(eps, w_ring, &xs, &corr_refs)?;
+                // One bias per output row (a fully connected layer's
+                // rows are one element wide).
                 curs = ys
                     .into_iter()
                     .map(|mut y| {
-                        let oh_ow = y.cols();
-                        for (row, &b) in y.as_mut_slice().chunks_exact_mut(oh_ow).zip(bias2f.iter())
-                        {
+                        let cols = y.cols();
+                        for (row, &b) in y.as_mut_slice().chunks_exact_mut(cols).zip(bias2f) {
                             for v in row {
                                 *v = v.wrapping_add(b);
                             }
@@ -809,74 +716,31 @@ pub(crate) fn server_thread_batch(
                     })
                     .collect();
             }
-            (Step::Fc { k: rows }, StepData::Lin { w: w_ring, bias2f, .. }) => {
-                let corrs = lin_mats(step_mats)?;
-                let mut xms = Vec::with_capacity(k);
-                for cur in &curs {
-                    xms.push(RingMatrix::from_vec(cur.as_raw().to_vec(), *rows, 1)?);
-                }
-                let corr_refs: Vec<&c2pi_mpc::dealer::LinearCorrServer> = corrs.iter().collect();
-                let ys = backend.linear_online_server_batch(eps, w_ring, &xms, &corr_refs)?;
-                curs = ys
-                    .into_iter()
-                    .map(|mut y| {
-                        for (v, &b) in y.as_mut_slice().iter_mut().zip(bias2f.iter()) {
-                            *v = v.wrapping_add(b);
-                        }
-                        truncate_share(&ShareVec::from_raw(y.into_vec()), false, fp)
-                    })
-                    .collect();
-            }
             (Step::Relu { n: _ }, StepData::None) => {
-                let materials = nl_mats(step_mats)?;
-                curs = backend.relu_online_batch(
-                    eps,
-                    Side::Server,
-                    &curs,
-                    materials,
-                    cfg,
-                    &mut prgs,
-                )?;
+                let materials =
+                    step_mats(mats, |m| if let ServerMat::Nl(c) = m { Some(c) } else { None })?;
+                curs = backend.relu_online_server(eps, &curs, materials, cfg, &mut prgs)?;
             }
             (Step::MaxPool { c, h, w }, StepData::None) => {
-                let materials = nl_mats(step_mats)?;
+                let materials =
+                    step_mats(mats, |m| if let ServerMat::Nl(c) = m { Some(c) } else { None })?;
                 let idx = pool_windows(*c, *h, *w);
                 let quads: Vec<ShareVec> = curs.iter().map(|cur| gather(cur, &idx)).collect();
-                curs = backend.maxpool_online_batch(
-                    eps,
-                    Side::Server,
-                    &quads,
-                    materials,
-                    cfg,
-                    &mut prgs,
-                )?;
+                curs = backend.maxpool_online_server(eps, &quads, materials, cfg, &mut prgs)?;
             }
             (Step::AvgPool { c, h, w, window, stride }, StepData::None) => {
-                if step_mats.iter().any(|m| !matches!(m, ServerMat::None)) {
-                    return Err(batch_mismatch());
-                }
+                step_mats(mats, |m| matches!(m, ServerMat::None).then_some(()))?;
                 curs = curs
                     .iter()
                     .map(|cur| avg_pool_share(cur, (*c, *h, *w), (*window, *stride), false, fp))
                     .collect();
             }
             (Step::Flatten, StepData::None) => {
-                if step_mats.iter().any(|m| !matches!(m, ServerMat::None)) {
-                    return Err(batch_mismatch());
-                }
+                step_mats(mats, |m| matches!(m, ServerMat::None).then_some(()))?;
             }
             (Step::Affine, StepData::Affine { scale, shift2f }) => {
-                let corrs: Vec<_> =
-                    step_mats
-                        .into_iter()
-                        .map(|m| {
-                            if let ServerMat::Affine(c) = m {
-                                Ok(c)
-                            } else {
-                                Err(batch_mismatch())
-                            }
-                        })
-                        .collect::<Result<Vec<_>>>()?;
+                let corrs =
+                    step_mats(mats, |m| if let ServerMat::Affine(c) = m { Some(c) } else { None })?;
                 curs = curs
                     .iter()
                     .zip(eps)
@@ -893,7 +757,7 @@ pub(crate) fn server_thread_batch(
                     })
                     .collect::<Result<_>>()?;
             }
-            _ => return Err(batch_mismatch()),
+            _ => return Err(server_mismatch()),
         }
     }
     Ok(curs)
@@ -980,20 +844,26 @@ mod tests {
     }
 
     #[test]
-    fn fused_batch_is_bit_identical_to_sequential_dealt_serving() {
-        // The tentpole claim at the session layer: serving k inputs
-        // through one fused serve_batch_prepared walk yields, for every
-        // member, exactly the shares a solo dealt run over the same
-        // pool item produces — for both backends.
-        for backend in [PiBackend::Cheetah, PiBackend::Delphi] {
+    fn a_run_of_k_is_bit_identical_to_k_dealt_runs_of_one() {
+        // The property that lets solo serving be a batch of one: k
+        // inputs through one serve_prepared walk yield, for every
+        // member, exactly the shares a run of one over the same pool
+        // item produces — for both backends, k = 1 included.
+        for (backend, k) in [
+            (PiBackend::Cheetah, 1),
+            (PiBackend::Cheetah, 3),
+            (PiBackend::Delphi, 1),
+            (PiBackend::Delphi, 3),
+        ] {
             let seq = tiny_prefix();
-            let xs: Vec<Tensor> =
-                (0..3).map(|s| Tensor::rand_uniform(&[1, 1, 8, 8], -1.0, 1.0, 50 + s)).collect();
+            let xs: Vec<Tensor> = (0..k as u64)
+                .map(|s| Tensor::rand_uniform(&[1, 1, 8, 8], -1.0, 1.0, 50 + s))
+                .collect();
             let cfg = PiConfig { backend, ..Default::default() };
             // Reference: sequential dealt serving (serve_one/request_one
             // over per-member pool items, in pool order).
             let server = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
-            server.preprocess(3).unwrap();
+            server.preprocess(k).unwrap();
             let client = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
             let mut want = Vec::new();
             for x in &xs {
@@ -1004,26 +874,26 @@ mod tests {
                 let s = t.join().unwrap();
                 want.push((c.share, s.share));
             }
-            // Fused: same specs, fresh session (same master seed stream),
-            // one batched run over all three inputs.
+            // Same specs, fresh session (same master seed stream), one
+            // run over all k inputs.
             let fused = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
-            fused.preprocess(3).unwrap();
+            fused.preprocess(k).unwrap();
             let outs = fused.infer_batch_dealt(&xs).unwrap();
-            assert_eq!(outs.len(), 3);
+            assert_eq!(outs.len(), k);
             for (i, (out, (wc, ws))) in outs.iter().zip(&want).enumerate() {
                 assert_eq!(
                     out.client_share.as_raw(),
                     wc.as_raw(),
-                    "{backend:?} member {i} client share diverged"
+                    "{backend:?} k={k} member {i} client share diverged"
                 );
                 assert_eq!(
                     out.server_share.as_raw(),
                     ws.as_raw(),
-                    "{backend:?} member {i} server share diverged"
+                    "{backend:?} k={k} member {i} server share diverged"
                 );
             }
             // Each member consumed exactly one pool item.
-            assert_eq!(fused.ledger().consumed, 3);
+            assert_eq!(fused.ledger().consumed, k as u64);
             assert_eq!(fused.ledger().generated_inline, 0);
             assert_eq!(fused.pooled(), 0);
             // Plaintext sanity on the reconstructed logits.
@@ -1031,28 +901,8 @@ mod tests {
                 let plain = seq.forward_eval(x).unwrap();
                 assert_close(&plain, &out.reconstruct(cfg.fixed).unwrap(), 0.02);
             }
+            assert!(fused.infer_batch_dealt(&[]).is_err());
         }
-    }
-
-    #[test]
-    fn batch_of_one_delegates_to_the_solo_dealt_path() {
-        let seq = tiny_prefix();
-        let x = Tensor::rand_uniform(&[1, 1, 8, 8], -1.0, 1.0, 60);
-        let cfg = PiConfig::default();
-        let solo = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
-        solo.preprocess(1).unwrap();
-        let client = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
-        let (cch, sch, _) = c2pi_transport::channel_pair();
-        let srv = solo.clone();
-        let t = std::thread::spawn(move || srv.serve_one(&sch).unwrap());
-        let want = client.request_one(&cch, &x).unwrap();
-        t.join().unwrap();
-        let fused = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
-        fused.preprocess(1).unwrap();
-        let outs = fused.infer_batch_dealt(std::slice::from_ref(&x)).unwrap();
-        assert_eq!(outs.len(), 1);
-        assert_eq!(outs[0].client_share.as_raw(), want.share.as_raw());
-        assert!(fused.infer_batch_dealt(&[]).is_err());
     }
 
     #[test]

@@ -75,7 +75,7 @@ fn serve_one(
     let (cch, sch, _counter) = channel_pair();
     std::thread::scope(|scope| {
         let request = scope.spawn(move || client.request_one(&cch, x).unwrap().share);
-        let server_share = core.serve_prepared(&sch, material).unwrap();
+        let server_share = core.serve_prepared(&[&sch], vec![material]).unwrap().remove(0);
         let client_share = request.join().expect("client party");
         c2pi_mpc::share::reconstruct(&client_share, &server_share)
     })

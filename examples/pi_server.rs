@@ -27,10 +27,11 @@
 //!
 //! `--batch-window-ms W --max-batch K` turn on cross-client coalescing:
 //! concurrent inferences arriving within W milliseconds fuse into one
-//! batched protocol run of up to K members (off by default — W of 0 or
-//! K of 1 keeps the solo path). The final reactor line reports
-//! `coalesced=` and `batches=` so a harness can assert batching really
-//! happened.
+//! protocol run of up to K members (off by default — W of 0 or K of 1
+//! serves every request as a run of one). The final reactor line
+//! reports `batches=` (protocol runs of any size: `batches == served`
+//! without coalescing) and `coalesced=` (inferences served in runs of
+//! two or more) so a harness can assert batching really happened.
 //!
 //! `--preprocess-delay-ms D` starts serving *before* dealing the initial
 //! material: for D milliseconds every inference request is answered with
