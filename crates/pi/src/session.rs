@@ -46,36 +46,22 @@
 
 use crate::backend::PiBackendImpl;
 use crate::engine::{PiConfig, PiOutcome};
-use crate::plan::{compile, Plan, Step, StepData};
-use crate::pool::{
-    ClientMat, InferenceMaterial, MaterialPool, Replenisher, ServerMat, SessionCore,
-};
+use crate::plan::compile;
+use crate::pool::{InferenceMaterial, MaterialPool, Replenisher, SessionCore};
 use crate::report::{OpCounts, PiReport};
 use crate::{PiError, Result};
-use c2pi_mpc::beaver::truncate_share;
-use c2pi_mpc::dealer::LinearCorrServer;
-use c2pi_mpc::prg::Prg;
-use c2pi_mpc::ring::{im2col_ring, RingMatrix};
-use c2pi_mpc::share::{share_secret, ShareVec};
+use c2pi_mpc::share::ShareVec;
 use c2pi_nn::LayerSpec;
 use c2pi_tensor::Tensor;
-use c2pi_transport::{Channel, MemTransport, Side, Transport};
+use c2pi_transport::{Channel, MemTransport, Transport};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One party's result of a dealt-contract inference
-/// ([`PiSession::serve_one`] / [`PiSession::request_one`]): this side's
-/// additive share of the boundary activation plus the run's cost report
-/// (traffic as seen by this side's channel counter).
-#[derive(Debug, Clone)]
-pub struct PartyOutcome {
-    /// This party's additive share of the boundary activation.
-    pub share: ShareVec,
-    /// Public shape of the boundary activation.
-    pub dims: Vec<usize>,
-    /// Cost profile of the run.
-    pub report: PiReport,
-}
+mod dealt;
+mod walk;
+
+pub use dealt::PartyOutcome;
+use walk::{client_walk, server_walk};
 
 /// A long-lived private-inference session over one compiled crypto
 /// prefix: an `Arc`-shared immutable [`SessionCore`] plus an
@@ -387,380 +373,6 @@ impl PiSession {
             })
             .collect()
     }
-
-    /// **Dealt contract, server side**: serves one inference to the
-    /// client on `ch`. Takes one material set from the shared pool and
-    /// hands it to [`SessionCore::serve_prepared`], which *deals* its
-    /// compact seed to the client as the first frame (the deterministic
-    /// dealer standing in for the trusted third party delivering the
-    /// client's correlated-randomness half — seed-compressed, so the
-    /// frame is tens of bytes regardless of how large the expanded
-    /// material is), then runs the server party of the online protocol.
-    ///
-    /// Material is assigned per connection in pool order, so concurrent
-    /// clients need no coordination.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PiError::BadConfig`] when `ch` is not the server end
-    /// (before any material is taken), plus engine and protocol errors.
-    pub fn serve_one(&self, ch: &dyn Channel) -> Result<PartyOutcome> {
-        if ch.side() != Side::Server {
-            return Err(PiError::BadConfig("serve_one needs the server channel end".into()));
-        }
-        let material = self.pool.take()?;
-        let counts = material.counts.clone();
-        let before = ch.counter().snapshot();
-        let start = Instant::now();
-        let share = self
-            .core
-            .serve_prepared(&[ch], vec![material])?
-            .pop()
-            .expect("one member in, one share out");
-        Ok(self.party_outcome(share, counts, ch, before, start.elapsed().as_secs_f64()))
-    }
-
-    /// **Dealt contract, client side**: requests one inference from a
-    /// server running [`PiSession::serve_one`] (or
-    /// [`SessionCore::serve_prepared`]) on the other end of `ch`.
-    /// Receives the compact dealt seed, validates and expands this
-    /// party's correlated-randomness half from it
-    /// ([`SessionCore::expand_dealt`] — dealer time on the client's
-    /// critical path, recorded as inline in this session's ledger), and
-    /// runs the client party of the online protocol.
-    ///
-    /// Both processes must compile their sessions from identical specs
-    /// and configuration — only the seed-compressed dealt artifact
-    /// travels on the wire.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PiError::BadConfig`] when `ch` is not the client end or
-    /// the peer's handshake is malformed, plus engine, shape and
-    /// protocol errors.
-    pub fn request_one(&self, ch: &dyn Channel, x: &Tensor) -> Result<PartyOutcome> {
-        if ch.side() != Side::Client {
-            return Err(PiError::BadConfig("request_one needs the client channel end".into()));
-        }
-        self.check_input(x)?;
-        let before = ch.counter().snapshot();
-        let frame = ch.recv_bytes()?;
-        let deal_start = Instant::now();
-        let InferenceMaterial { seed, cmats, smats: _, counts } = self.core.expand_dealt(&frame)?;
-        self.pool.note_dealt_inline(deal_start.elapsed().as_secs_f64(), &counts);
-        let start = Instant::now();
-        let share =
-            client_walk(ch, &self.core.plan, cmats, x, &self.core.cfg, &*self.core.backend, seed)?;
-        Ok(self.party_outcome(share, counts, ch, before, start.elapsed().as_secs_f64()))
-    }
-
-    fn party_outcome(
-        &self,
-        share: ShareVec,
-        counts: OpCounts,
-        ch: &dyn Channel,
-        before: c2pi_transport::TrafficSnapshot,
-        online_seconds: f64,
-    ) -> PartyOutcome {
-        let model = self.core.backend.cost_model();
-        let offline = model.offline_traffic(&counts);
-        let offline_seconds = model.offline_seconds(&counts);
-        PartyOutcome {
-            share,
-            dims: self.core.plan.out_dims.clone(),
-            report: PiReport {
-                backend: self.core.backend.name(),
-                online: ch.counter().snapshot().since(&before),
-                offline,
-                online_seconds,
-                offline_seconds,
-                counts,
-                preprocessing: self.ledger(),
-            },
-        }
-    }
-}
-
-impl SessionCore {
-    /// **Dealt contract, server side, caller-supplied material**: like
-    /// [`PiSession::serve_one`] but over material the caller already
-    /// took from a pool, and over `k ≥ 1` members at once — the entry
-    /// point for serving layers that separate pool policy (sharding,
-    /// work stealing, backpressure, coalescing) from protocol
-    /// execution, such as the `c2pi-core` reactor. Deals each member
-    /// its compact [`c2pi_mpc::dealer::DealtSeed`] as the first frame,
-    /// then runs the server party over all members in lock step;
-    /// returns this side's share of each member's boundary activation,
-    /// in member order (the caller sends it to the client to
-    /// reconstruct).
-    ///
-    /// A member's wire transcript, masks and output share do not depend
-    /// on who else is in the run: serving `k` members in one call is
-    /// bit-for-bit `k` calls of one over the same materials.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PiError::BadConfig`] on an empty or mismatched member
-    /// set or a non-server channel end, plus engine and protocol errors
-    /// — one member's failure fails the whole run. The material is
-    /// consumed either way.
-    pub fn serve_prepared(
-        &self,
-        chs: &[&dyn Channel],
-        materials: Vec<InferenceMaterial>,
-    ) -> Result<Vec<ShareVec>> {
-        let k = chs.len();
-        if k == 0 || materials.len() != k {
-            return Err(PiError::BadConfig(format!(
-                "serve_prepared over {k} channels, {} material sets",
-                materials.len()
-            )));
-        }
-        if chs.iter().any(|ch| ch.side() != Side::Server) {
-            return Err(PiError::BadConfig("serve_prepared needs server channel ends".into()));
-        }
-        let mut seeds = Vec::with_capacity(k);
-        let mut smats_all = Vec::with_capacity(k);
-        for (ch, material) in chs.iter().zip(materials) {
-            ch.send_bytes(&self.dealt_seed(material.seed).encode())?;
-            let InferenceMaterial { seed, cmats: _, smats, counts: _ } = material;
-            seeds.push(seed);
-            smats_all.push(smats);
-        }
-        server_walk(chs, &self.plan, smats_all, &self.cfg, &*self.backend, &seeds)
-    }
-}
-
-/// Gathers 2×2 window elements of a `[c, h, w]` share into four parallel
-/// index lists (public permutation, applied by both parties).
-fn pool_windows(c: usize, h: usize, w: usize) -> Vec<[usize; 4]> {
-    let mut idx = Vec::with_capacity(c * (h / 2) * (w / 2));
-    for ch in 0..c {
-        let plane = ch * h * w;
-        for oy in 0..h / 2 {
-            for ox in 0..w / 2 {
-                let base = plane + 2 * oy * w + 2 * ox;
-                idx.push([base, base + 1, base + w, base + w + 1]);
-            }
-        }
-    }
-    idx
-}
-
-fn gather(share: &ShareVec, idx: &[[usize; 4]]) -> ShareVec {
-    let mut out = Vec::with_capacity(idx.len() * 4);
-    for quad in idx {
-        for &i in quad {
-            out.push(share.as_raw()[i]);
-        }
-    }
-    ShareVec::from_raw(out)
-}
-
-fn avg_pool_share(
-    share: &ShareVec,
-    (c, h, w): (usize, usize, usize),
-    (window, stride): (usize, usize),
-    is_client: bool,
-    fp: c2pi_mpc::FixedPoint,
-) -> ShareVec {
-    let oh = (h - window) / stride + 1;
-    let ow = (w - window) / stride + 1;
-    let coeff = fp.encode(1.0 / (window * window) as f32);
-    let mut out = Vec::with_capacity(c * oh * ow);
-    for ch in 0..c {
-        let plane = ch * h * w;
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = 0u64;
-                for ky in 0..window {
-                    for kx in 0..window {
-                        acc = acc.wrapping_add(
-                            share.as_raw()[plane + (oy * stride + ky) * w + ox * stride + kx],
-                        );
-                    }
-                }
-                out.push(acc.wrapping_mul(coeff));
-            }
-        }
-    }
-    truncate_share(&ShareVec::from_raw(out), is_client, fp)
-}
-
-/// A linear step's input share as the matrix its weights multiply:
-/// im2col columns for a convolution, one column for a fully connected
-/// layer.
-fn linear_input(step: &Step, cur: &ShareVec) -> Result<RingMatrix> {
-    match step {
-        Step::Conv { c, h, w, geom } => Ok(im2col_ring(cur.as_raw(), *c, *h, *w, *geom)?),
-        Step::Fc { k } => Ok(RingMatrix::from_vec(cur.as_raw().to_vec(), *k, 1)?),
-        _ => Err(PiError::BadConfig("not a linear step".into())),
-    }
-}
-
-/// The client party of one online inference: shares the input, then
-/// walks the plan over its half of one material set.
-pub(crate) fn client_walk(
-    ep: &dyn Channel,
-    plan: &Plan,
-    mats: Vec<ClientMat>,
-    x: &Tensor,
-    cfg: &PiConfig,
-    backend: &dyn PiBackendImpl,
-    seed: u64,
-) -> Result<ShareVec> {
-    let fp = cfg.fixed;
-    // Share the input: keep x0, send x1.
-    let secret = fp.encode_tensor(x);
-    let mut prg = Prg::from_u64(seed ^ 0xC11E_57A9);
-    let (x0, x1) = share_secret(&secret, &mut prg);
-    ep.send_u64s(x1.as_raw())?;
-    let mut cur = x0;
-    for (step, mat) in plan.steps.iter().zip(mats) {
-        match (step, mat) {
-            (Step::Conv { .. } | Step::Fc { .. }, ClientMat::Lin(corr)) => {
-                let y = backend.linear_online_client(ep, &linear_input(step, &cur)?, &corr)?;
-                cur = truncate_share(&ShareVec::from_raw(y.into_vec()), true, fp);
-            }
-            (Step::Relu { n: _ }, ClientMat::Nl(material)) => {
-                cur = backend.relu_online_client(ep, &cur, material, cfg, &mut prg)?;
-            }
-            (Step::MaxPool { c, h, w }, ClientMat::Nl(material)) => {
-                let quads = gather(&cur, &pool_windows(*c, *h, *w));
-                cur = backend.maxpool_online_client(ep, &quads, material, cfg, &mut prg)?;
-            }
-            (Step::AvgPool { c, h, w, window, stride }, ClientMat::None) => {
-                cur = avg_pool_share(&cur, (*c, *h, *w), (*window, *stride), true, fp);
-            }
-            (Step::Flatten, ClientMat::None) => {}
-            (Step::Affine, ClientMat::Affine(corr)) => {
-                let y = c2pi_mpc::beaver::affine_client(ep, &cur, &corr)?;
-                cur = truncate_share(&y, true, fp);
-            }
-            _ => return Err(PiError::BadConfig("plan/material mismatch (client)".into())),
-        }
-    }
-    Ok(cur)
-}
-
-fn server_mismatch() -> PiError {
-    PiError::BadConfig("plan/material mismatch (server)".into())
-}
-
-/// Unwraps one step's per-member materials as the variant the step
-/// consumes.
-fn step_mats<T>(mats: Vec<ServerMat>, pick: fn(ServerMat) -> Option<T>) -> Result<Vec<T>> {
-    mats.into_iter().map(|m| pick(m).ok_or_else(server_mismatch)).collect()
-}
-
-/// The server party: walks the plan **once** for `k ≥ 1` members in
-/// lock step, calling the backend's server hooks so each layer's
-/// compute spans all members (column-stacked matmuls, one parallel GC
-/// label-selection region), while every member keeps its own channel,
-/// material, masks and PRG stream. In-process inference and
-/// [`PiSession::serve_one`] run it with one member; a coalescing serving
-/// layer with as many as it fused.
-///
-/// Member order is served deterministically (slice order) at every
-/// flight; per-member sequential sub-loops are deadlock-free because
-/// clients progress independently and flights buffer in the transport.
-pub(crate) fn server_walk(
-    eps: &[&dyn Channel],
-    plan: &Plan,
-    mats: Vec<Vec<ServerMat>>,
-    cfg: &PiConfig,
-    backend: &dyn PiBackendImpl,
-    seeds: &[u64],
-) -> Result<Vec<ShareVec>> {
-    let k = eps.len();
-    if k == 0 || mats.len() != k || seeds.len() != k {
-        return Err(PiError::BadConfig(format!(
-            "server walk over {k} channels, {} material sets, {} seeds",
-            mats.len(),
-            seeds.len()
-        )));
-    }
-    let fp = cfg.fixed;
-    let mut prgs: Vec<Prg> = seeds.iter().map(|&s| Prg::from_u64(s ^ 0x5E2F_E27A)).collect();
-    let mut curs = Vec::with_capacity(k);
-    for ep in eps {
-        curs.push(ShareVec::from_raw(ep.recv_u64s()?));
-    }
-    let mut iters: Vec<std::vec::IntoIter<ServerMat>> =
-        mats.into_iter().map(Vec::into_iter).collect();
-    for (step, data) in plan.steps.iter().zip(plan.data.iter()) {
-        let mats: Vec<ServerMat> = iters
-            .iter_mut()
-            .map(|it| it.next().ok_or_else(server_mismatch))
-            .collect::<Result<_>>()?;
-        match (step, data) {
-            (Step::Conv { .. } | Step::Fc { .. }, StepData::Lin { w: w_ring, bias2f, .. }) => {
-                let corrs =
-                    step_mats(mats, |m| if let ServerMat::Lin(c) = m { Some(c) } else { None })?;
-                let corr_refs: Vec<&LinearCorrServer> = corrs.iter().collect();
-                let xs: Vec<RingMatrix> =
-                    curs.iter().map(|cur| linear_input(step, cur)).collect::<Result<_>>()?;
-                let ys = backend.linear_online_server(eps, w_ring, &xs, &corr_refs)?;
-                // One bias per output row (a fully connected layer's
-                // rows are one element wide).
-                curs = ys
-                    .into_iter()
-                    .map(|mut y| {
-                        let cols = y.cols();
-                        for (row, &b) in y.as_mut_slice().chunks_exact_mut(cols).zip(bias2f) {
-                            for v in row {
-                                *v = v.wrapping_add(b);
-                            }
-                        }
-                        truncate_share(&ShareVec::from_raw(y.into_vec()), false, fp)
-                    })
-                    .collect();
-            }
-            (Step::Relu { n: _ }, StepData::None) => {
-                let materials =
-                    step_mats(mats, |m| if let ServerMat::Nl(c) = m { Some(c) } else { None })?;
-                curs = backend.relu_online_server(eps, &curs, materials, cfg, &mut prgs)?;
-            }
-            (Step::MaxPool { c, h, w }, StepData::None) => {
-                let materials =
-                    step_mats(mats, |m| if let ServerMat::Nl(c) = m { Some(c) } else { None })?;
-                let idx = pool_windows(*c, *h, *w);
-                let quads: Vec<ShareVec> = curs.iter().map(|cur| gather(cur, &idx)).collect();
-                curs = backend.maxpool_online_server(eps, &quads, materials, cfg, &mut prgs)?;
-            }
-            (Step::AvgPool { c, h, w, window, stride }, StepData::None) => {
-                step_mats(mats, |m| matches!(m, ServerMat::None).then_some(()))?;
-                curs = curs
-                    .iter()
-                    .map(|cur| avg_pool_share(cur, (*c, *h, *w), (*window, *stride), false, fp))
-                    .collect();
-            }
-            (Step::Flatten, StepData::None) => {
-                step_mats(mats, |m| matches!(m, ServerMat::None).then_some(()))?;
-            }
-            (Step::Affine, StepData::Affine { scale, shift2f }) => {
-                let corrs =
-                    step_mats(mats, |m| if let ServerMat::Affine(c) = m { Some(c) } else { None })?;
-                curs = curs
-                    .iter()
-                    .zip(eps)
-                    .zip(&corrs)
-                    .map(|((cur, ep), corr)| {
-                        let y = c2pi_mpc::beaver::affine_server(*ep, scale, cur, corr)?;
-                        let shifted: Vec<u64> = y
-                            .as_raw()
-                            .iter()
-                            .zip(shift2f.iter())
-                            .map(|(&v, &s)| v.wrapping_add(s))
-                            .collect();
-                        Ok(truncate_share(&ShareVec::from_raw(shifted), false, fp))
-                    })
-                    .collect::<Result<_>>()?;
-            }
-            _ => return Err(server_mismatch()),
-        }
-    }
-    Ok(curs)
 }
 
 #[cfg(test)]
