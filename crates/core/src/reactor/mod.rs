@@ -103,47 +103,30 @@
 //! ```
 
 pub mod batch;
+mod client;
 pub mod envelope;
+mod event_loop;
 pub mod metrics;
+mod worker;
+
+pub use client::{ClientInference, ReactorClient, ReactorReply};
 
 use crate::{C2piError, Result};
-use batch::{BatchCollector, Deposit, FlushReason};
-use c2pi_pi::{
-    PartyOutcome, PiSession, Replenisher, RestoreReport, SessionCore, ShardedMaterialPool,
-};
-use c2pi_tensor::Tensor;
+use batch::{BatchCollector, FlushReason};
+use c2pi_pi::{Replenisher, RestoreReport, SessionCore, ShardedMaterialPool};
 use c2pi_transport::{Channel, Side, TcpChannel, TcpListenerTransport, TransportError};
-use envelope::{Reply, Request};
+use envelope::Reply;
+use event_loop::{reactor_loop, LISTENER_KEY};
 use metrics::{MetricsSnapshot, ReactorMetrics, ShardSnapshot};
 use polling::{Backend, Poller};
-use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// How many pending accepts the reactor admits per wakeup. The bound is
-/// a fairness device: a connect storm cannot monopolize the loop,
-/// because parked clients' events are dispatched before each accept
-/// batch and the level-triggered listener registration re-surfaces the
-/// rest of the backlog on the next wakeup.
-const ACCEPT_BATCH: usize = 64;
-/// Poller key the listener is registered under: one below the poller's
-/// own reserved key ([`polling::RESERVED_KEY`]); client-key allocation
-/// wraps before reaching either.
-const LISTENER_KEY: usize = usize::MAX - 1;
-/// Wait-timeout ceiling on an event-driven backend (epoll). Accepts,
-/// client readiness, and notifies all arrive as events there, so this
-/// is a pure safety net, not a duty cycle.
-const SAFETY_TICK_EVENT: Duration = Duration::from_millis(50);
-/// Wait-timeout ceiling on a scanning backend (peek). That backend
-/// cannot observe listener readiness — it reports the listener
-/// "assumed-ready" only when a wait returns — so this tick is the
-/// accept-latency bound, matching the old `POLL_TICK` cadence.
-const SAFETY_TICK_SCAN: Duration = Duration::from_millis(5);
+use std::time::Duration;
+use worker::worker_loop;
 
 fn pi_err(e: TransportError) -> C2piError {
     C2piError::Pi(e.into())
@@ -508,469 +491,17 @@ impl Drop for ReactorServer {
     }
 }
 
-/// The reactor thread: one poller wait multiplexing accepts, parked
-/// client readiness, and notifies — accept, park, dispatch, shed; no
-/// cryptography, no periodic polling.
-fn reactor_loop(
-    listener: &TcpListenerTransport,
-    poller: &Poller,
-    tx: &SyncSender<Job>,
-    shared: &Shared,
-) {
-    let mut parked: HashMap<usize, TcpStream> = HashMap::new();
-    let mut next_key = 0usize;
-    let mut events = Vec::new();
-    let safety_tick =
-        if poller.backend().event_driven() { SAFETY_TICK_EVENT } else { SAFETY_TICK_SCAN };
-    while !shared.draining() {
-        // Sleep until something actually happens: a parked client's
-        // request frame, a pending accept, or a notify (a worker opened
-        // a batch window, or drain wants the flag observed). The
-        // timeout covers the armed batch deadline, capped by the
-        // backend's safety tick.
-        let timeout = match shared.collector.next_deadline() {
-            Some(deadline) => deadline.saturating_duration_since(Instant::now()).min(safety_tick),
-            None => safety_tick,
-        };
-        events.clear();
-        let result = match poller.wait(&mut events, Some(timeout)) {
-            Ok(result) => result,
-            Err(_) => {
-                // A failing wait (epoll state corruption) would spin
-                // this loop hot; count it and back off instead.
-                shared.metrics.add(&shared.metrics.errors);
-                std::thread::sleep(safety_tick);
-                continue;
-            }
-        };
-        if shared.draining() {
-            break;
-        }
-        // A pure notify only re-arms the wait timeout (the deposit that
-        // sent it updated the collector's deadline): nothing is
-        // readable, so skip the dispatch/accept/flush work entirely.
-        if result.notified && result.added == 0 {
-            continue;
-        }
-        // Dispatch parked clients BEFORE accepting: a connect storm
-        // must not starve a client whose request is already waiting.
-        let mut accept_ready = false;
-        for event in &events {
-            if event.key == LISTENER_KEY {
-                accept_ready = true;
-                continue;
-            }
-            let Some(stream) = parked.remove(&event.key) else { continue };
-            poller.delete(event.key);
-            match tx.try_send(Job::Conn(stream)) {
-                Ok(()) => {}
-                Err(TrySendError::Full(Job::Conn(stream))) => shared.shed(stream, true),
-                Err(_) => return, // workers gone; nothing left to serve
-            }
-        }
-        // Admit new connections, bounded per wakeup and by the client
-        // cap. A backlog deeper than the batch is not lost: the
-        // level-triggered listener registration reports it again on the
-        // next wait, after parked clients have had their turn.
-        if accept_ready {
-            for _ in 0..ACCEPT_BATCH {
-                match listener.try_accept() {
-                    Ok(Some(stream)) => {
-                        shared.metrics.add(&shared.metrics.accepted);
-                        let active = shared.metrics.active.load(Ordering::Relaxed);
-                        if active >= shared.max_clients as u64 {
-                            shared.shed(stream, false);
-                            continue;
-                        }
-                        let key = next_key;
-                        next_key = next_key.wrapping_add(1);
-                        if next_key >= LISTENER_KEY {
-                            next_key = 0; // skip the reserved keys
-                        }
-                        shared.metrics.active.fetch_add(1, Ordering::Relaxed);
-                        if poller.add(&stream, key).is_err() {
-                            shared.metrics.add(&shared.metrics.errors);
-                            shared.metrics.connection_done();
-                            continue;
-                        }
-                        parked.insert(key, stream);
-                    }
-                    Ok(None) => break,
-                    Err(_) => {
-                        shared.metrics.add(&shared.metrics.errors);
-                        break;
-                    }
-                }
-            }
-        }
-        // Batch deadline: a forming batch whose oldest member has
-        // waited the full window stops waiting for company.
-        if let Some(batch) = shared.collector.take_due(Instant::now()) {
-            match tx.try_send(Job::Batch(batch, FlushReason::Window)) {
-                Ok(()) => {}
-                Err(TrySendError::Full(Job::Batch(batch, _))) => {
-                    // Queue full is overload: report it, don't hide it.
-                    for ch in &batch {
-                        shared.shed_channel(ch, shared.draining());
-                    }
-                }
-                Err(_) => return,
-            }
-        }
-    }
-    // Drain: parked connections have not cost material yet — answer
-    // them honestly and close.
-    poller.delete(LISTENER_KEY);
-    for (key, stream) in parked.drain() {
-        poller.delete(key);
-        shared.shed(stream, true);
-    }
-    // A partially-formed batch was *admitted* — close the collector and
-    // serve the remainder ahead of the shutdown markers (FIFO), so
-    // drain never abandons a queued request.
-    let rest = shared.collector.close();
-    if !rest.is_empty() {
-        // Blocking send: drain must deliver this batch even if the
-        // queue is momentarily full of in-flight work.
-        if let Err(mpsc::SendError(Job::Batch(batch, _))) =
-            tx.send(Job::Batch(rest, FlushReason::Drain))
-        {
-            for ch in &batch {
-                shared.shed_channel(ch, true);
-            }
-        }
-    }
-    // FIFO behind every dispatched job: workers finish real work first.
-    for _ in 0..shared.workers {
-        if tx.send(Job::Shutdown).is_err() {
-            break;
-        }
-    }
-}
-
-/// One worker thread: pull a job, run it to completion. All
-/// active-gauge accounting happens inside the handlers — a connection
-/// that joins a forming batch stays active until its batch is served.
-fn worker_loop(worker: usize, rx: &Mutex<Receiver<Job>>, shared: &Shared) {
-    loop {
-        // Hold the receiver lock only for the dequeue itself.
-        let job = { rx.lock().expect("dispatch queue mutex poisoned").recv() };
-        match job {
-            Ok(Job::Conn(stream)) => serve_connection(worker, stream, shared),
-            Ok(Job::Batch(chs, reason)) => serve_run(worker, chs, reason, shared),
-            Ok(Job::Shutdown) | Err(_) => break,
-        }
-    }
-}
-
-/// The whole life of one admitted connection: parse REQ, then serve an
-/// inference (dealt contract + revealed share), answer STATS, deposit
-/// into the batch collector, or shed. Every terminal path retires the
-/// connection from the active gauge; the one non-terminal outcome — the
-/// request queued in the collector — leaves it active for the flush.
-fn serve_connection(worker: usize, stream: TcpStream, shared: &Shared) {
-    // Poller registration switched the shared file description to
-    // nonblocking; protocol I/O is blocking with timeouts.
-    if stream.set_nonblocking(false).is_err() {
-        shared.metrics.add(&shared.metrics.errors);
-        shared.metrics.connection_done();
-        return;
-    }
-    let ch = match TcpChannel::from_stream(stream, Side::Server) {
-        Ok(ch) => ch,
-        Err(_) => {
-            shared.metrics.add(&shared.metrics.errors);
-            shared.metrics.connection_done();
-            return;
-        }
-    };
-    if ch.set_read_timeout(Some(shared.client_timeout)).is_err()
-        || ch.set_write_timeout(Some(shared.client_timeout)).is_err()
-    {
-        shared.metrics.add(&shared.metrics.errors);
-        shared.metrics.connection_done();
-        return;
-    }
-    // The readiness event may have been an EOF: the peer connected and
-    // left. That is a hangup, not a protocol error.
-    let req = match ch.recv_bytes() {
-        Ok(frame) => frame,
-        Err(_) => {
-            shared.metrics.add(&shared.metrics.hangups);
-            shared.metrics.connection_done();
-            return;
-        }
-    };
-    match Request::decode(&req) {
-        Err(_) => {
-            shared.metrics.add(&shared.metrics.errors);
-            shared.metrics.connection_done();
-        }
-        Ok(Request::Stats) => {
-            let frame = Reply::Stats(shared.snapshot().render_prometheus()).encode();
-            match ch.send_bytes(&frame) {
-                Ok(()) => shared.metrics.add(&shared.metrics.stats_served),
-                Err(_) => shared.metrics.add(&shared.metrics.errors),
-            }
-            shared.metrics.connection_done();
-        }
-        // Every infer request goes through the collector; with
-        // coalescing off it hands the request straight back as a run
-        // of one.
-        Ok(Request::Infer) => match shared.collector.deposit(ch, Instant::now()) {
-            // Waiting for company; the armed window deadline or a
-            // filling deposit will flush it. Still active, by design.
-            // The reactor may be asleep with no deadline armed (this
-            // deposit could have opened the window), so wake it to
-            // re-arm its wait timeout.
-            Deposit::Queued => shared.poller.notify(),
-            // This deposit completed a run (or raced the drain close):
-            // serve it right here, on this worker.
-            Deposit::Flush(chs, reason) => serve_run(worker, chs, reason, shared),
-        },
-    }
-}
-
-/// Serves one flushed run of `k ≥ 1` admitted requests: takes one
-/// material set per member (partial stock sheds the uncovered tail with
-/// typed backpressure, never silently), announces the run to the `m`
-/// covered members with the `OK` frame, runs
-/// [`c2pi_pi::SessionCore::serve_prepared`] over all of them at once,
-/// reveals each member's server share and accounts the run under its
-/// *served* size `m`.
-///
-/// Failure granularity is the run: if any member errors mid-protocol,
-/// the whole run fails and every member's material is lost (counted per
-/// member in `errors`). That is the documented price of fusing rounds;
-/// see DESIGN.md §10.
-fn serve_run(worker: usize, chs: Vec<TcpChannel>, reason: FlushReason, shared: &Shared) {
-    let k = chs.len();
-    let (materials, shut) = match shared.pool.try_take_n(worker, k) {
-        Ok(took) => took,
-        Err(_) => {
-            for _ in 0..k {
-                shared.metrics.add(&shared.metrics.errors);
-                shared.metrics.connection_done();
-            }
-            return;
-        }
-    };
-    // Members the stock does not cover are shed, in arrival order from
-    // the back — the earliest arrivals (who waited longest) get served.
-    // Starved or shutting down: typed backpressure, no block, no
-    // inline dealing.
-    let m = materials.len();
-    for ch in &chs[m..] {
-        shared.shed_channel(ch, shut || shared.draining());
-    }
-    if m == 0 {
-        return;
-    }
-    shared.metrics.record_batch(m, reason);
-    let members = &chs[..m];
-    let ok = Reply::Ok { batch: u16::try_from(m).unwrap_or(u16::MAX) }.encode();
-    let start = Instant::now();
-    let result = members
-        .iter()
-        .try_for_each(|ch| ch.send_bytes(&ok).map_err(pi_err))
-        .and_then(|()| {
-            let eps: Vec<&dyn Channel> = members.iter().map(|ch| ch as &dyn Channel).collect();
-            shared.core.serve_prepared(&eps, materials).map_err(C2piError::Pi)
-        })
-        .and_then(|shares| {
-            members
-                .iter()
-                .zip(&shares)
-                .try_for_each(|(ch, share)| ch.send_u64s(share.as_raw()).map_err(pi_err))
-        });
-    match result {
-        Ok(()) => {
-            // Every member waited for the whole run; each records its
-            // wall-clock latency.
-            let elapsed = start.elapsed();
-            for _ in 0..m {
-                shared.metrics.latency.record(elapsed);
-                shared.metrics.add(&shared.metrics.served);
-            }
-        }
-        // The material is consumed (ledger-exact) but the run is lost
-        // to this error.
-        Err(_) => {
-            for _ in 0..m {
-                shared.metrics.add(&shared.metrics.errors);
-            }
-        }
-    }
-    for _ in 0..m {
-        shared.metrics.connection_done();
-    }
-}
-
-/// Result of one served [`ReactorClient`] request: the reconstructed
-/// logits of the crypto prefix, the argmax prediction, and the client
-/// party's cost report.
-#[derive(Debug, Clone)]
-pub struct ClientInference {
-    /// Reconstructed boundary activation (the logits under full PI).
-    pub logits: Tensor,
-    /// `argmax` of the logits.
-    pub prediction: usize,
-    /// How many clients shared the fused protocol run that served this
-    /// inference, as reported by the server's `OK` frame: `1` unless
-    /// the [`ReactorServer`] coalesced it with concurrent requests.
-    pub batch: usize,
-    /// The client party's outcome (share, dims, report).
-    pub outcome: PartyOutcome,
-}
-
-/// One reply from a [`ReactorServer`] to an inference request.
-#[derive(Debug)]
-pub enum ReactorReply {
-    /// The inference ran; the reconstructed result.
-    Served(Box<ClientInference>),
-    /// The server shed the request with a typed backpressure frame.
-    Busy {
-        /// The server's suggested backoff before retrying.
-        retry_after: Duration,
-        /// Whether the server is draining (retries against it are
-        /// pointless; target another replica).
-        draining: bool,
-    },
-}
-
-/// Client for a [`ReactorServer`]: speaks the REQ/OK/BUSY/STATS
-/// envelope, then the dealt contract. Must wrap a session compiled from
-/// **identical** specs and config as the server's (only the
-/// per-inference seed travels on the wire). Cloneable and `&self`
-/// throughout — one client can drive many threads of concurrent
-/// requests.
-#[derive(Debug, Clone)]
-pub struct ReactorClient {
-    session: PiSession,
-    connect_timeout: Duration,
-    retries: usize,
-}
-
-impl ReactorClient {
-    /// Wraps a session compiled identically to the server's.
-    pub fn new(session: PiSession) -> Self {
-        ReactorClient { session, connect_timeout: Duration::from_secs(10), retries: 8 }
-    }
-
-    /// How long [`ReactorClient::request`] keeps retrying the TCP
-    /// connect (covers server processes still racing to bind).
-    pub fn with_connect_timeout(mut self, timeout: Duration) -> Self {
-        self.connect_timeout = timeout;
-        self
-    }
-
-    /// How many `BUSY` replies [`ReactorClient::infer`] absorbs
-    /// (sleeping the server-suggested backoff between attempts) before
-    /// giving up with [`C2piError::Overloaded`]. Zero disables retries.
-    pub fn with_retries(mut self, retries: usize) -> Self {
-        self.retries = retries;
-        self
-    }
-
-    /// The wrapped session.
-    pub fn session(&self) -> &PiSession {
-        &self.session
-    }
-
-    /// One request, no retries: connect, send REQ, and either run the
-    /// dealt contract to a reconstructed result or report the server's
-    /// backpressure verbatim.
-    ///
-    /// # Errors
-    ///
-    /// Transport errors, protocol-envelope violations, and the engine
-    /// errors of the client party. A `BUSY` reply is **not** an error
-    /// here — it returns [`ReactorReply::Busy`].
-    pub fn request(&self, addr: impl ToSocketAddrs + Clone, x: &Tensor) -> Result<ReactorReply> {
-        let ch =
-            TcpChannel::connect_retry(addr, Side::Client, self.connect_timeout).map_err(pi_err)?;
-        ch.send_bytes(&Request::Infer.encode()).map_err(pi_err)?;
-        match Reply::decode(&ch.recv_bytes().map_err(pi_err)?)? {
-            // The dealt contract after the frame is the same whatever
-            // the run's size — sharing a run never changes any member's
-            // wire content.
-            Reply::Ok { batch } => {
-                let outcome = self.session.request_one(&ch, x).map_err(C2piError::Pi)?;
-                let server_share =
-                    c2pi_mpc::share::ShareVec::from_raw(ch.recv_u64s().map_err(pi_err)?);
-                let raw = c2pi_mpc::share::reconstruct(&outcome.share, &server_share);
-                let fp = self.session.config().fixed;
-                let logits = fp.decode_tensor(&raw, &outcome.dims).map_err(C2piError::Tensor)?;
-                let prediction = logits.argmax().unwrap_or(0);
-                Ok(ReactorReply::Served(Box::new(ClientInference {
-                    logits,
-                    prediction,
-                    batch: usize::from(batch),
-                    outcome,
-                })))
-            }
-            Reply::Busy { retry_ms, draining } => Ok(ReactorReply::Busy {
-                retry_after: Duration::from_millis(u64::from(retry_ms)),
-                draining,
-            }),
-            Reply::Stats(_) => {
-                Err(C2piError::BadConfig("STATS reply to an inference request".into()))
-            }
-        }
-    }
-
-    /// One private inference with backpressure handling: on `BUSY`,
-    /// sleeps the server-suggested backoff and retries up to the
-    /// configured budget; a draining server short-circuits the loop.
-    ///
-    /// # Errors
-    ///
-    /// [`C2piError::Overloaded`] when every attempt was shed; otherwise
-    /// as [`ReactorClient::request`].
-    pub fn infer(&self, addr: impl ToSocketAddrs + Clone, x: &Tensor) -> Result<ClientInference> {
-        let mut last_busy = None;
-        for attempt in 0..=self.retries {
-            match self.request(addr.clone(), x)? {
-                ReactorReply::Served(result) => return Ok(*result),
-                ReactorReply::Busy { retry_after, draining } => {
-                    last_busy = Some((retry_after, draining));
-                    if draining {
-                        break;
-                    }
-                    if attempt < self.retries {
-                        std::thread::sleep(retry_after);
-                    }
-                }
-            }
-        }
-        let (retry_after, draining) =
-            last_busy.expect("loop ran at least once and every arm either returned or set it");
-        Err(C2piError::Overloaded { retry_after, draining })
-    }
-
-    /// Fetches the server's Prometheus-style metrics exposition.
-    ///
-    /// # Errors
-    ///
-    /// Transport errors, or a malformed reply.
-    pub fn stats(&self, addr: impl ToSocketAddrs + Clone) -> Result<String> {
-        let ch =
-            TcpChannel::connect_retry(addr, Side::Client, self.connect_timeout).map_err(pi_err)?;
-        ch.send_bytes(&Request::Stats.encode()).map_err(pi_err)?;
-        match Reply::decode(&ch.recv_bytes().map_err(pi_err)?)? {
-            Reply::Stats(text) => Ok(text),
-            _ => Err(C2piError::BadConfig("unexpected reply to a STATS request".into())),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::envelope::Request;
     use super::metrics::metric_value;
     use super::*;
     use c2pi_nn::layers::{Conv2d, MaxPool2d, Relu};
     use c2pi_nn::Sequential;
     use c2pi_pi::engine::{specs_of, PiConfig};
+    use c2pi_pi::PiSession;
+    use c2pi_tensor::Tensor;
+    use std::time::Instant;
 
     fn tiny_prefix() -> Sequential {
         let mut s = Sequential::new();
