@@ -94,16 +94,6 @@ impl<T> BatchCollector<T> {
         self.max_batch > 1 && self.window > Duration::ZERO
     }
 
-    /// Configured coalescing window.
-    pub fn window(&self) -> Duration {
-        self.window
-    }
-
-    /// Configured batch-size cap.
-    pub fn max_batch(&self) -> usize {
-        self.max_batch
-    }
-
     /// Items currently waiting for their window.
     pub fn pending(&self) -> usize {
         self.pending.lock().expect("batch collector mutex poisoned").items.len()

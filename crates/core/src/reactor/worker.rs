@@ -35,26 +35,17 @@ pub(super) fn worker_loop(worker: usize, rx: &Mutex<Receiver<Job>>, shared: &Sha
 fn serve_connection(worker: usize, stream: TcpStream, shared: &Shared) {
     // Poller registration switched the shared file description to
     // nonblocking; protocol I/O is blocking with timeouts.
-    if stream.set_nonblocking(false).is_err() {
+    let timeout = Some(shared.client_timeout);
+    let opened = stream
+        .set_nonblocking(false)
+        .ok()
+        .and_then(|()| TcpChannel::from_stream(stream, Side::Server).ok())
+        .filter(|ch| ch.set_read_timeout(timeout).is_ok() && ch.set_write_timeout(timeout).is_ok());
+    let Some(ch) = opened else {
         shared.metrics.add(&shared.metrics.errors);
         shared.metrics.connection_done();
         return;
-    }
-    let ch = match TcpChannel::from_stream(stream, Side::Server) {
-        Ok(ch) => ch,
-        Err(_) => {
-            shared.metrics.add(&shared.metrics.errors);
-            shared.metrics.connection_done();
-            return;
-        }
     };
-    if ch.set_read_timeout(Some(shared.client_timeout)).is_err()
-        || ch.set_write_timeout(Some(shared.client_timeout)).is_err()
-    {
-        shared.metrics.add(&shared.metrics.errors);
-        shared.metrics.connection_done();
-        return;
-    }
     // The readiness event may have been an EOF: the peer connected and
     // left. That is a hangup, not a protocol error.
     let req = match ch.recv_bytes() {

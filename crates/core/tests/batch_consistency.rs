@@ -6,13 +6,13 @@
 //! live [`ReactorServer`]:
 //!
 //! * **bit-for-bit identity** — N clients served through the batch
-//!   coalescer reconstruct logits whose f64 bit patterns are identical
-//!   to what the same inputs get from sequential, unbatched serving.
-//!   This is the dealt protocol's determinism theorem surfacing at the
-//!   serving layer: reconstruction cancels every mask, so the logits
-//!   are an exact fixed-point function of the input alone — fusing the
-//!   server's compute across members cannot perturb a single bit
-//!   (DESIGN.md §10);
+//!   coalescer reconstruct logits whose f32 bit patterns are identical
+//!   to what the same inputs get from sequential, uncoalesced serving
+//!   *over the same material sets*. Logits are an exact function of
+//!   the (input, material) pair — the probabilistic truncations make
+//!   the low bits depend on the masks — and a member's transcript does
+//!   not depend on who else shares its run, so a run of k is k runs of
+//!   one, member by member (DESIGN.md §10);
 //! * **ledger exactness** — every batch member consumes exactly one
 //!   pooled material set: the deployment-wide consumed total equals the
 //!   client count, with nothing dealt inline;

@@ -20,7 +20,6 @@ use crate::report::OpCounts;
 use crate::{PiError, Result};
 use c2pi_mpc::beaver::{linear_client, linear_server_members};
 use c2pi_mpc::dealer::{Dealer, LinearCorrClient, LinearCorrServer};
-use c2pi_mpc::prg::Prg;
 use c2pi_mpc::ring::RingMatrix;
 use c2pi_mpc::share::ShareVec;
 use c2pi_transport::Channel;
@@ -44,7 +43,7 @@ pub type NlMaterial = Box<dyn Any + Send>;
 /// six `*_online_*` hooks in the online phase, one per (operation,
 /// party): the **client** hooks run one inference over one channel; the
 /// **server** hooks run `k ≥ 1` members in lock step, one
-/// channel/share/material/PRG per member in slice order, because the
+/// channel/share/material per member in slice order, because the
 /// server party is one walk whether it serves one client or a coalesced
 /// batch. A member's transcript and output share must not depend on who
 /// else is in its run (`k` members in one call ≡ `k` calls of one);
@@ -96,7 +95,6 @@ pub trait PiBackendImpl: fmt::Debug + Send + Sync {
     ) -> (NlMaterial, NlMaterial);
 
     /// Client party of the online ReLU on a share of `n` elements.
-    /// `prg` is the party's local randomness.
     ///
     /// # Errors
     ///
@@ -108,7 +106,6 @@ pub trait PiBackendImpl: fmt::Debug + Send + Sync {
         share: &ShareVec,
         material: NlMaterial,
         cfg: &PiConfig,
-        prg: &mut Prg,
     ) -> Result<ShareVec>;
 
     /// Server party of the online ReLU over `k` members.
@@ -124,7 +121,6 @@ pub trait PiBackendImpl: fmt::Debug + Send + Sync {
         shares: &[ShareVec],
         materials: Vec<NlMaterial>,
         cfg: &PiConfig,
-        prgs: &mut [Prg],
     ) -> Result<Vec<ShareVec>>;
 
     /// Client party of the online 2×2 max pool. `quads` holds the
@@ -141,7 +137,6 @@ pub trait PiBackendImpl: fmt::Debug + Send + Sync {
         quads: &ShareVec,
         material: NlMaterial,
         cfg: &PiConfig,
-        prg: &mut Prg,
     ) -> Result<ShareVec>;
 
     /// Server party of the online 2×2 max pool over `k` members, each
@@ -156,7 +151,6 @@ pub trait PiBackendImpl: fmt::Debug + Send + Sync {
         quads: &[ShareVec],
         materials: Vec<NlMaterial>,
         cfg: &PiConfig,
-        prgs: &mut [Prg],
     ) -> Result<Vec<ShareVec>>;
 
     /// Offline correlation for a linear layer with server-known weights
@@ -210,16 +204,10 @@ pub trait PiBackendImpl: fmt::Debug + Send + Sync {
 
 /// Uniform arity check for the server hooks: every per-member slice
 /// must cover the same nonempty member set.
-fn check_batch_arity(
-    what: &str,
-    eps: usize,
-    shares: usize,
-    materials: usize,
-    prgs: usize,
-) -> Result<()> {
-    if eps == 0 || shares != eps || materials != eps || prgs != eps {
+fn check_batch_arity(what: &str, eps: usize, shares: usize, materials: usize) -> Result<()> {
+    if eps == 0 || shares != eps || materials != eps {
         return Err(PiError::BadConfig(format!(
-            "{what} over {eps} channels, {shares} shares, {materials} materials, {prgs} prgs"
+            "{what} over {eps} channels, {shares} shares, {materials} materials"
         )));
     }
     Ok(())

@@ -11,7 +11,6 @@ use crate::report::OpCounts;
 use crate::Result;
 use c2pi_mpc::dealer::{Dealer, TripleShare};
 use c2pi_mpc::ot::BitTriples;
-use c2pi_mpc::prg::Prg;
 use c2pi_mpc::relu::{drelu_bit_triples, max_interactive, relu_interactive};
 use c2pi_mpc::share::ShareVec;
 use c2pi_transport::Channel;
@@ -42,8 +41,8 @@ fn stage_for(dealer: &mut Dealer, n: usize, counts: &mut OpCounts) -> (Stage, St
 }
 
 /// One party of the comparison-based ReLU. The protocol is symmetric:
-/// `is_client` only breaks ties inside the triple-consuming
-/// sub-protocols.
+/// `is_client` only tells the triple-consuming sub-protocols who sends
+/// first and who adds the public terms.
 fn relu_party(
     ep: &dyn Channel,
     is_client: bool,
@@ -81,7 +80,7 @@ fn each_member(
     materials: Vec<NlMaterial>,
     party: fn(&dyn Channel, bool, &ShareVec, NlMaterial) -> Result<ShareVec>,
 ) -> Result<Vec<ShareVec>> {
-    check_batch_arity(what, eps.len(), shares.len(), materials.len(), eps.len())?;
+    check_batch_arity(what, eps.len(), shares.len(), materials.len())?;
     eps.iter()
         .zip(shares)
         .zip(materials)
@@ -141,7 +140,6 @@ impl PiBackendImpl for Cheetah {
         share: &ShareVec,
         material: NlMaterial,
         _cfg: &PiConfig,
-        _prg: &mut Prg,
     ) -> Result<ShareVec> {
         relu_party(ep, true, share, material)
     }
@@ -152,7 +150,6 @@ impl PiBackendImpl for Cheetah {
         shares: &[ShareVec],
         materials: Vec<NlMaterial>,
         _cfg: &PiConfig,
-        _prgs: &mut [Prg],
     ) -> Result<Vec<ShareVec>> {
         each_member("cheetah relu", eps, shares, materials, relu_party)
     }
@@ -163,7 +160,6 @@ impl PiBackendImpl for Cheetah {
         quads: &ShareVec,
         material: NlMaterial,
         _cfg: &PiConfig,
-        _prg: &mut Prg,
     ) -> Result<ShareVec> {
         maxpool_party(ep, true, quads, material)
     }
@@ -174,7 +170,6 @@ impl PiBackendImpl for Cheetah {
         quads: &[ShareVec],
         materials: Vec<NlMaterial>,
         _cfg: &PiConfig,
-        _prgs: &mut [Prg],
     ) -> Result<Vec<ShareVec>> {
         each_member("cheetah maxpool", eps, quads, materials, maxpool_party)
     }

@@ -19,19 +19,8 @@ use c2pi_mpc::gcpre::{
     PreGarbledServer,
 };
 use c2pi_mpc::ot::KAPPA;
-use c2pi_mpc::prg::Prg;
 use c2pi_mpc::share::ShareVec;
 use c2pi_transport::Channel;
-
-/// Client (evaluator) half of one offline-garbled non-linear layer.
-struct GcClient {
-    mat: PreGarbledClient,
-}
-
-/// Server (garbler) half of the same.
-struct GcServer {
-    mat: PreGarbledServer,
-}
 
 /// The Delphi-style backend. Stateless: all per-inference state lives in
 /// the prepared material.
@@ -60,7 +49,7 @@ impl Delphi {
         // dealer can't see their size itself — report it for the
         // seed-vs-expanded accounting.
         dealer.note_expanded(cmat.expanded_bytes() + smat.expanded_bytes());
-        (Box::new(GcClient { mat: cmat }), Box::new(GcServer { mat: smat }))
+        (Box::new(cmat), Box::new(smat))
     }
 
     /// Evaluator party of both non-linear hooks: one `δ`/label round
@@ -72,8 +61,8 @@ impl Delphi {
         material: NlMaterial,
         cfg: &PiConfig,
     ) -> Result<ShareVec> {
-        let mat = downcast_material::<GcClient>(material, "delphi")?;
-        Ok(pre_gc_evaluator(ep, &mat.mat, share, cfg.gc_chunk.max(1))?)
+        let mat = downcast_material::<PreGarbledClient>(material, "delphi")?;
+        Ok(pre_gc_evaluator(ep, &mat, share, cfg.gc_chunk.max(1))?)
     }
 
     /// Garbler party of both non-linear hooks: all `k` members' label
@@ -85,12 +74,10 @@ impl Delphi {
         shares: &[ShareVec],
         materials: Vec<NlMaterial>,
     ) -> Result<Vec<ShareVec>> {
-        check_batch_arity("delphi garbler", eps.len(), shares.len(), materials.len(), eps.len())?;
-        let mats: Vec<Box<GcServer>> = materials
-            .into_iter()
-            .map(|m| downcast_material::<GcServer>(m, "delphi"))
-            .collect::<Result<_>>()?;
-        let mat_refs: Vec<&PreGarbledServer> = mats.iter().map(|m| &m.mat).collect();
+        check_batch_arity("delphi garbler", eps.len(), shares.len(), materials.len())?;
+        let mats: Vec<Box<PreGarbledServer>> =
+            materials.into_iter().map(|m| downcast_material(m, "delphi")).collect::<Result<_>>()?;
+        let mat_refs: Vec<&PreGarbledServer> = mats.iter().map(|m| &**m).collect();
         let share_refs: Vec<&ShareVec> = shares.iter().collect();
         Ok(pre_gc_garbler_members(eps, &mat_refs, &share_refs)?)
     }
@@ -138,7 +125,6 @@ impl PiBackendImpl for Delphi {
         share: &ShareVec,
         material: NlMaterial,
         cfg: &PiConfig,
-        _prg: &mut Prg,
     ) -> Result<ShareVec> {
         self.nl_client(ep, share, material, cfg)
     }
@@ -149,7 +135,6 @@ impl PiBackendImpl for Delphi {
         shares: &[ShareVec],
         materials: Vec<NlMaterial>,
         _cfg: &PiConfig,
-        _prgs: &mut [Prg],
     ) -> Result<Vec<ShareVec>> {
         self.nl_server(eps, shares, materials)
     }
@@ -160,7 +145,6 @@ impl PiBackendImpl for Delphi {
         quads: &ShareVec,
         material: NlMaterial,
         cfg: &PiConfig,
-        _prg: &mut Prg,
     ) -> Result<ShareVec> {
         self.nl_client(ep, quads, material, cfg)
     }
@@ -171,7 +155,6 @@ impl PiBackendImpl for Delphi {
         quads: &[ShareVec],
         materials: Vec<NlMaterial>,
         _cfg: &PiConfig,
-        _prgs: &mut [Prg],
     ) -> Result<Vec<ShareVec>> {
         self.nl_server(eps, quads, materials)
     }

@@ -221,6 +221,26 @@ impl PiSession {
         Ok(())
     }
 
+    /// The cost report of one run that consumed the material `counts`
+    /// describes.
+    fn report(
+        &self,
+        counts: OpCounts,
+        online: c2pi_transport::TrafficSnapshot,
+        online_seconds: f64,
+    ) -> PiReport {
+        let model = self.core.backend.cost_model();
+        PiReport {
+            backend: self.core.backend.name(),
+            online,
+            offline: model.offline_traffic(&counts),
+            online_seconds,
+            offline_seconds: model.offline_seconds(&counts),
+            counts,
+            preprocessing: self.ledger(),
+        }
+    }
+
     /// Online phase: one private inference on a `[1, c, h, w]` input,
     /// with both parties running as threads of this process, consuming
     /// one pooled material set (generating inline if the pool is dry).
@@ -240,8 +260,8 @@ impl PiSession {
         let backend = &*self.core.backend;
         let start = Instant::now();
         let (client_res, server_res) = std::thread::scope(|scope| {
-            let server = scope
-                .spawn(move || server_walk(&[&*sep], plan, vec![smats], &cfg, backend, &[seed]));
+            let server =
+                scope.spawn(move || server_walk(&[&*sep], plan, vec![smats], &cfg, backend));
             let client = client_walk(&*cep, plan, cmats, x, &cfg, backend, seed);
             let server = server.join().map_err(|_| PiError::PartyPanic("server"));
             (client, server)
@@ -249,23 +269,11 @@ impl PiSession {
         let online_seconds = start.elapsed().as_secs_f64();
         let client_share = client_res?;
         let server_share = server_res??.pop().expect("one member in, one share out");
-        let online = counter.snapshot();
-        let model = self.core.backend.cost_model();
-        let offline = model.offline_traffic(&counts);
-        let offline_seconds = model.offline_seconds(&counts);
         Ok(PiOutcome {
             client_share,
             server_share,
             dims: self.core.plan.out_dims.clone(),
-            report: PiReport {
-                backend: self.core.backend.name(),
-                online,
-                offline,
-                online_seconds,
-                offline_seconds,
-                counts,
-                preprocessing: self.ledger(),
-            },
+            report: self.report(counts, counter.snapshot(), online_seconds),
         })
     }
 
@@ -348,8 +356,6 @@ impl PiSession {
         });
         let online_seconds = start.elapsed().as_secs_f64();
         let server_shares = server_res??;
-        let model = self.core.backend.cost_model();
-        let ledger = self.ledger();
         client_res
             .into_iter()
             .zip(server_shares)
@@ -360,15 +366,7 @@ impl PiSession {
                     client_share: client_share?,
                     server_share,
                     dims: self.core.plan.out_dims.clone(),
-                    report: PiReport {
-                        backend: self.core.backend.name(),
-                        online: counter.snapshot(),
-                        offline: model.offline_traffic(&counts),
-                        online_seconds,
-                        offline_seconds: model.offline_seconds(&counts),
-                        counts,
-                        preprocessing: ledger,
-                    },
+                    report: self.report(counts, counter.snapshot(), online_seconds),
                 })
             })
             .collect()

@@ -105,21 +105,11 @@ impl PiSession {
         before: c2pi_transport::TrafficSnapshot,
         online_seconds: f64,
     ) -> PartyOutcome {
-        let model = self.core.backend.cost_model();
-        let offline = model.offline_traffic(&counts);
-        let offline_seconds = model.offline_seconds(&counts);
+        let online = ch.counter().snapshot().since(&before);
         PartyOutcome {
             share,
             dims: self.core.plan.out_dims.clone(),
-            report: PiReport {
-                backend: self.core.backend.name(),
-                online: ch.counter().snapshot().since(&before),
-                offline,
-                online_seconds,
-                offline_seconds,
-                counts,
-                preprocessing: self.ledger(),
-            },
+            report: self.report(counts, online, online_seconds),
         }
     }
 }
@@ -162,14 +152,11 @@ impl SessionCore {
         if chs.iter().any(|ch| ch.side() != Side::Server) {
             return Err(PiError::BadConfig("serve_prepared needs server channel ends".into()));
         }
-        let mut seeds = Vec::with_capacity(k);
-        let mut smats_all = Vec::with_capacity(k);
+        let mut smats = Vec::with_capacity(k);
         for (ch, material) in chs.iter().zip(materials) {
             ch.send_bytes(&self.dealt_seed(material.seed).encode())?;
-            let InferenceMaterial { seed, cmats: _, smats, counts: _ } = material;
-            seeds.push(seed);
-            smats_all.push(smats);
+            smats.push(material.smats);
         }
-        server_walk(chs, &self.plan, smats_all, &self.cfg, &*self.backend, &seeds)
+        server_walk(chs, &self.plan, smats, &self.cfg, &*self.backend)
     }
 }

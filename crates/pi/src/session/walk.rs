@@ -108,11 +108,11 @@ pub(crate) fn client_walk(
                 cur = truncate_share(&ShareVec::from_raw(y.into_vec()), true, fp);
             }
             (Step::Relu { n: _ }, ClientMat::Nl(material)) => {
-                cur = backend.relu_online_client(ep, &cur, material, cfg, &mut prg)?;
+                cur = backend.relu_online_client(ep, &cur, material, cfg)?;
             }
             (Step::MaxPool { c, h, w }, ClientMat::Nl(material)) => {
                 let quads = gather(&cur, &pool_windows(*c, *h, *w));
-                cur = backend.maxpool_online_client(ep, &quads, material, cfg, &mut prg)?;
+                cur = backend.maxpool_online_client(ep, &quads, material, cfg)?;
             }
             (Step::AvgPool { c, h, w, window, stride }, ClientMat::None) => {
                 cur = avg_pool_share(&cur, (*c, *h, *w), (*window, *stride), true, fp);
@@ -142,7 +142,7 @@ fn step_mats<T>(mats: Vec<ServerMat>, pick: fn(ServerMat) -> Option<T>) -> Resul
 /// lock step, calling the backend's server hooks so each layer's
 /// compute spans all members (column-stacked matmuls, one parallel GC
 /// label-selection region), while every member keeps its own channel,
-/// material, masks and PRG stream. In-process inference and
+/// material and masks. In-process inference and
 /// [`PiSession::serve_one`] run it with one member; a coalescing serving
 /// layer with as many as it fused.
 ///
@@ -155,18 +155,15 @@ pub(crate) fn server_walk(
     mats: Vec<Vec<ServerMat>>,
     cfg: &PiConfig,
     backend: &dyn PiBackendImpl,
-    seeds: &[u64],
 ) -> Result<Vec<ShareVec>> {
     let k = eps.len();
-    if k == 0 || mats.len() != k || seeds.len() != k {
+    if k == 0 || mats.len() != k {
         return Err(PiError::BadConfig(format!(
-            "server walk over {k} channels, {} material sets, {} seeds",
-            mats.len(),
-            seeds.len()
+            "server walk over {k} channels, {} material sets",
+            mats.len()
         )));
     }
     let fp = cfg.fixed;
-    let mut prgs: Vec<Prg> = seeds.iter().map(|&s| Prg::from_u64(s ^ 0x5E2F_E27A)).collect();
     let mut curs = Vec::with_capacity(k);
     for ep in eps {
         curs.push(ShareVec::from_raw(ep.recv_u64s()?));
@@ -204,14 +201,14 @@ pub(crate) fn server_walk(
             (Step::Relu { n: _ }, StepData::None) => {
                 let materials =
                     step_mats(mats, |m| if let ServerMat::Nl(c) = m { Some(c) } else { None })?;
-                curs = backend.relu_online_server(eps, &curs, materials, cfg, &mut prgs)?;
+                curs = backend.relu_online_server(eps, &curs, materials, cfg)?;
             }
             (Step::MaxPool { c, h, w }, StepData::None) => {
                 let materials =
                     step_mats(mats, |m| if let ServerMat::Nl(c) = m { Some(c) } else { None })?;
                 let idx = pool_windows(*c, *h, *w);
                 let quads: Vec<ShareVec> = curs.iter().map(|cur| gather(cur, &idx)).collect();
-                curs = backend.maxpool_online_server(eps, &quads, materials, cfg, &mut prgs)?;
+                curs = backend.maxpool_online_server(eps, &quads, materials, cfg)?;
             }
             (Step::AvgPool { c, h, w, window, stride }, StepData::None) => {
                 step_mats(mats, |m| matches!(m, ServerMat::None).then_some(()))?;

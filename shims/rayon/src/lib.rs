@@ -12,9 +12,13 @@ pub mod prelude {
 }
 
 /// Number of worker threads to use (available parallelism, capped so
-/// short kernels don't drown in spawn overhead).
+/// short kernels don't drown in spawn overhead). Asked once, like
+/// rayon's global pool: the query reads cgroup files (~20 µs), which a
+/// per-layer parallel region would otherwise pay on every call.
 fn workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(16)
+    static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *WORKERS
+        .get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(16))
 }
 
 /// Mutable-slice chunking, mirroring `rayon::slice::ParallelSliceMut`.
