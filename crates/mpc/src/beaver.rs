@@ -2,9 +2,9 @@
 //! multiplication, the masked linear-layer protocol, boolean→arithmetic
 //! conversion and share truncation.
 
+use crate::bitvec::BitVec;
 use crate::dealer::{LinearCorrClient, LinearCorrServer, TripleShare};
 use crate::fixed::FixedPoint;
-use crate::gmw::BitShareVec;
 use crate::ring::RingMatrix;
 use crate::share::ShareVec;
 use crate::{MpcError, Result};
@@ -229,11 +229,11 @@ pub fn truncate_share(share: &ShareVec, is_client: bool, fp: FixedPoint) -> Shar
 pub fn b2a<C: Channel + ?Sized>(
     ep: &C,
     is_initiator: bool,
-    bits: &BitShareVec,
+    bits: &BitVec,
     triple: &TripleShare,
 ) -> Result<ShareVec> {
     let n = bits.len();
-    let mine: Vec<u64> = bits.0.iter().map(|&b| b as u64).collect();
+    let mine: Vec<u64> = (0..n).map(|i| bits.get(i) as u64).collect();
     // Degenerate sharings: initiator's bit is x = (mine, 0); peer's bit
     // is y = (0, theirs). Both parties call with the same convention.
     let x = if is_initiator {
@@ -415,9 +415,9 @@ mod tests {
         let b0: Vec<bool> = (0..n).map(|_| prg.next_bool()).collect();
         let b1: Vec<bool> = (0..n).map(|_| prg.next_bool()).collect();
         let (client, server, _) = channel_pair();
-        let b1c = b1.clone();
-        let t = std::thread::spawn(move || b2a(&server, false, &BitShareVec(b1c), &t1).unwrap());
-        let a0 = b2a(&client, true, &BitShareVec(b0.clone()), &t0).unwrap();
+        let packed1 = BitVec::from_bools(&b1);
+        let t = std::thread::spawn(move || b2a(&server, false, &packed1, &t1).unwrap());
+        let a0 = b2a(&client, true, &BitVec::from_bools(&b0), &t0).unwrap();
         let a1 = t.join().unwrap();
         let a = reconstruct(&a0, &a1);
         for i in 0..n {

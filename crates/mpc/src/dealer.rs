@@ -12,6 +12,8 @@
 //! and split into a client half and a server half **before** the two
 //! protocol threads start, so no hidden channel exists between parties.
 
+use crate::bitvec::BitVec;
+use crate::ot::BitTriples;
 use crate::prg::Prg;
 use crate::ring::RingMatrix;
 use crate::share::{share_secret, ShareVec};
@@ -44,11 +46,16 @@ pub struct DealtSeed {
 }
 
 const DEALT_MAGIC: u16 = 0xD517;
-/// Names the function `seed → material` as much as the byte layout:
-/// version 2 is the fixed-key AES gate hash (version 1 garbled under a
-/// ChaCha8 hash), so a peer on the other function is refused up front
-/// instead of expanding tables the evaluator cannot decode.
-const DEALT_VERSION: u8 = 2;
+/// Names the function `seed → material` as much as the byte layout, so
+/// a peer on another function is refused up front instead of expanding
+/// material the other side cannot use: version 3 draws bit triples as
+/// 64-bit words (version 2 spent a 32-bit word of keystream per bit, so
+/// every later draw of a Cheetah set sat elsewhere in the stream);
+/// version 2 moved the gate hash to fixed-key AES (version 1 garbled
+/// under a ChaCha8 hash). One version covers both backends: Delphi's
+/// expansion did not change at 3, but one byte for the whole function
+/// is simpler than one per backend.
+const DEALT_VERSION: u8 = 3;
 /// Fixed wire overhead of [`DealtSeed::encode`]: magic, version,
 /// reserved byte, seed, nonce, step count.
 const DEALT_HEADER_BYTES: usize = 2 + 1 + 1 + 8 + 8 + 2;
@@ -319,21 +326,18 @@ impl Dealer {
     /// whose online phase then only exchanges the GMW openings; the
     /// IKNP-generated alternative lives in [`crate::ot::gen_bit_triples`]
     /// and is benchmarked as an ablation).
-    pub fn bit_triples(&mut self, n: usize) -> (crate::ot::BitTriples, crate::ot::BitTriples) {
-        // Six bit vectors, bit-packed.
+    ///
+    /// Word-packed from the draw on: `a₀, a₁, b₀, b₁, c₀` are five runs
+    /// of `⌈n/64⌉` stream words with the tails masked, and
+    /// `c₁ = ((a₀⊕a₁) ∧ (b₀⊕b₁)) ⊕ c₀` is computed 64 triples at a time.
+    /// The expanded-bytes tally counts the six vectors bit-packed,
+    /// `⌈6n/8⌉`, not rounded up to words.
+    pub fn bit_triples(&mut self, n: usize) -> (BitTriples, BitTriples) {
         self.expanded += (6 * n).div_ceil(8) as u64;
-        let mut gen_bits =
-            |k: usize| -> Vec<bool> { (0..k).map(|_| self.prg.next_bool()).collect() };
-        let a0 = gen_bits(n);
-        let a1 = gen_bits(n);
-        let b0 = gen_bits(n);
-        let b1 = gen_bits(n);
-        let c0 = gen_bits(n);
-        let c1: Vec<bool> = (0..n).map(|i| ((a0[i] ^ a1[i]) & (b0[i] ^ b1[i])) ^ c0[i]).collect();
-        (
-            crate::ot::BitTriples { a: a0, b: b0, c: c0 },
-            crate::ot::BitTriples { a: a1, b: b1, c: c1 },
-        )
+        let mut draw = || BitVec::from_words(self.prg.next_u64s(n.div_ceil(64)), n);
+        let (a0, a1, b0, b1, c0) = (draw(), draw(), draw(), draw(), draw());
+        let c1 = a0.xor(&a1).and(&b0.xor(&b1)).xor(&c0);
+        (BitTriples::new(a0, b0, c0), BitTriples::new(a1, b1, c1))
     }
 }
 
@@ -441,6 +445,41 @@ mod tests {
         let other = DealtSeed { nonce: ds.nonce ^ 1, ..ds };
         let (c0, _) = Dealer::for_dealt(&other).beaver_triples(8);
         assert_ne!(a0.a.as_raw(), c0.a.as_raw(), "nonce must domain-separate expansion");
+    }
+
+    #[test]
+    fn bit_triples_are_word_packed_and_exact_for_ragged_lengths() {
+        for n in [0usize, 1, 63, 64, 65, 127, 128, 1000] {
+            let mut dealer = Dealer::new(6);
+            let (t0, t1) = dealer.bit_triples(n);
+            assert_eq!((t0.len(), t1.len()), (n, n));
+            let (a, b) = (t0.a.xor(&t1.a), t0.b.xor(&t1.b));
+            assert_eq!(t0.c.xor(&t1.c), a.and(&b), "c = a ∧ b at n = {n}");
+            // The tally counts packed bits, never whole words.
+            assert_eq!(dealer.expanded_bytes(), (6 * n).div_ceil(8) as u64);
+            // Stream bits above n were masked off: a dirty tail word
+            // would differ from the same bits repacked.
+            for v in [&t0.a, &t0.b, &t0.c, &t1.a, &t1.b, &t1.c] {
+                assert_eq!(v, &BitVec::from_bools(&v.to_bools()), "tail bits at n = {n}");
+            }
+            // Deterministic in the seed, fresh across seeds.
+            assert_eq!(Dealer::new(6).bit_triples(n), (t0.clone(), t1));
+            if n >= 64 {
+                assert_ne!(Dealer::new(7).bit_triples(n).0, t0);
+            }
+        }
+    }
+
+    #[test]
+    fn bit_triples_cost_five_word_runs_of_keystream() {
+        // The v3 draw: 5·⌈n/64⌉ words, so whatever a set draws next
+        // sits exactly that far down the stream.
+        let n = 130;
+        let mut dealer = Dealer::new(8);
+        dealer.bit_triples(n);
+        let mut reference = Dealer::new(8);
+        reference.prg.next_u64s(5 * n.div_ceil(64));
+        assert_eq!(dealer.prg.next_u64(), reference.prg.next_u64());
     }
 
     #[test]

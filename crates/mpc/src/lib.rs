@@ -11,8 +11,9 @@
 //! | [`prg`] | ChaCha12 pseudorandom generator / PRF, and the fixed-key AES gate hash of the garbling kernel |
 //! | [`share`] | additive secret sharing over `Z_2^64` |
 //! | [`dealer`] | trusted-dealer correlated randomness (Beaver triples, base-OT seeds) — stands in for the HE offline phases, see DESIGN.md §3 |
-//! | [`ot`] | IKNP OT extension: random OTs, chosen-message OTs, bit triples |
-//! | [`gmw`] | boolean sharing, batched AND, log-depth comparison, DReLU |
+//! | [`bitvec`] | word-packed bit vectors: the one representation of shares, bit triples and opened frames in the boolean stack, and its wire codec |
+//! | [`ot`] | IKNP OT extension: random OTs, chosen-message OTs, word-packed bit-triple pools |
+//! | [`gmw`] | boolean sharing, batched AND, bit-sliced log-depth comparison, DReLU — 64 ANDs per word operation |
 //! | [`beaver`] | arithmetic multiplication / matmul with triples + truncation |
 //! | [`gc`] | Yao garbled circuits: free-XOR, point-and-permute, half-gates ANDs, lock-step evaluation |
 //! | [`gcpre`] | offline-garbled masked non-linearities: input-independent garbling in the offline phase, a one-round-trip label exchange online |
@@ -45,6 +46,7 @@
 
 mod aes;
 pub mod beaver;
+pub mod bitvec;
 pub mod dealer;
 pub mod error;
 pub mod fixed;

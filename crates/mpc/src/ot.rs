@@ -1,5 +1,6 @@
 //! IKNP oblivious-transfer extension (semi-honest), plus the bit-triple
-//! generator built on top of it.
+//! generator built on top of it and the word-packed [`BitTriples`] pool
+//! both it and [`crate::dealer::Dealer::bit_triples`] fill.
 //!
 //! The 128 base OTs come from the [`crate::dealer`] (DESIGN.md §3 — no
 //! elliptic-curve crate exists offline); everything from there on is the
@@ -16,6 +17,7 @@
 //! one-base-OT-set-per-batch pattern — base OTs are the expensive,
 //! amortised setup; extensions are the cheap repeatable part.
 
+use crate::bitvec::BitVec;
 use crate::dealer::{BaseOtReceiver, BaseOtSender};
 use crate::prg::{prf128, Prg};
 use crate::{MpcError, Result};
@@ -38,20 +40,6 @@ fn expand_bits(seed: &[u8; 32], tweak: u64, n: usize) -> Vec<bool> {
         }
     }
     out
-}
-
-fn pack_bits(bits: &[bool]) -> Vec<u8> {
-    let mut out = vec![0u8; bits.len().div_ceil(8)];
-    for (i, &b) in bits.iter().enumerate() {
-        if b {
-            out[i / 8] |= 1 << (i % 8);
-        }
-    }
-    out
-}
-
-fn unpack_bits(bytes: &[u8], n: usize) -> Vec<bool> {
-    (0..n).map(|i| (bytes[i / 8] >> (i % 8)) & 1 == 1).collect()
 }
 
 /// Runs the receiver side of an IKNP extension for `choices.len()`
@@ -97,7 +85,7 @@ fn ot_receive_tweaked<C: Channel + ?Sized>(
             .zip(choices.iter())
             .map(|((&ti, &gi), &ri)| ti ^ gi ^ ri)
             .collect();
-        u_frame.extend_from_slice(&pack_bits(&u));
+        u_frame.extend_from_slice(&BitVec::from_bools(&u).to_bytes());
         t_rows.push(t);
     }
     ep.send_bytes(&u_frame)?;
@@ -175,9 +163,9 @@ fn ot_send_tweaked<C: Channel + ?Sized>(
             s_word |= 1u128 << i;
         }
         let g = expand_bits(&base.seeds[i], tweak, m);
-        let u = unpack_bits(&u_frame[i * row_bytes..(i + 1) * row_bytes], m);
+        let u = BitVec::from_bytes(&u_frame[i * row_bytes..(i + 1) * row_bytes], m)?;
         for j in 0..m {
-            let qij = g[j] ^ (base.choices[i] & u[j]);
+            let qij = g[j] ^ (base.choices[i] & u.get(j));
             if qij {
                 q_cols[j] |= 1u128 << i;
             }
@@ -281,50 +269,56 @@ impl OtExtReceiver {
     }
 }
 
-/// One party's share of a batch of boolean AND (bit Beaver) triples:
-/// `a ⊕ a'`, `b ⊕ b'`, `c ⊕ c'` with `c = a·b` across parties.
+/// One party's share of a pool of boolean AND (bit Beaver) triples:
+/// `a ⊕ a'`, `b ⊕ b'`, `c ⊕ c'` with `c = a·b` across parties. Three
+/// word-packed vectors and a cursor: [`BitTriples::take`] copies the
+/// next `n` out at whatever bit offset the cursor stands and advances
+/// it, so consumption is exact to the bit and never moves the rest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitTriples {
-    /// Share of the `a` bits.
-    pub a: Vec<bool>,
-    /// Share of the `b` bits.
-    pub b: Vec<bool>,
-    /// Share of the `c = a∧b` bits.
-    pub c: Vec<bool>,
+    pub(crate) a: BitVec,
+    pub(crate) b: BitVec,
+    pub(crate) c: BitVec,
+    taken: usize,
 }
 
 impl BitTriples {
-    /// Number of triples.
+    /// Wraps three equally long share vectors as an untouched pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the lengths differ.
+    pub(crate) fn new(a: BitVec, b: BitVec, c: BitVec) -> Self {
+        assert!(a.len() == b.len() && b.len() == c.len(), "bit-triple share lengths differ");
+        BitTriples { a, b, c, taken: 0 }
+    }
+
+    /// Number of triples not yet taken.
     pub fn len(&self) -> usize {
-        self.a.len()
+        self.a.len() - self.taken
     }
 
-    /// Whether the batch is empty.
+    /// Whether no triple is left.
     pub fn is_empty(&self) -> bool {
-        self.a.is_empty()
+        self.len() == 0
     }
 
-    /// Splits off the first `n` triples.
+    /// Takes the next `n` triples out of the pool.
     ///
     /// # Errors
     ///
-    /// Returns a dealer error when fewer than `n` remain.
+    /// Returns a dealer error when fewer than `n` remain; the pool is
+    /// left as it was.
     pub fn take(&mut self, n: usize) -> Result<BitTriples> {
-        if self.a.len() < n {
+        if self.len() < n {
             return Err(MpcError::Dealer(format!(
                 "bit-triple pool exhausted: need {n}, have {}",
-                self.a.len()
+                self.len()
             )));
         }
-        let rest_a = self.a.split_off(n);
-        let rest_b = self.b.split_off(n);
-        let rest_c = self.c.split_off(n);
-        let taken = BitTriples {
-            a: std::mem::replace(&mut self.a, rest_a),
-            b: std::mem::replace(&mut self.b, rest_b),
-            c: std::mem::replace(&mut self.c, rest_c),
-        };
-        Ok(taken)
+        let at = self.taken;
+        self.taken += n;
+        Ok(BitTriples::new(self.a.slice(at, n), self.b.slice(at, n), self.c.slice(at, n)))
     }
 }
 
@@ -367,7 +361,7 @@ pub fn gen_bit_triples<C: Channel + ?Sized>(
     //          ⊕ received bit (peer's pad ⊕ peer_a·my_b).
     let c: Vec<bool> =
         (0..n).map(|i| (a[i] & b[i]) ^ r_pad[i] ^ ((received[i] & 1) == 1)).collect();
-    Ok(BitTriples { a, b, c })
+    Ok(BitTriples::new(BitVec::from_bools(&a), BitVec::from_bools(&b), BitVec::from_bools(&c)))
 }
 
 #[cfg(test)]
@@ -379,12 +373,6 @@ mod tests {
     /// One extension round's inputs: the sender's pairs and the
     /// receiver's choices.
     type Round = (Vec<(u128, u128)>, Vec<bool>);
-
-    #[test]
-    fn pack_unpack_round_trip() {
-        let bits = vec![true, false, true, true, false, false, false, true, true, false];
-        assert_eq!(unpack_bits(&pack_bits(&bits), bits.len()), bits);
-    }
 
     #[test]
     fn expand_bits_is_deterministic_and_tweak_separated() {
@@ -543,26 +531,67 @@ mod tests {
         let mut prg = Prg::from_u64(200);
         let mine = gen_bit_triples(&client, true, &c_snd, &c_rcv, n, &mut prg).unwrap();
         let theirs = t.join().unwrap();
-        let mut and_holds = 0usize;
-        for i in 0..n {
-            let a = mine.a[i] ^ theirs.a[i];
-            let b = mine.b[i] ^ theirs.b[i];
-            let c = mine.c[i] ^ theirs.c[i];
-            assert_eq!(c, a & b, "triple {i}");
-            and_holds += 1;
-        }
-        assert_eq!(and_holds, n);
+        assert_eq!((mine.len(), theirs.len()), (n, n));
+        let a = mine.a.xor(&theirs.a);
+        let b = mine.b.xor(&theirs.b);
+        assert_eq!(mine.c.xor(&theirs.c), a.and(&b));
         // Shares look random: both parties have a mix of 0s and 1s.
-        assert!(mine.a.iter().any(|&x| x) && mine.a.iter().any(|&x| !x));
+        let ones = mine.a.to_bools().iter().filter(|&&x| x).count();
+        assert!(0 < ones && ones < n);
     }
 
     #[test]
-    fn bit_triple_pool_take() {
-        let mut t = BitTriples { a: vec![true; 10], b: vec![false; 10], c: vec![true; 10] };
-        let first = t.take(4).unwrap();
-        assert_eq!(first.len(), 4);
-        assert_eq!(t.len(), 6);
-        assert!(t.take(7).is_err());
+    fn bit_triple_pool_takes_by_cursor_at_any_bit_offset() {
+        let mut prg = Prg::from_u64(3);
+        let n = 300;
+        let bits = |prg: &mut Prg| -> Vec<bool> { (0..n).map(|_| prg.next_bool()).collect() };
+        let (a, b, c) = (bits(&mut prg), bits(&mut prg), bits(&mut prg));
+        let pack = BitVec::from_bools;
+        let mut pool = BitTriples::new(pack(&a), pack(&b), pack(&c));
+        // Ragged takes: the second starts at bit 70, the third at 133.
+        let mut at = 0;
+        for take in [70, 63, 0, 130] {
+            let t = pool.take(take).unwrap();
+            assert_eq!(t.len(), take);
+            assert_eq!(t.a.to_bools(), a[at..at + take]);
+            assert_eq!(t.b.to_bools(), b[at..at + take]);
+            assert_eq!(t.c.to_bools(), c[at..at + take]);
+            at += take;
+            assert_eq!(pool.len(), n - at);
+        }
+        // Exhaustion is the typed dealer error and takes nothing.
+        let before = pool.clone();
+        assert!(matches!(pool.take(38), Err(MpcError::Dealer(_))));
+        assert_eq!(pool, before);
+        assert_eq!(pool.take(37).unwrap().len(), 37);
+        assert!(pool.is_empty());
+    }
+
+    #[test]
+    fn ot_send_rejects_a_malformed_u_matrix() {
+        // Five OTs: each of the 128 rows is one byte, three padding bits.
+        let pairs = [(0u128, 1u128); 5];
+        let honest = vec![0u8; KAPPA];
+        let mut dirty_row = honest.clone();
+        dirty_row[77] = 0b0010_0000;
+        let malformed: [(&str, Vec<u8>); 3] = [
+            ("short", honest[..KAPPA - 1].to_vec()),
+            ("over-long", [honest.clone(), vec![0]].concat()),
+            ("dirty padding in row 77", dirty_row),
+        ];
+        for (what, u_frame) in malformed {
+            let (snd, _) = Dealer::new(24).base_ots(KAPPA);
+            let (client, server, counter) = channel_pair();
+            client.send_bytes(&u_frame).unwrap();
+            let r = ot_send(&server, &snd, &pairs);
+            assert!(matches!(r, Err(MpcError::Protocol(_))), "{what}: {r:?}");
+            assert_eq!(counter.snapshot().bytes_server_to_client, 0, "{what}: no pads sent");
+        }
+        // The honest all-zero matrix of the same shape goes through.
+        let (snd, _) = Dealer::new(24).base_ots(KAPPA);
+        let (client, server, _) = channel_pair();
+        client.send_bytes(&honest).unwrap();
+        ot_send(&server, &snd, &pairs).unwrap();
     }
 
     #[test]

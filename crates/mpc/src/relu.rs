@@ -12,6 +12,7 @@
 //!   building block of secure max pooling.
 
 use crate::beaver::{b2a, mul_elementwise};
+use crate::bitvec::BitVec;
 use crate::dealer::{BaseOtReceiver, BaseOtSender, TripleShare};
 use crate::gc::{
     evaluate, from_bits, garble, maxpool4_masked_circuit, relu_masked_circuit, to_bits, Circuit,
@@ -70,13 +71,7 @@ pub fn gc_exec_garbler<C: Channel + ?Sized>(
         labels.push((*l >> 64) as u64);
     }
     ep.send_u64s(&labels)?;
-    let mut decode = vec![0u8; garbled.output_decode.len().div_ceil(8)];
-    for (i, &b) in garbled.output_decode.iter().enumerate() {
-        if b {
-            decode[i / 8] |= 1 << (i % 8);
-        }
-    }
-    ep.send_bytes(&decode)?;
+    ep.send_bytes(&BitVec::from_bools(&garbled.output_decode).to_bytes())?;
     // Transfer the evaluator's input labels by OT.
     ot_send(ep, base, &garbled.evaluator_label_pairs)?;
     Ok(())
@@ -143,9 +138,7 @@ pub fn gc_exec_evaluator<C: Channel + ?Sized>(
     }
     let garbler_labels: Vec<u128> =
         label_words.chunks(2).map(|c| (c[0] as u128) | ((c[1] as u128) << 64)).collect();
-    let decode_raw = ep.recv_bytes()?;
-    let decode: Vec<bool> =
-        (0..circuit.output_count()).map(|i| (decode_raw[i / 8] >> (i % 8)) & 1 == 1).collect();
+    let decode = BitVec::from_bytes(&ep.recv_bytes()?, circuit.output_count())?.to_bools();
     let my_labels = ot_receive(ep, base, choices)?;
     evaluate(circuit, &tables, &garbler_labels, &my_labels, &decode)
 }
@@ -336,6 +329,30 @@ mod tests {
         // Doubling the batch roughly doubles traffic.
         let ratio = sizes[1] as f64 / sizes[0] as f64;
         assert!((1.7..2.3).contains(&ratio), "ratio {ratio}");
+    }
+
+    #[test]
+    fn gc_evaluator_rejects_a_non_canonical_decode_frame() {
+        // A 5-bit ReLU: five output wires, so the decode frame is one
+        // byte with three padding bits. Tables and labels arrive at
+        // their honest sizes; only the decode frame is malformed.
+        let circuit = relu_masked_circuit(1, 5);
+        assert_eq!(circuit.output_count(), 5);
+        let (_, rcv_base) = Dealer::new(64).base_ots(KAPPA);
+        let malformed: [(&str, &[u8]); 4] = [
+            ("short", &[]),
+            ("over-long", &[0, 0]),
+            ("dirty padding", &[0b0010_0000]),
+            ("a whole ring element", &[0; 8]),
+        ];
+        for (what, frame) in malformed {
+            let (client, server, _) = channel_pair();
+            server.send_u64s(&vec![0; circuit.and_count() * 4]).unwrap();
+            server.send_u64s(&vec![0; circuit.garbler_input_count() * 2]).unwrap();
+            server.send_bytes(frame).unwrap();
+            let r = gc_exec_evaluator(&client, &circuit, &[false; 5], &rcv_base);
+            assert!(matches!(r, Err(MpcError::Protocol(_))), "{what} decode frame: {r:?}");
+        }
     }
 
     fn triple_pools(n: usize, seed: u64) -> (BitTriples, BitTriples) {

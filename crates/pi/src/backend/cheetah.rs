@@ -2,7 +2,9 @@
 //! comparison-based non-linearities consuming silent bit/Beaver triples,
 //! with an online phase two orders of magnitude leaner than garbled
 //! circuits; lean lattice offline modelled by
-//! [`OfflineCostModel::cheetah`].
+//! [`OfflineCostModel::cheetah`]. The bit triples are word-packed from
+//! the dealer's draw to the wire (`c2pi_mpc::bitvec`), 187 per compared
+//! element, and the comparison runs bit-sliced on them (DESIGN.md §12).
 
 use super::{check_batch_arity, downcast_material, split_quads, NlMaterial, PiBackendImpl};
 use crate::cost::OfflineCostModel;
@@ -15,8 +17,9 @@ use c2pi_mpc::relu::{drelu_bit_triples, max_interactive, relu_interactive};
 use c2pi_mpc::share::ShareVec;
 use c2pi_transport::Channel;
 
-/// One comparison stage's correlations: DReLU bit triples plus the two
-/// Beaver triple sets the multiplexer consumes.
+/// One comparison stage's correlations: the word-packed DReLU
+/// bit-triple pool plus the two Beaver triple sets the multiplexer
+/// consumes.
 type Stage = (BitTriples, TripleShare, TripleShare);
 
 /// Offline material for one comparison-based non-linear layer (one

@@ -861,20 +861,25 @@ mod tests {
     }
 
     #[test]
-    fn a_frame_from_the_previous_gate_hash_is_refused_not_expanded() {
-        // A version-1 peer garbled under a different hash; expanding its
-        // seed would produce tables this side cannot decode. The frame
-        // is otherwise exactly what this deployment would have dealt.
+    fn a_frame_from_an_earlier_dealt_function_is_refused_not_expanded() {
+        // A version-2 peer drew its bit triples a keystream word per
+        // bit, a version-1 peer garbled under a different hash; expanding
+        // either's seed here would produce material the other side cannot
+        // use. The frame is otherwise exactly what this deployment would
+        // have dealt.
         let core = tiny_core();
-        let mut frame = core.dealt_seed(7).encode();
+        let frame = core.dealt_seed(7).encode();
         assert!(core.expand_dealt(&frame).is_ok());
-        assert_eq!(frame[2], 2, "DealtSeed version byte");
-        frame[2] = 1;
-        match core.expand_dealt(&frame) {
-            Err(PiError::Mpc(c2pi_mpc::MpcError::Protocol(why))) => {
-                assert_eq!(why, "dealt seed: unsupported version")
-            }
-            other => panic!("expected a typed version error, got {:?}", other.map(|m| m.seed)),
+        assert_eq!(frame[2], 3, "DealtSeed version byte");
+        for earlier in [1, 2] {
+            let mut old = frame.clone();
+            old[2] = earlier;
+            let err = core.expand_dealt(&old).map(|m| m.seed).unwrap_err();
+            assert!(
+                matches!(&err, PiError::Mpc(c2pi_mpc::MpcError::Protocol(why))
+                    if why == "dealt seed: unsupported version"),
+                "v{earlier}: {err:?}"
+            );
         }
     }
 

@@ -626,6 +626,29 @@ mod tests {
     }
 
     #[test]
+    fn a_v2_dealt_frame_is_refused_at_request_one_before_any_dealing() {
+        // What a peer still on `DealtSeed` v2 would send first: this
+        // deployment's own frame with the older version byte. The client
+        // must stop there — typed error, nothing expanded, nothing sent.
+        use c2pi_transport::channel_pair;
+        let seq = tiny_prefix();
+        let client = PiSession::new(&specs_of(&seq), [1, 8, 8], PiConfig::default()).unwrap();
+        let mut frame = client.core().dealt_seed(7).encode();
+        frame[2] = 2;
+        let (cch, sch, counter) = channel_pair();
+        sch.send_bytes(&frame).unwrap();
+        let err =
+            client.request_one(&cch, &Tensor::zeros(&[1, 1, 8, 8])).map(|o| o.dims).unwrap_err();
+        assert!(
+            matches!(&err, PiError::Mpc(c2pi_mpc::MpcError::Protocol(why))
+                if why == "dealt seed: unsupported version"),
+            "{err:?}"
+        );
+        assert_eq!(client.ledger().generated_inline, 0);
+        assert_eq!(counter.snapshot().bytes_client_to_server, 0);
+    }
+
+    #[test]
     fn shared_handle_serves_concurrent_inferences_from_one_pool() {
         let seq = tiny_prefix();
         let cfg = PiConfig::default();

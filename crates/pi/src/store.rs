@@ -11,10 +11,12 @@
 //! server serves bit-identical results without re-preprocessing.
 //!
 //! Because the log holds seeds and never tables, a change to how a seed
-//! *expands* (the garbling hash, say) does not touch this format:
-//! `VERSION` below moves only when the header or record layout does.
-//! Peers that would expand differently are told apart on the wire, by
-//! the `DealtSeed` version byte.
+//! *expands* (the garbling hash at `DealtSeed` v2, the word-wise
+//! bit-triple draw at v3) does not touch this format: `VERSION` below
+//! moves only when the header or record layout does. A store written
+//! before such a change warm-boots by re-expanding its pending seeds
+//! under the new function — there is nothing to migrate. Peers that would expand differently are told apart on the
+//! wire, by the `DealtSeed` version byte.
 //!
 //! ## On-disk format (all integers little-endian)
 //!

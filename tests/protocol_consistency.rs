@@ -298,6 +298,11 @@ fn serving_transcripts_match_their_goldens_at_every_entry_point() {
     // default dealer seed, fixed inputs, fresh session per entry point
     // (each consumes the first sets of the same seed stream). The
     // dealt entry points count the `DealtSeed` frame; `infer` has none.
+    // The share folds also pin the dealt function `seed → material`
+    // (`DealtSeed` v3: a multiplication's output shares are a function
+    // of its Beaver triple, and where that triple sits in the stream
+    // depends on how much keystream the bit triples before it drew);
+    // bytes and flights are protocol facts and survive any re-draw.
     use c2pi_suite::pi::PiSession;
     use c2pi_suite::transport::channel_pair;
 
@@ -317,10 +322,10 @@ fn serving_transcripts_match_their_goldens_at_every_entry_point() {
         (
             PiBackend::Cheetah,
             [
-                (0x5361_d520_eadc_a19a, 31_580, 26_460, 72),
-                (0x5361_d520_eadc_a19a, 31_580, 26_497, 73),
-                (0x5361_d520_eadc_a19a, 31_580, 26_497, 73),
-                (0xd51c_d554_60f8_7809, 31_580, 26_497, 73),
+                (0x47a6_e7a5_7fd1_fcb5, 31_580, 26_460, 72),
+                (0x47a6_e7a5_7fd1_fcb5, 31_580, 26_497, 73),
+                (0x47a6_e7a5_7fd1_fcb5, 31_580, 26_497, 73),
+                (0x9890_722c_e79a_dc06, 31_580, 26_497, 73),
             ],
         ),
         (
