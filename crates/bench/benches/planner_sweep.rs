@@ -1,8 +1,8 @@
 //! Deployment-planner cost sweep: how long it takes to *plan* (not
 //! serve) — compile, measure and rank candidate boundaries × network
 //! models for one backend. Planning is an offline, per-deployment
-//! operation; this row in `BENCH_results.json` tracks that the planner
-//! stays cheap enough to run on every model/defense revision.
+//! operation; this row shows whether the planner stays cheap enough to
+//! run on every model/defense revision.
 
 use c2pi_core::planner::{DeploymentPlanner, PlannerConfig};
 use c2pi_data::synth::{SynthConfig, SynthDataset};

@@ -1,380 +1,211 @@
-//! Bench regression guard: compares benchmark rows' `mean_ns` between a
-//! baseline `BENCH_results.json` and a freshly generated one, failing
-//! (exit 1) when any guarded row regresses past its allowed factor.
+//! Judges a change against its parent from alternated pairs of
+//! `c2pi_benchmark` runs; the last step of `ci/bench_pairs.sh`.
 //!
-//! The rules live in a committed JSON file — one rule per line, e.g.
-//! `ci/bench_guard_rules.json`:
-//!
-//! ```text
-//! { "rules": [
-//!   { "id": "session_phases/online/delphi", "direction": "lower_is_better", "max_ratio": 1.25 },
-//!   { "id": "gc_table_bytes/relu_item",     "direction": "lower_is_better", "max_ratio": 1.0 }
-//! ] }
-//! ```
-//!
-//! ```text
-//! bench_guard <baseline.json> <new.json> <rules.json>
-//! bench_guard <baseline.json> <new.json> <row-id> <max-ratio>   # ad-hoc single rule
-//! ```
-//!
-//! `direction` is `lower_is_better` (latency-like: fail when
-//! `new/old > max_ratio`) or `higher_is_better` (throughput-like: fail
-//! when `old/new > max_ratio`). `max_ratio: 1.0` pins a metric exactly
-//! (any increase of a lower-is-better value fails) — used for
-//! deterministic size metrics like `gc_table_bytes`.
-//!
-//! A rule may also carry `"min_value": N` — an **absolute floor** on
-//! the row's fresh `mean_ns`, checked even when the baseline has no
-//! row. Ratio rules can only express "no worse than last time"; a
-//! floor expresses an invariant like "the batched/unbatched speedup
-//! row (×1000) must stay ≥ 1000", which no baseline ratio can pin.
-//! Symmetrically, `"max_value": N` is an **absolute ceiling** on the
-//! fresh value — e.g. "the epoll 4096-vs-64 wake-latency ratio (×1000)
-//! must stay ≤ 2000", the O(ready) invariant of the event-driven
-//! poller. Floors and ceilings are never loosened by
-//! `BENCH_GUARD_SCALE`.
-//!
-//! A row missing from the *baseline* passes (first run of a new bench);
-//! a row missing from the *new* file fails (the bench silently
-//! disappeared). `BENCH_GUARD_SCALE` multiplies every `max_ratio` of
-//! rules with a limit above 1.0 (loosening knob for noisy machines; the
-//! exact `1.0` pins are never scaled). The bench files are the
-//! `bench_summary` output: flat JSON with one
-//! `{"id": ..., "mean_ns": N, ...}` row per line, which is all the
-//! parser relies on.
+//! `bench_guard <BENCHMARK.json> <runs-dir> [<metric>@<workload>]`, where
+//! `<runs-dir>` holds `{parent,change}/<workload>.<i>.json`, i = 1, 2, …:
+//! each the last stdout line of one `--trace 0` run, pair i being the two
+//! files numbered i. Workloads, metrics, directions and bounds come from
+//! `BENCHMARK.json` and nowhere else. Prints one row per (workload,
+//! metric) — each side's median [q1–q3], the pairs the change won, the
+//! verdict of [`judge`] — and exits non-zero on a regressed cell, a run
+//! that is not `correct` or lacks a metric, a larger `failed ÷ attempted`
+//! on the change side, unequal run counts, or when the cell the third
+//! argument names (an issue's claim) is not improved.
 
-#[derive(Debug, Clone, PartialEq)]
-struct Rule {
-    id: String,
-    lower_is_better: bool,
-    max_ratio: f64,
-    /// Absolute floor on the fresh `mean_ns`, independent of any
-    /// baseline — for rows that are really invariants (e.g. speedup
-    /// ratios ×1000 that must stay ≥ 1000). Never scaled.
-    min_value: Option<f64>,
-    /// Absolute ceiling on the fresh `mean_ns`, the floor's mirror —
-    /// for invariants like "epoll wake scaling stays ≤ 2×". Never
-    /// scaled.
-    max_value: Option<f64>,
+/// One side's result lines for one workload, in pair order.
+type Runs<'a> = &'a dyn Fn(&str, &str) -> Vec<String>;
+
+/// The scalar after `"key": ` in `text` (of a metric, its `value`).
+fn field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
+    let rest = text.split_once(&format!("\"{key}\": "))?.1;
+    let rest = rest.strip_prefix("{\"value\": ").unwrap_or(rest);
+    Some(rest[..rest.find([',', '}'])?].trim_matches('"'))
 }
 
-fn mean_ns_for(content: &str, id: &str) -> Option<f64> {
-    let needle = format!("\"id\": \"{id}\"");
-    for line in content.lines() {
-        if !line.contains(&needle) {
-            continue;
-        }
-        let rest = line.split("\"mean_ns\":").nth(1)?;
-        let num: String =
-            rest.trim_start().chars().take_while(|c| c.is_ascii_digit() || *c == '.').collect();
-        return num.parse().ok();
+fn number(text: &str, key: &str) -> Result<f64, String> {
+    field(text, key).and_then(|v| v.parse().ok()).ok_or(format!("no number {key} in {text}"))
+}
+
+fn column(runs: &[String], key: &str) -> Result<Vec<f64>, String> {
+    runs.iter().map(|run| number(run, key)).collect()
+}
+
+/// The one-line `{"name": …}` entries of `BENCHMARK.json`'s array `key`.
+fn entries<'a>(contract: &'a str, key: &str) -> Vec<&'a str> {
+    let array = contract.split_once(&format!("\"{key}\": [")).and_then(|(_, s)| s.split_once(']'));
+    array.map_or(Vec::new(), |(body, _)| body.lines().filter(|l| l.contains("\"name\"")).collect())
+}
+
+/// `[q1, median, q3]` by the exclusive method (`benchmark/src/stats.rs`,
+/// Python's `statistics.quantiles(v, n=4)`); a single run is all three.
+fn quartiles(values: &[f64]) -> [f64; 3] {
+    let mut v = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    [1.0, 2.0, 3.0].map(|k| {
+        let pos = k * (n + 1) as f64 / 4.0;
+        let j = (pos as usize).clamp(1, n.max(2) - 1);
+        v[j - 1] + (v[j.min(n - 1)] - v[j - 1]) * (pos - j as f64)
+    })
+}
+
+/// One cell's `parent | change | wins` columns (a tie wins a pair for
+/// neither side) and its verdict. **regressed**: the change's median is
+/// worse than the parent's by more than `bound` × that median.
+/// **improved**: the change wins ≥ 9/10 of the pairs and the medians
+/// differ by more than the parent's inter-quartile distance.
+/// **unresolved**: neither, the parent's spread (that distance ÷ its
+/// median; `max ÷ min − 1` under four runs, as `--repeat`) exceeds
+/// `bound`, and some change run does not beat some parent run. Else
+/// **unchanged**.
+fn judge(lower: bool, bound: f64, parent: &[f64], change: &[f64]) -> (String, &'static str) {
+    // Signed so that a positive gain is an improvement, lower being better or not.
+    let gain = |from: f64, to: f64| if lower { from - to } else { to - from };
+    let (p, c) = (quartiles(parent), quartiles(change));
+    let wins = parent.iter().zip(change).filter(|(&a, &b)| gain(a, b) > 0.0).count();
+    let extreme = |pick: fn(f64, f64) -> f64| parent.iter().copied().reduce(pick).unwrap_or(0.0);
+    let (iqr, range) = (p[2] - p[0], extreme(f64::max) / extreme(f64::min) - 1.0);
+    let spread = if parent.len() >= 4 { iqr / p[1].abs() } else { range };
+    let all_better = parent.iter().all(|&a| change.iter().all(|&b| gain(a, b) > 0.0));
+    let verdict = match gain(p[1], c[1]) {
+        g if -g > bound * p[1].abs() => "regressed",
+        g if wins * 10 >= parent.len() * 9 && g > iqr => "improved",
+        _ if spread > bound && !all_better => "unresolved",
+        _ => "unchanged",
+    };
+    // Four significant digits, large counts in full; quartiles where the runs differ.
+    let d = 3usize.saturating_sub(p[1].abs().max(1.0).log10() as usize);
+    let show = |q: [f64; 3]| match q[0] == q[2] {
+        true => format!("{:.d$}", q[1]),
+        false => format!("{:.d$} [{:.d$}–{:.d$}]", q[1], q[0], q[2]),
+    };
+    (format!("{} | {} | {wins}/{}", show(p), show(c), parent.len()), verdict)
+}
+
+/// One side's `failed ÷ attempted` over its runs, every one `correct`.
+fn failed_share(runs: &[String]) -> Result<f64, String> {
+    if let Some(run) = runs.iter().find(|run| field(run, "correct") != Some("true")) {
+        return Err(format!("a run is not correct: {run}"));
     }
-    None
+    Ok(column(runs, "failed")?.iter().sum::<f64>() / column(runs, "attempted")?.iter().sum::<f64>())
 }
 
-fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let rest = line.split(&format!("\"{key}\"")).nth(1)?;
-    let rest = rest.split('"').nth(1)?;
-    Some(rest.to_string())
-}
-
-fn json_num_field(line: &str, key: &str) -> Option<f64> {
-    let rest = line.split(&format!("\"{key}\"")).nth(1)?;
-    let rest = rest.split(':').nth(1)?;
-    let num: String =
-        rest.trim_start().chars().take_while(|c| c.is_ascii_digit() || *c == '.').collect();
-    num.parse().ok()
-}
-
-/// Parses the rules file: every line mentioning an `"id"` is one rule.
-fn parse_rules(content: &str) -> Result<Vec<Rule>, String> {
-    let mut rules = Vec::new();
-    for (n, line) in content.lines().enumerate() {
-        if !line.contains("\"id\"") {
-            continue;
+/// The verdict table when nothing fails; otherwise as much of it as could
+/// be judged, then every `FAIL` line. A workload without runs was not run.
+fn guard(contract: &str, runs: Runs, claim: Option<&str>) -> Result<String, String> {
+    let mut out = "| workload (pairs) | metric | parent | change | wins | verdict |\n".to_string();
+    out += "|---|---|---|---|---|---|\n";
+    let (mut fails, mut unmet, metrics) = (String::new(), claim, entries(contract, "end_to_end"));
+    for w in entries(contract, "workloads").iter().filter_map(|entry| field(entry, "name")) {
+        let (parent, change) = (runs("parent", w), runs("change", w));
+        let n = parent.len();
+        if n != change.len() {
+            return Err(format!("{w}: {n} parent runs, {} change runs", change.len()));
+        } else if failed_share(&change)? > failed_share(&parent)? {
+            fails += &format!("FAIL: {w}: a larger share of operations failed on the change\n");
         }
-        let id = json_str_field(line, "id")
-            .ok_or_else(|| format!("rules line {}: unreadable \"id\"", n + 1))?;
-        let direction = json_str_field(line, "direction")
-            .ok_or_else(|| format!("rule {id}: missing \"direction\""))?;
-        let lower_is_better = match direction.as_str() {
-            "lower_is_better" => true,
-            "higher_is_better" => false,
-            other => return Err(format!("rule {id}: unknown direction {other:?}")),
-        };
-        let max_ratio = json_num_field(line, "max_ratio")
-            .ok_or_else(|| format!("rule {id}: missing \"max_ratio\""))?;
-        if max_ratio < 1.0 {
-            return Err(format!("rule {id}: max_ratio {max_ratio} is below 1.0"));
-        }
-        let bound = |key: &str| -> Result<Option<f64>, String> {
-            if !line.contains(&format!("\"{key}\"")) {
-                return Ok(None);
+        for entry in metrics.iter().filter(|_| n > 0) {
+            let name = field(entry, "name").unwrap_or_default();
+            let (lower, bound) = (field(entry, "better") == Some("lower"), number(entry, "bound")?);
+            let (p, c) = (column(&parent, name)?, column(&change, name)?);
+            let (columns, verdict) = judge(lower, bound, &p, &c);
+            out += &format!("| {w} ({n}) | `{name}` | {columns} | {verdict} |\n");
+            if verdict == "regressed" {
+                fails += &format!("FAIL: {name}@{w} regressed\n");
             }
-            json_num_field(line, key)
-                .map(Some)
-                .ok_or_else(|| format!("rule {id}: unreadable \"{key}\""))
-        };
-        let min_value = bound("min_value")?;
-        let max_value = bound("max_value")?;
-        if let (Some(floor), Some(ceiling)) = (min_value, max_value) {
-            if floor > ceiling {
-                return Err(format!("rule {id}: min_value {floor} exceeds max_value {ceiling}"));
-            }
-        }
-        rules.push(Rule { id, lower_is_better, max_ratio, min_value, max_value });
-    }
-    if rules.is_empty() {
-        return Err("rules file contains no rules".into());
-    }
-    Ok(rules)
-}
-
-/// Applies one rule; returns `Err(reason)` on regression.
-fn check_rule(rule: &Rule, baseline: &str, fresh: &str, scale: f64) -> Result<String, String> {
-    let Some(new_mean) = mean_ns_for(fresh, &rule.id) else {
-        return Err(format!("row {:?} missing from the new results", rule.id));
-    };
-    // The absolute bounds bind before any baseline comparison — they
-    // are invariants of the fresh run, not drift checks.
-    if let Some(floor) = rule.min_value {
-        if new_mean < floor {
-            return Err(format!(
-                "{}: new {new_mean:.0} is below the absolute floor {floor:.0}",
-                rule.id
-            ));
+            unmet = unmet.filter(|cell| verdict != "improved" || *cell != format!("{name}@{w}"));
         }
     }
-    if let Some(ceiling) = rule.max_value {
-        if new_mean > ceiling {
-            return Err(format!(
-                "{}: new {new_mean:.0} is above the absolute ceiling {ceiling:.0}",
-                rule.id
-            ));
-        }
+    if let Some(cell) = unmet {
+        fails += &format!("FAIL: the claimed cell {cell} is not improved\n");
     }
-    let Some(old_mean) = mean_ns_for(baseline, &rule.id) else {
-        return Ok(format!("{}: no baseline row, passing (first run)", rule.id));
-    };
-    // Exact pins (max_ratio 1.0) stay exact regardless of the scale.
-    let limit = if rule.max_ratio > 1.0 { rule.max_ratio * scale } else { rule.max_ratio };
-    let (ratio, arrow) = if rule.lower_is_better {
-        (new_mean / old_mean, "lower-is-better")
-    } else {
-        (old_mean / new_mean, "higher-is-better")
-    };
-    let line = format!(
-        "{}: baseline {old_mean:.0} -> new {new_mean:.0} ({arrow} ratio {ratio:.3}, limit {limit:.3})",
-        rule.id
-    );
-    if ratio > limit {
-        Err(format!("{line} — regressed past the allowed factor"))
-    } else {
-        Ok(line)
+    match (fails.is_empty(), out.lines().count() > 2) {
+        (true, true) => Ok(out),
+        (true, false) => Err("no runs found".into()),
+        (false, _) => Err(out + &fails),
     }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let read = |path: &str| {
-        std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("bench_guard: cannot read {path}: {e}");
-            std::process::exit(2);
-        })
+    let ([contract_path, dir] | [contract_path, dir, _]) = args.as_slice() else {
+        eprintln!("usage: bench_guard <BENCHMARK.json> <runs-dir> [<metric>@<workload>]");
+        std::process::exit(2);
     };
-    let (baseline_path, new_path, rules) = match args.as_slice() {
-        [baseline_path, new_path, rules_path] => {
-            let rules = parse_rules(&read(rules_path)).unwrap_or_else(|e| {
-                eprintln!("bench_guard: {rules_path}: {e}");
-                std::process::exit(2);
-            });
-            (baseline_path, new_path, rules)
-        }
-        [baseline_path, new_path, id, max_ratio] => {
-            let max_ratio: f64 = max_ratio.parse().unwrap_or_else(|_| {
-                eprintln!("bench_guard: max-ratio {max_ratio:?} is not a number");
-                std::process::exit(2);
-            });
-            let rule = Rule {
-                id: id.clone(),
-                lower_is_better: true,
-                max_ratio,
-                min_value: None,
-                max_value: None,
-            };
-            (baseline_path, new_path, vec![rule])
-        }
-        _ => {
-            eprintln!(
-                "usage: bench_guard <baseline.json> <new.json> <rules.json>\n\
-                        bench_guard <baseline.json> <new.json> <row-id> <max-ratio>"
-            );
-            std::process::exit(2);
-        }
+    let runs = |side: &str, workload: &str| {
+        let run = |i: usize| std::fs::read_to_string(format!("{dir}/{side}/{workload}.{i}.json"));
+        (1..).map_while(|i| run(i).ok()).collect()
     };
-    let scale: f64 = std::env::var("BENCH_GUARD_SCALE")
-        .ok()
-        .map(|s| {
-            s.parse().unwrap_or_else(|_| {
-                eprintln!("bench_guard: BENCH_GUARD_SCALE {s:?} is not a number");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(1.0);
-    let baseline = read(baseline_path);
-    let fresh = read(new_path);
-    let mut failed = false;
-    for rule in &rules {
-        match check_rule(rule, &baseline, &fresh, scale) {
-            Ok(line) => println!("bench_guard: {line}"),
-            Err(reason) => {
-                eprintln!("bench_guard: FAIL — {reason}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!("bench_guard: {} rule(s) passed", rules.len());
+    let judged = std::fs::read_to_string(contract_path)
+        .map_err(|e| format!("cannot read {contract_path}: {e}"))
+        .and_then(|text| guard(&text, &runs, args.get(2).map(String::as_str)));
+    let (Ok(report) | Err(report)) = &judged;
+    println!("{report}");
+    std::process::exit(i32::from(judged.is_err()));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const RULES: &str = r#"{ "rules": [
-  { "id": "a/b", "direction": "lower_is_better", "max_ratio": 1.25 },
-  { "id": "c/d", "direction": "higher_is_better", "max_ratio": 1.6 },
-  { "id": "size/e", "direction": "lower_is_better", "max_ratio": 1.0 }
-] }"#;
-
-    fn row(id: &str, mean: u64) -> String {
-        format!("{{\"id\": \"{id}\", \"mean_ns\": {mean}, \"samples\": 5}}\n")
+    #[test]
+    fn verdicts() {
+        let steady = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0];
+        let noisy = [100.0, 160.0, 90.0, 150.0, 100.0, 170.0, 80.0, 140.0, 100.0, 160.0];
+        for lower in [true, false] {
+            // The factor that makes a run `worse` times worse for the metric.
+            let by = |worse: f64| if lower { worse } else { 1.0 / worse };
+            assert_eq!(judge(lower, 0.25, &steady, &steady.map(|v| v * by(1.4))).1, "regressed");
+            assert_eq!(judge(lower, 0.25, &steady, &steady.map(|v| v * by(0.8))).1, "improved");
+            assert_eq!(judge(lower, 0.25, &steady, &steady.map(|v| v * by(1.1))).1, "unchanged");
+            assert_eq!(judge(lower, 0.25, &noisy, &noisy.map(|v| v * by(1.1))).1, "unresolved");
+        }
+        // Resolved despite the spread: every change run beats every parent run.
+        assert_eq!(judge(true, 0.25, &[10.0, 20.0, 30.0, 40.0], &[9.0; 4]).1, "unchanged");
+        // Under four runs the spread is max ÷ min − 1.
+        assert_eq!(judge(true, 0.25, &[10.0, 14.0], &[11.0, 13.0]).1, "unresolved");
+        // An exact count (bound 0.01) moving by one flight.
+        assert_eq!(judge(true, 0.01, &[11.0; 4], &[12.0; 4]).1, "regressed");
+        // A tie wins the pair for neither side.
+        assert!(judge(true, 0.25, &[5.0; 4], &[5.0, 5.0, 4.0, 6.0]).0.ends_with("| 1/4"));
+        assert!(judge(true, 0.25, &[5.0, 5.0, 4.0, 6.0], &[5.0; 4]).0.ends_with("| 1/4"));
+        // Nine wins of ten with the medians inside the parent's IQR are no gain.
+        let parent = [90.0, 95.0, 100.0, 105.0, 110.0, 90.0, 95.0, 100.0, 105.0, 110.0];
+        let mut change = parent.map(|v| v - 1.0);
+        change[0] = 91.0;
+        let (columns, verdict) = judge(true, 0.25, &parent, &change);
+        assert!(columns.ends_with("| 9/10") && verdict == "unchanged", "{columns} {verdict}");
     }
 
     #[test]
-    fn parses_committed_rule_shape() {
-        let rules = parse_rules(RULES).unwrap();
-        assert_eq!(rules.len(), 3);
-        assert_eq!(
-            rules[0],
-            Rule {
-                id: "a/b".into(),
-                lower_is_better: true,
-                max_ratio: 1.25,
-                min_value: None,
-                max_value: None,
-            }
-        );
-        assert!(!rules[1].lower_is_better);
-        assert_eq!(rules[2].max_ratio, 1.0);
-    }
-
-    #[test]
-    fn parses_the_absolute_floor() {
-        let rules = parse_rules(
-            "{ \"rules\": [ { \"id\": \"f/g\", \"direction\": \"higher_is_better\", \"max_ratio\": 3.0, \"min_value\": 1000 } ] }",
-        )
-        .unwrap();
-        assert_eq!(rules[0].min_value, Some(1000.0));
-    }
-
-    #[test]
-    fn absolute_floor_binds_before_and_without_a_baseline() {
-        let rule = Rule {
-            id: "f/g".into(),
-            lower_is_better: false,
-            max_ratio: 3.0,
-            min_value: Some(1000.0),
-            max_value: None,
+    fn exit_conditions() {
+        let contract =
+            "\"workloads\": [\n{\"name\": \"w\", \"why\": \"\"}\n],\n\"end_to_end\": [\n\
+            {\"name\": \"ms\", \"better\": \"lower\", \"bound\": 0.25},\n\
+            {\"name\": \"flights\", \"better\": \"lower\", \"bound\": 0.01}\n],\n\
+            \"per_layer\": [\n{\"name\": \"layer_ms\", \"better\": \"lower\"}\n]";
+        const RUN: &str = r#"{"correct": true, "attempted": 9, "failed": 0, "metrics": {"ms": {"value": MS}, "flights": {"value": 11}}}"#;
+        let run = |ms: &str| vec![RUN.replace("MS", ms); 4];
+        let fails = |p: &[String], c: &[String], claim| {
+            let runs = |s: &str, _: &str| if s == "parent" { p.to_vec() } else { c.to_vec() };
+            guard(contract, &runs, claim).err().unwrap_or_default()
         };
-        // No baseline row: the floor still decides pass/fail.
-        assert!(check_rule(&rule, "", &row("f/g", 1100), 1.0).is_ok());
-        assert!(check_rule(&rule, "", &row("f/g", 900), 1.0).is_err());
-        // With a healthy baseline, a below-floor fresh value still fails
-        // even when the ratio itself would pass — and the scale knob
-        // never loosens the floor.
-        assert!(check_rule(&rule, &row("f/g", 1100), &row("f/g", 900), 10.0).is_err());
-        assert!(check_rule(&rule, &row("f/g", 1100), &row("f/g", 1050), 1.0).is_ok());
-    }
-
-    #[test]
-    fn parses_the_absolute_ceiling() {
-        let rules = parse_rules(
-            "{ \"rules\": [ { \"id\": \"h/i\", \"direction\": \"lower_is_better\", \"max_ratio\": 2.0, \"max_value\": 2000 } ] }",
-        )
-        .unwrap();
-        assert_eq!(rules[0].max_value, Some(2000.0));
-    }
-
-    #[test]
-    fn absolute_ceiling_binds_before_and_without_a_baseline() {
-        let rule = Rule {
-            id: "h/i".into(),
-            lower_is_better: true,
-            max_ratio: 2.0,
-            min_value: None,
-            max_value: Some(2000.0),
-        };
-        // No baseline row: the ceiling still decides pass/fail.
-        assert!(check_rule(&rule, "", &row("h/i", 1900), 1.0).is_ok());
-        assert!(check_rule(&rule, "", &row("h/i", 2100), 1.0).is_err());
-        // An above-ceiling fresh value fails even when the ratio would
-        // pass — and the scale knob never loosens the ceiling.
-        assert!(check_rule(&rule, &row("h/i", 1900), &row("h/i", 2100), 10.0).is_err());
-        assert!(check_rule(&rule, &row("h/i", 1900), &row("h/i", 1950), 1.0).is_ok());
-    }
-
-    #[test]
-    fn rejects_malformed_rules() {
-        assert!(parse_rules("{ \"rules\": [] }").is_err());
-        assert!(parse_rules("{ \"rules\": [ { \"id\": \"x\" } ] }").is_err());
-        assert!(parse_rules(
-            "{ \"rules\": [ { \"id\": \"x\", \"direction\": \"sideways\", \"max_ratio\": 2 } ] }"
-        )
-        .is_err());
-        assert!(parse_rules(
-            "{ \"rules\": [ { \"id\": \"x\", \"direction\": \"lower_is_better\", \"max_ratio\": 0.5 } ] }"
-        )
-        .is_err());
-        // A floor above its own ceiling can never pass — reject it.
-        assert!(parse_rules(
-            "{ \"rules\": [ { \"id\": \"x\", \"direction\": \"lower_is_better\", \"max_ratio\": 2.0, \"min_value\": 3000, \"max_value\": 2000 } ] }"
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn lower_is_better_guards_slowdowns() {
-        let rule = &parse_rules(RULES).unwrap()[0];
-        let base = row("a/b", 1000);
-        assert!(check_rule(rule, &base, &row("a/b", 1200), 1.0).is_ok());
-        assert!(check_rule(rule, &base, &row("a/b", 1300), 1.0).is_err());
-        // Scale loosens non-pinned limits.
-        assert!(check_rule(rule, &base, &row("a/b", 1300), 1.2).is_ok());
-    }
-
-    #[test]
-    fn higher_is_better_guards_shrinkage() {
-        let rule = &parse_rules(RULES).unwrap()[1];
-        let base = row("c/d", 1000);
-        assert!(check_rule(rule, &base, &row("c/d", 700), 1.0).is_ok());
-        assert!(check_rule(rule, &base, &row("c/d", 500), 1.0).is_err());
-    }
-
-    #[test]
-    fn exact_pins_ignore_scale_and_catch_any_growth() {
-        let rule = &parse_rules(RULES).unwrap()[2];
-        let base = row("size/e", 6144);
-        assert!(check_rule(rule, &base, &row("size/e", 6144), 1.0).is_ok());
-        assert!(check_rule(rule, &base, &row("size/e", 6145), 5.0).is_err());
-    }
-
-    #[test]
-    fn missing_rows_pass_on_baseline_fail_on_new() {
-        let rule = &parse_rules(RULES).unwrap()[0];
-        assert!(check_rule(rule, "", &row("a/b", 1000), 1.0).is_ok());
-        assert!(check_rule(rule, &row("a/b", 1000), "", 1.0).is_err());
+        let same = run("5");
+        let edited = |from: &str, to: &str| vec![same[0].replace(from, to); 4];
+        assert_eq!(fails(&same, &same, None), "");
+        assert_eq!(fails(&edited("\"failed\": 0", "\"failed\": 1"), &same, None), "");
+        assert!(fails(&same, &edited("\"failed\": 0", "\"failed\": 1"), None).contains("share"));
+        assert!(fails(&same, &edited("true", "false"), None).contains("not correct"));
+        assert!(fails(&same, &edited("flights", "hops"), None).contains("no number flights"));
+        assert!(fails(&same, &same[1..], None).contains("4 parent runs, 3 change runs"));
+        assert!(fails(&same, &run("9"), None).ends_with("FAIL: ms@w regressed\n"));
+        assert!(fails(&[], &[], None).contains("no runs"));
+        // The claimed cell must be improved; unchanged is not enough.
+        assert!(fails(&same, &same, Some("ms@w")).contains("ms@w is not improved"));
+        assert_eq!(fails(&same, &run("4"), Some("ms@w")), "");
+        // The repository's own contract.
+        let contract = include_str!("../../../../BENCHMARK.json");
+        assert_eq!(entries(contract, "workloads").len(), 4);
+        assert_eq!(entries(contract, "end_to_end").len(), 10);
     }
 }

@@ -4,7 +4,10 @@
 //! paper's evaluation (§IV). Each experiment lives in [`figures`] as a
 //! function returning structured rows; the `src/bin/*` binaries print
 //! them in the paper's format, and the criterion benches under
-//! `benches/` micro-benchmark the underlying protocols.
+//! `benches/` micro-benchmark the underlying protocols. End-to-end
+//! timing is not measured here but by `c2pi_benchmark` (the repository's
+//! `benchmark/` package); `src/bin/bench_guard.rs` judges two commits'
+//! runs of it against the bounds in `BENCHMARK.json`.
 //!
 //! Two scales are supported everywhere:
 //!

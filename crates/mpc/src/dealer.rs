@@ -312,15 +312,6 @@ impl Dealer {
         self.prg.fork()
     }
 
-    /// Fresh shares of a uniformly random vector (used as re-masking
-    /// randomness in layer hand-offs).
-    pub fn random_shared(&mut self, n: usize) -> (ShareVec, ShareVec) {
-        // Two share vectors of n words.
-        self.expanded += 16 * n as u64;
-        let secret: Vec<u64> = self.prg.next_u64s(n);
-        share_secret(&secret, &mut self.prg)
-    }
-
     /// Generates `n` boolean AND triples directly (the silent-OT /
     /// Ferret-style correlation used by the Cheetah-flavoured engine,
     /// whose online phase then only exchanges the GMW openings; the
@@ -392,15 +383,6 @@ mod tests {
         // Both choice values appear (overwhelmingly likely).
         assert!(snd.choices.iter().any(|&c| c));
         assert!(snd.choices.iter().any(|&c| !c));
-    }
-
-    #[test]
-    fn random_shared_reconstructs_uniform() {
-        let mut dealer = Dealer::new(5);
-        let (r0, r1) = dealer.random_shared(64);
-        let r = reconstruct(&r0, &r1);
-        // Not all equal (overwhelmingly likely for uniform).
-        assert!(r.windows(2).any(|w| w[0] != w[1]));
     }
 
     #[test]

@@ -769,6 +769,18 @@ mod tests {
     }
 
     #[test]
+    fn garbled_table_sizes_per_item_are_pinned() {
+        // Half-gates keeps an AND at two 16-byte rows and an XOR at
+        // none; a garbling-scheme or circuit change that moves the
+        // dealt table bytes per item (in either direction) must change
+        // these numbers on purpose.
+        assert_eq!(MaskedOp::Relu.ands_per_item(), 192);
+        assert_eq!(MaskedOp::Maxpool4.ands_per_item(), 701);
+        assert_eq!(MaskedOp::Relu.ands_per_item() * crate::gc::AND_TABLE_BYTES, 6_144);
+        assert_eq!(MaskedOp::Maxpool4.ands_per_item() * crate::gc::AND_TABLE_BYTES, 22_432);
+    }
+
+    #[test]
     fn delta_is_uniformly_masked() {
         // The one value-dependent message the evaluator sends is δ =
         // x₀ − m; for a constant input it must not be constant.

@@ -10,7 +10,7 @@
 //! Cheetah's lattice pipeline is roughly an order of magnitude leaner.
 
 use crate::report::OpCounts;
-use c2pi_transport::{Side, TrafficSnapshot};
+use c2pi_transport::TrafficSnapshot;
 use serde::{Deserialize, Serialize};
 
 /// First-order offline cost parameters.
@@ -150,19 +150,6 @@ impl OfflineCostModel {
     /// Modelled offline compute seconds.
     pub fn offline_seconds(&self, counts: &OpCounts) -> f64 {
         counts.macs as f64 * self.sec_per_mac + counts.and_gates as f64 * self.sec_per_and_gate
-    }
-
-    /// Charges the modelled traffic onto a live counter as phantom bytes
-    /// (used when a single counter should reflect the full protocol).
-    pub fn charge(
-        &self,
-        counter: &c2pi_transport::TrafficCounter,
-        counts: &OpCounts,
-    ) -> TrafficSnapshot {
-        let t = self.offline_traffic(counts);
-        counter.charge_phantom(Side::Client, t.bytes_client_to_server, t.flights / 2);
-        counter.charge_phantom(Side::Server, t.bytes_server_to_client, t.flights - t.flights / 2);
-        t
     }
 }
 

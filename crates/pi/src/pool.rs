@@ -328,18 +328,13 @@ struct PoolState {
     /// Highest global stream position this pool has observed (its own
     /// draws and its warm-boot scan), persisted with every store record.
     drawn: u64,
-    /// Material sets ever pushed into `ready` (monotone). Lets blocking
-    /// takers distinguish a genuine restock from a spurious condvar
-    /// wakeup.
-    produced: u64,
     /// Persistent spill target; `None` for in-memory-only pools.
     store: Option<MaterialStore>,
 }
 
-/// Result of the pooled-only take paths ([`MaterialPool::try_take`],
-/// [`MaterialPool::take_blocking`]), which — unlike
-/// [`MaterialPool::take`] — never fall back to inline dealing, so they
-/// must say explicitly why no material came back.
+/// Result of the pooled-only take path ([`MaterialPool::try_take`]),
+/// which — unlike [`MaterialPool::take`] — never falls back to inline
+/// dealing, so it must say explicitly why no material came back.
 #[derive(Debug)]
 pub enum PoolTake {
     /// A pooled material set.
@@ -382,9 +377,6 @@ pub struct MaterialPool {
     /// Notified on every take and on shutdown; the replenisher waits
     /// here for the pool to fall below its low watermark.
     drained: Condvar,
-    /// Notified on every push (and on shutdown); blocking takers wait
-    /// here, checking the `produced` counter against spurious wakeups.
-    restocked: Condvar,
 }
 
 impl std::fmt::Debug for MaterialPool {
@@ -418,11 +410,9 @@ impl MaterialPool {
                 ledger: PreprocessLedger::default(),
                 shutdown: false,
                 drawn: 0,
-                produced: 0,
                 store: None,
             }),
             drained: Condvar::new(),
-            restocked: Condvar::new(),
         }
     }
 
@@ -471,18 +461,29 @@ impl MaterialPool {
     /// failures.
     pub fn preprocess(&self, n: usize) -> Result<()> {
         for _ in 0..n {
-            let seed = self.draw_seed(&mut self.lock());
-            let start = Instant::now();
-            let material = self.core.deal(seed)?;
-            let elapsed = start.elapsed().as_secs_f64();
-            let mut st = self.lock();
-            st.ledger.generated_offline += 1;
-            credit_generation(&mut st.ledger, &material.counts, elapsed);
-            push_ready(&mut st, material)?;
-            drop(st);
-            self.restocked.notify_all();
+            drop(self.deal_offline(self.lock())?);
         }
         Ok(())
+    }
+
+    /// One offline deal, shared by [`MaterialPool::preprocess`] and the
+    /// [`Replenisher`]: the seed is drawn under the held lock, the
+    /// dealer runs outside it, and the ledger credit and the push happen
+    /// under the lock again, which is handed back still held.
+    fn deal_offline<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, PoolState>,
+    ) -> Result<MutexGuard<'a, PoolState>> {
+        let seed = self.draw_seed(&mut st);
+        drop(st);
+        let start = Instant::now();
+        let material = self.core.deal(seed)?;
+        let elapsed = start.elapsed().as_secs_f64();
+        let mut st = self.lock();
+        st.ledger.generated_offline += 1;
+        credit_generation(&mut st.ledger, &material.counts, elapsed);
+        push_ready(&mut st, material)?;
+        Ok(st)
     }
 
     /// Pops pooled material under the held lock, doing the consumed
@@ -549,36 +550,6 @@ impl MaterialPool {
             return Ok(PoolTake::Material(Box::new(m)));
         }
         Ok(if st.shutdown { PoolTake::ShutDown } else { PoolTake::Empty })
-    }
-
-    /// Blocking pooled-only take: waits until material is pushed or the
-    /// pool shuts down. A condvar wakeup alone is not trusted — the
-    /// `produced` counter must have advanced (or shutdown must be set)
-    /// before the queue is re-examined, so a spurious wakeup can neither
-    /// return [`PoolTake::ShutDown`] on a live pool nor spin hot.
-    ///
-    /// # Errors
-    ///
-    /// Propagates store append failures.
-    pub fn take_blocking(&self) -> Result<PoolTake> {
-        let mut st = self.lock();
-        loop {
-            if let Some(m) = self.pop_ready(&mut st)? {
-                drop(st);
-                self.drained.notify_all();
-                return Ok(PoolTake::Material(Box::new(m)));
-            }
-            if st.shutdown {
-                return Ok(PoolTake::ShutDown);
-            }
-            let produced_before = st.produced;
-            st = self.restocked.wait(st).expect("material pool mutex poisoned");
-            if st.produced == produced_before && !st.shutdown {
-                // Spurious wakeup: nothing was produced and nothing shut
-                // down — keep waiting rather than re-deciding.
-                continue;
-            }
-        }
     }
 
     /// Records one externally dealt material set (a client generating
@@ -656,11 +627,8 @@ impl MaterialPool {
         for &seed in &scan.pending {
             let material = self.core.deal(seed)?;
             st.ready.push_back(material);
-            st.produced += 1;
         }
         st.store = Some(store);
-        drop(st);
-        self.restocked.notify_all();
         Ok(report)
     }
 
@@ -684,12 +652,10 @@ impl MaterialPool {
         Ok(())
     }
 
-    /// Signals shutdown to any [`Replenisher`] or blocking taker
-    /// waiting on this pool.
+    /// Signals shutdown to any [`Replenisher`] waiting on this pool.
     pub fn shutdown(&self) {
         self.lock().shutdown = true;
         self.drained.notify_all();
-        self.restocked.notify_all();
     }
 
     /// Whether [`MaterialPool::shutdown`] has been called.
@@ -715,7 +681,6 @@ fn credit_generation(ledger: &mut PreprocessLedger, counts: &OpCounts, seconds: 
 fn push_ready(st: &mut MutexGuard<'_, PoolState>, material: InferenceMaterial) -> Result<()> {
     let seed = material.seed;
     st.ready.push_back(material);
-    st.produced += 1;
     persist(st, RecordKind::Dealt, seed)
 }
 
@@ -799,18 +764,7 @@ fn replenish_loop(pool: &MaterialPool, low: usize, high: usize) -> Result<()> {
             return Ok(());
         }
         while st.ready.len() < high && !st.shutdown {
-            let seed = pool.draw_seed(&mut st);
-            drop(st);
-            let start = Instant::now();
-            let material = pool.core.deal(seed)?;
-            let elapsed = start.elapsed().as_secs_f64();
-            st = pool.lock();
-            st.ledger.generated_offline += 1;
-            credit_generation(&mut st.ledger, &material.counts, elapsed);
-            push_ready(&mut st, material)?;
-            drop(st);
-            pool.restocked.notify_all();
-            st = pool.lock();
+            st = pool.deal_offline(st)?;
         }
     }
 }
@@ -942,32 +896,6 @@ mod tests {
         // Draining: pooled material still comes back after shutdown.
         assert!(matches!(pool.try_take().unwrap(), PoolTake::Material(_)));
         assert!(matches!(pool.try_take().unwrap(), PoolTake::ShutDown));
-    }
-
-    #[test]
-    fn take_blocking_distinguishes_restock_from_shutdown() {
-        // A blocked taker must come back with material when the pool is
-        // restocked, and with ShutDown when the pool shuts down — and a
-        // notification that produced nothing (shutdown's own notify on a
-        // pool that then restocks) must not confuse it.
-        let pool = Arc::new(MaterialPool::new(tiny_core()));
-        let taker = {
-            let pool = Arc::clone(&pool);
-            std::thread::spawn(move || pool.take_blocking().unwrap())
-        };
-        std::thread::sleep(Duration::from_millis(50));
-        pool.preprocess(1).unwrap();
-        assert!(matches!(taker.join().unwrap(), PoolTake::Material(_)));
-
-        let blocked = {
-            let pool = Arc::clone(&pool);
-            std::thread::spawn(move || pool.take_blocking().unwrap())
-        };
-        std::thread::sleep(Duration::from_millis(50));
-        pool.shutdown();
-        assert!(matches!(blocked.join().unwrap(), PoolTake::ShutDown));
-        let l = pool.ledger();
-        assert_eq!(l.generated_offline + l.generated_inline, l.consumed + l.available);
     }
 
     #[test]

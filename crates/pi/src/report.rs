@@ -113,29 +113,6 @@ impl PiReport {
     pub fn latency_seconds(&self, net: &NetModel) -> f64 {
         net.latency_seconds(&self.traffic_total(), self.online_seconds + self.offline_seconds)
     }
-
-    /// Merges another report into this one (used to aggregate phases or
-    /// batches). The preprocessing ledger keeps the *later* snapshot
-    /// (ledgers are cumulative session state, not per-run deltas).
-    pub fn merge(&mut self, other: &PiReport) {
-        self.online = self.online.plus(&other.online);
-        self.offline = self.offline.plus(&other.offline);
-        self.online_seconds += other.online_seconds;
-        self.offline_seconds += other.offline_seconds;
-        self.counts.linear_in_elems.extend(&other.counts.linear_in_elems);
-        self.counts.linear_out_elems.extend(&other.counts.linear_out_elems);
-        self.counts.macs += other.counts.macs;
-        self.counts.relu_elems += other.counts.relu_elems;
-        self.counts.pool_windows += other.counts.pool_windows;
-        self.counts.bit_triples += other.counts.bit_triples;
-        self.counts.and_gates += other.counts.and_gates;
-        self.counts.xor_gates += other.counts.xor_gates;
-        self.counts.base_ots += other.counts.base_ots;
-        self.counts.ext_ots += other.counts.ext_ots;
-        self.counts.seed_bytes += other.counts.seed_bytes;
-        self.counts.expanded_bytes += other.counts.expanded_bytes;
-        self.preprocessing = other.preprocessing;
-    }
 }
 
 #[cfg(test)]
@@ -171,13 +148,5 @@ mod tests {
         let lat = r.latency_seconds(&wan);
         // 1 s compute + 1 s bandwidth + 1 RTT.
         assert!((lat - (1.0 + 1.0 + 0.040)).abs() < 1e-6, "latency {lat}");
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = report(100, 0.5);
-        a.merge(&report(200, 0.25));
-        assert_eq!(a.online.bytes_client_to_server, 300);
-        assert!((a.online_seconds - 0.75).abs() < 1e-9);
     }
 }

@@ -170,27 +170,6 @@ impl TrafficCounter {
             flights: state >> 2,
         }
     }
-
-    /// Charges *phantom* traffic to the counters without moving data —
-    /// used to account for the analytically modelled homomorphic
-    /// ciphertexts of the Delphi/Cheetah offline phases (DESIGN.md §3).
-    /// Phantom flights do not disturb the live last-sender state.
-    pub fn charge_phantom(&self, from: Side, bytes: u64, flights: u64) {
-        match from {
-            Side::Client => {
-                self.inner.bytes_client_to_server.fetch_add(bytes, Ordering::SeqCst);
-            }
-            Side::Server => {
-                self.inner.bytes_server_to_client.fetch_add(bytes, Ordering::SeqCst);
-            }
-        }
-        // The count lives above the two sender-tag bits, so a plain add
-        // of `flights << 2` leaves the last-sender state untouched.
-        self.inner.flight_state.fetch_add(flights << 2, Ordering::SeqCst);
-        if bytes > 0 {
-            self.inner.messages.fetch_add(1, Ordering::SeqCst);
-        }
-    }
 }
 
 /// One party's end of a blocking, framed, duplex transport.
@@ -328,25 +307,6 @@ mod tests {
     fn side_peer_flips() {
         assert_eq!(Side::Client.peer(), Side::Server);
         assert_eq!(Side::Server.peer(), Side::Client);
-    }
-
-    #[test]
-    fn phantom_traffic_is_charged() {
-        let counter = TrafficCounter::new();
-        counter.charge_phantom(Side::Server, 1_000_000, 2);
-        let snap = counter.snapshot();
-        assert_eq!(snap.bytes_server_to_client, 1_000_000);
-        assert_eq!(snap.flights, 2);
-    }
-
-    #[test]
-    fn phantom_flights_preserve_last_sender() {
-        let counter = TrafficCounter::new();
-        counter.record_send(Side::Client, 10);
-        counter.charge_phantom(Side::Server, 100, 4);
-        // Client sends again: still the last live sender, no new flight.
-        counter.record_send(Side::Client, 10);
-        assert_eq!(counter.snapshot().flights, 1 + 4);
     }
 
     #[test]

@@ -46,11 +46,6 @@ impl<C: Channel> SimChannel<C> {
         &self.model
     }
 
-    /// Unwraps the inner channel.
-    pub fn into_inner(self) -> C {
-        self.inner
-    }
-
     fn sleep_secs(seconds: f64) {
         if seconds > 0.0 {
             std::thread::sleep(Duration::from_secs_f64(seconds));

@@ -9,91 +9,16 @@
 //! detection) is out of scope; swap in the real criterion by editing
 //! `crates/bench/Cargo.toml` when a registry is available.
 //!
-//! ## CI hooks (shim-specific)
+//! ## CLI quick mode
 //!
-//! Two additions the real criterion does differently, used by
-//! `ci/bench_smoke.sh`:
-//!
-//! * CLI quick mode: `--test` runs every benchmark exactly once, and
-//!   `--measurement-time <secs>` / `--sample-size <n>` *override* the
-//!   benches' programmatic settings (real criterion treats the CLI as a
-//!   default instead) — e.g.
-//!   `cargo bench --bench serving_throughput -- --measurement-time 1`.
-//!   Unknown flags are ignored.
-//! * machine-readable results: when `CRITERION_OUT_JSON=<path>` is set,
-//!   a JSON array of `{id, mean_ns, min_ns, max_ns, samples}` rows is
-//!   written there when `criterion_main!`'s `main` returns.
+//! `--test` runs every benchmark exactly once, and
+//! `--measurement-time <secs>` / `--sample-size <n>` *override* the
+//! benches' programmatic settings (real criterion has the same flags
+//! but treats them as defaults) — e.g.
+//! `cargo bench --bench poller_scale -- --measurement-time 1`.
+//! Unknown flags are ignored.
 
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// One finished benchmark's summary, collected for the JSON output.
-struct Recorded {
-    id: String,
-    mean_ns: u128,
-    min_ns: u128,
-    max_ns: u128,
-    samples: usize,
-}
-
-static RESULTS: Mutex<Vec<Recorded>> = Mutex::new(Vec::new());
-
-fn minimal_json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Writes the collected benchmark summaries as a JSON array to the path
-/// in `CRITERION_OUT_JSON`, if set. Called by `criterion_main!` after
-/// all groups ran; harmless to call repeatedly or with nothing
-/// recorded.
-pub fn write_json_summary() {
-    let Ok(path) = std::env::var("CRITERION_OUT_JSON") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    let results = RESULTS.lock().expect("results mutex poisoned");
-    let rows: Vec<String> = results
-        .iter()
-        .map(|r| {
-            format!(
-                "  {{\"id\": \"{}\", \"mean_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \
-                 \"samples\": {}}}",
-                minimal_json_escape(&r.id),
-                r.mean_ns,
-                r.min_ns,
-                r.max_ns,
-                r.samples
-            )
-        })
-        .collect();
-    let json = format!("[\n{}\n]\n", rows.join(",\n"));
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("criterion shim: cannot write {path}: {e}");
-    }
-}
-
-/// Records one non-timing scalar (a counter, a ratio) as a results row
-/// (shim-specific CI hook; real criterion has no counter channel).
-///
-/// The value lands in the `mean_ns`/`min_ns`/`max_ns` fields of an
-/// ordinary `{id, mean_ns, ...}` row, rounded to an integer, with
-/// `samples: 1` — so downstream tooling (`bench_summary`, `bench_guard`,
-/// the BENCH_history.jsonl trail) handles counters with zero changes.
-/// Scale fractional values before reporting (e.g. a throughput ratio as
-/// `ratio * 1000.0`) and encode the unit in the id.
-pub fn report_metric(id: &str, value: f64) {
-    println!("{id:<40} metric {value:.3}");
-    let v = value.max(0.0).round() as u128;
-    RESULTS.lock().expect("results mutex poisoned").push(Recorded {
-        id: id.to_string(),
-        mean_ns: v,
-        min_ns: v,
-        max_ns: v,
-        samples: 1,
-    });
-}
 
 /// Prevents the optimizer from deleting a benchmarked computation.
 pub fn black_box<T>(x: T) -> T {
@@ -174,13 +99,6 @@ fn report(label: &str, samples: &[Duration]) {
         "{label:<40} mean {mean:>12.3?}  min {min:>12.3?}  max {max:>12.3?}  ({} samples)",
         samples.len()
     );
-    RESULTS.lock().expect("results mutex poisoned").push(Recorded {
-        id: label.to_string(),
-        mean_ns: mean.as_nanos(),
-        min_ns: min.as_nanos(),
-        max_ns: max.as_nanos(),
-        samples: samples.len(),
-    });
 }
 
 /// CLI-driven overrides of the benches' programmatic settings (quick
@@ -323,15 +241,12 @@ macro_rules! criterion_group {
     };
 }
 
-/// Declares the bench `main`, as `criterion::criterion_main!`. On exit
-/// the collected summaries are written to `CRITERION_OUT_JSON` when
-/// that variable is set (shim-specific CI hook).
+/// Declares the bench `main`, as `criterion::criterion_main!`.
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
             $( $group(); )+
-            $crate::write_json_summary();
         }
     };
 }
@@ -386,21 +301,5 @@ mod tests {
         assert_eq!(quick.apply(20, Duration::from_secs(3)), (3, Duration::from_secs(1)));
         let test = Overrides { test_mode: true, ..quick };
         assert_eq!(test.apply(20, Duration::from_secs(3)), (1, Duration::from_millis(1)));
-    }
-
-    #[test]
-    fn json_rows_escape_quotes() {
-        assert_eq!(minimal_json_escape(r#"a"b\c"#), r#"a\"b\\c"#);
-    }
-
-    #[test]
-    fn report_metric_lands_as_an_integer_results_row() {
-        report_metric("shim/test-metric/steals", 12.6);
-        let results = RESULTS.lock().expect("results mutex poisoned");
-        let row = results.iter().find(|r| r.id == "shim/test-metric/steals").expect("recorded");
-        assert_eq!(row.mean_ns, 13);
-        assert_eq!(row.min_ns, 13);
-        assert_eq!(row.max_ns, 13);
-        assert_eq!(row.samples, 1);
     }
 }
