@@ -180,6 +180,13 @@ grep -q ' 0 inline ' target/smoke-warmboot-2.log || {
     echo "smoke: warm-booted server fell back to inline dealing" >&2
     exit 1
 }
+# The dealing cost is legible from the server's own last line — and it
+# is the first life's: the ledger the segments persisted carries the
+# seconds its dealers spent, the second life dealt nothing.
+grep -Eq '^\[pi_server\] reactor: .* deal_ms_per_set=[0-9.]*[1-9]' target/smoke-warmboot-2.log || {
+    echo "smoke: final reactor line does not report a positive deal_ms_per_set" >&2
+    exit 1
+}
 rm -f "$STORE"*
 
 echo "== backpressure smoke: starved pool sheds, clients retry, graceful drain =="

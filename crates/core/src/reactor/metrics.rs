@@ -188,6 +188,10 @@ pub struct ShardSnapshot {
     pub consumed: u64,
     /// Sets dealt offline into this shard.
     pub generated_offline: u64,
+    /// Seconds this shard's dealers (preprocess calls, its replenisher)
+    /// have spent expanding sets; with `generated_offline`, the dealing
+    /// rate a replenisher sustains.
+    pub generation_seconds: f64,
     /// Sets restored from this shard's store segment at warm boot.
     pub restored: u64,
 }
@@ -335,6 +339,24 @@ impl MetricsSnapshot {
         for (i, s) in self.shards.iter().enumerate() {
             let _ = writeln!(out, "c2pi_shard_consumed_total{{shard=\"{i}\"}} {}", s.consumed);
         }
+        let _ = writeln!(out, "# HELP c2pi_shard_dealt_total Sets dealt offline per shard.");
+        let _ = writeln!(out, "# TYPE c2pi_shard_dealt_total counter");
+        for (i, s) in self.shards.iter().enumerate() {
+            let _ =
+                writeln!(out, "c2pi_shard_dealt_total{{shard=\"{i}\"}} {}", s.generated_offline);
+        }
+        let _ = writeln!(
+            out,
+            "# HELP c2pi_shard_deal_seconds_total Seconds spent dealing sets per shard."
+        );
+        let _ = writeln!(out, "# TYPE c2pi_shard_deal_seconds_total counter");
+        for (i, s) in self.shards.iter().enumerate() {
+            let _ = writeln!(
+                out,
+                "c2pi_shard_deal_seconds_total{{shard=\"{i}\"}} {}",
+                s.generation_seconds
+            );
+        }
         let _ = writeln!(
             out,
             "# HELP c2pi_online_latency_seconds Online latency of served inferences."
@@ -460,8 +482,20 @@ mod tests {
         metrics.add(&metrics.served);
         metrics.add(&metrics.shed);
         let shards = vec![
-            ShardSnapshot { depth: 4, consumed: 7, generated_offline: 9, restored: 2 },
-            ShardSnapshot { depth: 1, consumed: 3, generated_offline: 4, restored: 0 },
+            ShardSnapshot {
+                depth: 4,
+                consumed: 7,
+                generated_offline: 9,
+                generation_seconds: 0.125,
+                restored: 2,
+            },
+            ShardSnapshot {
+                depth: 1,
+                consumed: 3,
+                generated_offline: 4,
+                generation_seconds: 0.0,
+                restored: 0,
+            },
         ];
         let snap = MetricsSnapshot::gather(&metrics, 3, 5, shards);
         assert_eq!(snap.pooled(), 5);
@@ -473,6 +507,10 @@ mod tests {
         assert_eq!(metric_value(&text, "c2pi_shard_pool_depth{shard=\"0\"}"), Some(4.0));
         assert_eq!(metric_value(&text, "c2pi_shard_pool_depth{shard=\"1\"}"), Some(1.0));
         assert_eq!(metric_value(&text, "c2pi_shard_consumed_total{shard=\"1\"}"), Some(3.0));
+        assert_eq!(metric_value(&text, "c2pi_shard_dealt_total{shard=\"0\"}"), Some(9.0));
+        assert_eq!(metric_value(&text, "c2pi_shard_dealt_total{shard=\"1\"}"), Some(4.0));
+        assert_eq!(metric_value(&text, "c2pi_shard_deal_seconds_total{shard=\"0\"}"), Some(0.125));
+        assert_eq!(metric_value(&text, "c2pi_shard_deal_seconds_total{shard=\"1\"}"), Some(0.0));
         assert_eq!(metric_value(&text, "c2pi_workers"), Some(3.0));
         assert_eq!(metric_value(&text, "c2pi_draining"), Some(0.0));
         assert_eq!(metric_value(&text, "nonexistent_metric"), None);

@@ -251,6 +251,7 @@ impl Shared {
                 depth,
                 consumed: l.consumed,
                 generated_offline: l.generated_offline,
+                generation_seconds: l.generation_seconds,
                 restored: l.restored,
             })
             .collect();
@@ -638,6 +639,11 @@ mod tests {
         let d0 = metric_value(&text, "c2pi_shard_pool_depth{shard=\"0\"}").unwrap();
         let d1 = metric_value(&text, "c2pi_shard_pool_depth{shard=\"1\"}").unwrap();
         assert_eq!(d0 + d1, 2.0, "3 dealt, 1 consumed");
+        let dealt = |name: &str| -> f64 {
+            (0..2).map(|i| metric_value(&text, &format!("{name}{{shard=\"{i}\"}}")).unwrap()).sum()
+        };
+        assert_eq!(dealt("c2pi_shard_dealt_total"), 3.0);
+        assert!(dealt("c2pi_shard_deal_seconds_total") > 0.0, "dealing takes time");
         assert_eq!(
             metric_value(&text, "c2pi_online_latency_seconds_bucket{le=\"+Inf\"}"),
             Some(1.0)

@@ -19,6 +19,40 @@ use crate::ring::RingMatrix;
 use crate::share::{share_secret, ShareVec};
 use crate::{MpcError, Result};
 
+/// Which party's halves of a correlation a deal materialises.
+///
+/// Every correlation is one function of the dealer stream; a sided deal
+/// computes the same function and keeps only the half its party will
+/// read — it **skips, never reorders**: the draws a half does not need
+/// are still taken from the stream (and dropped), so the dealer's PRG
+/// ends exactly where the two-sided deal leaves it and the kept half is
+/// bit-identical to the same half of [`Halves::Both`]. What a sided deal
+/// saves is the work *derived* from the draws: the client half of a
+/// masked-linear correlation is two raw draws (no `W·A` product, no read
+/// of `W` beyond its shape), the server half of a pre-garbled layer is Δ
+/// and the garbler's zero labels (no gate hash, no tables).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Halves {
+    /// Both parties' halves — one process playing both parties.
+    Both,
+    /// Only the client's (evaluator's) half.
+    Client,
+    /// Only the server's (garbler's) half.
+    Server,
+}
+
+impl Halves {
+    /// Whether the client half is materialised.
+    pub fn client(self) -> bool {
+        self != Halves::Server
+    }
+
+    /// Whether the server half is materialised.
+    pub fn server(self) -> bool {
+        self != Halves::Client
+    }
+}
+
 /// The compact artifact a seed-compressed dealer actually ships per
 /// inference: a PRG seed, a session nonce and the per-step item counts
 /// the expansion will walk. Both parties expand their
@@ -249,7 +283,8 @@ impl Dealer {
     }
 
     /// Generates the masked-linear correlation for a server-known matrix
-    /// `w [m, k]` and a shared input with `n` columns.
+    /// `w [m, k]` and a shared input with `n` columns — both halves of
+    /// [`Dealer::linear_corr_for`].
     ///
     /// # Errors
     ///
@@ -259,27 +294,79 @@ impl Dealer {
         w: &RingMatrix,
         n: usize,
     ) -> Result<(LinearCorrClient, LinearCorrServer)> {
-        let k = w.cols();
+        let (client, server) = self.linear_corr_for(w, n, Halves::Both)?;
+        Ok((client.expect("both halves dealt"), server.expect("both halves dealt")))
+    }
+
+    /// The masked-linear correlation for `w [m, k]` over `n` columns,
+    /// materialising only `halves`. The client half is the mask `A` and
+    /// `c₀`, two raw draws: a client-sided deal reads nothing of `w` but
+    /// its shape and multiplies nothing. The server half
+    /// `c₁ = W·A − c₀` needs both draws and the product.
+    ///
+    /// # Errors
+    ///
+    /// Propagates ring-dimension errors (a bug in the caller's shapes).
+    pub fn linear_corr_for(
+        &mut self,
+        w: &RingMatrix,
+        n: usize,
+        halves: Halves,
+    ) -> Result<(Option<LinearCorrClient>, Option<LinearCorrServer>)> {
+        let (m, k) = (w.rows(), w.cols());
         // Mask A [k, n] plus the two W·A shares [m, n].
-        self.expanded += 8 * (k * n + 2 * w.rows() * n) as u64;
+        self.expanded += 8 * (k * n + 2 * m * n) as u64;
         let mask = RingMatrix::from_vec(self.prg.next_u64s(k * n), k, n)?;
-        let wa = w.matmul(&mask)?;
-        let (c0, c1) = share_secret(wa.as_slice(), &mut self.prg);
-        let wa0 = RingMatrix::from_vec(c0.into_raw(), w.rows(), n)?;
-        let wa1 = RingMatrix::from_vec(c1.into_raw(), w.rows(), n)?;
-        Ok((LinearCorrClient { mask, wa_share: wa0 }, LinearCorrServer { wa_share: wa1 }))
+        let c0 = self.prg.next_u64s(m * n);
+        let server = if halves.server() {
+            let mut c1 = w.matmul(&mask)?.into_vec();
+            for (v, &r) in c1.iter_mut().zip(&c0) {
+                *v = v.wrapping_sub(r);
+            }
+            Some(LinearCorrServer { wa_share: RingMatrix::from_vec(c1, m, n)? })
+        } else {
+            None
+        };
+        let client = if halves.client() {
+            Some(LinearCorrClient { mask, wa_share: RingMatrix::from_vec(c0, m, n)? })
+        } else {
+            None
+        };
+        Ok((client, server))
     }
 
     /// Generates the masked-affine correlation for a server-known scale
-    /// vector (per-channel batch-norm folding, average-pool scaling).
+    /// vector (per-channel batch-norm folding, average-pool scaling) —
+    /// both halves of [`Dealer::affine_corr_for`].
     pub fn affine_corr(&mut self, scale: &[u64]) -> (AffineCorrClient, AffineCorrServer) {
+        let (client, server) = self.affine_corr_for(scale, Halves::Both);
+        (client.expect("both halves dealt"), server.expect("both halves dealt"))
+    }
+
+    /// The masked-affine correlation for `scale`, materialising only
+    /// `halves`. As with [`Dealer::linear_corr_for`], the client half is
+    /// two raw draws and reads nothing of `scale` but its length.
+    pub fn affine_corr_for(
+        &mut self,
+        scale: &[u64],
+        halves: Halves,
+    ) -> (Option<AffineCorrClient>, Option<AffineCorrServer>) {
         // Mask plus the two s⊙a shares.
         self.expanded += 24 * scale.len() as u64;
         let mask: Vec<u64> = self.prg.next_u64s(scale.len());
-        let sa: Vec<u64> =
-            scale.iter().zip(mask.iter()).map(|(&s, &a)| s.wrapping_mul(a)).collect();
-        let (c0, c1) = share_secret(&sa, &mut self.prg);
-        (AffineCorrClient { mask, sa_share: c0 }, AffineCorrServer { sa_share: c1 })
+        let c0 = self.prg.next_u64s(scale.len());
+        let server = halves.server().then(|| {
+            let c1 = scale
+                .iter()
+                .zip(&mask)
+                .zip(&c0)
+                .map(|((&s, &a), &r)| s.wrapping_mul(a).wrapping_sub(r))
+                .collect();
+            AffineCorrServer { sa_share: ShareVec::from_raw(c1) }
+        });
+        let client =
+            halves.client().then(|| AffineCorrClient { mask, sa_share: ShareVec::from_raw(c0) });
+        (client, server)
     }
 
     /// Generates `kappa` base OTs for the IKNP extension. The extension
@@ -316,19 +403,35 @@ impl Dealer {
     /// Ferret-style correlation used by the Cheetah-flavoured engine,
     /// whose online phase then only exchanges the GMW openings; the
     /// IKNP-generated alternative lives in [`crate::ot::gen_bit_triples`]
-    /// and is benchmarked as an ablation).
+    /// and is benchmarked as an ablation) — both halves of
+    /// [`Dealer::bit_triples_for`].
+    pub fn bit_triples(&mut self, n: usize) -> (BitTriples, BitTriples) {
+        let (client, server) = self.bit_triples_for(n, Halves::Both);
+        (client.expect("both halves dealt"), server.expect("both halves dealt"))
+    }
+
+    /// `n` boolean AND triples, materialising only `halves`.
     ///
     /// Word-packed from the draw on: `a₀, a₁, b₀, b₁, c₀` are five runs
     /// of `⌈n/64⌉` stream words with the tails masked, and
     /// `c₁ = ((a₀⊕a₁) ∧ (b₀⊕b₁)) ⊕ c₀` is computed 64 triples at a time.
-    /// The expanded-bytes tally counts the six vectors bit-packed,
-    /// `⌈6n/8⌉`, not rounded up to words.
-    pub fn bit_triples(&mut self, n: usize) -> (BitTriples, BitTriples) {
+    /// The server half depends on all five runs, so siding saves it
+    /// nothing; the client half is three of them as drawn. The
+    /// expanded-bytes tally counts the six vectors bit-packed, `⌈6n/8⌉`,
+    /// not rounded up to words, whichever halves are kept.
+    pub fn bit_triples_for(
+        &mut self,
+        n: usize,
+        halves: Halves,
+    ) -> (Option<BitTriples>, Option<BitTriples>) {
         self.expanded += (6 * n).div_ceil(8) as u64;
         let mut draw = || BitVec::from_words(self.prg.next_u64s(n.div_ceil(64)), n);
         let (a0, a1, b0, b1, c0) = (draw(), draw(), draw(), draw(), draw());
-        let c1 = a0.xor(&a1).and(&b0.xor(&b1)).xor(&c0);
-        (BitTriples::new(a0, b0, c0), BitTriples::new(a1, b1, c1))
+        let server = halves.server().then(|| {
+            let c1 = a0.xor(&a1).and(&b0.xor(&b1)).xor(&c0);
+            BitTriples::new(a1, b1, c1)
+        });
+        (halves.client().then(|| BitTriples::new(a0, b0, c0)), server)
     }
 }
 
@@ -369,6 +472,48 @@ mod tests {
             &ShareVec::from_raw(sv.wa_share.as_slice().to_vec()),
         );
         assert_eq!(got, wa.as_slice());
+    }
+
+    #[test]
+    fn sided_correlations_are_the_same_halves_and_leave_the_stream_in_place() {
+        // Skip, don't reorder — and the client halves never read the
+        // server's values: a zeroed `w` / scale of the same shape deals
+        // the identical client half.
+        let mut prg = Prg::from_u64(10);
+        let w = RingMatrix::from_vec(prg.next_u64s(15), 3, 5).unwrap();
+        let zero_w = RingMatrix::from_vec(vec![0; 15], 3, 5).unwrap();
+        let scale = prg.next_u64s(9);
+        let mut both = Dealer::new(12);
+        let (lc, ls) = both.linear_corr(&w, 4).unwrap();
+        let (ac, asv) = both.affine_corr(&scale);
+        let (bc, bs) = both.bit_triples(130);
+        let next = both.prg.next_u64();
+
+        let mut client = Dealer::new(12);
+        let (c, s) = client.linear_corr_for(&zero_w, 4, Halves::Client).unwrap();
+        let c = c.unwrap();
+        assert!(s.is_none());
+        assert_eq!((&c.mask, &c.wa_share), (&lc.mask, &lc.wa_share));
+        let (c, s) = client.affine_corr_for(&[0; 9], Halves::Client);
+        let c = c.unwrap();
+        assert!(s.is_none());
+        assert_eq!((&c.mask, c.sa_share.as_raw()), (&ac.mask, ac.sa_share.as_raw()));
+        let (c, s) = client.bit_triples_for(130, Halves::Client);
+        assert_eq!((c, s), (Some(bc), None));
+        assert_eq!(client.expanded_bytes(), both.expanded_bytes());
+        assert_eq!(client.prg.next_u64(), next, "stream position after the client halves");
+
+        let mut server = Dealer::new(12);
+        let (c, s) = server.linear_corr_for(&w, 4, Halves::Server).unwrap();
+        assert!(c.is_none());
+        assert_eq!(s.unwrap().wa_share, ls.wa_share);
+        let (c, s) = server.affine_corr_for(&scale, Halves::Server);
+        assert!(c.is_none());
+        assert_eq!(s.unwrap().sa_share.as_raw(), asv.sa_share.as_raw());
+        let (c, s) = server.bit_triples_for(130, Halves::Server);
+        assert_eq!((c, s), (None, Some(bs)));
+        assert_eq!(server.expanded_bytes(), both.expanded_bytes());
+        assert_eq!(server.prg.next_u64(), next, "stream position after the server halves");
     }
 
     #[test]

@@ -49,7 +49,21 @@
 //! wire plus the per-item global offset Δ (`l1 = l0 ⊕ Δ`). Handing Δ to
 //! the garbler is sound — the garbler knows every label pair by
 //! definition; it is only the *evaluator's* half that must never see Δ.
+//!
+//! **Each party garbles only what it reads.** Both parties expand a layer
+//! from the same seed, but [`pregarble_for`] takes the
+//! [`Halves`] to keep. The garbler's half is Δ, the
+//! zero labels of its online wires and `r` — the first draws of each
+//! item's stream and one draw of the layer's, none of which depends on a
+//! gate — so a server-sided expansion skips the circuit walk entirely: no
+//! `hash128`, no tables, a few kilobytes per item never allocated. The
+//! evaluator's half needs the walk and keeps everything but Δ and the
+//! zero labels. Either way the draws are the same draws in the same
+//! order (skip, never reorder), so a sided half is bit-identical to the
+//! same half of [`pregarble`] — pinned by
+//! `sided_garbling_is_the_same_half_of_the_two_sided_garbling`.
 
+use crate::dealer::Halves;
 use crate::gc::{
     decode_lane, eval_lanes, garble_open, load_lane, maxpool4_unit_circuit, relu_unit_circuit,
     Circuit, UNIT_BITS,
@@ -97,6 +111,22 @@ impl MaskedOp {
     /// nothing.
     pub fn xors_per_item(&self) -> usize {
         self.unit_circuit().xor_count()
+    }
+
+    /// Bytes a garbling of `items` occupies expanded, **both halves** —
+    /// [`PreGarbledClient::expanded_bytes`] plus
+    /// [`PreGarbledServer::expanded_bytes`] as arithmetic on the shape,
+    /// so a party that expanded only its own half still reports what the
+    /// seed stands for.
+    pub fn expanded_bytes(&self, items: usize) -> u64 {
+        let labels = 16 * items * self.in_elems() * UNIT_BITS;
+        let client = 8 * items * self.in_elems()
+            + items * self.ands_per_item() * crate::gc::AND_TABLE_BYTES
+            + labels
+            + 16 * items * UNIT_BITS
+            + (items * UNIT_BITS).div_ceil(8);
+        let server = labels + 16 * items + 8 * items;
+        (client + server) as u64
     }
 }
 
@@ -215,30 +245,52 @@ impl PreGarbledServer {
     }
 }
 
-/// One band's window into the six output arrays of [`pregarble`], all
+/// One band's window into the output arrays of [`pregarble_for`], all
 /// cut at the same item boundaries, so a band's worker writes its items
-/// in place and nothing is copied or allocated per band.
+/// in place and nothing is copied or allocated per band. `server` (the
+/// band's `labels0` and `deltas`) is absent in a client-sided garbling.
 struct BandOut<'a> {
     tables: &'a mut [[u128; 2]],
     eval_labels: &'a mut [u128],
     fixed_labels: &'a mut [u128],
     decode: &'a mut [bool],
-    labels0: &'a mut [u128],
-    deltas: &'a mut [u128],
+    server: Option<(&'a mut [u128], &'a mut [u128])>,
 }
 
 /// Garbles `items` instances of `op`'s masked unit circuit with fresh
 /// input masks and output shares, fanning the per-item garbling out in
 /// bands of `par_band` items. The result is a pure function of the
-/// `prg` state — the band size only controls parallelism.
+/// `prg` state — the band size only controls parallelism. Both halves
+/// of [`pregarble_for`].
 pub fn pregarble(
     op: MaskedOp,
     items: usize,
     prg: &mut Prg,
     par_band: usize,
 ) -> (PreGarbledClient, PreGarbledServer) {
+    let (client, server) = pregarble_for(op, items, prg, par_band, Halves::Both);
+    (client.expect("both halves garbled"), server.expect("both halves garbled"))
+}
+
+/// [`pregarble`], materialising only `halves`: each kept half is
+/// bit-identical to the same half of the two-sided garbling, and `prg`
+/// ends at the same position whichever halves were asked for.
+///
+/// The client half *is* the garbling — tables, decode bits and the
+/// evaluator's labels all come out of the gate walk — so
+/// [`Halves::Client`] runs that walk and merely never stores Δ or the
+/// garbler's zero labels. The server half depends on no gate at all:
+/// [`Halves::Server`] draws Δ and the first `in_elems · 64` labels of
+/// each item's own stream and never calls [`garble_open`] or a gate
+/// hash.
+pub fn pregarble_for(
+    op: MaskedOp,
+    items: usize,
+    prg: &mut Prg,
+    par_band: usize,
+    halves: Halves,
+) -> (Option<PreGarbledClient>, Option<PreGarbledServer>) {
     let in_elems = op.in_elems();
-    let ands = op.ands_per_item();
     let inputs = items * in_elems;
     let masks = prg.next_u64s(inputs);
     let out_share = prg.next_u64s(items);
@@ -249,29 +301,41 @@ pub fn pregarble(
             s
         })
         .collect();
-    let circuit = op.unit_circuit();
     let online_wires = in_elems * UNIT_BITS;
+    if halves == Halves::Server {
+        // `garble_open`'s first draws, in its order: Δ, then the
+        // garbler's input labels — of which the online wires come first.
+        let mut labels0 = Vec::with_capacity(inputs * UNIT_BITS);
+        let mut deltas = Vec::with_capacity(items);
+        for seed in seeds {
+            let mut item = Prg::from_seed(seed);
+            deltas.push(item.next_u128() | 1);
+            labels0.extend((0..online_wires).map(|_| item.next_u128()));
+        }
+        return (None, Some(PreGarbledServer { op, labels0, deltas, out_share }));
+    }
+    let ands = op.ands_per_item();
+    let circuit = op.unit_circuit();
     let band = par_band.max(1);
     let mut tables = vec![[0u128; 2]; items * ands];
     let mut eval_labels = vec![0u128; inputs * UNIT_BITS];
     let mut fixed_labels = vec![0u128; items * UNIT_BITS];
     let mut decode = vec![false; items * UNIT_BITS];
-    let mut labels0 = vec![0u128; inputs * UNIT_BITS];
-    let mut deltas = vec![0u128; items];
+    let mut server = halves.server().then(|| (vec![0u128; inputs * UNIT_BITS], vec![0u128; items]));
+    let mut server_bands = server.as_mut().map(|(labels0, deltas)| {
+        labels0.chunks_mut(band * online_wires).zip(deltas.chunks_mut(band))
+    });
     let mut bands: Vec<BandOut<'_>> = tables
         .chunks_mut(band * ands)
         .zip(eval_labels.chunks_mut(band * online_wires))
         .zip(fixed_labels.chunks_mut(band * UNIT_BITS))
         .zip(decode.chunks_mut(band * UNIT_BITS))
-        .zip(labels0.chunks_mut(band * online_wires))
-        .zip(deltas.chunks_mut(band))
-        .map(|(((((tables, eval_labels), fixed_labels), decode), labels0), deltas)| BandOut {
+        .map(|(((tables, eval_labels), fixed_labels), decode)| BandOut {
             tables,
             eval_labels,
             fixed_labels,
             decode,
-            labels0,
-            deltas,
+            server: server_bands.as_mut().and_then(Iterator::next),
         })
         .collect();
     // One-slot chunks: the rayon shim only offers par_chunks_mut, so
@@ -279,7 +343,7 @@ pub fn pregarble(
     // tuning knob; band sizing happens via `band` above.
     bands.par_chunks_mut(1).enumerate().for_each(|(bi, chunk)| {
         let out = &mut chunk[0];
-        for k in 0..out.deltas.len() {
+        for k in 0..out.decode.len() / UNIT_BITS {
             let i = bi * band + k;
             let open = garble_open(circuit, &mut Prg::from_seed(seeds[i]));
             let online = k * online_wires..(k + 1) * online_wires;
@@ -294,17 +358,21 @@ pub fn pregarble(
             for (slot, (bit, &(l0, l1))) in out.fixed_labels[unit.clone()].iter_mut().zip(pairs) {
                 *slot = if (neg_r >> bit) & 1 == 1 { l1 } else { l0 };
             }
-            let zeros = open.garbler_label_pairs[..online_wires].iter().map(|p| p.0);
-            for (slot, l0) in out.labels0[online].iter_mut().zip(zeros) {
-                *slot = l0;
+            if let Some((labels0, deltas)) = out.server.as_mut() {
+                let zeros = open.garbler_label_pairs[..online_wires].iter().map(|p| p.0);
+                for (slot, l0) in labels0[online].iter_mut().zip(zeros) {
+                    *slot = l0;
+                }
+                deltas[k] = open.delta;
             }
-            out.deltas[k] = open.delta;
             out.tables[k * ands..(k + 1) * ands].copy_from_slice(&open.tables);
             out.decode[unit].copy_from_slice(&open.output_decode);
         }
     });
     let client = PreGarbledClient { op, masks, tables, eval_labels, fixed_labels, decode };
-    (client, PreGarbledServer { op, labels0, deltas, out_share })
+    let server =
+        server.map(|(labels0, deltas)| PreGarbledServer { op, labels0, deltas, out_share });
+    (Some(client), server)
 }
 
 fn pack_labels(labels: &[u128]) -> Vec<u8> {
@@ -668,6 +736,54 @@ mod tests {
     }
 
     #[test]
+    fn sided_garbling_is_the_same_half_of_the_two_sided_garbling() {
+        // Skip, don't reorder: whichever halves are kept, each equals
+        // the same half of `pregarble` field for field, and the caller's
+        // PRG yields the same next word afterwards.
+        for op in [MaskedOp::Relu, MaskedOp::Maxpool4] {
+            for items in [1usize, 7, 8, 9, 23] {
+                for band in [1usize, 3, 8, 1024] {
+                    let seed = 2000 + items as u64;
+                    let mut prg = Prg::from_u64(seed);
+                    let (c, s) = pregarble(op, items, &mut prg, band);
+                    let next = prg.next_u64();
+                    let at = format!("{op:?} × {items} at band {band}");
+
+                    let mut prg = Prg::from_u64(seed);
+                    let (client, none) = pregarble_for(op, items, &mut prg, band, Halves::Client);
+                    assert!(none.is_none(), "{at}: a client-sided garbling holds no Δ");
+                    let client = client.unwrap();
+                    assert_eq!(
+                        (
+                            &client.masks,
+                            &client.tables,
+                            &client.eval_labels,
+                            &client.fixed_labels,
+                            &client.decode
+                        ),
+                        (&c.masks, &c.tables, &c.eval_labels, &c.fixed_labels, &c.decode),
+                        "{at}: client half"
+                    );
+                    assert_eq!(client.op(), op);
+                    assert_eq!(prg.next_u64(), next, "{at}: stream position after client");
+
+                    let mut prg = Prg::from_u64(seed);
+                    let (none, server) = pregarble_for(op, items, &mut prg, band, Halves::Server);
+                    assert!(none.is_none(), "{at}: a server-sided garbling holds no tables");
+                    let server = server.unwrap();
+                    assert_eq!(
+                        (&server.labels0, &server.deltas, &server.out_share),
+                        (&s.labels0, &s.deltas, &s.out_share),
+                        "{at}: server half"
+                    );
+                    assert_eq!(server.op(), op);
+                    assert_eq!(prg.next_u64(), next, "{at}: stream position after server");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn k_evaluators_in_one_run_are_bit_identical_to_k_runs_of_one() {
         // Three members, each with independently drawn material and
         // shares. One run over all three must send every member the
@@ -765,6 +881,11 @@ mod tests {
             (2 * 8 + 2 * ands * 32 + 2 * 64 * 16 + 2 * 64 * 16 + 2 * 8) as u64
         );
         assert_eq!(smat.expanded_bytes(), (2 * 64 * 16 + 2 * 16 + 2 * 8) as u64);
+        // The shape arithmetic a sided deal reports is the two halves'.
+        for (op, items) in [(MaskedOp::Relu, 2), (MaskedOp::Maxpool4, 5)] {
+            let (cmat, smat) = pregarble(op, items, &mut prg, 1);
+            assert_eq!(op.expanded_bytes(items), cmat.expanded_bytes() + smat.expanded_bytes());
+        }
         assert!(MaskedOp::Relu.xors_per_item() > 0);
     }
 

@@ -19,6 +19,7 @@ use crate::engine::PiConfig;
 use crate::report::OpCounts;
 use crate::{PiError, Result};
 use c2pi_mpc::beaver::{linear_client, linear_server_members};
+pub use c2pi_mpc::dealer::Halves;
 use c2pi_mpc::dealer::{Dealer, LinearCorrClient, LinearCorrServer};
 use c2pi_mpc::ring::RingMatrix;
 use c2pi_mpc::share::ShareVec;
@@ -55,6 +56,18 @@ pub type NlMaterial = Box<dyn Any + Send>;
 /// hooks for its non-linear material and the four non-linear online
 /// hooks; the two linear hooks default to the masked-linear protocol
 /// both built-ins share.
+///
+/// **Sided preparation.** Each party expands only the half it will
+/// read, so every `prepare_*` hook is told which [`Halves`] its caller
+/// keeps and returns `(Option<client>, Option<server>)`. The contract is
+/// *skip, don't reorder*: whatever `halves` says, the hook must leave
+/// `dealer` at the same stream position and add the same `counts`, and
+/// a half it does return must equal the same half of [`Halves::Both`] —
+/// that is what lets a client-sided and a server-sided expansion of one
+/// seed meet in one protocol run. A wanted half must be `Some`; an
+/// unwanted one may be, and is dropped. So a backend that ignores the
+/// argument and always returns both halves stays correct, only slower —
+/// it does for the other party the work that party does for itself.
 pub trait PiBackendImpl: fmt::Debug + Send + Sync {
     /// Engine name for reports (`delphi` / `cheetah` / yours).
     fn name(&self) -> &'static str;
@@ -74,25 +87,28 @@ pub trait PiBackendImpl: fmt::Debug + Send + Sync {
     }
 
     /// Generates offline material for a ReLU over `n` shared elements,
-    /// returning the (client, server) halves and accumulating
-    /// backend-specific counts (AND gates, bit triples).
+    /// returning the (client, server) halves `halves` asks for and
+    /// accumulating backend-specific counts (AND gates, bit triples) —
+    /// the same counts whichever halves are kept.
     fn prepare_relu(
         &self,
         dealer: &mut Dealer,
         n: usize,
         cfg: &PiConfig,
         counts: &mut OpCounts,
-    ) -> (NlMaterial, NlMaterial);
+        halves: Halves,
+    ) -> (Option<NlMaterial>, Option<NlMaterial>);
 
     /// Generates offline material for a 2×2 max pool over `windows`
-    /// four-element windows.
+    /// four-element windows; sided as [`Self::prepare_relu`].
     fn prepare_maxpool(
         &self,
         dealer: &mut Dealer,
         windows: usize,
         cfg: &PiConfig,
         counts: &mut OpCounts,
-    ) -> (NlMaterial, NlMaterial);
+        halves: Halves,
+    ) -> (Option<NlMaterial>, Option<NlMaterial>);
 
     /// Client party of the online ReLU on a share of `n` elements.
     ///
@@ -155,7 +171,9 @@ pub trait PiBackendImpl: fmt::Debug + Send + Sync {
 
     /// Offline correlation for a linear layer with server-known weights
     /// `w` applied to a shared input with `cols` columns. Defaults to
-    /// the shared masked-linear correlation.
+    /// the shared masked-linear correlation, whose client half reads
+    /// nothing of `w` but its shape — a client-sided call must not
+    /// depend on the weights' values (the client does not have them).
     ///
     /// # Errors
     ///
@@ -165,8 +183,9 @@ pub trait PiBackendImpl: fmt::Debug + Send + Sync {
         dealer: &mut Dealer,
         w: &RingMatrix,
         cols: usize,
-    ) -> Result<(LinearCorrClient, LinearCorrServer)> {
-        Ok(dealer.linear_corr(w, cols)?)
+        halves: Halves,
+    ) -> Result<(Option<LinearCorrClient>, Option<LinearCorrServer>)> {
+        Ok(dealer.linear_corr_for(w, cols, halves)?)
     }
 
     /// Client party of the online linear layer. Defaults to the

@@ -11,7 +11,7 @@ use crate::cost::OfflineCostModel;
 use crate::engine::PiConfig;
 use crate::report::OpCounts;
 use crate::Result;
-use c2pi_mpc::dealer::{Dealer, TripleShare};
+use c2pi_mpc::dealer::{Dealer, Halves, TripleShare};
 use c2pi_mpc::ot::BitTriples;
 use c2pi_mpc::relu::{drelu_bit_triples, max_interactive, relu_interactive};
 use c2pi_mpc::share::ShareVec;
@@ -34,13 +34,34 @@ struct CmpMaterial {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Cheetah;
 
-fn stage_for(dealer: &mut Dealer, n: usize, counts: &mut OpCounts) -> (Stage, Stage) {
-    let need = n * drelu_bit_triples(63);
-    counts.bit_triples += need as u64;
-    let (b0, b1) = dealer.bit_triples(need);
-    let (ta0, ta1) = dealer.beaver_triples(n);
-    let (tb0, tb1) = dealer.beaver_triples(n);
-    ((b0, ta0, tb0), (b1, ta1, tb1))
+/// Deals `stages` comparison stages over `n` elements each, keeping
+/// `halves`. Unlike a garbling, the server's half of every correlation
+/// here depends on every draw, so a sided deal saves only the client its
+/// `c₁` words and the unwanted Beaver halves are simply dropped.
+fn layer_for(
+    dealer: &mut Dealer,
+    stages: usize,
+    n: usize,
+    counts: &mut OpCounts,
+    halves: Halves,
+) -> (Option<NlMaterial>, Option<NlMaterial>) {
+    let mut client = halves.client().then(|| Vec::with_capacity(stages));
+    let mut server = halves.server().then(|| Vec::with_capacity(stages));
+    for _ in 0..stages {
+        let need = n * drelu_bit_triples(63);
+        counts.bit_triples += need as u64;
+        let (b0, b1) = dealer.bit_triples_for(need, halves);
+        let (ta0, ta1) = dealer.beaver_triples(n);
+        let (tb0, tb1) = dealer.beaver_triples(n);
+        if let (Some(stages), Some(b0)) = (client.as_mut(), b0) {
+            stages.push((b0, ta0, tb0));
+        }
+        if let (Some(stages), Some(b1)) = (server.as_mut(), b1) {
+            stages.push((b1, ta1, tb1));
+        }
+    }
+    let boxed = |stages: Vec<Stage>| Box::new(CmpMaterial { stages }) as NlMaterial;
+    (client.map(boxed), server.map(boxed))
 }
 
 /// One party of the comparison-based ReLU. The protocol is symmetric:
@@ -115,9 +136,9 @@ impl PiBackendImpl for Cheetah {
         n: usize,
         _cfg: &PiConfig,
         counts: &mut OpCounts,
-    ) -> (NlMaterial, NlMaterial) {
-        let (c, s) = stage_for(dealer, n, counts);
-        (Box::new(CmpMaterial { stages: vec![c] }), Box::new(CmpMaterial { stages: vec![s] }))
+        halves: Halves,
+    ) -> (Option<NlMaterial>, Option<NlMaterial>) {
+        layer_for(dealer, 1, n, counts, halves)
     }
 
     fn prepare_maxpool(
@@ -126,15 +147,9 @@ impl PiBackendImpl for Cheetah {
         windows: usize,
         _cfg: &PiConfig,
         counts: &mut OpCounts,
-    ) -> (NlMaterial, NlMaterial) {
-        let mut stages_c = Vec::with_capacity(3);
-        let mut stages_s = Vec::with_capacity(3);
-        for _ in 0..3 {
-            let (c, s) = stage_for(dealer, windows, counts);
-            stages_c.push(c);
-            stages_s.push(s);
-        }
-        (Box::new(CmpMaterial { stages: stages_c }), Box::new(CmpMaterial { stages: stages_s }))
+        halves: Halves,
+    ) -> (Option<NlMaterial>, Option<NlMaterial>) {
+        layer_for(dealer, 3, windows, counts, halves)
     }
 
     fn relu_online_client(

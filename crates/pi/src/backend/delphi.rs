@@ -3,8 +3,9 @@
 //! ([`c2pi_mpc::gcpre`]) — `prepare_*` garbles the masked circuits and
 //! fixes every input-independent label during preprocessing, so the
 //! online phase is one `δ`/label round trip per layer plus local
-//! evaluation. Heavyweight HE offline (plus the garbled tables and the
-//! session OT extension's label transfers) modelled by
+//! evaluation. A server-sided `prepare_*` keeps Δ, the zero labels and
+//! `r` and garbles nothing. Heavyweight HE offline (plus the garbled
+//! tables and the session OT extension's label transfers) modelled by
 //! [`OfflineCostModel::delphi`].
 
 use super::{check_batch_arity, downcast_material, NlMaterial, PiBackendImpl};
@@ -12,10 +13,10 @@ use crate::cost::OfflineCostModel;
 use crate::engine::PiConfig;
 use crate::report::OpCounts;
 use crate::Result;
-use c2pi_mpc::dealer::Dealer;
+use c2pi_mpc::dealer::{Dealer, Halves};
 use c2pi_mpc::gc::UNIT_BITS;
 use c2pi_mpc::gcpre::{
-    pre_gc_evaluator, pre_gc_garbler_members, pregarble, MaskedOp, PreGarbledClient,
+    pre_gc_evaluator, pre_gc_garbler_members, pregarble_for, MaskedOp, PreGarbledClient,
     PreGarbledServer,
 };
 use c2pi_mpc::ot::KAPPA;
@@ -29,7 +30,9 @@ pub struct Delphi;
 
 impl Delphi {
     /// Garbles one layer's masked circuits offline and accounts the
-    /// AND gates plus the extension-transferred evaluator labels.
+    /// AND gates plus the extension-transferred evaluator labels — the
+    /// layer's, whichever halves this party keeps. A server-sided call
+    /// garbles nothing ([`pregarble_for`]).
     fn prepare_layer(
         &self,
         dealer: &mut Dealer,
@@ -37,19 +40,21 @@ impl Delphi {
         items: usize,
         cfg: &PiConfig,
         counts: &mut OpCounts,
-    ) -> (NlMaterial, NlMaterial) {
+        halves: Halves,
+    ) -> (Option<NlMaterial>, Option<NlMaterial>) {
         counts.and_gates += (items * op.ands_per_item()) as u64;
         counts.xor_gates += (items * op.xors_per_item()) as u64;
         // The evaluator's masked-input labels ride the session OT
         // extension (one transfer per input bit).
         counts.ext_ots += (items * op.in_elems() * UNIT_BITS) as u64;
         let mut prg = dealer.fork_prg();
-        let (cmat, smat) = pregarble(op, items, &mut prg, cfg.gc_chunk.max(1));
+        let (cmat, smat) = pregarble_for(op, items, &mut prg, cfg.gc_chunk.max(1), halves);
         // The pre-garbled halves are drawn from a forked PRG, so the
         // dealer can't see their size itself — report it for the
-        // seed-vs-expanded accounting.
-        dealer.note_expanded(cmat.expanded_bytes() + smat.expanded_bytes());
-        (Box::new(cmat), Box::new(smat))
+        // seed-vs-expanded accounting: what the seed stands for, both
+        // halves, not what this party holds.
+        dealer.note_expanded(op.expanded_bytes(items));
+        (cmat.map(|m| Box::new(m) as NlMaterial), smat.map(|m| Box::new(m) as NlMaterial))
     }
 
     /// Evaluator party of both non-linear hooks: one `δ`/label round
@@ -105,8 +110,9 @@ impl PiBackendImpl for Delphi {
         n: usize,
         cfg: &PiConfig,
         counts: &mut OpCounts,
-    ) -> (NlMaterial, NlMaterial) {
-        self.prepare_layer(dealer, MaskedOp::Relu, n, cfg, counts)
+        halves: Halves,
+    ) -> (Option<NlMaterial>, Option<NlMaterial>) {
+        self.prepare_layer(dealer, MaskedOp::Relu, n, cfg, counts, halves)
     }
 
     fn prepare_maxpool(
@@ -115,8 +121,9 @@ impl PiBackendImpl for Delphi {
         windows: usize,
         cfg: &PiConfig,
         counts: &mut OpCounts,
-    ) -> (NlMaterial, NlMaterial) {
-        self.prepare_layer(dealer, MaskedOp::Maxpool4, windows, cfg, counts)
+        halves: Halves,
+    ) -> (Option<NlMaterial>, Option<NlMaterial>) {
+        self.prepare_layer(dealer, MaskedOp::Maxpool4, windows, cfg, counts, halves)
     }
 
     fn relu_online_client(

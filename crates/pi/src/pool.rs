@@ -34,7 +34,7 @@ use crate::plan::{Plan, Step, StepData};
 use crate::report::{OpCounts, PreprocessLedger};
 use crate::store::{MaterialStore, RecordKind, RestoreReport};
 use crate::{PiError, Result};
-use c2pi_mpc::dealer::{AffineCorrClient, AffineCorrServer, Dealer, DealtSeed};
+use c2pi_mpc::dealer::{AffineCorrClient, AffineCorrServer, Dealer, DealtSeed, Halves};
 use c2pi_mpc::prg::SeedSequence;
 use std::collections::VecDeque;
 use std::path::Path;
@@ -64,10 +64,16 @@ pub(crate) enum ServerMat {
 /// consumed by exactly one online inference. Opaque outside the crate —
 /// obtained from [`MaterialPool::take`] and handed straight to a
 /// session's online entry points.
+///
+/// A set holds the halves its dealer was asked for ([`Halves`]): both
+/// from a session's own pool, the server's from a
+/// [`crate::ShardedMaterialPool`], the client's from
+/// [`SessionCore::expand_dealt`]. `counts` describe the seed, not the
+/// holdings, and are the same for all three.
 pub struct InferenceMaterial {
     pub(crate) seed: u64,
-    pub(crate) cmats: Vec<ClientMat>,
-    pub(crate) smats: Vec<ServerMat>,
+    pub(crate) cmats: Option<Vec<ClientMat>>,
+    pub(crate) smats: Option<Vec<ServerMat>>,
     pub(crate) counts: OpCounts,
 }
 
@@ -77,13 +83,48 @@ impl InferenceMaterial {
     pub fn seed(&self) -> u64 {
         self.seed
     }
+
+    /// Takes the client half out, for the party about to walk it.
+    ///
+    /// # Errors
+    ///
+    /// [`PiError::BadConfig`] naming the missing half when the set was
+    /// dealt server-sided (or its client half was already taken).
+    pub(crate) fn take_client(&mut self) -> Result<Vec<ClientMat>> {
+        self.cmats.take().ok_or_else(|| self.missing("client"))
+    }
+
+    /// Takes the server half out; as [`Self::take_client`].
+    pub(crate) fn take_server(&mut self) -> Result<Vec<ServerMat>> {
+        self.smats.take().ok_or_else(|| self.missing("server"))
+    }
+
+    fn missing(&self, half: &str) -> PiError {
+        PiError::BadConfig(format!(
+            "material set for seed {:#x} holds no {half} half (it holds: {})",
+            self.seed,
+            self.held()
+        ))
+    }
+
+    /// The halves this set holds, for error messages and `Debug`.
+    fn held(&self) -> &'static str {
+        match (&self.cmats, &self.smats) {
+            (Some(_), Some(_)) => "client + server",
+            (Some(_), None) => "client",
+            (None, Some(_)) => "server",
+            (None, None) => "none",
+        }
+    }
 }
 
 impl std::fmt::Debug for InferenceMaterial {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let steps = self.cmats.as_ref().map(Vec::len).or(self.smats.as_ref().map(Vec::len));
         f.debug_struct("InferenceMaterial")
             .field("seed", &self.seed)
-            .field("steps", &self.cmats.len())
+            .field("halves", &self.held())
+            .field("steps", &steps.unwrap_or(0))
             .finish()
     }
 }
@@ -176,7 +217,13 @@ impl SessionCore {
     /// **Dealt contract, client side**: decodes the first frame a server
     /// sent ([`SessionCore::serve_prepared`]), checks that the seed was
     /// dealt for this exact deployment (nonce and plan shape), and
-    /// expands the material it stands for.
+    /// expands the **client half** of the material it stands for — the
+    /// masks, `c₀` shares, tables and evaluator labels a client walk
+    /// reads. Nothing here multiplies by, or otherwise reads the values
+    /// of, the plan's weights: a client compiled from the public
+    /// architecture with zeroed weights expands the identical half
+    /// (DESIGN.md §6). The returned set cannot be served
+    /// ([`SessionCore::serve_prepared`] refuses it by name).
     ///
     /// # Errors
     ///
@@ -193,59 +240,92 @@ impl SessionCore {
                     .into(),
             ));
         }
-        self.deal(dealt.seed)
+        self.deal(dealt.seed, Halves::Client)
     }
 
     /// Runs the trusted-dealer stand-in for one inference: walks the
-    /// plan and expands both parties' correlated-randomness halves from
-    /// the compact [`DealtSeed`] for `seed`. Deterministic in `seed`
-    /// (and the session fingerprint), input-independent, and `&self` —
-    /// any thread may deal concurrently.
+    /// plan and expands `halves` of the correlated randomness from the
+    /// compact [`DealtSeed`] for `seed`. Deterministic in `seed` (and
+    /// the session fingerprint), input-independent, and `&self` — any
+    /// thread may deal concurrently.
+    ///
+    /// Which halves is decided by the entry point, never by a setting:
+    /// a session's own [`MaterialPool`] deals both (in-process `infer`
+    /// plays both parties over one set), a [`crate::ShardedMaterialPool`]
+    /// the server's (its sets only ever reach
+    /// [`SessionCore::serve_prepared`]), [`SessionCore::expand_dealt`]
+    /// the client's. All three walk the one stream in the one order —
+    /// a sided deal skips the work derived from draws it does not keep,
+    /// never the draws — so the client half of one party's expansion and
+    /// the server half of the other's are the two halves of one set, and
+    /// neither `DealtSeed`'s version nor the store's moves.
     ///
     /// The returned counts carry the seed-compression shape: how many
     /// bytes the dealt artifact occupies on the wire (`seed_bytes`) and
-    /// how many the expansion occupies locally (`expanded_bytes`).
+    /// how many its expansion occupies, both halves (`expanded_bytes` —
+    /// what the seed stands for, equal for every `halves`).
     ///
     /// # Errors
     ///
-    /// Propagates dealer errors (caller shape bugs).
-    pub(crate) fn deal(&self, seed: u64) -> Result<InferenceMaterial> {
+    /// Propagates dealer errors (caller shape bugs);
+    /// [`PiError::BadConfig`] when the backend returns no material for a
+    /// half it was asked for.
+    pub(crate) fn deal(&self, seed: u64, halves: Halves) -> Result<InferenceMaterial> {
         let dealt = self.dealt_seed(seed);
         let mut dealer = Dealer::for_dealt(&dealt);
         let mut counts = self.plan.base_counts.clone();
         // Session-wide correlations first (the per-inference base-OT
         // set the backend's extension amortises across layers).
         self.backend.prepare_session(&mut dealer, &mut counts);
-        let mut cmats = Vec::with_capacity(self.plan.steps.len());
-        let mut smats = Vec::with_capacity(self.plan.steps.len());
+        let steps = self.plan.steps.len();
+        let mut cmats = halves.client().then(|| Vec::with_capacity(steps));
+        let mut smats = halves.server().then(|| Vec::with_capacity(steps));
+        // Keeps the wanted halves of one step; a backend that hands
+        // back an unwanted half too is tolerated, one that withholds a
+        // wanted half is not.
+        let mut keep = |c: Option<ClientMat>, s: Option<ServerMat>| -> Result<()> {
+            let withheld = |half| {
+                PiError::BadConfig(format!(
+                    "the {} backend prepared no {half} half for a {halves:?} deal",
+                    self.backend.name()
+                ))
+            };
+            if let Some(cmats) = cmats.as_mut() {
+                cmats.push(c.ok_or_else(|| withheld("client"))?);
+            }
+            if let Some(smats) = smats.as_mut() {
+                smats.push(s.ok_or_else(|| withheld("server"))?);
+            }
+            Ok(())
+        };
         for (step, data) in self.plan.steps.iter().zip(self.plan.data.iter()) {
             match (step, data) {
                 (Step::Conv { .. } | Step::Fc { .. }, StepData::Lin { w, cols, .. }) => {
-                    let (corr_c, corr_s) = self.backend.prepare_linear(&mut dealer, w, *cols)?;
-                    cmats.push(ClientMat::Lin(corr_c));
-                    smats.push(ServerMat::Lin(corr_s));
+                    let (c, s) = self.backend.prepare_linear(&mut dealer, w, *cols, halves)?;
+                    keep(c.map(ClientMat::Lin), s.map(ServerMat::Lin))?;
                 }
                 (Step::Relu { n }, StepData::None) => {
-                    let (cm, sm) =
-                        self.backend.prepare_relu(&mut dealer, *n, &self.cfg, &mut counts);
-                    cmats.push(ClientMat::Nl(cm));
-                    smats.push(ServerMat::Nl(sm));
+                    let (c, s) =
+                        self.backend.prepare_relu(&mut dealer, *n, &self.cfg, &mut counts, halves);
+                    keep(c.map(ClientMat::Nl), s.map(ServerMat::Nl))?;
                 }
                 (Step::MaxPool { c, h, w }, StepData::None) => {
                     let windows = c * (h / 2) * (w / 2);
-                    let (cm, sm) =
-                        self.backend.prepare_maxpool(&mut dealer, windows, &self.cfg, &mut counts);
-                    cmats.push(ClientMat::Nl(cm));
-                    smats.push(ServerMat::Nl(sm));
+                    let (c, s) = self.backend.prepare_maxpool(
+                        &mut dealer,
+                        windows,
+                        &self.cfg,
+                        &mut counts,
+                        halves,
+                    );
+                    keep(c.map(ClientMat::Nl), s.map(ServerMat::Nl))?;
                 }
                 (Step::Affine, StepData::Affine { scale, .. }) => {
-                    let (corr_c, corr_s) = dealer.affine_corr(scale);
-                    cmats.push(ClientMat::Affine(corr_c));
-                    smats.push(ServerMat::Affine(corr_s));
+                    let (c, s) = dealer.affine_corr_for(scale, halves);
+                    keep(c.map(ClientMat::Affine), s.map(ServerMat::Affine))?;
                 }
                 (Step::AvgPool { .. } | Step::Flatten, StepData::None) => {
-                    cmats.push(ClientMat::None);
-                    smats.push(ServerMat::None);
+                    keep(Some(ClientMat::None), Some(ServerMat::None))?;
                 }
                 _ => return Err(PiError::BadConfig("plan/data mismatch".into())),
             }
@@ -370,6 +450,9 @@ pub enum PoolTake {
 /// `pool_stress` test pins down bit-for-bit.
 pub struct MaterialPool {
     core: Arc<SessionCore>,
+    /// The halves every set of this pool holds — fixed by the
+    /// constructor, i.e. by who consumes the pool.
+    halves: Halves,
     /// Seed stream authority — exclusive to this pool, or shared with
     /// sibling shards (see [`SeedAllocator`]).
     alloc: Arc<SeedAllocator>,
@@ -392,18 +475,28 @@ impl std::fmt::Debug for MaterialPool {
 impl MaterialPool {
     /// Creates an empty pool whose per-inference seeds fork from
     /// `core.config().dealer_seed` (the same domain-separated stream a
-    /// single-threaded session uses).
+    /// single-threaded session uses). Its sets hold **both** halves:
+    /// this is the pool behind [`crate::PiSession`], whose in-process
+    /// inference plays both parties over one set.
     pub fn new(core: Arc<SessionCore>) -> Self {
         let alloc = Arc::new(SeedAllocator::new(core.cfg.dealer_seed));
         Self::with_allocator(core, alloc)
     }
 
     /// Creates an empty pool drawing from an explicit (possibly shared)
-    /// seed allocator — the constructor sharded deployments use so all
-    /// shards consume one global stream.
+    /// seed allocator. Like [`MaterialPool::new`] it deals both halves
+    /// of every set.
     pub fn with_allocator(core: Arc<SessionCore>, alloc: Arc<SeedAllocator>) -> Self {
+        Self::sided(core, alloc, Halves::Both)
+    }
+
+    /// A pool whose every deal — offline, inline and store replay —
+    /// expands only `halves`: what [`crate::ShardedMaterialPool`] builds
+    /// its server-sided shards with.
+    pub(crate) fn sided(core: Arc<SessionCore>, alloc: Arc<SeedAllocator>, halves: Halves) -> Self {
         MaterialPool {
             core,
+            halves,
             alloc,
             state: Mutex::new(PoolState {
                 ready: VecDeque::new(),
@@ -477,7 +570,7 @@ impl MaterialPool {
         let seed = self.draw_seed(&mut st);
         drop(st);
         let start = Instant::now();
-        let material = self.core.deal(seed)?;
+        let material = self.core.deal(seed, self.halves)?;
         let elapsed = start.elapsed().as_secs_f64();
         let mut st = self.lock();
         st.ledger.generated_offline += 1;
@@ -526,7 +619,7 @@ impl MaterialPool {
         drop(st);
         self.drained.notify_all();
         let start = Instant::now();
-        let material = self.core.deal(seed)?;
+        let material = self.core.deal(seed, self.halves)?;
         let elapsed = start.elapsed().as_secs_f64();
         let mut st = self.lock();
         credit_generation(&mut st.ledger, &material.counts, elapsed);
@@ -566,9 +659,11 @@ impl MaterialPool {
     /// the pool from whatever a previous process left there: the seed
     /// stream is fast-forwarded past every seed the previous process
     /// drew, the ledger resumes from its last persisted snapshot, and
-    /// every dealt-but-unconsumed seed is re-expanded into the pool
-    /// (counted in `ledger.restored`, *not* as new offline generation —
-    /// nothing is re-preprocessed). From then on every deal and consume
+    /// every dealt-but-unconsumed seed is re-expanded into the pool —
+    /// the halves this pool deals, so a store written by a two-sided
+    /// pool warm-boots a server-sided one (the log holds seeds, and a
+    /// seed means the same set to both) — counted in `ledger.restored`,
+    /// *not* as new offline generation: nothing is re-preprocessed. From then on every deal and consume
     /// is appended to the store.
     ///
     /// Must be called on a fresh pool, before any preprocessing or
@@ -625,7 +720,7 @@ impl MaterialPool {
         // Re-expand the surviving seeds into ready material. Boot-time
         // work under the lock is fine: nothing serves yet.
         for &seed in &scan.pending {
-            let material = self.core.deal(seed)?;
+            let material = self.core.deal(seed, self.halves)?;
             st.ready.push_back(material);
         }
         st.store = Some(store);
@@ -834,6 +929,41 @@ mod tests {
                     if why == "dealt seed: unsupported version"),
                 "v{earlier}: {err:?}"
             );
+        }
+    }
+
+    #[test]
+    fn sided_deals_describe_the_same_seed_and_name_what_they_hold() {
+        // `counts` (seed and expanded bytes included) are the seed's,
+        // not the holder's: equal for all three deals on both backends.
+        use crate::engine::PiBackend;
+        for backend in [PiBackend::Delphi, PiBackend::Cheetah] {
+            let core = tiny_core();
+            let core =
+                SessionCore { plan: core.plan.clone(), cfg: core.cfg, backend: backend.engine() };
+            let mut both = core.deal(7, Halves::Both).unwrap();
+            let mut client = core.deal(7, Halves::Client).unwrap();
+            let mut server = core.deal(7, Halves::Server).unwrap();
+            assert!(both.counts.expanded_bytes > both.counts.seed_bytes);
+            assert_eq!(client.counts, both.counts, "{backend:?}: client-sided counts");
+            assert_eq!(server.counts, both.counts, "{backend:?}: server-sided counts");
+            for (set, held) in
+                [(&both, "client + server"), (&client, "client"), (&server, "server")]
+            {
+                let shown = format!("{set:?}");
+                assert!(shown.contains(&format!("halves: {held:?}, steps: 2")), "{shown}");
+            }
+            // The half a set lacks is a typed error that names it; the
+            // half it holds comes out once.
+            for (err, half) in [
+                (server.take_client().map(|m| m.len()).unwrap_err(), "no client half"),
+                (client.take_server().map(|m| m.len()).unwrap_err(), "no server half"),
+            ] {
+                assert!(matches!(&err, PiError::BadConfig(why) if why.contains(half)), "{err:?}");
+            }
+            assert_eq!(both.take_client().unwrap().len(), 2);
+            assert_eq!(both.take_server().unwrap().len(), 2);
+            assert!(both.take_server().is_err());
         }
     }
 

@@ -35,8 +35,11 @@ pub struct OpCounts {
     /// Bytes of the compact [`DealtSeed`](c2pi_mpc::dealer::DealtSeed)
     /// artifacts actually shipped by the seed-compressed dealer.
     pub seed_bytes: u64,
-    /// Bytes the dealt correlations occupy once expanded locally from
-    /// the seed — what pre-compression dealing used to ship.
+    /// Bytes the dealt correlations occupy expanded from the seed,
+    /// **both parties' halves** — what pre-compression dealing used to
+    /// ship. It describes the seed, not the holder: a party that
+    /// expanded only its own half (a reactor shard, a remote client)
+    /// reports the same number as one that expanded both.
     pub expanded_bytes: u64,
 }
 

@@ -252,8 +252,9 @@ impl PiSession {
     /// Returns engine, shape or protocol errors.
     pub fn infer(&self, x: &Tensor) -> Result<PiOutcome> {
         self.check_input(x)?;
-        let material = self.pool.take()?;
-        let InferenceMaterial { seed, cmats, smats, counts } = material;
+        let mut material = self.pool.take()?;
+        let (cmats, smats) = (material.take_client()?, material.take_server()?);
+        let InferenceMaterial { seed, counts, .. } = material;
         let (cep, sep, counter) = self.transport.pair()?;
         let plan = &self.core.plan;
         let cfg = self.core.cfg;
@@ -341,8 +342,8 @@ impl PiSession {
                 .zip(xs)
                 .map(|(cep, x)| {
                     scope.spawn(move || -> Result<ShareVec> {
-                        let InferenceMaterial { seed, cmats, .. } =
-                            core.expand_dealt(&cep.recv_bytes()?)?;
+                        let mut material = core.expand_dealt(&cep.recv_bytes()?)?;
+                        let (cmats, seed) = (material.take_client()?, material.seed);
                         client_walk(&*cep, &core.plan, cmats, x, &core.cfg, &*core.backend, seed)
                     })
                 })

@@ -72,9 +72,12 @@ impl PiSession {
     /// critical path, recorded as inline in this session's ledger), and
     /// runs the client party of the online protocol.
     ///
-    /// Both processes must compile their sessions from identical specs
-    /// and configuration — only the seed-compressed dealt artifact
-    /// travels on the wire.
+    /// Both processes must compile their sessions from identical
+    /// architecture and configuration — only the seed-compressed dealt
+    /// artifact travels on the wire. The client's *weights* never enter:
+    /// its half of every correlation is raw draws plus its own garbling,
+    /// so a session compiled from the architecture alone (every weight
+    /// zero) requests bit-identically (DESIGN.md §6).
     ///
     /// # Errors
     ///
@@ -89,7 +92,9 @@ impl PiSession {
         let before = ch.counter().snapshot();
         let frame = ch.recv_bytes()?;
         let deal_start = Instant::now();
-        let InferenceMaterial { seed, cmats, smats: _, counts } = self.core.expand_dealt(&frame)?;
+        let mut material = self.core.expand_dealt(&frame)?;
+        let cmats = material.take_client()?;
+        let InferenceMaterial { seed, counts, .. } = material;
         self.pool.note_dealt_inline(deal_start.elapsed().as_secs_f64(), &counts);
         let start = Instant::now();
         let share =
@@ -131,16 +136,23 @@ impl SessionCore {
     /// on who else is in the run: serving `k` members in one call is
     /// bit-for-bit `k` calls of one over the same materials.
     ///
+    /// Only the **server half** of each set is read; the client half of
+    /// the same seed is what the peer expands from the dealt frame
+    /// ([`SessionCore::expand_dealt`]). Sets from a
+    /// [`crate::ShardedMaterialPool`] hold nothing else, sets from a
+    /// session's own pool hold both and have the other dropped here.
+    ///
     /// # Errors
     ///
     /// Returns [`PiError::BadConfig`] on an empty or mismatched member
-    /// set or a non-server channel end, plus engine and protocol errors
-    /// — one member's failure fails the whole run. The material is
-    /// consumed either way.
+    /// set, a non-server channel end, or a set that holds no server half
+    /// (one from [`SessionCore::expand_dealt`]) — all before any frame
+    /// is sent — plus engine and protocol errors; one member's failure
+    /// fails the whole run. The material is consumed either way.
     pub fn serve_prepared(
         &self,
         chs: &[&dyn Channel],
-        materials: Vec<InferenceMaterial>,
+        mut materials: Vec<InferenceMaterial>,
     ) -> Result<Vec<ShareVec>> {
         let k = chs.len();
         if k == 0 || materials.len() != k {
@@ -152,10 +164,12 @@ impl SessionCore {
         if chs.iter().any(|ch| ch.side() != Side::Server) {
             return Err(PiError::BadConfig("serve_prepared needs server channel ends".into()));
         }
-        let mut smats = Vec::with_capacity(k);
-        for (ch, material) in chs.iter().zip(materials) {
+        // Every member's server half first: a set that cannot be served
+        // is refused before any member has been dealt a seed.
+        let smats =
+            materials.iter_mut().map(InferenceMaterial::take_server).collect::<Result<Vec<_>>>()?;
+        for (ch, material) in chs.iter().zip(&materials) {
             ch.send_bytes(&self.dealt_seed(material.seed).encode())?;
-            smats.push(material.smats);
         }
         server_walk(chs, &self.plan, smats, &self.cfg, &*self.backend)
     }

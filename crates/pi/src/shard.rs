@@ -35,6 +35,7 @@ use crate::pool::{MaterialPool, PoolTake, Replenisher, SeedAllocator, SessionCor
 use crate::report::PreprocessLedger;
 use crate::store::{MaterialStore, RestoreReport};
 use crate::{PiError, Result};
+use c2pi_mpc::dealer::Halves;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -64,10 +65,23 @@ impl std::fmt::Debug for ShardedMaterialPool {
 impl ShardedMaterialPool {
     /// Creates `shards` empty pools sharing one seed allocator over
     /// `core`. `shards` is clamped to at least 1.
+    ///
+    /// The shards are **server-sided**: a sharded pool exists to feed
+    /// [`SessionCore::serve_prepared`] (its takes never deal inline and
+    /// no client entry point accepts a set from outside), so every deal
+    /// — preprocess, replenisher, store replay — expands only the
+    /// server half. On the Delphi backend that is the difference between
+    /// garbling every circuit and drawing a few labels per item, and
+    /// between ~30 MB and ~4 MB held per pooled set of the demo prefix.
+    /// The client half of each set is expanded by the client that is
+    /// dealt its seed ([`SessionCore::expand_dealt`]).
     pub fn new(core: Arc<SessionCore>, shards: usize) -> Self {
         let alloc = Arc::new(SeedAllocator::new(core.config().dealer_seed));
         let shards = (0..shards.max(1))
-            .map(|_| Arc::new(MaterialPool::with_allocator(Arc::clone(&core), Arc::clone(&alloc))))
+            .map(|_| {
+                let alloc = Arc::clone(&alloc);
+                Arc::new(MaterialPool::sided(Arc::clone(&core), alloc, Halves::Server))
+            })
             .collect();
         ShardedMaterialPool {
             shards,

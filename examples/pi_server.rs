@@ -181,9 +181,12 @@ fn main() {
         ledger.consumed,
         ledger.available,
     );
+    let dealt: u64 = snap.shards.iter().map(|s| s.generated_offline).sum();
+    let deal_seconds: f64 = snap.shards.iter().map(|s| s.generation_seconds).sum();
+    let deal_ms_per_set = if dealt > 0 { deal_seconds * 1e3 / dealt as f64 } else { 0.0 };
     println!(
         "[pi_server] reactor: accepted={} shed={} steals={} hangups={} coalesced={} batches={} \
-         poll_backend={} poll_wakeups={} poll_events={}",
+         poll_backend={} poll_wakeups={} poll_events={} deal_ms_per_set={deal_ms_per_set:.3}",
         snap.accepted,
         snap.shed,
         snap.steals,
