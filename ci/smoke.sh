@@ -100,10 +100,18 @@ for backend in cheetah delphi; do
         --serve-n $((CLIENTS * ITERS)) --preprocess 2 --workers "$CLIENTS" --shards 2
     addr=$(wait_for_addr)
     timeout "$CLIENT_TIMEOUT" "$BIN/multi_client" --backend "$backend" --addr "$addr" \
-        --clients "$CLIENTS" --iters "$ITERS"
+        --clients "$CLIENTS" --iters "$ITERS" | tee "target/smoke-multi-client-$backend.log"
     finish_server
     cat "$server_log"
 done
+# Client-side expansion is legible from the client's own summary line:
+# on Delphi it is the client garbling its half of every dealt seed, the
+# largest term of a request (the server-side twin, deal_ms_per_set, is
+# asserted on the warm-boot life below).
+grep -Eq '^\[multi_client\] .* client_deal_ms_mean=[0-9.]*[1-9]' target/smoke-multi-client-delphi.log || {
+    echo "smoke: multi_client does not report a positive client_deal_ms_mean on delphi" >&2
+    exit 1
+}
 
 echo "== poller-backend smoke: forced peek fallback serves identically =="
 # Same serving scenario as above, with POLLING_FORCE_PEEK=1 pinning the

@@ -1,9 +1,18 @@
 //! Microbenchmark: garbling and evaluating the masked-ReLU circuit
-//! (Delphi's per-ReLU cost driver).
+//! (Delphi's per-ReLU cost driver), and the offline garbling kernel
+//! `pregarble_for` at the demo model's layer sizes.
+//!
+//! The `pregarble/*` rows time one layer-sized call and report it **per
+//! 1 000 of the layer's AND gates**, so the µs column reads as ns per
+//! AND — the number to tune the garbling walk against (`server` draws
+//! labels and never walks; its row is the floor the draws set).
 
+use c2pi_mpc::dealer::Halves;
 use c2pi_mpc::gc::{evaluate, garble, relu_masked_circuit, to_bits};
+use c2pi_mpc::gcpre::{pregarble_for, MaskedOp};
 use c2pi_mpc::prg::Prg;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::time::Instant;
 
 fn bench_garbling(c: &mut Criterion) {
     let mut group = c.benchmark_group("gc_relu");
@@ -40,5 +49,30 @@ fn bench_garbling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_garbling);
+fn bench_pregarble(c: &mut Criterion) {
+    // The demo model's crypto layers: 1 936 ReLU elements, 392 pool
+    // windows, banded as `PiConfig::default().gc_chunk`.
+    const BAND: usize = 1024;
+    let mut group = c.benchmark_group("pregarble");
+    group.sample_size(20).measurement_time(std::time::Duration::from_secs(4));
+    for (name, op, items) in [("relu", MaskedOp::Relu, 1936), ("maxpool4", MaskedOp::Maxpool4, 392)]
+    {
+        let kilo_ands = (items * op.ands_per_item()) as f64 / 1e3;
+        for (side, halves) in
+            [("both", Halves::Both), ("client", Halves::Client), ("server", Halves::Server)]
+        {
+            group.bench_function(format!("{name}/{side}"), |bench| {
+                bench.iter_custom(|_| {
+                    let mut prg = Prg::from_u64(1);
+                    let start = Instant::now();
+                    black_box(pregarble_for(op, items, &mut prg, BAND, halves));
+                    start.elapsed().div_f64(kilo_ands)
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_garbling, bench_pregarble);
 criterion_main!(benches);

@@ -12,10 +12,18 @@
 //!   half is one correlation-robust hash [`crate::prg::hash128`] of a
 //!   single operand label under a per-gate tweak;
 //! * outputs are decoded with one permute bit per output wire;
-//! * evaluation is one walk (`eval_lanes`) over `K` garblings of the
-//!   same circuit in lock step, so an AND gate hashes `K` independent
-//!   labels per [`crate::prg::hash128_many`] call and the AES pipeline
-//!   stays full; [`evaluate`] is its `K = 1` case.
+//! * garbling and evaluation are one walk each (`garble_lanes`,
+//!   `eval_lanes`) over `K` garblings of the same circuit in lock step,
+//!   so an AND gate hashes `K` independent labels per
+//!   [`crate::prg::hash128_many`] call and the AES pipeline stays full;
+//!   [`garble_open`] and [`evaluate`] are their `K = 1` cases. The lanes
+//!   never mix: lane `k` draws Δ and its input labels from its own PRG
+//!   and computes exactly what a walk of its own would;
+//! * a wire is a *slot*: [`CircuitBuilder::build`] lets a gate output
+//!   take over the slot of a wire nothing reads any more, so the
+//!   `[u128; K]`-per-wire buffer a walk keeps hot is the circuit's widest
+//!   live set, not its gate count. Gate order and AND indices — and with
+//!   them every hash tweak — are untouched.
 //!
 //! The classic four-row scheme survives only as a test-only reference
 //! (the `classic` module beside the tests): the cross-scheme parity
@@ -30,6 +38,7 @@
 
 use crate::prg::{hash128_many, Prg};
 use crate::{MpcError, Result};
+use std::array::from_fn;
 use std::sync::OnceLock;
 
 /// Index of a wire in a [`Circuit`].
@@ -104,9 +113,33 @@ impl Circuit {
         self.outputs.len()
     }
 
-    /// Total wires.
+    /// Wire slots a walk's buffer needs. [`CircuitBuilder::build`] lets
+    /// a wire take over the slot of one that is no longer read, so this
+    /// is the circuit's widest live set (inputs and outputs pinned), not
+    /// its gate count.
     pub fn wire_count(&self) -> usize {
         self.n_wires
+    }
+
+    /// Input wires in garbling's draw order: the garbler's, then the
+    /// evaluator's.
+    fn inputs(&self) -> impl Iterator<Item = &WireId> + Clone {
+        self.garbler_inputs.iter().chain(&self.evaluator_inputs)
+    }
+
+    /// Garbler input wires, in input order.
+    pub(crate) fn garbler_inputs(&self) -> &[WireId] {
+        &self.garbler_inputs
+    }
+
+    /// Evaluator input wires, in input order.
+    pub(crate) fn evaluator_inputs(&self) -> &[WireId] {
+        &self.evaluator_inputs
+    }
+
+    /// Output wires, in output order.
+    pub(crate) fn outputs(&self) -> &[WireId] {
+        &self.outputs
     }
 
     /// Plaintext evaluation for testing and spec purposes.
@@ -321,10 +354,94 @@ impl CircuitBuilder {
             .collect()
     }
 
-    /// Finalizes the circuit.
+    /// Finalizes the circuit, renumbering its wires onto reusable slots
+    /// by linear scan: walking the gates in order, a wire's slot returns
+    /// to the free list at its last reader and the next gate output
+    /// takes it (a gate may write the slot of an operand it is the last
+    /// to read — every walk reads its operands first). Input and output
+    /// wires are pinned: inputs are all loaded before a walk and garbling
+    /// reads their zero labels after it, outputs are decoded after it.
+    ///
+    /// Only wire *numbers* change. Gate order, AND indices and therefore
+    /// every hash tweak stay, so a garbling of the renumbered circuit is
+    /// bit for bit the garbling of the original; what shrinks is the
+    /// wire buffer a walk keeps hot ([`Circuit::wire_count`]; the unit
+    /// circuits' slot counts are pinned beside their AND counts in
+    /// `gcpre`).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a gate reads a wire no earlier gate or input defined.
     pub fn build(self) -> Circuit {
-        self.circuit
+        reuse_slots(self.circuit)
     }
+}
+
+/// The renumbering behind [`CircuitBuilder::build`].
+fn reuse_slots(mut circuit: Circuit) -> Circuit {
+    const PINNED: usize = usize::MAX;
+    // last_read[w]: index of the last gate reading `w`, PINNED for
+    // inputs and outputs, None for a wire nothing reads.
+    let mut last_read = vec![None; circuit.n_wires];
+    for (gid, gate) in circuit.gates.iter().enumerate() {
+        match *gate {
+            Gate::Xor { a, b, .. } | Gate::And { a, b, .. } => {
+                last_read[a] = Some(gid);
+                last_read[b] = Some(gid);
+            }
+            Gate::Inv { a, .. } => last_read[a] = Some(gid),
+        }
+    }
+    for &w in circuit.inputs().chain(&circuit.outputs) {
+        last_read[w] = Some(PINNED);
+    }
+    let mut slot_of: Vec<Option<WireId>> = vec![None; circuit.n_wires];
+    let mut free: Vec<WireId> = Vec::new();
+    let mut slots = 0;
+    let mut take = |free: &mut Vec<WireId>| {
+        free.pop().unwrap_or_else(|| {
+            slots += 1;
+            slots - 1
+        })
+    };
+    // Inputs in draw order, so garbling's label draws fill the buffer
+    // front to back.
+    for &w in circuit.inputs() {
+        slot_of[w] = Some(take(&mut free));
+    }
+    let slot = |slot_of: &[Option<WireId>], w: WireId| {
+        slot_of[w].unwrap_or_else(|| panic!("wire {w} is read before it is defined"))
+    };
+    for (gid, gate) in circuit.gates.iter_mut().enumerate() {
+        let (a, b, out) = match gate {
+            Gate::Xor { a, b, out } | Gate::And { a, b, out } => (a, Some(b), out),
+            Gate::Inv { a, out } => (a, None, out),
+        };
+        let read = [Some(*a), b.as_deref().copied()];
+        for w in [Some(a), b].into_iter().flatten() {
+            *w = slot(&slot_of, *w);
+        }
+        // `slot_of` forgets a released wire, so a gate reading one wire
+        // twice releases it once.
+        for wire in read.into_iter().flatten() {
+            if last_read[wire] == Some(gid) {
+                free.extend(slot_of[wire].take());
+            }
+        }
+        let s = take(&mut free);
+        if last_read[*out].is_some() {
+            slot_of[*out] = Some(s);
+        } else {
+            free.push(s);
+        }
+        *out = s;
+    }
+    let Circuit { garbler_inputs, evaluator_inputs, outputs, .. } = &mut circuit;
+    for w in garbler_inputs.iter_mut().chain(evaluator_inputs).chain(outputs) {
+        *w = slot(&slot_of, *w);
+    }
+    circuit.n_wires = slots;
+    circuit
 }
 
 /// Builds the batched masked-ReLU circuit for `n` ring elements of
@@ -334,6 +451,10 @@ impl CircuitBuilder {
 /// then mask (`−r`) bits per element. Output: the bits of
 /// `relu(x₀+x₁) − r`, revealed to the evaluator.
 pub fn relu_masked_circuit(n: usize, bits: usize) -> Circuit {
+    relu_masked_builder(n, bits).build()
+}
+
+fn relu_masked_builder(n: usize, bits: usize) -> CircuitBuilder {
     let mut b = CircuitBuilder::new();
     for _ in 0..n {
         let x0: Vec<WireId> = (0..bits).map(|_| b.evaluator_input()).collect();
@@ -348,7 +469,7 @@ pub fn relu_masked_circuit(n: usize, bits: usize) -> Circuit {
             b.output(w);
         }
     }
-    b.build()
+    b
 }
 
 /// Builds the batched masked 4-way max circuit used for secure 2×2 max
@@ -360,6 +481,10 @@ pub fn relu_masked_circuit(n: usize, bits: usize) -> Circuit {
 /// Input order per element — evaluator: shares of `v₀..v₃`; garbler:
 /// shares of `v₀..v₃`, then the mask (`−r`) bits.
 pub fn maxpool4_masked_circuit(n: usize, bits: usize) -> Circuit {
+    maxpool4_masked_builder(n, bits).build()
+}
+
+fn maxpool4_masked_builder(n: usize, bits: usize) -> CircuitBuilder {
     let mut b = CircuitBuilder::new();
     for _ in 0..n {
         let ev: Vec<Vec<WireId>> =
@@ -376,7 +501,7 @@ pub fn maxpool4_masked_circuit(n: usize, bits: usize) -> Circuit {
             b.output(w);
         }
     }
-    b.build()
+    b
 }
 
 /// Ring width of the cached unit circuits (the session ring).
@@ -459,7 +584,33 @@ pub fn select_labels(pairs: &[(u128, u128)], bits: &[bool]) -> Vec<u128> {
 }
 
 /// Garbles `circuit` without fixing any input bits, returning label
-/// pairs for every input wire (see [`OpenGarbled`]).
+/// pairs for every input wire (see [`OpenGarbled`]) — the `K = 1` case
+/// of the one garbling walk, `garble_lanes`. Draws from `prg` in the
+/// same order as [`garble`], so fixing the garbler bits of an open
+/// garbling afterwards reproduces [`garble`] bit for bit.
+pub fn garble_open(circuit: &Circuit, prg: &mut Prg) -> OpenGarbled {
+    let mut zero = vec![[0u128; 1]; circuit.n_wires];
+    let mut tables = vec![[0u128; 2]; circuit.and_count()];
+    let [delta] = garble_lanes(circuit, [prg], [&mut tables], &mut zero);
+    let pairs =
+        |wires: &[WireId]| wires.iter().map(|&w| (zero[w][0], zero[w][0] ^ delta)).collect();
+    OpenGarbled {
+        garbler_label_pairs: pairs(&circuit.garbler_inputs),
+        evaluator_label_pairs: pairs(&circuit.evaluator_inputs),
+        output_decode: lane(&circuit.outputs, &zero, 0).map(|l| l & 1 == 1).collect(),
+        tables,
+        delta,
+    }
+}
+
+/// The garbling walk, over `K` garblings of `circuit` at once — the
+/// mirror of [`eval_lanes`]. Lane `k` draws its offset Δ (low bit forced
+/// to 1) and then one zero label per input wire — the garbler's, then the
+/// evaluator's — from `prgs[k]`, exactly the draws a walk of its own
+/// would take, and writes its AND tables to `tables[k]`. Returns the
+/// lanes' Δs; on return `zero` holds the zero label of every input and
+/// output wire ([`lane`] reads one lane's), which is all of a garbling
+/// beside its tables.
 ///
 /// Half-gates AND garbling: with zero labels `Wa⁰, Wb⁰`, permute bits
 /// `p = lsb(W⁰)` and `H = hash128(·, tweak)` keyed by the gate index,
@@ -470,45 +621,81 @@ pub fn select_labels(pairs: &[(u128, u128)], bits: &[bool]) -> Vec<u128> {
 /// Wc⁰ = H(Wa⁰, 2g) ⊕ p_a·T_G ⊕ H(Wb⁰, 2g+1) ⊕ p_b·(T_E ⊕ Wa⁰)
 /// ```
 ///
-/// Four hashes — issued as one four-lane batch, they are independent —
-/// and two ciphertexts per AND; XOR/NOT gates touch no hash and emit
-/// nothing. Draws from `prg` in the same order as
-/// [`garble`], so fixing the garbler bits of an open garbling
-/// afterwards reproduces [`garble`] bit for bit.
-pub fn garble_open(circuit: &Circuit, prg: &mut Prg) -> OpenGarbled {
-    let delta = prg.next_u128() | 1; // low bit set: permute bit offset
-    let mut zero = vec![0u128; circuit.n_wires];
-    for &w in circuit.garbler_inputs.iter().chain(circuit.evaluator_inputs.iter()) {
-        zero[w] = prg.next_u128();
+/// Four independent hashes and two ciphertexts per AND and lane; XOR/NOT
+/// gates touch no hash and emit nothing. The lanes never mix, but they
+/// reach every AND together, so its `4·K` hashes go out as four `K`-lane
+/// [`hash128_many`] batches that keep the AES pipeline full. A lone lane
+/// has only its own four to overlap and issues them as one batch.
+///
+/// # Panics
+///
+/// Panics when `zero` or a lane's `tables` is shorter than the circuit
+/// needs.
+pub(crate) fn garble_lanes<const K: usize>(
+    circuit: &Circuit,
+    prgs: [&mut Prg; K],
+    mut tables: [&mut [[u128; 2]]; K],
+    zero: &mut [[u128; K]],
+) -> [u128; K] {
+    let mut delta = [0u128; K];
+    for (k, prg) in prgs.into_iter().enumerate() {
+        delta[k] = prg.next_u128() | 1; // low bit set: permute bit offset
+        for &w in circuit.inputs() {
+            zero[w][k] = prg.next_u128();
+        }
     }
-    let mut tables = Vec::with_capacity(circuit.and_count());
+    let mut and_idx = 0usize;
     for (gid, gate) in circuit.gates.iter().enumerate() {
         match *gate {
-            Gate::Xor { a, b, out } => zero[out] = zero[a] ^ zero[b],
-            Gate::Inv { a, out } => zero[out] = zero[a] ^ delta,
+            Gate::Xor { a, b, out } => {
+                let (wa, wb) = (zero[a], zero[b]);
+                zero[out] = from_fn(|k| wa[k] ^ wb[k]);
+            }
+            Gate::Inv { a, out } => {
+                let wa = zero[a];
+                zero[out] = from_fn(|k| wa[k] ^ delta[k]);
+            }
             Gate::And { a, b, out } => {
-                let (wa0, wb0) = (zero[a], zero[b]);
-                let pa = wa0 & 1 == 1;
-                let pb = wb0 & 1 == 1;
+                let (wa, wb) = (zero[a], zero[b]);
+                let (mut ha0, mut hb0) = (wa, wb);
+                let mut ha1: [u128; K] = from_fn(|k| wa[k] ^ delta[k]);
+                let mut hb1: [u128; K] = from_fn(|k| wb[k] ^ delta[k]);
                 let t = (gid as u64) << 1;
-                let mut h = [wa0, wa0 ^ delta, wb0, wb0 ^ delta];
-                hash128_many(&mut h, &[t, t, t | 1, t | 1]);
-                let [ha0, ha1, hb0, hb1] = h;
-                let tg = ha0 ^ ha1 ^ if pb { delta } else { 0 };
-                let te = hb0 ^ hb1 ^ wa0;
-                let wg0 = ha0 ^ if pa { tg } else { 0 };
-                let we0 = hb0 ^ if pb { te ^ wa0 } else { 0 };
-                zero[out] = wg0 ^ we0;
-                tables.push([tg, te]);
+                if K == 1 {
+                    let mut h = [ha0[0], ha1[0], hb0[0], hb1[0]];
+                    hash128_many(&mut h, &[t, t, t | 1, t | 1]);
+                    (ha0[0], ha1[0], hb0[0], hb1[0]) = (h[0], h[1], h[2], h[3]);
+                } else {
+                    hash128_many(&mut ha0, &[t; K]);
+                    hash128_many(&mut ha1, &[t; K]);
+                    hash128_many(&mut hb0, &[t | 1; K]);
+                    hash128_many(&mut hb1, &[t | 1; K]);
+                }
+                zero[out] = from_fn(|k| {
+                    let (pa, pb) = (wa[k] & 1 == 1, wb[k] & 1 == 1);
+                    let tg = ha0[k] ^ ha1[k] ^ if pb { delta[k] } else { 0 };
+                    let te = hb0[k] ^ hb1[k] ^ wa[k];
+                    tables[k][and_idx] = [tg, te];
+                    let wg0 = ha0[k] ^ if pa { tg } else { 0 };
+                    let we0 = hb0[k] ^ if pb { te ^ wa[k] } else { 0 };
+                    wg0 ^ we0
+                });
+                and_idx += 1;
             }
         }
     }
-    let garbler_label_pairs =
-        circuit.garbler_inputs.iter().map(|&w| (zero[w], zero[w] ^ delta)).collect();
-    let evaluator_label_pairs =
-        circuit.evaluator_inputs.iter().map(|&w| (zero[w], zero[w] ^ delta)).collect();
-    let output_decode = circuit.outputs.iter().map(|&w| zero[w] & 1 == 1).collect();
-    OpenGarbled { tables, garbler_label_pairs, evaluator_label_pairs, output_decode, delta }
+    delta
+}
+
+/// Lane `lane` of `wires` in a lock-step wire buffer, in `wires` order:
+/// how a caller reads one garbling's input or output zero labels out of
+/// [`garble_lanes`]'s buffer.
+pub(crate) fn lane<'a, const K: usize>(
+    wires: &'a [WireId],
+    buf: &'a [[u128; K]],
+    lane: usize,
+) -> impl Iterator<Item = u128> + 'a {
+    wires.iter().map(move |&w| buf[w][lane])
 }
 
 /// Garbles `circuit` with the garbler's input bits fixed.
@@ -611,7 +798,7 @@ pub(crate) fn eval_lanes<const K: usize>(
         match *gate {
             Gate::Xor { a, b, out } => {
                 let (la, lb) = (label[a], label[b]);
-                label[out] = std::array::from_fn(|k| la[k] ^ lb[k]);
+                label[out] = from_fn(|k| la[k] ^ lb[k]);
             }
             Gate::Inv { a, out } => label[out] = label[a],
             Gate::And { a, b, out } => {
@@ -620,7 +807,7 @@ pub(crate) fn eval_lanes<const K: usize>(
                 let (mut ha, mut hb) = (la, lb);
                 hash128_many(&mut ha, &[t; K]);
                 hash128_many(&mut hb, &[t | 1; K]);
-                label[out] = std::array::from_fn(|k| {
+                label[out] = from_fn(|k| {
                     let [tg, te] = tables[k][and_idx];
                     let wg = ha[k] ^ if la[k] & 1 == 1 { tg } else { 0 };
                     let we = hb[k] ^ if lb[k] & 1 == 1 { te ^ la[k] } else { 0 };
@@ -640,7 +827,7 @@ pub(crate) fn decode_lane<'a, const K: usize>(
     lane: usize,
     output_decode: &'a [bool],
 ) -> impl Iterator<Item = bool> + 'a {
-    circuit.outputs.iter().zip(output_decode).map(move |(&w, &d)| (label[w][lane] & 1 == 1) ^ d)
+    self::lane(&circuit.outputs, label, lane).zip(output_decode).map(|(l, &d)| (l & 1 == 1) ^ d)
 }
 
 /// Little-endian bit decomposition of a ring element.
@@ -711,13 +898,15 @@ mod classic {
                 Gate::Xor { a, b, out } => zero[out] = zero[a] ^ zero[b],
                 Gate::Inv { a, out } => zero[out] = zero[a] ^ delta,
                 Gate::And { a, b, out } => {
+                    // Operands first: `out` may reuse a slot they free.
+                    let (za, zb) = (zero[a], zero[b]);
                     let w0 = prg.next_u128();
                     zero[out] = w0;
                     let mut rows = [0u128; 4];
                     for ia in 0..2u8 {
                         for ib in 0..2u8 {
-                            let la = zero[a] ^ if ia == 1 { delta } else { 0 };
-                            let lb = zero[b] ^ if ib == 1 { delta } else { 0 };
+                            let la = za ^ if ia == 1 { delta } else { 0 };
+                            let lb = zb ^ if ib == 1 { delta } else { 0 };
                             let lo = w0 ^ if ia & ib == 1 { delta } else { 0 };
                             let slot = (((la & 1) as usize) << 1) | ((lb & 1) as usize);
                             rows[slot] = prf128_pair(la, lb, gid as u64) ^ lo;
@@ -1099,6 +1288,154 @@ mod tests {
         assert_eq!(seen, [true; 4], "64 seeds never hit all four permute combinations");
     }
 
+    /// Lane `k` of an eight-lane walk against the lone walk on the same
+    /// item seed: Δ, every input label, every table row, every decode
+    /// bit, and where the item's stream ends.
+    fn assert_lanes_equal_lone_walks(circuit: &Circuit, seed: u64) {
+        const K: usize = 8;
+        let mut prgs: [Prg; K] = from_fn(|k| Prg::from_u64(seed.wrapping_add(k as u64)));
+        let mut tables = vec![vec![[0u128; 2]; circuit.and_count()]; K];
+        let mut zero = vec![[0u128; K]; circuit.wire_count()];
+        let mut lanes = tables.iter_mut();
+        let lanes = from_fn(|_| lanes.next().unwrap().as_mut_slice());
+        let deltas = garble_lanes(circuit, prgs.each_mut(), lanes, &mut zero);
+        for k in 0..K {
+            let mut prg = Prg::from_u64(seed.wrapping_add(k as u64));
+            let lone = garble_open(circuit, &mut prg);
+            assert_eq!(deltas[k], lone.delta, "lane {k}: Δ");
+            assert_eq!(tables[k], lone.tables, "lane {k}: tables");
+            let zeros = |pairs: &[(u128, u128)]| pairs.iter().map(|p| p.0).collect::<Vec<_>>();
+            assert_eq!(
+                lane(&circuit.garbler_inputs, &zero, k).collect::<Vec<_>>(),
+                zeros(&lone.garbler_label_pairs),
+                "lane {k}: garbler labels"
+            );
+            assert_eq!(
+                lane(&circuit.evaluator_inputs, &zero, k).collect::<Vec<_>>(),
+                zeros(&lone.evaluator_label_pairs),
+                "lane {k}: evaluator labels"
+            );
+            assert_eq!(
+                lane(&circuit.outputs, &zero, k).map(|l| l & 1 == 1).collect::<Vec<_>>(),
+                lone.output_decode,
+                "lane {k}: decode bits"
+            );
+            assert_eq!(prgs[k].next_u64(), prg.next_u64(), "lane {k}: stream position");
+        }
+    }
+
+    #[test]
+    fn each_of_eight_lanes_garbles_what_its_item_garbles_alone() {
+        for seed in [3u64, 0xC2B1] {
+            assert_lanes_equal_lone_walks(relu_unit_circuit(), seed);
+            assert_lanes_equal_lone_walks(maxpool4_unit_circuit(), seed);
+        }
+    }
+
+    #[test]
+    fn unit_circuit_garblings_match_their_known_answers() {
+        // Captured at the commit before the lane walk and the slot reuse
+        // landed (per-item `garble_open`, one wire per gate): the kernel
+        // is pinned here, not only through the root transcript goldens.
+        // A change that moves any of these moved a draw, a tweak or the
+        // hash — and with it every dealt seed's meaning.
+        type Kat = (&'static Circuit, [u128; 2], [u128; 2], u64);
+        let delta = 0x3b8bbc0980ebfa6cd87234476b2f8b95;
+        let kats: [Kat; 2] = [
+            (
+                relu_unit_circuit(),
+                [0xe2260ee0c2c7e38b687079f2ee64693c, 0xb4d6ec81dee48ac647b617165030654b],
+                [0x9d690e97cb4fcdefd617dfa7ec2a0d67, 0xf338ceab823d25c7ed26e5c21c456d33],
+                0x58f6f840ea10d702,
+            ),
+            (
+                maxpool4_unit_circuit(),
+                [0xdc02b9d312bc52ae42de04717ceda168, 0x3081774e3f8e67636f76988e3b91bd00],
+                [0x4d5d306385717e58bf27bfa5e95cb5aa, 0x832712670acba9344c54f19ac1305fcb],
+                0x75aa0b38100e8db0,
+            ),
+        ];
+        for (circuit, first, last, decode) in kats {
+            let open = garble_open(circuit, &mut Prg::from_u64(0xC2B1));
+            assert_eq!(open.delta, delta);
+            assert_eq!(open.tables[0], first);
+            assert_eq!(open.tables[circuit.and_count() - 1], last);
+            assert_eq!(from_bits(&open.output_decode), decode);
+        }
+    }
+
+    /// A random circuit straight from the builder's calls: operands lean
+    /// towards recent wires (so slots do fall free), a gate may read one
+    /// wire twice, inputs arrive between gates, some gate outputs are
+    /// never read, and an output may be an input or named twice.
+    fn random_builder(seed: u64) -> CircuitBuilder {
+        let mut prg = Prg::from_u64(seed);
+        let mut b = CircuitBuilder::new();
+        let mut wires = vec![b.garbler_input(), b.evaluator_input()];
+        let pick = |prg: &mut Prg, wires: &[WireId]| {
+            let recent =
+                wires.len().min(if prg.next_u32().is_multiple_of(4) { usize::MAX } else { 6 });
+            wires[wires.len() - 1 - prg.next_u32() as usize % recent]
+        };
+        for _ in 0..prg.next_u32() % 160 {
+            let (x, y) = (pick(&mut prg, &wires), pick(&mut prg, &wires));
+            wires.push(match prg.next_u32() % 10 {
+                0..=2 => b.and(x, y),
+                3..=5 => b.xor(x, y),
+                6 | 7 => b.inv(x),
+                8 => b.garbler_input(),
+                _ => b.evaluator_input(),
+            });
+        }
+        for _ in 0..1 + prg.next_u32() % 5 {
+            b.output(pick(&mut prg, &wires));
+        }
+        b
+    }
+
+    /// Walks the one-wire-per-gate circuit and its renumbering side by
+    /// side, tracking which original wire every slot holds: each read
+    /// must find the wire the original gate reads — so no slot is read
+    /// after it was released to another wire or before it was written.
+    fn assert_slots_hold_what_is_read(raw: &Circuit, built: &Circuit) {
+        let mut holds: Vec<Option<WireId>> = vec![None; built.wire_count()];
+        for (&w, &slot) in raw.inputs().zip(built.inputs()) {
+            assert_eq!(holds[slot].replace(w), None, "two inputs share slot {slot}");
+        }
+        assert_eq!(raw.gates.len(), built.gates.len());
+        for (gid, (orig, gate)) in raw.gates.iter().zip(&built.gates).enumerate() {
+            let (reads, out) = match (*orig, *gate) {
+                (Gate::Xor { a, b, out }, Gate::Xor { a: sa, b: sb, out: so })
+                | (Gate::And { a, b, out }, Gate::And { a: sa, b: sb, out: so }) => {
+                    (vec![(a, sa), (b, sb)], (out, so))
+                }
+                (Gate::Inv { a, out }, Gate::Inv { a: sa, out: so }) => (vec![(a, sa)], (out, so)),
+                _ => panic!("gate {gid} changed kind: {orig:?} → {gate:?}"),
+            };
+            for (wire, slot) in reads {
+                assert_eq!(holds[slot], Some(wire), "gate {gid} reads slot {slot}");
+            }
+            holds[out.1] = Some(out.0);
+        }
+        for (&w, &slot) in raw.outputs.iter().zip(&built.outputs) {
+            assert_eq!(holds[slot], Some(w), "output slot {slot}");
+        }
+        for (&w, &slot) in raw.inputs().zip(built.inputs()) {
+            assert_eq!(holds[slot], Some(w), "input slot {slot} is pinned");
+        }
+    }
+
+    #[test]
+    fn unit_circuits_renumber_soundly() {
+        for (raw, built) in [
+            (relu_masked_builder(1, UNIT_BITS).circuit, relu_unit_circuit()),
+            (maxpool4_masked_builder(1, UNIT_BITS).circuit, maxpool4_unit_circuit()),
+        ] {
+            assert_slots_hold_what_is_read(&raw, built);
+            assert!(built.wire_count() < raw.wire_count() / 3);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
         #[test]
@@ -1154,6 +1491,42 @@ mod tests {
             // And the decode bit agrees with the plaintext value.
             let decoded = (active & 1 == 1) ^ open.output_decode[0];
             prop_assert_eq!(decoded, va ^ vb);
+        }
+
+        #[test]
+        fn renumbered_circuit_is_the_same_circuit_on_fewer_slots(seed in any::<u64>()) {
+            let builder = random_builder(seed);
+            let raw = builder.circuit.clone();
+            let built = builder.build();
+            prop_assert_eq!(built.and_count(), raw.and_count());
+            prop_assert_eq!(built.xor_count(), raw.xor_count());
+            prop_assert_eq!(built.garbler_input_count(), raw.garbler_input_count());
+            prop_assert_eq!(built.evaluator_input_count(), raw.evaluator_input_count());
+            prop_assert_eq!(built.output_count(), raw.output_count());
+            prop_assert!(built.wire_count() <= raw.wire_count());
+            assert_slots_hold_what_is_read(&raw, &built);
+            let mut prg = Prg::from_u64(seed ^ 0x5107);
+            for _ in 0..4 {
+                let g: Vec<bool> = (0..raw.garbler_input_count()).map(|_| prg.next_bool()).collect();
+                let e: Vec<bool> = (0..raw.evaluator_input_count()).map(|_| prg.next_bool()).collect();
+                let plain = raw.eval_plain(&g, &e).unwrap();
+                prop_assert_eq!(&built.eval_plain(&g, &e).unwrap(), &plain);
+                // And the garbled walks agree with it on the reused slots.
+                let open = garble_open(&built, &mut prg);
+                let out = evaluate(
+                    &built,
+                    &open.tables,
+                    &select_labels(&open.garbler_label_pairs, &g),
+                    &select_labels(&open.evaluator_label_pairs, &e),
+                    &open.output_decode,
+                ).unwrap();
+                prop_assert_eq!(&out, &plain);
+            }
+        }
+
+        #[test]
+        fn lanes_equal_lone_walks_on_random_circuits(seed in any::<u64>()) {
+            assert_lanes_equal_lone_walks(&random_builder(seed).build(), seed);
         }
     }
 }

@@ -6,8 +6,8 @@
 //! *evaluator's* circuit input a value that exists before the input
 //! does. During preprocessing the dealer samples a uniform mask `m` per
 //! input element and an output mask `r` per item, garbles the masked
-//! circuit ([`crate::gc::garble_open`]) and fixes everything that is
-//! already known:
+//! circuit (the walk behind [`crate::gc::garble_open`]) and fixes
+//! everything that is already known:
 //!
 //! * the evaluator's active labels for the bits of `m` (with a trusted
 //!   dealer these are dealt directly; a real deployment transfers them
@@ -31,6 +31,14 @@
 //!    (`gc::eval_lanes`) — they are garblings of one circuit, so an AND
 //!    gate hashes eight independent labels per batch.
 //!
+//! Offline garbling has the same shape ([`pregarble_for`]): bands over
+//! the cores, and inside a band groups of eight items on one walk
+//! (`gc::garble_lanes`, four eight-lane hash batches per AND) and a
+//! one-item tail on the same function. Each lane draws from its own
+//! item's seed, and the walk writes tables straight into the band's
+//! slice of the layer's arrays; labels and decode bits are read out of
+//! the wire buffer afterwards. No per-item artifact exists in between.
+//!
 //! `δ` is uniform (masked by `m`) and the labels reveal exactly one
 //! circuit path, so the online messages leak nothing beyond the
 //! standard garbled-circuit guarantees. One round trip per layer, total.
@@ -40,8 +48,8 @@
 //! ([`crate::gc::relu_unit_circuit`] / [`crate::gc::maxpool4_unit_circuit`]),
 //! which is what makes both phases embarrassingly parallel and
 //! deterministic: per-item garbling seeds are drawn sequentially from
-//! the dealer PRG, then the band size only controls parallelism, never
-//! the result.
+//! the dealer PRG, then the band size only controls parallelism — and
+//! which items happen to share a lock-step group — never the result.
 //!
 //! Free-XOR shrinks the dealt material twice over: the evaluator's
 //! tables are half-gates two-row tables (32 B per AND instead of 64),
@@ -61,18 +69,20 @@
 //! zero labels. Either way the draws are the same draws in the same
 //! order (skip, never reorder), so a sided half is bit-identical to the
 //! same half of [`pregarble`] — pinned by
-//! `sided_garbling_is_the_same_half_of_the_two_sided_garbling`.
+//! `sided_garbling_is_the_same_half_of_the_two_sided_garbling`, against
+//! a reference that garbles every item alone.
 
 use crate::dealer::Halves;
 use crate::gc::{
-    decode_lane, eval_lanes, garble_open, load_lane, maxpool4_unit_circuit, relu_unit_circuit,
-    Circuit, UNIT_BITS,
+    decode_lane, eval_lanes, garble_lanes, lane, load_lane, maxpool4_unit_circuit,
+    relu_unit_circuit, Circuit, UNIT_BITS,
 };
 use crate::prg::Prg;
 use crate::share::ShareVec;
 use crate::{MpcError, Result};
 use c2pi_transport::Channel;
 use rayon::prelude::*;
+use std::array::from_fn;
 
 /// Which masked unit circuit a pre-garbled batch runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -237,19 +247,22 @@ impl PreGarbledServer {
         for (e, &v) in g.iter().enumerate() {
             let delta = self.deltas[e / in_elems];
             let zeros = &self.labels0[e * UNIT_BITS..(e + 1) * UNIT_BITS];
-            for (bit, &l0) in zeros.iter().enumerate() {
-                labels.push(if (v >> bit) & 1 == 1 { l0 ^ delta } else { l0 });
-            }
+            labels.extend(zeros.iter().enumerate().map(|(bit, &l0)| select(l0, delta, v, bit)));
         }
         Ok(labels)
     }
 }
 
-/// One band's window into the output arrays of [`pregarble_for`], all
-/// cut at the same item boundaries, so a band's worker writes its items
-/// in place and nothing is copied or allocated per band. `server` (the
-/// band's `labels0` and `deltas`) is absent in a client-sided garbling.
-struct BandOut<'a> {
+/// One band of [`pregarble_for`]: what the layer's stream drew for the
+/// band's items, and the band's window into each output array — all cut
+/// at the same item boundaries, so a band's worker writes its items in
+/// place and nothing is copied or allocated per band or per item.
+/// `server` (the band's `labels0` and `deltas`) is absent in a
+/// client-sided garbling.
+struct Band<'a> {
+    seeds: &'a [[u8; 32]],
+    masks: &'a [u64],
+    out_share: &'a [u64],
     tables: &'a mut [[u128; 2]],
     eval_labels: &'a mut [u128],
     fixed_labels: &'a mut [u128],
@@ -281,7 +294,7 @@ pub fn pregarble(
 /// [`Halves::Client`] runs that walk and merely never stores Δ or the
 /// garbler's zero labels. The server half depends on no gate at all:
 /// [`Halves::Server`] draws Δ and the first `in_elems · 64` labels of
-/// each item's own stream and never calls [`garble_open`] or a gate
+/// each item's own stream and never enters the walk or calls a gate
 /// hash.
 pub fn pregarble_for(
     op: MaskedOp,
@@ -303,7 +316,7 @@ pub fn pregarble_for(
         .collect();
     let online_wires = in_elems * UNIT_BITS;
     if halves == Halves::Server {
-        // `garble_open`'s first draws, in its order: Δ, then the
+        // The walk's first draws for an item, in its order: Δ, then the
         // garbler's input labels — of which the online wires come first.
         let mut labels0 = Vec::with_capacity(inputs * UNIT_BITS);
         let mut deltas = Vec::with_capacity(items);
@@ -315,7 +328,6 @@ pub fn pregarble_for(
         return (None, Some(PreGarbledServer { op, labels0, deltas, out_share }));
     }
     let ands = op.ands_per_item();
-    let circuit = op.unit_circuit();
     let band = par_band.max(1);
     let mut tables = vec![[0u128; 2]; items * ands];
     let mut eval_labels = vec![0u128; inputs * UNIT_BITS];
@@ -325,54 +337,101 @@ pub fn pregarble_for(
     let mut server_bands = server.as_mut().map(|(labels0, deltas)| {
         labels0.chunks_mut(band * online_wires).zip(deltas.chunks_mut(band))
     });
-    let mut bands: Vec<BandOut<'_>> = tables
+    let mut bands: Vec<Band<'_>> = tables
         .chunks_mut(band * ands)
         .zip(eval_labels.chunks_mut(band * online_wires))
         .zip(fixed_labels.chunks_mut(band * UNIT_BITS))
         .zip(decode.chunks_mut(band * UNIT_BITS))
-        .map(|(((tables, eval_labels), fixed_labels), decode)| BandOut {
-            tables,
-            eval_labels,
-            fixed_labels,
-            decode,
-            server: server_bands.as_mut().and_then(Iterator::next),
+        .enumerate()
+        .map(|(bi, (((tables, eval_labels), fixed_labels), decode))| {
+            let (first, end) = (bi * band, items.min((bi + 1) * band));
+            Band {
+                seeds: &seeds[first..end],
+                masks: &masks[first * in_elems..end * in_elems],
+                out_share: &out_share[first..end],
+                tables,
+                eval_labels,
+                fixed_labels,
+                decode,
+                server: server_bands.as_mut().and_then(Iterator::next),
+            }
         })
         .collect();
     // One-slot chunks: the rayon shim only offers par_chunks_mut, so
     // this is its spelling of `bands.par_iter_mut()` — the `1` is not a
     // tuning knob; band sizing happens via `band` above.
-    bands.par_chunks_mut(1).enumerate().for_each(|(bi, chunk)| {
-        let out = &mut chunk[0];
-        for k in 0..out.decode.len() / UNIT_BITS {
-            let i = bi * band + k;
-            let open = garble_open(circuit, &mut Prg::from_seed(seeds[i]));
-            let online = k * online_wires..(k + 1) * online_wires;
-            let unit = k * UNIT_BITS..(k + 1) * UNIT_BITS;
-            let pairs = open.evaluator_label_pairs.iter().enumerate();
-            for (slot, (w, &(l0, l1))) in out.eval_labels[online.clone()].iter_mut().zip(pairs) {
-                let m = masks[i * in_elems + w / UNIT_BITS];
-                *slot = if (m >> (w % UNIT_BITS)) & 1 == 1 { l1 } else { l0 };
-            }
-            let neg_r = out_share[i].wrapping_neg();
-            let pairs = open.garbler_label_pairs[online_wires..].iter().enumerate();
-            for (slot, (bit, &(l0, l1))) in out.fixed_labels[unit.clone()].iter_mut().zip(pairs) {
-                *slot = if (neg_r >> bit) & 1 == 1 { l1 } else { l0 };
-            }
-            if let Some((labels0, deltas)) = out.server.as_mut() {
-                let zeros = open.garbler_label_pairs[..online_wires].iter().map(|p| p.0);
-                for (slot, l0) in labels0[online].iter_mut().zip(zeros) {
-                    *slot = l0;
-                }
-                deltas[k] = open.delta;
-            }
-            out.tables[k * ands..(k + 1) * ands].copy_from_slice(&open.tables);
-            out.decode[unit].copy_from_slice(&open.output_decode);
+    bands.par_chunks_mut(1).for_each(|chunk| {
+        // The shape of `eval_pregarbled`: lock-step groups, then a K = 1
+        // tail, one wire buffer per lane count.
+        let band = &mut chunk[0];
+        let (mut wide, mut narrow) = (Vec::new(), Vec::new());
+        let mut at = 0;
+        while band.seeds.len() - at >= LANES {
+            garble_group::<LANES>(op, band, at, &mut wide);
+            at += LANES;
+        }
+        while at < band.seeds.len() {
+            garble_group::<1>(op, band, at, &mut narrow);
+            at += 1;
         }
     });
     let client = PreGarbledClient { op, masks, tables, eval_labels, fixed_labels, decode };
     let server =
         server.map(|(labels0, deltas)| PreGarbledServer { op, labels0, deltas, out_share });
     (Some(client), server)
+}
+
+/// `l0` or its one-label `l0 ⊕ Δ`, by bit `bit` of `v`.
+fn select(l0: u128, delta: u128, v: u64, bit: usize) -> u128 {
+    l0 ^ if (v >> bit) & 1 == 1 { delta } else { 0 }
+}
+
+/// Garbles items `at .. at + K` of `band` in lock step
+/// ([`garble_lanes`]) straight into the band's output slices, with `zero`
+/// as the (resized-once) wire buffer: tables land where the walk writes
+/// them, and each lane's mask-selected evaluator labels, `−r` labels,
+/// decode bits and — when the band keeps the server half — Δ and online
+/// zero labels are read out of the wire buffer afterwards.
+fn garble_group<const K: usize>(
+    op: MaskedOp,
+    band: &mut Band<'_>,
+    at: usize,
+    zero: &mut Vec<[u128; K]>,
+) {
+    let circuit = op.unit_circuit();
+    let (ands, in_elems) = (op.ands_per_item(), op.in_elems());
+    let online_wires = in_elems * UNIT_BITS;
+    zero.resize(circuit.wire_count(), [0; K]);
+    let mut prgs: [Prg; K] = from_fn(|k| Prg::from_seed(band.seeds[at + k]));
+    let mut tables = band.tables[at * ands..(at + K) * ands].chunks_exact_mut(ands);
+    let tables = from_fn(|_| tables.next().expect("K items of tables in the band"));
+    let deltas = garble_lanes(circuit, prgs.each_mut(), tables, zero);
+    // The garbler's inputs are its online wires, then the `−r` wires.
+    let (online_in, fixed_in) = circuit.garbler_inputs().split_at(online_wires);
+    for (k, &delta) in deltas.iter().enumerate() {
+        let i = at + k;
+        let online = i * online_wires..(i + 1) * online_wires;
+        let unit = i * UNIT_BITS..(i + 1) * UNIT_BITS;
+        let masks = &band.masks[i * in_elems..(i + 1) * in_elems];
+        let zeros = lane(circuit.evaluator_inputs(), zero, k).enumerate();
+        for (slot, (w, l0)) in band.eval_labels[online.clone()].iter_mut().zip(zeros) {
+            *slot = select(l0, delta, masks[w / UNIT_BITS], w % UNIT_BITS);
+        }
+        let neg_r = band.out_share[i].wrapping_neg();
+        let zeros = lane(fixed_in, zero, k).enumerate();
+        for (slot, (bit, l0)) in band.fixed_labels[unit.clone()].iter_mut().zip(zeros) {
+            *slot = select(l0, delta, neg_r, bit);
+        }
+        for (slot, l0) in band.decode[unit].iter_mut().zip(lane(circuit.outputs(), zero, k)) {
+            *slot = l0 & 1 == 1;
+        }
+        if let Some((labels0, deltas)) = band.server.as_mut() {
+            for (slot, l0) in labels0[online].iter_mut().zip(lane(online_in, zero, k)) {
+                *slot = l0;
+            }
+            deltas[i] = delta;
+        }
+    }
 }
 
 fn pack_labels(labels: &[u128]) -> Vec<u8> {
@@ -534,10 +593,10 @@ pub fn eval_pregarbled(
         // band (an empty Vec until a group of that width shows up).
         let (mut wide, mut narrow) = (Vec::new(), Vec::new());
         let mut first = bi * band;
-        let mut groups = chunk.chunks_exact_mut(EVAL_LANES);
+        let mut groups = chunk.chunks_exact_mut(LANES);
         for group in groups.by_ref() {
-            eval_group::<EVAL_LANES>(mat, garbler_labels, first, &mut wide, group);
-            first += EVAL_LANES;
+            eval_group::<LANES>(mat, garbler_labels, first, &mut wide, group);
+            first += LANES;
         }
         for slot in groups.into_remainder().chunks_exact_mut(1) {
             eval_group::<1>(mat, garbler_labels, first, &mut narrow, slot);
@@ -547,9 +606,10 @@ pub fn eval_pregarbled(
     Ok(ShareVec::from_raw(out))
 }
 
-/// Items of a band evaluated per lock-step walk: enough independent AES
-/// chains to cover the round latency (see [`crate::prg::hash128_many`]).
-const EVAL_LANES: usize = 8;
+/// Items of a band garbled or evaluated per lock-step walk: enough
+/// independent AES chains to cover the round latency (see
+/// [`crate::prg::hash128_many`]).
+const LANES: usize = 8;
 
 /// Evaluates items `first .. first + K` of `mat` in lock step into
 /// `out`, with `label` as the (resized-once) wire buffer. Counts were
@@ -577,7 +637,7 @@ fn eval_group<const K: usize>(
             &mat.eval_labels[online],
         );
     }
-    let tables = std::array::from_fn(|k| &mat.tables[(first + k) * ands..(first + k + 1) * ands]);
+    let tables = from_fn(|k| &mat.tables[(first + k) * ands..(first + k + 1) * ands]);
     eval_lanes(circuit, tables, label);
     for (k, slot) in out.iter_mut().enumerate() {
         let decode = &mat.decode[(first + k) * UNIT_BITS..(first + k + 1) * UNIT_BITS];
@@ -591,7 +651,7 @@ fn eval_group<const K: usize>(
 mod tests {
     use super::*;
     use crate::fixed::FixedPoint;
-    use crate::gc::{evaluate, from_bits, to_bits};
+    use crate::gc::{evaluate, from_bits, garble_open, select_labels, to_bits};
     use crate::share::{reconstruct, share_secret};
     use c2pi_transport::channel_pair;
 
@@ -612,6 +672,60 @@ mod tests {
         let y0 = pre_gc_evaluator(&client, &cmat, &x0, par_band).unwrap();
         let y1 = t.join().unwrap();
         (reconstruct(&y0, &y1), counter.snapshot())
+    }
+
+    /// The reference the lane walk is held to: the same layer garbled
+    /// one item at a time, each a lone `garble_open` on its own seed,
+    /// with every field of both halves assembled from the open garbling.
+    fn pregarble_per_item(
+        op: MaskedOp,
+        items: usize,
+        prg: &mut Prg,
+    ) -> (PreGarbledClient, PreGarbledServer) {
+        let (in_elems, wires) = (op.in_elems(), op.in_elems() * UNIT_BITS);
+        let masks = prg.next_u64s(items * in_elems);
+        let out_share = prg.next_u64s(items);
+        let mut client = PreGarbledClient {
+            op,
+            masks,
+            tables: Vec::new(),
+            eval_labels: Vec::new(),
+            fixed_labels: Vec::new(),
+            decode: Vec::new(),
+        };
+        let mut server =
+            PreGarbledServer { op, labels0: Vec::new(), deltas: Vec::new(), out_share };
+        for i in 0..items {
+            let open = garble_open(op.unit_circuit(), &mut prg.fork());
+            let m_bits: Vec<bool> = client.masks[i * in_elems..(i + 1) * in_elems]
+                .iter()
+                .flat_map(|&m| to_bits(m, UNIT_BITS))
+                .collect();
+            let neg_r = to_bits(server.out_share[i].wrapping_neg(), UNIT_BITS);
+            client.eval_labels.extend(select_labels(&open.evaluator_label_pairs, &m_bits));
+            client.fixed_labels.extend(select_labels(&open.garbler_label_pairs[wires..], &neg_r));
+            client.tables.extend(open.tables);
+            client.decode.extend(open.output_decode);
+            server.labels0.extend(open.garbler_label_pairs[..wires].iter().map(|p| p.0));
+            server.deltas.push(open.delta);
+        }
+        (client, server)
+    }
+
+    fn assert_client_eq(got: &PreGarbledClient, want: &PreGarbledClient, at: &str) {
+        assert_eq!(got.op, want.op, "{at}");
+        assert_eq!(got.masks, want.masks, "{at}: masks");
+        assert_eq!(got.tables, want.tables, "{at}: tables");
+        assert_eq!(got.eval_labels, want.eval_labels, "{at}: evaluator labels");
+        assert_eq!(got.fixed_labels, want.fixed_labels, "{at}: −r labels");
+        assert_eq!(got.decode, want.decode, "{at}: decode bits");
+    }
+
+    fn assert_server_eq(got: &PreGarbledServer, want: &PreGarbledServer, at: &str) {
+        assert_eq!(got.op, want.op, "{at}");
+        assert_eq!(got.labels0, want.labels0, "{at}: zero labels");
+        assert_eq!(got.deltas, want.deltas, "{at}: Δ");
+        assert_eq!(got.out_share, want.out_share, "{at}: r");
     }
 
     #[test]
@@ -656,35 +770,34 @@ mod tests {
     fn lock_step_equals_per_item_equals_plaintext_at_every_band_and_remainder() {
         // Item counts on both sides of the lane width (full groups, a
         // K = 1 tail, both), bands that cut groups short, and both unit
-        // circuits. Three independent routes to every output share:
-        // the lock-step walk, one `evaluate` per item, and the plaintext
-        // circuit — which also pins that the batched four-lane garbling
-        // hash produced tables the evaluator's hash opens.
+        // circuits. The material first: every band and every `Halves`
+        // garbles, item for item, what the item garbles alone. Then three
+        // independent routes to every output share: the lock-step walk,
+        // one `evaluate` per item, and the plaintext circuit — which also
+        // pins that the lane-batched garbling hashes produced tables the
+        // evaluator's hash opens.
         const BANDS: [usize; 4] = [1, 3, 8, 1024];
         for op in [MaskedOp::Relu, MaskedOp::Maxpool4] {
             let circuit = op.unit_circuit();
             let (ands, wires) = (op.ands_per_item(), op.in_elems() * UNIT_BITS);
             for items in [1usize, 7, 8, 9, 23] {
                 let seed = 1000 + items as u64;
-                let (cmat, smat) = pregarble(op, items, &mut Prg::from_u64(seed), BANDS[0]);
-                for band in &BANDS[1..] {
-                    let (c, s) = pregarble(op, items, &mut Prg::from_u64(seed), *band);
-                    assert_eq!(
-                        (&c.masks, &c.tables, &c.eval_labels, &c.fixed_labels, &c.decode),
-                        (
-                            &cmat.masks,
-                            &cmat.tables,
-                            &cmat.eval_labels,
-                            &cmat.fixed_labels,
-                            &cmat.decode
-                        ),
-                        "{op:?} × {items}: client half differs at band {band}"
-                    );
-                    assert_eq!(
-                        (&s.labels0, &s.deltas, &s.out_share),
-                        (&smat.labels0, &smat.deltas, &smat.out_share),
-                        "{op:?} × {items}: server half differs at band {band}"
-                    );
+                // Lane k of a group ≡ the item garbled alone, whatever
+                // the band cut and whichever halves were kept.
+                let (cmat, smat) = pregarble_per_item(op, items, &mut Prg::from_u64(seed));
+                for band in BANDS {
+                    for halves in [Halves::Both, Halves::Client, Halves::Server] {
+                        let at = format!("{op:?} × {items} at band {band}, {halves:?}");
+                        let (c, s) =
+                            pregarble_for(op, items, &mut Prg::from_u64(seed), band, halves);
+                        assert_eq!((c.is_some(), s.is_some()), (halves.client(), halves.server()));
+                        if let Some(c) = c {
+                            assert_client_eq(&c, &cmat, &at);
+                        }
+                        if let Some(s) = s {
+                            assert_server_eq(&s, &smat, &at);
+                        }
+                    }
                 }
                 // Small signed values, so ReLU and max see both signs.
                 let mut prg = Prg::from_u64(seed ^ 0xABCD);
@@ -748,35 +861,24 @@ mod tests {
                     let (c, s) = pregarble(op, items, &mut prg, band);
                     let next = prg.next_u64();
                     let at = format!("{op:?} × {items} at band {band}");
+                    // The two-sided set is itself the per-item garbling,
+                    // and ends the layer's stream where that does.
+                    let mut lone = Prg::from_u64(seed);
+                    let (c1, s1) = pregarble_per_item(op, items, &mut lone);
+                    assert_client_eq(&c, &c1, &at);
+                    assert_server_eq(&s, &s1, &at);
+                    assert_eq!(lone.next_u64(), next, "{at}: stream position per item");
 
                     let mut prg = Prg::from_u64(seed);
                     let (client, none) = pregarble_for(op, items, &mut prg, band, Halves::Client);
                     assert!(none.is_none(), "{at}: a client-sided garbling holds no Δ");
-                    let client = client.unwrap();
-                    assert_eq!(
-                        (
-                            &client.masks,
-                            &client.tables,
-                            &client.eval_labels,
-                            &client.fixed_labels,
-                            &client.decode
-                        ),
-                        (&c.masks, &c.tables, &c.eval_labels, &c.fixed_labels, &c.decode),
-                        "{at}: client half"
-                    );
-                    assert_eq!(client.op(), op);
+                    assert_client_eq(&client.unwrap(), &c, &at);
                     assert_eq!(prg.next_u64(), next, "{at}: stream position after client");
 
                     let mut prg = Prg::from_u64(seed);
                     let (none, server) = pregarble_for(op, items, &mut prg, band, Halves::Server);
                     assert!(none.is_none(), "{at}: a server-sided garbling holds no tables");
-                    let server = server.unwrap();
-                    assert_eq!(
-                        (&server.labels0, &server.deltas, &server.out_share),
-                        (&s.labels0, &s.deltas, &s.out_share),
-                        "{at}: server half"
-                    );
-                    assert_eq!(server.op(), op);
+                    assert_server_eq(&server.unwrap(), &s, &at);
                     assert_eq!(prg.next_u64(), next, "{at}: stream position after server");
                 }
             }
@@ -897,6 +999,12 @@ mod tests {
         // these numbers on purpose.
         assert_eq!(MaskedOp::Relu.ands_per_item(), 192);
         assert_eq!(MaskedOp::Maxpool4.ands_per_item(), 701);
+        // And the wire buffer a walk keeps hot, after slot reuse (891 and
+        // 3 682 wires, one per gate, before it): eight lanes of 16 B make
+        // these 33 kB and 107 kB. A builder change that bloats them shows
+        // here before it shows as cache misses.
+        assert_eq!(MaskedOp::Relu.unit_circuit().wire_count(), 259);
+        assert_eq!(MaskedOp::Maxpool4.unit_circuit().wire_count(), 835);
         assert_eq!(MaskedOp::Relu.ands_per_item() * crate::gc::AND_TABLE_BYTES, 6_144);
         assert_eq!(MaskedOp::Maxpool4.ands_per_item() * crate::gc::AND_TABLE_BYTES, 22_432);
     }

@@ -50,18 +50,23 @@ impl OfflineCostModel {
     /// Delphi-like parameters: SEAL BFV at n=8192 — 128 KiB ciphertexts,
     /// 4096 slots, slow rotation-heavy convolutions, garbled circuits
     /// garbled *and shipped* offline (tables down, extension-transferred
-    /// evaluator labels via IKNP). `sec_per_and_gate` is the garbling
-    /// kernel's measured cost, `mpc.gc.garble_ns_per_and` of
-    /// `c2pi_benchmark`'s traced `solo_delphi_split` run: 67–76 ns per
-    /// AND (four AES gate hashes in one batch, plus the wire labels'
-    /// ChaCha12 draw), taken as 70 ns.
+    /// evaluator labels via IKNP). `sec_per_and_gate` is the offline
+    /// garbling kernel's measured cost: `mpc.gcpre.pregarble_ms` ÷
+    /// `mpc.gcpre.and_gates_per_inf` (553 952) of `c2pi_benchmark`'s
+    /// traced `solo_delphi_split` run, the full model's layers garbled
+    /// eight items per gate walk on two cores. Three runs on 2026-10-05
+    /// read 22.0 / 28.4 / 30.0 ms — 40 / 51 / 54 ns per AND (four
+    /// eight-lane AES hash batches per gate and lane group, plus each
+    /// item's ChaCha12 label draws, now half of a ReLU item's cost) —
+    /// taken as 50 ns. The per-item walk it replaced read 61 / 77 / 85 ns
+    /// in the same three runs, against the 70 ns priced until then.
     pub fn delphi() -> Self {
         OfflineCostModel {
             ct_bytes: 131_072,
             slots: 4096,
             sec_per_mac: 2.0e-7,
             bytes_per_bit_triple: 0.0,
-            sec_per_and_gate: 7.0e-8,
+            sec_per_and_gate: 5.0e-8,
             // 32 B of half-gates table rows plus ~6 B of amortised
             // decode bits and fixed-input labels per AND gate.
             bytes_per_and_gate: 38.0,

@@ -18,8 +18,11 @@
 //! argmax prediction must match whenever the clear top-2 gap is larger
 //! than the fixed-point tolerance. Exits non-zero on any mismatch or
 //! transport failure, so CI can use it as the serving smoke test.
-//! Prints aggregate online throughput at the end; with `--stats` it also
-//! fetches and prints the server's Prometheus-style metrics exposition.
+//! Prints aggregate online throughput at the end, and on the same line
+//! `client_deal_ms_mean=` — the mean time a request spent expanding the
+//! client's half of its dealt seed (on Delphi: garbling), summed from
+//! the clients' own session ledgers; with `--stats` it also fetches and
+//! prints the server's Prometheus-style metrics exposition.
 //!
 //! For the batching smoke, `--fixed-seed S` makes every inference send
 //! the same input and `--dump-bits FILE` records each reconstruction's
@@ -139,7 +142,7 @@ fn main() {
 
     let total = opts.clients * opts.iters;
     let start = Instant::now();
-    let (failures, bit_lines): (usize, Vec<String>) = std::thread::scope(|scope| {
+    let (failures, bit_lines, deal_seconds) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..opts.clients)
             .map(|t| {
                 let model = &model;
@@ -202,18 +205,22 @@ fn main() {
                             }
                         }
                     }
-                    (failures, lines)
+                    // What this client spent expanding its half of each
+                    // dealt seed, as its own session ledger counted it.
+                    (failures, lines, client.session().ledger().generation_seconds)
                 })
             })
             .collect();
         let mut failures = 0usize;
         let mut bit_lines = Vec::new();
+        let mut deal_seconds = 0.0;
         for h in handles {
-            let (f, lines) = h.join().expect("client thread");
+            let (f, lines, dealt) = h.join().expect("client thread");
             failures += f;
             bit_lines.extend(lines);
+            deal_seconds += dealt;
         }
-        (failures, bit_lines)
+        (failures, bit_lines, deal_seconds)
     });
     if let Some(path) = &opts.dump_bits {
         let mut text: String = bit_lines.join("\n");
@@ -222,9 +229,11 @@ fn main() {
     }
     let elapsed = start.elapsed().as_secs_f64();
     println!(
-        "[multi_client] {} / {total} correct in {elapsed:.2}s — {:.2} inferences/s aggregate",
+        "[multi_client] {} / {total} correct in {elapsed:.2}s — {:.2} inferences/s aggregate, \
+         client_deal_ms_mean={:.3}",
         total - failures,
-        total as f64 / elapsed
+        total as f64 / elapsed,
+        deal_seconds * 1e3 / total as f64
     );
     if opts.stats {
         // Fetch before tearing the in-process server down; against a
