@@ -13,9 +13,8 @@
 #   3. crash recovery over the sharded store segments (kill -9, warm
 #      boot) and the backpressure path: a deliberately starved pool
 #      shedding typed BUSY frames that retrying clients ride out;
-#   4. the poller escape hatch: one serving scenario forced onto the
-#      portable peek backend (POLLING_FORCE_PEEK=1), with the default
-#      Linux run asserted to have picked epoll.
+#   4. the readiness backend: a Linux pi_server's final reactor line
+#      must say it served on epoll.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -113,27 +112,11 @@ grep -Eq '^\[multi_client\] .* client_deal_ms_mean=[0-9.]*[1-9]' target/smoke-mu
     exit 1
 }
 
-echo "== poller-backend smoke: forced peek fallback serves identically =="
-# Same serving scenario as above, with POLLING_FORCE_PEEK=1 pinning the
-# reactor to the portable peek-scan poller — the non-Linux code path,
-# exercised on every platform. The final reactor line must name the
-# backend actually used, proving the escape hatch was honoured; on
-# Linux the earlier (unforced) run must have picked epoll by default.
-start_server target/smoke-peek-poller.log \
-    env POLLING_FORCE_PEEK=1 "$BIN/pi_server" --backend cheetah --addr 127.0.0.1:0 \
-    --serve-n $((CLIENTS * ITERS)) --preprocess 2 --workers "$CLIENTS" --shards 2
-addr=$(wait_for_addr)
-timeout "$CLIENT_TIMEOUT" "$BIN/multi_client" --backend cheetah --addr "$addr" \
-    --clients "$CLIENTS" --iters "$ITERS"
-finish_server
-cat "$server_log"
-grep -Eq '^\[pi_server\] reactor: .*poll_backend=peek ' "$server_log" || {
-    echo "smoke: POLLING_FORCE_PEEK=1 server did not run on the peek poller" >&2
-    exit 1
-}
+# The build picks the readiness backend from the target; a Linux server
+# that reports anything but epoll was built wrong.
 if [[ "$(uname -s)" == Linux ]]; then
     grep -Eq '^\[pi_server\] reactor: .*poll_backend=epoll ' target/smoke-pi-server-cheetah.log || {
-        echo "smoke: unforced Linux server did not default to the epoll poller" >&2
+        echo "smoke: Linux server did not serve on the epoll poller" >&2
         exit 1
     }
 fi

@@ -1,6 +1,6 @@
-//! Poller wake latency vs parked-connection count: the O(ready) claim
-//! behind the epoll backend, measured head-to-head against the
-//! portable peek-scan backend.
+//! Poller wake latency vs parked-connection count, measured on the
+//! readiness backend the build compiled in — on Linux, the O(ready)
+//! claim behind epoll.
 //!
 //! Every row parks `C ∈ {64, 512, 4096}` established loopback
 //! connections on one [`Poller`], then times [`WAKES_PER_RUN`]
@@ -10,16 +10,15 @@
 //! so the row isolates what a wakeup costs as a function of *registered*
 //! sources, not ready ones.
 //!
-//! Expected shape — and the reason the reactor defaults to epoll on
-//! Linux: `epoll_wait` returns only the ready descriptor, so its wake
-//! latency is flat in C (O(ready)), while the peek backend re-scans
-//! every registered socket per tick, so its wake latency grows
-//! linearly with C. The printed summary states both curves and the
-//! measured 4096-vs-64 ratios, and the bench is its own guard: it
-//! asserts every event-driven backend's ratio stays within
-//! [`MAX_EVENT_DRIVEN_RATIO`] (flat modulo noise), so a regression back
-//! to O(registered) wakeups fails the run. The peek backend's ratio
-//! (~60×) is printed, not asserted.
+//! Expected shape: `epoll_wait` returns only the ready descriptor, so
+//! its wake latency is flat in C (O(ready)); the peek backend of a
+//! non-Linux build re-scans every registered socket per tick, so its
+//! wake latency grows linearly with C (~60× from 64 to 4096). The
+//! printed summary states the curve and the measured 4096-vs-64 ratio,
+//! and the bench is its own guard: on an event-driven backend it
+//! asserts the ratio stays within [`MAX_EVENT_DRIVEN_RATIO`] (flat
+//! modulo noise), so a regression back to O(registered) wakeups fails
+//! the run. A scanning backend's ratio is printed, not asserted.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use polling::{Backend, Event, Poller};
@@ -62,8 +61,8 @@ struct ParkRig {
 }
 
 impl ParkRig {
-    fn new(backend: Backend, count: usize) -> ParkRig {
-        let poller = Poller::with_backend(backend).expect("construct poller");
+    fn new(count: usize) -> ParkRig {
+        let poller = Poller::new().expect("construct poller");
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind rig listener");
         let addr = listener.local_addr().unwrap();
         let mut parked = Vec::with_capacity(count);
@@ -112,73 +111,56 @@ impl ParkRig {
     }
 }
 
-/// One backend's measured scaling curve, for the printed summary.
-struct Curve {
-    backend: Backend,
-    /// (parked count, mean run duration in seconds) per row.
-    means: Vec<(usize, f64)>,
-    /// 4096-parked vs 64-parked wake-latency ratio, when both rows ran.
-    ratio: Option<f64>,
-}
-
 fn bench_poller_scale(c: &mut Criterion) {
+    let name = Backend::NAME;
     let mut group = c.benchmark_group("poller_scale");
     group.sample_size(10).measurement_time(Duration::from_secs(2));
-    let mut curves: Vec<Curve> = Vec::new();
-    for &backend in Backend::available() {
-        let name = backend.name();
-        let mut means: Vec<(usize, f64)> = Vec::new();
-        for &parked in &PARKED {
-            let rig = ParkRig::new(backend, parked);
-            let mut local = Vec::new();
-            group.bench_with_input(
-                BenchmarkId::new(format!("wake/{name}"), parked),
-                &parked,
-                |b, _| {
-                    b.iter_custom(|_| {
-                        let d = rig.measure(WAKES_PER_RUN);
-                        local.push(d.as_secs_f64());
-                        d
-                    })
-                },
-            );
-            assert_eq!(rig.poller.len(), parked, "no registrations may drop mid-row");
-            if let Some(mean) = warm_mean(&local) {
-                means.push((parked, mean));
-            }
+    // (parked count, mean run duration in seconds) per row.
+    let mut means: Vec<(usize, f64)> = Vec::new();
+    for &parked in &PARKED {
+        let rig = ParkRig::new(parked);
+        let mut local = Vec::new();
+        group.bench_with_input(
+            BenchmarkId::new(format!("wake/{name}"), parked),
+            &parked,
+            |b, _| {
+                b.iter_custom(|_| {
+                    let d = rig.measure(WAKES_PER_RUN);
+                    local.push(d.as_secs_f64());
+                    d
+                })
+            },
+        );
+        assert_eq!(rig.poller.len(), parked, "no registrations may drop mid-row");
+        if let Some(mean) = warm_mean(&local) {
+            means.push((parked, mean));
         }
-        let at = |count: usize| means.iter().find(|(c, _)| *c == count).map(|&(_, mean)| mean);
-        let ratio = at(4096).zip(at(64)).map(|(t4096, t64)| t4096 / t64);
-        curves.push(Curve { backend, means, ratio });
     }
     group.finish();
+    let at = |count: usize| means.iter().find(|(c, _)| *c == count).map(|&(_, mean)| mean);
+    // 4096-parked vs 64-parked wake-latency ratio, when both rows ran.
+    let ratio = at(4096).zip(at(64)).map(|(t4096, t64)| t4096 / t64);
 
     println!("\n  wake latency vs parked connections (mean per wake):");
-    for curve in &curves {
-        let cols: Vec<String> = curve
-            .means
-            .iter()
-            .map(|(parked, mean)| format!("{parked}: {:.1}us", mean / WAKES_PER_RUN as f64 * 1e6))
-            .collect();
-        let shape = match curve.ratio {
-            Some(r) => format!("4096v64 ratio {r:.2}x"),
-            None => "ratio unavailable".to_string(),
-        };
-        println!("    {:<6} {} — {shape}", curve.backend.name(), cols.join("  "));
-    }
+    let cols: Vec<String> = means
+        .iter()
+        .map(|(parked, mean)| format!("{parked}: {:.1}us", mean / WAKES_PER_RUN as f64 * 1e6))
+        .collect();
+    let shape = match ratio {
+        Some(r) => format!("4096v64 ratio {r:.2}x"),
+        None => "ratio unavailable".to_string(),
+    };
+    println!("    {name:<6} {} — {shape}", cols.join("  "));
     println!(
         "    (epoll is O(ready): flat in parked count; peek re-scans every \
          registered socket, so it degrades linearly)"
     );
-    for curve in curves.iter().filter(|c| c.backend.event_driven()) {
-        if let Some(ratio) = curve.ratio {
-            assert!(
-                ratio <= MAX_EVENT_DRIVEN_RATIO,
-                "{} wake latency grew {ratio:.2}x from 64 to 4096 parked connections \
-                 (ceiling {MAX_EVENT_DRIVEN_RATIO}x): per-wake work scales with registrations",
-                curve.backend.name()
-            );
-        }
+    if let Some(ratio) = ratio.filter(|_| Backend::EVENT_DRIVEN) {
+        assert!(
+            ratio <= MAX_EVENT_DRIVEN_RATIO,
+            "{name} wake latency grew {ratio:.2}x from 64 to 4096 parked connections \
+             (ceiling {MAX_EVENT_DRIVEN_RATIO}x): per-wake work scales with registrations"
+        );
     }
 }
 

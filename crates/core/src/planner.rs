@@ -259,12 +259,6 @@ impl DeploymentPlan {
         self.ranked.iter().find(|c| c.net == net)
     }
 
-    /// The best deployment under a network setting for one specific
-    /// backend.
-    pub fn best_for_backend(&self, net: &str, backend: PiBackend) -> Option<&PlanChoice> {
-        self.ranked.iter().find(|c| c.net == net && c.backend == backend)
-    }
-
     /// A [`ReactorConfig`](crate::reactor::ReactorConfig) sized from
     /// the plan's best deployment: the replenishers must outpace
     /// consumption, so the pool watermarks scale with the

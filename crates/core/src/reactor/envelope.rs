@@ -53,8 +53,12 @@ pub enum Request {
 }
 
 impl Request {
+    /// Length of every `REQ` frame body — what the server caps its
+    /// first read of an unauthenticated connection at.
+    pub const ENCODED_LEN: usize = 6;
+
     /// The `REQ` frame body.
-    pub fn encode(self) -> [u8; 6] {
+    pub fn encode(self) -> [u8; Self::ENCODED_LEN] {
         let kind = match self {
             Request::Infer => KIND_INFER,
             Request::Stats => KIND_STATS,

@@ -5,7 +5,7 @@
 use super::batch::FlushReason;
 use super::{Job, Shared};
 use c2pi_transport::TcpListenerTransport;
-use polling::Poller;
+use polling::{Backend, Poller};
 use std::collections::HashMap;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
@@ -22,15 +22,13 @@ const ACCEPT_BATCH: usize = 64;
 /// own reserved key ([`polling::RESERVED_KEY`]); client-key allocation
 /// wraps before reaching either.
 pub(super) const LISTENER_KEY: usize = usize::MAX - 1;
-/// Wait-timeout ceiling on an event-driven backend (epoll). Accepts,
-/// client readiness, and notifies all arrive as events there, so this
-/// is a pure safety net, not a duty cycle.
-const SAFETY_TICK_EVENT: Duration = Duration::from_millis(50);
-/// Wait-timeout ceiling on a scanning backend (peek). That backend
-/// cannot observe listener readiness — it reports the listener
-/// "assumed-ready" only when a wait returns — so this tick is the
-/// accept-latency bound, matching the old `POLL_TICK` cadence.
-const SAFETY_TICK_SCAN: Duration = Duration::from_millis(5);
+/// Wait-timeout ceiling, fixed by the backend the build compiled in. On
+/// an event-driven backend (epoll) accepts, client readiness and
+/// notifies all arrive as events, so 50 ms is a pure safety net, not a
+/// duty cycle. A scanning backend (peek) cannot observe listener
+/// readiness — it reports the listener "assumed-ready" only when a wait
+/// returns — so there 5 ms is the accept-latency bound.
+const SAFETY_TICK: Duration = Duration::from_millis(if Backend::EVENT_DRIVEN { 50 } else { 5 });
 
 /// The reactor thread: one poller wait multiplexing accepts, parked
 /// client readiness, and notifies — accept, park, dispatch, shed; no
@@ -44,8 +42,6 @@ pub(super) fn reactor_loop(
     let mut parked: HashMap<usize, TcpStream> = HashMap::new();
     let mut next_key = 0usize;
     let mut events = Vec::new();
-    let safety_tick =
-        if poller.backend().event_driven() { SAFETY_TICK_EVENT } else { SAFETY_TICK_SCAN };
     while !shared.draining() {
         // Sleep until something actually happens: a parked client's
         // request frame, a pending accept, or a notify (a worker opened
@@ -53,8 +49,8 @@ pub(super) fn reactor_loop(
         // timeout covers the armed batch deadline, capped by the
         // backend's safety tick.
         let timeout = match shared.collector.next_deadline() {
-            Some(deadline) => deadline.saturating_duration_since(Instant::now()).min(safety_tick),
-            None => safety_tick,
+            Some(deadline) => deadline.saturating_duration_since(Instant::now()).min(SAFETY_TICK),
+            None => SAFETY_TICK,
         };
         events.clear();
         let result = match poller.wait(&mut events, Some(timeout)) {
@@ -63,7 +59,7 @@ pub(super) fn reactor_loop(
                 // A failing wait (epoll state corruption) would spin
                 // this loop hot; count it and back off instead.
                 shared.metrics.add(&shared.metrics.errors);
-                std::thread::sleep(safety_tick);
+                std::thread::sleep(SAFETY_TICK);
                 continue;
             }
         };

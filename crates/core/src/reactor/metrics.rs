@@ -9,51 +9,70 @@
 //! cumulative `_bucket{le=…}` histogram lines), and closely enough to
 //! grep in CI, which is the consumer this repo actually has.
 
+use std::fmt::{Display, Write as _};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Duration;
 
-/// Histogram bucket upper bounds, in milliseconds. Chosen to bracket
-/// the measured online latencies (Delphi ~12 ms, Cheetah ~21 ms in
-/// memory; 60–160 ms through the reactor; more under load or simulated
-/// WAN).
+/// Latency-histogram bucket upper bounds, in milliseconds. Chosen to
+/// bracket the measured online latencies (Delphi ~12 ms, Cheetah ~21 ms
+/// in memory; 60–160 ms through the reactor; more under load or
+/// simulated WAN).
 pub const LATENCY_BUCKETS_MS: [u64; 13] =
     [1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000];
 
-/// Fixed-bucket latency histogram (log-spaced bounds plus +Inf).
-#[derive(Debug, Default)]
-pub struct LatencyHistogram {
-    /// One counter per bound in [`LATENCY_BUCKETS_MS`] plus a final
-    /// +Inf bucket. Non-cumulative internally; the exposition
-    /// accumulates.
-    buckets: [AtomicU64; LATENCY_BUCKETS_MS.len() + 1],
+/// Batch-size histogram bucket upper bounds (members per protocol
+/// run). Powers of two up to the largest `max_batch` a deployment
+/// plausibly configures; an uncoalesced server records only runs of 1.
+pub const BATCH_SIZE_BUCKETS: [u64; 6] = [1, 2, 4, 8, 16, 32];
+
+/// Fixed-bucket histogram over a bounds slice plus a final +Inf bucket.
+/// Observations and their sum are integers in the histogram's own unit
+/// (microseconds, members); `per_bound` is how many of those make one
+/// unit of the bounds (1000 for millisecond bounds over microseconds).
+/// Buckets are non-cumulative; the exposition accumulates.
+#[derive(Debug)]
+pub(crate) struct Histogram {
+    bounds: &'static [u64],
+    per_bound: u64,
+    buckets: Box<[AtomicU64]>,
     count: AtomicU64,
-    sum_micros: AtomicU64,
+    sum: AtomicU64,
 }
 
-impl LatencyHistogram {
-    /// Records one observation.
-    pub fn record(&self, latency: Duration) {
-        let ms = latency.as_millis() as u64;
-        let at =
-            LATENCY_BUCKETS_MS.iter().position(|&b| ms <= b).unwrap_or(LATENCY_BUCKETS_MS.len());
-        self.buckets[at].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_micros.fetch_add(latency.as_micros() as u64, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-            count: self.count.load(Ordering::Relaxed),
-            sum_seconds: self.sum_micros.load(Ordering::Relaxed) as f64 / 1e6,
+impl Histogram {
+    fn new(bounds: &'static [u64], per_bound: u64) -> Histogram {
+        Histogram {
+            bounds,
+            per_bound,
+            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
         }
     }
+
+    /// Records one observation.
+    pub(crate) fn record(&self, value: u64) {
+        let scaled = value / self.per_bound;
+        let at = self.bounds.iter().position(|&b| scaled <= b).unwrap_or(self.bounds.len());
+        self.buckets[at].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
+    }
+
+    /// Per-bucket counts, observation count and sum.
+    fn snapshot(&self) -> (Vec<u64>, u64, u64) {
+        (
+            self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
+            self.count.load(Ordering::Relaxed),
+            self.sum.load(Ordering::Relaxed),
+        )
+    }
 }
 
-/// Point-in-time copy of a [`LatencyHistogram`].
+/// Point-in-time copy of the online-latency histogram.
 #[derive(Debug, Clone, Default)]
 pub struct HistogramSnapshot {
-    /// Per-bucket (non-cumulative) counts; the last entry is +Inf.
+    /// Per-bucket (non-cumulative) counts over [`LATENCY_BUCKETS_MS`];
+    /// the last entry is +Inf.
     pub buckets: Vec<u64>,
     /// Total observations.
     pub count: u64,
@@ -61,43 +80,11 @@ pub struct HistogramSnapshot {
     pub sum_seconds: f64,
 }
 
-/// Batch-size histogram bucket upper bounds (members per protocol
-/// run). Powers of two up to the largest `max_batch` a deployment
-/// plausibly configures; an uncoalesced server records only runs of 1.
-pub const BATCH_SIZE_BUCKETS: [u64; 6] = [1, 2, 4, 8, 16, 32];
-
-/// Fixed-bucket histogram of protocol-run sizes.
-#[derive(Debug, Default)]
-pub struct BatchSizeHistogram {
-    buckets: [AtomicU64; BATCH_SIZE_BUCKETS.len() + 1],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl BatchSizeHistogram {
-    /// Records one run of `size` members.
-    pub fn record(&self, size: usize) {
-        let size = size as u64;
-        let at =
-            BATCH_SIZE_BUCKETS.iter().position(|&b| size <= b).unwrap_or(BATCH_SIZE_BUCKETS.len());
-        self.buckets[at].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(size, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> BatchSizeSnapshot {
-        BatchSizeSnapshot {
-            buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-            count: self.count.load(Ordering::Relaxed),
-            sum_members: self.sum.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Point-in-time copy of a [`BatchSizeHistogram`].
+/// Point-in-time copy of the batch-size histogram.
 #[derive(Debug, Clone, Default)]
 pub struct BatchSizeSnapshot {
-    /// Per-bucket (non-cumulative) counts; the last entry is +Inf.
+    /// Per-bucket (non-cumulative) counts over [`BATCH_SIZE_BUCKETS`];
+    /// the last entry is +Inf.
     pub buckets: Vec<u64>,
     /// Protocol runs executed.
     pub count: u64,
@@ -108,7 +95,7 @@ pub struct BatchSizeSnapshot {
 
 /// Shared serving counters, updated lock-free by the reactor and every
 /// worker.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ReactorMetrics {
     /// Connections accepted by the reactor.
     pub(crate) accepted: AtomicU64,
@@ -127,8 +114,9 @@ pub struct ReactorMetrics {
     pub(crate) active: AtomicU64,
     /// Whether the server is draining (set once, never cleared).
     pub(crate) draining: AtomicBool,
-    /// Online latency of served inferences (take → share revealed).
-    pub(crate) latency: LatencyHistogram,
+    /// Online latency of served inferences (take → share revealed), in
+    /// microseconds.
+    pub(crate) latency: Histogram,
     /// Protocol runs executed, of any size: an uncoalesced server reads
     /// `batches == served`.
     pub(crate) batches: AtomicU64,
@@ -142,7 +130,30 @@ pub struct ReactorMetrics {
     /// Partial batches flushed (and served) at drain.
     pub(crate) flush_drain: AtomicU64,
     /// Members served per run.
-    pub(crate) batch_size: BatchSizeHistogram,
+    pub(crate) batch_size: Histogram,
+}
+
+impl Default for ReactorMetrics {
+    fn default() -> Self {
+        let zero = || AtomicU64::new(0);
+        ReactorMetrics {
+            accepted: zero(),
+            served: zero(),
+            shed: zero(),
+            errors: zero(),
+            hangups: zero(),
+            stats_served: zero(),
+            active: zero(),
+            draining: AtomicBool::new(false),
+            latency: Histogram::new(&LATENCY_BUCKETS_MS, 1000),
+            batches: zero(),
+            coalesced: zero(),
+            flush_full: zero(),
+            flush_window: zero(),
+            flush_drain: zero(),
+            batch_size: Histogram::new(&BATCH_SIZE_BUCKETS, 1),
+        }
+    }
 }
 
 impl ReactorMetrics {
@@ -158,7 +169,7 @@ impl ReactorMetrics {
     pub(crate) fn record_batch(&self, size: usize, reason: crate::reactor::batch::FlushReason) {
         use crate::reactor::batch::FlushReason;
         self.add(&self.batches);
-        self.batch_size.record(size);
+        self.batch_size.record(size as u64);
         self.add(match reason {
             FlushReason::Full => &self.flush_full,
             FlushReason::Window => &self.flush_window,
@@ -261,6 +272,10 @@ impl MetricsSnapshot {
         shards: Vec<ShardSnapshot>,
     ) -> MetricsSnapshot {
         let restored = shards.iter().map(|s| s.restored).sum();
+        let (buckets, count, micros) = metrics.latency.snapshot();
+        let latency = HistogramSnapshot { buckets, count, sum_seconds: micros as f64 / 1e6 };
+        let (buckets, count, sum_members) = metrics.batch_size.snapshot();
+        let batch_size = BatchSizeSnapshot { buckets, count, sum_members };
         MetricsSnapshot {
             workers,
             accepted: metrics.accepted.load(Ordering::Relaxed),
@@ -274,7 +289,7 @@ impl MetricsSnapshot {
             steals,
             restored,
             shards,
-            latency: metrics.latency.snapshot(),
+            latency,
             batches: metrics.batches.load(Ordering::Relaxed),
             coalesced: metrics.coalesced.load(Ordering::Relaxed),
             flushes: (
@@ -282,7 +297,7 @@ impl MetricsSnapshot {
                 metrics.flush_window.load(Ordering::Relaxed),
                 metrics.flush_drain.load(Ordering::Relaxed),
             ),
-            batch_size: metrics.batch_size.snapshot(),
+            batch_size,
             batch_pending: 0,
             poll_backend: "none",
             poll_wakeups: 0,
@@ -297,137 +312,127 @@ impl MetricsSnapshot {
 
     /// Renders the Prometheus-style text exposition.
     pub fn render_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(2048);
-        let mut counter = |name: &str, help: &str, value: u64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {value}");
-        };
-        counter("c2pi_accepted_total", "Connections accepted by the reactor.", self.accepted);
-        counter("c2pi_served_total", "Online inferences served to completion.", self.served);
-        counter("c2pi_shed_total", "Requests shed with typed backpressure frames.", self.shed);
-        counter("c2pi_errors_total", "Connections that failed mid-protocol.", self.errors);
-        counter("c2pi_hangups_total", "Peers gone before sending a request.", self.hangups);
-        counter("c2pi_stats_requests_total", "STATS requests answered.", self.stats_served);
-        counter("c2pi_pool_steals_total", "Cross-shard work-stealing takes.", self.steals);
-        counter(
-            "c2pi_pool_restored_total",
-            "Material restored from store segments.",
-            self.restored,
+        let mut w = Exposition(String::with_capacity(4096));
+        w.counter("c2pi_accepted_total", "Connections accepted by the reactor.")
+            .value(self.accepted);
+        w.counter("c2pi_served_total", "Online inferences served to completion.")
+            .value(self.served);
+        w.counter("c2pi_shed_total", "Requests shed with typed backpressure frames.")
+            .value(self.shed);
+        w.counter("c2pi_errors_total", "Connections that failed mid-protocol.").value(self.errors);
+        w.counter("c2pi_hangups_total", "Peers gone before sending a request.").value(self.hangups);
+        w.counter("c2pi_stats_requests_total", "STATS requests answered.").value(self.stats_served);
+        w.counter("c2pi_pool_steals_total", "Cross-shard work-stealing takes.").value(self.steals);
+        w.counter("c2pi_pool_restored_total", "Material restored from store segments.")
+            .value(self.restored);
+        w.gauge("c2pi_active_connections", "Connections registered, queued or in service.")
+            .value(self.active);
+        w.gauge("c2pi_draining", "Whether the server is draining (1) or live (0).")
+            .value(u64::from(self.draining));
+        w.gauge("c2pi_workers", "Serving worker threads.").value(self.workers);
+        let shards = || self.shards.iter().enumerate();
+        w.gauge("c2pi_shard_pool_depth", "Ready material sets pooled per shard.")
+            .labelled("shard", shards().map(|(i, s)| (i, s.depth)));
+        w.counter("c2pi_shard_consumed_total", "Material consumed per shard.")
+            .labelled("shard", shards().map(|(i, s)| (i, s.consumed)));
+        w.counter("c2pi_shard_dealt_total", "Sets dealt offline per shard.")
+            .labelled("shard", shards().map(|(i, s)| (i, s.generated_offline)));
+        w.counter("c2pi_shard_deal_seconds_total", "Seconds spent dealing sets per shard.")
+            .labelled("shard", shards().map(|(i, s)| (i, s.generation_seconds)));
+        w.histogram("c2pi_online_latency_seconds", "Online latency of served inferences.").buckets(
+            LATENCY_BUCKETS_MS.iter().map(|&ms| ms as f64 / 1000.0),
+            &self.latency.buckets,
+            self.latency.count,
+            format_args!("{:.6}", self.latency.sum_seconds),
         );
-        let _ = writeln!(
-            out,
-            "# HELP c2pi_active_connections Connections registered, queued or in service."
-        );
-        let _ = writeln!(out, "# TYPE c2pi_active_connections gauge");
-        let _ = writeln!(out, "c2pi_active_connections {}", self.active);
-        let _ =
-            writeln!(out, "# HELP c2pi_draining Whether the server is draining (1) or live (0).");
-        let _ = writeln!(out, "# TYPE c2pi_draining gauge");
-        let _ = writeln!(out, "c2pi_draining {}", u64::from(self.draining));
-        let _ = writeln!(out, "# HELP c2pi_workers Serving worker threads.");
-        let _ = writeln!(out, "# TYPE c2pi_workers gauge");
-        let _ = writeln!(out, "c2pi_workers {}", self.workers);
-        let _ = writeln!(out, "# HELP c2pi_shard_pool_depth Ready material sets pooled per shard.");
-        let _ = writeln!(out, "# TYPE c2pi_shard_pool_depth gauge");
-        for (i, s) in self.shards.iter().enumerate() {
-            let _ = writeln!(out, "c2pi_shard_pool_depth{{shard=\"{i}\"}} {}", s.depth);
-        }
-        let _ = writeln!(out, "# HELP c2pi_shard_consumed_total Material consumed per shard.");
-        let _ = writeln!(out, "# TYPE c2pi_shard_consumed_total counter");
-        for (i, s) in self.shards.iter().enumerate() {
-            let _ = writeln!(out, "c2pi_shard_consumed_total{{shard=\"{i}\"}} {}", s.consumed);
-        }
-        let _ = writeln!(out, "# HELP c2pi_shard_dealt_total Sets dealt offline per shard.");
-        let _ = writeln!(out, "# TYPE c2pi_shard_dealt_total counter");
-        for (i, s) in self.shards.iter().enumerate() {
-            let _ =
-                writeln!(out, "c2pi_shard_dealt_total{{shard=\"{i}\"}} {}", s.generated_offline);
-        }
-        let _ = writeln!(
-            out,
-            "# HELP c2pi_shard_deal_seconds_total Seconds spent dealing sets per shard."
-        );
-        let _ = writeln!(out, "# TYPE c2pi_shard_deal_seconds_total counter");
-        for (i, s) in self.shards.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "c2pi_shard_deal_seconds_total{{shard=\"{i}\"}} {}",
-                s.generation_seconds
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP c2pi_online_latency_seconds Online latency of served inferences."
-        );
-        let _ = writeln!(out, "# TYPE c2pi_online_latency_seconds histogram");
-        let mut cumulative = 0u64;
-        for (bound_ms, n) in LATENCY_BUCKETS_MS.iter().zip(&self.latency.buckets) {
-            cumulative += n;
-            let _ = writeln!(
-                out,
-                "c2pi_online_latency_seconds_bucket{{le=\"{}\"}} {cumulative}",
-                *bound_ms as f64 / 1000.0
-            );
-        }
-        let _ = writeln!(
-            out,
-            "c2pi_online_latency_seconds_bucket{{le=\"+Inf\"}} {}",
-            self.latency.count
-        );
-        let _ = writeln!(out, "c2pi_online_latency_seconds_sum {:.6}", self.latency.sum_seconds);
-        let _ = writeln!(out, "c2pi_online_latency_seconds_count {}", self.latency.count);
-        let _ = writeln!(out, "# HELP c2pi_batches_total Protocol runs executed, of any size.");
-        let _ = writeln!(out, "# TYPE c2pi_batches_total counter");
-        let _ = writeln!(out, "c2pi_batches_total {}", self.batches);
-        let _ = writeln!(
-            out,
-            "# HELP c2pi_coalesced_total Inferences served inside fused batches of two or more."
-        );
-        let _ = writeln!(out, "# TYPE c2pi_coalesced_total counter");
-        let _ = writeln!(out, "c2pi_coalesced_total {}", self.coalesced);
-        let _ = writeln!(
-            out,
-            "# HELP c2pi_batch_pending Requests waiting in the batch collector for their window."
-        );
-        let _ = writeln!(out, "# TYPE c2pi_batch_pending gauge");
-        let _ = writeln!(out, "c2pi_batch_pending {}", self.batch_pending);
-        let _ = writeln!(out, "# HELP c2pi_batch_flush_total Batch flushes by trigger.");
-        let _ = writeln!(out, "# TYPE c2pi_batch_flush_total counter");
+        w.counter("c2pi_batches_total", "Protocol runs executed, of any size.").value(self.batches);
+        w.counter("c2pi_coalesced_total", "Inferences served inside fused batches of two or more.")
+            .value(self.coalesced);
+        w.gauge("c2pi_batch_pending", "Requests waiting in the batch collector for their window.")
+            .value(self.batch_pending);
         let (full, window, drain) = self.flushes;
-        let _ = writeln!(out, "c2pi_batch_flush_total{{reason=\"full\"}} {full}");
-        let _ = writeln!(out, "c2pi_batch_flush_total{{reason=\"window\"}} {window}");
-        let _ = writeln!(out, "c2pi_batch_flush_total{{reason=\"drain\"}} {drain}");
-        let _ = writeln!(out, "# HELP c2pi_batch_size Members served per protocol run.");
-        let _ = writeln!(out, "# TYPE c2pi_batch_size histogram");
-        let mut cumulative = 0u64;
-        for (bound, n) in BATCH_SIZE_BUCKETS.iter().zip(&self.batch_size.buckets) {
-            cumulative += n;
-            let _ = writeln!(out, "c2pi_batch_size_bucket{{le=\"{bound}\"}} {cumulative}");
+        w.counter("c2pi_batch_flush_total", "Batch flushes by trigger.")
+            .labelled("reason", [("full", full), ("window", window), ("drain", drain)]);
+        w.histogram("c2pi_batch_size", "Members served per protocol run.").buckets(
+            BATCH_SIZE_BUCKETS.iter(),
+            &self.batch_size.buckets,
+            self.batch_size.count,
+            self.batch_size.sum_members,
+        );
+        w.gauge("c2pi_poll_backend", "Readiness-poller backend in use (1 on the active label).")
+            .labelled("backend", [(self.poll_backend, 1)]);
+        w.counter("c2pi_poll_wakeups_total", "Times the reactor's poller wait returned.")
+            .value(self.poll_wakeups);
+        w.counter("c2pi_poll_events_total", "Readiness events reported across all poller waits.")
+            .value(self.poll_events);
+        w.0
+    }
+}
+
+/// The exposition text under construction. Each of the three writers
+/// spells one family's `# HELP` / `# TYPE` header and hands back the
+/// [`Family`] its samples go through.
+struct Exposition(String);
+
+impl Exposition {
+    fn family<'a>(&'a mut self, kind: &str, name: &'a str, help: &str) -> Family<'a> {
+        let _ = writeln!(self.0, "# HELP {name} {help}\n# TYPE {name} {kind}");
+        Family { out: &mut self.0, name }
+    }
+
+    fn counter<'a>(&'a mut self, name: &'a str, help: &str) -> Family<'a> {
+        self.family("counter", name, help)
+    }
+
+    fn gauge<'a>(&'a mut self, name: &'a str, help: &str) -> Family<'a> {
+        self.family("gauge", name, help)
+    }
+
+    fn histogram<'a>(&'a mut self, name: &'a str, help: &str) -> Family<'a> {
+        self.family("histogram", name, help)
+    }
+}
+
+/// The sample lines of one family.
+struct Family<'a> {
+    out: &'a mut String,
+    name: &'a str,
+}
+
+impl Family<'_> {
+    /// The family's one unlabelled sample.
+    fn value(self, value: impl Display) {
+        let _ = writeln!(self.out, "{} {value}", self.name);
+    }
+
+    /// One sample per `(label value, value)` pair, under the label `key`.
+    fn labelled<L: Display, V: Display>(
+        self,
+        key: &str,
+        samples: impl IntoIterator<Item = (L, V)>,
+    ) {
+        for (of, value) in samples {
+            let _ = writeln!(self.out, "{}{{{key}=\"{of}\"}} {value}", self.name);
         }
-        let _ = writeln!(out, "c2pi_batch_size_bucket{{le=\"+Inf\"}} {}", self.batch_size.count);
-        let _ = writeln!(out, "c2pi_batch_size_sum {}", self.batch_size.sum_members);
-        let _ = writeln!(out, "c2pi_batch_size_count {}", self.batch_size.count);
-        let _ = writeln!(
-            out,
-            "# HELP c2pi_poll_backend Readiness-poller backend in use (1 on the active label)."
-        );
-        let _ = writeln!(out, "# TYPE c2pi_poll_backend gauge");
-        let _ = writeln!(out, "c2pi_poll_backend{{backend=\"{}\"}} 1", self.poll_backend);
-        let _ = writeln!(
-            out,
-            "# HELP c2pi_poll_wakeups_total Times the reactor's poller wait returned."
-        );
-        let _ = writeln!(out, "# TYPE c2pi_poll_wakeups_total counter");
-        let _ = writeln!(out, "c2pi_poll_wakeups_total {}", self.poll_wakeups);
-        let _ = writeln!(
-            out,
-            "# HELP c2pi_poll_events_total Readiness events reported across all poller waits."
-        );
-        let _ = writeln!(out, "# TYPE c2pi_poll_events_total counter");
-        let _ = writeln!(out, "c2pi_poll_events_total {}", self.poll_events);
-        out
+    }
+
+    /// Cumulative `_bucket{le=…}` samples over `bounds` and +Inf, then
+    /// `_sum` and `_count`.
+    fn buckets(
+        self,
+        bounds: impl Iterator<Item = impl Display>,
+        buckets: &[u64],
+        count: u64,
+        sum: impl Display,
+    ) {
+        let name = self.name;
+        let mut cumulative = 0u64;
+        for (bound, n) in bounds.zip(buckets) {
+            cumulative += n;
+            let _ = writeln!(self.out, "{name}_bucket{{le=\"{bound}\"}} {cumulative}");
+        }
+        let _ = writeln!(self.out, "{name}_bucket{{le=\"+Inf\"}} {count}");
+        let _ = writeln!(self.out, "{name}_sum {sum}\n{name}_count {count}");
     }
 }
 
@@ -449,9 +454,9 @@ mod tests {
     #[test]
     fn histogram_buckets_accumulate_in_the_exposition() {
         let metrics = ReactorMetrics::default();
-        metrics.latency.record(Duration::from_millis(3)); // ≤5ms bucket
-        metrics.latency.record(Duration::from_millis(30)); // ≤50ms bucket
-        metrics.latency.record(Duration::from_secs(60)); // +Inf
+        metrics.latency.record(3_999); // 3 ms and change: ≤5ms bucket
+        metrics.latency.record(30_000); // ≤50ms bucket
+        metrics.latency.record(60_000_000); // +Inf
         let snap = MetricsSnapshot::gather(&metrics, 2, 0, vec![]);
         let text = snap.render_prometheus();
         assert_eq!(
@@ -514,6 +519,50 @@ mod tests {
         assert_eq!(metric_value(&text, "c2pi_workers"), Some(3.0));
         assert_eq!(metric_value(&text, "c2pi_draining"), Some(0.0));
         assert_eq!(metric_value(&text, "nonexistent_metric"), None);
+    }
+
+    /// The whole exposition, byte for byte, for a snapshot with every
+    /// field set. The golden was rendered by the hand-spelled writer
+    /// this file had before the shared histogram and the three family
+    /// writers replaced it.
+    #[test]
+    fn exposition_text_is_pinned_byte_for_byte() {
+        let shard = |depth, consumed, generated_offline, generation_seconds, restored| {
+            ShardSnapshot { depth, consumed, generated_offline, generation_seconds, restored }
+        };
+        let snap = MetricsSnapshot {
+            workers: 3,
+            accepted: 1021,
+            served: 977,
+            shed: 31,
+            errors: 4,
+            hangups: 9,
+            stats_served: 2,
+            active: 17,
+            draining: true,
+            steals: 12,
+            restored: 6,
+            shards: vec![shard(4, 500, 510, 0.125, 6), shard(0, 477, 471, 12.5, 0)],
+            latency: HistogramSnapshot {
+                buckets: vec![0, 1, 0, 5, 40, 300, 500, 100, 20, 8, 2, 0, 0, 1],
+                count: 977,
+                sum_seconds: 83.123_456_789,
+            },
+            batches: 520,
+            coalesced: 900,
+            flushes: (400, 110, 10),
+            batch_size: BatchSizeSnapshot {
+                buckets: vec![70, 440, 6, 3, 0, 0, 1],
+                count: 520,
+                sum_members: 977,
+            },
+            batch_pending: 1,
+            poll_backend: "epoll",
+            poll_wakeups: 2048,
+            poll_events: 3000,
+        };
+        let golden = include_str!("../../tests/golden/stats_exposition.txt");
+        assert_eq!(snap.render_prometheus(), golden);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! per idle socket). The reactor inverts that:
 //!
 //! * the **reactor thread** owns a nonblocking listener and a
-//!   [`polling::Poller`] — on Linux a real epoll instance by default.
+//!   [`polling::Poller`] — on Linux a real epoll instance (the build
+//!   picks the backend from the target; there is nothing to set).
 //!   The listener, every parked connection, and the poller's notify
 //!   handle share **one** poller wait, so the thread is genuinely
 //!   event-driven: it sleeps until an accept, a request frame, or a
@@ -179,13 +180,6 @@ pub struct ReactorConfig {
     /// every shard from its segment and [`ReactorServer::drain`]
     /// flushes them all. `None` keeps material in memory only.
     pub persist_path: Option<PathBuf>,
-    /// Force the portable peek poller backend even where a kernel
-    /// multiplexer is available — the in-process equivalent of the
-    /// `POLLING_FORCE_PEEK=1` environment switch (which still applies
-    /// when this is `false`). The test suite uses it to run the full
-    /// reactor stack against both backends in one process without
-    /// racing on the environment.
-    pub force_peek_poller: bool,
 }
 
 impl Default for ReactorConfig {
@@ -202,7 +196,6 @@ impl Default for ReactorConfig {
             batch_window: Duration::ZERO,
             max_batch: 1,
             persist_path: None,
-            force_peek_poller: false,
         }
     }
 }
@@ -232,7 +225,7 @@ struct Shared {
     collector: BatchCollector<TcpChannel>,
     /// The reactor's readiness poller. Workers hold it to notify the
     /// reactor when a deposit opens a new batch window (so it re-arms
-    /// its wait timeout); snapshots read its backend and counters.
+    /// its wait timeout); snapshots read its counters.
     poller: Arc<Poller>,
 }
 
@@ -258,7 +251,7 @@ impl Shared {
         let mut snap =
             MetricsSnapshot::gather(&self.metrics, self.workers, self.pool.steals(), shards);
         snap.batch_pending = self.collector.pending() as u64;
-        snap.poll_backend = self.poller.backend().name();
+        snap.poll_backend = Backend::NAME;
         snap.poll_wakeups = self.poller.wakeups();
         snap.poll_events = self.poller.events_reported();
         snap
@@ -349,9 +342,7 @@ impl ReactorServer {
         let addr = listener.local_addr();
         let poller_err =
             |e: std::io::Error| C2piError::BadConfig(format!("readiness poller unavailable: {e}"));
-        let poller =
-            if cfg.force_peek_poller { Poller::with_backend(Backend::Peek) } else { Poller::new() }
-                .map_err(poller_err)?;
+        let poller = Poller::new().map_err(poller_err)?;
         // Register the listener up front so accepts arrive as events
         // through the same wait as client readiness and notifies; a
         // failure here surfaces as a bind error, not a dead server.
@@ -553,6 +544,12 @@ mod tests {
                 });
             }
         });
+        // The served counter trails the last client's last byte by a
+        // beat; settle before asserting.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.served() < (clients * iters) as u64 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
         let snap = server.metrics_snapshot();
         assert_eq!(snap.served, (clients * iters) as u64);
         assert_eq!(snap.errors, 0);
@@ -718,23 +715,32 @@ mod tests {
 
     #[test]
     fn malformed_requests_are_counted_not_fatal() {
+        use std::io::Write;
         let server = ReactorServer::bind(
             server_core(),
             "127.0.0.1:0",
             ReactorConfig { workers: 1, pool_low: 0, pool_high: 0, ..Default::default() },
         )
         .unwrap();
-        let ch =
-            TcpChannel::connect_retry(server.local_addr(), Side::Client, Duration::from_secs(5))
-                .unwrap();
-        ch.send_bytes(b"not a request").unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while server.metrics_snapshot().errors == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
+        // A well-framed body that is no REQ; then a bare length prefix
+        // claiming a gigabyte, with nothing behind it — refused on the
+        // prefix, so the one worker neither allocates the payload nor
+        // sits out `client_timeout` waiting for it.
+        let hostile: [&[u8]; 2] = [b"\x06\x00\x00\x00C2PQ\x02\x09", &0x3FFF_FFFFu32.to_le_bytes()];
+        for (i, bytes) in hostile.into_iter().enumerate() {
+            let mut peer = TcpStream::connect(server.local_addr()).unwrap();
+            peer.write_all(bytes).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let settled = |snap: &MetricsSnapshot| snap.errors > i as u64 && snap.active == 0;
+            while !settled(&server.metrics_snapshot()) && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let snap = server.metrics_snapshot();
+            assert_eq!(snap.errors, i as u64 + 1, "hostile frame {i} is an error");
+            assert_eq!(snap.hangups, 0, "hostile frame {i} is not a hangup");
+            assert_eq!(snap.active, 0, "hostile connection {i} was closed");
+            assert_eq!(snap.served, 0);
         }
-        let snap = server.metrics_snapshot();
-        assert_eq!(snap.errors, 1);
-        assert_eq!(snap.served, 0);
         // The server still serves well-formed traffic afterwards.
         server.preprocess(1).unwrap();
         let client = ReactorClient::new(shared_session());

@@ -6,7 +6,7 @@ use super::batch::{Deposit, FlushReason};
 use super::envelope::{Reply, Request};
 use super::{pi_err, Job, Shared};
 use crate::C2piError;
-use c2pi_transport::{Channel, Side, TcpChannel};
+use c2pi_transport::{Channel, Side, TcpChannel, TransportError};
 use std::net::TcpStream;
 use std::sync::mpsc::Receiver;
 use std::sync::Mutex;
@@ -47,11 +47,15 @@ fn serve_connection(worker: usize, stream: TcpStream, shared: &Shared) {
         return;
     };
     // The readiness event may have been an EOF: the peer connected and
-    // left. That is a hangup, not a protocol error.
-    let req = match ch.recv_bytes() {
+    // left. That is a hangup, not a protocol error — unlike a length
+    // prefix no REQ has, refused before it sizes an allocation.
+    let req = match ch.recv_bytes_capped(Request::ENCODED_LEN) {
         Ok(frame) => frame,
-        Err(_) => {
-            shared.metrics.add(&shared.metrics.hangups);
+        Err(e) => {
+            shared.metrics.add(match e {
+                TransportError::Decode(_) => &shared.metrics.errors,
+                _ => &shared.metrics.hangups,
+            });
             shared.metrics.connection_done();
             return;
         }
@@ -142,9 +146,9 @@ fn serve_run(worker: usize, chs: Vec<TcpChannel>, reason: FlushReason, shared: &
         Ok(()) => {
             // Every member waited for the whole run; each records its
             // wall-clock latency.
-            let elapsed = start.elapsed();
+            let micros = start.elapsed().as_micros() as u64;
             for _ in 0..m {
-                shared.metrics.latency.record(elapsed);
+                shared.metrics.latency.record(micros);
                 shared.metrics.add(&shared.metrics.served);
             }
         }

@@ -27,7 +27,6 @@
 use crate::defense::{defense_seed, Defense};
 use crate::{C2piError, Result};
 use c2pi_mpc::share::ShareVec;
-use c2pi_mpc::FixedPoint;
 use c2pi_nn::{BoundaryId, Model, Sequential};
 use c2pi_pi::engine::{specs_of, PiConfig};
 use c2pi_pi::report::{PiReport, PreprocessLedger};
@@ -179,28 +178,9 @@ impl C2piBuilder {
         self
     }
 
-    /// Fixed-point format for the crypto phase.
-    pub fn fixed(mut self, fp: FixedPoint) -> Self {
-        self.pi.fixed = fp;
-        self
-    }
-
     /// Master seed for the dealer's per-inference seed stream.
     pub fn dealer_seed(mut self, seed: u64) -> Self {
         self.pi.dealer_seed = seed;
-        self
-    }
-
-    /// Maximum elements per garbled-circuit batch (GC backends).
-    pub fn gc_chunk(mut self, chunk: usize) -> Self {
-        self.pi.gc_chunk = chunk;
-        self
-    }
-
-    /// Full engine configuration override (backend tag included, unless
-    /// [`C2piBuilder::backend`] was also called).
-    pub fn pi_config(mut self, cfg: PiConfig) -> Self {
-        self.pi = cfg;
         self
     }
 
@@ -273,11 +253,6 @@ impl C2piSession {
     /// The boundary defense this session applies before the reveal.
     pub fn defense(&self) -> Defense {
         self.defense
-    }
-
-    /// The defense's report label (e.g. `uniform(0.100)`).
-    pub fn defense_label(&self) -> String {
-        self.defense.label()
     }
 
     /// Number of layers executed under MPC.

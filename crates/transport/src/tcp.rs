@@ -29,7 +29,7 @@ pub const MAX_FRAME_BYTES: usize = 1 << 30;
 ///
 /// Returns a decode error when the payload exceeds [`MAX_FRAME_BYTES`].
 pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>> {
-    check_frame_len(payload.len())?;
+    check_frame_len(payload.len(), MAX_FRAME_BYTES)?;
     let mut out = Vec::with_capacity(4 + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
@@ -49,7 +49,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(Vec<u8>, usize)>> {
         return Ok(None);
     }
     let len = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes")) as usize;
-    check_frame_len(len)?;
+    check_frame_len(len, MAX_FRAME_BYTES)?;
     if buf.len() < 4 + len {
         return Ok(None);
     }
@@ -57,11 +57,12 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(Vec<u8>, usize)>> {
 }
 
 /// The single authority on the frame-size cap, shared by the encode,
-/// decode and streaming-read paths.
-fn check_frame_len(len: usize) -> Result<()> {
-    if len > MAX_FRAME_BYTES {
+/// decode and streaming-read paths: [`MAX_FRAME_BYTES`], or a reader's
+/// own tighter `cap`.
+fn check_frame_len(len: usize, cap: usize) -> Result<()> {
+    if len > cap {
         return Err(TransportError::Decode(format!(
-            "frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
+            "frame of {len} bytes exceeds the {cap}-byte cap"
         )));
     }
     Ok(())
@@ -176,6 +177,31 @@ impl TcpChannel {
             .expect("tcp writer mutex poisoned")
             .set_write_timeout(timeout)
             .map_err(io_error)
+    }
+
+    /// [`Channel::recv_bytes`] for a reader that knows how large the
+    /// next frame can legitimately be: a length prefix above `cap` is
+    /// rejected **before** the payload is allocated or read. A server
+    /// reads an unauthenticated peer's first frame this way, so the
+    /// peer's four bytes cannot size the server's allocation.
+    ///
+    /// # Errors
+    ///
+    /// [`TransportError::Decode`] when the prefix exceeds `cap` (or
+    /// [`MAX_FRAME_BYTES`]); otherwise as [`Channel::recv_bytes`].
+    pub fn recv_bytes_capped(&self, cap: usize) -> Result<Vec<u8>> {
+        let mut reader = self.reader.lock().expect("tcp reader mutex poisoned");
+        let mut prefix = [0u8; 4];
+        reader.read_exact(&mut prefix).map_err(io_error)?;
+        let len = u32::from_le_bytes(prefix) as usize;
+        check_frame_len(len, cap.min(MAX_FRAME_BYTES))?;
+        let mut payload = vec![0u8; len];
+        reader.read_exact(&mut payload).map_err(io_error)?;
+        drop(reader);
+        if self.charge_peer_on_recv {
+            self.counter.record_send(self.side.peer(), len as u64);
+        }
+        Ok(payload)
     }
 
     /// Connects to a listening peer.
@@ -325,7 +351,7 @@ impl Channel for TcpChannel {
     }
 
     fn send_bytes(&self, data: &[u8]) -> Result<()> {
-        check_frame_len(data.len())?;
+        check_frame_len(data.len(), MAX_FRAME_BYTES)?;
         self.counter.record_send(self.side, data.len() as u64);
         let mut writer = self.writer.lock().expect("tcp writer mutex poisoned");
         // Small frames coalesce prefix + payload into one write (one
@@ -340,18 +366,7 @@ impl Channel for TcpChannel {
     }
 
     fn recv_bytes(&self) -> Result<Vec<u8>> {
-        let mut reader = self.reader.lock().expect("tcp reader mutex poisoned");
-        let mut prefix = [0u8; 4];
-        reader.read_exact(&mut prefix).map_err(io_error)?;
-        let len = u32::from_le_bytes(prefix) as usize;
-        check_frame_len(len)?;
-        let mut payload = vec![0u8; len];
-        reader.read_exact(&mut payload).map_err(io_error)?;
-        drop(reader);
-        if self.charge_peer_on_recv {
-            self.counter.record_send(self.side.peer(), len as u64);
-        }
-        Ok(payload)
+        self.recv_bytes_capped(MAX_FRAME_BYTES)
     }
 
     fn counter(&self) -> TrafficCounter {
@@ -408,6 +423,24 @@ mod tests {
         let mut bad = ((MAX_FRAME_BYTES + 1) as u32).to_le_bytes().to_vec();
         bad.extend_from_slice(&[0u8; 8]);
         assert!(matches!(decode_frame(&bad), Err(TransportError::Decode(_))));
+    }
+
+    #[test]
+    fn frame_cap_admits_the_cap_and_rejects_one_more() {
+        assert!(check_frame_len(6, 6).is_ok());
+        assert!(matches!(check_frame_len(7, 6), Err(TransportError::Decode(_))));
+    }
+
+    #[test]
+    fn capped_read_rejects_an_oversized_prefix_before_the_payload_exists() {
+        let (c, s, _) = tcp_loopback_pair().unwrap();
+        // The prefix alone, claiming a gigabyte that is never sent: an
+        // uncapped read would allocate it and block on the payload.
+        c.writer.lock().unwrap().write_all(&0x3FFF_FFFFu32.to_le_bytes()).unwrap();
+        assert!(matches!(s.recv_bytes_capped(6), Err(TransportError::Decode(_))));
+        // A frame of exactly the cap still arrives whole.
+        s.send_bytes(b"sixby!").unwrap();
+        assert_eq!(c.recv_bytes_capped(6).unwrap(), b"sixby!");
     }
 
     #[test]

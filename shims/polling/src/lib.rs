@@ -1,15 +1,15 @@
-//! Minimal `polling`-compatible readiness poller with two backends
-//! behind one API:
+//! Minimal `polling`-compatible readiness poller. The build compiles
+//! exactly one backend into [`Poller`], chosen by the target and by
+//! nothing else:
 //!
-//! * **epoll** ([`Backend::Epoll`], Linux, the default there) — a real
-//!   kernel multiplexer in `sys`: every socket, the listener, and an
-//!   `eventfd` notify share one `epoll_wait`, so a wakeup costs
-//!   O(ready) regardless of how many thousands of sources are parked;
-//! * **peek** ([`Backend::Peek`], everywhere) — the portable stand-in:
-//!   readiness derived from [`TcpStream::peek`] scans on a 1 ms tick,
-//!   O(sources) per tick. Still the build on non-Linux targets, and
-//!   selectable on Linux with `POLLING_FORCE_PEEK=1` so both backends
-//!   stay testable side by side.
+//! * **epoll** (Linux) — a real kernel multiplexer in `sys`: every
+//!   socket, the listener, and an `eventfd` notify share one
+//!   `epoll_wait`, so a wakeup costs O(ready) regardless of how many
+//!   thousands of sources are parked;
+//! * **peek** (every other target) — the portable stand-in: readiness
+//!   derived from [`TcpStream::peek`] scans on a 1 ms tick, O(sources)
+//!   per tick. A Linux build contains it only under `cfg(test)`, where
+//!   the in-crate conformance suite drives it beside epoll.
 //!
 //! Both backends satisfy the same **level-triggered contract**
 //! (DESIGN.md §11): a source that stays readable is reported on every
@@ -29,9 +29,18 @@
 #![deny(unsafe_code)] // relaxed from forbid: sys/ holds the scoped allow
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod conformance;
+#[cfg(any(not(target_os = "linux"), test))]
 mod peek;
 #[cfg(target_os = "linux")]
 mod sys;
+
+// The backend this target gets: the crate's one selection point.
+#[cfg(not(target_os = "linux"))]
+use peek::PeekPoller as Imp;
+#[cfg(target_os = "linux")]
+use sys::epoll::EpollPoller as Imp;
 
 use std::io;
 use std::net::{TcpListener, TcpStream};
@@ -81,56 +90,21 @@ impl WaitResult {
     }
 }
 
-/// Which kernel-facing implementation a [`Poller`] runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Peek-scan over nonblocking sockets: portable, O(sources)/tick.
-    Peek,
-    /// Linux epoll: O(ready) wakeups, real listener readiness.
-    #[cfg(target_os = "linux")]
-    Epoll,
-}
+/// What a consumer may ask about the backend this build compiled into
+/// [`Poller`]. Constants, not a choice: the target picked it.
+pub struct Backend;
 
 impl Backend {
-    /// Every backend this build can construct, preferred first.
-    pub fn available() -> &'static [Backend] {
-        #[cfg(target_os = "linux")]
-        {
-            &[Backend::Epoll, Backend::Peek]
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            &[Backend::Peek]
-        }
-    }
+    /// Stable lowercase name (`"epoll"` or `"peek"`), used in metrics
+    /// labels and logs.
+    pub const NAME: &'static str = Imp::NAME;
 
-    /// Stable lowercase name, used in metrics labels and logs.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Peek => "peek",
-            #[cfg(target_os = "linux")]
-            Backend::Epoll => "epoll",
-        }
-    }
-
-    /// Whether listener readiness reported by this backend is real
+    /// Whether listener readiness reported by the backend is real
     /// kernel state rather than a conservative assumption. An
     /// event-driven owner may sleep long between wakeups; a scanning
     /// backend's owner must keep its wait timeouts at the accept
     /// latency it wants.
-    pub fn event_driven(self) -> bool {
-        match self {
-            Backend::Peek => false,
-            #[cfg(target_os = "linux")]
-            Backend::Epoll => true,
-        }
-    }
-}
-
-enum Impl {
-    Peek(peek::PeekPoller),
-    #[cfg(target_os = "linux")]
-    Epoll(sys::epoll::EpollPoller),
+    pub const EVENT_DRIVEN: bool = Imp::EVENT_DRIVEN;
 }
 
 /// Readiness poller over registered [`TcpStream`]s (and at most a
@@ -142,8 +116,7 @@ enum Impl {
 /// readable is reported again on the next call, so the owner should
 /// delete it before handing the connection off.
 pub struct Poller {
-    imp: Impl,
-    backend: Backend,
+    imp: Imp,
     wakeups: AtomicU64,
     events: AtomicU64,
 }
@@ -151,57 +124,22 @@ pub struct Poller {
 impl std::fmt::Debug for Poller {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Poller")
-            .field("backend", &self.backend.name())
+            .field("backend", &Backend::NAME)
             .field("sources", &self.len())
             .finish()
     }
 }
 
-impl Default for Poller {
-    fn default() -> Self {
-        Self::new().expect("default poller backend construction failed")
-    }
-}
-
 impl Poller {
-    /// Creates a poller on the build's preferred backend: epoll on
-    /// Linux, peek elsewhere. Setting `POLLING_FORCE_PEEK=1` in the
-    /// environment forces the peek backend even on Linux — the runtime
-    /// escape hatch CI uses to pin backend parity end to end.
+    /// Creates a poller on the build's backend: epoll on Linux, peek
+    /// elsewhere.
     ///
     /// # Errors
     ///
     /// Propagates backend construction failures (epoll/eventfd fd
     /// allocation; the peek backend is infallible).
     pub fn new() -> io::Result<Poller> {
-        let force_peek = std::env::var("POLLING_FORCE_PEEK").is_ok_and(|v| v == "1");
-        let backend = if force_peek { Backend::Peek } else { Backend::available()[0] };
-        Self::with_backend(backend)
-    }
-
-    /// Creates a poller on an explicit backend — how the conformance
-    /// suite and benches run both implementations side by side in one
-    /// process, without racing on the environment.
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend construction failures.
-    pub fn with_backend(backend: Backend) -> io::Result<Poller> {
-        let imp = match backend {
-            Backend::Peek => Impl::Peek(peek::PeekPoller::new()?),
-            #[cfg(target_os = "linux")]
-            Backend::Epoll => Impl::Epoll(sys::epoll::EpollPoller::new()?),
-        };
-        Poller::wrap(imp, backend)
-    }
-
-    fn wrap(imp: Impl, backend: Backend) -> io::Result<Poller> {
-        Ok(Poller { imp, backend, wakeups: AtomicU64::new(0), events: AtomicU64::new(0) })
-    }
-
-    /// Which backend this poller runs on.
-    pub fn backend(&self) -> Backend {
-        self.backend
+        Ok(Poller { imp: Imp::new()?, wakeups: AtomicU64::new(0), events: AtomicU64::new(0) })
     }
 
     /// Registers `stream` for readable interest under `key`, switching
@@ -214,11 +152,7 @@ impl Poller {
     /// rejects a key that is already registered or [`RESERVED_KEY`].
     pub fn add(&self, stream: &TcpStream, key: usize) -> io::Result<()> {
         self.check_key(key)?;
-        match &self.imp {
-            Impl::Peek(p) => p.add(stream, key),
-            #[cfg(target_os = "linux")]
-            Impl::Epoll(p) => p.add(stream, key),
-        }
+        self.imp.add(stream, key)
     }
 
     /// Registers `listener` for accept-readiness under `key`, switching
@@ -233,11 +167,7 @@ impl Poller {
     /// As [`Poller::add`].
     pub fn add_listener(&self, listener: &TcpListener, key: usize) -> io::Result<()> {
         self.check_key(key)?;
-        match &self.imp {
-            Impl::Peek(p) => p.add_listener(listener, key),
-            #[cfg(target_os = "linux")]
-            Impl::Epoll(p) => p.add_listener(listener, key),
-        }
+        self.imp.add_listener(listener, key)
     }
 
     fn check_key(&self, key: usize) -> io::Result<()> {
@@ -253,20 +183,12 @@ impl Poller {
     /// Deregisters `key`. Unknown keys are a no-op (the source may have
     /// been dispatched concurrently).
     pub fn delete(&self, key: usize) {
-        match &self.imp {
-            Impl::Peek(p) => p.delete(key),
-            #[cfg(target_os = "linux")]
-            Impl::Epoll(p) => p.delete(key),
-        }
+        self.imp.delete(key)
     }
 
     /// Number of registered sources (listeners included).
     pub fn len(&self) -> usize {
-        match &self.imp {
-            Impl::Peek(p) => p.len(),
-            #[cfg(target_os = "linux")]
-            Impl::Epoll(p) => p.len(),
-        }
+        self.imp.len()
     }
 
     /// Whether no sources are registered.
@@ -288,11 +210,7 @@ impl Poller {
         events: &mut Vec<Event>,
         timeout: Option<Duration>,
     ) -> io::Result<WaitResult> {
-        let result = match &self.imp {
-            Impl::Peek(p) => p.wait(events, timeout),
-            #[cfg(target_os = "linux")]
-            Impl::Epoll(p) => p.wait(events, timeout),
-        }?;
+        let result = self.imp.wait(events, timeout)?;
         self.wakeups.fetch_add(1, Ordering::Relaxed);
         self.events.fetch_add(result.added as u64, Ordering::Relaxed);
         Ok(result)
@@ -302,11 +220,7 @@ impl Poller {
     /// notify with no waiter makes the next wait return immediately,
     /// with [`WaitResult::notified`] set.
     pub fn notify(&self) {
-        match &self.imp {
-            Impl::Peek(p) => p.notify(),
-            #[cfg(target_os = "linux")]
-            Impl::Epoll(p) => p.notify(),
-        }
+        self.imp.notify()
     }
 
     /// How many times [`Poller::wait`] has returned — the denominator
@@ -326,62 +240,42 @@ impl Poller {
 mod tests {
     use super::*;
 
-    // The behavioral suite lives in tests/conformance.rs and runs
-    // against every available backend; these tests cover the dispatch
-    // layer itself.
+    // The behavioural suite is `conformance`, instantiated per backend;
+    // these tests cover what `Poller` itself adds around the backend.
 
     #[test]
-    fn available_backends_prefer_the_kernel_multiplexer() {
-        let backends = Backend::available();
-        assert_eq!(backends.last(), Some(&Backend::Peek), "peek is always the fallback");
+    fn backend_constants_describe_the_compiled_in_backend() {
         #[cfg(target_os = "linux")]
         {
-            assert_eq!(backends[0], Backend::Epoll);
-            assert!(Backend::Epoll.event_driven());
-            assert_eq!(Backend::Epoll.name(), "epoll");
+            assert_eq!(Backend::NAME, "epoll");
+            const { assert!(Backend::EVENT_DRIVEN && sys::epoll::EpollPoller::EVENT_DRIVEN) };
         }
-        assert!(!Backend::Peek.event_driven());
-        assert_eq!(Backend::Peek.name(), "peek");
+        #[cfg(not(target_os = "linux"))]
+        assert_eq!(Backend::NAME, "peek");
+        assert_eq!(peek::PeekPoller::NAME, "peek");
+        const { assert!(!peek::PeekPoller::EVENT_DRIVEN) };
+        assert!(format!("{:?}", Poller::new().unwrap()).contains(Backend::NAME));
     }
 
     #[test]
-    fn force_peek_env_selects_the_peek_backend() {
-        // Process-global env mutation: this is the only test touching
-        // the variable, and it restores the prior state before exiting.
-        let prior = std::env::var("POLLING_FORCE_PEEK").ok();
-        std::env::set_var("POLLING_FORCE_PEEK", "1");
-        let forced = Poller::new().unwrap();
-        assert_eq!(forced.backend(), Backend::Peek);
-        std::env::set_var("POLLING_FORCE_PEEK", "0");
-        let unforced = Poller::new().unwrap();
-        assert_eq!(unforced.backend(), Backend::available()[0], "only the literal 1 forces");
-        match prior {
-            Some(v) => std::env::set_var("POLLING_FORCE_PEEK", v),
-            None => std::env::remove_var("POLLING_FORCE_PEEK"),
-        }
-    }
-
-    #[test]
-    fn reserved_key_is_rejected_on_every_backend() {
-        for &backend in Backend::available() {
-            let poller = Poller::with_backend(backend).unwrap();
-            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            let stream = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-            assert_eq!(
-                poller.add(&stream, RESERVED_KEY).unwrap_err().kind(),
-                io::ErrorKind::InvalidInput
-            );
-            assert_eq!(
-                poller.add_listener(&listener, RESERVED_KEY).unwrap_err().kind(),
-                io::ErrorKind::InvalidInput
-            );
-            assert!(poller.is_empty());
-        }
+    fn reserved_key_is_rejected() {
+        let poller = Poller::new().unwrap();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        assert_eq!(
+            poller.add(&stream, RESERVED_KEY).unwrap_err().kind(),
+            io::ErrorKind::InvalidInput
+        );
+        assert_eq!(
+            poller.add_listener(&listener, RESERVED_KEY).unwrap_err().kind(),
+            io::ErrorKind::InvalidInput
+        );
+        assert!(poller.is_empty());
     }
 
     #[test]
     fn wakeup_and_event_counters_accumulate() {
-        let poller = Poller::default();
+        let poller = Poller::new().unwrap();
         let mut events = Vec::new();
         let r = poller.wait(&mut events, Some(Duration::from_millis(5))).unwrap();
         assert!(r.timed_out());

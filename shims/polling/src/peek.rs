@@ -1,7 +1,8 @@
 //! The portable peek-scan backend: readiness derived from
-//! [`TcpStream::peek`] on nonblocking handles, standing in wherever the
-//! kernel multiplexer ([`crate::sys`]) is unavailable — non-Linux
-//! builds, and Linux runs forced onto it with `POLLING_FORCE_PEEK=1`.
+//! [`TcpStream::peek`] on nonblocking handles — the backend of every
+//! non-Linux build, where the kernel multiplexer (`crate::sys`) does
+//! not exist. A Linux build compiles this module only under
+//! `cfg(test)`, for the conformance suite.
 //!
 //! `std` exposes no fd-multiplexing syscall, so this backend derives
 //! readiness by scanning every registered source per tick: a peek that
@@ -48,6 +49,9 @@ pub(crate) struct PeekPoller {
 }
 
 impl PeekPoller {
+    pub(crate) const NAME: &'static str = "peek";
+    pub(crate) const EVENT_DRIVEN: bool = false;
+
     pub(crate) fn new() -> io::Result<PeekPoller> {
         Ok(PeekPoller { sources: Mutex::new(BTreeMap::new()), notified: AtomicBool::new(false) })
     }

@@ -119,6 +119,9 @@ fn cvt(ret: i32) -> io::Result<i32> {
 }
 
 impl EpollPoller {
+    pub(crate) const NAME: &'static str = "epoll";
+    pub(crate) const EVENT_DRIVEN: bool = true;
+
     pub(crate) fn new() -> io::Result<EpollPoller> {
         // SAFETY: epoll_create1 takes no pointers; any flag value is a
         // defined call (invalid ones return EINVAL, surfaced as Err).
