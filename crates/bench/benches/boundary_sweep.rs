@@ -5,7 +5,7 @@
 use c2pi_core::session::C2pi;
 use c2pi_nn::model::{alexnet, ZooConfig};
 use c2pi_nn::BoundaryId;
-use c2pi_pi::cheetah;
+use c2pi_pi::PiBackend;
 use c2pi_tensor::Tensor;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -30,7 +30,7 @@ fn bench_boundary(c: &mut Criterion) {
                     .split_at(BoundaryId::relu(conv))
                     .noise(0.1)
                     .noise_seed(2)
-                    .backend(cheetah())
+                    .backend(PiBackend::Cheetah)
                     .build()
                     .unwrap();
                 session.preprocess(64).unwrap();

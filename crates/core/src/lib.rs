@@ -32,7 +32,7 @@
 //! use c2pi_core::session::C2pi;
 //! use c2pi_nn::model::{alexnet, ZooConfig};
 //! use c2pi_nn::BoundaryId;
-//! use c2pi_pi::cheetah;
+//! use c2pi_pi::PiBackend;
 //! use c2pi_tensor::Tensor;
 //!
 //! # fn main() -> Result<(), c2pi_core::C2piError> {
@@ -42,7 +42,7 @@
 //! let mut session = C2pi::builder(model)
 //!     .split_at(BoundaryId::relu(2))
 //!     .noise(0.1)
-//!     .backend(cheetah())
+//!     .backend(PiBackend::Cheetah)
 //!     .build()?;
 //! session.preprocess(1)?; // offline, input-independent
 //! let x = Tensor::rand_uniform(&[1, 3, 16, 16], 0.0, 1.0, 1);

@@ -712,7 +712,7 @@ impl<'a> DeploymentPlanner<'a> {
                     .split_at(boundary)
                     .defense(self.cfg.defense)
                     .noise_seed(self.cfg.seed)
-                    .backend(backend.engine());
+                    .backend(backend);
                 if let Some(t) = &self.transport {
                     builder = builder.transport(Arc::clone(t));
                 }

@@ -69,7 +69,8 @@
 //! request/response exchange in front, nothing inside.
 //!
 //! **Determinism.** Sharding never touches material *content*: every
-//! shard draws from the one serialized [`c2pi_pi::SeedAllocator`], so a
+//! shard draws from the one serialized seed allocator of its
+//! [`c2pi_pi::ShardedMaterialPool`], so a
 //! sharded deployment consumes a prefix of the same seed stream an
 //! unsharded session walks, and concurrent results are a bit-for-bit
 //! permutation of the sequential run's (DESIGN.md §8).

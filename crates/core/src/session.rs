@@ -5,7 +5,7 @@
 //! use c2pi_core::session::C2pi;
 //! use c2pi_nn::model::{vgg16, ZooConfig};
 //! use c2pi_nn::BoundaryId;
-//! use c2pi_pi::cheetah;
+//! use c2pi_pi::PiBackend;
 //! use c2pi_tensor::Tensor;
 //!
 //! # fn main() -> Result<(), c2pi_core::C2piError> {
@@ -13,7 +13,7 @@
 //! let mut session = C2pi::builder(model)
 //!     .split_at(BoundaryId::relu(9))
 //!     .noise(0.1)
-//!     .backend(cheetah())
+//!     .backend(PiBackend::Cheetah)
 //!     .build()?;
 //! session.preprocess(16)?; // offline: correlated randomness for 16 images
 //! let x = Tensor::rand_uniform(&[1, 3, 32, 32], 0.0, 1.0, 1);
@@ -30,7 +30,7 @@ use c2pi_mpc::share::ShareVec;
 use c2pi_nn::{BoundaryId, Model, Sequential};
 use c2pi_pi::engine::{specs_of, PiConfig};
 use c2pi_pi::report::{PiReport, PreprocessLedger};
-use c2pi_pi::{IntoBackend, PiSession};
+use c2pi_pi::{PiBackend, PiSession};
 use c2pi_tensor::Tensor;
 use c2pi_transport::{TrafficSnapshot, Transport};
 use std::sync::Arc;
@@ -85,7 +85,6 @@ impl C2pi {
             defense: Defense::Uniform { magnitude: 0.1 },
             noise_seed: 53,
             pi: PiConfig::default(),
-            backend: None,
             transport: None,
         }
     }
@@ -98,7 +97,6 @@ pub struct C2piBuilder {
     defense: Defense,
     noise_seed: u64,
     pi: PiConfig,
-    backend: Option<std::sync::Arc<dyn c2pi_pi::PiBackendImpl>>,
     transport: Option<Arc<dyn Transport>>,
 }
 
@@ -152,19 +150,20 @@ impl C2piBuilder {
 
     /// Applies a deployment-planner choice: boundary, backend and
     /// defense in one call (see [`crate::planner::DeploymentPlanner`]).
+    /// The backend lands where [`C2piBuilder::backend`] puts it, in the
+    /// session's `PiConfig`.
     pub fn plan(mut self, choice: &crate::planner::PlanChoice) -> Self {
         self.split = Split::At(choice.boundary);
         self.defense = choice.defense;
         self.noise_seed = choice.defense_seed;
-        self.backend = Some(choice.backend.engine());
+        self.pi.backend = choice.backend;
         self
     }
 
-    /// Protocol backend: a [`c2pi_pi::PiBackend`] tag or any
-    /// `Arc<dyn PiBackendImpl>` (e.g. [`c2pi_pi::cheetah()`],
-    /// [`c2pi_pi::delphi()`], or a custom implementation).
-    pub fn backend<B: IntoBackend>(mut self, backend: B) -> Self {
-        self.backend = Some(backend.into_backend());
+    /// Protocol backend: [`PiBackend::Delphi`] or
+    /// [`PiBackend::Cheetah`] (the default).
+    pub fn backend(mut self, backend: PiBackend) -> Self {
+        self.pi.backend = backend;
         self
     }
 
@@ -203,10 +202,9 @@ impl C2piBuilder {
             }
             Split::Full => (self.model.seq().clone(), Sequential::new()),
         };
-        let backend = self.backend.unwrap_or_else(|| self.pi.backend.engine());
         let input_shape = self.model.input_shape();
-        let mut pi = PiSession::with_backend(&specs_of(&crypto), input_shape, self.pi, backend)
-            .map_err(C2piError::Pi)?;
+        let mut pi =
+            PiSession::new(&specs_of(&crypto), input_shape, self.pi).map_err(C2piError::Pi)?;
         if let Some(transport) = self.transport {
             pi = pi.with_transport(transport);
         }
@@ -363,7 +361,6 @@ impl C2piSession {
 mod tests {
     use super::*;
     use c2pi_nn::model::{alexnet, ZooConfig};
-    use c2pi_pi::{cheetah, delphi, PiBackend};
 
     fn tiny_model() -> Model {
         alexnet(&ZooConfig { width_div: 32, seed: 3, image_size: 16, ..Default::default() })
@@ -378,7 +375,7 @@ mod tests {
         let mut session = C2pi::builder(model)
             .split_at(BoundaryId::relu(3))
             .noise(0.0)
-            .backend(cheetah())
+            .backend(PiBackend::Cheetah)
             .build()
             .unwrap();
         session.preprocess(2).unwrap();
@@ -414,19 +411,34 @@ mod tests {
     }
 
     #[test]
-    fn backend_accepts_tag_and_impl() {
-        let a = C2pi::builder(tiny_model())
-            .split_at(BoundaryId::relu(2))
-            .backend(PiBackend::Delphi)
-            .build()
-            .unwrap();
-        assert_eq!(a.backend_name(), "delphi");
-        let b = C2pi::builder(tiny_model())
-            .split_at(BoundaryId::relu(2))
-            .backend(delphi())
-            .build()
-            .unwrap();
-        assert_eq!(b.backend_name(), "delphi");
+    fn backend_and_plan_set_the_one_backend_every_report_names() {
+        let x = Tensor::rand_uniform(&[1, 3, 16, 16], 0.0, 1.0, 8);
+        for backend in [PiBackend::Delphi, PiBackend::Cheetah] {
+            let choice = crate::planner::PlanChoice {
+                rank: 1,
+                net: "mem".into(),
+                backend,
+                boundary: BoundaryId::relu(2),
+                defense: Defense::Uniform { magnitude: 0.1 },
+                defense_seed: 5,
+                defended_accuracy: 0.0,
+                worst_ssim: 0.0,
+                gates_passed: true,
+                online_seconds: 0.0,
+                offline_seconds: 0.0,
+                total_seconds: 0.0,
+                comm_mb: 0.0,
+            };
+            let by_tag = C2pi::builder(tiny_model()).split_at(BoundaryId::relu(2)).backend(backend);
+            let by_plan = C2pi::builder(tiny_model()).plan(&choice);
+            for builder in [by_tag, by_plan] {
+                let mut session = builder.build().unwrap();
+                assert_eq!(session.backend_name(), backend.name());
+                let reports =
+                    [session.infer(&x).unwrap().report, session.infer(&x).unwrap().report];
+                assert!(reports.iter().all(|r| r.backend == backend.name()), "{backend:?}");
+            }
+        }
     }
 
     #[test]

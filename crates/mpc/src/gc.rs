@@ -509,8 +509,8 @@ pub const UNIT_BITS: usize = 64;
 
 /// The single-element 64-bit masked-ReLU circuit, built once per
 /// process. Both the batched circuits and the offline-garbling path are
-/// element-independent, so every consumer (AND-gate counting in the
-/// backends' `prepare_*` hooks, per-element garbling and evaluation)
+/// element-independent, so every consumer (AND-gate counting when a
+/// Delphi layer is dealt, per-element garbling and evaluation)
 /// shares this one topology instead of rebuilding it per call.
 pub fn relu_unit_circuit() -> &'static Circuit {
     static CIRCUIT: OnceLock<Circuit> = OnceLock::new();

@@ -10,6 +10,13 @@
 //!   conversion, then one Beaver multiplication;
 //! * [`max_interactive`] — `max(a,b) = b + drelu(a−b)·(a−b)`, the
 //!   building block of secure max pooling.
+//!
+//! The comparison protocols are what Cheetah serves. The lock-step
+//! garbled-circuit protocols (`gc_relu_*`, `gc_maxpool4_*`, garbling
+//! and OT online) are **not** a serving path: Delphi serves the
+//! pre-garbled circuits of [`crate::gcpre`], and these stay as the
+//! oracle that pins what function those compute
+//! (`tests/protocol_consistency.rs` checks the two bit for bit).
 
 use crate::beaver::{b2a, mul_elementwise};
 use crate::bitvec::BitVec;

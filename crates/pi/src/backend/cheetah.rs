@@ -2,16 +2,16 @@
 //! comparison-based non-linearities consuming silent bit/Beaver triples,
 //! with an online phase two orders of magnitude leaner than garbled
 //! circuits; lean lattice offline modelled by
-//! [`OfflineCostModel::cheetah`]. The bit triples are word-packed from
-//! the dealer's draw to the wire (`c2pi_mpc::bitvec`), 187 per compared
-//! element, and the comparison runs bit-sliced on them (DESIGN.md §12).
+//! [`crate::cost::OfflineCostModel::cheetah`]. The bit triples are
+//! word-packed from the dealer's draw to the wire (`c2pi_mpc::bitvec`),
+//! 187 per compared element, and the comparison runs bit-sliced on them
+//! (DESIGN.md §12).
 
-use super::{check_batch_arity, downcast_material, split_quads, NlMaterial, PiBackendImpl};
-use crate::cost::OfflineCostModel;
-use crate::engine::PiConfig;
+use crate::pool::mismatch;
 use crate::report::OpCounts;
 use crate::Result;
 use c2pi_mpc::dealer::{Dealer, Halves, TripleShare};
+use c2pi_mpc::gcpre::MaskedOp;
 use c2pi_mpc::ot::BitTriples;
 use c2pi_mpc::relu::{drelu_bit_triples, max_interactive, relu_interactive};
 use c2pi_mpc::share::ShareVec;
@@ -19,32 +19,26 @@ use c2pi_transport::Channel;
 
 /// One comparison stage's correlations: the word-packed DReLU
 /// bit-triple pool plus the two Beaver triple sets the multiplexer
-/// consumes.
-type Stage = (BitTriples, TripleShare, TripleShare);
+/// consumes. A ReLU layer is one stage, a 4-way max tournament three;
+/// both parties hold the same shape.
+pub(crate) type Stage = (BitTriples, TripleShare, TripleShare);
 
-/// Offline material for one comparison-based non-linear layer (one
-/// stage for ReLU, three for the 4-way max tournament). Both parties
-/// hold the same shape.
-struct CmpMaterial {
-    stages: Vec<Stage>,
-}
-
-/// The Cheetah-style backend. Stateless: all per-inference state lives
-/// in the prepared material.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Cheetah;
-
-/// Deals `stages` comparison stages over `n` elements each, keeping
-/// `halves`. Unlike a garbling, the server's half of every correlation
-/// here depends on every draw, so a sided deal saves only the client its
-/// `c₁` words and the unwanted Beaver halves are simply dropped.
-fn layer_for(
+/// Deals one `op` layer's comparison stages over `n` elements each,
+/// keeping `halves`. Unlike a garbling, the server's half of every
+/// correlation here depends on every draw, so a sided deal saves only
+/// the client its `c₁` words and the unwanted Beaver halves are simply
+/// dropped.
+pub(super) fn layer_for(
     dealer: &mut Dealer,
-    stages: usize,
+    op: MaskedOp,
     n: usize,
     counts: &mut OpCounts,
     halves: Halves,
-) -> (Option<NlMaterial>, Option<NlMaterial>) {
+) -> (Option<Vec<Stage>>, Option<Vec<Stage>>) {
+    let stages = match op {
+        MaskedOp::Relu => 1,
+        MaskedOp::Maxpool4 => 3,
+    };
     let mut client = halves.client().then(|| Vec::with_capacity(stages));
     let mut server = halves.server().then(|| Vec::with_capacity(stages));
     for _ in 0..stages {
@@ -60,135 +54,63 @@ fn layer_for(
             stages.push((b1, ta1, tb1));
         }
     }
-    let boxed = |stages: Vec<Stage>| Box::new(CmpMaterial { stages }) as NlMaterial;
-    (client.map(boxed), server.map(boxed))
+    (client, server)
 }
 
-/// One party of the comparison-based ReLU. The protocol is symmetric:
+/// One party of a comparison-based `op` layer: the ReLU, or the 4-way
+/// max tournament over the gathered `quads`. The protocol is symmetric:
 /// `is_client` only tells the triple-consuming sub-protocols who sends
 /// first and who adds the public terms.
-fn relu_party(
+pub(super) fn party(
     ep: &dyn Channel,
     is_client: bool,
+    op: MaskedOp,
     share: &ShareVec,
-    material: NlMaterial,
+    mut stages: Vec<Stage>,
 ) -> Result<ShareVec> {
-    let mut mat = downcast_material::<CmpMaterial>(material, "cheetah")?;
-    let (mut bits, ta, tb) = mat.stages.remove(0);
-    Ok(relu_interactive(ep, is_client, share, &mut bits, &ta, &tb)?)
+    let who = if is_client { "client" } else { "server" };
+    match (op, &mut stages[..]) {
+        (MaskedOp::Relu, [(bits, ta, tb)]) => {
+            Ok(relu_interactive(ep, is_client, share, bits, ta, tb)?)
+        }
+        (MaskedOp::Maxpool4, [(bt1, ta1, tb1), (bt2, ta2, tb2), (bt3, ta3, tb3)]) => {
+            let [a, b, c, d] = split_quads(share);
+            let m1 = max_interactive(ep, is_client, &a, &b, bt1, ta1, tb1)?;
+            let m2 = max_interactive(ep, is_client, &c, &d, bt2, ta2, tb2)?;
+            Ok(max_interactive(ep, is_client, &m1, &m2, bt3, ta3, tb3)?)
+        }
+        _ => Err(mismatch(who)),
+    }
 }
 
-/// One party of the 4-way max tournament (three comparison stages).
-fn maxpool_party(
-    ep: &dyn Channel,
-    is_client: bool,
-    quads: &ShareVec,
-    material: NlMaterial,
-) -> Result<ShareVec> {
-    let mut mat = downcast_material::<CmpMaterial>(material, "cheetah")?;
-    let [a, b, c, d] = split_quads(quads);
-    let (mut bt1, ta1, tb1) = mat.stages.remove(0);
-    let m1 = max_interactive(ep, is_client, &a, &b, &mut bt1, &ta1, &tb1)?;
-    let (mut bt2, ta2, tb2) = mat.stages.remove(0);
-    let m2 = max_interactive(ep, is_client, &c, &d, &mut bt2, &ta2, &tb2)?;
-    let (mut bt3, ta3, tb3) = mat.stages.remove(0);
-    Ok(max_interactive(ep, is_client, &m1, &m2, &mut bt3, &ta3, &tb3)?)
+/// Splits the per-window gathered quads (window-major `a b c d` groups)
+/// into four parallel vectors — the layout the max tournament consumes.
+fn split_quads(share: &ShareVec) -> [ShareVec; 4] {
+    let n = share.len() / 4;
+    let mut parts: [Vec<u64>; 4] = [
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+    ];
+    for (i, &v) in share.as_raw().iter().enumerate() {
+        parts[i % 4].push(v);
+    }
+    let [a, b, c, d] = parts;
+    [ShareVec::from_raw(a), ShareVec::from_raw(b), ShareVec::from_raw(c), ShareVec::from_raw(d)]
 }
 
-/// The server party of a multi-round comparison protocol over `k`
-/// members: one member after the other, each to completion.
-fn each_member(
-    what: &str,
-    eps: &[&dyn Channel],
-    shares: &[ShareVec],
-    materials: Vec<NlMaterial>,
-    party: fn(&dyn Channel, bool, &ShareVec, NlMaterial) -> Result<ShareVec>,
-) -> Result<Vec<ShareVec>> {
-    check_batch_arity(what, eps.len(), shares.len(), materials.len())?;
-    eps.iter()
-        .zip(shares)
-        .zip(materials)
-        .map(|((ep, share), material)| party(*ep, false, share, material))
-        .collect()
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-impl PiBackendImpl for Cheetah {
-    fn name(&self) -> &'static str {
-        "cheetah"
-    }
-
-    fn cost_model(&self) -> OfflineCostModel {
-        OfflineCostModel::cheetah()
-    }
-
-    fn prepare_session(&self, dealer: &mut Dealer, counts: &mut OpCounts) {
-        // One KAPPA-sized base-OT set per inference: the setup of the
-        // silent-OT expansion the dealt bit triples stand in for (the
-        // extension itself ships only seeds, so it carries no per-triple
-        // traffic — see `OfflineCostModel::cheetah`).
-        let _ = dealer.base_ots(c2pi_mpc::ot::KAPPA);
-        counts.base_ots += c2pi_mpc::ot::KAPPA as u64;
-    }
-
-    fn prepare_relu(
-        &self,
-        dealer: &mut Dealer,
-        n: usize,
-        _cfg: &PiConfig,
-        counts: &mut OpCounts,
-        halves: Halves,
-    ) -> (Option<NlMaterial>, Option<NlMaterial>) {
-        layer_for(dealer, 1, n, counts, halves)
-    }
-
-    fn prepare_maxpool(
-        &self,
-        dealer: &mut Dealer,
-        windows: usize,
-        _cfg: &PiConfig,
-        counts: &mut OpCounts,
-        halves: Halves,
-    ) -> (Option<NlMaterial>, Option<NlMaterial>) {
-        layer_for(dealer, 3, windows, counts, halves)
-    }
-
-    fn relu_online_client(
-        &self,
-        ep: &dyn Channel,
-        share: &ShareVec,
-        material: NlMaterial,
-        _cfg: &PiConfig,
-    ) -> Result<ShareVec> {
-        relu_party(ep, true, share, material)
-    }
-
-    fn relu_online_server(
-        &self,
-        eps: &[&dyn Channel],
-        shares: &[ShareVec],
-        materials: Vec<NlMaterial>,
-        _cfg: &PiConfig,
-    ) -> Result<Vec<ShareVec>> {
-        each_member("cheetah relu", eps, shares, materials, relu_party)
-    }
-
-    fn maxpool_online_client(
-        &self,
-        ep: &dyn Channel,
-        quads: &ShareVec,
-        material: NlMaterial,
-        _cfg: &PiConfig,
-    ) -> Result<ShareVec> {
-        maxpool_party(ep, true, quads, material)
-    }
-
-    fn maxpool_online_server(
-        &self,
-        eps: &[&dyn Channel],
-        quads: &[ShareVec],
-        materials: Vec<NlMaterial>,
-        _cfg: &PiConfig,
-    ) -> Result<Vec<ShareVec>> {
-        each_member("cheetah maxpool", eps, quads, materials, maxpool_party)
+    #[test]
+    fn split_quads_deinterleaves() {
+        let s = ShareVec::from_raw(vec![1, 2, 3, 4, 5, 6, 7, 8]);
+        let [a, b, c, d] = split_quads(&s);
+        assert_eq!(a.as_raw(), &[1, 5]);
+        assert_eq!(b.as_raw(), &[2, 6]);
+        assert_eq!(c.as_raw(), &[3, 7]);
+        assert_eq!(d.as_raw(), &[4, 8]);
     }
 }

@@ -1,16 +1,16 @@
 //! Engine configuration and the one-shot execution entry point.
 //!
 //! The engine's planning, offline and online machinery lives in
-//! the private `plan` module and [`crate::session`]; protocol-specific behaviour
-//! is dispatched through the [`crate::backend::PiBackendImpl`] trait, so
-//! this module contains no backend-specific code. [`run_prefix`] is the
+//! the private `plan` module and [`crate::session`]; the protocol
+//! backend is the closed [`PiBackend`] set, which the dealer and the
+//! party walks dispatch on by `match`, so this module contains no
+//! backend-specific code. [`run_prefix`] is the
 //! single-inference convenience wrapper (compile + preprocess + infer in
 //! one call); serving systems should hold a
 //! [`crate::session::PiSession`] instead and preprocess ahead of
 //! traffic.
 
-use crate::backend::PiBackendImpl;
-use crate::cost::OfflineCostModel;
+pub use crate::backend::PiBackend;
 use crate::report::PiReport;
 use crate::session::PiSession;
 use crate::Result;
@@ -18,58 +18,6 @@ use c2pi_mpc::share::ShareVec;
 use c2pi_mpc::FixedPoint;
 use c2pi_nn::{LayerSpec, Sequential};
 use c2pi_tensor::Tensor;
-use serde::{Deserialize, Serialize};
-use std::sync::Arc;
-
-/// Which published system the engine emulates. This is the *registry
-/// tag*; the behaviour lives behind [`PiBackendImpl`] and is resolved by
-/// [`PiBackend::engine`]. Custom backends skip the enum entirely and
-/// hand an `Arc<dyn PiBackendImpl>` to
-/// [`PiSession::with_backend`](crate::session::PiSession::with_backend).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PiBackend {
-    /// Delphi (Mishra et al., USENIX Security 2020): GC non-linearities,
-    /// heavyweight HE offline.
-    Delphi,
-    /// Cheetah (Huang et al., USENIX Security 2022): comparison-based
-    /// non-linearities with silent correlations, lean lattice linear
-    /// layers.
-    Cheetah,
-}
-
-impl PiBackend {
-    /// Engine name for reports.
-    pub fn name(&self) -> &'static str {
-        self.engine().name()
-    }
-
-    /// Resolves the tag to its implementation (the registry lives in
-    /// [`crate::backend`]).
-    pub fn engine(&self) -> Arc<dyn PiBackendImpl> {
-        crate::backend::resolve(*self)
-    }
-
-    /// The matching offline cost model.
-    pub fn cost_model(&self) -> OfflineCostModel {
-        self.engine().cost_model()
-    }
-
-    /// Resolves a backend tag from its report name (`delphi`,
-    /// `cheetah`); `None` for anything else.
-    ///
-    /// ```
-    /// use c2pi_pi::PiBackend;
-    /// assert_eq!(PiBackend::by_name("cheetah"), Some(PiBackend::Cheetah));
-    /// assert_eq!(PiBackend::by_name("gazelle"), None);
-    /// ```
-    pub fn by_name(name: &str) -> Option<Self> {
-        match name {
-            "delphi" => Some(PiBackend::Delphi),
-            "cheetah" => Some(PiBackend::Cheetah),
-            _ => None,
-        }
-    }
-}
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -1,16 +1,14 @@
 //! # c2pi-pi
 //!
 //! Session-based two-party private inference over the `c2pi-mpc`
-//! substrate, with pluggable protocol backends:
+//! substrate, with the two protocol backends the paper compares — a
+//! closed set, [`PiBackend`], that the session's [`PiConfig`] carries:
 //!
-//! * [`backend::delphi()`] — linear layers via the masked-linear
+//! * [`PiBackend::Delphi`] — linear layers via the masked-linear
 //!   protocol, non-linear layers (ReLU, max pool) via garbled circuits;
-//! * [`backend::cheetah()`] — the same linear protocol (its HE offline
+//! * [`PiBackend::Cheetah`] — the same linear protocol (its HE offline
 //!   modelled more cheaply) with comparison-based non-linear layers
-//!   whose online traffic is two orders of magnitude leaner;
-//! * your own — implement [`backend::PiBackendImpl`] in a new module and
-//!   hand it to [`session::PiSession::with_backend`]; the engine has no
-//!   backend-specific code paths.
+//!   whose online traffic is two orders of magnitude leaner.
 //!
 //! The serving API is the two-phase [`session::PiSession`] — one
 //! cheaply cloneable handle whose entry points all take `&self` — and
@@ -63,7 +61,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
+mod backend;
 pub mod calibrate;
 pub mod cost;
 pub mod engine;
@@ -75,13 +73,10 @@ pub mod session;
 pub mod shard;
 pub mod store;
 
-pub use backend::{cheetah, delphi, IntoBackend, PiBackendImpl};
 pub use calibrate::{Calibrator, OnlineCostModel};
 pub use engine::{run_prefix, PiBackend, PiConfig, PiOutcome};
 pub use error::PiError;
-pub use pool::{
-    InferenceMaterial, MaterialPool, PoolTake, Replenisher, SeedAllocator, SessionCore,
-};
+pub use pool::{InferenceMaterial, MaterialPool, PoolTake, Replenisher, SessionCore};
 pub use report::{OpCounts, PiReport, PreprocessLedger};
 pub use session::{PartyOutcome, PiSession, SharedPiSession};
 pub use shard::ShardedMaterialPool;

@@ -10,7 +10,7 @@
 //!
 //! * [`SessionCore`] — everything about a deployment that never changes
 //!   between inferences (the compiled execution plan, the ring-encoded
-//!   server weights inside it, the engine config, the backend). It is
+//!   server weights inside it, the engine config with its backend). It is
 //!   `Send + Sync` and shared behind an `Arc` by every worker thread.
 //! * [`MaterialPool`] — the per-inference state, factored out: a
 //!   `Mutex`-guarded queue of ready [`InferenceMaterial`] sets plus the
@@ -28,13 +28,18 @@
 //! tested): at every quiescent point,
 //! `generated_offline + generated_inline == consumed + available`.
 
-use crate::backend::{NlMaterial, PiBackendImpl};
+use crate::backend::{deal_nl, Stage};
 use crate::engine::PiConfig;
 use crate::plan::{Plan, Step, StepData};
 use crate::report::{OpCounts, PreprocessLedger};
 use crate::store::{MaterialStore, RecordKind, RestoreReport};
 use crate::{PiError, Result};
-use c2pi_mpc::dealer::{AffineCorrClient, AffineCorrServer, Dealer, DealtSeed, Halves};
+use c2pi_mpc::dealer::{
+    AffineCorrClient, AffineCorrServer, Dealer, DealtSeed, Halves, LinearCorrClient,
+    LinearCorrServer,
+};
+use c2pi_mpc::gcpre::{MaskedOp, PreGarbledClient, PreGarbledServer};
+use c2pi_mpc::ot::KAPPA;
 use c2pi_mpc::prg::SeedSequence;
 use std::collections::VecDeque;
 use std::path::Path;
@@ -42,21 +47,40 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Client-side per-inference material for one step.
+/// Client-side per-inference material for one step: a linear or affine
+/// correlation, or a non-linear layer's half — pre-garbled (Delphi) or
+/// comparison stages (Cheetah).
 pub(crate) enum ClientMat {
-    Lin(c2pi_mpc::dealer::LinearCorrClient),
-    Nl(NlMaterial),
+    Lin(LinearCorrClient),
+    Gc(PreGarbledClient),
+    Cmp(Vec<Stage>),
     Affine(AffineCorrClient),
     None,
 }
 
 /// Server-side per-inference material for one step (weights live in the
-/// compiled plan, not here).
+/// compiled plan, not here); variants as [`ClientMat`].
 pub(crate) enum ServerMat {
-    Lin(c2pi_mpc::dealer::LinearCorrServer),
-    Nl(NlMaterial),
+    Lin(LinearCorrServer),
+    Gc(PreGarbledServer),
+    Cmp(Vec<Stage>),
     Affine(AffineCorrServer),
     None,
+}
+
+/// The error for a step handed material of the wrong kind: another
+/// step's, or another backend's.
+pub(crate) fn mismatch(party: &str) -> PiError {
+    PiError::BadConfig(format!("plan/material mismatch ({party})"))
+}
+
+/// Unwraps one server step's per-member materials as the variant the
+/// step consumes.
+pub(crate) fn step_mats<T>(
+    mats: Vec<ServerMat>,
+    pick: fn(ServerMat) -> Option<T>,
+) -> Result<Vec<T>> {
+    mats.into_iter().map(|m| pick(m).ok_or_else(|| mismatch("server"))).collect()
 }
 
 /// One inference's worth of correlated randomness plus the seed that
@@ -130,8 +154,8 @@ impl std::fmt::Debug for InferenceMaterial {
 }
 
 /// The immutable, shareable part of a compiled session: the execution
-/// plan (including the server's ring-encoded weights), the engine
-/// configuration and the protocol backend.
+/// plan (including the server's ring-encoded weights) and the engine
+/// configuration, whose `backend` is the protocol backend.
 ///
 /// A `SessionCore` is created once per deployment and shared behind an
 /// `Arc` by the material pool, the background replenisher and every
@@ -139,13 +163,12 @@ impl std::fmt::Debug for InferenceMaterial {
 pub struct SessionCore {
     pub(crate) plan: Plan,
     pub(crate) cfg: PiConfig,
-    pub(crate) backend: Arc<dyn PiBackendImpl>,
 }
 
 impl std::fmt::Debug for SessionCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionCore")
-            .field("backend", &self.backend.name())
+            .field("backend", &self.cfg.backend.name())
             .field("steps", &self.plan.steps.len())
             .finish()
     }
@@ -154,7 +177,7 @@ impl std::fmt::Debug for SessionCore {
 impl SessionCore {
     /// The backend's engine name.
     pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
+        self.cfg.backend.name()
     }
 
     /// Engine configuration the session was compiled with.
@@ -197,7 +220,7 @@ impl SessionCore {
             }
         };
         eat(b"c2pi/session-fingerprint/v1");
-        eat(self.backend.name().as_bytes());
+        eat(self.cfg.backend.name().as_bytes());
         eat(&self.cfg.dealer_seed.to_le_bytes());
         eat(&self.cfg.fixed.frac_bits().to_le_bytes());
         for (kind, items) in self.step_meta() {
@@ -268,26 +291,29 @@ impl SessionCore {
     /// # Errors
     ///
     /// Propagates dealer errors (caller shape bugs);
-    /// [`PiError::BadConfig`] when the backend returns no material for a
-    /// half it was asked for.
+    /// [`PiError::BadConfig`] when a step yields no material for a half
+    /// it was asked for.
     pub(crate) fn deal(&self, seed: u64, halves: Halves) -> Result<InferenceMaterial> {
         let dealt = self.dealt_seed(seed);
         let mut dealer = Dealer::for_dealt(&dealt);
+        // One KAPPA-sized base-OT set per inference, first: the setup
+        // both backends' session-long OT extension amortises across
+        // every layer (Delphi's label transfers, the silent-OT expansion
+        // Cheetah's dealt bit triples stand in for). Only its count is
+        // charged; the draw keeps every later one in place.
+        let _ = dealer.base_ots(KAPPA);
         let mut counts = self.plan.base_counts.clone();
-        // Session-wide correlations first (the per-inference base-OT
-        // set the backend's extension amortises across layers).
-        self.backend.prepare_session(&mut dealer, &mut counts);
+        counts.base_ots += KAPPA as u64;
         let steps = self.plan.steps.len();
         let mut cmats = halves.client().then(|| Vec::with_capacity(steps));
         let mut smats = halves.server().then(|| Vec::with_capacity(steps));
-        // Keeps the wanted halves of one step; a backend that hands
-        // back an unwanted half too is tolerated, one that withholds a
-        // wanted half is not.
+        // Keeps the wanted halves of one step; an unwanted half handed
+        // back too is dropped, a withheld wanted half is an error.
         let mut keep = |c: Option<ClientMat>, s: Option<ServerMat>| -> Result<()> {
             let withheld = |half| {
                 PiError::BadConfig(format!(
                     "the {} backend prepared no {half} half for a {halves:?} deal",
-                    self.backend.name()
+                    self.cfg.backend.name()
                 ))
             };
             if let Some(cmats) = cmats.as_mut() {
@@ -301,24 +327,25 @@ impl SessionCore {
         for (step, data) in self.plan.steps.iter().zip(self.plan.data.iter()) {
             match (step, data) {
                 (Step::Conv { .. } | Step::Fc { .. }, StepData::Lin { w, cols, .. }) => {
-                    let (c, s) = self.backend.prepare_linear(&mut dealer, w, *cols, halves)?;
+                    let (c, s) = dealer.linear_corr_for(w, *cols, halves)?;
                     keep(c.map(ClientMat::Lin), s.map(ServerMat::Lin))?;
                 }
                 (Step::Relu { n }, StepData::None) => {
                     let (c, s) =
-                        self.backend.prepare_relu(&mut dealer, *n, &self.cfg, &mut counts, halves);
-                    keep(c.map(ClientMat::Nl), s.map(ServerMat::Nl))?;
+                        deal_nl(&mut dealer, MaskedOp::Relu, *n, &self.cfg, &mut counts, halves);
+                    keep(c, s)?;
                 }
                 (Step::MaxPool { c, h, w }, StepData::None) => {
                     let windows = c * (h / 2) * (w / 2);
-                    let (c, s) = self.backend.prepare_maxpool(
+                    let (c, s) = deal_nl(
                         &mut dealer,
+                        MaskedOp::Maxpool4,
                         windows,
                         &self.cfg,
                         &mut counts,
                         halves,
                     );
-                    keep(c.map(ClientMat::Nl), s.map(ServerMat::Nl))?;
+                    keep(c, s)?;
                 }
                 (Step::Affine, StepData::Affine { scale, .. }) => {
                     let (c, s) = dealer.affine_corr_for(scale, halves);
@@ -347,7 +374,7 @@ impl SessionCore {
 /// sequential stream (every seed is allocated exactly once, in global
 /// order, no matter which shard asked), killing the one hot global
 /// lock without giving up determinism.
-pub struct SeedAllocator {
+pub(crate) struct SeedAllocator {
     inner: Mutex<AllocState>,
 }
 
@@ -480,13 +507,6 @@ impl MaterialPool {
     /// inference plays both parties over one set.
     pub fn new(core: Arc<SessionCore>) -> Self {
         let alloc = Arc::new(SeedAllocator::new(core.cfg.dealer_seed));
-        Self::with_allocator(core, alloc)
-    }
-
-    /// Creates an empty pool drawing from an explicit (possibly shared)
-    /// seed allocator. Like [`MaterialPool::new`] it deals both halves
-    /// of every set.
-    pub fn with_allocator(core: Arc<SessionCore>, alloc: Arc<SeedAllocator>) -> Self {
         Self::sided(core, alloc, Halves::Both)
     }
 
@@ -512,11 +532,6 @@ impl MaterialPool {
     /// The shared immutable session core this pool deals against.
     pub fn core(&self) -> &Arc<SessionCore> {
         &self.core
-    }
-
-    /// The seed allocator this pool draws from.
-    pub fn allocator(&self) -> &Arc<SeedAllocator> {
-        &self.alloc
     }
 
     /// Allocates the next deterministic per-inference seed, recording
@@ -818,11 +833,6 @@ impl Replenisher {
         Replenisher { pool, handle: Some(handle) }
     }
 
-    /// The pool this replenisher feeds.
-    pub fn pool(&self) -> &Arc<MaterialPool> {
-        &self.pool
-    }
-
     /// Shuts the background thread down and joins it, returning its
     /// final result.
     ///
@@ -879,7 +889,7 @@ mod tests {
         seq.push(Relu::new());
         let cfg = PiConfig::default();
         let plan = compile(&specs_of(&seq), (1, 6, 6), cfg.fixed).unwrap();
-        Arc::new(SessionCore { plan, cfg, backend: cfg.backend.engine() })
+        Arc::new(SessionCore { plan, cfg })
     }
 
     fn wait_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
@@ -940,7 +950,7 @@ mod tests {
         for backend in [PiBackend::Delphi, PiBackend::Cheetah] {
             let core = tiny_core();
             let core =
-                SessionCore { plan: core.plan.clone(), cfg: core.cfg, backend: backend.engine() };
+                SessionCore { plan: core.plan.clone(), cfg: PiConfig { backend, ..core.cfg } };
             let mut both = core.deal(7, Halves::Both).unwrap();
             let mut client = core.deal(7, Halves::Client).unwrap();
             let mut server = core.deal(7, Halves::Server).unwrap();
@@ -1035,7 +1045,7 @@ mod tests {
         assert_eq!(a.session_fingerprint(), b.session_fingerprint(), "same deployment");
         let mut cfg = a.cfg;
         cfg.dealer_seed += 1;
-        let c = Arc::new(SessionCore { plan: a.plan.clone(), cfg, backend: a.backend.clone() });
+        let c = Arc::new(SessionCore { plan: a.plan.clone(), cfg });
         assert_ne!(a.session_fingerprint(), c.session_fingerprint(), "seed must enter");
     }
 }

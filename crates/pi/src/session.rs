@@ -44,7 +44,6 @@
 //! binaries, and the reactor in `c2pi-core` via
 //! [`SessionCore::serve_prepared`]).
 
-use crate::backend::PiBackendImpl;
 use crate::engine::{PiConfig, PiOutcome};
 use crate::plan::compile;
 use crate::pool::{InferenceMaterial, MaterialPool, Replenisher, SessionCore};
@@ -97,34 +96,17 @@ impl std::fmt::Debug for PiSession {
 }
 
 impl PiSession {
-    /// Compiles a session for `specs` on `[c, h, w]` inputs, resolving
-    /// the backend from `cfg.backend`.
+    /// Compiles a session for `specs` on `[c, h, w]` inputs under the
+    /// backend `cfg.backend`.
     ///
     /// # Errors
     ///
     /// Returns [`PiError::UnsupportedLayer`] / [`PiError::BadConfig`]
     /// for prefixes the engine cannot execute.
     pub fn new(specs: &[LayerSpec], input_chw: [usize; 3], cfg: PiConfig) -> Result<Self> {
-        let backend = cfg.backend.engine();
-        Self::with_backend(specs, input_chw, cfg, backend)
-    }
-
-    /// Compiles a session with an explicit backend implementation
-    /// (custom backends; `cfg.backend` is ignored for dispatch but still
-    /// seeds defaults).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PiSession::new`].
-    pub fn with_backend(
-        specs: &[LayerSpec],
-        input_chw: [usize; 3],
-        cfg: PiConfig,
-        backend: Arc<dyn PiBackendImpl>,
-    ) -> Result<Self> {
         let [c, h, w] = input_chw;
         let plan = compile(specs, (c, h, w), cfg.fixed)?;
-        let core = Arc::new(SessionCore { plan, cfg, backend });
+        let core = Arc::new(SessionCore { plan, cfg });
         let pool = Arc::new(MaterialPool::new(Arc::clone(&core)));
         Ok(PiSession { core, pool, transport: Arc::new(MemTransport) })
     }
@@ -162,7 +144,7 @@ impl PiSession {
 
     /// The backend's engine name.
     pub fn backend_name(&self) -> &'static str {
-        self.core.backend.name()
+        self.core.backend_name()
     }
 
     /// Engine configuration the session was built with.
@@ -229,9 +211,9 @@ impl PiSession {
         online: c2pi_transport::TrafficSnapshot,
         online_seconds: f64,
     ) -> PiReport {
-        let model = self.core.backend.cost_model();
+        let model = self.core.cfg.backend.cost_model();
         PiReport {
-            backend: self.core.backend.name(),
+            backend: self.core.backend_name(),
             online,
             offline: model.offline_traffic(&counts),
             online_seconds,
@@ -258,12 +240,10 @@ impl PiSession {
         let (cep, sep, counter) = self.transport.pair()?;
         let plan = &self.core.plan;
         let cfg = self.core.cfg;
-        let backend = &*self.core.backend;
         let start = Instant::now();
         let (client_res, server_res) = std::thread::scope(|scope| {
-            let server =
-                scope.spawn(move || server_walk(&[&*sep], plan, vec![smats], &cfg, backend));
-            let client = client_walk(&*cep, plan, cmats, x, &cfg, backend, seed);
+            let server = scope.spawn(move || server_walk(&[&*sep], plan, vec![smats], &cfg));
+            let client = client_walk(&*cep, plan, cmats, x, &cfg, seed);
             let server = server.join().map_err(|_| PiError::PartyPanic("server"));
             (client, server)
         });
@@ -344,7 +324,7 @@ impl PiSession {
                     scope.spawn(move || -> Result<ShareVec> {
                         let mut material = core.expand_dealt(&cep.recv_bytes()?)?;
                         let (cmats, seed) = (material.take_client()?, material.seed);
-                        client_walk(&*cep, &core.plan, cmats, x, &core.cfg, &*core.backend, seed)
+                        client_walk(&*cep, &core.plan, cmats, x, &core.cfg, seed)
                     })
                 })
                 .collect();
@@ -517,16 +497,31 @@ mod tests {
     }
 
     #[test]
-    fn delphi_runs_through_the_trait_too() {
-        let seq = tiny_prefix();
+    fn another_backends_set_is_refused_by_serve_prepared() {
+        // A Cheetah pool's set handed to a Delphi server: its non-linear
+        // material is the other backend's type, which the walk refuses
+        // at the first ReLU. The client on the other end gets an error,
+        // not a hang: the refusal closes the server's channel end.
+        let specs = specs_of(&tiny_prefix());
+        let session = |backend| {
+            PiSession::new(&specs, [1, 8, 8], PiConfig { backend, ..Default::default() }).unwrap()
+        };
+        let (cheetah, delphi) = (session(PiBackend::Cheetah), session(PiBackend::Delphi));
+        cheetah.preprocess(1).unwrap();
+        let set = cheetah.pool().take().unwrap();
+        let core = Arc::clone(delphi.core());
+        let (cch, sch, _) = c2pi_transport::channel_pair();
+        let server = std::thread::spawn(move || {
+            core.serve_prepared(&[&sch as &dyn Channel], vec![set]).map(|shares| shares.len())
+        });
         let x = Tensor::rand_uniform(&[1, 1, 8, 8], -1.0, 1.0, 5);
-        let plain = seq.forward_eval(&x).unwrap();
-        let cfg = PiConfig { backend: PiBackend::Delphi, ..Default::default() };
-        let session = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
-        session.preprocess(1).unwrap();
-        let out = session.infer(&x).unwrap();
-        assert_close(&plain, &out.reconstruct(cfg.fixed).unwrap(), 0.02);
-        assert!(out.report.counts.and_gates > 0);
+        let client = delphi.request_one(&cch, &x).map(|out| out.dims);
+        let served = server.join().unwrap();
+        assert!(
+            matches!(&served, Err(PiError::BadConfig(why)) if why == "plan/material mismatch (server)"),
+            "{served:?}"
+        );
+        assert!(client.is_err(), "{client:?}");
     }
 
     #[test]

@@ -97,8 +97,7 @@ impl PiSession {
         let InferenceMaterial { seed, counts, .. } = material;
         self.pool.note_dealt_inline(deal_start.elapsed().as_secs_f64(), &counts);
         let start = Instant::now();
-        let share =
-            client_walk(ch, &self.core.plan, cmats, x, &self.core.cfg, &*self.core.backend, seed)?;
+        let share = client_walk(ch, &self.core.plan, cmats, x, &self.core.cfg, seed)?;
         Ok(self.party_outcome(share, counts, ch, before, start.elapsed().as_secs_f64()))
     }
 
@@ -171,6 +170,6 @@ impl SessionCore {
         for (ch, material) in chs.iter().zip(&materials) {
             ch.send_bytes(&self.dealt_seed(material.seed).encode())?;
         }
-        server_walk(chs, &self.plan, smats, &self.cfg, &*self.backend)
+        server_walk(chs, &self.plan, smats, &self.cfg)
     }
 }

@@ -3,13 +3,14 @@
 //! They differ in data (the server holds weights and biases) and in
 //! arity, so they are two functions over shared step helpers.
 
-use crate::backend::PiBackendImpl;
+use crate::backend::{nl_client, nl_server};
 use crate::engine::PiConfig;
 use crate::plan::{Plan, Step, StepData};
-use crate::pool::{ClientMat, ServerMat};
+use crate::pool::{mismatch, step_mats, ClientMat, ServerMat};
 use crate::{PiError, Result};
-use c2pi_mpc::beaver::truncate_share;
+use c2pi_mpc::beaver::{linear_client, linear_server_members, truncate_share};
 use c2pi_mpc::dealer::LinearCorrServer;
+use c2pi_mpc::gcpre::MaskedOp;
 use c2pi_mpc::prg::Prg;
 use c2pi_mpc::ring::{im2col_ring, RingMatrix};
 use c2pi_mpc::share::{share_secret, ShareVec};
@@ -91,7 +92,6 @@ pub(crate) fn client_walk(
     mats: Vec<ClientMat>,
     x: &Tensor,
     cfg: &PiConfig,
-    backend: &dyn PiBackendImpl,
     seed: u64,
 ) -> Result<ShareVec> {
     let fp = cfg.fixed;
@@ -104,15 +104,15 @@ pub(crate) fn client_walk(
     for (step, mat) in plan.steps.iter().zip(mats) {
         match (step, mat) {
             (Step::Conv { .. } | Step::Fc { .. }, ClientMat::Lin(corr)) => {
-                let y = backend.linear_online_client(ep, &linear_input(step, &cur)?, &corr)?;
+                let y = linear_client(ep, &linear_input(step, &cur)?, &corr)?;
                 cur = truncate_share(&ShareVec::from_raw(y.into_vec()), true, fp);
             }
-            (Step::Relu { n: _ }, ClientMat::Nl(material)) => {
-                cur = backend.relu_online_client(ep, &cur, material, cfg)?;
+            (Step::Relu { n: _ }, mat) => {
+                cur = nl_client(ep, MaskedOp::Relu, &cur, mat, cfg)?;
             }
-            (Step::MaxPool { c, h, w }, ClientMat::Nl(material)) => {
+            (Step::MaxPool { c, h, w }, mat) => {
                 let quads = gather(&cur, &pool_windows(*c, *h, *w));
-                cur = backend.maxpool_online_client(ep, &quads, material, cfg)?;
+                cur = nl_client(ep, MaskedOp::Maxpool4, &quads, mat, cfg)?;
             }
             (Step::AvgPool { c, h, w, window, stride }, ClientMat::None) => {
                 cur = avg_pool_share(&cur, (*c, *h, *w), (*window, *stride), true, fp);
@@ -122,27 +122,18 @@ pub(crate) fn client_walk(
                 let y = c2pi_mpc::beaver::affine_client(ep, &cur, &corr)?;
                 cur = truncate_share(&y, true, fp);
             }
-            _ => return Err(PiError::BadConfig("plan/material mismatch (client)".into())),
+            _ => return Err(mismatch("client")),
         }
     }
     Ok(cur)
 }
 
-fn server_mismatch() -> PiError {
-    PiError::BadConfig("plan/material mismatch (server)".into())
-}
-
-/// Unwraps one step's per-member materials as the variant the step
-/// consumes.
-fn step_mats<T>(mats: Vec<ServerMat>, pick: fn(ServerMat) -> Option<T>) -> Result<Vec<T>> {
-    mats.into_iter().map(|m| pick(m).ok_or_else(server_mismatch)).collect()
-}
-
 /// The server party: walks the plan **once** for `k ≥ 1` members in
-/// lock step, calling the backend's server hooks so each layer's
-/// compute spans all members (column-stacked matmuls, one parallel GC
-/// label-selection region), while every member keeps its own channel,
-/// material and masks. In-process inference and
+/// lock step, so each layer's compute spans all members
+/// (column-stacked matmuls, one parallel GC label-selection region),
+/// while every member keeps its own channel, material and masks.
+/// Non-linear layers go to the backend ([`nl_server`]), linear ones to
+/// the one masked-linear protocol. In-process inference and
 /// [`PiSession::serve_one`] run it with one member; a coalescing serving
 /// layer with as many as it fused.
 ///
@@ -154,7 +145,6 @@ pub(crate) fn server_walk(
     plan: &Plan,
     mats: Vec<Vec<ServerMat>>,
     cfg: &PiConfig,
-    backend: &dyn PiBackendImpl,
 ) -> Result<Vec<ShareVec>> {
     let k = eps.len();
     if k == 0 || mats.len() != k {
@@ -173,7 +163,7 @@ pub(crate) fn server_walk(
     for (step, data) in plan.steps.iter().zip(plan.data.iter()) {
         let mats: Vec<ServerMat> = iters
             .iter_mut()
-            .map(|it| it.next().ok_or_else(server_mismatch))
+            .map(|it| it.next().ok_or_else(|| mismatch("server")))
             .collect::<Result<_>>()?;
         match (step, data) {
             (Step::Conv { .. } | Step::Fc { .. }, StepData::Lin { w: w_ring, bias2f, .. }) => {
@@ -182,7 +172,7 @@ pub(crate) fn server_walk(
                 let corr_refs: Vec<&LinearCorrServer> = corrs.iter().collect();
                 let xs: Vec<RingMatrix> =
                     curs.iter().map(|cur| linear_input(step, cur)).collect::<Result<_>>()?;
-                let ys = backend.linear_online_server(eps, w_ring, &xs, &corr_refs)?;
+                let ys = linear_server_members(eps, w_ring, &xs, &corr_refs)?;
                 // One bias per output row (a fully connected layer's
                 // rows are one element wide).
                 curs = ys
@@ -199,16 +189,12 @@ pub(crate) fn server_walk(
                     .collect();
             }
             (Step::Relu { n: _ }, StepData::None) => {
-                let materials =
-                    step_mats(mats, |m| if let ServerMat::Nl(c) = m { Some(c) } else { None })?;
-                curs = backend.relu_online_server(eps, &curs, materials, cfg)?;
+                curs = nl_server(eps, MaskedOp::Relu, &curs, mats, cfg)?;
             }
             (Step::MaxPool { c, h, w }, StepData::None) => {
-                let materials =
-                    step_mats(mats, |m| if let ServerMat::Nl(c) = m { Some(c) } else { None })?;
                 let idx = pool_windows(*c, *h, *w);
                 let quads: Vec<ShareVec> = curs.iter().map(|cur| gather(cur, &idx)).collect();
-                curs = backend.maxpool_online_server(eps, &quads, materials, cfg)?;
+                curs = nl_server(eps, MaskedOp::Maxpool4, &quads, mats, cfg)?;
             }
             (Step::AvgPool { c, h, w, window, stride }, StepData::None) => {
                 step_mats(mats, |m| matches!(m, ServerMat::None).then_some(()))?;
@@ -239,7 +225,7 @@ pub(crate) fn server_walk(
                     })
                     .collect::<Result<_>>()?;
             }
-            _ => return Err(server_mismatch()),
+            _ => return Err(mismatch("server")),
         }
     }
     Ok(curs)

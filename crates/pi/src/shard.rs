@@ -6,7 +6,7 @@
 //! lock at hundreds. A [`ShardedMaterialPool`] splits that state into
 //! `n` full pools (each with its own queue, ledger, condvars and
 //! [`MaterialStore`] segment) that share exactly one thing: the
-//! [`SeedAllocator`], a mutex over a PRG step and a counter increment.
+//! seed allocator, a mutex over a PRG step and a counter increment.
 //! Serving workers map to shards (worker *w* → shard *w mod n*), so in
 //! steady state a take touches only its home shard's lock.
 //!
@@ -94,11 +94,6 @@ impl ShardedMaterialPool {
     /// The shared immutable session core.
     pub fn core(&self) -> &Arc<SessionCore> {
         self.shards[0].core()
-    }
-
-    /// The shared seed allocator.
-    pub fn allocator(&self) -> &Arc<SeedAllocator> {
-        &self.alloc
     }
 
     /// Number of shards.
@@ -334,7 +329,7 @@ mod tests {
         seq.push(Relu::new());
         let cfg = PiConfig::default();
         let plan = compile(&specs_of(&seq), (1, 6, 6), cfg.fixed).unwrap();
-        Arc::new(SessionCore { plan, cfg, backend: cfg.backend.engine() })
+        Arc::new(SessionCore { plan, cfg })
     }
 
     #[test]

@@ -16,7 +16,7 @@ use c2pi_suite::data::synth::{SynthConfig, SynthDataset};
 use c2pi_suite::nn::model::{vgg16, ZooConfig};
 use c2pi_suite::nn::train::{train_classifier, TrainConfig};
 use c2pi_suite::nn::BoundaryId;
-use c2pi_suite::pi::cheetah;
+use c2pi_suite::pi::PiBackend;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The hospital's training corpus (synthetic stand-in) and model.
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .split_at(boundary)
         .noise(0.1)
         .noise_seed(9)
-        .backend(cheetah())
+        .backend(PiBackend::Cheetah)
         .build()?;
     session.preprocess(1)?;
     let result = session.infer(&patient_scan)?;

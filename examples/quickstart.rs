@@ -12,7 +12,7 @@ use c2pi_suite::data::synth::{SynthConfig, SynthDataset};
 use c2pi_suite::nn::model::{alexnet, ZooConfig};
 use c2pi_suite::nn::train::{evaluate_accuracy, train_classifier, TrainConfig};
 use c2pi_suite::nn::BoundaryId;
-use c2pi_suite::pi::cheetah;
+use c2pi_suite::pi::PiBackend;
 use c2pi_suite::transport::NetModel;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .split_at(BoundaryId::relu(3))
         .noise(0.1)
         .noise_seed(2)
-        .backend(cheetah())
+        .backend(PiBackend::Cheetah)
         .build()?;
     println!(
         "session: {} crypto layers / {} clear layers, backend {}",
@@ -76,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 6. The full-PI baseline for comparison.
-    let mut full = C2pi::builder(model).full_pi().backend(cheetah()).build()?;
+    let mut full = C2pi::builder(model).full_pi().backend(PiBackend::Cheetah).build()?;
     full.preprocess(1)?;
     let full_res = full.infer(&batch[0])?;
     let res = &results[0];

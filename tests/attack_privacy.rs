@@ -13,7 +13,7 @@ use c2pi_suite::data::synth::{SynthConfig, SynthDataset};
 use c2pi_suite::data::Dataset;
 use c2pi_suite::nn::model::{alexnet, ZooConfig};
 use c2pi_suite::nn::{BoundaryId, Model};
-use c2pi_suite::pi::cheetah;
+use c2pi_suite::pi::PiBackend;
 
 fn setup() -> (Model, Dataset) {
     let model =
@@ -69,7 +69,7 @@ fn dina_against_real_c2pi_reveal_is_weak_at_deep_boundary() {
         .split_at(boundary)
         .noise(0.1)
         .noise_seed(77)
-        .backend(cheetah())
+        .backend(PiBackend::Cheetah)
         .build()
         .unwrap();
     let result = session.infer(&secret).unwrap();
