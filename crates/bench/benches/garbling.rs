@@ -1,11 +1,13 @@
 //! Microbenchmark: garbling and evaluating the masked-ReLU circuit
 //! (Delphi's per-ReLU cost driver), and the offline garbling kernel
-//! `pregarble_for` at the demo model's layer sizes.
+//! `pregarble_for` at the serving split's layer sizes.
 //!
-//! The `pregarble/*` rows time one layer-sized call and report it **per
-//! 1 000 of the layer's AND gates**, so the µs column reads as ns per
-//! AND — the number to tune the garbling walk against (`server` draws
-//! labels and never walks; its row is the floor the draws set).
+//! The `pregarble/*` rows time one layer-sized call — the calls the
+//! split's offline set makes, cut into bands as serving cuts them — and
+//! report it **per 1 000 of the layer's AND gates**, so the µs column
+//! reads as ns per AND — the number to tune the garbling walk against
+//! (`server` draws labels and never walks; its row is the floor the
+//! draws set).
 
 use c2pi_mpc::dealer::Halves;
 use c2pi_mpc::gc::{evaluate, garble, relu_masked_circuit, to_bits};
@@ -50,13 +52,18 @@ fn bench_garbling(c: &mut Criterion) {
 }
 
 fn bench_pregarble(c: &mut Criterion) {
-    // The demo model's crypto layers: 1 936 ReLU elements, 392 pool
-    // windows, banded as `PiConfig::default().gc_chunk`.
+    // The serving split's garbled layers in order (553 952 ANDs a set),
+    // at the largest band `PiConfig::default().gc_chunk`.
     const BAND: usize = 1024;
     let mut group = c.benchmark_group("pregarble");
-    group.sample_size(20).measurement_time(std::time::Duration::from_secs(4));
-    for (name, op, items) in [("relu", MaskedOp::Relu, 1936), ("maxpool4", MaskedOp::Maxpool4, 392)]
-    {
+    group.sample_size(20).measurement_time(std::time::Duration::from_secs(2));
+    for (name, op, items) in [
+        ("relu1024", MaskedOp::Relu, 1024),
+        ("maxpool256", MaskedOp::Maxpool4, 256),
+        ("relu384", MaskedOp::Relu, 384),
+        ("maxpool96", MaskedOp::Maxpool4, 96),
+        ("relu192", MaskedOp::Relu, 192),
+    ] {
         let kilo_ands = (items * op.ands_per_item()) as f64 / 1e3;
         for (side, halves) in
             [("both", Halves::Both), ("client", Halves::Client), ("server", Halves::Server)]

@@ -24,15 +24,20 @@
 //!    (one frame, 16 bytes/label) — selecting labels is an XOR, the
 //!    garbler does no cryptographic work;
 //! 3. the evaluator evaluates every item and decodes its output share
-//!    `f(x) − r`; the garbler's share is `r`. Items are cut into bands
-//!    of `par_band`: a layer that fits one band runs on the calling
-//!    thread, a larger one spreads its bands evenly over the cores.
+//!    `f(x) − r`; the garbler's share is `r`. Items are cut into one
+//!    band per core (`band_for`: whole lock-step groups, at most
+//!    `par_band` items, at least `MIN_BAND`): the calling thread works a
+//!    band and helper threads take the rest, so a 1 024-item layer runs
+//!    on both cores of a two-core host, while a layer under two minimum
+//!    bands stays on the calling thread. Parallel regions are bounded
+//!    process-wide, so two callers garbling or evaluating at once share
+//!    the cores rather than each spawning a full set.
 //!    Inside a band, items advance eight at a time in lock step
 //!    (`gc::eval_lanes`) — they are garblings of one circuit, so an AND
 //!    gate hashes eight independent labels per batch.
 //!
-//! Offline garbling has the same shape ([`pregarble_for`]): bands over
-//! the cores, and inside a band groups of eight items on one walk
+//! Offline garbling has the same shape ([`pregarble_for`]): one band per
+//! core, and inside a band groups of eight items on one walk
 //! (`gc::garble_lanes`, four eight-lane hash batches per AND) and a
 //! one-item tail on the same function. Each lane draws from its own
 //! item's seed, and the walk writes tables straight into the band's
@@ -272,9 +277,9 @@ struct Band<'a> {
 
 /// Garbles `items` instances of `op`'s masked unit circuit with fresh
 /// input masks and output shares, fanning the per-item garbling out in
-/// bands of `par_band` items. The result is a pure function of the
-/// `prg` state — the band size only controls parallelism. Both halves
-/// of [`pregarble_for`].
+/// one band per core of at most `par_band` items. The result is a pure
+/// function of the `prg` state — the band size only controls
+/// parallelism. Both halves of [`pregarble_for`].
 pub fn pregarble(
     op: MaskedOp,
     items: usize,
@@ -328,7 +333,7 @@ pub fn pregarble_for(
         return (None, Some(PreGarbledServer { op, labels0, deltas, out_share }));
     }
     let ands = op.ands_per_item();
-    let band = par_band.max(1);
+    let band = band_for(items, par_band, rayon::current_num_threads());
     let mut tables = vec![[0u128; 2]; items * ands];
     let mut eval_labels = vec![0u128; inputs * UNIT_BITS];
     let mut fixed_labels = vec![0u128; items * UNIT_BITS];
@@ -530,8 +535,8 @@ pub fn pre_gc_garbler<C: Channel + ?Sized>(
 
 /// Evaluator (client) side of the online phase: sends `δ = x₀ − m`,
 /// receives the garbler's active labels, evaluates every item (fanned
-/// out in bands of `par_band` items) and returns its output share
-/// `f(x) − r`.
+/// out in one band per core of at most `par_band` items) and returns
+/// its output share `f(x) − r`.
 ///
 /// # Errors
 ///
@@ -587,7 +592,7 @@ pub fn eval_pregarbled(
         return Err(MpcError::Protocol("pre-garbled artifact counts disagree".into()));
     }
     let mut out = vec![0u64; items];
-    let band = par_band.max(1);
+    let band = band_for(items, par_band, rayon::current_num_threads());
     out.par_chunks_mut(band).enumerate().for_each(|(bi, chunk)| {
         // One wire buffer per lane count, reused by every group of the
         // band (an empty Vec until a group of that width shows up).
@@ -610,6 +615,22 @@ pub fn eval_pregarbled(
 /// independent AES chains to cover the round latency (see
 /// [`crate::prg::hash128_many`]).
 const LANES: usize = 8;
+
+/// The smallest band worth a thread of its own — a few lock-step groups,
+/// well above what spawning a helper costs. A layer under twice this is
+/// one band on the calling thread (the full model's 32-item layers).
+const MIN_BAND: usize = 4 * LANES;
+
+/// The band a layer of `items` is cut into: one band per thread, in
+/// whole [`LANES`] groups, no band under [`MIN_BAND`] (fewer bands
+/// instead) and none above `par_band`. Only parallelism hangs on it —
+/// the per-item seeds are drawn before the fan-out and every band writes
+/// its own slices, so the material and the result are the same at any
+/// band.
+fn band_for(items: usize, par_band: usize, threads: usize) -> usize {
+    let bands = threads.min(items / MIN_BAND).max(1);
+    items.div_ceil(bands).next_multiple_of(LANES).min(par_band).max(1)
+}
 
 /// Evaluates items `first .. first + K` of `mat` in lock step into
 /// `out`, with `label` as the (resized-once) wire buffer. Counts were
@@ -775,12 +796,14 @@ mod tests {
         // independent routes to every output share: the lock-step walk,
         // one `evaluate` per item, and the plaintext circuit — which also
         // pins that the lane-batched garbling hashes produced tables the
-        // evaluator's hash opens.
+        // evaluator's hash opens. 69 items at the default band (1 024)
+        // are one band per core on a multi-core host, the second band
+        // ending in a K = 1 tail.
         const BANDS: [usize; 4] = [1, 3, 8, 1024];
         for op in [MaskedOp::Relu, MaskedOp::Maxpool4] {
             let circuit = op.unit_circuit();
             let (ands, wires) = (op.ands_per_item(), op.in_elems() * UNIT_BITS);
-            for items in [1usize, 7, 8, 9, 23] {
+            for items in [1usize, 7, 8, 9, 23, 69] {
                 let seed = 1000 + items as u64;
                 // Lane k of a group ≡ the item garbled alone, whatever
                 // the band cut and whichever halves were kept.
@@ -846,6 +869,42 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_layer_is_one_band_per_thread_in_whole_lane_groups() {
+        for threads in [1usize, 2, 4, 16] {
+            for items in [1usize, 7, 8, 31, 32, 96, 192, 384, 1024, 1025, 5000] {
+                for par_band in [LANES, 1024] {
+                    let at = format!("{items} items, {threads} threads, par_band {par_band}");
+                    let band = band_for(items, par_band, threads);
+                    let bands: Vec<usize> =
+                        (0..items).step_by(band).map(|first| band.min(items - first)).collect();
+                    assert_eq!(bands.iter().sum::<usize>(), items, "{at}: cover");
+                    let (_, full) = bands.split_last().expect("a layer is at least one band");
+                    assert!(full.iter().all(|b| b % LANES == 0), "{at}: {bands:?} cut a group");
+                    assert!(bands.iter().all(|&b| b <= par_band), "{at}: {bands:?}");
+                    if items <= par_band * threads {
+                        assert!(bands.len() <= threads, "{at}: {} bands", bands.len());
+                    }
+                    if !full.is_empty() {
+                        assert!(
+                            items >= 2 * MIN_BAND || par_band < items,
+                            "{at}: a small layer split"
+                        );
+                        assert!(
+                            band >= MIN_BAND.min(par_band),
+                            "{at}: band {band} under the floor"
+                        );
+                    }
+                }
+            }
+        }
+        // The split's per-layer sizes on two cores: every layer two bands.
+        for (items, halves) in [(1024, 512), (256, 128), (384, 192), (96, 48), (192, 96)] {
+            assert_eq!(band_for(items, 1024, 2), halves, "{items} items");
+        }
+        assert_eq!(band_for(32, 1024, 16), 32, "the full model's 32-item layers stay whole");
     }
 
     #[test]

@@ -29,10 +29,11 @@ pub struct PiConfig {
     /// Master seed for the session's per-inference seed stream (dealer
     /// and protocol randomness fork from it).
     pub dealer_seed: u64,
-    /// Parallel band size for garbled-circuit work: how many circuit
-    /// items one worker garbles (offline) or evaluates (online) before
-    /// the rayon fan-out hands out the next band. Purely a
-    /// parallelism/memory knob — it never changes results or traffic.
+    /// The largest band of garbled-circuit work: a layer is cut into one
+    /// band of circuit items per core for garbling (offline) and
+    /// evaluation (online), and no band holds more than this many items.
+    /// Purely a parallelism/memory knob — it never changes results or
+    /// traffic.
     pub gc_chunk: usize,
 }
 
