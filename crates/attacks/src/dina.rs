@@ -12,8 +12,7 @@
 //! with monotonically increasing coefficients `α_0 < α_1 < …` so each
 //! inverse block is guided hardest by its nearest distillation point.
 
-use crate::inversion::noised;
-use crate::{AttackError, Idpa, Result};
+use crate::{AttackError, Defense, Idpa, Result};
 use c2pi_data::Dataset;
 use c2pi_nn::layers::{Conv2d, ResidualBlock, UpsampleNearest};
 use c2pi_nn::optim::{clip_grad_norm, Adam};
@@ -188,7 +187,7 @@ impl Idpa for Dina {
         model: &mut Model,
         id: BoundaryId,
         train: &Dataset,
-        noise: f32,
+        defense: Defense,
     ) -> Result<()> {
         if train.is_empty() {
             return Err(AttackError::BadConfig("empty attacker training set".into()));
@@ -209,13 +208,13 @@ impl Idpa for Dina {
                 self.cfg.seed.wrapping_add(e as u64 * 101),
             )?);
         }
-        // Pre-compute, per image: boundary activation (noised) and the
+        // Pre-compute, per image: boundary activation (defended) and the
         // distillation targets D_1..D_{N-1}.
         let mut samples = Vec::with_capacity(train.len());
         for (i, img) in train.images().iter().enumerate() {
             let outs = model.seq_mut().forward_collect(img, false)?;
             model.seq_mut().clear_cache();
-            let z = noised(&outs[sbs[n - 1].range.1 - 1], noise, self.cfg.seed ^ ((i as u64) << 9));
+            let z = defense.apply(&outs[sbs[n - 1].range.1 - 1], self.cfg.seed ^ ((i as u64) << 9));
             let targets: Vec<Tensor> =
                 (1..n).map(|j| outs[sbs[j - 1].range.1 - 1].clone()).collect();
             samples.push((z, targets, img.clone()));
@@ -357,7 +356,7 @@ mod tests {
         let data = small_data(3);
         let id = BoundaryId::relu(2);
         let mut dina = Dina::new(DinaConfig { epochs: 60, lr: 0.01, ..Default::default() });
-        dina.prepare(&mut model, id, &data, 0.0).unwrap();
+        dina.prepare(&mut model, id, &data, Defense::None).unwrap();
         assert_eq!(dina.block_count(), 2);
         let x = &data.images()[0];
         let act = model.forward_to_cut(id, x).unwrap();
@@ -385,7 +384,7 @@ mod tests {
             let mut model = tiny_model();
             let mut dina =
                 Dina::new(DinaConfig { schedule, epochs: 30, lr: 0.01, ..Default::default() });
-            dina.prepare(&mut model, id, &data, 0.0).unwrap();
+            dina.prepare(&mut model, id, &data, Defense::None).unwrap();
             let mut total = 0.0f32;
             for x in data.images() {
                 let act = model.forward_to_cut(id, x).unwrap();

@@ -5,8 +5,7 @@
 //! and original images drops below the failure threshold (0.3 by
 //! default, following He et al. as adopted by the paper).
 
-use crate::inversion::noised;
-use crate::{Idpa, Result};
+use crate::{Defense, Idpa, Result};
 use c2pi_data::metrics::ssim;
 use c2pi_data::Dataset;
 use c2pi_nn::{BoundaryId, Model};
@@ -16,8 +15,9 @@ use serde::{Deserialize, Serialize};
 /// Evaluation settings.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EvalConfig {
-    /// Uniform noise magnitude the defender adds to the revealed share.
-    pub noise: f32,
+    /// The defender's perturbation of the revealed share: the attack
+    /// trains against it and observes activations through it.
+    pub defense: Defense,
     /// SSIM failure threshold (`σ`, 0.3 in the paper's main results).
     pub ssim_threshold: f32,
     /// Number of evaluation images (the paper uses 1000 at full scale).
@@ -28,7 +28,12 @@ pub struct EvalConfig {
 
 impl Default for EvalConfig {
     fn default() -> Self {
-        EvalConfig { noise: 0.1, ssim_threshold: 0.3, eval_images: 8, seed: 41 }
+        EvalConfig {
+            defense: Defense::Uniform { magnitude: 0.1 },
+            ssim_threshold: 0.3,
+            eval_images: 8,
+            seed: 41,
+        }
     }
 }
 
@@ -46,15 +51,15 @@ pub fn avg_ssim_at(
     cfg: &EvalConfig,
 ) -> Result<f32> {
     avg_ssim_with(attack, model, id, eval, cfg.eval_images, &|act, i| {
-        Ok(noised(act, cfg.noise, cfg.seed ^ ((i as u64) << 16)))
+        Ok(cfg.defense.apply(act, cfg.seed ^ ((i as u64) << 16)))
     })
 }
 
 /// [`avg_ssim_at`] generalised over the defender's perturbation: the
-/// attack observes `perturb(activation, image_index)` instead of the
-/// built-in uniform noise. Boundary auditors hand in arbitrary defenses
-/// (quantisation, dropout, …) with their own seed derivation while
-/// reusing this one measurement loop.
+/// attack observes `perturb(activation, image_index)` instead of
+/// `cfg.defense` under the harness's own seeds. Boundary auditors hand
+/// in their defense with their own seed derivation while reusing this
+/// one measurement loop.
 ///
 /// # Errors
 ///
@@ -106,7 +111,7 @@ pub fn sweep_conv_layers(
     let mut out = Vec::new();
     for conv in 1..=model.num_convs() {
         let id = BoundaryId::relu(conv);
-        attack.prepare(model, id, train, cfg.noise)?;
+        attack.prepare(model, id, train, cfg.defense)?;
         let s = avg_ssim_at(attack, model, id, eval, cfg)?;
         out.push(SweepPoint { conv_id: conv, avg_ssim: s, failed: s < cfg.ssim_threshold });
     }
@@ -153,7 +158,7 @@ mod tests {
     fn avg_ssim_is_bounded() {
         let (mut model, data) = setup();
         let mut mla = Mla::new(MlaConfig { iterations: 20, ..Default::default() });
-        let cfg = EvalConfig { eval_images: 2, noise: 0.0, ..Default::default() };
+        let cfg = EvalConfig { eval_images: 2, defense: Defense::None, ..Default::default() };
         let s = avg_ssim_at(&mut mla, &mut model, BoundaryId::relu(1), &data, &cfg).unwrap();
         assert!((-1.0..=1.0).contains(&s));
     }
@@ -185,7 +190,7 @@ mod tests {
             &mut model,
             id,
             &data,
-            &EvalConfig { eval_images: 1, noise: 0.0, ..Default::default() },
+            &EvalConfig { eval_images: 1, defense: Defense::None, ..Default::default() },
         )
         .unwrap();
         let noisy = avg_ssim_at(
@@ -193,7 +198,11 @@ mod tests {
             &mut model,
             id,
             &data,
-            &EvalConfig { eval_images: 1, noise: 1.5, ..Default::default() },
+            &EvalConfig {
+                eval_images: 1,
+                defense: Defense::Uniform { magnitude: 1.5 },
+                ..Default::default()
+            },
         )
         .unwrap();
         assert!(noisy < clean, "noisy {noisy} vs clean {clean}");

@@ -2,7 +2,7 @@
 //! (residual-block decoder, Li et al. 2022). A decoder `M*` is trained
 //! on `(M_l(x'), x')` pairs so that `M*(M_l(x)) ≈ x`.
 
-use crate::{AttackError, Idpa, Result};
+use crate::{AttackError, Defense, Idpa, Result};
 use c2pi_data::Dataset;
 use c2pi_nn::layers::{Conv2d, Relu, ResidualBlock, UpsampleNearest};
 use c2pi_nn::optim::{clip_grad_norm, Adam};
@@ -113,16 +113,6 @@ pub fn build_decoder(
     Ok(seq)
 }
 
-/// Adds uniform noise `U(−λ, λ)` to an activation — the defender's
-/// mechanism, which the attacker anticipates during training.
-pub fn noised(act: &Tensor, magnitude: f32, seed: u64) -> Tensor {
-    if magnitude <= 0.0 {
-        return act.clone();
-    }
-    let noise = Tensor::rand_uniform(act.dims(), -magnitude, magnitude, seed);
-    act.add(&noise).expect("same dims")
-}
-
 /// The inverse-network attack (INA or EINA by configuration).
 #[derive(Debug)]
 pub struct InversionAttack {
@@ -171,7 +161,7 @@ impl Idpa for InversionAttack {
         model: &mut Model,
         id: BoundaryId,
         train: &Dataset,
-        noise: f32,
+        defense: Defense,
     ) -> Result<()> {
         if train.is_empty() {
             return Err(AttackError::BadConfig("empty attacker training set".into()));
@@ -181,7 +171,7 @@ impl Idpa for InversionAttack {
         let mut pairs = Vec::with_capacity(train.len());
         for (i, img) in train.images().iter().enumerate() {
             let act = model.forward_to_cut(id, img)?;
-            pairs.push((noised(&act, noise, self.cfg.seed ^ (i as u64) << 8), img.clone()));
+            pairs.push((defense.apply(&act, self.cfg.seed ^ (i as u64) << 8), img.clone()));
         }
         model.seq_mut().clear_cache();
         let mut decoder =
@@ -277,7 +267,7 @@ mod tests {
             base_width: 12,
             ..Default::default()
         });
-        attack.prepare(&mut model, id, &data, 0.0).unwrap();
+        attack.prepare(&mut model, id, &data, Defense::None).unwrap();
         let x = &data.images()[0];
         let act = model.forward_to_cut(id, x).unwrap();
         let rec = attack.recover(&mut model, id, &act).unwrap();
@@ -304,18 +294,9 @@ mod tests {
         let data = small_data(1);
         let id = BoundaryId::relu(1);
         let mut attack = InversionAttack::new(InaConfig { epochs: 1, ..Default::default() });
-        attack.prepare(&mut model, id, &data, 0.0).unwrap();
+        attack.prepare(&mut model, id, &data, Defense::None).unwrap();
         let act = model.forward_to_cut(BoundaryId::relu(2), &data.images()[0]).unwrap();
         assert!(attack.recover(&mut model, BoundaryId::relu(2), &act).is_err());
-    }
-
-    #[test]
-    fn noised_zero_magnitude_is_identity() {
-        let t = Tensor::rand_uniform(&[1, 2, 4, 4], 0.0, 1.0, 5);
-        assert_eq!(noised(&t, 0.0, 1), t);
-        let n = noised(&t, 0.3, 1);
-        assert_ne!(n, t);
-        assert!((n.sub(&t).unwrap().max()) <= 0.3 + 1e-6);
     }
 
     #[test]

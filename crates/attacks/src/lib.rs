@@ -14,6 +14,9 @@
 //!   dilated convolution) are each guided by a distillation point in the
 //!   target model, with monotonically increasing loss coefficients
 //!   (Eq. (1));
+//! * [`defense`] — the boundary [`Defense`] a client applies to its
+//!   share before the reveal: the attacks train against it and the
+//!   evaluation harness applies it to what they observe;
 //! * [`eval`] — the SSIM-based evaluation harness behind Figures 1 and
 //!   4–6;
 //! * [`probe`] — declarative probe specs ([`ProbeSpec`]) so auditors
@@ -43,6 +46,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod defense;
 pub mod dina;
 pub mod error;
 pub mod eval;
@@ -50,6 +54,7 @@ pub mod inversion;
 pub mod mla;
 pub mod probe;
 
+pub use defense::Defense;
 pub use error::AttackError;
 pub use probe::{ProbeKind, ProbeSpec};
 
@@ -67,8 +72,9 @@ pub trait Idpa {
     fn name(&self) -> &'static str;
 
     /// Input-independent preparation (training an inversion network on
-    /// the server's own data). `noise` is the defender's uniform noise
-    /// magnitude the attacker anticipates; MLA ignores preparation.
+    /// the server's own data). `defense` is the defender's perturbation
+    /// the attacker anticipates: training pairs see the activation as
+    /// `defense` leaves it. MLA ignores preparation.
     ///
     /// # Errors
     ///
@@ -78,7 +84,7 @@ pub trait Idpa {
         model: &mut Model,
         id: BoundaryId,
         train: &Dataset,
-        noise: f32,
+        defense: Defense,
     ) -> Result<()>;
 
     /// Reconstructs the input from the activation observed at `id`.

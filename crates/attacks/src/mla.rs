@@ -1,7 +1,7 @@
 //! Maximum-likelihood attack (He et al., ACSAC 2019):
 //! `x̂ = argmin ‖M_l(x̂) − M_l(x)‖²` by gradient descent on the input.
 
-use crate::{AttackError, Idpa, Result};
+use crate::{AttackError, Defense, Idpa, Result};
 use c2pi_data::Dataset;
 use c2pi_nn::{loss, optim::Adam, BoundaryId, Model, Param};
 use c2pi_tensor::Tensor;
@@ -55,7 +55,7 @@ impl Idpa for Mla {
         _model: &mut Model,
         _id: BoundaryId,
         _train: &Dataset,
-        _noise: f32,
+        _defense: Defense,
     ) -> Result<()> {
         Ok(()) // MLA needs no training phase.
     }

@@ -8,7 +8,7 @@ use c2pi_attacks::dina::{Dina, DinaConfig};
 use c2pi_attacks::eval::{first_failing_conv, sweep_conv_layers, EvalConfig, SweepPoint};
 use c2pi_attacks::inversion::{InaConfig, InversionAttack};
 use c2pi_attacks::mla::{Mla, MlaConfig};
-use c2pi_attacks::Idpa;
+use c2pi_attacks::{Defense, Idpa};
 use c2pi_data::Dataset;
 use c2pi_nn::Model;
 
@@ -45,8 +45,12 @@ fn make_attacks(scale: &Scale) -> Vec<Box<dyn Idpa>> {
 
 fn sweep_model(model: &mut Model, data: &Dataset, scale: &Scale) -> Vec<Series> {
     let (train, eval) = data.split(0.75, 99).expect("splittable dataset");
-    let cfg =
-        EvalConfig { noise: 0.1, ssim_threshold: 0.3, eval_images: scale.eval_images, seed: 81 };
+    let cfg = EvalConfig {
+        defense: Defense::Uniform { magnitude: 0.1 },
+        ssim_threshold: 0.3,
+        eval_images: scale.eval_images,
+        seed: 81,
+    };
     make_attacks(scale)
         .into_iter()
         .map(|mut attack| {

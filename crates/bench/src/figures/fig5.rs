@@ -5,6 +5,7 @@ use crate::setup::{dataset, trained_model, DatasetKind};
 use crate::Scale;
 use c2pi_attacks::dina::{CoefficientSchedule, Dina, DinaConfig};
 use c2pi_attacks::eval::{sweep_conv_layers, EvalConfig};
+use c2pi_attacks::Defense;
 
 /// One comparison row.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,7 +43,7 @@ pub fn run(scale: &Scale) -> Vec<Panel> {
             let mut model = trained_model("vgg16", kind, scale, &data);
             let (train, eval) = data.split(0.75, 99).expect("splittable dataset");
             let cfg = EvalConfig {
-                noise: 0.1,
+                defense: Defense::Uniform { magnitude: 0.1 },
                 ssim_threshold: 0.3,
                 eval_images: scale.eval_images,
                 seed: 82,

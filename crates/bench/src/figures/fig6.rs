@@ -6,7 +6,7 @@ use crate::setup::{dataset, trained_model, DatasetKind};
 use crate::Scale;
 use c2pi_attacks::dina::{Dina, DinaConfig};
 use c2pi_attacks::eval::{avg_ssim_at, EvalConfig};
-use c2pi_attacks::Idpa;
+use c2pi_attacks::{Defense, Idpa};
 use c2pi_nn::BoundaryId;
 
 /// The λ grid of the paper.
@@ -56,9 +56,10 @@ pub fn run(scale: &Scale) -> Vec<Panel> {
                             epochs: scale.inversion_epochs,
                             ..Default::default()
                         });
-                        dina.prepare(&mut model, id, &train, lambda).expect("prepare");
+                        let defense = Defense::Uniform { magnitude: lambda };
+                        dina.prepare(&mut model, id, &train, defense).expect("prepare");
                         let cfg = EvalConfig {
-                            noise: lambda,
+                            defense,
                             ssim_threshold: 0.3,
                             eval_images: scale.eval_images,
                             seed: 83,

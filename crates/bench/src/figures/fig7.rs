@@ -4,7 +4,7 @@
 use crate::figures::fig6::LAMBDAS;
 use crate::setup::{dataset, trained_model, DatasetKind};
 use crate::Scale;
-use c2pi_core::noise::{baseline_accuracy, noised_accuracy};
+use c2pi_core::defense::{baseline_accuracy, defended_accuracy, Defense};
 use c2pi_nn::BoundaryId;
 
 /// One accuracy series at fixed λ.
@@ -40,10 +40,10 @@ pub fn run(scale: &Scale) -> Vec<Panel> {
                 .map(|&lambda| {
                     let points = (1..=model.num_convs())
                         .map(|conv| {
-                            let acc = noised_accuracy(
+                            let acc = defended_accuracy(
                                 &mut model,
                                 BoundaryId::relu(conv),
-                                lambda,
+                                Defense::Uniform { magnitude: lambda },
                                 &data,
                                 84,
                             )

@@ -6,7 +6,7 @@ use crate::setup::{dataset, trained_model, DatasetKind};
 use crate::Scale;
 use c2pi_attacks::dina::{Dina, DinaConfig};
 use c2pi_attacks::eval::{first_failing_conv, sweep_conv_layers, EvalConfig, SweepPoint};
-use c2pi_core::noise::{baseline_accuracy, noised_accuracy};
+use c2pi_core::defense::{baseline_accuracy, defended_accuracy, Defense};
 use c2pi_nn::BoundaryId;
 
 /// The full search record for one (model, dataset) cell.
@@ -51,7 +51,7 @@ pub fn run_with(scale: &Scale, sigma: f32) -> Vec<Cell> {
             let mut model = trained_model(model_name, kind, scale, &data);
             let (train, eval) = data.split(0.75, 99).expect("splittable dataset");
             let cfg = EvalConfig {
-                noise: 0.1,
+                defense: Defense::Uniform { magnitude: 0.1 },
                 ssim_threshold: sigma,
                 eval_images: scale.eval_images,
                 seed: 85,
@@ -68,8 +68,14 @@ pub fn run_with(scale: &Scale, sigma: f32) -> Vec<Cell> {
             let mut boundary = candidate;
             let mut accuracy_checks = Vec::new();
             loop {
-                let acc = noised_accuracy(&mut model, BoundaryId::relu(boundary), 0.1, &eval, 86)
-                    .expect("accuracy");
+                let acc = defended_accuracy(
+                    &mut model,
+                    BoundaryId::relu(boundary),
+                    Defense::Uniform { magnitude: 0.1 },
+                    &eval,
+                    86,
+                )
+                .expect("accuracy");
                 accuracy_checks.push((boundary, acc));
                 if acc >= target || boundary >= model.num_convs() {
                     break;

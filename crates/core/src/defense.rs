@@ -1,146 +1,29 @@
-//! Defenses against IDPAs beyond the paper's uniform noise — the
-//! paper's stated future work (*"exploring and applying more defenses
-//! against IDPA to preserve client's data privacy"*). Each defense
-//! perturbs the boundary activation before the client reveals its share;
-//! all are evaluated with the same SSIM/accuracy machinery as the
-//! uniform-noise baseline.
+//! Boundary defenses in the C2PI pipeline: the [`Defense`] enum itself
+//! lives in `c2pi-attacks` (the attacks train against it); this module
+//! adds the one seed stream every evaluator and the serving session
+//! share, and the accuracy side of the privacy/accuracy trade-off —
+//! the quantity the paper plots in Figure 7 and thresholds in
+//! Algorithm 1 (line 8).
 
 use crate::Result;
 use c2pi_data::Dataset;
 use c2pi_nn::{BoundaryId, Model};
-use c2pi_tensor::Tensor;
-use serde::{Deserialize, Serialize};
+
+pub use c2pi_attacks::defense::Defense;
 
 /// The one seed derivation every defense evaluation shares: the seed
 /// for item `index` (an evaluation image, or a served inference) under
-/// a master seed. [`defended_accuracy`],
-/// [`crate::noise::noised_accuracy`], the deployment planner's privacy
-/// audits and the serving session's per-inference noise all draw from
-/// this stream, so "same master seed" means "same noise" across every
-/// layer of the stack.
+/// a master seed. [`defended_accuracy`], the deployment planner's
+/// privacy audits and the serving session's per-inference noise all
+/// draw from this stream, so "same master seed" means "same noise"
+/// across every layer of the stack.
 pub fn defense_seed(master: u64, index: usize) -> u64 {
     c2pi_mpc::prg::indexed_seed(master, b"c2pi/defense", index as u64)
 }
 
-/// A boundary-activation defense mechanism.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum Defense {
-    /// No perturbation (the insecure baseline).
-    None,
-    /// The paper's mechanism: add `U(−λ, λ)` noise.
-    Uniform {
-        /// Noise magnitude λ.
-        magnitude: f32,
-    },
-    /// Zero-mean Gaussian noise with the given standard deviation.
-    Gaussian {
-        /// Standard deviation.
-        std: f32,
-    },
-    /// Quantize activations to a coarse grid (step `delta`) — destroys
-    /// the low-order information inversion networks exploit while
-    /// preserving the ranking information classification needs.
-    Quantize {
-        /// Quantization step.
-        step: f32,
-    },
-    /// Randomly zero a fraction of activations (test-time dropout), as
-    /// proposed for split-learning defenses.
-    Dropout {
-        /// Fraction of elements zeroed, in `[0, 1)`.
-        rate: f32,
-    },
-}
-
-impl Defense {
-    /// Short name for tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Defense::None => "none",
-            Defense::Uniform { .. } => "uniform",
-            Defense::Gaussian { .. } => "gaussian",
-            Defense::Quantize { .. } => "quantize",
-            Defense::Dropout { .. } => "dropout",
-        }
-    }
-
-    /// Human-readable label with the defense's parameter, for reports
-    /// and plan tables (`uniform(0.100)`, `dropout(0.30)`, …).
-    pub fn label(&self) -> String {
-        match *self {
-            Defense::None => "none".to_string(),
-            Defense::Uniform { magnitude } => format!("uniform({magnitude:.3})"),
-            Defense::Gaussian { std } => format!("gaussian({std:.3})"),
-            Defense::Quantize { step } => format!("quantize({step:.3})"),
-            Defense::Dropout { rate } => format!("dropout({rate:.2})"),
-        }
-    }
-
-    /// For *additive* defenses, the perturbation tensor `Δ` such that
-    /// `apply(act, seed) == act + Δ` — the form a C2PI client can apply
-    /// to its own additive share without knowing the activation.
-    /// Returns `None` for non-additive defenses (quantisation, dropout
-    /// depend on the activation's values, which no single share holds).
-    pub fn additive_delta(&self, dims: &[usize], seed: u64) -> Option<Tensor> {
-        match *self {
-            Defense::None => Some(Tensor::zeros(dims)),
-            Defense::Uniform { magnitude } => {
-                if magnitude <= 0.0 {
-                    return Some(Tensor::zeros(dims));
-                }
-                Some(Tensor::rand_uniform(dims, -magnitude, magnitude, seed))
-            }
-            Defense::Gaussian { std } => {
-                if std <= 0.0 {
-                    return Some(Tensor::zeros(dims));
-                }
-                Some(Tensor::rand_normal(dims, 0.0, std, seed))
-            }
-            Defense::Quantize { .. } | Defense::Dropout { .. } => None,
-        }
-    }
-
-    /// Applies the defense to an activation.
-    pub fn apply(&self, act: &Tensor, seed: u64) -> Tensor {
-        match *self {
-            Defense::None | Defense::Uniform { .. } | Defense::Gaussian { .. } => {
-                let delta = self.additive_delta(act.dims(), seed).expect("additive defense");
-                act.add(&delta).expect("same dims")
-            }
-            Defense::Quantize { step } => {
-                if step <= 0.0 {
-                    return act.clone();
-                }
-                act.map(|v| (v / step).round() * step)
-            }
-            Defense::Dropout { rate } => {
-                if rate <= 0.0 {
-                    return act.clone();
-                }
-                let mask = Tensor::rand_uniform(act.dims(), 0.0, 1.0, seed);
-                let scale = 1.0 / (1.0 - rate).max(1e-6);
-                Tensor::from_vec(
-                    act.as_slice()
-                        .iter()
-                        .zip(mask.as_slice())
-                        .map(|(&v, &m)| if m < rate { 0.0 } else { v * scale })
-                        .collect(),
-                    act.dims(),
-                )
-                .expect("same dims")
-            }
-        }
-    }
-}
-
 /// Accuracy when the defense is applied to the activation entering the
-/// layer after `id` (the generalisation of
-/// [`crate::noise::noised_accuracy`] to arbitrary defenses).
-///
-/// Per-image seeds come from the shared [`defense_seed`] stream, so
-/// `defended_accuracy(.., Defense::Uniform { magnitude: l }, .., seed)`
-/// equals `noised_accuracy(.., l, .., seed)` *exactly* — same labels,
-/// same draws (the regression test below pins this).
+/// layer after `id`. Per-image seeds come from the shared
+/// [`defense_seed`] stream.
 ///
 /// # Errors
 ///
@@ -168,119 +51,80 @@ pub fn defended_accuracy(
     Ok(correct as f32 / data.len() as f32)
 }
 
+/// Baseline (undefended) accuracy of the model on a dataset.
+///
+/// # Errors
+///
+/// Returns an error on empty datasets or layer failures.
+pub fn baseline_accuracy(model: &mut Model, data: &Dataset) -> Result<f32> {
+    if data.is_empty() {
+        return Err(crate::C2piError::BadConfig("empty evaluation set".into()));
+    }
+    let mut correct = 0usize;
+    for (img, &label) in data.images().iter().zip(data.labels()) {
+        let logits = model.forward(img)?;
+        if logits.argmax().unwrap_or(0) == label {
+            correct += 1;
+        }
+    }
+    model.seq_mut().clear_cache();
+    Ok(correct as f32 / data.len() as f32)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use c2pi_data::synth::{SynthConfig, SynthDataset};
     use c2pi_nn::model::{alexnet, ZooConfig};
+    use c2pi_nn::train::{train_classifier, TrainConfig};
 
-    fn act() -> Tensor {
-        Tensor::rand_uniform(&[1, 4, 8, 8], -1.0, 1.0, 3)
-    }
-
-    #[test]
-    fn none_is_identity() {
-        let a = act();
-        assert_eq!(Defense::None.apply(&a, 1), a);
-    }
-
-    #[test]
-    fn uniform_is_bounded() {
-        let a = act();
-        let d = Defense::Uniform { magnitude: 0.2 }.apply(&a, 1);
-        let diff = d.sub(&a).unwrap();
-        assert!(diff.map(f32::abs).max() <= 0.2 + 1e-6);
-        assert_ne!(d, a);
-    }
-
-    #[test]
-    fn gaussian_changes_values_with_zero_mean() {
-        let a = Tensor::zeros(&[1, 1, 64, 64]);
-        let d = Defense::Gaussian { std: 0.5 }.apply(&a, 2);
-        assert!(d.mean().abs() < 0.05);
-        assert!(d.sq_norm() > 0.0);
-    }
-
-    #[test]
-    fn quantize_snaps_to_grid() {
-        let a = Tensor::from_vec(vec![0.12, -0.26, 0.51], &[3]).unwrap();
-        let d = Defense::Quantize { step: 0.25 }.apply(&a, 0);
-        for v in d.as_slice() {
-            let q = v / 0.25;
-            assert!((q - q.round()).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn dropout_zeros_roughly_the_right_fraction() {
-        let a = Tensor::full(&[1, 1, 50, 50], 1.0);
-        let d = Defense::Dropout { rate: 0.3 }.apply(&a, 4);
-        let zeros = d.as_slice().iter().filter(|&&v| v == 0.0).count();
-        let frac = zeros as f32 / d.len() as f32;
-        assert!((frac - 0.3).abs() < 0.07, "zeroed fraction {frac}");
-        // Survivors are rescaled to preserve the expectation.
-        assert!((d.mean() - 1.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn zero_parameters_are_identity() {
-        let a = act();
-        assert_eq!(Defense::Uniform { magnitude: 0.0 }.apply(&a, 1), a);
-        assert_eq!(Defense::Gaussian { std: 0.0 }.apply(&a, 1), a);
-        assert_eq!(Defense::Quantize { step: 0.0 }.apply(&a, 1), a);
-        assert_eq!(Defense::Dropout { rate: 0.0 }.apply(&a, 1), a);
-    }
-
-    #[test]
-    fn defended_accuracy_matches_noised_accuracy_for_uniform() {
-        // Regression test for the seed-plumbing unification: both
-        // evaluation paths must draw the *same* per-image noise from the
-        // same master seed, including at non-zero magnitudes (they used
-        // to diverge through ad-hoc `seed ^ (i << k)` schemes).
+    fn trained_model_and_data() -> (Model, Dataset) {
         let mut model =
             alexnet(&ZooConfig { width_div: 32, seed: 3, ..Default::default() }).unwrap();
-        let data =
-            SynthDataset::generate(&SynthConfig { classes: 3, per_class: 3, ..Default::default() })
-                .into_dataset();
-        let id = BoundaryId::relu(3);
-        for (magnitude, seed) in [(0.0, 7), (0.35, 7), (0.35, 8), (1.2, 9)] {
-            let a = defended_accuracy(&mut model, id, Defense::Uniform { magnitude }, &data, seed)
-                .unwrap();
-            let b = crate::noise::noised_accuracy(&mut model, id, magnitude, &data, seed).unwrap();
-            assert_eq!(a, b, "magnitude {magnitude} seed {seed}");
-        }
+        let data = SynthDataset::generate(&SynthConfig {
+            classes: 4,
+            per_class: 6,
+            pixel_noise: 0.02,
+            ..Default::default()
+        })
+        .into_dataset();
+        train_classifier(
+            model.seq_mut(),
+            data.images(),
+            data.labels(),
+            &TrainConfig { epochs: 40, batch_size: 8, lr: 0.005, momentum: 0.9, seed: 1 },
+        )
+        .unwrap();
+        (model, data)
     }
 
     #[test]
-    fn additive_delta_agrees_with_apply() {
-        let a = act();
-        for d in
-            [Defense::None, Defense::Uniform { magnitude: 0.2 }, Defense::Gaussian { std: 0.3 }]
-        {
-            let delta = d.additive_delta(a.dims(), 5).unwrap();
-            assert_eq!(a.add(&delta).unwrap(), d.apply(&a, 5), "{}", d.label());
-        }
-        assert!(Defense::Quantize { step: 0.1 }.additive_delta(a.dims(), 5).is_none());
-        assert!(Defense::Dropout { rate: 0.1 }.additive_delta(a.dims(), 5).is_none());
+    fn zero_noise_matches_baseline() {
+        let (mut model, data) = trained_model_and_data();
+        let base = baseline_accuracy(&mut model, &data).unwrap();
+        let none = Defense::Uniform { magnitude: 0.0 };
+        let noiseless = defended_accuracy(&mut model, BoundaryId::relu(3), none, &data, 7).unwrap();
+        assert!((base - noiseless).abs() < 1e-6);
+        assert!(base > 0.5, "training should fit the tiny set, acc {base}");
     }
 
     #[test]
-    fn labels_carry_parameters() {
-        assert_eq!(Defense::Uniform { magnitude: 0.1 }.label(), "uniform(0.100)");
-        assert_eq!(Defense::None.label(), "none");
-        assert!(Defense::Dropout { rate: 0.3 }.label().contains("0.30"));
+    fn extreme_noise_destroys_accuracy() {
+        let (mut model, data) = trained_model_and_data();
+        let base = baseline_accuracy(&mut model, &data).unwrap();
+        let extreme = Defense::Uniform { magnitude: 50.0 };
+        let wrecked =
+            defended_accuracy(&mut model, BoundaryId::relu(2), extreme, &data, 8).unwrap();
+        assert!(wrecked < base, "noise {wrecked} vs base {base}");
     }
 
     #[test]
-    fn names_are_distinct() {
-        let names = [
-            Defense::None.name(),
-            Defense::Uniform { magnitude: 0.1 }.name(),
-            Defense::Gaussian { std: 0.1 }.name(),
-            Defense::Quantize { step: 0.1 }.name(),
-            Defense::Dropout { rate: 0.1 }.name(),
-        ];
-        let set: std::collections::HashSet<&&str> = names.iter().collect();
-        assert_eq!(set.len(), names.len());
+    fn empty_dataset_rejected() {
+        let mut model =
+            alexnet(&ZooConfig { width_div: 32, seed: 3, ..Default::default() }).unwrap();
+        let empty = Dataset::default();
+        assert!(baseline_accuracy(&mut model, &empty).is_err());
+        let uniform = Defense::Uniform { magnitude: 0.1 };
+        assert!(defended_accuracy(&mut model, BoundaryId::relu(1), uniform, &empty, 0).is_err());
     }
 }

@@ -10,11 +10,10 @@
 //!   ([`session::C2piBuilder::plan`]) and into
 //!   [`reactor::ReactorConfig`] sizing
 //!   ([`planner::DeploymentPlan::reactor_config`]);
-//! * [`defense`] — boundary defenses beyond uniform noise, with the one
+//! * [`defense`] — the boundary [`Defense`] (defined in `c2pi-attacks`,
+//!   which trains its attacks against it), the one
 //!   [`defense::defense_seed`] stream every evaluator and the serving
-//!   session share;
-//! * [`noise`] — the uniform-noise share defense and the
-//!   noised-activation accuracy evaluation (Figures 6–7);
+//!   session share, and the defended-accuracy evaluation (Figure 7);
 //! * [`session`] — the end-to-end flow of Figure 2 as a serving API: the
 //!   [`session::C2pi`] builder compiles a deployment into a long-lived
 //!   [`session::C2piSession`] with an explicit offline/online phase
@@ -60,11 +59,9 @@
 
 pub mod defense;
 pub mod error;
-pub mod noise;
 pub mod planner;
 pub mod reactor;
 pub mod session;
-pub mod split_learning;
 
 pub use defense::{defense_seed, Defense};
 pub use error::C2piError;

@@ -53,8 +53,7 @@
 //! # }
 //! ```
 
-use crate::defense::{defended_accuracy, defense_seed, Defense};
-use crate::noise::baseline_accuracy;
+use crate::defense::{baseline_accuracy, defended_accuracy, defense_seed, Defense};
 use crate::{C2piError, Result};
 use c2pi_attacks::eval::avg_ssim_with;
 use c2pi_attacks::probe::{quick_panel, ProbeSpec};
@@ -502,18 +501,13 @@ pub(crate) fn probe_one(
     gate: ProbeGate,
 ) -> Result<(Vec<SsimProbe>, Option<usize>)> {
     let ProbeGate { defense, ssim_threshold, eval_images, seed } = gate;
-    let anticipated = match defense {
-        Defense::Uniform { magnitude } => magnitude,
-        Defense::Gaussian { std } => std,
-        _ => 0.0,
-    };
     let mut probes = Vec::new();
     let mut idx = candidates.len();
     let mut last_success: Option<usize> = None;
     while idx > 0 {
         idx -= 1;
         let id = candidates[idx];
-        attack.prepare(model, id, attacker_data, anticipated)?;
+        attack.prepare(model, id, attacker_data, defense)?;
         let s = avg_ssim_with(attack, model, id, eval_data, eval_images, &|act, i| {
             Ok(defense.apply(act, defense_seed(seed, i)))
         })
@@ -1022,12 +1016,16 @@ mod tests {
         assert_eq!(plan.probe_labels, vec!["mla:10".to_string()]);
     }
 
+    const NO_NOISE: Defense = Defense::Uniform { magnitude: 0.0 };
+
     /// A scripted fake IDPA: returns a reconstruction whose SSIM is high
     /// for conv ids up to `succeeds_until` and pure noise afterwards —
     /// lets us test Algorithm 1's phase-1 control flow deterministically.
     struct ScriptedAttack {
         succeeds_until: usize,
         probes: Vec<usize>,
+        /// The defense each `prepare` was handed, in probe order.
+        anticipated: Vec<Defense>,
         reference: Tensor,
     }
 
@@ -1040,9 +1038,10 @@ mod tests {
             _model: &mut Model,
             id: BoundaryId,
             _train: &Dataset,
-            _noise: f32,
+            defense: Defense,
         ) -> c2pi_attacks::Result<()> {
             self.probes.push(id.conv_id);
+            self.anticipated.push(defense);
             Ok(())
         }
         fn recover(
@@ -1062,11 +1061,14 @@ mod tests {
     }
 
     /// Sweeps a [`ScriptedAttack`] over `candidates` (empty: the paper's
-    /// post-ReLU cut of every convolution); returns the conv ids it was
-    /// prepared at, the probes taken and the first safe index.
+    /// post-ReLU cut of every convolution) behind `defense`; returns the
+    /// conv ids it was prepared at, the probes taken and the first safe
+    /// index. Every `prepare` must have been handed the gate's defense
+    /// itself — the attacker trains against what is deployed.
     fn scripted_sweep(
         succeeds_until: usize,
         candidates: &[BoundaryId],
+        defense: Defense,
     ) -> (Vec<usize>, Vec<SsimProbe>, Option<usize>) {
         let (mut model, data) = setup();
         let all: Vec<BoundaryId> = (1..=model.num_convs()).map(BoundaryId::relu).collect();
@@ -1074,40 +1076,42 @@ mod tests {
         let mut attack = ScriptedAttack {
             succeeds_until,
             probes: Vec::new(),
+            anticipated: Vec::new(),
             reference: data.images()[0].clone(),
         };
-        let gate = ProbeGate {
-            defense: Defense::Uniform { magnitude: 0.0 },
-            ssim_threshold: 0.3,
-            eval_images: 1,
-            seed: 47,
-        };
+        let gate = ProbeGate { defense, ssim_threshold: 0.3, eval_images: 1, seed: 47 };
         let (probes, first_safe) =
             probe_one(&mut model, &mut attack, &data, &data, candidates, gate).unwrap();
+        assert_eq!(attack.anticipated.len(), attack.probes.len());
+        assert!(attack.anticipated.iter().all(|&d| d == defense), "{:?}", attack.anticipated);
         (attack.probes, probes, first_safe)
     }
 
     #[test]
     fn phase1_stops_at_first_success_from_tail() {
         // The attack succeeds through conv 4: the sweep probes from the
-        // tail (7) down to 4 and the first safe candidate is relu(5).
-        let (prepared, probes, first_safe) = scripted_sweep(4, &[]);
-        assert_eq!(prepared, vec![7, 6, 5, 4]);
-        assert_eq!(probes.len(), 4);
-        assert_eq!(probes.last().unwrap().id, BoundaryId::relu(4));
-        assert_eq!(first_safe, Some(4), "index of relu(5)");
+        // tail (7) down to 4 and the first safe candidate is relu(5). Under
+        // a Gaussian gate the attacker is prepared with that Gaussian, not
+        // a uniform stand-in of the same width (`scripted_sweep` checks).
+        for defense in [NO_NOISE, Defense::Gaussian { std: 0.2 }] {
+            let (prepared, probes, first_safe) = scripted_sweep(4, &[], defense);
+            assert_eq!(prepared, vec![7, 6, 5, 4]);
+            assert_eq!(probes.len(), 4);
+            assert_eq!(probes.last().unwrap().id, BoundaryId::relu(4));
+            assert_eq!(first_safe, Some(4), "index of relu(5)");
+        }
     }
 
     #[test]
     fn attack_that_never_succeeds_yields_earliest_boundary() {
-        let (prepared, _, first_safe) = scripted_sweep(0, &[]);
+        let (prepared, _, first_safe) = scripted_sweep(0, &[], NO_NOISE);
         assert_eq!(prepared, vec![7, 6, 5, 4, 3, 2, 1]);
         assert_eq!(first_safe, Some(0));
     }
 
     #[test]
     fn attack_succeeding_at_the_tail_leaves_nothing_safe() {
-        let (_, probes, first_safe) = scripted_sweep(99, &[]);
+        let (_, probes, first_safe) = scripted_sweep(99, &[], NO_NOISE);
         assert_eq!(probes.len(), 1, "stopped immediately");
         assert_eq!(first_safe, None);
     }
@@ -1115,7 +1119,7 @@ mod tests {
     #[test]
     fn explicit_candidates_are_respected() {
         let cands = [BoundaryId::relu(2), BoundaryId::relu(5)];
-        let (prepared, _, first_safe) = scripted_sweep(0, &cands);
+        let (prepared, _, first_safe) = scripted_sweep(0, &cands, NO_NOISE);
         assert_eq!(prepared, vec![5, 2]);
         assert_eq!(first_safe, Some(0), "relu(2)");
     }

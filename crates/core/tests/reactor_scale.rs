@@ -38,9 +38,9 @@ fn server_core() -> Arc<SessionCore> {
     Arc::clone(shared_session().core())
 }
 
-/// The headline scale claim at 2× the in-module 256-client test: 512
-/// concurrent connections split exactly into `STOCK` serves and
-/// `512 - STOCK` typed sheds.
+/// The headline scale claim: 512 concurrent connections split exactly
+/// into `STOCK` serves and `512 - STOCK` typed sheds, the shards account
+/// for every served set, and the wave leaves the server live.
 #[test]
 fn reactor_sustains_512_concurrent_clients() {
     const CLIENTS: usize = 512;
@@ -112,6 +112,13 @@ fn reactor_sustains_512_concurrent_clients() {
         snap.poll_wakeups,
         snap.poll_events,
     );
+    assert_eq!(snap.shards.len(), 4, "[{backend}]");
+    let consumed: u64 = snap.shards.iter().map(|s| s.consumed).sum();
+    assert_eq!(consumed, STOCK as u64, "[{backend}] shard consumption sums to the served total");
+
+    // The wave left the server healthy: restock and serve again.
+    server.preprocess(1).unwrap();
+    ReactorClient::new(shared_session()).infer(addr, &x).unwrap();
     server.drain().unwrap();
 }
 

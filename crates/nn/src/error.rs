@@ -15,13 +15,6 @@ pub enum NnError {
     },
     /// A model cut point / boundary id does not exist.
     UnknownCutPoint(String),
-    /// A state dict being loaded does not match the model's parameters.
-    StateDictMismatch {
-        /// Number of parameter tensors the model has.
-        expected: usize,
-        /// Number supplied.
-        found: usize,
-    },
     /// Invalid configuration (e.g. zero channels).
     BadConfig(String),
 }
@@ -34,9 +27,6 @@ impl fmt::Display for NnError {
                 write!(f, "backward called before forward in {layer}")
             }
             NnError::UnknownCutPoint(id) => write!(f, "unknown cut point {id}"),
-            NnError::StateDictMismatch { expected, found } => {
-                write!(f, "state dict has {found} tensors, model expects {expected}")
-            }
             NnError::BadConfig(msg) => write!(f, "bad configuration: {msg}"),
         }
     }

@@ -45,7 +45,6 @@ pub mod model;
 pub mod optim;
 pub mod param;
 pub mod sequential;
-pub mod serialize;
 pub mod train;
 
 pub use error::NnError;

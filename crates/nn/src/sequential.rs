@@ -174,32 +174,6 @@ impl Sequential {
         }
     }
 
-    /// Snapshot of all parameter values in layer order.
-    pub fn state_dict(&mut self) -> Vec<Tensor> {
-        self.params().into_iter().map(|p| p.value.clone()).collect()
-    }
-
-    /// Restores parameter values from a [`Sequential::state_dict`]
-    /// snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::StateDictMismatch`] when the tensor count or any
-    /// shape differs.
-    pub fn load_state_dict(&mut self, state: &[Tensor]) -> Result<()> {
-        let params = self.params();
-        if params.len() != state.len() {
-            return Err(NnError::StateDictMismatch { expected: params.len(), found: state.len() });
-        }
-        for (p, s) in params.into_iter().zip(state.iter()) {
-            if p.value.dims() != s.dims() {
-                return Err(NnError::StateDictMismatch { expected: p.value.len(), found: s.len() });
-            }
-            p.value = s.clone();
-        }
-        Ok(())
-    }
-
     /// One-line-per-layer architecture summary.
     pub fn summary(&self) -> String {
         self.layers
@@ -269,30 +243,6 @@ mod tests {
         let y = net.forward(&x, true).unwrap();
         let gx = net.backward(&Tensor::full(y.dims(), 1.0)).unwrap();
         assert_eq!(gx.dims(), x.dims());
-    }
-
-    #[test]
-    fn state_dict_round_trip() {
-        let mut a = tiny_net();
-        let mut b = tiny_net();
-        // Perturb b so it differs.
-        for p in b.params() {
-            p.value.map_inplace(|v| v + 1.0);
-        }
-        let x = Tensor::rand_uniform(&[1, 1, 4, 4], -1.0, 1.0, 6);
-        assert_ne!(a.forward(&x, false).unwrap(), b.forward(&x, false).unwrap());
-        let sd = a.state_dict();
-        b.load_state_dict(&sd).unwrap();
-        assert_eq!(a.forward(&x, false).unwrap(), b.forward(&x, false).unwrap());
-    }
-
-    #[test]
-    fn load_state_dict_rejects_wrong_count() {
-        let mut net = tiny_net();
-        assert!(matches!(
-            net.load_state_dict(&[Tensor::zeros(&[1])]),
-            Err(NnError::StateDictMismatch { .. })
-        ));
     }
 
     #[test]

@@ -244,41 +244,6 @@ pub trait Channel: Send + std::fmt::Debug {
         }
         Ok(out)
     }
-
-    /// Sends a slice of `f32` values as one little-endian frame.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Channel::send_bytes`].
-    fn send_f32s(&self, values: &[f32]) -> Result<()> {
-        let mut buf = BytesMut::with_capacity(values.len() * 4);
-        for &v in values {
-            buf.put_f32_le(v);
-        }
-        self.send_bytes(&buf)
-    }
-
-    /// Receives a frame of `f32` values.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error when the frame length is not a multiple of
-    /// 4, or the errors of [`Channel::recv_bytes`].
-    fn recv_f32s(&self) -> Result<Vec<f32>> {
-        let raw = self.recv_bytes()?;
-        if raw.len() % 4 != 0 {
-            return Err(TransportError::Decode(format!(
-                "frame of {} bytes is not an f32 sequence",
-                raw.len()
-            )));
-        }
-        let mut buf = Bytes::from(raw);
-        let mut out = Vec::with_capacity(buf.len() / 4);
-        while buf.has_remaining() {
-            out.push(buf.get_f32_le());
-        }
-        Ok(out)
-    }
 }
 
 impl<C: Channel + ?Sized> Channel for Box<C> {

@@ -66,12 +66,10 @@ mod tests {
     }
 
     #[test]
-    fn u64_and_f32_frames_round_trip() {
+    fn u64_frames_round_trip() {
         let (c, s, _) = channel_pair();
         c.send_u64s(&[1, u64::MAX, 42]).unwrap();
         assert_eq!(s.recv_u64s().unwrap(), vec![1, u64::MAX, 42]);
-        s.send_f32s(&[1.5, -2.25]).unwrap();
-        assert_eq!(c.recv_f32s().unwrap(), vec![1.5, -2.25]);
     }
 
     #[test]
@@ -131,8 +129,6 @@ mod tests {
         let (c, s, _) = channel_pair();
         c.send_bytes(&[1, 2, 3]).unwrap();
         assert!(matches!(s.recv_u64s(), Err(TransportError::Decode(_))));
-        c.send_bytes(&[1, 2, 3]).unwrap();
-        assert!(matches!(s.recv_f32s(), Err(TransportError::Decode(_))));
     }
 
     #[test]

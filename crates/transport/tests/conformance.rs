@@ -55,8 +55,6 @@ fn round_trip_typed_frames_both_directions() {
         assert_eq!(s.recv_bytes().unwrap(), b"hello", "{name}");
         s.send_u64s(&[0, 1, u64::MAX]).unwrap();
         assert_eq!(c.recv_u64s().unwrap(), vec![0, 1, u64::MAX], "{name}");
-        c.send_f32s(&[-1.5, 0.0, 3.25]).unwrap();
-        assert_eq!(s.recv_f32s().unwrap(), vec![-1.5, 0.0, 3.25], "{name}");
         s.send_bytes(&[]).unwrap();
         assert_eq!(c.recv_bytes().unwrap(), Vec::<u8>::new(), "{name}: empty frame");
     }

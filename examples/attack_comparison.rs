@@ -10,7 +10,7 @@ use c2pi_suite::attacks::dina::{Dina, DinaConfig};
 use c2pi_suite::attacks::eval::{avg_ssim_at, EvalConfig};
 use c2pi_suite::attacks::inversion::{InaArch, InaConfig, InversionAttack};
 use c2pi_suite::attacks::mla::{Mla, MlaConfig};
-use c2pi_suite::attacks::Idpa;
+use c2pi_suite::attacks::{Defense, Idpa};
 use c2pi_suite::data::synth::{SynthConfig, SynthDataset};
 use c2pi_suite::nn::model::{vgg16, ZooConfig};
 use c2pi_suite::nn::BoundaryId;
@@ -23,7 +23,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut model = vgg16(&ZooConfig { width_div: 32, num_classes: 4, ..Default::default() })?;
 
     let boundary = BoundaryId::relu(4);
-    let cfg = EvalConfig { noise: 0.1, eval_images: 3, ..Default::default() };
+    let cfg = EvalConfig {
+        defense: Defense::Uniform { magnitude: 0.1 },
+        eval_images: 3,
+        ..Default::default()
+    };
     let epochs = 20;
 
     let mut attacks: Vec<Box<dyn Idpa>> = vec![
@@ -45,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("attack | avg SSIM over {} images", cfg.eval_images);
     println!("-------+-------------------------");
     for attack in attacks.iter_mut() {
-        attack.prepare(&mut model, boundary, &train, cfg.noise)?;
+        attack.prepare(&mut model, boundary, &train, cfg.defense)?;
         let s = avg_ssim_at(attack.as_mut(), &mut model, boundary, &eval, &cfg)?;
         println!("{:>6} | {s:.3}", attack.name());
     }

@@ -9,7 +9,7 @@
 //! ```
 
 use c2pi_suite::attacks::dina::{Dina, DinaConfig};
-use c2pi_suite::attacks::Idpa;
+use c2pi_suite::attacks::{Defense, Idpa};
 use c2pi_suite::core::session::C2pi;
 use c2pi_suite::data::metrics::ssim;
 use c2pi_suite::data::synth::{SynthConfig, SynthDataset};
@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // and attack the activation that was actually revealed.
     println!("\ncurious server trains DINA against the boundary and attacks...");
     let mut dina = Dina::new(DinaConfig { epochs: 20, ..Default::default() });
-    dina.prepare(&mut model, boundary, &corpus, 0.1)?;
+    dina.prepare(&mut model, boundary, &corpus, Defense::Uniform { magnitude: 0.1 })?;
     let revealed = result.revealed_activation.expect("c2pi reveals the boundary");
     let reconstruction = dina.recover(&mut model, boundary, &revealed)?;
     let similarity = ssim(&patient_scan, &reconstruction)?;

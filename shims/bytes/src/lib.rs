@@ -1,5 +1,5 @@
 //! Minimal `bytes`-compatible shim for the offline build: `Bytes` /
-//! `BytesMut` buffers with the little-endian get/put surface the
+//! `BytesMut` buffers with the little-endian `u64` get/put surface the
 //! transport layer frames its messages with.
 
 /// An immutable byte buffer with a read cursor.
@@ -85,11 +85,6 @@ pub trait Buf {
     fn get_u64_le(&mut self) -> u64 {
         u64::from_le_bytes(self.take_bytes(8).try_into().expect("8 bytes"))
     }
-
-    /// Reads a little-endian `f32`.
-    fn get_f32_le(&mut self) -> f32 {
-        f32::from_le_bytes(self.take_bytes(4).try_into().expect("4 bytes"))
-    }
 }
 
 impl Buf for Bytes {
@@ -114,11 +109,6 @@ pub trait BufMut {
     fn put_u64_le(&mut self, v: u64) {
         self.put_slice(&v.to_le_bytes());
     }
-
-    /// Appends a little-endian `f32`.
-    fn put_f32_le(&mut self, v: f32) {
-        self.put_slice(&v.to_le_bytes());
-    }
 }
 
 impl BufMut for BytesMut {
@@ -132,13 +122,13 @@ mod tests {
     use super::{Buf, BufMut, Bytes, BytesMut};
 
     #[test]
-    fn u64_and_f32_round_trip() {
-        let mut w = BytesMut::with_capacity(12);
+    fn u64_round_trip() {
+        let mut w = BytesMut::with_capacity(16);
         w.put_u64_le(0xDEAD_BEEF_0102_0304);
-        w.put_f32_le(-1.5);
+        w.put_u64_le(u64::MAX);
         let mut r = Bytes::from(w.to_vec());
         assert_eq!(r.get_u64_le(), 0xDEAD_BEEF_0102_0304);
-        assert_eq!(r.get_f32_le(), -1.5);
+        assert_eq!(r.get_u64_le(), u64::MAX);
         assert!(!r.has_remaining());
     }
 

@@ -6,7 +6,7 @@ use c2pi_suite::attacks::dina::{Dina, DinaConfig};
 use c2pi_suite::attacks::eval::{avg_ssim_at, EvalConfig};
 use c2pi_suite::attacks::inversion::{InaConfig, InversionAttack};
 use c2pi_suite::attacks::mla::{Mla, MlaConfig};
-use c2pi_suite::attacks::Idpa;
+use c2pi_suite::attacks::{Defense, Idpa};
 use c2pi_suite::core::session::C2pi;
 use c2pi_suite::data::metrics::ssim;
 use c2pi_suite::data::synth::{SynthConfig, SynthDataset};
@@ -32,7 +32,7 @@ fn setup() -> (Model, Dataset) {
 #[test]
 fn mla_ssim_decreases_with_depth() {
     let (mut model, data) = setup();
-    let cfg = EvalConfig { noise: 0.0, eval_images: 2, ..Default::default() };
+    let cfg = EvalConfig { defense: Defense::None, eval_images: 2, ..Default::default() };
     let mut mla = Mla::new(MlaConfig { iterations: 120, lr: 0.08, seed: 1 });
     let shallow = avg_ssim_at(&mut mla, &mut model, BoundaryId::relu(1), &data, &cfg).unwrap();
     let deep = avg_ssim_at(&mut mla, &mut model, BoundaryId::relu(6), &data, &cfg).unwrap();
@@ -46,11 +46,11 @@ fn trained_inversion_attack_beats_mla_at_mid_depth() {
     let (mut model, data) = setup();
     let (train, eval) = data.split(0.75, 2).unwrap();
     let id = BoundaryId::relu(3);
-    let cfg = EvalConfig { noise: 0.0, eval_images: 2, ..Default::default() };
+    let cfg = EvalConfig { defense: Defense::None, eval_images: 2, ..Default::default() };
     let mut mla = Mla::new(MlaConfig { iterations: 100, lr: 0.08, seed: 3 });
     let mla_ssim = avg_ssim_at(&mut mla, &mut model, id, &eval, &cfg).unwrap();
     let mut eina = InversionAttack::new(InaConfig { epochs: 40, ..Default::default() });
-    eina.prepare(&mut model, id, &train, 0.0).unwrap();
+    eina.prepare(&mut model, id, &train, Defense::None).unwrap();
     let eina_ssim = avg_ssim_at(&mut eina, &mut model, id, &eval, &cfg).unwrap();
     // At this miniature scale we only require EINA to be competitive.
     assert!(eina_ssim > mla_ssim - 0.1, "eina {eina_ssim} should not be far below mla {mla_ssim}");
@@ -62,7 +62,7 @@ fn dina_against_real_c2pi_reveal_is_weak_at_deep_boundary() {
     let boundary = BoundaryId::relu(6);
     // Curious server trains DINA on its own data, anticipating λ=0.1.
     let mut dina = Dina::new(DinaConfig { epochs: 15, ..Default::default() });
-    dina.prepare(&mut model, boundary, &data, 0.1).unwrap();
+    dina.prepare(&mut model, boundary, &data, Defense::Uniform { magnitude: 0.1 }).unwrap();
     // Honest client runs the real pipeline.
     let secret = data.images()[1].clone();
     let mut session = C2pi::builder(model.clone())
@@ -87,9 +87,10 @@ fn defense_noise_lowers_attack_ssim() {
     let (train, eval) = data.split(0.75, 5).unwrap();
     let id = BoundaryId::relu(2);
     let mut dina = Dina::new(DinaConfig { epochs: 15, ..Default::default() });
-    dina.prepare(&mut model, id, &train, 0.0).unwrap();
-    let score = |noise: f32, model: &mut Model, dina: &mut Dina| {
-        let cfg = EvalConfig { noise, eval_images: 2, ..Default::default() };
+    dina.prepare(&mut model, id, &train, Defense::None).unwrap();
+    let score = |magnitude: f32, model: &mut Model, dina: &mut Dina| {
+        let defense = Defense::Uniform { magnitude };
+        let cfg = EvalConfig { defense, eval_images: 2, ..Default::default() };
         avg_ssim_at(dina, model, id, &eval, &cfg).unwrap()
     };
     let clean = score(0.0, &mut model, &mut dina);
