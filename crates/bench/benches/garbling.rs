@@ -10,7 +10,7 @@
 //! draws set).
 
 use c2pi_mpc::dealer::Halves;
-use c2pi_mpc::gc::{evaluate, garble, relu_masked_circuit, to_bits};
+use c2pi_mpc::gc::{evaluate, garble_open, relu_masked_circuit, select_labels, to_bits};
 use c2pi_mpc::gcpre::{pregarble_for, MaskedOp};
 use c2pi_mpc::prg::Prg;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -27,24 +27,15 @@ fn bench_garbling(c: &mut Criterion) {
             gbits.extend(to_bits((i as u64).wrapping_neg(), 64));
         }
         group.bench_with_input(BenchmarkId::new("garble", n), &n, |bench, _| {
-            bench.iter(|| {
-                let mut prg = Prg::from_u64(1);
-                garble(&circuit, &gbits, &mut prg).unwrap()
-            })
+            bench.iter(|| garble_open(&circuit, &mut Prg::from_u64(1)))
         });
-        let mut prg = Prg::from_u64(1);
-        let garbled = garble(&circuit, &gbits, &mut prg).unwrap();
-        let labels: Vec<u128> = garbled.evaluator_label_pairs.iter().map(|&(l0, _)| l0).collect();
+        let open = garble_open(&circuit, &mut Prg::from_u64(1));
+        let garbler_labels = select_labels(&open.garbler_label_pairs, &gbits);
+        let labels: Vec<u128> = open.evaluator_label_pairs.iter().map(|&(l0, _)| l0).collect();
         group.bench_with_input(BenchmarkId::new("evaluate", n), &n, |bench, _| {
             bench.iter(|| {
-                evaluate(
-                    &circuit,
-                    &garbled.tables,
-                    &garbled.garbler_labels,
-                    &labels,
-                    &garbled.output_decode,
-                )
-                .unwrap()
+                evaluate(&circuit, &open.tables, &garbler_labels, &labels, &open.output_decode)
+                    .unwrap()
             })
         });
     }

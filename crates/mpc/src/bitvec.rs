@@ -38,8 +38,7 @@ impl BitVec {
         BitVec { words, len }
     }
 
-    /// Packs a `bool` slice (the IKNP code's choice-bit API and the
-    /// test oracles still speak it).
+    /// Packs a `bool` slice (the test oracles still speak it).
     pub fn from_bools(bits: &[bool]) -> Self {
         let mut words = vec![0u64; bits.len().div_ceil(64)];
         for (i, &b) in bits.iter().enumerate() {

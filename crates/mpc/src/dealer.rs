@@ -13,7 +13,7 @@
 //! protocol threads start, so no hidden channel exists between parties.
 
 use crate::bitvec::BitVec;
-use crate::ot::BitTriples;
+use crate::gmw::BitTriples;
 use crate::prg::Prg;
 use crate::ring::RingMatrix;
 use crate::share::{share_secret, ShareVec};
@@ -82,14 +82,15 @@ pub struct DealtSeed {
 const DEALT_MAGIC: u16 = 0xD517;
 /// Names the function `seed → material` as much as the byte layout, so
 /// a peer on another function is refused up front instead of expanding
-/// material the other side cannot use: version 3 draws bit triples as
-/// 64-bit words (version 2 spent a 32-bit word of keystream per bit, so
-/// every later draw of a Cheetah set sat elsewhere in the stream);
-/// version 2 moved the gate hash to fixed-key AES (version 1 garbled
-/// under a ChaCha8 hash). One version covers both backends: Delphi's
-/// expansion did not change at 3, but one byte for the whole function
-/// is simpler than one per backend.
-const DEALT_VERSION: u8 = 3;
+/// material the other side cannot use: version 4 no longer opens a set
+/// with 128 base-OT seed pairs nobody read (version 3 drew them first,
+/// so every later draw of either backend sat elsewhere in the stream);
+/// version 3 draws bit triples as 64-bit words (version 2 spent a
+/// 32-bit word of keystream per bit); version 2 moved the gate hash to
+/// fixed-key AES (version 1 garbled under a ChaCha8 hash). One version
+/// covers both backends: one byte for the whole function is simpler
+/// than one per backend.
+const DEALT_VERSION: u8 = 4;
 /// Fixed wire overhead of [`DealtSeed::encode`]: magic, version,
 /// reserved byte, seed, nonce, step count.
 const DEALT_HEADER_BYTES: usize = 2 + 1 + 1 + 8 + 8 + 2;
@@ -202,24 +203,6 @@ pub struct AffineCorrClient {
 pub struct AffineCorrServer {
     /// Server's share of `s ⊙ a`.
     pub sa_share: ShareVec,
-}
-
-/// Base-OT material for the IKNP extension (the extension *sender*'s
-/// side receives one seed per base OT, chosen by its selection bits).
-#[derive(Debug, Clone)]
-pub struct BaseOtSender {
-    /// Selection bits `s_i`.
-    pub choices: Vec<bool>,
-    /// The chosen seeds `k_{s_i}`.
-    pub seeds: Vec<[u8; 32]>,
-}
-
-/// Base-OT material for the extension *receiver*'s side (both seeds per
-/// base OT).
-#[derive(Debug, Clone)]
-pub struct BaseOtReceiver {
-    /// Seed pairs `(k0_i, k1_i)`.
-    pub seed_pairs: Vec<([u8; 32], [u8; 32])>,
 }
 
 /// The trusted dealer.
@@ -369,28 +352,6 @@ impl Dealer {
         (client, server)
     }
 
-    /// Generates `kappa` base OTs for the IKNP extension. The extension
-    /// sender (who will transmit extended messages) receives chosen
-    /// seeds; the extension receiver holds both seeds per OT.
-    pub fn base_ots(&mut self, kappa: usize) -> (BaseOtSender, BaseOtReceiver) {
-        // Chosen seeds (32κ), seed pairs (64κ) and the choice bits.
-        self.expanded += 96 * kappa as u64 + kappa.div_ceil(8) as u64;
-        let mut choices = Vec::with_capacity(kappa);
-        let mut chosen = Vec::with_capacity(kappa);
-        let mut pairs = Vec::with_capacity(kappa);
-        for _ in 0..kappa {
-            let mut k0 = [0u8; 32];
-            let mut k1 = [0u8; 32];
-            self.prg.fill_bytes(&mut k0);
-            self.prg.fill_bytes(&mut k1);
-            let s = self.prg.next_bool();
-            choices.push(s);
-            chosen.push(if s { k1 } else { k0 });
-            pairs.push((k0, k1));
-        }
-        (BaseOtSender { choices, seeds: chosen }, BaseOtReceiver { seed_pairs: pairs })
-    }
-
     /// Forks an independent PRG off the dealer stream — the garbling
     /// randomness of an offline-garbled layer is drawn from such a
     /// fork, so dealing stays a pure function of the dealer seed while
@@ -402,9 +363,8 @@ impl Dealer {
     /// Generates `n` boolean AND triples directly (the silent-OT /
     /// Ferret-style correlation used by the Cheetah-flavoured engine,
     /// whose online phase then only exchanges the GMW openings; the
-    /// IKNP-generated alternative lives in [`crate::ot::gen_bit_triples`]
-    /// and is benchmarked as an ablation) — both halves of
-    /// [`Dealer::bit_triples_for`].
+    /// OT traffic that would produce them is a modelled price, see
+    /// DESIGN.md §3) — both halves of [`Dealer::bit_triples_for`].
     pub fn bit_triples(&mut self, n: usize) -> (BitTriples, BitTriples) {
         let (client, server) = self.bit_triples_for(n, Halves::Both);
         (client.expect("both halves dealt"), server.expect("both halves dealt"))
@@ -517,20 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn base_ots_are_consistent() {
-        let mut dealer = Dealer::new(4);
-        let (snd, rcv) = dealer.base_ots(128);
-        assert_eq!(snd.choices.len(), 128);
-        for i in 0..128 {
-            let expect = if snd.choices[i] { rcv.seed_pairs[i].1 } else { rcv.seed_pairs[i].0 };
-            assert_eq!(snd.seeds[i], expect);
-        }
-        // Both choice values appear (overwhelmingly likely).
-        assert!(snd.choices.iter().any(|&c| c));
-        assert!(snd.choices.iter().any(|&c| !c));
-    }
-
-    #[test]
     fn dealer_is_deterministic_in_seed() {
         let (a0, _) = Dealer::new(7).beaver_triples(4);
         let (b0, _) = Dealer::new(7).beaver_triples(4);
@@ -615,9 +561,7 @@ mod tests {
         assert_eq!(dealer.expanded_bytes(), 0);
         dealer.beaver_triples(10);
         assert_eq!(dealer.expanded_bytes(), 480);
-        dealer.base_ots(128);
-        assert_eq!(dealer.expanded_bytes(), 480 + 96 * 128 + 16);
         dealer.note_expanded(1000);
-        assert_eq!(dealer.expanded_bytes(), 480 + 96 * 128 + 16 + 1000);
+        assert_eq!(dealer.expanded_bytes(), 480 + 1000);
     }
 }

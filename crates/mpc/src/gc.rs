@@ -25,14 +25,13 @@
 //!   live set, not its gate count. Gate order and AND indices — and with
 //!   them every hash tweak — are untouched.
 //!
-//! The classic four-row scheme survives only as a test-only reference
-//! (the `classic` module beside the tests): the cross-scheme parity
-//! tests pin that both schemes decode the same plaintext results for
-//! the ReLU and maxpool circuits, and the table-bytes tests pin the
-//! 2×-smaller material footprint of the half-gates path.
+//! [`Circuit::eval_plain`] is the oracle every garbling is tested
+//! against: the tests pin that the garbled ReLU and maxpool circuits
+//! decode what it computes, and the table-bytes tests pin the two rows
+//! per AND of the half-gates path.
 //!
-//! The module also provides the masked-ReLU circuit used by
-//! [`crate::relu::gc_relu_garbler`]: it reconstructs `x = x₀ + x₁`,
+//! The module also provides the masked-ReLU circuit the pre-garbled
+//! layers of [`crate::gcpre`] garble: it reconstructs `x = x₀ + x₁`,
 //! zeroes it when negative, and re-masks the result with the garbler's
 //! fresh randomness so the parties end with additive shares.
 
@@ -527,20 +526,6 @@ pub fn maxpool4_unit_circuit() -> &'static Circuit {
 /// Bytes one half-gates AND table occupies (two 128-bit rows).
 pub const AND_TABLE_BYTES: usize = 32;
 
-/// The garbler's artifacts for one circuit.
-#[derive(Debug, Clone)]
-pub struct Garbled {
-    /// Two-row half-gates tables `[T_G, T_E]` for each AND gate, in
-    /// gate order.
-    pub tables: Vec<[u128; 2]>,
-    /// Label pairs for the evaluator's input wires (transferred by OT).
-    pub evaluator_label_pairs: Vec<(u128, u128)>,
-    /// Active labels for the garbler's own inputs (sent directly).
-    pub garbler_labels: Vec<u128>,
-    /// Permute bit of each output wire's zero label (for decoding).
-    pub output_decode: Vec<bool>,
-}
-
 /// A garbling whose *inputs are still open*: label pairs for every
 /// input wire on both sides, so neither party's bits need to be known
 /// at garble time. This is the offline-phase artifact: the circuit can
@@ -585,9 +570,7 @@ pub fn select_labels(pairs: &[(u128, u128)], bits: &[bool]) -> Vec<u128> {
 
 /// Garbles `circuit` without fixing any input bits, returning label
 /// pairs for every input wire (see [`OpenGarbled`]) — the `K = 1` case
-/// of the one garbling walk, `garble_lanes`. Draws from `prg` in the
-/// same order as [`garble`], so fixing the garbler bits of an open
-/// garbling afterwards reproduces [`garble`] bit for bit.
+/// of the one garbling walk, `garble_lanes`.
 pub fn garble_open(circuit: &Circuit, prg: &mut Prg) -> OpenGarbled {
     let mut zero = vec![[0u128; 1]; circuit.n_wires];
     let mut tables = vec![[0u128; 2]; circuit.and_count()];
@@ -696,29 +679,6 @@ pub(crate) fn lane<'a, const K: usize>(
     lane: usize,
 ) -> impl Iterator<Item = u128> + 'a {
     wires.iter().map(move |&w| buf[w][lane])
-}
-
-/// Garbles `circuit` with the garbler's input bits fixed.
-///
-/// # Errors
-///
-/// Returns an error when `garbler_bits` length disagrees.
-pub fn garble(circuit: &Circuit, garbler_bits: &[bool], prg: &mut Prg) -> Result<Garbled> {
-    if garbler_bits.len() != circuit.garbler_inputs.len() {
-        return Err(MpcError::BadConfig(format!(
-            "garbler has {} bits for {} input wires",
-            garbler_bits.len(),
-            circuit.garbler_inputs.len()
-        )));
-    }
-    let open = garble_open(circuit, prg);
-    let garbler_labels = select_labels(&open.garbler_label_pairs, garbler_bits);
-    Ok(Garbled {
-        tables: open.tables,
-        evaluator_label_pairs: open.evaluator_label_pairs,
-        garbler_labels,
-        output_decode: open.output_decode,
-    })
 }
 
 /// Evaluates a garbled circuit given the active input labels, returning
@@ -840,169 +800,30 @@ pub fn from_bits(bits: &[bool]) -> u64 {
     bits.iter().enumerate().fold(0u64, |acc, (i, &b)| acc | ((b as u64) << i))
 }
 
-/// The classic four-row garbling scheme: the reference the half-gates
-/// scheme is tested against (cross-scheme parity, 2× table bytes).
-#[cfg(test)]
-mod classic {
-    use super::{Circuit, Gate};
-    use crate::prg::Prg;
-    use crate::{MpcError, Result};
-
-    /// PRF keyed by *two* labels, the classic scheme's row cipher:
-    /// `H(a, b, tweak)`. The two 128-bit labels fill a 256-bit ChaCha12
-    /// key exactly; the tweak rides in the nonce.
-    pub fn prf128_pair(a: u128, b: u128, tweak: u64) -> u128 {
-        let mut key = [0u8; 32];
-        key[..16].copy_from_slice(&a.to_le_bytes());
-        key[16..].copy_from_slice(&b.to_le_bytes());
-        Prg::from_seed_nonce(key, tweak).next_u128()
-    }
-
-    /// The classic four-row garbling artifact, kept as the reference
-    /// implementation the half-gates scheme is tested against.
-    #[derive(Debug, Clone)]
-    pub struct ClassicOpenGarbled {
-        /// Four-row point-and-permute tables for each AND gate, in gate
-        /// order.
-        pub tables: Vec<[u128; 4]>,
-        /// Label pairs for the garbler's input wires.
-        pub garbler_label_pairs: Vec<(u128, u128)>,
-        /// Label pairs for the evaluator's input wires.
-        pub evaluator_label_pairs: Vec<(u128, u128)>,
-        /// Permute bit of each output wire's zero label (for decoding).
-        pub output_decode: Vec<bool>,
-    }
-
-    impl ClassicOpenGarbled {
-        /// Bytes the AND tables occupy (4 rows × 16 B per gate).
-        pub fn table_bytes(&self) -> usize {
-            self.tables.len() * 64
-        }
-    }
-
-    /// Reference implementation: garbles `circuit` with the classic
-    /// four-row point-and-permute tables (each row
-    /// `prf128_pair(Wa, Wb, gate) ⊕ Wout`, indexed by the operand permute
-    /// bits). Free-XOR labels are shared with the half-gates path; only the
-    /// AND-gate encoding differs — which is exactly what the cross-scheme
-    /// parity tests exercise.
-    pub fn garble_open_classic(circuit: &Circuit, prg: &mut Prg) -> ClassicOpenGarbled {
-        let delta = prg.next_u128() | 1;
-        let mut zero = vec![0u128; circuit.n_wires];
-        for &w in circuit.garbler_inputs.iter().chain(circuit.evaluator_inputs.iter()) {
-            zero[w] = prg.next_u128();
-        }
-        let mut tables = Vec::with_capacity(circuit.and_count());
-        for (gid, gate) in circuit.gates.iter().enumerate() {
-            match *gate {
-                Gate::Xor { a, b, out } => zero[out] = zero[a] ^ zero[b],
-                Gate::Inv { a, out } => zero[out] = zero[a] ^ delta,
-                Gate::And { a, b, out } => {
-                    // Operands first: `out` may reuse a slot they free.
-                    let (za, zb) = (zero[a], zero[b]);
-                    let w0 = prg.next_u128();
-                    zero[out] = w0;
-                    let mut rows = [0u128; 4];
-                    for ia in 0..2u8 {
-                        for ib in 0..2u8 {
-                            let la = za ^ if ia == 1 { delta } else { 0 };
-                            let lb = zb ^ if ib == 1 { delta } else { 0 };
-                            let lo = w0 ^ if ia & ib == 1 { delta } else { 0 };
-                            let slot = (((la & 1) as usize) << 1) | ((lb & 1) as usize);
-                            rows[slot] = prf128_pair(la, lb, gid as u64) ^ lo;
-                        }
-                    }
-                    tables.push(rows);
-                }
-            }
-        }
-        let garbler_label_pairs =
-            circuit.garbler_inputs.iter().map(|&w| (zero[w], zero[w] ^ delta)).collect();
-        let evaluator_label_pairs =
-            circuit.evaluator_inputs.iter().map(|&w| (zero[w], zero[w] ^ delta)).collect();
-        let output_decode = circuit.outputs.iter().map(|&w| zero[w] & 1 == 1).collect();
-        ClassicOpenGarbled { tables, garbler_label_pairs, evaluator_label_pairs, output_decode }
-    }
-
-    /// Reference implementation: evaluates a classic four-row garbling
-    /// (one `prf128_pair` call per AND, row selected by the operand permute
-    /// bits).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when label/table counts disagree with the circuit.
-    pub fn evaluate_classic(
-        circuit: &Circuit,
-        tables: &[[u128; 4]],
-        garbler_labels: &[u128],
-        evaluator_labels: &[u128],
-        output_decode: &[bool],
-    ) -> Result<Vec<bool>> {
-        if garbler_labels.len() != circuit.garbler_inputs.len()
-            || evaluator_labels.len() != circuit.evaluator_inputs.len()
-            || tables.len() != circuit.and_count()
-            || output_decode.len() != circuit.outputs.len()
-        {
-            return Err(MpcError::Protocol("garbled artifact counts disagree with circuit".into()));
-        }
-        let mut label = vec![0u128; circuit.n_wires];
-        for (&w, &l) in circuit.garbler_inputs.iter().zip(garbler_labels) {
-            label[w] = l;
-        }
-        for (&w, &l) in circuit.evaluator_inputs.iter().zip(evaluator_labels) {
-            label[w] = l;
-        }
-        let mut and_idx = 0usize;
-        for (gid, gate) in circuit.gates.iter().enumerate() {
-            match *gate {
-                Gate::Xor { a, b, out } => label[out] = label[a] ^ label[b],
-                Gate::Inv { a, out } => label[out] = label[a],
-                Gate::And { a, b, out } => {
-                    let la = label[a];
-                    let lb = label[b];
-                    let slot = (((la & 1) as usize) << 1) | ((lb & 1) as usize);
-                    label[out] = prf128_pair(la, lb, gid as u64) ^ tables[and_idx][slot];
-                    and_idx += 1;
-                }
-            }
-        }
-        Ok(circuit
-            .outputs
-            .iter()
-            .zip(output_decode.iter())
-            .map(|(&w, &d)| ((label[w] & 1) == 1) ^ d)
-            .collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::classic::{evaluate_classic, garble_open_classic};
     use super::*;
     use crate::fixed::FixedPoint;
     use crate::share::share_secret;
     use proptest::prelude::*;
 
-    fn garble_and_eval(circuit: &Circuit, g_bits: &[bool], e_bits: &[bool]) -> Vec<bool> {
-        let mut prg = Prg::from_u64(999);
-        let garbled = garble(circuit, g_bits, &mut prg).unwrap();
-        let labels: Vec<u128> = garbled
-            .evaluator_label_pairs
-            .iter()
-            .zip(e_bits.iter())
-            .map(|(&(l0, l1), &b)| if b { l1 } else { l0 })
-            .collect();
-        evaluate(circuit, &garbled.tables, &garbled.garbler_labels, &labels, &garbled.output_decode)
-            .unwrap()
-    }
-
-    #[test]
-    fn pair_prf_depends_on_both_keys() {
-        use super::classic::prf128_pair;
-        let (a, b) = (11u128, 22u128);
-        assert_ne!(prf128_pair(a, b, 0), prf128_pair(b, a, 0));
-        assert_ne!(prf128_pair(a, b, 0), prf128_pair(a, b ^ 1, 0));
-        assert_eq!(prf128_pair(a, b, 5), prf128_pair(a, b, 5));
+    /// Garbles `circuit` open under `seed`, selects both parties'
+    /// labels for their bits and evaluates.
+    pub(super) fn garble_and_eval(
+        circuit: &Circuit,
+        g_bits: &[bool],
+        e_bits: &[bool],
+        seed: u64,
+    ) -> Vec<bool> {
+        let open = garble_open(circuit, &mut Prg::from_u64(seed));
+        evaluate(
+            circuit,
+            &open.tables,
+            &select_labels(&open.garbler_label_pairs, g_bits),
+            &select_labels(&open.evaluator_label_pairs, e_bits),
+            &open.output_decode,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -1015,7 +836,7 @@ mod tests {
         let c = b.build();
         for gx in [false, true] {
             for ey in [false, true] {
-                assert_eq!(garble_and_eval(&c, &[gx], &[ey]), vec![gx & ey]);
+                assert_eq!(garble_and_eval(&c, &[gx], &[ey], 999), vec![gx & ey]);
             }
         }
     }
@@ -1034,7 +855,7 @@ mod tests {
         assert_eq!(c.xor_count(), 1);
         for gx in [false, true] {
             for ey in [false, true] {
-                assert_eq!(garble_and_eval(&c, &[gx], &[ey]), vec![gx ^ ey, !(gx ^ ey)]);
+                assert_eq!(garble_and_eval(&c, &[gx], &[ey], 999), vec![gx ^ ey, !(gx ^ ey)]);
             }
         }
     }
@@ -1051,18 +872,9 @@ mod tests {
         }
         let c = b.build();
         for (x, y) in [(3u64, 5u64), (65535, 1), (40000, 30000), (0, 0)] {
-            let out = garble_and_eval(&c, &to_bits(x, bits), &to_bits(y, bits));
+            let out = garble_and_eval(&c, &to_bits(x, bits), &to_bits(y, bits), 999);
             assert_eq!(from_bits(&out), (x + y) & 0xFFFF, "{x}+{y}");
         }
-    }
-
-    #[test]
-    fn plain_eval_agrees_with_garbled_eval() {
-        let c = relu_masked_circuit(2, 16);
-        let mut prg = Prg::from_u64(4);
-        let g_bits: Vec<bool> = (0..c.garbler_input_count()).map(|_| prg.next_bool()).collect();
-        let e_bits: Vec<bool> = (0..c.evaluator_input_count()).map(|_| prg.next_bool()).collect();
-        assert_eq!(c.eval_plain(&g_bits, &e_bits).unwrap(), garble_and_eval(&c, &g_bits, &e_bits));
     }
 
     #[test]
@@ -1078,7 +890,7 @@ mod tests {
             let mut g_bits = to_bits(s1.as_raw()[0], bits);
             g_bits.extend(to_bits(r.wrapping_neg(), bits));
             let e_bits = to_bits(s0.as_raw()[0], bits);
-            let out = garble_and_eval(&c, &g_bits, &e_bits);
+            let out = garble_and_eval(&c, &g_bits, &e_bits, 999);
             let evaluator_share = from_bits(&out);
             let y = evaluator_share.wrapping_add(r);
             let expect = fp.encode(val.max(0.0));
@@ -1098,17 +910,14 @@ mod tests {
     #[test]
     fn and_tables_cost_two_rows_and_xors_cost_zero() {
         // The acceptance accounting of the half-gates scheme: tables
-        // exist only for AND gates (2 rows × 16 B), XOR gates are free,
-        // and the classic reference pays exactly twice the bytes.
+        // exist only for AND gates (2 rows × 16 B, half a classic
+        // four-row table) and XOR gates are free.
         let c = relu_unit_circuit();
         assert!(c.xor_count() > 0);
         let open = garble_open(c, &mut Prg::from_u64(31));
-        let classic = garble_open_classic(c, &mut Prg::from_u64(31));
         assert_eq!(open.tables.len(), c.and_count());
-        assert_eq!(classic.tables.len(), c.and_count());
         assert_eq!(open.table_bytes(), c.and_count() * AND_TABLE_BYTES);
         assert_eq!(AND_TABLE_BYTES, 32);
-        assert_eq!(classic.table_bytes(), 2 * open.table_bytes());
         // Adding XOR gates must not grow the tables.
         let mut b = CircuitBuilder::new();
         let x = b.garbler_input();
@@ -1126,78 +935,37 @@ mod tests {
     }
 
     #[test]
-    fn cross_scheme_relu_parity() {
-        // Half-gates and the classic reference must decode the same
-        // plaintext results (same circuit, same inputs — different
-        // tables by construction).
-        let c = relu_masked_circuit(1, UNIT_BITS);
-        let mut prg = Prg::from_u64(41);
-        for _ in 0..4 {
-            let g_bits: Vec<bool> = (0..c.garbler_input_count()).map(|_| prg.next_bool()).collect();
-            let e_bits: Vec<bool> =
-                (0..c.evaluator_input_count()).map(|_| prg.next_bool()).collect();
-            let half = garble_open(&c, &mut Prg::from_u64(42));
-            let classic = garble_open_classic(&c, &mut Prg::from_u64(43));
-            let half_out = evaluate(
-                &c,
-                &half.tables,
-                &select_labels(&half.garbler_label_pairs, &g_bits),
-                &select_labels(&half.evaluator_label_pairs, &e_bits),
-                &half.output_decode,
-            )
-            .unwrap();
-            let classic_out = evaluate_classic(
-                &c,
-                &classic.tables,
-                &select_labels(&classic.garbler_label_pairs, &g_bits),
-                &select_labels(&classic.evaluator_label_pairs, &e_bits),
-                &classic.output_decode,
-            )
-            .unwrap();
-            let plain = c.eval_plain(&g_bits, &e_bits).unwrap();
-            assert_eq!(half_out, plain);
-            assert_eq!(classic_out, plain);
-        }
-    }
-
-    #[test]
-    fn cross_scheme_maxpool_parity() {
-        let c = maxpool4_masked_circuit(1, 16);
-        let mut prg = Prg::from_u64(51);
-        for _ in 0..4 {
-            let g_bits: Vec<bool> = (0..c.garbler_input_count()).map(|_| prg.next_bool()).collect();
-            let e_bits: Vec<bool> =
-                (0..c.evaluator_input_count()).map(|_| prg.next_bool()).collect();
-            let half = garble_open(&c, &mut Prg::from_u64(52));
-            let classic = garble_open_classic(&c, &mut Prg::from_u64(52));
-            let half_out = evaluate(
-                &c,
-                &half.tables,
-                &select_labels(&half.garbler_label_pairs, &g_bits),
-                &select_labels(&half.evaluator_label_pairs, &e_bits),
-                &half.output_decode,
-            )
-            .unwrap();
-            let classic_out = evaluate_classic(
-                &c,
-                &classic.tables,
-                &select_labels(&classic.garbler_label_pairs, &g_bits),
-                &select_labels(&classic.evaluator_label_pairs, &e_bits),
-                &classic.output_decode,
-            )
-            .unwrap();
-            assert_eq!(half_out, c.eval_plain(&g_bits, &e_bits).unwrap());
-            assert_eq!(half_out, classic_out);
+    fn garbled_relu_and_maxpool_decode_what_eval_plain_computes() {
+        // Same circuit, same inputs: the garbled walk decodes exactly
+        // the plaintext evaluation, for both masked non-linearities.
+        let circuits = [
+            (relu_masked_circuit(2, 16), 4),
+            (relu_masked_circuit(1, UNIT_BITS), 41),
+            (maxpool4_masked_circuit(1, 16), 51),
+        ];
+        for (c, seed) in circuits {
+            let mut prg = Prg::from_u64(seed);
+            for round in 0..4 {
+                let g_bits: Vec<bool> =
+                    (0..c.garbler_input_count()).map(|_| prg.next_bool()).collect();
+                let e_bits: Vec<bool> =
+                    (0..c.evaluator_input_count()).map(|_| prg.next_bool()).collect();
+                assert_eq!(
+                    garble_and_eval(&c, &g_bits, &e_bits, seed + 1 + round),
+                    c.eval_plain(&g_bits, &e_bits).unwrap()
+                );
+            }
         }
     }
 
     #[test]
     fn wrong_artifact_counts_rejected() {
         let c = relu_masked_circuit(1, 8);
-        let mut prg = Prg::from_u64(5);
-        let g = garble(&c, &vec![false; c.garbler_input_count()], &mut prg).unwrap();
-        assert!(evaluate(&c, &g.tables[..1], &g.garbler_labels, &[], &g.output_decode).is_err());
-        assert!(garble(&c, &[true], &mut prg).is_err());
+        let open = garble_open(&c, &mut Prg::from_u64(5));
+        let g_labels =
+            select_labels(&open.garbler_label_pairs, &vec![false; c.garbler_input_count()]);
+        assert!(evaluate(&c, &open.tables[..1], &g_labels, &[], &open.output_decode).is_err());
+        assert!(evaluate(&c, &open.tables, &g_labels[1..], &[], &open.output_decode).is_err());
     }
 
     #[test]
@@ -1205,20 +973,6 @@ mod tests {
         for v in [0u64, 1, 42, u64::MAX, 1 << 63] {
             assert_eq!(from_bits(&to_bits(v, 64)), v);
         }
-    }
-
-    #[test]
-    fn open_garbling_fixed_afterwards_equals_direct_garbling() {
-        // garble() is garble_open() + select_labels(); both must draw
-        // the PRG identically so offline and lockstep paths agree.
-        let c = relu_masked_circuit(1, 16);
-        let g_bits: Vec<bool> = (0..c.garbler_input_count()).map(|i| i % 3 == 0).collect();
-        let direct = garble(&c, &g_bits, &mut Prg::from_u64(77)).unwrap();
-        let open = garble_open(&c, &mut Prg::from_u64(77));
-        assert_eq!(direct.tables, open.tables);
-        assert_eq!(direct.evaluator_label_pairs, open.evaluator_label_pairs);
-        assert_eq!(direct.output_decode, open.output_decode);
-        assert_eq!(direct.garbler_labels, select_labels(&open.garbler_label_pairs, &g_bits));
     }
 
     #[test]
@@ -1449,11 +1203,7 @@ mod tests {
             let r = prg.next_u64() & 0xFFFF_FFFF;
             let mut g_bits = to_bits(s1, bits);
             g_bits.extend(to_bits(r.wrapping_neg() & 0xFFFF_FFFF, bits));
-            let garbled = garble(&c, &g_bits, &mut prg).unwrap();
-            let e_bits = to_bits(s0, bits);
-            let labels: Vec<u128> = garbled.evaluator_label_pairs.iter().zip(e_bits.iter())
-                .map(|(&(l0, l1), &b)| if b { l1 } else { l0 }).collect();
-            let out = evaluate(&c, &garbled.tables, &garbled.garbler_labels, &labels, &garbled.output_decode).unwrap();
+            let out = garble_and_eval(&c, &g_bits, &to_bits(s0, bits), prg.next_u64());
             let y = (from_bits(&out).wrapping_add(r)) & 0xFFFF_FFFF;
             let expect = if x < 0 { 0u64 } else { x as u64 };
             prop_assert_eq!(y, expect);
@@ -1533,27 +1283,10 @@ mod tests {
 
 #[cfg(test)]
 mod maxpool_tests {
+    use super::tests::garble_and_eval;
     use super::*;
     use crate::prg::Prg;
     use proptest::prelude::*;
-
-    fn garble_and_eval(
-        circuit: &Circuit,
-        g_bits: &[bool],
-        e_bits: &[bool],
-        seed: u64,
-    ) -> Vec<bool> {
-        let mut prg = Prg::from_u64(seed);
-        let garbled = garble(circuit, g_bits, &mut prg).unwrap();
-        let labels: Vec<u128> = garbled
-            .evaluator_label_pairs
-            .iter()
-            .zip(e_bits.iter())
-            .map(|(&(l0, l1), &b)| if b { l1 } else { l0 })
-            .collect();
-        evaluate(circuit, &garbled.tables, &garbled.garbler_labels, &labels, &garbled.output_decode)
-            .unwrap()
-    }
 
     #[test]
     fn subtractor_matches_wrapping_sub() {

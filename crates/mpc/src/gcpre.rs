@@ -11,8 +11,8 @@
 //!
 //! * the evaluator's active labels for the bits of `m` (with a trusted
 //!   dealer these are dealt directly; a real deployment transfers them
-//!   with the session-long IKNP extension of [`crate::ot`], whose
-//!   traffic the engine charges to the offline phase);
+//!   by OT extension, whose traffic the engine charges to the offline
+//!   phase as a modelled price — no OT runs here);
 //! * the garbler's active labels for the output-mask input `−r`;
 //! * the AND tables and output-decode bits, handed to the evaluator.
 //!
@@ -1026,6 +1026,39 @@ mod tests {
         let bad = ShareVec::from_raw(vec![1, 2, 3]);
         assert!(pre_gc_evaluator(&client, &cmat, &bad, 2).is_err());
         assert!(pre_gc_garbler(&server, &smat, &bad).is_err());
+    }
+
+    #[test]
+    fn online_frames_of_the_wrong_size_are_protocol_errors() {
+        // Two ReLU items: the garbler expects two δ words, the evaluator
+        // 2·64 labels of 16 B.
+        let mut prg = Prg::from_u64(31);
+        let (cmat, smat) = pregarble(MaskedOp::Relu, 2, &mut prg, 2);
+        let share = ShareVec::from_raw(vec![5, 7]);
+        for delta in [vec![], vec![0u64], vec![0; 3]] {
+            let (client, server, counter) = channel_pair();
+            client.send_u64s(&delta).unwrap();
+            let r = pre_gc_garbler(&server, &smat, &share);
+            assert!(matches!(r, Err(MpcError::Protocol(_))), "{} δ words: {r:?}", delta.len());
+            assert_eq!(counter.snapshot().bytes_server_to_client, 0, "no labels sent");
+        }
+        let honest = 2 * UNIT_BITS * 16;
+        let malformed: [(&str, usize); 4] = [
+            ("empty", 0),
+            ("one label short", honest - 16),
+            ("one label over", honest + 16),
+            ("not a multiple of 16 B", honest + 8),
+        ];
+        for (what, len) in malformed {
+            let (client, server, _) = channel_pair();
+            server.send_bytes(&vec![0; len]).unwrap();
+            let r = pre_gc_evaluator(&client, &cmat, &share, 2);
+            assert!(matches!(r, Err(MpcError::Protocol(_))), "{what} label frame: {r:?}");
+        }
+        // The honest all-zero frame of the same shape goes through.
+        let (client, server, _) = channel_pair();
+        server.send_bytes(&vec![0; honest]).unwrap();
+        assert_eq!(pre_gc_evaluator(&client, &cmat, &share, 2).unwrap().len(), 2);
     }
 
     #[test]

@@ -13,9 +13,61 @@
 //! direction (DESIGN.md §12).
 
 use crate::bitvec::{transpose64, BitVec};
-use crate::ot::BitTriples;
 use crate::{MpcError, Result};
 use c2pi_transport::Channel;
+
+/// One party's share of a pool of boolean AND (bit Beaver) triples:
+/// `a ⊕ a'`, `b ⊕ b'`, `c ⊕ c'` with `c = a·b` across parties. Three
+/// word-packed vectors and a cursor: [`BitTriples::take`] copies the
+/// next `n` out at whatever bit offset the cursor stands and advances
+/// it, so consumption is exact to the bit and never moves the rest.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BitTriples {
+    pub(crate) a: BitVec,
+    pub(crate) b: BitVec,
+    pub(crate) c: BitVec,
+    taken: usize,
+}
+
+impl BitTriples {
+    /// Wraps three equally long share vectors as an untouched pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the lengths differ.
+    pub(crate) fn new(a: BitVec, b: BitVec, c: BitVec) -> Self {
+        assert!(a.len() == b.len() && b.len() == c.len(), "bit-triple share lengths differ");
+        BitTriples { a, b, c, taken: 0 }
+    }
+
+    /// Number of triples not yet taken.
+    pub fn len(&self) -> usize {
+        self.a.len() - self.taken
+    }
+
+    /// Whether no triple is left.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Takes the next `n` triples out of the pool.
+    ///
+    /// # Errors
+    ///
+    /// Returns a dealer error when fewer than `n` remain; the pool is
+    /// left as it was.
+    pub fn take(&mut self, n: usize) -> Result<BitTriples> {
+        if self.len() < n {
+            return Err(MpcError::Dealer(format!(
+                "bit-triple pool exhausted: need {n}, have {}",
+                self.len()
+            )));
+        }
+        let at = self.taken;
+        self.taken += n;
+        Ok(BitTriples::new(self.a.slice(at, n), self.b.slice(at, n), self.c.slice(at, n)))
+    }
+}
 
 /// Batched secure AND of two XOR-shared vectors, consuming one bit
 /// triple per position. One round trip: each party sends its opened
@@ -348,7 +400,6 @@ mod tests {
     use super::*;
     use crate::dealer::Dealer;
     use crate::fixed::FixedPoint;
-    use crate::ot::{gen_bit_triples, KAPPA};
     use crate::prg::Prg;
     use crate::relu::drelu_bit_triples;
     use crate::share::share_secret;
@@ -370,17 +421,14 @@ mod tests {
         (r0, r1, counter.snapshot())
     }
 
-    /// IKNP-generated pools — the ablation path, so the kernel is
-    /// exercised on triples the dealer did not draw.
-    fn iknp_pools(n: usize, seed: u64) -> (BitTriples, BitTriples) {
-        let mut dealer = Dealer::new(seed);
-        let (c_snd, s_rcv) = dealer.base_ots(KAPPA);
-        let (s_snd, c_rcv) = dealer.base_ots(KAPPA);
-        let (mine, theirs, _) = run_pair(
-            |ep| gen_bit_triples(ep, true, &c_snd, &c_rcv, n, &mut Prg::from_u64(seed ^ 2)),
-            |ep| gen_bit_triples(ep, false, &s_snd, &s_rcv, n, &mut Prg::from_u64(seed ^ 1)),
-        );
-        (mine.unwrap(), theirs.unwrap())
+    /// Pools drawn from a test PRG outside the dealer stream, so the
+    /// kernel is exercised on triples the dealer did not draw.
+    fn foreign_pools(n: usize, seed: u64) -> (BitTriples, BitTriples) {
+        let mut prg = Prg::from_u64(seed);
+        let mut bits = || BitVec::from_bools(&(0..n).map(|_| prg.next_bool()).collect::<Vec<_>>());
+        let (a0, a1, b0, b1, c0) = (bits(), bits(), bits(), bits(), bits());
+        let c1 = a0.xor(&a1).and(&b0.xor(&b1)).xor(&c0);
+        (BitTriples::new(a0, b0, c0), BitTriples::new(a1, b1, c1))
     }
 
     /// DReLU through the word kernel and through the oracle, each on
@@ -435,9 +483,36 @@ mod tests {
     }
 
     #[test]
+    fn bit_triple_pool_takes_by_cursor_at_any_bit_offset() {
+        let mut prg = Prg::from_u64(3);
+        let n = 300;
+        let bits = |prg: &mut Prg| -> Vec<bool> { (0..n).map(|_| prg.next_bool()).collect() };
+        let (a, b, c) = (bits(&mut prg), bits(&mut prg), bits(&mut prg));
+        let pack = BitVec::from_bools;
+        let mut pool = BitTriples::new(pack(&a), pack(&b), pack(&c));
+        // Ragged takes: the second starts at bit 70, the third at 133.
+        let mut at = 0;
+        for take in [70, 63, 0, 130] {
+            let t = pool.take(take).unwrap();
+            assert_eq!(t.len(), take);
+            assert_eq!(t.a.to_bools(), a[at..at + take]);
+            assert_eq!(t.b.to_bools(), b[at..at + take]);
+            assert_eq!(t.c.to_bools(), c[at..at + take]);
+            at += take;
+            assert_eq!(pool.len(), n - at);
+        }
+        // Exhaustion is the typed dealer error and takes nothing.
+        let before = pool.clone();
+        assert!(matches!(pool.take(38), Err(MpcError::Dealer(_))));
+        assert_eq!(pool, before);
+        assert_eq!(pool.take(37).unwrap().len(), 37);
+        assert!(pool.is_empty());
+    }
+
+    #[test]
     fn and_batch_computes_conjunction() {
         for n in [1usize, 64, 100] {
-            let (mut tc, mut ts) = iknp_pools(n, 31);
+            let (mut tc, mut ts) = foreign_pools(n, 31);
             let (mut oc, mut os) = (oracle::BoolTriples::from(&tc), oracle::BoolTriples::from(&ts));
             // Party 0 privately holds x, party 1 privately holds y.
             let x: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
@@ -541,9 +616,9 @@ mod tests {
     }
 
     #[test]
-    fn millionaire_ignores_bits_above_the_width_and_runs_on_iknp_triples() {
+    fn millionaire_ignores_bits_above_the_width_and_runs_on_foreign_triples() {
         let n = 40;
-        let (mut tc, mut ts) = iknp_pools(n * drelu_bit_triples(20), 37);
+        let (mut tc, mut ts) = foreign_pools(n * drelu_bit_triples(20), 37);
         let mut prg = Prg::from_u64(7);
         let low = (1u64 << 20) - 1;
         let u: Vec<u64> = prg.next_u64s(n);

@@ -10,14 +10,13 @@
 //! | [`fixed`] | fixed-point encoding into the ring `Z_2^64` |
 //! | [`prg`] | ChaCha12 pseudorandom generator / PRF, and the fixed-key AES gate hash of the garbling kernel |
 //! | [`share`] | additive secret sharing over `Z_2^64` |
-//! | [`dealer`] | trusted-dealer correlated randomness (Beaver triples, base-OT seeds) — stands in for the HE offline phases, see DESIGN.md §3 |
+//! | [`dealer`] | trusted-dealer correlated randomness (Beaver triples, masked-linear correlations, bit triples) — stands in for the HE/OT offline phases, whose base-OT and extension traffic is a modelled price, see DESIGN.md §3 |
 //! | [`bitvec`] | word-packed bit vectors: the one representation of shares, bit triples and opened frames in the boolean stack, and its wire codec |
-//! | [`ot`] | IKNP OT extension: random OTs, chosen-message OTs, word-packed bit-triple pools |
-//! | [`gmw`] | boolean sharing, batched AND, bit-sliced log-depth comparison, DReLU — 64 ANDs per word operation |
+//! | [`gmw`] | boolean sharing, word-packed bit-triple pools, batched AND, bit-sliced log-depth comparison, DReLU — 64 ANDs per word operation |
 //! | [`beaver`] | arithmetic multiplication / matmul with triples + truncation |
 //! | [`gc`] | Yao garbled circuits: free-XOR, point-and-permute, half-gates ANDs, lock-step evaluation |
 //! | [`gcpre`] | offline-garbled masked non-linearities: input-independent garbling in the offline phase, a one-round-trip label exchange online |
-//! | [`relu`] | the two secure ReLU protocols (GC-based à la Delphi, comparison-based à la Cheetah/CrypTFlow2) and secure max-pooling |
+//! | [`relu`] | the comparison-based secure ReLU (à la Cheetah/CrypTFlow2) and secure max; Delphi's GC ReLU is [`gcpre`] |
 //!
 //! The semi-honest threat model of the paper is assumed throughout.
 //!
@@ -53,7 +52,6 @@ pub mod fixed;
 pub mod gc;
 pub mod gcpre;
 pub mod gmw;
-pub mod ot;
 pub mod prg;
 pub mod relu;
 pub mod ring;

@@ -1,11 +1,11 @@
 //! The crate's symmetric primitives: a ChaCha12 stream generator and
 //! PRF, and the fixed-key AES gate hash of the garbled-circuit kernel.
 //!
-//! * [`Prg`], [`SeedSequence`], [`indexed_seed`] and [`prf128`] run on
-//!   ChaCha12, written from scratch (the RFC 8439 block function on a
-//!   12-round schedule — the conservative speed/security point `rand`'s
-//!   own `StdRng` uses). Share expansion, dealer correlations and
-//!   OT-extension hashing need PRG/PRF strength and draw from here.
+//! * [`Prg`], [`SeedSequence`] and [`indexed_seed`] run on ChaCha12,
+//!   written from scratch (the RFC 8439 block function on a 12-round
+//!   schedule — the conservative speed/security point `rand`'s own
+//!   `StdRng` uses). Share expansion and dealer correlations need PRG
+//!   strength and draw from here.
 //! * [`hash128`] / [`hash128_many`] are the tweakable correlation-robust
 //!   hash half-gates garbling spends on every AND gate. It needs far
 //!   less than a PRF and is the hottest function in the system, so it
@@ -91,8 +91,7 @@ impl Prg {
 
     /// Creates a generator from a 256-bit seed and an explicit stream
     /// nonce. Distinct nonces under the same seed yield independent
-    /// streams — how the OT extension re-derives fresh expansions from
-    /// one set of base-OT seeds per session.
+    /// streams — how a dealt seed expands under its session nonce.
     pub fn from_seed_nonce(seed: [u8; 32], nonce: u64) -> Self {
         let mut prg = Prg::from_seed(seed);
         prg.nonce = nonce;
@@ -291,23 +290,6 @@ pub fn indexed_seed(master: u64, domain: &[u8], index: u64) -> u64 {
     Prg::from_seed(key).next_u64()
 }
 
-/// PRF used for OT-extension hashing: `H(key, tweak) -> u128`.
-///
-/// One ChaCha12 block keyed by `key` (a 128-bit value, zero-extended)
-/// with the tweak in the nonce slot.
-pub fn prf128(key: u128, tweak: u64) -> u128 {
-    let mut k = [0u32; 8];
-    let bytes = key.to_le_bytes();
-    for (i, kk) in k.iter_mut().take(4).enumerate() {
-        *kk = u32::from_le_bytes(bytes[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
-    }
-    let block = chacha_block(&k, 0, tweak);
-    (block[0] as u128)
-        | ((block[1] as u128) << 32)
-        | ((block[2] as u128) << 64)
-        | ((block[3] as u128) << 96)
-}
-
 /// Tweakable correlation-robust hash for half-gates garbling:
 /// `H(label, tweak) = π(π(label) ⊕ tweak) ⊕ π(label)`, with `π` AES-128
 /// under a fixed public key.
@@ -484,21 +466,11 @@ mod tests {
     }
 
     #[test]
-    fn prf_is_deterministic_and_tweak_sensitive() {
-        let k = 0x0123_4567_89ab_cdef_u128;
-        assert_eq!(prf128(k, 1), prf128(k, 1));
-        assert_ne!(prf128(k, 1), prf128(k, 2));
-        assert_ne!(prf128(k, 1), prf128(k ^ 1, 1));
-    }
-
-    #[test]
-    fn hash128_is_deterministic_tweak_sensitive_and_separated_from_prf() {
+    fn hash128_is_deterministic_and_tweak_sensitive() {
         let l = 0xfeed_beef_dead_c0de_u128;
         assert_eq!(hash128(l, 3), hash128(l, 3));
         assert_ne!(hash128(l, 3), hash128(l, 4));
         assert_ne!(hash128(l, 3), hash128(l ^ 1, 3));
-        // A different primitive altogether: never collides with the PRF.
-        assert_ne!(hash128(l, 3), prf128(l, 3));
     }
 
     #[test]

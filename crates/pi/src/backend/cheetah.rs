@@ -12,7 +12,7 @@ use crate::report::OpCounts;
 use crate::Result;
 use c2pi_mpc::dealer::{Dealer, Halves, TripleShare};
 use c2pi_mpc::gcpre::MaskedOp;
-use c2pi_mpc::ot::BitTriples;
+use c2pi_mpc::gmw::BitTriples;
 use c2pi_mpc::relu::{drelu_bit_triples, max_interactive, relu_interactive};
 use c2pi_mpc::share::ShareVec;
 use c2pi_transport::Channel;

@@ -5,7 +5,8 @@
 //! online phase is one `δ`/label round trip per layer plus local
 //! evaluation. A server-sided deal keeps Δ, the zero labels and `r` and
 //! garbles nothing. Heavyweight HE offline (plus the garbled tables and
-//! the session OT extension's label transfers) modelled by
+//! the OT-extension label transfers a real deployment would run — the
+//! dealer deals the labels directly) modelled by
 //! [`crate::cost::OfflineCostModel::delphi`].
 
 use crate::engine::PiConfig;
@@ -34,8 +35,9 @@ pub(super) fn prepare_layer(
 ) -> (Option<PreGarbledClient>, Option<PreGarbledServer>) {
     counts.and_gates += (items * op.ands_per_item()) as u64;
     counts.xor_gates += (items * op.xors_per_item()) as u64;
-    // The evaluator's masked-input labels ride the session OT
-    // extension (one transfer per input bit).
+    // A real deployment transfers the evaluator's masked-input labels
+    // by OT extension (one transfer per input bit): a modelled price,
+    // the labels themselves are dealt.
     counts.ext_ots += (items * op.in_elems() * UNIT_BITS) as u64;
     let mut prg = dealer.fork_prg();
     let halves = pregarble_for(op, items, &mut prg, cfg.gc_chunk.max(1), halves);

@@ -37,20 +37,23 @@ pub struct OfflineCostModel {
     /// free-XOR scheme (no table, no hash); kept as an explicit model
     /// term so the zero cost is visible and pinned rather than implied.
     pub bytes_per_xor_gate: f64,
-    /// Bytes per base OT of the per-session setup the IKNP extension
-    /// amortises (public keys / seed commitments).
+    /// Bytes per base OT of the per-set setup the real systems' OT
+    /// extension amortises (public keys / seed commitments). A modelled
+    /// price: the dealer stands in for the OTs and draws none.
     pub bytes_per_base_ot: f64,
     /// Bytes per extended OT: the `u`-matrix column plus the masked
-    /// message pair of one IKNP label transfer (zero for silent-OT
-    /// backends, whose extension ships only seeds).
+    /// message pair of one IKNP label transfer in the real system (zero
+    /// for silent-OT backends, whose extension ships only seeds). A
+    /// modelled price, like [`OfflineCostModel::bytes_per_base_ot`].
     pub bytes_per_ext_ot: f64,
 }
 
 impl OfflineCostModel {
     /// Delphi-like parameters: SEAL BFV at n=8192 — 128 KiB ciphertexts,
     /// 4096 slots, slow rotation-heavy convolutions, garbled circuits
-    /// garbled *and shipped* offline (tables down, extension-transferred
-    /// evaluator labels via IKNP). `sec_per_and_gate` is the offline
+    /// garbled *and shipped* offline (tables down, evaluator labels by
+    /// IKNP extension in the real system — modelled here, dealt
+    /// directly). `sec_per_and_gate` is the offline
     /// garbling kernel's measured cost: `mpc.gcpre.pregarble_ms` ÷
     /// `mpc.gcpre.and_gates_per_inf` (553 952) of `c2pi_benchmark`'s
     /// traced `solo_delphi_split` run, the full model's layers garbled
@@ -80,7 +83,8 @@ impl OfflineCostModel {
     /// Cheetah-like parameters: leaner lattice encoding without
     /// rotations — smaller ciphertexts and roughly 10× faster
     /// homomorphic linear algebra; silent-OT setup for the non-linear
-    /// correlations (base OTs real, extension traffic seed-sized).
+    /// correlations (base-OT setup priced, extension traffic
+    /// seed-sized; both modelled, the dealer draws the triples).
     pub fn cheetah() -> Self {
         OfflineCostModel {
             ct_bytes: 32_768,
@@ -98,7 +102,7 @@ impl OfflineCostModel {
     /// Modelled offline traffic for the accumulated operation counts
     /// under **seed-compressed dealing**: ciphertexts still flow both
     /// ways for each linear layer (`Enc(r)` up, `Enc(W·r − s)` down) and
-    /// the base-OT setup is still shipped, but the triples, garbled
+    /// the modelled base-OT setup is still priced, but the triples, garbled
     /// tables and extension-transferred labels now travel as a compact
     /// `DealtSeed` (`counts.seed_bytes`, dealer→parties, charged down)
     /// that each party expands locally. What the expanded correlations
@@ -126,7 +130,8 @@ impl OfflineCostModel {
     /// pre-compression expanded dealing: triples, garbled tables and
     /// extension pads garbler→evaluator (down), the extension's
     /// `u`-matrix evaluator→garbler (up), on top of the ciphertext and
-    /// base-OT flows. Reported next to [`OfflineCostModel::offline_traffic`]
+    /// base-OT flows — the OT terms modelled prices of the real systems,
+    /// not dealer draws. Reported next to [`OfflineCostModel::offline_traffic`]
     /// so the planner can show the compression win.
     pub fn expanded_traffic(&self, counts: &OpCounts) -> TrafficSnapshot {
         let cts_up: u64 =

@@ -47,6 +47,11 @@ pub(crate) struct Plan {
     pub out_dims: Vec<usize>,
 }
 
+/// Base OTs the real offline phases run per dealt set: one κ = 128 set,
+/// the setup their OT extension amortises. A modelled price (DESIGN.md
+/// §3) — the dealer draws no base OT.
+const BASE_OTS_PER_SET: u64 = 128;
+
 /// Compiles layer specs against a `[c, h, w]` input shape.
 pub(crate) fn compile(
     specs: &[LayerSpec],
@@ -56,7 +61,7 @@ pub(crate) fn compile(
     let (c, h, w) = in_chw;
     let mut steps = Vec::with_capacity(specs.len());
     let mut data = Vec::with_capacity(specs.len());
-    let mut counts = OpCounts::default();
+    let mut counts = OpCounts { base_ots: BASE_OTS_PER_SET, ..OpCounts::default() };
     let scale2 = fp.scale() * fp.scale();
     // Current public shape: Some((c,h,w)) for NCHW, or flat length.
     let mut cur_chw: Option<(usize, usize, usize)> = Some((c, h, w));
@@ -204,6 +209,8 @@ mod tests {
         // Backend-dependent counts are not filled at compile time.
         assert_eq!(plan.base_counts.and_gates, 0);
         assert_eq!(plan.base_counts.bit_triples, 0);
+        // The modelled base-OT setup is seeded here, not drawn by a deal.
+        assert_eq!(plan.base_counts.base_ots, 128);
     }
 
     #[test]

@@ -39,7 +39,6 @@ use c2pi_mpc::dealer::{
     LinearCorrServer,
 };
 use c2pi_mpc::gcpre::{MaskedOp, PreGarbledClient, PreGarbledServer};
-use c2pi_mpc::ot::KAPPA;
 use c2pi_mpc::prg::SeedSequence;
 use std::collections::VecDeque;
 use std::path::Path;
@@ -296,14 +295,7 @@ impl SessionCore {
     pub(crate) fn deal(&self, seed: u64, halves: Halves) -> Result<InferenceMaterial> {
         let dealt = self.dealt_seed(seed);
         let mut dealer = Dealer::for_dealt(&dealt);
-        // One KAPPA-sized base-OT set per inference, first: the setup
-        // both backends' session-long OT extension amortises across
-        // every layer (Delphi's label transfers, the silent-OT expansion
-        // Cheetah's dealt bit triples stand in for). Only its count is
-        // charged; the draw keeps every later one in place.
-        let _ = dealer.base_ots(KAPPA);
         let mut counts = self.plan.base_counts.clone();
-        counts.base_ots += KAPPA as u64;
         let steps = self.plan.steps.len();
         let mut cmats = halves.client().then(|| Vec::with_capacity(steps));
         let mut smats = halves.server().then(|| Vec::with_capacity(steps));
@@ -921,16 +913,17 @@ mod tests {
 
     #[test]
     fn a_frame_from_an_earlier_dealt_function_is_refused_not_expanded() {
-        // A version-2 peer drew its bit triples a keystream word per
-        // bit, a version-1 peer garbled under a different hash; expanding
-        // either's seed here would produce material the other side cannot
-        // use. The frame is otherwise exactly what this deployment would
-        // have dealt.
+        // A version-3 peer opened every set with a base-OT draw, a
+        // version-2 peer drew its bit triples a keystream word per bit,
+        // a version-1 peer garbled under a different hash; expanding any
+        // of their seeds here would produce material the other side
+        // cannot use. The frame is otherwise exactly what this
+        // deployment would have dealt.
         let core = tiny_core();
         let frame = core.dealt_seed(7).encode();
         assert!(core.expand_dealt(&frame).is_ok());
-        assert_eq!(frame[2], 3, "DealtSeed version byte");
-        for earlier in [1, 2] {
+        assert_eq!(frame[2], 4, "DealtSeed version byte");
+        for earlier in [1, 2, 3] {
             let mut old = frame.clone();
             old[2] = earlier;
             let err = core.expand_dealt(&old).map(|m| m.seed).unwrap_err();
@@ -938,6 +931,45 @@ mod tests {
                 matches!(&err, PiError::Mpc(c2pi_mpc::MpcError::Protocol(why))
                     if why == "dealt seed: unsupported version"),
                 "v{earlier}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_deal_expands_exactly_the_correlations_its_plan_reads() {
+        // Every expanded byte is one the plan's steps consume, summed
+        // with the per-correlation formulas the mpc tests pin: a draw
+        // no half reads would show up here as a surplus.
+        use crate::engine::PiBackend;
+        use c2pi_mpc::relu::drelu_bit_triples;
+        for backend in [PiBackend::Delphi, PiBackend::Cheetah] {
+            let core = tiny_core();
+            let core =
+                SessionCore { plan: core.plan.clone(), cfg: PiConfig { backend, ..core.cfg } };
+            let want: u64 = core
+                .plan
+                .steps
+                .iter()
+                .zip(&core.plan.data)
+                .map(|(step, data)| match (step, data) {
+                    (Step::Conv { .. }, StepData::Lin { w, cols, .. }) => {
+                        8 * (w.cols() * cols + 2 * w.rows() * cols) as u64
+                    }
+                    (Step::Relu { n }, StepData::None) => match backend {
+                        PiBackend::Delphi => MaskedOp::Relu.expanded_bytes(*n),
+                        // One comparison stage: its bit triples packed,
+                        // two Beaver triple sets of 48 B per element.
+                        PiBackend::Cheetah => {
+                            (6 * n * drelu_bit_triples(63)).div_ceil(8) as u64 + 2 * 48 * *n as u64
+                        }
+                    },
+                    (other, _) => unreachable!("tiny_core has no {other:?} step"),
+                })
+                .sum();
+            assert_eq!(
+                core.deal(7, Halves::Both).unwrap().counts.expanded_bytes,
+                want,
+                "{backend:?}"
             );
         }
     }

@@ -26,11 +26,13 @@ pub struct OpCounts {
     /// garbling scheme (no table, no hash), tracked to make the
     /// zero-cost term visible in cost reports.
     pub xor_gates: u64,
-    /// Base OTs dealt per inference (one KAPPA-sized set per session —
-    /// the setup the IKNP extension amortises).
+    /// Base OTs the real offline phase runs per inference (one κ = 128
+    /// set, the setup its OT extension amortises). A modelled price the
+    /// cost model charges; the dealer draws no base OT.
     pub base_ots: u64,
-    /// Label transfers carried by the session's OT extension (offline
-    /// for GC backends: the evaluator's masked-input labels).
+    /// Label transfers the real offline phase would carry by OT
+    /// extension (GC backends: the evaluator's masked-input labels). A
+    /// modelled price; the dealer deals the labels directly.
     pub ext_ots: u64,
     /// Bytes of the compact [`DealtSeed`](c2pi_mpc::dealer::DealtSeed)
     /// artifacts actually shipped by the seed-compressed dealer.
@@ -62,11 +64,12 @@ pub struct PreprocessLedger {
     pub available: u64,
     /// Wall-clock seconds spent generating material (both kinds).
     pub generation_seconds: f64,
-    /// Base OTs dealt across all generated material (KAPPA per set for
-    /// extension-based backends).
+    /// Base OTs the real offline phase would run across all generated
+    /// material (128 per set) — a modelled price, not a dealer draw.
     pub base_ots: u64,
-    /// Labels transferred through the offline OT extension across all
-    /// generated material.
+    /// Labels the real offline phase would transfer by OT extension
+    /// across all generated material — a modelled price, not a dealer
+    /// draw.
     pub extended_ots: u64,
     /// Bytes of compact dealt-seed artifacts shipped across all
     /// generated material (the seed-compressed dealing cost).

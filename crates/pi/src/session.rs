@@ -8,7 +8,7 @@
 //!
 //! * **offline** — [`PiSession::preprocess`] runs the trusted dealer to
 //!   generate correlated randomness (masked-linear correlations, Beaver
-//!   and bit triples, base OTs for garbling) for `n` *future* inferences,
+//!   and bit triples, pre-garbled circuits) for `n` *future* inferences,
 //!   input-independently;
 //! * **online** — [`PiSession::infer`] / [`PiSession::infer_batch`]
 //!   consume one pooled material set per input and only pay the cheap

@@ -141,95 +141,65 @@ fn delphi_and_cheetah_sessions_agree_on_the_same_batch() {
     }
 }
 
-#[test]
-fn offline_garbled_relu_is_bit_identical_to_the_lockstep_gc_path() {
-    // The offline-garbling refactor moved Delphi's garbling, tables and
-    // label transfer into preprocessing; the *function* computed online
-    // must be exactly the one the pre-refactor lockstep protocol
-    // (`gc_relu_garbler`/`gc_relu_evaluator`, garbling online with OT)
-    // computes. ReLU over the ring is exact, so the reconstructed
-    // outputs must agree bit for bit on every input, including the
-    // negative/zero boundary.
-    use c2pi_suite::mpc::dealer::Dealer;
-    use c2pi_suite::mpc::gcpre::{pre_gc_evaluator, pre_gc_garbler, pregarble, MaskedOp};
-    use c2pi_suite::mpc::ot::KAPPA;
+/// Runs one pre-garbled `op` layer on shares of `secret` (one δ/label
+/// round trip online) and returns the reconstructed outputs and the
+/// layer's flight count.
+fn pre_garbled_layer(
+    op: c2pi_suite::mpc::gcpre::MaskedOp,
+    secret: &[u64],
+    seed: u64,
+    par_band: usize,
+) -> (Vec<u64>, u64) {
+    use c2pi_suite::mpc::gcpre::{pre_gc_evaluator, pre_gc_garbler, pregarble};
     use c2pi_suite::mpc::prg::Prg;
-    use c2pi_suite::mpc::relu::{gc_relu_evaluator, gc_relu_garbler};
     use c2pi_suite::mpc::share::{reconstruct, share_secret};
     use c2pi_suite::transport::channel_pair;
 
-    let fp = c2pi_suite::mpc::FixedPoint::default();
-    let values = [-7.5f32, -1.0, -0.001, 0.0, 0.001, 0.25, 3.0, 100.0];
-    let secret: Vec<u64> = values.iter().map(|&v| fp.encode(v)).collect();
-    let mut prg = Prg::from_u64(901);
-    let (x0, x1) = share_secret(&secret, &mut prg);
-
-    // Pre-refactor lockstep path: garble + transfer + OT online.
-    let mut dealer = Dealer::new(902);
-    let (snd_base, rcv_base) = dealer.base_ots(KAPPA);
-    let (client, server, _) = channel_pair();
-    let x1_lockstep = x1.clone();
-    let t = std::thread::spawn(move || {
-        let mut gprg = Prg::from_u64(903);
-        gc_relu_garbler(&server, &x1_lockstep, &snd_base, &mut gprg).unwrap()
-    });
-    let y0 = gc_relu_evaluator(&client, &x0, &rcv_base).unwrap();
-    let y1 = t.join().unwrap();
-    let lockstep = reconstruct(&y0, &y1);
-
-    // Offline-garbled path: one δ/label round trip online.
-    let mut gprg = Prg::from_u64(904);
-    let (cmat, smat) = pregarble(MaskedOp::Relu, values.len(), &mut gprg, 4);
+    let mut prg = Prg::from_u64(seed);
+    let (x0, x1) = share_secret(secret, &mut prg);
+    let (cmat, smat) = pregarble(op, secret.len() / op.in_elems(), &mut prg, par_band);
     let (client, server, counter) = channel_pair();
     let t = std::thread::spawn(move || pre_gc_garbler(&server, &smat, &x1).unwrap());
-    let y0 = pre_gc_evaluator(&client, &cmat, &x0, 4).unwrap();
+    let y0 = pre_gc_evaluator(&client, &cmat, &x0, par_band).unwrap();
     let y1 = t.join().unwrap();
-    let offline = reconstruct(&y0, &y1);
-
-    assert_eq!(lockstep, offline, "offline-garbled ReLU diverges from the lockstep path");
-    // And the online phase is exactly one round trip.
-    assert_eq!(counter.snapshot().flights, 2);
+    (reconstruct(&y0, &y1), counter.snapshot().flights)
 }
 
 #[test]
-fn offline_garbled_maxpool_is_bit_identical_to_the_lockstep_gc_path() {
-    use c2pi_suite::mpc::dealer::Dealer;
-    use c2pi_suite::mpc::gcpre::{pre_gc_evaluator, pre_gc_garbler, pregarble, MaskedOp};
-    use c2pi_suite::mpc::ot::KAPPA;
-    use c2pi_suite::mpc::prg::Prg;
-    use c2pi_suite::mpc::relu::{gc_maxpool4_evaluator, gc_maxpool4_garbler};
-    use c2pi_suite::mpc::share::{reconstruct, share_secret};
-    use c2pi_suite::transport::channel_pair;
+fn offline_garbled_relu_reconstructs_the_ring_relu_of_the_secret() {
+    // Delphi garbles its ReLU offline; online, the two shares must
+    // reconstruct exactly the ring ReLU of the secret (negative in
+    // two's complement → 0, else unchanged) on every input, including
+    // the negative/zero boundary and the ring's extremes.
+    use c2pi_suite::mpc::gcpre::MaskedOp;
 
     let fp = c2pi_suite::mpc::FixedPoint::default();
-    // Three windows of four values each.
-    let values = vec![1.0f32, -2.0, 0.5, 0.75, -1.0, -2.0, -3.0, -0.25, 4.0, 4.0, -4.0, 0.0];
+    let values = [-7.5f32, -1.0, -0.001, 0.0, 0.001, 0.25, 3.0, 100.0];
+    let mut secret: Vec<u64> = values.iter().map(|&v| fp.encode(v)).collect();
+    secret.extend([u64::MAX, 1, i64::MIN as u64, i64::MAX as u64]);
+    let (y, flights) = pre_garbled_layer(MaskedOp::Relu, &secret, 901, 4);
+    let ring_relu: Vec<u64> = secret.iter().map(|&x| if (x as i64) < 0 { 0 } else { x }).collect();
+    assert_eq!(y, ring_relu, "offline-garbled ReLU diverges from the ring ReLU");
+    // And the online phase is exactly one round trip.
+    assert_eq!(flights, 2);
+}
+
+#[test]
+fn offline_garbled_maxpool_reconstructs_the_signed_max_of_each_window() {
+    use c2pi_suite::mpc::gcpre::MaskedOp;
+
+    let fp = c2pi_suite::mpc::FixedPoint::default();
+    // Three windows of four values each: a positive max, an all-negative
+    // window, and a tie.
+    let values = [1.0f32, -2.0, 0.5, 0.75, -1.0, -2.0, -3.0, -0.25, 4.0, 4.0, -4.0, 0.0];
     let secret: Vec<u64> = values.iter().map(|&v| fp.encode(v)).collect();
-    let mut prg = Prg::from_u64(911);
-    let (x0, x1) = share_secret(&secret, &mut prg);
-
-    let mut dealer = Dealer::new(912);
-    let (snd_base, rcv_base) = dealer.base_ots(KAPPA);
-    let (client, server, _) = channel_pair();
-    let x1_lockstep = x1.clone();
-    let t = std::thread::spawn(move || {
-        let mut gprg = Prg::from_u64(913);
-        gc_maxpool4_garbler(&server, &x1_lockstep, &snd_base, &mut gprg).unwrap()
-    });
-    let y0 = gc_maxpool4_evaluator(&client, &x0, &rcv_base).unwrap();
-    let y1 = t.join().unwrap();
-    let lockstep = reconstruct(&y0, &y1);
-
-    let mut gprg = Prg::from_u64(914);
-    let (cmat, smat) = pregarble(MaskedOp::Maxpool4, values.len() / 4, &mut gprg, 2);
-    let (client, server, counter) = channel_pair();
-    let t = std::thread::spawn(move || pre_gc_garbler(&server, &smat, &x1).unwrap());
-    let y0 = pre_gc_evaluator(&client, &cmat, &x0, 2).unwrap();
-    let y1 = t.join().unwrap();
-    let offline = reconstruct(&y0, &y1);
-
-    assert_eq!(lockstep, offline, "offline-garbled maxpool diverges from the lockstep path");
-    assert_eq!(counter.snapshot().flights, 2);
+    let (y, flights) = pre_garbled_layer(MaskedOp::Maxpool4, &secret, 911, 2);
+    let signed_max: Vec<u64> = secret
+        .chunks_exact(4)
+        .map(|w| w.iter().map(|&x| x as i64).max().expect("four values") as u64)
+        .collect();
+    assert_eq!(y, signed_max, "offline-garbled maxpool diverges from the 4-way signed max");
+    assert_eq!(flights, 2);
 }
 
 #[test]
@@ -299,10 +269,10 @@ fn serving_transcripts_match_their_goldens_at_every_entry_point() {
     // (each consumes the first sets of the same seed stream). The
     // dealt entry points count the `DealtSeed` frame; `infer` has none.
     // The share folds also pin the dealt function `seed → material`
-    // (`DealtSeed` v3: a multiplication's output shares are a function
+    // (`DealtSeed` v4: a multiplication's output shares are a function
     // of its Beaver triple, and where that triple sits in the stream
-    // depends on how much keystream the bit triples before it drew);
-    // bytes and flights are protocol facts and survive any re-draw.
+    // depends on every draw before it); bytes and flights are protocol
+    // facts and survive any re-draw.
     use c2pi_suite::pi::PiSession;
     use c2pi_suite::transport::channel_pair;
 
@@ -322,19 +292,19 @@ fn serving_transcripts_match_their_goldens_at_every_entry_point() {
         (
             PiBackend::Cheetah,
             [
-                (0x47a6_e7a5_7fd1_fcb5, 31_580, 26_460, 72),
-                (0x47a6_e7a5_7fd1_fcb5, 31_580, 26_497, 73),
-                (0x47a6_e7a5_7fd1_fcb5, 31_580, 26_497, 73),
-                (0x9890_722c_e79a_dc06, 31_580, 26_497, 73),
+                (0x5f0e_d5f8_4850_fabd, 31_580, 26_460, 72),
+                (0x5f0e_d5f8_4850_fabd, 31_580, 26_497, 73),
+                (0x5f0e_d5f8_4850_fabd, 31_580, 26_497, 73),
+                (0xdcc1_774e_234f_0ba3, 31_580, 26_497, 73),
             ],
         ),
         (
             PiBackend::Delphi,
             [
-                (0xe3bf_0c22_838e_16d1, 8_192, 393_216, 4),
-                (0xe3bf_0c22_838e_16d1, 8_192, 393_253, 5),
-                (0xe3bf_0c22_838e_16d1, 8_192, 393_253, 5),
-                (0x02cd_b0ba_1481_c733, 8_192, 393_253, 5),
+                (0x157a_8eec_0455_dff4, 8_192, 393_216, 4),
+                (0x157a_8eec_0455_dff4, 8_192, 393_253, 5),
+                (0x157a_8eec_0455_dff4, 8_192, 393_253, 5),
+                (0xc62b_243d_98da_cb70, 8_192, 393_253, 5),
             ],
         ),
     ];
