@@ -1,16 +1,17 @@
-//! Microbenchmark: garbling and evaluating the masked-ReLU circuit
-//! (Delphi's per-ReLU cost driver), and the offline garbling kernel
+//! Microbenchmark: garbling and evaluating the ReLU circuit (Delphi's
+//! per-ReLU cost driver), and the offline garbling kernel
 //! `pregarble_for` at the serving split's layer sizes.
 //!
 //! The `pregarble/*` rows time one layer-sized call — the calls the
 //! split's offline set makes, cut into bands as serving cuts them — and
 //! report it **per 1 000 of the layer's AND gates**, so the µs column
-//! reads as ns per AND — the number to tune the garbling walk against
-//! (`server` draws labels and never walks; its row is the floor the
-//! draws set).
+//! reads as ns per AND — the number to tune the garbling walk against.
+//! The output projection's two hashes per output wire are inside the
+//! call, so they count towards each AND's share (`server` draws labels
+//! and never walks; its row is the floor the draws set).
 
 use c2pi_mpc::dealer::Halves;
-use c2pi_mpc::gc::{evaluate, garble_open, relu_masked_circuit, select_labels, to_bits};
+use c2pi_mpc::gc::{evaluate, garble_open, relu_circuit, select_labels, to_bits};
 use c2pi_mpc::gcpre::{pregarble_for, MaskedOp};
 use c2pi_mpc::prg::Prg;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -20,12 +21,8 @@ fn bench_garbling(c: &mut Criterion) {
     let mut group = c.benchmark_group("gc_relu");
     group.sample_size(10).measurement_time(std::time::Duration::from_secs(8));
     for &n in &[8usize, 32] {
-        let circuit = relu_masked_circuit(n, 64);
-        let mut gbits = Vec::new();
-        for i in 0..n {
-            gbits.extend(to_bits(i as u64, 64));
-            gbits.extend(to_bits((i as u64).wrapping_neg(), 64));
-        }
+        let circuit = relu_circuit(n, 64);
+        let gbits: Vec<bool> = (0..n).flat_map(|i| to_bits(i as u64, 64)).collect();
         group.bench_with_input(BenchmarkId::new("garble", n), &n, |bench, _| {
             bench.iter(|| garble_open(&circuit, &mut Prg::from_u64(1)))
         });
@@ -43,7 +40,7 @@ fn bench_garbling(c: &mut Criterion) {
 }
 
 fn bench_pregarble(c: &mut Criterion) {
-    // The serving split's garbled layers in order (553 952 ANDs a set),
+    // The serving split's garbled layers in order (424 416 ANDs a set),
     // at the largest band `PiConfig::default().gc_chunk`.
     const BAND: usize = 1024;
     let mut group = c.benchmark_group("pregarble");

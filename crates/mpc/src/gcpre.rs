@@ -5,7 +5,7 @@
 //! The trick (Mishra et al., USENIX Security 2020) is to make the
 //! *evaluator's* circuit input a value that exists before the input
 //! does. During preprocessing the dealer samples a uniform mask `m` per
-//! input element and an output mask `r` per item, garbles the masked
+//! input element and an output mask `r` per item, garbles the unit
 //! circuit (the walk behind [`crate::gc::garble_open`]) and fixes
 //! everything that is already known:
 //!
@@ -13,8 +13,12 @@
 //!   dealer these are dealt directly; a real deployment transfers them
 //!   by OT extension, whose traffic the engine charges to the offline
 //!   phase as a modelled price — no OT runs here);
-//! * the garbler's active labels for the output-mask input `−r`;
-//! * the AND tables and output-decode bits, handed to the evaluator.
+//! * the AND tables, handed to the evaluator;
+//! * the *arithmetic output projection*: one word `T_j` per output wire
+//!   and one offset `U` per item (`gc::garble_projection`), with which
+//!   the evaluator reads `f(x) − r` straight off its output labels. `r`
+//!   enters only through `U = −r − Σ_j dec(W⁰_j)`, not as a circuit
+//!   input.
 //!
 //! Only the garbler's *value-dependent* input wires stay open: their
 //! label **pairs** go into the garbler's half. Online, per layer:
@@ -23,8 +27,9 @@
 //! 2. garbler → evaluator: the active labels for `g = x₁ + δ = x − m`
 //!    (one frame, 16 bytes/label) — selecting labels is an XOR, the
 //!    garbler does no cryptographic work;
-//! 3. the evaluator evaluates every item and decodes its output share
-//!    `f(x) − r`; the garbler's share is `r`. Items are cut into one
+//! 3. the evaluator evaluates every item and projects its output labels
+//!    onto its share `U + Σ_j dec(W_j) = f(x) − r`; the garbler's share
+//!    is `r`. Items are cut into one
 //!    band per core (`band_for`: whole lock-step groups, at most
 //!    `par_band` items, at least `MIN_BAND`): the calling thread works a
 //!    band and helper threads take the rest, so a 1 024-item layer runs
@@ -41,12 +46,17 @@
 //! (`gc::garble_lanes`, four eight-lane hash batches per AND) and a
 //! one-item tail on the same function. Each lane draws from its own
 //! item's seed, and the walk writes tables straight into the band's
-//! slice of the layer's arrays; labels and decode bits are read out of
-//! the wire buffer afterwards. No per-item artifact exists in between.
+//! slice of the layer's arrays; the projection (two eight-lane hash
+//! batches per output wire) writes its words beside them, and the labels
+//! are read out of the wire buffer afterwards. No per-item artifact
+//! exists in between.
 //!
 //! `δ` is uniform (masked by `m`) and the labels reveal exactly one
 //! circuit path, so the online messages leak nothing beyond the
-//! standard garbled-circuit guarantees. One round trip per layer, total.
+//! standard garbled-circuit guarantees. The projection words hide the
+//! inactive label's hash under the same circular correlation robustness
+//! half-gates relies on, and `U` is masked by the uniform `r` (DESIGN.md
+//! §9). One round trip per layer, total.
 //!
 //! Items (one ReLU element, one 4-way max window) are garbled and
 //! evaluated **independently** against the process-wide unit circuits
@@ -79,8 +89,8 @@
 
 use crate::dealer::Halves;
 use crate::gc::{
-    decode_lane, eval_lanes, garble_lanes, lane, load_lane, maxpool4_unit_circuit,
-    relu_unit_circuit, Circuit, UNIT_BITS,
+    eval_lanes, eval_projection, garble_lanes, garble_projection, lane, load_lane,
+    maxpool4_unit_circuit, relu_unit_circuit, Circuit, UNIT_BITS,
 };
 use crate::prg::Prg;
 use crate::share::ShareVec;
@@ -100,7 +110,8 @@ pub enum MaskedOp {
 }
 
 impl MaskedOp {
-    /// The cached single-item circuit topology.
+    /// The cached single-item circuit topology: the function itself, on
+    /// additive input shares. The `− r` is the projection's, not a gate.
     pub fn unit_circuit(&self) -> &'static Circuit {
         match self {
             MaskedOp::Relu => relu_unit_circuit(),
@@ -128,6 +139,13 @@ impl MaskedOp {
         self.unit_circuit().xor_count()
     }
 
+    /// 64-bit words of arithmetic output projection per item: one `T_j`
+    /// per output wire (63 for a ReLU, whose top bit is always 0; 64 for
+    /// a max) plus the item's offset `U`.
+    pub fn proj_words_per_item(&self) -> usize {
+        self.unit_circuit().output_count() + 1
+    }
+
     /// Bytes a garbling of `items` occupies expanded, **both halves** —
     /// [`PreGarbledClient::expanded_bytes`] plus
     /// [`PreGarbledServer::expanded_bytes`] as arithmetic on the shape,
@@ -138,17 +156,15 @@ impl MaskedOp {
         let client = 8 * items * self.in_elems()
             + items * self.ands_per_item() * crate::gc::AND_TABLE_BYTES
             + labels
-            + 16 * items * UNIT_BITS
-            + (items * UNIT_BITS).div_ceil(8);
+            + 8 * items * self.proj_words_per_item();
         let server = labels + 16 * items + 8 * items;
         (client + server) as u64
     }
 }
 
 /// The evaluator's (client's) half of an offline-garbled batch: its
-/// input masks, the tables, its active input labels, the garbler's
-/// already-fixed output-mask labels and the decode bits. Everything in
-/// here is input-independent.
+/// input masks, the tables, its active input labels and the arithmetic
+/// output projection. Everything in here is input-independent.
 #[derive(Debug, Clone)]
 pub struct PreGarbledClient {
     op: MaskedOp,
@@ -158,10 +174,10 @@ pub struct PreGarbledClient {
     tables: Vec<[u128; 2]>,
     /// Active evaluator labels for the bits of `m`, item-major.
     eval_labels: Vec<u128>,
-    /// Active garbler labels for the `−r` output-mask inputs.
-    fixed_labels: Vec<u128>,
-    /// Output permute bits.
-    decode: Vec<bool>,
+    /// Projection words `T_j`, one per output wire, item-major.
+    proj: Vec<u64>,
+    /// Each item's projection offset `U = −r − Σ_j dec(W⁰_j)`.
+    proj_base: Vec<u64>,
 }
 
 /// The garbler's (server's) half: Δ-compressed labels for its
@@ -189,7 +205,7 @@ impl PreGarbledClient {
 
     /// Number of items in the batch.
     pub fn items(&self) -> usize {
-        self.decode.len() / UNIT_BITS
+        self.proj_base.len()
     }
 
     /// Number of input ring elements (`items × in_elems`).
@@ -203,8 +219,7 @@ impl PreGarbledClient {
         (self.masks.len() * 8
             + self.tables.len() * 32
             + self.eval_labels.len() * 16
-            + self.fixed_labels.len() * 16
-            + self.decode.len().div_ceil(8)) as u64
+            + (self.proj.len() + self.proj_base.len()) * 8) as u64
     }
 }
 
@@ -270,12 +285,12 @@ struct Band<'a> {
     out_share: &'a [u64],
     tables: &'a mut [[u128; 2]],
     eval_labels: &'a mut [u128],
-    fixed_labels: &'a mut [u128],
-    decode: &'a mut [bool],
+    proj: &'a mut [u64],
+    proj_base: &'a mut [u64],
     server: Option<(&'a mut [u128], &'a mut [u128])>,
 }
 
-/// Garbles `items` instances of `op`'s masked unit circuit with fresh
+/// Garbles `items` instances of `op`'s unit circuit with fresh
 /// input masks and output shares, fanning the per-item garbling out in
 /// one band per core of at most `par_band` items. The result is a pure
 /// function of the `prg` state — the band size only controls
@@ -294,7 +309,7 @@ pub fn pregarble(
 /// bit-identical to the same half of the two-sided garbling, and `prg`
 /// ends at the same position whichever halves were asked for.
 ///
-/// The client half *is* the garbling — tables, decode bits and the
+/// The client half *is* the garbling — tables, projection and the
 /// evaluator's labels all come out of the gate walk — so
 /// [`Halves::Client`] runs that walk and merely never stores Δ or the
 /// garbler's zero labels. The server half depends on no gate at all:
@@ -332,12 +347,12 @@ pub fn pregarble_for(
         }
         return (None, Some(PreGarbledServer { op, labels0, deltas, out_share }));
     }
-    let ands = op.ands_per_item();
+    let (ands, outs) = (op.ands_per_item(), op.unit_circuit().output_count());
     let band = band_for(items, par_band, rayon::current_num_threads());
     let mut tables = vec![[0u128; 2]; items * ands];
     let mut eval_labels = vec![0u128; inputs * UNIT_BITS];
-    let mut fixed_labels = vec![0u128; items * UNIT_BITS];
-    let mut decode = vec![false; items * UNIT_BITS];
+    let mut proj = vec![0u64; items * outs];
+    let mut proj_base = vec![0u64; items];
     let mut server = halves.server().then(|| (vec![0u128; inputs * UNIT_BITS], vec![0u128; items]));
     let mut server_bands = server.as_mut().map(|(labels0, deltas)| {
         labels0.chunks_mut(band * online_wires).zip(deltas.chunks_mut(band))
@@ -345,10 +360,10 @@ pub fn pregarble_for(
     let mut bands: Vec<Band<'_>> = tables
         .chunks_mut(band * ands)
         .zip(eval_labels.chunks_mut(band * online_wires))
-        .zip(fixed_labels.chunks_mut(band * UNIT_BITS))
-        .zip(decode.chunks_mut(band * UNIT_BITS))
+        .zip(proj.chunks_mut(band * outs))
+        .zip(proj_base.chunks_mut(band))
         .enumerate()
-        .map(|(bi, (((tables, eval_labels), fixed_labels), decode))| {
+        .map(|(bi, (((tables, eval_labels), proj), proj_base))| {
             let (first, end) = (bi * band, items.min((bi + 1) * band));
             Band {
                 seeds: &seeds[first..end],
@@ -356,8 +371,8 @@ pub fn pregarble_for(
                 out_share: &out_share[first..end],
                 tables,
                 eval_labels,
-                fixed_labels,
-                decode,
+                proj,
+                proj_base,
                 server: server_bands.as_mut().and_then(Iterator::next),
             }
         })
@@ -380,7 +395,7 @@ pub fn pregarble_for(
             at += 1;
         }
     });
-    let client = PreGarbledClient { op, masks, tables, eval_labels, fixed_labels, decode };
+    let client = PreGarbledClient { op, masks, tables, eval_labels, proj, proj_base };
     let server =
         server.map(|(labels0, deltas)| PreGarbledServer { op, labels0, deltas, out_share });
     (Some(client), server)
@@ -392,11 +407,12 @@ fn select(l0: u128, delta: u128, v: u64, bit: usize) -> u128 {
 }
 
 /// Garbles items `at .. at + K` of `band` in lock step
-/// ([`garble_lanes`]) straight into the band's output slices, with `zero`
-/// as the (resized-once) wire buffer: tables land where the walk writes
-/// them, and each lane's mask-selected evaluator labels, `−r` labels,
-/// decode bits and — when the band keeps the server half — Δ and online
-/// zero labels are read out of the wire buffer afterwards.
+/// ([`garble_lanes`], then [`garble_projection`]) straight into the
+/// band's output slices, with `zero` as the (resized-once) wire buffer:
+/// tables and projection words land where the walks write them, and each
+/// lane's projection offset, mask-selected evaluator labels and — when
+/// the band keeps the server half — Δ and online zero labels are read
+/// out of the wire buffer afterwards.
 fn garble_group<const K: usize>(
     op: MaskedOp,
     band: &mut Band<'_>,
@@ -404,34 +420,29 @@ fn garble_group<const K: usize>(
     zero: &mut Vec<[u128; K]>,
 ) {
     let circuit = op.unit_circuit();
-    let (ands, in_elems) = (op.ands_per_item(), op.in_elems());
+    let (ands, outs, in_elems) = (op.ands_per_item(), circuit.output_count(), op.in_elems());
     let online_wires = in_elems * UNIT_BITS;
     zero.resize(circuit.wire_count(), [0; K]);
     let mut prgs: [Prg; K] = from_fn(|k| Prg::from_seed(band.seeds[at + k]));
     let mut tables = band.tables[at * ands..(at + K) * ands].chunks_exact_mut(ands);
     let tables = from_fn(|_| tables.next().expect("K items of tables in the band"));
     let deltas = garble_lanes(circuit, prgs.each_mut(), tables, zero);
-    // The garbler's inputs are its online wires, then the `−r` wires.
-    let (online_in, fixed_in) = circuit.garbler_inputs().split_at(online_wires);
+    let mut words = band.proj[at * outs..(at + K) * outs].chunks_exact_mut(outs);
+    let words = from_fn(|_| words.next().expect("K items of projection words in the band"));
+    let outputs = circuit.outputs().iter().map(|&w| zero[w]);
+    let zero_points = garble_projection(outputs, deltas, words);
     for (k, &delta) in deltas.iter().enumerate() {
         let i = at + k;
         let online = i * online_wires..(i + 1) * online_wires;
-        let unit = i * UNIT_BITS..(i + 1) * UNIT_BITS;
+        band.proj_base[i] = band.out_share[i].wrapping_neg().wrapping_sub(zero_points[k]);
         let masks = &band.masks[i * in_elems..(i + 1) * in_elems];
         let zeros = lane(circuit.evaluator_inputs(), zero, k).enumerate();
         for (slot, (w, l0)) in band.eval_labels[online.clone()].iter_mut().zip(zeros) {
             *slot = select(l0, delta, masks[w / UNIT_BITS], w % UNIT_BITS);
         }
-        let neg_r = band.out_share[i].wrapping_neg();
-        let zeros = lane(fixed_in, zero, k).enumerate();
-        for (slot, (bit, l0)) in band.fixed_labels[unit.clone()].iter_mut().zip(zeros) {
-            *slot = select(l0, delta, neg_r, bit);
-        }
-        for (slot, l0) in band.decode[unit].iter_mut().zip(lane(circuit.outputs(), zero, k)) {
-            *slot = l0 & 1 == 1;
-        }
         if let Some((labels0, deltas)) = band.server.as_mut() {
-            for (slot, l0) in labels0[online].iter_mut().zip(lane(online_in, zero, k)) {
+            let zeros = lane(circuit.garbler_inputs(), zero, k);
+            for (slot, l0) in labels0[online].iter_mut().zip(zeros) {
                 *slot = l0;
             }
             deltas[i] = delta;
@@ -587,7 +598,7 @@ pub fn eval_pregarbled(
     if garbler_labels.len() != items * in_elems * UNIT_BITS
         || mat.tables.len() != items * ands
         || mat.eval_labels.len() != items * in_elems * UNIT_BITS
-        || mat.fixed_labels.len() != items * UNIT_BITS
+        || mat.proj.len() != items * mat.op.unit_circuit().output_count()
     {
         return Err(MpcError::Protocol("pre-garbled artifact counts disagree".into()));
     }
@@ -632,9 +643,9 @@ fn band_for(items: usize, par_band: usize, threads: usize) -> usize {
     items.div_ceil(bands).next_multiple_of(LANES).min(par_band).max(1)
 }
 
-/// Evaluates items `first .. first + K` of `mat` in lock step into
-/// `out`, with `label` as the (resized-once) wire buffer. Counts were
-/// validated by the caller.
+/// Evaluates items `first .. first + K` of `mat` in lock step
+/// ([`eval_lanes`], then [`eval_projection`]) into `out`, with `label` as
+/// the (resized-once) wire buffer. Counts were validated by the caller.
 fn eval_group<const K: usize>(
     mat: &PreGarbledClient,
     garbler_labels: &[u128],
@@ -644,27 +655,18 @@ fn eval_group<const K: usize>(
 ) {
     let circuit = mat.op.unit_circuit();
     let online_wires = mat.op.in_elems() * UNIT_BITS;
-    let ands = mat.op.ands_per_item();
+    let (ands, outs) = (mat.op.ands_per_item(), circuit.output_count());
     label.resize(circuit.wire_count(), [0; K]);
     for k in 0..K {
-        let i = first + k;
-        let online = i * online_wires..(i + 1) * online_wires;
-        let fixed = &mat.fixed_labels[i * UNIT_BITS..(i + 1) * UNIT_BITS];
-        load_lane(
-            circuit,
-            label,
-            k,
-            garbler_labels[online.clone()].iter().chain(fixed),
-            &mat.eval_labels[online],
-        );
+        let online = (first + k) * online_wires..(first + k + 1) * online_wires;
+        load_lane(circuit, label, k, &garbler_labels[online.clone()], &mat.eval_labels[online]);
     }
     let tables = from_fn(|k| &mat.tables[(first + k) * ands..(first + k + 1) * ands]);
     eval_lanes(circuit, tables, label);
+    let words = from_fn(|k| &mat.proj[(first + k) * outs..(first + k + 1) * outs]);
+    let sums = eval_projection(circuit.outputs().iter().map(|&w| label[w]), words);
     for (k, slot) in out.iter_mut().enumerate() {
-        let decode = &mat.decode[(first + k) * UNIT_BITS..(first + k + 1) * UNIT_BITS];
-        *slot = decode_lane(circuit, label, k, decode)
-            .enumerate()
-            .fold(0, |acc, (bit, b)| acc | (b as u64) << bit);
+        *slot = mat.proj_base[first + k].wrapping_add(sums[k]);
     }
 }
 
@@ -672,7 +674,7 @@ fn eval_group<const K: usize>(
 mod tests {
     use super::*;
     use crate::fixed::FixedPoint;
-    use crate::gc::{evaluate, from_bits, garble_open, select_labels, to_bits};
+    use crate::gc::{from_bits, garble_open, select_labels, to_bits};
     use crate::share::{reconstruct, share_secret};
     use c2pi_transport::channel_pair;
 
@@ -696,14 +698,15 @@ mod tests {
     }
 
     /// The reference the lane walk is held to: the same layer garbled
-    /// one item at a time, each a lone `garble_open` on its own seed,
-    /// with every field of both halves assembled from the open garbling.
+    /// one item at a time, each a lone `garble_open` and a `K = 1`
+    /// projection on its own seed, with every field of both halves
+    /// assembled from the open garbling.
     fn pregarble_per_item(
         op: MaskedOp,
         items: usize,
         prg: &mut Prg,
     ) -> (PreGarbledClient, PreGarbledServer) {
-        let (in_elems, wires) = (op.in_elems(), op.in_elems() * UNIT_BITS);
+        let in_elems = op.in_elems();
         let masks = prg.next_u64s(items * in_elems);
         let out_share = prg.next_u64s(items);
         let mut client = PreGarbledClient {
@@ -711,8 +714,8 @@ mod tests {
             masks,
             tables: Vec::new(),
             eval_labels: Vec::new(),
-            fixed_labels: Vec::new(),
-            decode: Vec::new(),
+            proj: Vec::new(),
+            proj_base: Vec::new(),
         };
         let mut server =
             PreGarbledServer { op, labels0: Vec::new(), deltas: Vec::new(), out_share };
@@ -722,15 +725,37 @@ mod tests {
                 .iter()
                 .flat_map(|&m| to_bits(m, UNIT_BITS))
                 .collect();
-            let neg_r = to_bits(server.out_share[i].wrapping_neg(), UNIT_BITS);
+            let mut words = vec![0u64; open.output_zero.len()];
+            let outputs = open.output_zero.iter().map(|&l| [l]);
+            let [zero_point] = garble_projection(outputs, [open.delta], [&mut words]);
             client.eval_labels.extend(select_labels(&open.evaluator_label_pairs, &m_bits));
-            client.fixed_labels.extend(select_labels(&open.garbler_label_pairs[wires..], &neg_r));
             client.tables.extend(open.tables);
-            client.decode.extend(open.output_decode);
-            server.labels0.extend(open.garbler_label_pairs[..wires].iter().map(|p| p.0));
+            client.proj.extend(words);
+            client.proj_base.push(server.out_share[i].wrapping_neg().wrapping_sub(zero_point));
+            server.labels0.extend(open.garbler_label_pairs.iter().map(|p| p.0));
             server.deltas.push(open.delta);
         }
         (client, server)
+    }
+
+    /// Item `i` of `mat` evaluated alone: the `K = 1` walk and the `K = 1`
+    /// projection on the item's own slices.
+    fn eval_item(mat: &PreGarbledClient, garbler_labels: &[u128], i: usize) -> u64 {
+        let circuit = mat.op.unit_circuit();
+        let (ands, outs) = (mat.op.ands_per_item(), circuit.output_count());
+        let online = i * mat.op.in_elems() * UNIT_BITS..(i + 1) * mat.op.in_elems() * UNIT_BITS;
+        let mut label = vec![[0u128; 1]; circuit.wire_count()];
+        load_lane(
+            circuit,
+            &mut label,
+            0,
+            &garbler_labels[online.clone()],
+            &mat.eval_labels[online],
+        );
+        eval_lanes(circuit, [&mat.tables[i * ands..(i + 1) * ands]], &mut label);
+        let outputs = lane(circuit.outputs(), &label, 0).map(|l| [l]);
+        let [sum] = eval_projection(outputs, [&mat.proj[i * outs..(i + 1) * outs]]);
+        mat.proj_base[i].wrapping_add(sum)
     }
 
     fn assert_client_eq(got: &PreGarbledClient, want: &PreGarbledClient, at: &str) {
@@ -738,8 +763,8 @@ mod tests {
         assert_eq!(got.masks, want.masks, "{at}: masks");
         assert_eq!(got.tables, want.tables, "{at}: tables");
         assert_eq!(got.eval_labels, want.eval_labels, "{at}: evaluator labels");
-        assert_eq!(got.fixed_labels, want.fixed_labels, "{at}: −r labels");
-        assert_eq!(got.decode, want.decode, "{at}: decode bits");
+        assert_eq!(got.proj, want.proj, "{at}: projection words");
+        assert_eq!(got.proj_base, want.proj_base, "{at}: projection offsets");
     }
 
     fn assert_server_eq(got: &PreGarbledServer, want: &PreGarbledServer, at: &str) {
@@ -794,15 +819,15 @@ mod tests {
         // circuits. The material first: every band and every `Halves`
         // garbles, item for item, what the item garbles alone. Then three
         // independent routes to every output share: the lock-step walk,
-        // one `evaluate` per item, and the plaintext circuit — which also
-        // pins that the lane-batched garbling hashes produced tables the
-        // evaluator's hash opens. 69 items at the default band (1 024)
+        // one `K = 1` walk and projection per item, and the plaintext
+        // circuit less `r` — which also pins that the lane-batched
+        // garbling hashes produced tables and projection words the
+        // evaluator's hashes open. 69 items at the default band (1 024)
         // are one band per core on a multi-core host, the second band
         // ending in a K = 1 tail.
         const BANDS: [usize; 4] = [1, 3, 8, 1024];
         for op in [MaskedOp::Relu, MaskedOp::Maxpool4] {
             let circuit = op.unit_circuit();
-            let (ands, wires) = (op.ands_per_item(), op.in_elems() * UNIT_BITS);
             for items in [1usize, 7, 8, 9, 23, 69] {
                 let seed = 1000 + items as u64;
                 // Lane k of a group ≡ the item garbled alone, whatever
@@ -834,33 +859,23 @@ mod tests {
                 let mut plain = Vec::new();
                 for i in 0..items {
                     let elems = i * op.in_elems()..(i + 1) * op.in_elems();
-                    let mut garbler = labels[i * wires..(i + 1) * wires].to_vec();
-                    garbler.extend(&cmat.fixed_labels[i * UNIT_BITS..(i + 1) * UNIT_BITS]);
-                    let bits = evaluate(
-                        circuit,
-                        &cmat.tables[i * ands..(i + 1) * ands],
-                        &garbler,
-                        &cmat.eval_labels[i * wires..(i + 1) * wires],
-                        &cmat.decode[i * UNIT_BITS..(i + 1) * UNIT_BITS],
-                    )
-                    .unwrap();
-                    per_item.push(from_bits(&bits));
-                    let r = smat.out_share[i];
-                    let mut g_bits: Vec<bool> =
-                        g[elems.clone()].iter().flat_map(|&v| to_bits(v, UNIT_BITS)).collect();
-                    g_bits.extend(to_bits(r.wrapping_neg(), UNIT_BITS));
-                    let e_bits: Vec<bool> = cmat.masks[elems.clone()]
-                        .iter()
-                        .flat_map(|&m| to_bits(m, UNIT_BITS))
-                        .collect();
-                    plain.push(from_bits(&circuit.eval_plain(&g_bits, &e_bits).unwrap()));
+                    per_item.push(eval_item(&cmat, &labels, i));
+                    let bits = |v: &[u64]| -> Vec<bool> {
+                        v.iter().flat_map(|&v| to_bits(v, UNIT_BITS)).collect()
+                    };
+                    let value = from_bits(
+                        &circuit
+                            .eval_plain(&bits(&g[elems.clone()]), &bits(&cmat.masks[elems.clone()]))
+                            .unwrap(),
+                    );
+                    plain.push(value.wrapping_sub(smat.out_share[i]));
                     // And the plaintext circuit means what it should.
                     let signed = x[elems].iter().map(|&v| v as i64);
                     let want = match op {
                         MaskedOp::Relu => signed.max().unwrap().max(0),
                         MaskedOp::Maxpool4 => signed.max().unwrap(),
                     };
-                    assert_eq!(plain[i].wrapping_add(r), want as u64, "{op:?} item {i}");
+                    assert_eq!(value, want as u64, "{op:?} item {i}");
                 }
                 assert_eq!(per_item, plain, "{op:?} × {items}");
                 for band in BANDS {
@@ -1069,11 +1084,9 @@ mod tests {
         // table term and the server labels.
         let mut prg = Prg::from_u64(37);
         let (cmat, smat) = pregarble(MaskedOp::Relu, 2, &mut prg, 1);
-        let ands = MaskedOp::Relu.ands_per_item();
-        assert_eq!(
-            cmat.expanded_bytes(),
-            (2 * 8 + 2 * ands * 32 + 2 * 64 * 16 + 2 * 64 * 16 + 2 * 8) as u64
-        );
+        // Per item: its mask, 126 tables, 64 labels and 63 + 1 projection
+        // words.
+        assert_eq!(cmat.expanded_bytes(), (2 * 8 + 2 * 126 * 32 + 2 * 64 * 16 + 2 * 64 * 8) as u64);
         assert_eq!(smat.expanded_bytes(), (2 * 64 * 16 + 2 * 16 + 2 * 8) as u64);
         // The shape arithmetic a sided deal reports is the two halves'.
         for (op, items) in [(MaskedOp::Relu, 2), (MaskedOp::Maxpool4, 5)] {
@@ -1088,17 +1101,84 @@ mod tests {
         // Half-gates keeps an AND at two 16-byte rows and an XOR at
         // none; a garbling-scheme or circuit change that moves the
         // dealt table bytes per item (in either direction) must change
-        // these numbers on purpose.
-        assert_eq!(MaskedOp::Relu.ands_per_item(), 192);
-        assert_eq!(MaskedOp::Maxpool4.ands_per_item(), 701);
-        // And the wire buffer a walk keeps hot, after slot reuse (891 and
-        // 3 682 wires, one per gate, before it): eight lanes of 16 B make
-        // these 33 kB and 107 kB. A builder change that bloats them shows
+        // these numbers on purpose. ReLU: the reconstruction adder's 63
+        // and the mux's 63 (bit 63 is 0). Max: four 63-AND adders and
+        // three 127-AND maxes. Neither re-masks: the projection does.
+        assert_eq!(MaskedOp::Relu.ands_per_item(), 126);
+        assert_eq!(MaskedOp::Maxpool4.ands_per_item(), 633);
+        assert_eq!(MaskedOp::Relu.proj_words_per_item(), 64);
+        assert_eq!(MaskedOp::Maxpool4.proj_words_per_item(), 65);
+        // And the wire buffer a walk keeps hot, after slot reuse (506 and
+        // 3 289 wires, one per gate, before it): eight lanes of 16 B make
+        // these 25 kB and 99 kB. A builder change that bloats them shows
         // here before it shows as cache misses.
-        assert_eq!(MaskedOp::Relu.unit_circuit().wire_count(), 259);
-        assert_eq!(MaskedOp::Maxpool4.unit_circuit().wire_count(), 835);
-        assert_eq!(MaskedOp::Relu.ands_per_item() * crate::gc::AND_TABLE_BYTES, 6_144);
-        assert_eq!(MaskedOp::Maxpool4.ands_per_item() * crate::gc::AND_TABLE_BYTES, 22_432);
+        assert_eq!(MaskedOp::Relu.unit_circuit().wire_count(), 194);
+        assert_eq!(MaskedOp::Maxpool4.unit_circuit().wire_count(), 771);
+        assert_eq!(MaskedOp::Relu.ands_per_item() * crate::gc::AND_TABLE_BYTES, 4_032);
+        assert_eq!(MaskedOp::Maxpool4.ands_per_item() * crate::gc::AND_TABLE_BYTES, 20_256);
+    }
+
+    #[test]
+    fn server_half_matches_its_known_answer() {
+        // Captured at the commit before the arithmetic projection landed:
+        // the garbler's half — Δ, the zero labels of its online wires and
+        // its output share `r` — and the layer stream's position after it
+        // did not move when the client half lost its `−r` labels and
+        // decode bits. The online frames and the garbler's share are
+        // functions of exactly these, so they did not move either.
+        type Kat = (MaskedOp, [u128; 2], [u128; 2], [u64; 2], u64);
+        let kats: [Kat; 2] = [
+            (
+                MaskedOp::Relu,
+                [0xbe1c514cd2acda2acd46874979c6357d, 0xff66171ff57ca61df05b793e10bc4dbc],
+                [0x9935c315fb537533ff1ca13f090d651f, 0x1f8831be3fdfae39c5cf516241989a29],
+                [0x8700f53d966b85b2, 0xff853de6669a2ff7],
+                0x203ecb44b4e5113b,
+            ),
+            (
+                MaskedOp::Maxpool4,
+                [0xb98868026d67bc439e437755dc647183, 0x0fe43b55c2bc77c7c0e0389bc511552b],
+                [0xf664982af22d0c57dc7d868f6322e153, 0xff0d5b51585b73c2ce0dc085bc23e9e5],
+                [0x50e53c59de0635f3, 0xda86c0bc11bc21c4],
+                0xc506fa240bd69447,
+            ),
+        ];
+        for (op, labels0, deltas, out_share, next) in kats {
+            for halves in [Halves::Both, Halves::Server] {
+                let mut prg = Prg::from_u64(0xC2B1);
+                let (_, s) = pregarble_for(op, 9, &mut prg, 1024, halves);
+                let s = s.expect("a server half");
+                let at = format!("{op:?}, {halves:?}");
+                assert_eq!([s.labels0[0], s.labels0[s.labels0.len() - 1]], labels0, "{at}");
+                assert_eq!([s.deltas[0], s.deltas[8]], deltas, "{at}");
+                assert_eq!([s.out_share[0], s.out_share[8]], out_share, "{at}");
+                assert_eq!(prg.next_u64(), next, "{at}: stream position");
+            }
+        }
+    }
+
+    #[test]
+    fn projection_words_for_a_constant_input_are_not_constant() {
+        // Besides the labels, what the evaluator holds of an item is its
+        // projection words and offset; for a constant input neither may
+        // be constant across items, nor the share they decode to.
+        let items = 32;
+        let mut prg = Prg::from_u64(43);
+        let (cmat, smat) = pregarble(MaskedOp::Relu, items, &mut prg, 8);
+        let x0 = ShareVec::from_raw(vec![42u64; items]);
+        let g: Vec<u64> =
+            cmat.masks.iter().zip(x0.as_raw()).map(|(&m, &x)| x.wrapping_sub(m)).collect();
+        let y0 = eval_pregarbled(&cmat, &smat.select_garbler_labels(&g).unwrap(), 8).unwrap();
+        let outs = MaskedOp::Relu.proj_words_per_item() - 1;
+        let distinct = |v: Vec<u64>| v.into_iter().collect::<std::collections::HashSet<_>>().len();
+        assert!(distinct(cmat.proj_base.clone()) > 16, "U looks non-uniform");
+        for j in [0, 1, outs / 2, outs - 1] {
+            let column = (0..items).map(|i| cmat.proj[i * outs + j]).collect();
+            assert!(distinct(column) > 16, "T_{j} looks non-uniform");
+        }
+        assert!(distinct(y0.as_raw().to_vec()) > 16, "the client share looks non-uniform");
+        // Reconstructed, the shares still agree on relu(42 + x₁).
+        assert!(y0.as_raw().iter().zip(&smat.out_share).all(|(a, b)| a.wrapping_add(*b) == 42));
     }
 
     #[test]

@@ -299,7 +299,8 @@ pub fn indexed_seed(master: u64, domain: &[u8], index: u64) -> u64 {
 /// what free-XOR half-gates needs, because the evaluator sees hashes of
 /// labels that differ by the secret Δ under tweaks the garbler chose.
 /// The cheaper single-call `π(2x ⊕ t) ⊕ 2x ⊕ t` is not used: it lacks
-/// that property. The tweak is the gate index (two per AND gate), so
+/// that property. The tweak is the gate index (two per AND gate) or,
+/// for an arithmetic output projection, `2⁶³` plus the output index, so
 /// every hash in a garbling is domain separated.
 ///
 /// Both parties of a session expand the same dealt seed and must reach

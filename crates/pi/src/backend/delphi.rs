@@ -22,9 +22,9 @@ use c2pi_mpc::share::ShareVec;
 use c2pi_transport::Channel;
 
 /// Garbles one layer's masked circuits offline and accounts the AND
-/// gates plus the extension-transferred evaluator labels — the layer's,
-/// whichever halves this party keeps. A server-sided call garbles
-/// nothing ([`pregarble_for`]).
+/// gates, the projection words and the extension-transferred evaluator
+/// labels — the layer's, whichever halves this party keeps. A
+/// server-sided call garbles nothing ([`pregarble_for`]).
 pub(super) fn prepare_layer(
     dealer: &mut Dealer,
     op: MaskedOp,
@@ -35,6 +35,7 @@ pub(super) fn prepare_layer(
 ) -> (Option<PreGarbledClient>, Option<PreGarbledServer>) {
     counts.and_gates += (items * op.ands_per_item()) as u64;
     counts.xor_gates += (items * op.xors_per_item()) as u64;
+    counts.proj_words += (items * op.proj_words_per_item()) as u64;
     // A real deployment transfers the evaluator's masked-input labels
     // by OT extension (one transfer per input bit): a modelled price,
     // the labels themselves are dealt.

@@ -62,11 +62,15 @@ impl OnlineCostModel {
     /// `mpc.gcpre.eval_ms ÷ mpc.gcpre.and_gates_per_inf`: 8.7–12.1 ms
     /// over 553 952 ANDs, 16–22 ns, on the fixed-key AES gate hash
     /// evaluated eight items in lock step (two cores at 2.1 GHz, both
-    /// circuits mixed). At 18 ns per AND a ReLU (192 ANDs) is 3.5 µs and
-    /// a 2×2 max window (701 ANDs) 12.6 µs — about two orders of
+    /// circuits mixed). At 18 ns per AND a ReLU (then 192 ANDs) is 3.5 µs
+    /// and a 2×2 max window (then 701 ANDs) 12.6 µs — about two orders of
     /// magnitude above Cheetah's comparison-based path, as published.
-    /// Against the same run's measured online time this default reads a
-    /// `pi.calibrate.default_residual` of 0.8–1.0.
+    /// The arithmetic output projection since cut the items to 126 / 633
+    /// ANDs (424 416 a set) plus one hash per output wire; three runs on
+    /// 2026-10-17 read `eval_ms` 6.6–7.9 ms. The per-item prices were
+    /// kept: they also carry the layer's label round, and against the
+    /// measured online time they read a `pi.calibrate.default_residual`
+    /// of 0.82–1.0 (0.77–0.91 on the parent in the same sitting).
     pub fn delphi() -> Self {
         OnlineCostModel {
             sec_per_mac: 4.0e-9,

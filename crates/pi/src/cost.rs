@@ -10,6 +10,7 @@
 //! Cheetah's lattice pipeline is roughly an order of magnitude leaner.
 
 use crate::report::OpCounts;
+use c2pi_mpc::gc::AND_TABLE_BYTES;
 use c2pi_transport::TrafficSnapshot;
 use serde::{Deserialize, Serialize};
 
@@ -29,9 +30,10 @@ pub struct OfflineCostModel {
     /// (zero when the backend has no GC component).
     pub sec_per_and_gate: f64,
     /// Bytes per AND gate shipped offline: the two-row half-gates table
-    /// plus the amortised decode/fixed-label material of the
-    /// offline-garbled circuits (zero when the backend has no GC
-    /// component).
+    /// (zero when the backend has no GC component). The circuits' other
+    /// evaluator material is priced exactly: the projection words at 8 B
+    /// each ([`OpCounts::proj_words`]) and the input labels as extended
+    /// OTs.
     pub bytes_per_and_gate: f64,
     /// Bytes per XOR gate shipped offline — identically zero under the
     /// free-XOR scheme (no table, no hash); kept as an explicit model
@@ -51,18 +53,23 @@ pub struct OfflineCostModel {
 impl OfflineCostModel {
     /// Delphi-like parameters: SEAL BFV at n=8192 — 128 KiB ciphertexts,
     /// 4096 slots, slow rotation-heavy convolutions, garbled circuits
-    /// garbled *and shipped* offline (tables down, evaluator labels by
-    /// IKNP extension in the real system — modelled here, dealt
-    /// directly). `sec_per_and_gate` is the offline
+    /// garbled *and shipped* offline (tables and projection words down,
+    /// evaluator labels by IKNP extension in the real system — modelled
+    /// here, dealt directly). `sec_per_and_gate` is the offline
     /// garbling kernel's measured cost: `mpc.gcpre.pregarble_ms` ÷
-    /// `mpc.gcpre.and_gates_per_inf` (553 952) of `c2pi_benchmark`'s
-    /// traced `solo_delphi_split` run, the full model's layers garbled
-    /// eight items per gate walk on two cores. Three runs on 2026-10-05
-    /// read 22.0 / 28.4 / 30.0 ms — 40 / 51 / 54 ns per AND (four
-    /// eight-lane AES hash batches per gate and lane group, plus each
-    /// item's ChaCha12 label draws, now half of a ReLU item's cost) —
-    /// taken as 50 ns. The per-item walk it replaced read 61 / 77 / 85 ns
-    /// in the same three runs, against the 70 ns priced until then.
+    /// `mpc.gcpre.and_gates_per_inf` of `c2pi_benchmark`'s traced
+    /// `solo_delphi_split` run, the full model's layers garbled eight
+    /// items per gate walk on two cores. Three runs on 2026-10-05 read
+    /// 22.0 / 28.4 / 30.0 ms over 553 952 ANDs — 40 / 51 / 54 ns per AND
+    /// (four eight-lane AES hash batches per gate and lane group, plus
+    /// each item's ChaCha12 label draws) — taken as 50 ns. The per-item
+    /// walk it replaced read 61 / 77 / 85 ns in the same three runs,
+    /// against the 70 ns priced until then. Since the arithmetic output
+    /// projection replaced the re-masking adder the set is 424 416 ANDs,
+    /// and the projection's two hashes per output wire ride on them:
+    /// three runs on 2026-10-17 read 20.0 / 24.2 / 24.6 ms, 47 / 57 /
+    /// 58 ns per AND (the parent in the same sitting: 43 / 45 / 56), so
+    /// 50 ns stands.
     pub fn delphi() -> Self {
         OfflineCostModel {
             ct_bytes: 131_072,
@@ -70,9 +77,7 @@ impl OfflineCostModel {
             sec_per_mac: 2.0e-7,
             bytes_per_bit_triple: 0.0,
             sec_per_and_gate: 5.0e-8,
-            // 32 B of half-gates table rows plus ~6 B of amortised
-            // decode bits and fixed-input labels per AND gate.
-            bytes_per_and_gate: 38.0,
+            bytes_per_and_gate: AND_TABLE_BYTES as f64,
             bytes_per_xor_gate: 0.0,
             bytes_per_base_ot: 64.0,
             // 16 B u-matrix column + 32 B masked message pair.
@@ -140,7 +145,8 @@ impl OfflineCostModel {
             counts.linear_out_elems.iter().map(|&e| e.div_ceil(self.slots) as u64).sum();
         let triple_bytes = (counts.bit_triples as f64 * self.bytes_per_bit_triple) as u64;
         let gc_bytes = (counts.and_gates as f64 * self.bytes_per_and_gate
-            + counts.xor_gates as f64 * self.bytes_per_xor_gate) as u64;
+            + counts.xor_gates as f64 * self.bytes_per_xor_gate) as u64
+            + 8 * counts.proj_words;
         let base_ot_bytes = (counts.base_ots as f64 * self.bytes_per_base_ot) as u64;
         let ext_down = (counts.ext_ots as f64 * self.bytes_per_ext_ot * 2.0 / 3.0) as u64;
         let ext_up = (counts.ext_ots as f64 * self.bytes_per_ext_ot / 3.0) as u64;
@@ -166,6 +172,7 @@ impl OfflineCostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use c2pi_mpc::gcpre::MaskedOp;
 
     fn counts() -> OpCounts {
         OpCounts {
@@ -177,6 +184,7 @@ mod tests {
             bit_triples: 2048 * 187,
             and_gates: 0,
             xor_gates: 0,
+            proj_words: 0,
             base_ots: 128,
             ext_ots: 0,
             seed_bytes: 64,
@@ -230,6 +238,21 @@ mod tests {
         assert!(
             m.expanded_traffic(&and_heavy).bytes_total() > m.expanded_traffic(&base).bytes_total()
         );
+    }
+
+    #[test]
+    fn gc_bytes_are_the_tables_and_projection_words_exactly() {
+        // No amortised slack per AND: a layer of ReLUs expands to its
+        // 32-byte half-gates rows plus its 8-byte projection words.
+        let m = OfflineCostModel::delphi();
+        let (op, items) = (MaskedOp::Relu, 1000);
+        let c = OpCounts {
+            and_gates: (items * op.ands_per_item()) as u64,
+            proj_words: (items * op.proj_words_per_item()) as u64,
+            ..counts()
+        };
+        let gc = m.expanded_traffic(&c).bytes_total() - m.expanded_traffic(&counts()).bytes_total();
+        assert_eq!(gc, items as u64 * (126 * 32 + 64 * 8));
     }
 
     #[test]

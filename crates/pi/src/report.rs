@@ -26,6 +26,10 @@ pub struct OpCounts {
     /// garbling scheme (no table, no hash), tracked to make the
     /// zero-cost term visible in cost reports.
     pub xor_gates: u64,
+    /// 64-bit arithmetic output-projection words of the same circuits
+    /// (GC backends): one per output wire and one offset per item, dealt
+    /// to the evaluator beside the tables.
+    pub proj_words: u64,
     /// Base OTs the real offline phase runs per inference (one κ = 128
     /// set, the setup its OT extension amortises). A modelled price the
     /// cost model charges; the dealer draws no base OT.
