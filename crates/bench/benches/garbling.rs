@@ -40,16 +40,17 @@ fn bench_garbling(c: &mut Criterion) {
 }
 
 fn bench_pregarble(c: &mut Criterion) {
-    // The serving split's garbled layers in order (424 416 ANDs a set),
-    // at the largest band `PiConfig::default().gc_chunk`.
+    // The serving split's garbled layers in order (291 360 ANDs a set:
+    // each ReLU runs after its max pool), at the largest band
+    // `PiConfig::default().gc_chunk`.
     const BAND: usize = 1024;
     let mut group = c.benchmark_group("pregarble");
     group.sample_size(20).measurement_time(std::time::Duration::from_secs(2));
     for (name, op, items) in [
-        ("relu1024", MaskedOp::Relu, 1024),
         ("maxpool256", MaskedOp::Maxpool4, 256),
-        ("relu384", MaskedOp::Relu, 384),
+        ("relu256", MaskedOp::Relu, 256),
         ("maxpool96", MaskedOp::Maxpool4, 96),
+        ("relu96", MaskedOp::Relu, 96),
         ("relu192", MaskedOp::Relu, 192),
     ] {
         let kilo_ands = (items * op.ands_per_item()) as f64 / 1e3;

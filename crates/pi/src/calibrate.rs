@@ -71,6 +71,9 @@ impl OnlineCostModel {
     /// kept: they also carry the layer's label round, and against the
     /// measured online time they read a `pi.calibrate.default_residual`
     /// of 0.82–1.0 (0.77–0.91 on the parent in the same sitting).
+    /// Pooling before ReLU (DESIGN.md §13) since cut the split set to
+    /// 544 ReLU items and 352 windows, 291 360 ANDs; the prices are per
+    /// item and stand.
     pub fn delphi() -> Self {
         OnlineCostModel {
             sec_per_mac: 4.0e-9,
@@ -111,11 +114,12 @@ impl OnlineCostModel {
 /// Measures per-layer micro-timings of the real protocol and fits an
 /// [`OnlineCostModel`] for this machine.
 ///
-/// The fit runs three tiny prefixes through a [`PiSession`] on the
-/// in-memory transport — linear only, linear+ReLU, linear+ReLU+pool —
-/// and attributes the timing *differences* to the added operation, so
-/// shared overhead cancels. Preprocessing runs ahead of the timed loop;
-/// only online seconds are measured.
+/// The fit runs four tiny prefixes through a [`PiSession`] on the
+/// in-memory transport — a convolution at two widths, then the narrow
+/// one followed by a ReLU or by a max pool — and attributes the timing
+/// *differences* to the added operation, so shared overhead cancels.
+/// Preprocessing runs ahead of the timed loop; only online seconds are
+/// measured.
 #[derive(Debug, Clone, Copy)]
 pub struct Calibrator {
     /// Timed repetitions per prefix; the minimum over repetitions is
@@ -162,23 +166,10 @@ impl Calibrator {
         // cancels instead of being folded into the first coefficient —
         // a small conv is dominated by that overhead, and `t/macs`
         // would overprice real prefixes by orders of magnitude.
-        let mut lin_small = Sequential::new();
-        lin_small.push(Conv2d::new(1, 4, 3, 1, 1, 1, 5));
+        let [lin_small, lin_big, relu, pool] = probes();
         let (t_small, c_small) = self.time_prefix(&lin_small, backend)?;
-
-        let mut lin_big = Sequential::new();
-        lin_big.push(Conv2d::new(1, 12, 3, 1, 1, 1, 5)); // 3x the MACs, same shape
         let (t_big, c_big) = self.time_prefix(&lin_big, backend)?;
-
-        let mut relu = Sequential::new();
-        relu.push(Conv2d::new(1, 4, 3, 1, 1, 1, 5));
-        relu.push(Relu::new());
         let (t_relu, c_relu) = self.time_prefix(&relu, backend)?;
-
-        let mut pool = Sequential::new();
-        pool.push(Conv2d::new(1, 4, 3, 1, 1, 1, 5));
-        pool.push(Relu::new());
-        pool.push(MaxPool2d::new(2, 2));
         let (t_pool, c_pool) = self.time_prefix(&pool, backend)?;
 
         // Clamp at tiny positive floors so scheduler jitter cannot
@@ -188,16 +179,54 @@ impl Calibrator {
         let relu_elems = c_relu.relu_elems.max(1) as f64;
         let sec_per_relu_elem = ((t_relu - t_small) / relu_elems).max(1e-12);
         let windows = c_pool.pool_windows.max(1) as f64;
-        let sec_per_pool_window = ((t_pool - t_relu) / windows).max(1e-12);
+        let sec_per_pool_window = ((t_pool - t_small) / windows).max(1e-12);
         // The residual of the small prefix is the fixed overhead.
         let base_seconds = (t_small - c_small.macs as f64 * sec_per_mac).max(1e-6);
         Ok(OnlineCostModel { sec_per_mac, sec_per_relu_elem, sec_per_pool_window, base_seconds })
     }
 }
 
+/// The calibration prefixes on a `[1, 16, 16]` input: `[lin_small,
+/// lin_big, relu, pool]`. Each of the last three is `lin_small` plus
+/// exactly the work its coefficient prices — 3× the MACs, a ReLU, or a
+/// max pool. The pool probe has no ReLU: the plan would run it after
+/// the pool on a quarter of the elements, and the difference would then
+/// mix two kinds of work.
+fn probes() -> [Sequential; 4] {
+    let conv = |oc| Conv2d::new(1, oc, 3, 1, 1, 1, 5);
+    let mut lin_small = Sequential::new();
+    lin_small.push(conv(4));
+    let mut lin_big = Sequential::new();
+    lin_big.push(conv(12));
+    let mut relu = lin_small.clone();
+    relu.push(Relu::new());
+    let mut pool = lin_small.clone();
+    pool.push(MaxPool2d::new(2, 2));
+    [lin_small, lin_big, relu, pool]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn each_probe_adds_only_the_work_its_coefficient_prices() {
+        // The priced fields of `online_seconds`: (MACs, ReLU elements,
+        // pool windows), from the compiled plan — what the timed
+        // session runs.
+        let priced = |seq: &Sequential| {
+            let plan =
+                crate::plan::compile(&specs_of(seq), (1, 16, 16), Default::default()).unwrap();
+            let c = plan.base_counts;
+            (c.macs, c.relu_elems, c.pool_windows)
+        };
+        let [lin_small, lin_big, relu, pool] = probes();
+        let (macs, relus, windows) = priced(&lin_small);
+        assert_eq!((macs, relus, windows), (4 * 9 * 256, 0, 0));
+        assert_eq!(priced(&lin_big), (3 * macs, relus, windows), "lin_big adds MACs only");
+        assert_eq!(priced(&relu), (macs, 4 * 256, windows), "relu adds ReLU elements only");
+        assert_eq!(priced(&pool), (macs, relus, 4 * 64), "pool adds windows only");
+    }
 
     #[test]
     fn defaults_keep_the_published_asymmetry() {

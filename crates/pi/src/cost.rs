@@ -69,7 +69,10 @@ impl OfflineCostModel {
     /// and the projection's two hashes per output wire ride on them:
     /// three runs on 2026-10-17 read 20.0 / 24.2 / 24.6 ms, 47 / 57 /
     /// 58 ns per AND (the parent in the same sitting: 43 / 45 / 56), so
-    /// 50 ns stands.
+    /// 50 ns stands. Pooling before ReLU (DESIGN.md §13) cut the split
+    /// set to 291 360 ANDs and the full prefix to 343 896 (from
+    /// 492 072); it changes how many items a set garbles, not what one
+    /// AND costs.
     pub fn delphi() -> Self {
         OfflineCostModel {
             ct_bytes: 131_072,

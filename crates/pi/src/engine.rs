@@ -142,7 +142,8 @@ mod tests {
         assert_close(&plain, &secure, 0.02);
         assert_eq!(report.backend, "cheetah");
         assert!(report.online.bytes_total() > 0);
-        assert_eq!(report.counts.relu_elems, 3 * 8 * 8 + 4 * 4 * 4);
+        // The first ReLU runs after the max pool, on one element per window.
+        assert_eq!(report.counts.relu_elems, 3 * 4 * 4 + 4 * 4 * 4);
         assert_eq!(report.counts.pool_windows, 3 * 4 * 4);
     }
 
@@ -240,6 +241,14 @@ mod tests {
         let mut seq = Sequential::new();
         seq.push(MaxPool2d::new(3, 3));
         let x = Tensor::rand_uniform(&[1, 1, 9, 9], -1.0, 1.0, 14);
+        let err = run_prefix(&specs_of(&seq), &x, &PiConfig::default());
+        assert!(matches!(err, Err(crate::PiError::BadConfig(_))));
+        // A 2×2 pool on an odd side is refused too, also after a ReLU
+        // that would otherwise move behind it.
+        let mut seq = Sequential::new();
+        seq.push(Relu::new());
+        seq.push(MaxPool2d::new(2, 2));
+        let x = Tensor::rand_uniform(&[1, 1, 5, 5], -1.0, 1.0, 15);
         let err = run_prefix(&specs_of(&seq), &x, &PiConfig::default());
         assert!(matches!(err, Err(crate::PiError::BadConfig(_))));
     }

@@ -52,8 +52,49 @@ pub(crate) struct Plan {
 /// §3) — the dealer draws no base OT.
 const BASE_OTS_PER_SET: u64 = 128;
 
-/// Compiles layer specs against a `[c, h, w]` input shape.
+/// Compiles layer specs against a `[c, h, w]` input shape: lowers each
+/// spec to its step, then max-pools before ReLU wherever the prefix
+/// runs `Relu, MaxPool` ([`pool_before_relu`]).
 pub(crate) fn compile(
+    specs: &[LayerSpec],
+    in_chw: (usize, usize, usize),
+    fp: FixedPoint,
+) -> Result<Plan> {
+    let mut plan = lower(specs, in_chw, fp)?;
+    pool_before_relu(&mut plan);
+    Ok(plan)
+}
+
+/// Rewrites every adjacent `Relu { n }, MaxPool` into `MaxPool,
+/// Relu { n / 4 }`: `relu(max(a, b, c, d)) = max(relu(a), …, relu(d))`,
+/// so ReLU runs on one element per window instead of four. The identity
+/// is exact in the ring: both sides make the same signed comparisons of
+/// the same values, and neither ReLU nor max truncates (DESIGN.md §13).
+/// A run of max pools is crossed one at a time. `AvgPool` does not
+/// commute with ReLU and stops the move, and so does the end of the
+/// plan: the plan is the crypto prefix only, so the revealed activation
+/// never changes.
+fn pool_before_relu(plan: &mut Plan) {
+    let mut i = 0;
+    while i + 1 < plan.steps.len() {
+        if let (Step::Relu { .. }, Step::MaxPool { c, h, w }) = (&plan.steps[i], &plan.steps[i + 1])
+        {
+            let pooled = c * (h / 2) * (w / 2);
+            plan.steps.swap(i, i + 1);
+            plan.data.swap(i, i + 1);
+            plan.steps[i + 1] = Step::Relu { n: pooled };
+        }
+        i += 1;
+    }
+    plan.base_counts.relu_elems =
+        plan.steps.iter().map(|s| if let Step::Relu { n } = s { *n } else { 0 }).sum();
+}
+
+/// Lowers layer specs to steps in spec order: shapes, ring-encoded
+/// server constants and the backend-independent counts. Sessions are
+/// compiled by [`compile`]; the spec-order plan is what the tests hold
+/// the rewrite against.
+pub(crate) fn lower(
     specs: &[LayerSpec],
     in_chw: (usize, usize, usize),
     fp: FixedPoint,
@@ -182,6 +223,85 @@ pub(crate) fn compile(
     Ok(Plan { steps, data, base_counts: counts, in_chw, out_dims })
 }
 
+/// The plan run on unshared ring values: the protocols' arithmetic with
+/// the sharing taken out. The same encoding, weights and `bias2f` as the
+/// walks, signed ReLU and max, and every truncation the shift
+/// `beaver::truncate_share` applies to each share, applied here to the
+/// whole value — so a protocol run differs from this only by the ±1 LSB
+/// each local share truncation may add (SecureML).
+#[cfg(test)]
+pub(crate) fn eval_ring(plan: &Plan, x: &[u64], fp: FixedPoint) -> Vec<u64> {
+    use c2pi_mpc::ring::im2col_ring;
+    let signed_max = |a: u64, b: u64| if (b as i64) > (a as i64) { b } else { a };
+    let mut cur = x.to_vec();
+    for (step, data) in plan.steps.iter().zip(&plan.data) {
+        cur = match (step, data) {
+            (Step::Conv { .. } | Step::Fc { .. }, StepData::Lin { w, bias2f, .. }) => {
+                let input = match step {
+                    Step::Conv { c, h, w, geom } => im2col_ring(&cur, *c, *h, *w, *geom).unwrap(),
+                    _ => RingMatrix::from_vec(cur, w.cols(), 1).unwrap(),
+                };
+                let y = w.matmul(&input).unwrap();
+                let cols = y.cols();
+                y.as_slice()
+                    .chunks_exact(cols)
+                    .zip(bias2f)
+                    .flat_map(|(row, &b)| row.iter().map(move |&v| fp.truncate(v.wrapping_add(b))))
+                    .collect()
+            }
+            (Step::Relu { n }, StepData::None) => {
+                assert_eq!(*n, cur.len(), "ReLU width");
+                cur.iter().map(|&v| signed_max(0, v)).collect()
+            }
+            (Step::MaxPool { c, h, w }, StepData::None) => {
+                let mut out = Vec::with_capacity(c * (h / 2) * (w / 2));
+                for plane in cur.chunks_exact(h * w) {
+                    for oy in 0..h / 2 {
+                        for ox in 0..w / 2 {
+                            let at = 2 * oy * w + 2 * ox;
+                            let quad = [plane[at], plane[at + 1], plane[at + w], plane[at + w + 1]];
+                            out.push(quad[1..].iter().fold(quad[0], |m, &v| signed_max(m, v)));
+                        }
+                    }
+                }
+                out
+            }
+            (Step::AvgPool { h, w, window, stride, .. }, StepData::None) => {
+                let (oh, ow) = ((h - window) / stride + 1, (w - window) / stride + 1);
+                let coeff = fp.encode(1.0 / (window * window) as f32);
+                let mut out = Vec::new();
+                for plane in cur.chunks_exact(h * w) {
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let mut acc = 0u64;
+                            for ky in 0..*window {
+                                for kx in 0..*window {
+                                    let v = plane[(oy * stride + ky) * w + ox * stride + kx];
+                                    acc = acc.wrapping_add(v);
+                                }
+                            }
+                            out.push(fp.truncate(acc.wrapping_mul(coeff)));
+                        }
+                    }
+                }
+                out
+            }
+            (Step::Flatten, StepData::None) => cur,
+            (Step::Affine, StepData::Affine { scale, shift2f }) => cur
+                .iter()
+                .zip(scale)
+                .zip(shift2f)
+                .map(|((&v, &s), &t)| fp.truncate(v.wrapping_mul(s).wrapping_add(t)))
+                .collect(),
+            (step, _) => unreachable!("{step:?} without its data"),
+        };
+    }
+    cur
+}
+
+#[cfg(test)]
+mod differential;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,12 +318,26 @@ mod tests {
         s.layers().iter().map(|l| l.spec()).collect()
     }
 
+    /// The plan's steps, one short name each (`relu 48`, `maxpool`, …).
+    fn names(plan: &Plan) -> Vec<String> {
+        plan.steps
+            .iter()
+            .map(|s| match s {
+                Step::Relu { n } => format!("relu {n}"),
+                other => format!("{other:?}").split([' ', '{']).next().unwrap().to_lowercase(),
+            })
+            .collect()
+    }
+
     #[test]
     fn compile_tracks_shapes_and_counts() {
         let plan = compile(&specs(), (1, 8, 8), FixedPoint::default()).unwrap();
         assert_eq!(plan.steps.len(), 5);
         assert_eq!(plan.out_dims, vec![1, 5]);
-        assert_eq!(plan.base_counts.relu_elems, 3 * 8 * 8);
+        // Pooled before the ReLU, which then runs on one element per
+        // window: 3·4·4, not the 3·8·8 of the spec order.
+        assert_eq!(names(&plan), ["conv", "maxpool", "relu 48", "flatten", "fc"]);
+        assert_eq!(plan.base_counts.relu_elems, 3 * 4 * 4);
         assert_eq!(plan.base_counts.pool_windows, 3 * 4 * 4);
         assert_eq!(plan.base_counts.linear_in_elems.len(), 2);
         // Backend-dependent counts are not filled at compile time.
@@ -211,6 +345,36 @@ mod tests {
         assert_eq!(plan.base_counts.bit_triples, 0);
         // The modelled base-OT setup is seeded here, not drawn by a deal.
         assert_eq!(plan.base_counts.base_ots, 128);
+    }
+
+    #[test]
+    fn pool_before_relu_moves_relu_past_max_pools_only_inside_the_prefix() {
+        let fp = FixedPoint::default();
+        let compiled = |specs: &[LayerSpec], chw| names(&compile(specs, chw, fp).unwrap());
+        // A run of max pools is crossed one pool at a time.
+        let mut twice = Sequential::new();
+        twice.push(Conv2d::new(1, 2, 3, 1, 1, 1, 1));
+        twice.push(Relu::new());
+        twice.push(MaxPool2d::new(2, 2));
+        twice.push(MaxPool2d::new(2, 2));
+        let specs: Vec<LayerSpec> = twice.layers().iter().map(|l| l.spec()).collect();
+        assert_eq!(compiled(&specs, (1, 8, 8)), ["conv", "maxpool", "maxpool", "relu 8"]);
+        // An average pool does not commute with ReLU: spec order stays.
+        let avg = [LayerSpec::Relu, LayerSpec::AvgPool2d { window: 2, stride: 2 }];
+        assert_eq!(compiled(&avg, (2, 4, 4)), ["relu 32", "avgpool"]);
+        // A split after relu(1) puts the first max pool in the clear
+        // suffix; the plan sees only the prefix, so its ReLU runs on
+        // every element and the revealed activation is the clear one.
+        let demo = c2pi_nn::model::alexnet(&c2pi_nn::model::ZooConfig {
+            width_div: 32,
+            seed: 3,
+            image_size: 16,
+            ..Default::default()
+        })
+        .unwrap();
+        let (prefix, _) = demo.split_at(c2pi_nn::BoundaryId::relu(1)).unwrap();
+        let specs: Vec<LayerSpec> = prefix.layers().iter().map(|l| l.spec()).collect();
+        assert_eq!(compiled(&specs, (3, 16, 16)), ["conv", "relu 1024"]);
     }
 
     #[test]

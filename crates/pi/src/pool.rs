@@ -871,7 +871,7 @@ mod tests {
     use super::*;
     use crate::engine::specs_of;
     use crate::plan::compile;
-    use c2pi_nn::layers::{Conv2d, Relu};
+    use c2pi_nn::layers::{Conv2d, MaxPool2d, Relu};
     use c2pi_nn::Sequential;
     use std::time::Duration;
 
@@ -1068,6 +1068,52 @@ mod tests {
         // Draining: pooled material still comes back after shutdown.
         assert!(matches!(pool.try_take().unwrap(), PoolTake::Material(_)));
         assert!(matches!(pool.try_take().unwrap(), PoolTake::ShutDown));
+    }
+
+    #[test]
+    fn material_dealt_under_the_spec_order_is_refused_under_the_pooled_order() {
+        // A deployment compiled before ReLU moved behind the max pool
+        // ran `Relu { 72 }, MaxPool` where this one runs `MaxPool,
+        // Relu { 18 }`. The fingerprint hashes the steps in order, so
+        // neither its dealt seeds nor its store expand here — with no
+        // `DEALT_VERSION` bump.
+        use crate::plan::lower;
+        let mut seq = Sequential::new();
+        seq.push(Conv2d::new(1, 2, 3, 1, 1, 1, 1));
+        seq.push(Relu::new());
+        seq.push(MaxPool2d::new(2, 2));
+        let cfg = PiConfig::default();
+        let specs = specs_of(&seq);
+        let spec_order =
+            Arc::new(SessionCore { plan: lower(&specs, (1, 6, 6), cfg.fixed).unwrap(), cfg });
+        let pooled =
+            Arc::new(SessionCore { plan: compile(&specs, (1, 6, 6), cfg.fixed).unwrap(), cfg });
+        assert!(matches!(
+            pooled.plan.steps[..],
+            [Step::Conv { .. }, Step::MaxPool { .. }, Step::Relu { n: 18 }]
+        ));
+        assert_ne!(spec_order.session_fingerprint(), pooled.session_fingerprint());
+
+        let frame = spec_order.dealt_seed(7).encode();
+        let err = pooled.expand_dealt(&frame).map(|m| m.seed).unwrap_err();
+        assert!(
+            matches!(&err, PiError::BadConfig(why) if why.contains("not produced for this deployment")),
+            "{err:?}"
+        );
+
+        let path =
+            std::env::temp_dir().join(format!("c2pi-pool-{}-spec-order.bin", std::process::id()));
+        let writer = MaterialPool::new(spec_order);
+        writer.attach_store(&path).unwrap();
+        writer.preprocess(2).unwrap();
+        writer.flush_store().unwrap();
+        drop(writer);
+        let err = MaterialPool::new(pooled).attach_store(&path).map(|r| r.restored).unwrap_err();
+        std::fs::remove_file(&path).unwrap();
+        assert!(
+            matches!(&err, PiError::Store(why) if why.contains("different deployment")),
+            "{err:?}"
+        );
     }
 
     #[test]
