@@ -66,14 +66,14 @@ impl OnlineCostModel {
     /// and a 2×2 max window (then 701 ANDs) 12.6 µs — about two orders of
     /// magnitude above Cheetah's comparison-based path, as published.
     /// The arithmetic output projection since cut the items to 126 / 633
-    /// ANDs (424 416 a set) plus one hash per output wire; three runs on
-    /// 2026-10-17 read `eval_ms` 6.6–7.9 ms. The per-item prices were
-    /// kept: they also carry the layer's label round, and against the
-    /// measured online time they read a `pi.calibrate.default_residual`
-    /// of 0.82–1.0 (0.77–0.91 on the parent in the same sitting).
-    /// Pooling before ReLU (DESIGN.md §13) since cut the split set to
-    /// 544 ReLU items and 352 windows, 291 360 ANDs; the prices are per
-    /// item and stand.
+    /// ANDs plus one hash per output wire; three runs on 2026-10-17 read
+    /// `eval_ms` 6.6–7.9 ms over a 424 416-AND set. The per-item prices
+    /// were kept: they also carry the layer's label round, and against
+    /// the measured online time they read a
+    /// `pi.calibrate.default_residual` of 0.82–1.0 (0.77–0.91 on the
+    /// parent in the same sitting). A split set, ReLU running after each
+    /// max pool (DESIGN.md §13), is 544 ReLU items and 352 windows,
+    /// 291 360 ANDs.
     pub fn delphi() -> Self {
         OnlineCostModel {
             sec_per_mac: 4.0e-9,

@@ -64,15 +64,13 @@ impl OfflineCostModel {
     /// (four eight-lane AES hash batches per gate and lane group, plus
     /// each item's ChaCha12 label draws) — taken as 50 ns. The per-item
     /// walk it replaced read 61 / 77 / 85 ns in the same three runs,
-    /// against the 70 ns priced until then. Since the arithmetic output
-    /// projection replaced the re-masking adder the set is 424 416 ANDs,
-    /// and the projection's two hashes per output wire ride on them:
-    /// three runs on 2026-10-17 read 20.0 / 24.2 / 24.6 ms, 47 / 57 /
-    /// 58 ns per AND (the parent in the same sitting: 43 / 45 / 56), so
-    /// 50 ns stands. Pooling before ReLU (DESIGN.md §13) cut the split
-    /// set to 291 360 ANDs and the full prefix to 343 896 (from
-    /// 492 072); it changes how many items a set garbles, not what one
-    /// AND costs.
+    /// against the 70 ns priced until then. With the arithmetic output
+    /// projection, whose two hashes per output wire ride on the ANDs,
+    /// three runs on 2026-10-17 read 20.0 / 24.2 / 24.6 ms over a
+    /// 424 416-AND set, 47 / 57 / 58 ns per AND (the parent in the same
+    /// sitting: 43 / 45 / 56), so 50 ns stands. With ReLU running after
+    /// each max pool (DESIGN.md §13) a split set garbles 291 360 ANDs
+    /// and the full prefix 343 896.
     pub fn delphi() -> Self {
         OfflineCostModel {
             ct_bytes: 131_072,

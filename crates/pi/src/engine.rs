@@ -75,9 +75,14 @@ impl PiOutcome {
     }
 }
 
-/// Extracts the protocol-facing specs of a layer stack.
+/// Extracts the protocol-facing specs of a layer stack, in the order a
+/// session runs them: the layers' own, except that a ReLU moves behind
+/// the max pools that directly follow it (DESIGN.md §13). Walking these
+/// specs gives the shapes the compiled plan runs on.
 pub fn specs_of(seq: &Sequential) -> Vec<LayerSpec> {
-    seq.layers().iter().map(|l| l.spec()).collect()
+    let mut specs: Vec<LayerSpec> = seq.layers().iter().map(|l| l.spec()).collect();
+    crate::plan::pool_before_relu(&mut specs);
+    specs
 }
 
 /// Runs the crypto-layer prefix of a model under the configured backend,
@@ -85,7 +90,7 @@ pub fn specs_of(seq: &Sequential) -> Vec<LayerSpec> {
 /// online inference).
 ///
 /// `x` must be a single image `[1, c, h, w]`; the specs are the prefix
-/// layers in order (see [`specs_of`]).
+/// layers (see [`specs_of`]).
 ///
 /// # Errors
 ///

@@ -52,48 +52,40 @@ pub(crate) struct Plan {
 /// §3) — the dealer draws no base OT.
 const BASE_OTS_PER_SET: u64 = 128;
 
-/// Compiles layer specs against a `[c, h, w]` input shape: lowers each
-/// spec to its step, then max-pools before ReLU wherever the prefix
-/// runs `Relu, MaxPool` ([`pool_before_relu`]).
+/// Compiles layer specs against a `[c, h, w]` input shape: puts max
+/// pools before ReLU ([`pool_before_relu`]), then lowers the specs to
+/// steps.
 pub(crate) fn compile(
     specs: &[LayerSpec],
     in_chw: (usize, usize, usize),
     fp: FixedPoint,
 ) -> Result<Plan> {
-    let mut plan = lower(specs, in_chw, fp)?;
-    pool_before_relu(&mut plan);
-    Ok(plan)
+    let mut specs = specs.to_vec();
+    pool_before_relu(&mut specs);
+    lower(&specs, in_chw, fp)
 }
 
-/// Rewrites every adjacent `Relu { n }, MaxPool` into `MaxPool,
-/// Relu { n / 4 }`: `relu(max(a, b, c, d)) = max(relu(a), …, relu(d))`,
-/// so ReLU runs on one element per window instead of four. The identity
-/// is exact in the ring: both sides make the same signed comparisons of
-/// the same values, and neither ReLU nor max truncates (DESIGN.md §13).
-/// A run of max pools is crossed one at a time. `AvgPool` does not
-/// commute with ReLU and stops the move, and so does the end of the
-/// plan: the plan is the crypto prefix only, so the revealed activation
+/// Moves every ReLU behind the max pools that directly follow it, so
+/// `Relu, MaxPool2d` runs as `MaxPool2d, Relu`: `relu(max(a, b, c, d))
+/// = max(relu(a), …, relu(d))`, and ReLU runs on one element per window
+/// instead of four. The identity is exact in the ring: both sides make
+/// the same signed comparisons of the same values, and neither ReLU nor
+/// max truncates (DESIGN.md §13). Within each run of ReLUs and max pools
+/// the pools go first, so a second pass moves nothing. `AvgPool2d` does
+/// not commute with ReLU and ends a run, and so does the end of the
+/// specs: they are the crypto prefix only, so the revealed activation
 /// never changes.
-fn pool_before_relu(plan: &mut Plan) {
-    let mut i = 0;
-    while i + 1 < plan.steps.len() {
-        if let (Step::Relu { .. }, Step::MaxPool { c, h, w }) = (&plan.steps[i], &plan.steps[i + 1])
-        {
-            let pooled = c * (h / 2) * (w / 2);
-            plan.steps.swap(i, i + 1);
-            plan.data.swap(i, i + 1);
-            plan.steps[i + 1] = Step::Relu { n: pooled };
-        }
-        i += 1;
+pub(crate) fn pool_before_relu(specs: &mut [LayerSpec]) {
+    let movable = |s: &LayerSpec| matches!(s, LayerSpec::Relu | LayerSpec::MaxPool2d { .. });
+    for run in specs.chunk_by_mut(|a, b| movable(a) && movable(b)) {
+        run.sort_by_key(|s| matches!(s, LayerSpec::Relu));
     }
-    plan.base_counts.relu_elems =
-        plan.steps.iter().map(|s| if let Step::Relu { n } = s { *n } else { 0 }).sum();
 }
 
-/// Lowers layer specs to steps in spec order: shapes, ring-encoded
+/// Lowers layer specs to steps in the order given: shapes, ring-encoded
 /// server constants and the backend-independent counts. Sessions are
-/// compiled by [`compile`]; the spec-order plan is what the tests hold
-/// the rewrite against.
+/// compiled by [`compile`]; the plan lowered in spec order is what the
+/// tests hold the rewrite against.
 pub(crate) fn lower(
     specs: &[LayerSpec],
     in_chw: (usize, usize, usize),
@@ -351,7 +343,8 @@ mod tests {
     fn pool_before_relu_moves_relu_past_max_pools_only_inside_the_prefix() {
         let fp = FixedPoint::default();
         let compiled = |specs: &[LayerSpec], chw| names(&compile(specs, chw, fp).unwrap());
-        // A run of max pools is crossed one pool at a time.
+        let pool = || LayerSpec::MaxPool2d { window: 2, stride: 2 };
+        // A ReLU crosses a whole run of max pools.
         let mut twice = Sequential::new();
         twice.push(Conv2d::new(1, 2, 3, 1, 1, 1, 1));
         twice.push(Relu::new());
@@ -359,6 +352,13 @@ mod tests {
         twice.push(MaxPool2d::new(2, 2));
         let specs: Vec<LayerSpec> = twice.layers().iter().map(|l| l.spec()).collect();
         assert_eq!(compiled(&specs, (1, 8, 8)), ["conv", "maxpool", "maxpool", "relu 8"]);
+        // Within a run of ReLUs and max pools every pool goes first, so
+        // the order the pass hands out (`specs_of`'s) compiles unchanged.
+        let mut run = [LayerSpec::Relu, pool(), LayerSpec::Relu, pool()];
+        let want = ["maxpool", "maxpool", "relu 4", "relu 4"];
+        assert_eq!(compiled(&run, (1, 8, 8)), want);
+        pool_before_relu(&mut run);
+        assert_eq!(names(&lower(&run, (1, 8, 8), fp).unwrap()), want);
         // An average pool does not commute with ReLU: spec order stays.
         let avg = [LayerSpec::Relu, LayerSpec::AvgPool2d { window: 2, stride: 2 }];
         assert_eq!(compiled(&avg, (2, 4, 4)), ["relu 32", "avgpool"]);

@@ -1083,7 +1083,8 @@ mod tests {
         seq.push(Relu::new());
         seq.push(MaxPool2d::new(2, 2));
         let cfg = PiConfig::default();
-        let specs = specs_of(&seq);
+        // The layers' own order: `specs_of` would already pool first.
+        let specs: Vec<_> = seq.layers().iter().map(|l| l.spec()).collect();
         let spec_order =
             Arc::new(SessionCore { plan: lower(&specs, (1, 6, 6), cfg.fixed).unwrap(), cfg });
         let pooled =

@@ -264,9 +264,10 @@ fn transcript(
 fn serving_transcripts_match_their_goldens_at_every_entry_point() {
     // Every other determinism net compares one serving path with
     // another; this one pins absolute output, so a change that moves
-    // *all* paths together still fails. Tiny conv→ReLU→maxpool prefix
-    // (run as conv→maxpool→ReLU: the plan pools first), default dealer seed, fixed inputs, fresh session per entry point
-    // (each consumes the first sets of the same seed stream). The
+    // *all* paths together still fails. Tiny conv→ReLU→maxpool prefix,
+    // run as conv→maxpool→ReLU (the plan pools first); default dealer
+    // seed, fixed inputs, fresh session per entry point (each consumes
+    // the first sets of the same seed stream). The
     // dealt entry points count the `DealtSeed` frame; `infer` has none.
     // The share folds also pin the dealt function `seed → material`
     // (`DealtSeed` v4: a multiplication's output shares are a function
