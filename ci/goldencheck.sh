@@ -4,10 +4,11 @@
 # planner-visible cost change cannot land without regenerating goldens.
 #
 # Covers:
-#   1. tests/golden/plan_table.txt — rewritten in place by the
-#      plan_determinism test's GOLDEN_UPDATE hook, then diffed against
-#      HEAD via git (so a stale committed copy fails even after the
-#      regeneration overwrote it);
+#   1. tests/golden/plan_table.txt and tests/golden/plan_table_gaussian.txt
+#      (the same plan under uniform and Gaussian noise) — rewritten in
+#      place by the plan_determinism test's GOLDEN_UPDATE hook, then
+#      diffed against HEAD via git (so a stale committed copy fails even
+#      after the regeneration overwrote it);
 #   2. tests/golden/plan_report.json — the machine-readable plan of the
 #      smoke scenario (`plan_report --seed 47 --json`), extracted from
 #      the report output and diffed against the committed copy.
@@ -21,7 +22,7 @@ cd "$(dirname "$0")/.."
 
 # Regenerate everything first, check staleness after — so one local run
 # refreshes every golden even when an early check would fail.
-echo "== goldencheck: regenerate plan_table.txt =="
+echo "== goldencheck: regenerate plan_table.txt, plan_table_gaussian.txt =="
 GOLDEN_UPDATE=1 cargo test --release --test plan_determinism -q
 
 echo "== goldencheck: regenerate plan_report.json =="
@@ -55,7 +56,8 @@ fi
 # git-diff the regenerated files against the committed copies: the
 # GOLDEN_UPDATE hook above rewrote the working tree, so any drift from
 # HEAD means the commit under test shipped stale goldens.
-if ! git diff --exit-code -- tests/golden/plan_table.txt tests/golden/plan_report.json; then
+if ! git diff --exit-code -- tests/golden/plan_table.txt tests/golden/plan_table_gaussian.txt \
+    tests/golden/plan_report.json; then
     echo "goldencheck: FAIL — committed goldens are stale;" \
          "commit the regenerated copies (diff above)" >&2
     fail=1

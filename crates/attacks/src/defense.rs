@@ -1,16 +1,17 @@
 //! Boundary defenses: the one perturbation a C2PI client applies to its
-//! share before the reveal. The paper's mechanism is uniform noise; the
-//! others are its stated future work (*"exploring and applying more
-//! defenses against IDPA to preserve client's data privacy"*). The
-//! attacks train against a [`Defense`], the evaluation harness applies
-//! it to what they observe, and the serving client adds its
-//! [`Defense::additive_delta`] to its share — one implementation for all
-//! of them.
+//! share before the reveal. A defense is an additive perturbation `Δ`:
+//! the client holds only an additive share of the boundary activation,
+//! so it can add noise to that share but cannot quantise or drop values
+//! it never sees. The paper's mechanism is uniform noise. The attacks
+//! train against a [`Defense`], the evaluation harness applies it to
+//! what they observe, and the serving client adds its
+//! [`Defense::delta`] to its share — one implementation for all of
+//! them.
 
 use c2pi_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
-/// A boundary-activation defense mechanism.
+/// A boundary-activation defense: additive noise on the revealed share.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Defense {
     /// No perturbation (the insecure baseline).
@@ -25,99 +26,58 @@ pub enum Defense {
         /// Standard deviation.
         std: f32,
     },
-    /// Quantize activations to a coarse grid (step `delta`) — destroys
-    /// the low-order information inversion networks exploit while
-    /// preserving the ranking information classification needs.
-    Quantize {
-        /// Quantization step.
-        step: f32,
-    },
-    /// Randomly zero a fraction of activations (test-time dropout), as
-    /// proposed for split-learning defenses.
-    Dropout {
-        /// Fraction of elements zeroed, in `[0, 1)`.
-        rate: f32,
-    },
 }
 
 impl Defense {
-    /// Short name for tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Defense::None => "none",
-            Defense::Uniform { .. } => "uniform",
-            Defense::Gaussian { .. } => "gaussian",
-            Defense::Quantize { .. } => "quantize",
-            Defense::Dropout { .. } => "dropout",
-        }
-    }
-
     /// Human-readable label with the defense's parameter, for reports
-    /// and plan tables (`uniform(0.100)`, `dropout(0.30)`, …).
+    /// and plan tables (`uniform(0.100)`, `gaussian(0.300)`, …).
     pub fn label(&self) -> String {
         match *self {
             Defense::None => "none".to_string(),
             Defense::Uniform { magnitude } => format!("uniform({magnitude:.3})"),
             Defense::Gaussian { std } => format!("gaussian({std:.3})"),
-            Defense::Quantize { step } => format!("quantize({step:.3})"),
-            Defense::Dropout { rate } => format!("dropout({rate:.2})"),
         }
     }
 
-    /// For *additive* defenses, the perturbation tensor `Δ` such that
-    /// `apply(act, seed) == act + Δ` — the form a C2PI client can apply
-    /// to its own additive share without knowing the activation.
-    /// Returns `None` for non-additive defenses (quantisation, dropout
-    /// depend on the activation's values, which no single share holds).
-    pub fn additive_delta(&self, dims: &[usize], seed: u64) -> Option<Tensor> {
+    /// Whether every parameter is finite and non-negative. Any other
+    /// parameter draws no usable noise (a negative one draws none, a NaN
+    /// or infinite one draws non-finite values, which the fixed-point
+    /// encoding cannot carry), so a deployment would reveal the
+    /// activation under a label that claims a defense.
+    pub fn is_valid(&self) -> bool {
         match *self {
-            Defense::None => Some(Tensor::zeros(dims)),
+            Defense::None => true,
+            Defense::Uniform { magnitude: p } | Defense::Gaussian { std: p } => {
+                p.is_finite() && p >= 0.0
+            }
+        }
+    }
+
+    /// The perturbation `Δ` of shape `dims` drawn under `seed`, such
+    /// that `apply(act, seed) == act + Δ`. The client adds it to its own
+    /// share without knowing the activation.
+    pub fn delta(&self, dims: &[usize], seed: u64) -> Tensor {
+        match *self {
+            Defense::None => Tensor::zeros(dims),
+            Defense::Uniform { magnitude: p } | Defense::Gaussian { std: p } if p <= 0.0 => {
+                Tensor::zeros(dims)
+            }
             Defense::Uniform { magnitude } => {
-                if magnitude <= 0.0 {
-                    return Some(Tensor::zeros(dims));
-                }
-                Some(Tensor::rand_uniform(dims, -magnitude, magnitude, seed))
+                Tensor::rand_uniform(dims, -magnitude, magnitude, seed)
             }
-            Defense::Gaussian { std } => {
-                if std <= 0.0 {
-                    return Some(Tensor::zeros(dims));
-                }
-                Some(Tensor::rand_normal(dims, 0.0, std, seed))
-            }
-            Defense::Quantize { .. } | Defense::Dropout { .. } => None,
+            Defense::Gaussian { std } => Tensor::rand_normal(dims, 0.0, std, seed),
         }
     }
 
-    /// Applies the defense to an activation.
+    /// [`Defense::delta`], always `Some`. Kept only because the frozen
+    /// benchmark calls it and `expect`s the result.
+    pub fn additive_delta(&self, dims: &[usize], seed: u64) -> Option<Tensor> {
+        Some(self.delta(dims, seed))
+    }
+
+    /// Applies the defense to an activation: `act + delta(act.dims(), seed)`.
     pub fn apply(&self, act: &Tensor, seed: u64) -> Tensor {
-        match *self {
-            Defense::None | Defense::Uniform { .. } | Defense::Gaussian { .. } => {
-                let delta = self.additive_delta(act.dims(), seed).expect("additive defense");
-                act.add(&delta).expect("same dims")
-            }
-            Defense::Quantize { step } => {
-                if step <= 0.0 {
-                    return act.clone();
-                }
-                act.map(|v| (v / step).round() * step)
-            }
-            Defense::Dropout { rate } => {
-                if rate <= 0.0 {
-                    return act.clone();
-                }
-                let mask = Tensor::rand_uniform(act.dims(), 0.0, 1.0, seed);
-                let scale = 1.0 / (1.0 - rate).max(1e-6);
-                Tensor::from_vec(
-                    act.as_slice()
-                        .iter()
-                        .zip(mask.as_slice())
-                        .map(|(&v, &m)| if m < rate { 0.0 } else { v * scale })
-                        .collect(),
-                    act.dims(),
-                )
-                .expect("same dims")
-            }
-        }
+        act.add(&self.delta(act.dims(), seed)).expect("same dims")
     }
 }
 
@@ -154,65 +114,41 @@ mod tests {
     }
 
     #[test]
-    fn quantize_snaps_to_grid() {
-        let a = Tensor::from_vec(vec![0.12, -0.26, 0.51], &[3]).unwrap();
-        let d = Defense::Quantize { step: 0.25 }.apply(&a, 0);
-        for v in d.as_slice() {
-            let q = v / 0.25;
-            assert!((q - q.round()).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn dropout_zeros_roughly_the_right_fraction() {
-        let a = Tensor::full(&[1, 1, 50, 50], 1.0);
-        let d = Defense::Dropout { rate: 0.3 }.apply(&a, 4);
-        let zeros = d.as_slice().iter().filter(|&&v| v == 0.0).count();
-        let frac = zeros as f32 / d.len() as f32;
-        assert!((frac - 0.3).abs() < 0.07, "zeroed fraction {frac}");
-        // Survivors are rescaled to preserve the expectation.
-        assert!((d.mean() - 1.0).abs() < 0.1);
-    }
-
-    #[test]
     fn zero_parameters_are_identity() {
         let a = act();
         assert_eq!(Defense::Uniform { magnitude: 0.0 }.apply(&a, 1), a);
         assert_eq!(Defense::Gaussian { std: 0.0 }.apply(&a, 1), a);
-        assert_eq!(Defense::Quantize { step: 0.0 }.apply(&a, 1), a);
-        assert_eq!(Defense::Dropout { rate: 0.0 }.apply(&a, 1), a);
     }
 
     #[test]
-    fn additive_delta_agrees_with_apply() {
+    fn delta_agrees_with_apply() {
         let a = act();
         for d in
             [Defense::None, Defense::Uniform { magnitude: 0.2 }, Defense::Gaussian { std: 0.3 }]
         {
-            let delta = d.additive_delta(a.dims(), 5).unwrap();
+            let delta = d.delta(a.dims(), 5);
             assert_eq!(a.add(&delta).unwrap(), d.apply(&a, 5), "{}", d.label());
+            assert_eq!(d.additive_delta(a.dims(), 5), Some(delta), "{}", d.label());
         }
-        assert!(Defense::Quantize { step: 0.1 }.additive_delta(a.dims(), 5).is_none());
-        assert!(Defense::Dropout { rate: 0.1 }.additive_delta(a.dims(), 5).is_none());
+    }
+
+    #[test]
+    fn only_finite_non_negative_parameters_are_valid() {
+        for p in [0.0, 0.1, 3.0] {
+            assert!(Defense::Uniform { magnitude: p }.is_valid());
+            assert!(Defense::Gaussian { std: p }.is_valid());
+        }
+        assert!(Defense::None.is_valid());
+        for p in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.1] {
+            assert!(!Defense::Uniform { magnitude: p }.is_valid(), "uniform({p})");
+            assert!(!Defense::Gaussian { std: p }.is_valid(), "gaussian({p})");
+        }
     }
 
     #[test]
     fn labels_carry_parameters() {
         assert_eq!(Defense::Uniform { magnitude: 0.1 }.label(), "uniform(0.100)");
+        assert_eq!(Defense::Gaussian { std: 0.3 }.label(), "gaussian(0.300)");
         assert_eq!(Defense::None.label(), "none");
-        assert!(Defense::Dropout { rate: 0.3 }.label().contains("0.30"));
-    }
-
-    #[test]
-    fn names_are_distinct() {
-        let names = [
-            Defense::None.name(),
-            Defense::Uniform { magnitude: 0.1 }.name(),
-            Defense::Gaussian { std: 0.1 }.name(),
-            Defense::Quantize { step: 0.1 }.name(),
-            Defense::Dropout { rate: 0.1 }.name(),
-        ];
-        let set: std::collections::HashSet<&&str> = names.iter().collect();
-        assert_eq!(set.len(), names.len());
     }
 }

@@ -51,7 +51,7 @@ pub fn avg_ssim_at(
     cfg: &EvalConfig,
 ) -> Result<f32> {
     avg_ssim_with(attack, model, id, eval, cfg.eval_images, &|act, i| {
-        Ok(cfg.defense.apply(act, cfg.seed ^ ((i as u64) << 16)))
+        cfg.defense.apply(act, cfg.seed ^ ((i as u64) << 16))
     })
 }
 
@@ -63,20 +63,20 @@ pub fn avg_ssim_at(
 ///
 /// # Errors
 ///
-/// Returns attack, metric or perturbation errors.
+/// Returns attack or metric errors.
 pub fn avg_ssim_with(
     attack: &mut dyn Idpa,
     model: &mut Model,
     id: BoundaryId,
     eval: &Dataset,
     eval_images: usize,
-    perturb: &dyn Fn(&Tensor, usize) -> Result<Tensor>,
+    perturb: &dyn Fn(&Tensor, usize) -> Tensor,
 ) -> Result<f32> {
     let n = eval_images.min(eval.len()).max(1);
     let mut total = 0.0f32;
     for (i, x) in eval.images().iter().take(n).enumerate() {
         let act = model.forward_to_cut(id, x)?;
-        let observed = perturb(&act, i)?;
+        let observed = perturb(&act, i);
         let rec = attack.recover(model, id, &observed)?;
         total += ssim(x, &rec)?;
     }

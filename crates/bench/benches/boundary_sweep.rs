@@ -3,6 +3,7 @@
 //! paper's speedups.
 
 use c2pi_core::session::C2pi;
+use c2pi_core::Defense;
 use c2pi_nn::model::{alexnet, ZooConfig};
 use c2pi_nn::BoundaryId;
 use c2pi_pi::PiBackend;
@@ -28,7 +29,7 @@ fn bench_boundary(c: &mut Criterion) {
                 // session split makes the online phase the benchmarked unit.
                 let mut session = C2pi::builder(m.clone())
                     .split_at(BoundaryId::relu(conv))
-                    .noise(0.1)
+                    .defense(Defense::Uniform { magnitude: 0.1 })
                     .noise_seed(2)
                     .backend(PiBackend::Cheetah)
                     .build()

@@ -13,6 +13,7 @@
 //! ahead of the measurement so no dealer work leaks in.
 
 use c2pi_core::session::{C2pi, C2piSession};
+use c2pi_core::Defense;
 use c2pi_nn::model::{alexnet, Model, ZooConfig};
 use c2pi_nn::BoundaryId;
 use c2pi_pi::engine::PiBackend;
@@ -33,7 +34,7 @@ fn transports() -> Vec<Arc<dyn Transport>> {
 fn session(backend: PiBackend, transport: Arc<dyn Transport>) -> C2piSession {
     C2pi::builder(model())
         .split_at(BoundaryId::relu(3))
-        .noise(0.1)
+        .defense(Defense::Uniform { magnitude: 0.1 })
         .backend(backend)
         .transport(transport)
         .build()

@@ -5,6 +5,7 @@
 use crate::setup::{dataset, trained_model, DatasetKind};
 use crate::Scale;
 use c2pi_core::session::C2pi;
+use c2pi_core::Defense;
 use c2pi_nn::BoundaryId;
 use c2pi_pi::engine::PiBackend;
 use c2pi_tensor::Tensor;
@@ -77,7 +78,10 @@ fn run_cost(
     boundary: Option<BoundaryId>,
     x: &Tensor,
 ) -> Cost {
-    let builder = C2pi::builder(model.clone()).backend(backend).noise(0.1).noise_seed(87);
+    let builder = C2pi::builder(model.clone())
+        .backend(backend)
+        .defense(Defense::Uniform { magnitude: 0.1 })
+        .noise_seed(87);
     let builder = match boundary {
         Some(b) => builder.split_at(b),
         None => builder.full_pi(),

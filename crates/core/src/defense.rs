@@ -1,9 +1,9 @@
 //! Boundary defenses in the C2PI pipeline: the [`Defense`] enum itself
 //! lives in `c2pi-attacks` (the attacks train against it); this module
-//! adds the one seed stream every evaluator and the serving session
-//! share, and the accuracy side of the privacy/accuracy trade-off —
-//! the quantity the paper plots in Figure 7 and thresholds in
-//! Algorithm 1 (line 8).
+//! adds the seed stream the serving session, the accuracy gate and the
+//! planner's audits share, and the accuracy side of the
+//! privacy/accuracy trade-off — the quantity the paper plots in
+//! Figure 7 and thresholds in Algorithm 1 (line 8).
 
 use crate::Result;
 use c2pi_data::Dataset;
@@ -11,12 +11,13 @@ use c2pi_nn::{BoundaryId, Model};
 
 pub use c2pi_attacks::defense::Defense;
 
-/// The one seed derivation every defense evaluation shares: the seed
-/// for item `index` (an evaluation image, or a served inference) under
-/// a master seed. [`defended_accuracy`], the deployment planner's
+/// The seed derivation serving, the accuracy gate and the planner
+/// share: the seed for item `index` (an evaluation image, or a served
+/// inference) under a master seed. [`defended_accuracy`], the deployment planner's
 /// privacy audits and the serving session's per-inference noise all
 /// draw from this stream, so "same master seed" means "same noise"
-/// across every layer of the stack.
+/// across them. The attack evaluation harness (`c2pi_attacks::eval`)
+/// and the attacks' training sets derive their own seeds (DESIGN.md §5).
 pub fn defense_seed(master: u64, index: usize) -> u64 {
     c2pi_mpc::prg::indexed_seed(master, b"c2pi/defense", index as u64)
 }

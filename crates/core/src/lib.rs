@@ -29,6 +29,7 @@
 //!
 //! ```
 //! use c2pi_core::session::C2pi;
+//! use c2pi_core::Defense;
 //! use c2pi_nn::model::{alexnet, ZooConfig};
 //! use c2pi_nn::BoundaryId;
 //! use c2pi_pi::PiBackend;
@@ -40,7 +41,7 @@
 //! let model = alexnet(&ZooConfig { width_div: 32, image_size: 16, ..Default::default() })?;
 //! let mut session = C2pi::builder(model)
 //!     .split_at(BoundaryId::relu(2))
-//!     .noise(0.1)
+//!     .defense(Defense::Uniform { magnitude: 0.1 })
 //!     .backend(PiBackend::Cheetah)
 //!     .build()?;
 //! session.preprocess(1)?; // offline, input-independent

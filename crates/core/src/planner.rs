@@ -55,7 +55,7 @@
 
 use crate::defense::{baseline_accuracy, defended_accuracy, defense_seed, Defense};
 use crate::{C2piError, Result};
-use c2pi_attacks::eval::avg_ssim_with;
+use c2pi_attacks::eval::{avg_ssim_with, EvalConfig};
 use c2pi_attacks::probe::{quick_panel, ProbeSpec};
 use c2pi_attacks::Idpa;
 use c2pi_data::Dataset;
@@ -479,16 +479,9 @@ pub struct SsimProbe {
     pub avg_ssim: f32,
 }
 
-/// Privacy-gate parameters of one [`probe_one`] sweep.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ProbeGate {
-    pub defense: Defense,
-    pub ssim_threshold: f32,
-    pub eval_images: usize,
-    pub seed: u64,
-}
-
-/// Sweeps one probe tail-to-head with Algorithm 1's early exit.
+/// Sweeps one probe tail-to-head with Algorithm 1's early exit, behind
+/// `gate.defense` drawn from the [`defense_seed`] stream of `gate.seed`
+/// (the serving session's stream, not [`c2pi_attacks::eval::avg_ssim_at`]'s).
 /// Returns the SSIM probes taken (in probe order) and the index of the
 /// first candidate this probe clears — `None` when the probe succeeds
 /// even at the tail, i.e. *no* candidate is safe against it.
@@ -498,22 +491,21 @@ pub(crate) fn probe_one(
     attacker_data: &Dataset,
     eval_data: &Dataset,
     candidates: &[BoundaryId],
-    gate: ProbeGate,
+    gate: &EvalConfig,
 ) -> Result<(Vec<SsimProbe>, Option<usize>)> {
-    let ProbeGate { defense, ssim_threshold, eval_images, seed } = gate;
     let mut probes = Vec::new();
     let mut idx = candidates.len();
     let mut last_success: Option<usize> = None;
     while idx > 0 {
         idx -= 1;
         let id = candidates[idx];
-        attack.prepare(model, id, attacker_data, defense)?;
-        let s = avg_ssim_with(attack, model, id, eval_data, eval_images, &|act, i| {
-            Ok(defense.apply(act, defense_seed(seed, i)))
+        attack.prepare(model, id, attacker_data, gate.defense)?;
+        let s = avg_ssim_with(attack, model, id, eval_data, gate.eval_images, &|act, i| {
+            gate.defense.apply(act, defense_seed(gate.seed, i))
         })
         .map_err(C2piError::Attack)?;
         probes.push(SsimProbe { id, avg_ssim: s });
-        if s >= ssim_threshold {
+        if s >= gate.ssim_threshold {
             last_success = Some(idx);
             break;
         }
@@ -591,13 +583,10 @@ impl<'a> DeploymentPlanner<'a> {
             return Err(C2piError::BadConfig("planner needs >= 1 backend and net".into()));
         }
         // Fail fast, before minutes of probe training: the cost sweep
-        // compiles serving sessions, and a session can only apply
-        // *additive* defenses to the client's share.
-        if self.cfg.defense.additive_delta(&[1], 0).is_none() {
+        // compiles serving sessions, which refuse the same defense.
+        if !self.cfg.defense.is_valid() {
             return Err(C2piError::BadConfig(format!(
-                "defense {} is not additive; serving sessions cannot apply it, so it cannot \
-                 be planned for deployment (it remains usable in standalone audits via \
-                 `defended_accuracy`)",
+                "defense {} needs a finite, non-negative parameter",
                 self.cfg.defense.label()
             )));
         }
@@ -609,6 +598,12 @@ impl<'a> DeploymentPlanner<'a> {
         // candidate is private, however late — the audit failed and the
         // plan may only fall back, never claim privacy.
         let mut nothing_safe = false;
+        let gate = EvalConfig {
+            defense: self.cfg.defense,
+            ssim_threshold: self.cfg.ssim_threshold,
+            eval_images: self.cfg.eval_images,
+            seed: self.cfg.seed,
+        };
         for spec in &self.cfg.probes {
             let mut attack = spec.build();
             let (probes, safe) = probe_one(
@@ -617,12 +612,7 @@ impl<'a> DeploymentPlanner<'a> {
                 self.attacker_data,
                 self.eval_data,
                 &candidates,
-                ProbeGate {
-                    defense: self.cfg.defense,
-                    ssim_threshold: self.cfg.ssim_threshold,
-                    eval_images: self.cfg.eval_images,
-                    seed: self.cfg.seed,
-                },
+                &gate,
             )?;
             for p in probes {
                 let idx = candidates.iter().position(|c| *c == p.id).expect("probed candidate");
@@ -890,17 +880,20 @@ mod tests {
     }
 
     #[test]
-    fn non_additive_defense_is_rejected_before_the_audit() {
+    fn invalid_defense_is_rejected_before_the_audit() {
         let (mut model, data) = setup();
         let cfg = PlannerConfig {
-            defense: Defense::Quantize { step: 0.1 },
+            defense: Defense::Uniform { magnitude: f32::NAN },
             // A panel that would take minutes if the check were late.
             probes: vec![ProbeSpec::parse("dina:30").unwrap()],
             ..cost_only_cfg()
         };
         let start = std::time::Instant::now();
         let err = DeploymentPlanner::new(&mut model, &data, &data, cfg).plan();
-        assert!(matches!(err, Err(C2piError::BadConfig(_))));
+        assert!(
+            matches!(&err, Err(C2piError::BadConfig(m)) if m.contains("uniform(NaN)")),
+            "{err:?}"
+        );
         assert!(start.elapsed().as_secs() < 5, "must fail before probe training");
     }
 
@@ -1079,9 +1072,9 @@ mod tests {
             anticipated: Vec::new(),
             reference: data.images()[0].clone(),
         };
-        let gate = ProbeGate { defense, ssim_threshold: 0.3, eval_images: 1, seed: 47 };
+        let gate = EvalConfig { defense, ssim_threshold: 0.3, eval_images: 1, seed: 47 };
         let (probes, first_safe) =
-            probe_one(&mut model, &mut attack, &data, &data, candidates, gate).unwrap();
+            probe_one(&mut model, &mut attack, &data, &data, candidates, &gate).unwrap();
         assert_eq!(attack.anticipated.len(), attack.probes.len());
         assert!(attack.anticipated.iter().all(|&d| d == defense), "{:?}", attack.anticipated);
         (attack.probes, probes, first_safe)

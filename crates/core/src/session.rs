@@ -3,6 +3,7 @@
 //!
 //! ```no_run
 //! use c2pi_core::session::C2pi;
+//! use c2pi_core::Defense;
 //! use c2pi_nn::model::{vgg16, ZooConfig};
 //! use c2pi_nn::BoundaryId;
 //! use c2pi_pi::PiBackend;
@@ -12,7 +13,7 @@
 //! let model = vgg16(&ZooConfig::default())?;
 //! let mut session = C2pi::builder(model)
 //!     .split_at(BoundaryId::relu(9))
-//!     .noise(0.1)
+//!     .defense(Defense::Uniform { magnitude: 0.1 })
 //!     .backend(PiBackend::Cheetah)
 //!     .build()?;
 //! session.preprocess(16)?; // offline: correlated randomness for 16 images
@@ -120,20 +121,19 @@ impl C2piBuilder {
         self
     }
 
-    /// Defense noise magnitude λ added to the client's share before the
-    /// reveal (ignored for [`Split::Full`]). Sugar for
-    /// `defense(Defense::Uniform { magnitude: lambda })`.
+    /// Shorthand for `defense(Defense::Uniform { magnitude: lambda })`,
+    /// kept only because the frozen `benchmark/` package calls it; use
+    /// [`C2piBuilder::defense`].
     pub fn noise(mut self, lambda: f32) -> Self {
         self.defense = Defense::Uniform { magnitude: lambda };
         self
     }
 
     /// The boundary defense the client applies to its share before the
-    /// reveal (ignored for [`Split::Full`]). Must be *additive*
-    /// ([`Defense::additive_delta`]): the client holds only a share, so
-    /// it can add a perturbation but cannot quantise or drop values it
-    /// never sees — [`C2piBuilder::build`] rejects non-additive
-    /// defenses for split deployments.
+    /// reveal (ignored for [`Split::Full`]). A defense is an additive
+    /// perturbation: the client holds only a share, so it adds
+    /// [`Defense::delta`] to it. [`C2piBuilder::build`] rejects a split
+    /// deployment whose defense parameter is NaN, infinite or negative.
     pub fn defense(mut self, defense: Defense) -> Self {
         self.defense = defense;
         self
@@ -187,14 +187,15 @@ impl C2piBuilder {
     ///
     /// # Errors
     ///
-    /// Returns an error for unknown boundaries or crypto prefixes the
-    /// engine cannot execute.
+    /// Returns an error for unknown boundaries, crypto prefixes the
+    /// engine cannot execute, or (for a split) an invalid defense
+    /// parameter ([`Defense::is_valid`]).
     pub fn build(self) -> Result<C2piSession> {
         let (crypto, clear) = match self.split {
             Split::At(boundary) => {
-                if self.defense.additive_delta(&[1], 0).is_none() {
+                if !self.defense.is_valid() {
                     return Err(C2piError::BadConfig(format!(
-                        "defense {} is not additive: the client cannot apply it to its share",
+                        "defense {} needs a finite, non-negative parameter",
                         self.defense.label()
                     )));
                 }
@@ -310,13 +311,7 @@ impl C2piSession {
                 // reveals it (Figure 2c). The delta is the same tensor
                 // `Defense::apply` would add to the activation, drawn
                 // from the same seed stream the accuracy evaluators use.
-                let delta =
-                    self.defense.additive_delta(&outcome.dims, noise_seed).ok_or_else(|| {
-                        C2piError::BadConfig(format!(
-                            "defense {} is not additive",
-                            self.defense.label()
-                        ))
-                    })?;
+                let delta = self.defense.delta(&outcome.dims, noise_seed);
                 let noise_ring: Vec<u64> = fp.encode_tensor(&delta);
                 let noised_share = ShareVec::from_raw(
                     outcome
@@ -374,7 +369,7 @@ mod tests {
         let plain = plain_prediction(&model, &x).unwrap();
         let mut session = C2pi::builder(model)
             .split_at(BoundaryId::relu(3))
-            .noise(0.0)
+            .defense(Defense::Uniform { magnitude: 0.0 })
             .backend(PiBackend::Cheetah)
             .build()
             .unwrap();
@@ -393,7 +388,11 @@ mod tests {
         let xs: Vec<Tensor> =
             (0..2).map(|s| Tensor::rand_uniform(&[1, 3, 16, 16], 0.0, 1.0, s)).collect();
         let expected: Vec<Tensor> = xs.iter().map(|x| model.predict(x).unwrap()).collect();
-        let mut session = C2pi::builder(model).full_pi().noise(0.0).build().unwrap();
+        let mut session = C2pi::builder(model)
+            .full_pi()
+            .defense(Defense::Uniform { magnitude: 0.0 })
+            .build()
+            .unwrap();
         assert_eq!(session.clear_layer_count(), 0);
         session.preprocess(xs.len()).unwrap();
         let results = session.infer_batch(&xs).unwrap();
@@ -445,8 +444,11 @@ mod tests {
     fn per_inference_noise_is_forked_not_repeated() {
         let model = tiny_model();
         let x = Tensor::rand_uniform(&[1, 3, 16, 16], 0.0, 1.0, 9);
-        let mut session =
-            C2pi::builder(model).split_at(BoundaryId::relu(3)).noise(0.5).build().unwrap();
+        let mut session = C2pi::builder(model)
+            .split_at(BoundaryId::relu(3))
+            .defense(Defense::Uniform { magnitude: 0.5 })
+            .build()
+            .unwrap();
         let a = session.infer(&x).unwrap().revealed_activation.unwrap();
         let b = session.infer(&x).unwrap().revealed_activation.unwrap();
         // Same input, same session: the revealed activations differ
@@ -460,7 +462,11 @@ mod tests {
         let x = Tensor::rand_uniform(&[1, 3, 16, 16], 0.0, 1.0, 4);
         let boundary = BoundaryId::relu(3);
         let clean_act = model.clone().forward_to_cut(boundary, &x).unwrap();
-        let mut session = C2pi::builder(model).split_at(boundary).noise(0.5).build().unwrap();
+        let mut session = C2pi::builder(model)
+            .split_at(boundary)
+            .defense(Defense::Uniform { magnitude: 0.5 })
+            .build()
+            .unwrap();
         let revealed = session.infer(&x).unwrap().revealed_activation.unwrap();
         // The revealed activation deviates by up to λ (plus fixed-point
         // error) but not more.
@@ -495,21 +501,41 @@ mod tests {
     }
 
     #[test]
-    fn unknown_boundary_is_rejected() {
+    fn unknown_boundary_and_invalid_defense_are_rejected() {
         let err = C2pi::builder(tiny_model()).split_at(BoundaryId::conv(99)).build();
         assert!(err.is_err());
+        // A NaN, infinite or negative parameter would serve no noise
+        // under a label that claims a defense.
+        let split =
+            |defense| C2pi::builder(tiny_model()).split_at(BoundaryId::relu(3)).defense(defense);
+        for p in [f32::NAN, f32::INFINITY, -0.1] {
+            for defense in [Defense::Uniform { magnitude: p }, Defense::Gaussian { std: p }] {
+                let err = split(defense).build().unwrap_err();
+                assert!(
+                    matches!(&err, C2piError::BadConfig(m) if m.contains(&defense.label())),
+                    "{err:?}"
+                );
+            }
+        }
+        for defense in [Defense::Uniform { magnitude: 0.0 }, Defense::Gaussian { std: 0.0 }] {
+            assert!(split(defense).build().is_ok(), "{}", defense.label());
+        }
     }
 
     #[test]
     fn transports_are_interchangeable_at_the_builder() {
         use c2pi_transport::{NetModel, SimTransport, TcpLoopbackTransport};
         let x = Tensor::rand_uniform(&[1, 3, 16, 16], 0.0, 1.0, 4);
-        let mut mem = C2pi::builder(tiny_model()).full_pi().noise(0.0).build().unwrap();
+        let mut mem = C2pi::builder(tiny_model())
+            .full_pi()
+            .defense(Defense::Uniform { magnitude: 0.0 })
+            .build()
+            .unwrap();
         assert_eq!(mem.transport_label(), "mem");
         let want = mem.infer(&x).unwrap();
         let mut tcp = C2pi::builder(tiny_model())
             .full_pi()
-            .noise(0.0)
+            .defense(Defense::Uniform { magnitude: 0.0 })
             .transport(TcpLoopbackTransport)
             .build()
             .unwrap();
@@ -519,7 +545,7 @@ mod tests {
         assert_eq!(got.logits.as_slice(), want.logits.as_slice());
         let mut sim = C2pi::builder(tiny_model())
             .full_pi()
-            .noise(0.0)
+            .defense(Defense::Uniform { magnitude: 0.0 })
             .transport(SimTransport::new(NetModel::custom("fast", 1e12, 1e-6)))
             .build()
             .unwrap();

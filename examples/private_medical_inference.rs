@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let boundary = BoundaryId::relu(6);
     let mut session = C2pi::builder(model.clone())
         .split_at(boundary)
-        .noise(0.1)
+        .defense(Defense::Uniform { magnitude: 0.1 })
         .noise_seed(9)
         .backend(PiBackend::Cheetah)
         .build()?;

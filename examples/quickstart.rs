@@ -8,6 +8,7 @@
 //! ```
 
 use c2pi_suite::core::session::{plain_prediction, C2pi};
+use c2pi_suite::core::Defense;
 use c2pi_suite::data::synth::{SynthConfig, SynthDataset};
 use c2pi_suite::nn::model::{alexnet, ZooConfig};
 use c2pi_suite::nn::train::{evaluate_accuracy, train_classifier, TrainConfig};
@@ -38,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    reveals a noised share and the server finishes alone.
     let mut session = C2pi::builder(model.clone())
         .split_at(BoundaryId::relu(3))
-        .noise(0.1)
+        .defense(Defense::Uniform { magnitude: 0.1 })
         .noise_seed(2)
         .backend(PiBackend::Cheetah)
         .build()?;

@@ -67,7 +67,7 @@ fn dina_against_real_c2pi_reveal_is_weak_at_deep_boundary() {
     let secret = data.images()[1].clone();
     let mut session = C2pi::builder(model.clone())
         .split_at(boundary)
-        .noise(0.1)
+        .defense(Defense::Uniform { magnitude: 0.1 })
         .noise_seed(77)
         .backend(PiBackend::Cheetah)
         .build()

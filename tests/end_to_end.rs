@@ -3,7 +3,7 @@
 //! the session-based serving API.
 
 use c2pi_suite::core::session::{plain_prediction, C2pi};
-use c2pi_suite::core::Split;
+use c2pi_suite::core::{Defense, Split};
 use c2pi_suite::data::synth::{SynthConfig, SynthDataset};
 use c2pi_suite::nn::model::{alexnet, by_name, ZooConfig};
 use c2pi_suite::nn::train::{evaluate_accuracy, train_classifier, TrainConfig};
@@ -22,7 +22,7 @@ fn c2pi_agrees_with_plaintext_on_several_images_both_backends() {
         let model = tiny_model();
         let mut session = C2pi::builder(model.clone())
             .split_at(BoundaryId::relu(3))
-            .noise(0.0)
+            .defense(Defense::Uniform { magnitude: 0.0 })
             .backend(backend)
             .build()
             .unwrap();
@@ -65,7 +65,7 @@ fn trained_model_keeps_accuracy_through_c2pi_batch() {
     assert!(acc > 0.5, "training failed: {acc}");
     let mut session = C2pi::builder(model.clone())
         .split_at(BoundaryId::relu(4))
-        .noise(0.0)
+        .defense(Defense::Uniform { magnitude: 0.0 })
         .backend(PiBackend::Cheetah)
         .build()
         .unwrap();
@@ -88,13 +88,17 @@ fn trained_model_keeps_accuracy_through_c2pi_batch() {
 fn full_pi_costs_more_than_every_c2pi_boundary() {
     let model = tiny_model();
     let x = Tensor::rand_uniform(&[1, 3, 16, 16], 0.0, 1.0, 9);
-    let mut full = C2pi::builder(model.clone()).full_pi().noise(0.1).build().unwrap();
+    let mut full = C2pi::builder(model.clone())
+        .full_pi()
+        .defense(Defense::Uniform { magnitude: 0.1 })
+        .build()
+        .unwrap();
     let full_cost = full.infer(&x).unwrap().report.comm_mb();
     let mut last = 0.0f64;
     for conv in [1usize, 3, 5] {
         let mut session = C2pi::builder(model.clone())
             .split_at(BoundaryId::relu(conv))
-            .noise(0.1)
+            .defense(Defense::Uniform { magnitude: 0.1 })
             .build()
             .unwrap();
         let cost = session.infer(&x).unwrap().report.comm_mb();
@@ -120,7 +124,7 @@ fn delphi_is_heavier_than_cheetah_end_to_end() {
     let run = |backend| {
         let mut session = C2pi::builder(model.clone())
             .split_at(boundary)
-            .noise(0.1)
+            .defense(Defense::Uniform { magnitude: 0.1 })
             .backend(backend)
             .build()
             .unwrap();
@@ -144,7 +148,7 @@ fn all_zoo_models_run_under_c2pi() {
         let expected = plain_prediction(&model, &x).unwrap();
         let mut session = C2pi::builder(model)
             .split_at(BoundaryId::relu(2))
-            .noise(0.0)
+            .defense(Defense::Uniform { magnitude: 0.0 })
             .backend(PiBackend::Cheetah)
             .build()
             .unwrap();
@@ -160,8 +164,11 @@ fn noise_changes_logits_but_modestly_at_small_lambda() {
     let x = Tensor::rand_uniform(&[1, 3, 16, 16], 0.0, 1.0, 13);
     let boundary = BoundaryId::relu(5);
     let run = |noise: f32| {
-        let mut session =
-            C2pi::builder(model.clone()).split_at(boundary).noise(noise).build().unwrap();
+        let mut session = C2pi::builder(model.clone())
+            .split_at(boundary)
+            .defense(Defense::Uniform { magnitude: noise })
+            .build()
+            .unwrap();
         session.infer(&x).unwrap().logits
     };
     let clean = run(0.0);
@@ -178,13 +185,20 @@ fn preprocessing_moves_dealer_cost_off_the_online_path() {
     // a cold one reports it.
     let model = tiny_model();
     let x = Tensor::rand_uniform(&[1, 3, 16, 16], 0.0, 1.0, 14);
-    let mut warm =
-        C2pi::builder(model.clone()).split_at(BoundaryId::relu(3)).noise(0.1).build().unwrap();
+    let mut warm = C2pi::builder(model.clone())
+        .split_at(BoundaryId::relu(3))
+        .defense(Defense::Uniform { magnitude: 0.1 })
+        .build()
+        .unwrap();
     warm.preprocess(1).unwrap();
     let warm_res = warm.infer(&x).unwrap();
     assert_eq!(warm_res.report.preprocessing.generated_inline, 0);
     assert!(warm_res.report.preprocessing.generation_seconds > 0.0);
-    let mut cold = C2pi::builder(model).split_at(BoundaryId::relu(3)).noise(0.1).build().unwrap();
+    let mut cold = C2pi::builder(model)
+        .split_at(BoundaryId::relu(3))
+        .defense(Defense::Uniform { magnitude: 0.1 })
+        .build()
+        .unwrap();
     let cold_res = cold.infer(&x).unwrap();
     assert_eq!(cold_res.report.preprocessing.generated_inline, 1);
     assert_eq!(cold_res.report.preprocessing.generated_offline, 0);

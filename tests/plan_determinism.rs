@@ -8,11 +8,15 @@
 //! is covered too. This test pins the same code path at a budget that
 //! fits `cargo test`'s debug profile.
 //!
-//! To regenerate the golden file after an intentional planner change:
+//! Two goldens are pinned: the default uniform defense
+//! (`plan_table.txt`) and, on the same trained model, a Gaussian one
+//! (`plan_table_gaussian.txt`), so a change to planning under either
+//! noise shows. To regenerate them after an intentional planner change:
 //! `GOLDEN_UPDATE=1 cargo test --test plan_determinism`.
 
 use c2pi_suite::attacks::probe::ProbeSpec;
 use c2pi_suite::core::planner::{DeploymentPlan, DeploymentPlanner, PlannerConfig};
+use c2pi_suite::core::Defense;
 use c2pi_suite::data::synth::{SynthConfig, SynthDataset};
 use c2pi_suite::data::Dataset;
 use c2pi_suite::nn::model::{alexnet, Model, ZooConfig};
@@ -53,31 +57,39 @@ fn cfg(seed: u64) -> PlannerConfig {
     }
 }
 
-fn run_plan(seed: u64) -> DeploymentPlan {
-    let (mut model, train, eval) = setup();
-    DeploymentPlanner::new(&mut model, &train, &eval, cfg(seed)).plan().unwrap()
+fn run_plan(setup: &(Model, Dataset, Dataset), cfg: PlannerConfig) -> DeploymentPlan {
+    let (model, train, eval) = setup;
+    DeploymentPlanner::new(&mut model.clone(), train, eval, cfg).plan().unwrap()
 }
 
-#[test]
-fn plan_output_is_byte_identical_across_runs_and_matches_golden() {
-    let a = run_plan(47);
-    let b = run_plan(47);
-    assert_eq!(a, b, "two fresh planner runs diverged");
-    assert_eq!(a.render_table(), b.render_table());
-    assert_eq!(a.to_json(), b.to_json());
-
-    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/plan_table.txt");
-    let rendered = a.render_table();
+/// Compares `rendered` with `tests/golden/<name>`, rewriting it first
+/// under `GOLDEN_UPDATE`.
+fn assert_matches_golden(name: &str, rendered: &str) {
+    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
     if std::env::var_os("GOLDEN_UPDATE").is_some() {
-        std::fs::write(&golden_path, &rendered).unwrap();
+        std::fs::write(&golden_path, rendered).unwrap();
     }
     let golden = std::fs::read_to_string(&golden_path)
         .expect("golden file missing: run with GOLDEN_UPDATE=1 to create it");
     assert_eq!(
         rendered, golden,
-        "plan table drifted from tests/golden/plan_table.txt; if the change is \
+        "plan table drifted from tests/golden/{name}; if the change is \
          intentional, regenerate with GOLDEN_UPDATE=1"
     );
+}
+
+#[test]
+fn plan_output_is_byte_identical_across_runs_and_matches_golden() {
+    let trained = setup();
+    let a = run_plan(&trained, cfg(47));
+    let b = run_plan(&setup(), cfg(47));
+    assert_eq!(a, b, "two fresh planner runs diverged");
+    assert_eq!(a.render_table(), b.render_table());
+    assert_eq!(a.to_json(), b.to_json());
+    assert_matches_golden("plan_table.txt", &a.render_table());
+
+    let gaussian = PlannerConfig { defense: Defense::Gaussian { std: 0.1 }, ..cfg(47) };
+    assert_matches_golden("plan_table_gaussian.txt", &run_plan(&trained, gaussian).render_table());
 }
 
 #[test]

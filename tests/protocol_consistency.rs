@@ -3,7 +3,7 @@
 //! engines, and the traffic profile must reflect the architecture.
 
 use c2pi_suite::core::session::C2pi;
-use c2pi_suite::core::Split;
+use c2pi_suite::core::{Defense, Split};
 use c2pi_suite::nn::layers::{AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d, Relu};
 use c2pi_suite::nn::model::{alexnet, ZooConfig};
 use c2pi_suite::nn::{BoundaryId, Sequential};
@@ -120,7 +120,7 @@ fn delphi_and_cheetah_sessions_agree_on_the_same_batch() {
         let run = |backend: PiBackend| {
             let mut session = C2pi::builder(model.clone())
                 .split(split)
-                .noise(0.0)
+                .defense(Defense::Uniform { magnitude: 0.0 })
                 .backend(backend)
                 .build()
                 .unwrap();
