@@ -5,7 +5,7 @@
 //! and original images drops below the failure threshold (0.3 by
 //! default, following He et al. as adopted by the paper).
 
-use crate::{Defense, Idpa, Result};
+use crate::{AttackError, Defense, Idpa, Result};
 use c2pi_data::metrics::ssim;
 use c2pi_data::Dataset;
 use c2pi_nn::{BoundaryId, Model};
@@ -37,12 +37,26 @@ impl Default for EvalConfig {
     }
 }
 
+/// Refuses a defense that draws no usable noise ([`Defense::is_valid`])
+/// with [`AttackError::BadConfig`] naming its label, which would
+/// otherwise head undefended results.
+fn check_defense(defense: Defense) -> Result<()> {
+    if defense.is_valid() {
+        return Ok(());
+    }
+    Err(AttackError::BadConfig(format!(
+        "defense {} needs a finite, non-negative parameter",
+        defense.label()
+    )))
+}
+
 /// Average SSIM an attack achieves at one boundary over an evaluation
 /// set (the attack must already be prepared for that boundary).
 ///
 /// # Errors
 ///
-/// Returns attack or metric errors.
+/// Returns [`AttackError::BadConfig`] for an invalid `cfg.defense`, and
+/// attack or metric errors.
 pub fn avg_ssim_at(
     attack: &mut dyn Idpa,
     model: &mut Model,
@@ -50,6 +64,7 @@ pub fn avg_ssim_at(
     eval: &Dataset,
     cfg: &EvalConfig,
 ) -> Result<f32> {
+    check_defense(cfg.defense)?;
     avg_ssim_with(attack, model, id, eval, cfg.eval_images, &|act, i| {
         cfg.defense.apply(act, cfg.seed ^ ((i as u64) << 16))
     })
@@ -100,7 +115,8 @@ pub struct SweepPoint {
 ///
 /// # Errors
 ///
-/// Returns attack errors.
+/// Returns [`AttackError::BadConfig`] for an invalid `cfg.defense`
+/// (before any attack trains), and attack errors.
 pub fn sweep_conv_layers(
     attack: &mut dyn Idpa,
     model: &mut Model,
@@ -108,6 +124,7 @@ pub fn sweep_conv_layers(
     eval: &Dataset,
     cfg: &EvalConfig,
 ) -> Result<Vec<SweepPoint>> {
+    check_defense(cfg.defense)?;
     let mut out = Vec::new();
     for conv in 1..=model.num_convs() {
         let id = BoundaryId::relu(conv);
@@ -161,6 +178,35 @@ mod tests {
         let cfg = EvalConfig { eval_images: 2, defense: Defense::None, ..Default::default() };
         let s = avg_ssim_at(&mut mla, &mut model, BoundaryId::relu(1), &data, &cfg).unwrap();
         assert!((-1.0..=1.0).contains(&s));
+    }
+
+    /// A negative and a NaN parameter, each refused naming its label.
+    fn assert_refused<T: std::fmt::Debug>(run: impl Fn(&EvalConfig) -> Result<T>) {
+        for defense in [Defense::Uniform { magnitude: -0.1 }, Defense::Gaussian { std: f32::NAN }] {
+            let err = run(&EvalConfig { defense, eval_images: 1, ..Default::default() });
+            assert!(
+                matches!(&err, Err(AttackError::BadConfig(why)) if why.contains(&defense.label())),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn avg_ssim_at_rejects_an_invalid_defense() {
+        let (model, data) = setup();
+        assert_refused(|cfg| {
+            let mut mla = Mla::new(MlaConfig { iterations: 1, ..Default::default() });
+            avg_ssim_at(&mut mla, &mut model.clone(), BoundaryId::relu(1), &data, cfg)
+        });
+    }
+
+    #[test]
+    fn sweep_conv_layers_rejects_an_invalid_defense_before_training() {
+        let (model, data) = setup();
+        assert_refused(|cfg| {
+            let mut mla = Mla::new(MlaConfig { iterations: 1, ..Default::default() });
+            sweep_conv_layers(&mut mla, &mut model.clone(), &data, &data, cfg)
+        });
     }
 
     #[test]

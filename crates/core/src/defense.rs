@@ -22,13 +22,27 @@ pub fn defense_seed(master: u64, index: usize) -> u64 {
     c2pi_mpc::prg::indexed_seed(master, b"c2pi/defense", index as u64)
 }
 
+/// Refuses a defense that draws no usable noise ([`Defense::is_valid`])
+/// with [`C2piError::BadConfig`](crate::C2piError::BadConfig) naming
+/// its label, which would otherwise head undefended results.
+pub(crate) fn check_defense(defense: Defense) -> Result<()> {
+    if defense.is_valid() {
+        return Ok(());
+    }
+    Err(crate::C2piError::BadConfig(format!(
+        "defense {} needs a finite, non-negative parameter",
+        defense.label()
+    )))
+}
+
 /// Accuracy when the defense is applied to the activation entering the
 /// layer after `id`. Per-image seeds come from the shared
 /// [`defense_seed`] stream.
 ///
 /// # Errors
 ///
-/// Returns an error on empty datasets or unknown boundaries.
+/// Returns an error on an invalid defense ([`Defense::is_valid`]), empty
+/// datasets or unknown boundaries.
 pub fn defended_accuracy(
     model: &mut Model,
     id: BoundaryId,
@@ -36,6 +50,7 @@ pub fn defended_accuracy(
     data: &Dataset,
     seed: u64,
 ) -> Result<f32> {
+    check_defense(defense)?;
     if data.is_empty() {
         return Err(crate::C2piError::BadConfig("empty evaluation set".into()));
     }
@@ -127,5 +142,21 @@ mod tests {
         assert!(baseline_accuracy(&mut model, &empty).is_err());
         let uniform = Defense::Uniform { magnitude: 0.1 };
         assert!(defended_accuracy(&mut model, BoundaryId::relu(1), uniform, &empty, 0).is_err());
+    }
+
+    #[test]
+    fn invalid_defense_is_rejected_by_the_accuracy_gate() {
+        let mut model =
+            alexnet(&ZooConfig { width_div: 32, seed: 3, ..Default::default() }).unwrap();
+        let data =
+            SynthDataset::generate(&SynthConfig { classes: 2, per_class: 1, ..Default::default() })
+                .into_dataset();
+        for defense in [Defense::Uniform { magnitude: -0.1 }, Defense::Gaussian { std: f32::NAN }] {
+            let err = defended_accuracy(&mut model, BoundaryId::relu(1), defense, &data, 0);
+            assert!(
+                matches!(&err, Err(crate::C2piError::BadConfig(why)) if why.contains(&defense.label())),
+                "{err:?}"
+            );
+        }
     }
 }

@@ -53,7 +53,7 @@
 //! # }
 //! ```
 
-use crate::defense::{baseline_accuracy, defended_accuracy, defense_seed, Defense};
+use crate::defense::{baseline_accuracy, check_defense, defended_accuracy, defense_seed, Defense};
 use crate::{C2piError, Result};
 use c2pi_attacks::eval::{avg_ssim_with, EvalConfig};
 use c2pi_attacks::probe::{quick_panel, ProbeSpec};
@@ -584,12 +584,7 @@ impl<'a> DeploymentPlanner<'a> {
         }
         // Fail fast, before minutes of probe training: the cost sweep
         // compiles serving sessions, which refuse the same defense.
-        if !self.cfg.defense.is_valid() {
-            return Err(C2piError::BadConfig(format!(
-                "defense {} needs a finite, non-negative parameter",
-                self.cfg.defense.label()
-            )));
-        }
+        check_defense(self.cfg.defense)?;
 
         // ---- 1. privacy audit: every probe sweeps tail-to-head. ----
         let mut per_candidate: Vec<Vec<ProbeSsim>> = vec![Vec::new(); candidates.len()];
@@ -807,6 +802,7 @@ mod tests {
     use crate::session::{plain_prediction, C2pi, Split};
     use c2pi_data::synth::{SynthConfig, SynthDataset};
     use c2pi_nn::model::{alexnet, ZooConfig};
+    use c2pi_nn::train::{train_classifier, TrainConfig};
 
     fn setup() -> (Model, Dataset) {
         let model =
@@ -976,6 +972,58 @@ mod tests {
         assert_eq!(best.boundary, BoundaryId::relu(1));
         assert!(!best.gates_passed, "the fallback must carry gates_passed: false");
         assert!(plan.render_table().contains("FAIL"));
+    }
+
+    #[test]
+    fn the_accuracy_gate_leaves_out_private_boundaries_that_lose_accuracy() {
+        // The other tests accept any accuracy (`max_accuracy_drop: 1.0`).
+        // Here a model fitted to its evaluation set is planned cost-only
+        // (every candidate private), so Algorithm 1's accuracy check
+        // (line 8) alone decides which boundaries are costed.
+        let (mut model, data) = setup();
+        let fit = TrainConfig { epochs: 60, batch_size: 3, lr: 0.01, momentum: 0.9, seed: 1 };
+        train_classifier(model.seq_mut(), data.images(), data.labels(), &fit).unwrap();
+        let baseline = baseline_accuracy(&mut model, &data).unwrap();
+        let plan_under = |magnitude: f32| {
+            let cfg = PlannerConfig {
+                defense: Defense::Uniform { magnitude },
+                max_accuracy_drop: 0.025,
+                backends: vec![PiBackend::Cheetah],
+                nets: vec![NetModel::mem()],
+                ..cost_only_cfg()
+            };
+            DeploymentPlanner::new(&mut model.clone(), &data, &data, cfg).plan().unwrap()
+        };
+        let verdicts = |plan: &DeploymentPlan| -> Vec<_> {
+            plan.audits.iter().map(|a| (a.boundary, a.private, a.accuracy_ok)).collect()
+        };
+        let (early, late) = (BoundaryId::relu(2), BoundaryId::relu(4));
+
+        // Mild noise costs relu(2) its accuracy but not relu(4).
+        let plan = plan_under(0.5);
+        let audits: Vec<_> = plan.audits.iter().map(|a| a.defended_accuracy).collect();
+        assert_eq!(
+            verdicts(&plan),
+            [(early, true, Some(false)), (late, true, Some(true))],
+            "precondition: only relu(2) fails the gate (baseline {baseline}, defended {audits:?})"
+        );
+        assert!(!plan.costs.is_empty());
+        assert!(plan.costs.iter().all(|r| r.boundary == late), "a rejected boundary was costed");
+        assert!(plan.ranked.iter().all(|c| c.boundary == late && c.gates_passed));
+
+        // Strong noise fails every candidate: only the fallback (the
+        // latest candidate) is costed, flagged as failing the gates.
+        let plan = plan_under(2.0);
+        let audits: Vec<_> = plan.audits.iter().map(|a| a.defended_accuracy).collect();
+        assert_eq!(
+            verdicts(&plan),
+            [(early, true, Some(false)), (late, true, Some(false))],
+            "precondition: every boundary fails the gate (baseline {baseline}, defended {audits:?})"
+        );
+        assert!(plan.costs.iter().all(|r| r.boundary == late));
+        let best = plan.best().unwrap();
+        assert_eq!(best.boundary, late);
+        assert!(!best.gates_passed, "the fallback must carry gates_passed: false");
     }
 
     #[test]

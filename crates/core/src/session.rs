@@ -25,7 +25,7 @@
 //! # }
 //! ```
 
-use crate::defense::{defense_seed, Defense};
+use crate::defense::{check_defense, defense_seed, Defense};
 use crate::{C2piError, Result};
 use c2pi_mpc::share::ShareVec;
 use c2pi_nn::{BoundaryId, Model, Sequential};
@@ -193,12 +193,7 @@ impl C2piBuilder {
     pub fn build(self) -> Result<C2piSession> {
         let (crypto, clear) = match self.split {
             Split::At(boundary) => {
-                if !self.defense.is_valid() {
-                    return Err(C2piError::BadConfig(format!(
-                        "defense {} needs a finite, non-negative parameter",
-                        self.defense.label()
-                    )));
-                }
+                check_defense(self.defense)?;
                 self.model.split_at(boundary).map_err(C2piError::Nn)?
             }
             Split::Full => (self.model.seq().clone(), Sequential::new()),

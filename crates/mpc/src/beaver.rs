@@ -154,53 +154,6 @@ pub fn linear_server<C: Channel + ?Sized>(
     Ok(ys.pop().expect("one member in, one share out"))
 }
 
-/// Client side of the masked elementwise affine protocol (server-known
-/// scale `s` applied to a shared vector): sends `x₀ − a` and keeps its
-/// share of `s⊙a`.
-///
-/// # Errors
-///
-/// Returns transport errors or length mismatches.
-pub fn affine_client<C: Channel + ?Sized>(
-    ep: &C,
-    x0: &ShareVec,
-    corr: &crate::dealer::AffineCorrClient,
-) -> Result<ShareVec> {
-    if corr.mask.len() != x0.len() {
-        return Err(MpcError::BadConfig("affine correlation length mismatch".into()));
-    }
-    let masked: Vec<u64> =
-        x0.as_raw().iter().zip(corr.mask.iter()).map(|(&x, &a)| x.wrapping_sub(a)).collect();
-    ep.send_u64s(&masked)?;
-    Ok(corr.sa_share.clone())
-}
-
-/// Server side of the masked elementwise affine protocol: receives
-/// `x₀ − a`, outputs `s⊙(x₀−a) + s⊙x₁ + share(s⊙a)`.
-///
-/// # Errors
-///
-/// Returns transport errors or length mismatches.
-pub fn affine_server<C: Channel + ?Sized>(
-    ep: &C,
-    scale: &[u64],
-    x1: &ShareVec,
-    corr: &crate::dealer::AffineCorrServer,
-) -> Result<ShareVec> {
-    let masked = ep.recv_u64s()?;
-    if masked.len() != x1.len() || scale.len() != x1.len() {
-        return Err(MpcError::Protocol("affine frame length mismatch".into()));
-    }
-    let out: Vec<u64> = (0..x1.len())
-        .map(|i| {
-            scale[i]
-                .wrapping_mul(masked[i].wrapping_add(x1.as_raw()[i]))
-                .wrapping_add(corr.sa_share.as_raw()[i])
-        })
-        .collect();
-    Ok(ShareVec::from_raw(out))
-}
-
 /// Probabilistic local truncation (SecureML style): each party shifts
 /// its share by `frac_bits`; the reconstructed value equals the truly
 /// truncated value up to ±1 LSB except with probability `|x| / 2^64`.

@@ -188,23 +188,6 @@ pub struct LinearCorrServer {
     pub wa_share: RingMatrix,
 }
 
-/// Client half of an elementwise masked-affine correlation for a
-/// server-known scale vector `s`: mask `a` plus a share of `s·a`.
-#[derive(Debug, Clone)]
-pub struct AffineCorrClient {
-    /// Random mask vector, known only to the client.
-    pub mask: Vec<u64>,
-    /// Client's share of `s ⊙ a`.
-    pub sa_share: ShareVec,
-}
-
-/// Server half of the masked-affine correlation.
-#[derive(Debug, Clone)]
-pub struct AffineCorrServer {
-    /// Server's share of `s ⊙ a`.
-    pub sa_share: ShareVec,
-}
-
 /// The trusted dealer.
 ///
 /// Alongside generating correlations, the dealer tallies how many bytes
@@ -318,40 +301,6 @@ impl Dealer {
         Ok((client, server))
     }
 
-    /// Generates the masked-affine correlation for a server-known scale
-    /// vector (per-channel batch-norm folding, average-pool scaling) —
-    /// both halves of [`Dealer::affine_corr_for`].
-    pub fn affine_corr(&mut self, scale: &[u64]) -> (AffineCorrClient, AffineCorrServer) {
-        let (client, server) = self.affine_corr_for(scale, Halves::Both);
-        (client.expect("both halves dealt"), server.expect("both halves dealt"))
-    }
-
-    /// The masked-affine correlation for `scale`, materialising only
-    /// `halves`. As with [`Dealer::linear_corr_for`], the client half is
-    /// two raw draws and reads nothing of `scale` but its length.
-    pub fn affine_corr_for(
-        &mut self,
-        scale: &[u64],
-        halves: Halves,
-    ) -> (Option<AffineCorrClient>, Option<AffineCorrServer>) {
-        // Mask plus the two s⊙a shares.
-        self.expanded += 24 * scale.len() as u64;
-        let mask: Vec<u64> = self.prg.next_u64s(scale.len());
-        let c0 = self.prg.next_u64s(scale.len());
-        let server = halves.server().then(|| {
-            let c1 = scale
-                .iter()
-                .zip(&mask)
-                .zip(&c0)
-                .map(|((&s, &a), &r)| s.wrapping_mul(a).wrapping_sub(r))
-                .collect();
-            AffineCorrServer { sa_share: ShareVec::from_raw(c1) }
-        });
-        let client =
-            halves.client().then(|| AffineCorrClient { mask, sa_share: ShareVec::from_raw(c0) });
-        (client, server)
-    }
-
     /// Forks an independent PRG off the dealer stream — the garbling
     /// randomness of an offline-garbled layer is drawn from such a
     /// fork, so dealing stays a pure function of the dealer seed while
@@ -437,15 +386,13 @@ mod tests {
     #[test]
     fn sided_correlations_are_the_same_halves_and_leave_the_stream_in_place() {
         // Skip, don't reorder — and the client halves never read the
-        // server's values: a zeroed `w` / scale of the same shape deals
-        // the identical client half.
+        // server's values: a zeroed `w` of the same shape deals the
+        // identical client half.
         let mut prg = Prg::from_u64(10);
         let w = RingMatrix::from_vec(prg.next_u64s(15), 3, 5).unwrap();
         let zero_w = RingMatrix::from_vec(vec![0; 15], 3, 5).unwrap();
-        let scale = prg.next_u64s(9);
         let mut both = Dealer::new(12);
         let (lc, ls) = both.linear_corr(&w, 4).unwrap();
-        let (ac, asv) = both.affine_corr(&scale);
         let (bc, bs) = both.bit_triples(130);
         let next = both.prg.next_u64();
 
@@ -454,10 +401,6 @@ mod tests {
         let c = c.unwrap();
         assert!(s.is_none());
         assert_eq!((&c.mask, &c.wa_share), (&lc.mask, &lc.wa_share));
-        let (c, s) = client.affine_corr_for(&[0; 9], Halves::Client);
-        let c = c.unwrap();
-        assert!(s.is_none());
-        assert_eq!((&c.mask, c.sa_share.as_raw()), (&ac.mask, ac.sa_share.as_raw()));
         let (c, s) = client.bit_triples_for(130, Halves::Client);
         assert_eq!((c, s), (Some(bc), None));
         assert_eq!(client.expanded_bytes(), both.expanded_bytes());
@@ -467,9 +410,6 @@ mod tests {
         let (c, s) = server.linear_corr_for(&w, 4, Halves::Server).unwrap();
         assert!(c.is_none());
         assert_eq!(s.unwrap().wa_share, ls.wa_share);
-        let (c, s) = server.affine_corr_for(&scale, Halves::Server);
-        assert!(c.is_none());
-        assert_eq!(s.unwrap().sa_share.as_raw(), asv.sa_share.as_raw());
         let (c, s) = server.bit_triples_for(130, Halves::Server);
         assert_eq!((c, s), (None, Some(bs)));
         assert_eq!(server.expanded_bytes(), both.expanded_bytes());

@@ -75,12 +75,14 @@ impl PiOutcome {
     }
 }
 
-/// Extracts the protocol-facing specs of a layer stack, in the order a
-/// session runs them: the layers' own, except that a ReLU moves behind
-/// the max pools that directly follow it (DESIGN.md §13). Walking these
+/// Extracts the protocol-facing specs of a layer stack, as a session
+/// compiles them: the layers' own, except that a batch norm directly
+/// after a convolution is folded into it and a ReLU moves behind the
+/// max pools that directly follow it (DESIGN.md §13–14). Walking these
 /// specs gives the shapes the compiled plan runs on.
 pub fn specs_of(seq: &Sequential) -> Vec<LayerSpec> {
     let mut specs: Vec<LayerSpec> = seq.layers().iter().map(|l| l.spec()).collect();
+    crate::plan::fold_batch_norm(&mut specs);
     crate::plan::pool_before_relu(&mut specs);
     specs
 }
@@ -174,22 +176,71 @@ mod tests {
         assert_close(&plain, &secure, 0.03);
     }
 
-    #[test]
-    fn batchnorm_affine_is_supported() {
-        let mut seq = Sequential::new();
-        seq.push(Conv2d::new(1, 2, 3, 1, 1, 1, 8));
+    /// A two-channel batch norm with non-trivial running statistics.
+    fn trained_bn() -> BatchNorm2d {
         let mut bn = BatchNorm2d::new(2);
-        // Train the BN so running stats are non-trivial.
         let warm = Tensor::rand_uniform(&[4, 2, 8, 8], -1.0, 2.0, 9);
         for _ in 0..30 {
             bn.forward(&warm, true).unwrap();
             bn.clear_cache();
         }
-        seq.push(bn);
+        bn
+    }
+
+    #[test]
+    fn batchnorm_affine_is_supported() {
+        let mut seq = Sequential::new();
+        seq.push(Conv2d::new(1, 2, 3, 1, 1, 1, 8));
+        seq.push(trained_bn());
         seq.push(Relu::new());
         let x = Tensor::rand_uniform(&[1, 1, 8, 8], -1.0, 1.0, 10);
-        let (plain, secure, _) = run_both(&mut seq, &x, PiBackend::Cheetah);
-        assert_close(&plain, &secure, 0.05);
+        for backend in [PiBackend::Cheetah, PiBackend::Delphi] {
+            let (plain, secure, _) = run_both(&mut seq, &x, backend);
+            assert_close(&plain, &secure, 0.05);
+        }
+    }
+
+    #[test]
+    fn a_folded_batch_norm_costs_nothing_over_its_convolution() {
+        let stack = |bn: bool| {
+            let mut seq = Sequential::new();
+            seq.push(Conv2d::new(1, 2, 3, 1, 1, 1, 8));
+            if bn {
+                seq.push(trained_bn());
+            }
+            seq.push(Relu::new());
+            seq.push(MaxPool2d::new(2, 2));
+            seq
+        };
+        assert_eq!(specs_of(&stack(true)).len(), specs_of(&stack(false)).len());
+        let x = Tensor::rand_uniform(&[1, 1, 8, 8], -1.0, 1.0, 16);
+        for backend in [PiBackend::Cheetah, PiBackend::Delphi] {
+            let (_, _, with) = run_both(&mut stack(true), &x, backend);
+            let (_, _, without) = run_both(&mut stack(false), &x, backend);
+            // Bytes, messages and flights, online and modelled offline.
+            assert_eq!(with.online, without.online, "{backend:?}: online traffic");
+            assert_eq!(with.offline, without.offline, "{backend:?}: offline traffic");
+            // Every count, `seed_bytes` and `expanded_bytes` included.
+            assert_eq!(with.counts, without.counts, "{backend:?}: counts");
+            let ledger =
+                |r: &PiReport| (r.preprocessing.seed_bytes, r.preprocessing.expanded_bytes);
+            assert_eq!(ledger(&with), ledger(&without), "{backend:?}: dealt bytes");
+        }
+    }
+
+    #[test]
+    fn a_batch_norm_without_a_convolution_before_it_is_rejected() {
+        let x = Tensor::rand_uniform(&[1, 2, 8, 8], -1.0, 1.0, 17);
+        let mut first = Sequential::new();
+        first.push(trained_bn());
+        let mut after_relu = Sequential::new();
+        after_relu.push(Conv2d::new(2, 2, 3, 1, 1, 1, 18));
+        after_relu.push(Relu::new());
+        after_relu.push(trained_bn());
+        for seq in [first, after_relu] {
+            let err = run_prefix(&specs_of(&seq), &x, &PiConfig::default());
+            assert!(matches!(err, Err(crate::PiError::UnsupportedLayer(_))), "{err:?}");
+        }
     }
 
     #[test]

@@ -24,7 +24,6 @@ pub(crate) enum Step {
     MaxPool { c: usize, h: usize, w: usize },
     AvgPool { c: usize, h: usize, w: usize, window: usize, stride: usize },
     Flatten,
-    Affine,
 }
 
 /// Server-side constants of a step, encoded into the ring once per
@@ -32,7 +31,6 @@ pub(crate) enum Step {
 #[derive(Debug, Clone)]
 pub(crate) enum StepData {
     Lin { w: RingMatrix, bias2f: Vec<u64>, cols: usize },
-    Affine { scale: Vec<u64>, shift2f: Vec<u64> },
     None,
 }
 
@@ -52,17 +50,45 @@ pub(crate) struct Plan {
 /// §3) — the dealer draws no base OT.
 const BASE_OTS_PER_SET: u64 = 128;
 
-/// Compiles layer specs against a `[c, h, w]` input shape: puts max
-/// pools before ReLU ([`pool_before_relu`]), then lowers the specs to
-/// steps.
+/// Compiles layer specs against a `[c, h, w]` input shape: folds batch
+/// norms into their convolutions ([`fold_batch_norm`]), puts max pools
+/// before ReLU ([`pool_before_relu`]), then lowers the specs to steps.
 pub(crate) fn compile(
     specs: &[LayerSpec],
     in_chw: (usize, usize, usize),
     fp: FixedPoint,
 ) -> Result<Plan> {
     let mut specs = specs.to_vec();
+    fold_batch_norm(&mut specs);
     pool_before_relu(&mut specs);
     lower(&specs, in_chw, fp)
+}
+
+/// Folds every batch norm (`Affine { scale, shift }`) that directly
+/// follows a convolution into it: `s ⊙ (W ∗ x + b) + t` is the
+/// convolution with `W'[o] = s[o]·W[o]` and `b'[o] = s[o]·b[o] + t[o]`,
+/// so the prefix runs the one masked-linear protocol with one
+/// truncation (DESIGN.md §14). Any other batch norm is left in place
+/// and refused by lowering as [`PiError::UnsupportedLayer`].
+pub(crate) fn fold_batch_norm(specs: &mut Vec<LayerSpec>) {
+    let mut folded: Vec<LayerSpec> = Vec::with_capacity(specs.len());
+    for spec in specs.drain(..) {
+        match (folded.last_mut(), spec) {
+            (Some(LayerSpec::Conv2d { weight, bias, .. }), LayerSpec::Affine { scale, shift })
+                if scale.len() == bias.len() && shift.len() == bias.len() =>
+            {
+                let per_out = weight.len() / scale.len();
+                for (row, &s) in weight.as_mut_slice().chunks_exact_mut(per_out).zip(&scale) {
+                    row.iter_mut().for_each(|v| *v *= s);
+                }
+                for ((b, &s), &t) in bias.as_mut_slice().iter_mut().zip(&scale).zip(&shift) {
+                    *b = s * *b + t;
+                }
+            }
+            (_, spec) => folded.push(spec),
+        }
+    }
+    *specs = folded;
 }
 
 /// Moves every ReLU behind the max pools that directly follow it, so
@@ -180,30 +206,10 @@ pub(crate) fn lower(
                 data.push(StepData::None);
                 cur_chw = None;
             }
-            LayerSpec::Affine { scale, shift } => {
-                let (cc, hh, ww) =
-                    cur_chw.ok_or_else(|| PiError::BadConfig("affine after flatten".into()))?;
-                if scale.len() != cc || shift.len() != cc {
-                    return Err(PiError::BadConfig("affine channel mismatch".into()));
-                }
-                let n = cc * hh * ww;
-                // Broadcast per-channel scale/shift over the plane.
-                let plane = hh * ww;
-                let mut scale_ring = Vec::with_capacity(n);
-                let mut shift2f = Vec::with_capacity(n);
-                for ch in 0..cc {
-                    let s_enc = fp.encode(scale[ch]);
-                    let t_enc = (shift[ch] * scale2).round() as i64 as u64;
-                    for _ in 0..plane {
-                        scale_ring.push(s_enc);
-                        shift2f.push(t_enc);
-                    }
-                }
-                counts.linear_in_elems.push(n);
-                counts.linear_out_elems.push(n);
-                counts.macs += n as u64;
-                steps.push(Step::Affine);
-                data.push(StepData::Affine { scale: scale_ring, shift2f });
+            LayerSpec::Affine { .. } => {
+                return Err(PiError::UnsupportedLayer(
+                    "a batch norm not foldable into a directly preceding convolution".into(),
+                ))
             }
             LayerSpec::Unsupported(d) => return Err(PiError::UnsupportedLayer(d.clone())),
         }
@@ -279,12 +285,6 @@ pub(crate) fn eval_ring(plan: &Plan, x: &[u64], fp: FixedPoint) -> Vec<u64> {
                 out
             }
             (Step::Flatten, StepData::None) => cur,
-            (Step::Affine, StepData::Affine { scale, shift2f }) => cur
-                .iter()
-                .zip(scale)
-                .zip(shift2f)
-                .map(|((&v, &s), &t)| fp.truncate(v.wrapping_mul(s).wrapping_add(t)))
-                .collect(),
             (step, _) => unreachable!("{step:?} without its data"),
         };
     }

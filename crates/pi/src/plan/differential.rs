@@ -4,7 +4,8 @@
 //! properties:
 //!
 //! * **the pool-before-ReLU rewrite is exact**: the compiled plan and
-//!   the plan lowered in spec order agree bit for bit under `eval_ring`;
+//!   the plan lowered in spec order, batch norms folded, agree bit for
+//!   bit under `eval_ring`;
 //! * **the backends compute `eval_ring`**: every reconstructed output
 //!   lies in the interval [`reachable`] gives it — `eval_ring` with each
 //!   truncation free to add 0 or 1 LSB. Its width is 1 LSB after one
@@ -17,7 +18,7 @@
 //!
 //! The inputs are seeded, so every run draws the same cases.
 
-use super::{compile, eval_ring, lower, Plan, Step, StepData};
+use super::{compile, eval_ring, fold_batch_norm, lower, Plan, Step, StepData};
 use crate::engine::{PiBackend, PiConfig};
 use crate::session::PiSession;
 use c2pi_mpc::prg::Prg;
@@ -44,8 +45,9 @@ impl Draw {
 }
 
 /// A random prefix of two to seven layers over a `[c, h, w]` input of at
-/// most 4 × 8 × 8: conv, fc, affine, ReLU, max and average pools and
-/// flatten in any order the shapes allow. A ReLU on a spatial
+/// most 4 × 8 × 8: conv, fc, ReLU, max and average pools and flatten in
+/// any order the shapes allow, and batch norms (`Affine`) right after a
+/// convolution, where the plan folds them. A ReLU on a spatial
 /// activation is followed by a pool half the time, so both the rewrite
 /// (`Relu, MaxPool`) and its exclusion (`Relu, AvgPool`) are drawn often.
 fn random_prefix(seed: u64) -> (Vec<LayerSpec>, [usize; 3]) {
@@ -56,6 +58,7 @@ fn random_prefix(seed: u64) -> (Vec<LayerSpec>, [usize; 3]) {
     let mut specs: Vec<LayerSpec> = Vec::new();
     for _ in 0..2 + d.below(6) {
         let after_relu = matches!(specs.last(), Some(LayerSpec::Relu));
+        let after_conv = matches!(specs.last(), Some(LayerSpec::Conv2d { .. }));
         let spec = if let Some(k) = flat {
             if after_relu || d.below(2) == 0 {
                 let out = 1 + d.below(12);
@@ -84,7 +87,7 @@ fn random_prefix(seed: u64) -> (Vec<LayerSpec>, [usize; 3]) {
                     LayerSpec::AvgPool2d { window: 2, stride }
                 }
                 1 => LayerSpec::Relu,
-                4 => LayerSpec::Affine {
+                4 if after_conv => LayerSpec::Affine {
                     scale: d.uniform(&[c], 1.5).as_slice().to_vec(),
                     shift: d.uniform(&[c], 0.2).as_slice().to_vec(),
                 },
@@ -204,16 +207,6 @@ fn reachable(plan: &Plan, x: &[u64], fp: FixedPoint) -> Vec<(i128, i128)> {
                 out
             }
             (Step::Flatten, StepData::None) => cur,
-            (Step::Affine, StepData::Affine { scale, shift2f }) => cur
-                .iter()
-                .zip(scale)
-                .zip(shift2f)
-                .map(|((&b, &s), &t)| {
-                    let (l, h) = dot(&[s], &mut std::iter::once(b));
-                    let t = t as i64 as i128;
-                    trunc((l + t, h + t))
-                })
-                .collect(),
             (step, _) => unreachable!("{step:?} without its data"),
         };
     }
@@ -225,7 +218,9 @@ fn reachable(plan: &Plan, x: &[u64], fp: FixedPoint) -> Vec<(i128, i128)> {
 fn check(specs: &[LayerSpec], [c, h, w]: [usize; 3], x: &Tensor) -> Vec<u64> {
     let fp = FixedPoint::default();
     let compiled = compile(specs, (c, h, w), fp).unwrap();
-    let lowered = lower(specs, (c, h, w), fp).unwrap();
+    let mut folded = specs.to_vec();
+    fold_batch_norm(&mut folded);
+    let lowered = lower(&folded, (c, h, w), fp).unwrap();
     let input = fp.encode_tensor(x);
     let want = eval_ring(&compiled, &input, fp);
     assert_eq!(want, eval_ring(&lowered, &input, fp), "the rewrite changed the ring result");

@@ -34,10 +34,7 @@ use crate::plan::{Plan, Step, StepData};
 use crate::report::{OpCounts, PreprocessLedger};
 use crate::store::{MaterialStore, RecordKind, RestoreReport};
 use crate::{PiError, Result};
-use c2pi_mpc::dealer::{
-    AffineCorrClient, AffineCorrServer, Dealer, DealtSeed, Halves, LinearCorrClient,
-    LinearCorrServer,
-};
+use c2pi_mpc::dealer::{Dealer, DealtSeed, Halves, LinearCorrClient, LinearCorrServer};
 use c2pi_mpc::gcpre::{MaskedOp, PreGarbledClient, PreGarbledServer};
 use c2pi_mpc::prg::SeedSequence;
 use std::collections::VecDeque;
@@ -46,14 +43,13 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Client-side per-inference material for one step: a linear or affine
+/// Client-side per-inference material for one step: a linear
 /// correlation, or a non-linear layer's half — pre-garbled (Delphi) or
 /// comparison stages (Cheetah).
 pub(crate) enum ClientMat {
     Lin(LinearCorrClient),
     Gc(PreGarbledClient),
     Cmp(Vec<Stage>),
-    Affine(AffineCorrClient),
     None,
 }
 
@@ -63,7 +59,6 @@ pub(crate) enum ServerMat {
     Lin(LinearCorrServer),
     Gc(PreGarbledServer),
     Cmp(Vec<Stage>),
-    Affine(AffineCorrServer),
     None,
 }
 
@@ -198,7 +193,6 @@ impl SessionCore {
                 Step::MaxPool { c, h, w } => (4, (c * (h / 2) * (w / 2)) as u32),
                 Step::AvgPool { c, h, w, .. } => (5, (c * h * w) as u32),
                 Step::Flatten => (6, 0),
-                Step::Affine => (7, 0),
             })
             .collect()
     }
@@ -338,10 +332,6 @@ impl SessionCore {
                         halves,
                     );
                     keep(c, s)?;
-                }
-                (Step::Affine, StepData::Affine { scale, .. }) => {
-                    let (c, s) = dealer.affine_corr_for(scale, halves);
-                    keep(c.map(ClientMat::Affine), s.map(ServerMat::Affine))?;
                 }
                 (Step::AvgPool { .. } | Step::Flatten, StepData::None) => {
                     keep(Some(ClientMat::None), Some(ServerMat::None))?;

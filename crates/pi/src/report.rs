@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// Operation counts accumulated while walking the crypto-layer prefix.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct OpCounts {
-    /// Input element count of every linear (conv/fc/affine) layer.
+    /// Input element count of every linear (conv/fc) layer.
     pub linear_in_elems: Vec<usize>,
     /// Output element count of every linear layer.
     pub linear_out_elems: Vec<usize>,

@@ -118,10 +118,6 @@ pub(crate) fn client_walk(
                 cur = avg_pool_share(&cur, (*c, *h, *w), (*window, *stride), true, fp);
             }
             (Step::Flatten, ClientMat::None) => {}
-            (Step::Affine, ClientMat::Affine(corr)) => {
-                let y = c2pi_mpc::beaver::affine_client(ep, &cur, &corr)?;
-                cur = truncate_share(&y, true, fp);
-            }
             _ => return Err(mismatch("client")),
         }
     }
@@ -205,25 +201,6 @@ pub(crate) fn server_walk(
             }
             (Step::Flatten, StepData::None) => {
                 step_mats(mats, |m| matches!(m, ServerMat::None).then_some(()))?;
-            }
-            (Step::Affine, StepData::Affine { scale, shift2f }) => {
-                let corrs =
-                    step_mats(mats, |m| if let ServerMat::Affine(c) = m { Some(c) } else { None })?;
-                curs = curs
-                    .iter()
-                    .zip(eps)
-                    .zip(&corrs)
-                    .map(|((cur, ep), corr)| {
-                        let y = c2pi_mpc::beaver::affine_server(*ep, scale, cur, corr)?;
-                        let shifted: Vec<u64> = y
-                            .as_raw()
-                            .iter()
-                            .zip(shift2f.iter())
-                            .map(|(&v, &s)| v.wrapping_add(s))
-                            .collect();
-                        Ok(truncate_share(&ShareVec::from_raw(shifted), false, fp))
-                    })
-                    .collect::<Result<_>>()?;
             }
             _ => return Err(mismatch("server")),
         }

@@ -55,10 +55,7 @@ pub use error::TransportError;
 pub use mem::{channel_pair, MemChannel};
 pub use netmodel::NetModel;
 pub use sim::SimChannel;
-pub use tcp::{
-    decode_frame, encode_frame, tcp_loopback_pair, TcpChannel, TcpListenerTransport,
-    MAX_FRAME_BYTES,
-};
+pub use tcp::{encode_frame, tcp_loopback_pair, TcpChannel, TcpListenerTransport, MAX_FRAME_BYTES};
 pub use transport::{BoxedChannel, MemTransport, SimTransport, TcpLoopbackTransport, Transport};
 
 /// Convenience result alias for transport operations.

@@ -7,9 +7,12 @@
 //! Every frame is a 4-byte little-endian length prefix followed by
 //! exactly that many payload bytes. The prefix is capped at
 //! [`MAX_FRAME_BYTES`] so a corrupted or adversarial peer cannot force
-//! an absurd allocation. The codec lives in [`encode_frame`] /
-//! [`decode_frame`] and is property-tested in
-//! `tests/conformance.rs` (round-trip, truncated-frame rejection).
+//! an absurd allocation. [`encode_frame`] writes a frame;
+//! [`TcpChannel::recv_bytes_capped`] reads one straight off the stream.
+//! `tests/conformance.rs` property-tests that read path on frames
+//! written to a raw loopback stream in random chunks: they arrive intact
+//! and in order, a truncated tail is [`TransportError::Disconnected`]
+//! and an oversized prefix [`TransportError::Decode`].
 
 use crate::channel::{Channel, Side, TrafficCounter};
 use crate::{Result, TransportError};
@@ -36,29 +39,8 @@ pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Decodes the first frame of `buf`. Returns `Ok(None)` when the buffer
-/// holds only a truncated frame (more bytes needed), or
-/// `Ok(Some((payload, consumed)))` for a complete frame.
-///
-/// # Errors
-///
-/// Returns a decode error when the length prefix exceeds
-/// [`MAX_FRAME_BYTES`].
-pub fn decode_frame(buf: &[u8]) -> Result<Option<(Vec<u8>, usize)>> {
-    if buf.len() < 4 {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes")) as usize;
-    check_frame_len(len, MAX_FRAME_BYTES)?;
-    if buf.len() < 4 + len {
-        return Ok(None);
-    }
-    Ok(Some((buf[4..4 + len].to_vec(), 4 + len)))
-}
-
-/// The single authority on the frame-size cap, shared by the encode,
-/// decode and streaming-read paths: [`MAX_FRAME_BYTES`], or a reader's
-/// own tighter `cap`.
+/// The single authority on the frame-size cap, shared by the encode and
+/// read paths: [`MAX_FRAME_BYTES`], or a reader's own tighter `cap`.
 fn check_frame_len(len: usize, cap: usize) -> Result<()> {
     if len > cap {
         return Err(TransportError::Decode(format!(
@@ -401,29 +383,6 @@ pub fn tcp_loopback_pair() -> Result<(TcpChannel, TcpChannel, TrafficCounter)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn codec_round_trips() {
-        let frame = encode_frame(b"hello").unwrap();
-        let (payload, consumed) = decode_frame(&frame).unwrap().unwrap();
-        assert_eq!(payload, b"hello");
-        assert_eq!(consumed, frame.len());
-    }
-
-    #[test]
-    fn codec_reports_truncation() {
-        let frame = encode_frame(&[7u8; 100]).unwrap();
-        for cut in [0, 3, 4, 50, frame.len() - 1] {
-            assert_eq!(decode_frame(&frame[..cut]).unwrap(), None, "cut {cut}");
-        }
-    }
-
-    #[test]
-    fn codec_rejects_oversized_prefix() {
-        let mut bad = ((MAX_FRAME_BYTES + 1) as u32).to_le_bytes().to_vec();
-        bad.extend_from_slice(&[0u8; 8]);
-        assert!(matches!(decode_frame(&bad), Err(TransportError::Decode(_))));
-    }
 
     #[test]
     fn frame_cap_admits_the_cap_and_rejects_one_more() {

@@ -5,16 +5,21 @@
 //! against all three shipped implementations ([`MemChannel`],
 //! [`SimChannel`], [`TcpChannel`]).
 //!
-//! Also here: the property tests for the TCP frame codec and the
-//! consistency check between [`NetModel`]'s analytic latency estimate
-//! and [`SimChannel`]'s measured in-line delays.
+//! Also here: the consistency check between [`NetModel`]'s analytic
+//! latency estimate and [`SimChannel`]'s measured in-line delays, and
+//! the property tests of the TCP read path: [`encode_frame`] sequences
+//! written to a raw loopback stream in random chunks and read back with
+//! [`TcpChannel`].
 
 use c2pi_transport::{
-    channel_pair, decode_frame, encode_frame, tcp_loopback_pair, Channel, NetModel, SimChannel,
-    TrafficCounter, TransportError,
+    channel_pair, encode_frame, tcp_loopback_pair, Channel, NetModel, Side, SimChannel, TcpChannel,
+    TrafficCounter, TransportError, MAX_FRAME_BYTES,
 };
 use proptest::prelude::*;
-use std::time::Instant;
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 type Pair = (Box<dyn Channel>, Box<dyn Channel>, TrafficCounter);
 type Implementations = Vec<(&'static str, fn() -> Pair)>;
@@ -175,40 +180,86 @@ fn sim_channel_wall_clock_matches_netmodel_estimate() {
     );
 }
 
+/// A raw loopback stream to write bytes on, and the [`TcpChannel`]
+/// that reads them — the read path every TCP deployment runs.
+fn raw_writer_and_reader() -> (TcpStream, TcpChannel) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let writer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    writer.set_nodelay(true).unwrap();
+    let (stream, _) = listener.accept().unwrap();
+    let reader = TcpChannel::from_stream(stream, Side::Server).unwrap();
+    // A read path that waits for bytes that never come fails, not hangs.
+    reader.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    (writer, reader)
+}
+
+/// Writes `bytes` from a thread in pieces of the `sizes` (cycled), each
+/// flushed on its own, then closes the stream.
+fn write_in_chunks(mut writer: TcpStream, bytes: Vec<u8>, sizes: Vec<usize>) -> JoinHandle<()> {
+    std::thread::spawn(move || {
+        let mut rest = &bytes[..];
+        for &size in sizes.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (piece, tail) = rest.split_at(size.min(rest.len()));
+            writer.write_all(piece).unwrap();
+            writer.flush().unwrap();
+            rest = tail;
+        }
+    })
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn frame_codec_round_trips(payload in proptest::collection::vec(any::<u8>(), 0..2048)) {
-        let frame = encode_frame(&payload).unwrap();
-        prop_assert_eq!(frame.len(), payload.len() + 4);
-        let (decoded, consumed) = decode_frame(&frame).unwrap().expect("complete frame");
-        prop_assert_eq!(decoded, payload);
-        prop_assert_eq!(consumed, frame.len());
+    fn frames_written_in_random_chunks_arrive_intact_and_in_order(
+        frames in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..512), 1..8),
+        sizes in proptest::collection::vec(1usize..97, 1..16),
+    ) {
+        let (writer, reader) = raw_writer_and_reader();
+        let mut bytes = Vec::new();
+        for frame in &frames {
+            let encoded = encode_frame(frame).unwrap();
+            prop_assert_eq!(encoded.len(), frame.len() + 4);
+            bytes.extend_from_slice(&encoded);
+        }
+        let t = write_in_chunks(writer, bytes, sizes);
+        for frame in &frames {
+            prop_assert_eq!(&reader.recv_bytes().unwrap(), frame);
+        }
+        t.join().unwrap();
+        // Every byte was one of the frames: the close is all that is left.
+        prop_assert_eq!(reader.recv_bytes(), Err(TransportError::Disconnected));
     }
 
     #[test]
-    fn truncated_frames_are_rejected_not_misread(
-        payload in proptest::collection::vec(any::<u8>(), 1..512),
-        cut in 0usize..511,
+    fn a_truncated_tail_then_close_is_disconnected_never_a_short_frame(
+        first in proptest::collection::vec(any::<u8>(), 0..256),
+        tail in proptest::collection::vec(any::<u8>(), 1..512),
+        cut in 0usize..515,
+        sizes in proptest::collection::vec(1usize..97, 1..16),
     ) {
-        let frame = encode_frame(&payload).unwrap();
-        let cut = cut.min(frame.len() - 1);
-        // Any strict prefix decodes to "incomplete", never to a frame.
-        prop_assert_eq!(decode_frame(&frame[..cut]).unwrap(), None);
+        let (writer, reader) = raw_writer_and_reader();
+        let mut bytes = encode_frame(&first).unwrap();
+        let truncated = encode_frame(&tail).unwrap();
+        // Any strict prefix of the second frame, its length prefix too.
+        bytes.extend_from_slice(&truncated[..cut.min(truncated.len() - 1)]);
+        let t = write_in_chunks(writer, bytes, sizes);
+        prop_assert_eq!(reader.recv_bytes().unwrap(), first);
+        prop_assert_eq!(reader.recv_bytes(), Err(TransportError::Disconnected));
+        t.join().unwrap();
     }
 
     #[test]
-    fn codec_consumes_exactly_one_frame_from_a_stream(
-        a in proptest::collection::vec(any::<u8>(), 0..256),
-        b in proptest::collection::vec(any::<u8>(), 0..256),
+    fn an_oversized_prefix_is_a_decode_error(
+        excess in 1u64..(u32::MAX as u64 - MAX_FRAME_BYTES as u64 + 1),
     ) {
-        let mut stream = encode_frame(&a).unwrap();
-        stream.extend_from_slice(&encode_frame(&b).unwrap());
-        let (first, consumed) = decode_frame(&stream).unwrap().expect("first frame");
-        prop_assert_eq!(first, a);
-        let (second, rest) = decode_frame(&stream[consumed..]).unwrap().expect("second frame");
-        prop_assert_eq!(second, b);
-        prop_assert_eq!(consumed + rest, stream.len());
+        let (mut writer, reader) = raw_writer_and_reader();
+        let len = (MAX_FRAME_BYTES as u64 + excess) as u32;
+        writer.write_all(&len.to_le_bytes()).unwrap();
+        // No payload follows: the prefix alone is refused.
+        prop_assert!(matches!(reader.recv_bytes(), Err(TransportError::Decode(_))));
     }
 }
