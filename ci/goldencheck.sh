@@ -11,11 +11,14 @@
 #      after the regeneration overwrote it);
 #   2. tests/golden/plan_report.json — the machine-readable plan of the
 #      smoke scenario (`plan_report --seed 47 --json`), extracted from
-#      the report output and diffed against the committed copy.
+#      the report output and diffed against the committed copy;
+#   3. tests/golden/table2_comm.txt — Table II's exact part: comm MB and
+#      online flights of full PI and C2PI at σ = 0.2 / 0.3, both
+#      backends, VGG16 / VGG19 at quick scale, on untrained models
+#      (`c2pi-bench` example `table2_comm`).
 #
 # To refresh after an intentional cost change:
-#   GOLDEN_UPDATE=1 cargo test --release --test plan_determinism
-#   ci/goldencheck.sh   # regenerates plan_report.json too, then verifies
+#   GOLDEN_UPDATE=1 ci/goldencheck.sh   # rewrites every golden, then verifies
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -46,6 +49,13 @@ if [[ "${GOLDEN_UPDATE:-0}" == "1" ]] || [[ ! -f tests/golden/plan_report.json ]
     echo "goldencheck: wrote tests/golden/plan_report.json"
 fi
 
+echo "== goldencheck: regenerate table2_comm.txt =="
+cargo run --release --quiet -p c2pi-bench --example table2_comm >target/goldencheck-table2-comm.txt
+if [[ "${GOLDEN_UPDATE:-0}" == "1" ]] || [[ ! -f tests/golden/table2_comm.txt ]]; then
+    cp target/goldencheck-table2-comm.txt tests/golden/table2_comm.txt
+    echo "goldencheck: wrote tests/golden/table2_comm.txt"
+fi
+
 echo "== goldencheck: staleness =="
 fail=0
 if ! diff -u tests/golden/plan_report.json target/goldencheck-plan-report.json; then
@@ -53,11 +63,16 @@ if ! diff -u tests/golden/plan_report.json target/goldencheck-plan-report.json; 
          "rerun with GOLDEN_UPDATE=1 and commit the result" >&2
     fail=1
 fi
+if ! diff -u tests/golden/table2_comm.txt target/goldencheck-table2-comm.txt; then
+    echo "goldencheck: FAIL — tests/golden/table2_comm.txt is stale;" \
+         "rerun with GOLDEN_UPDATE=1 and commit the result" >&2
+    fail=1
+fi
 # git-diff the regenerated files against the committed copies: the
 # GOLDEN_UPDATE hook above rewrote the working tree, so any drift from
 # HEAD means the commit under test shipped stale goldens.
 if ! git diff --exit-code -- tests/golden/plan_table.txt tests/golden/plan_table_gaussian.txt \
-    tests/golden/plan_report.json; then
+    tests/golden/plan_report.json tests/golden/table2_comm.txt; then
     echo "goldencheck: FAIL — committed goldens are stale;" \
          "commit the regenerated copies (diff above)" >&2
     fail=1

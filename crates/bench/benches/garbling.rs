@@ -40,17 +40,15 @@ fn bench_garbling(c: &mut Criterion) {
 }
 
 fn bench_pregarble(c: &mut Criterion) {
-    // The serving split's garbled layers in order (291 360 ANDs a set:
-    // each ReLU runs after its max pool), at the largest band
-    // `PiConfig::default().gc_chunk`.
+    // The serving split's garbled layers in order (269 184 ANDs a set:
+    // each max pool fused with the ReLU after it, then the last ReLU),
+    // at the largest band `PiConfig::default().gc_chunk`.
     const BAND: usize = 1024;
     let mut group = c.benchmark_group("pregarble");
     group.sample_size(20).measurement_time(std::time::Duration::from_secs(2));
     for (name, op, items) in [
-        ("maxpool256", MaskedOp::Maxpool4, 256),
-        ("relu256", MaskedOp::Relu, 256),
-        ("maxpool96", MaskedOp::Maxpool4, 96),
-        ("relu96", MaskedOp::Relu, 96),
+        ("fused256", MaskedOp::MaxpoolRelu4, 256),
+        ("fused96", MaskedOp::MaxpoolRelu4, 96),
         ("relu192", MaskedOp::Relu, 192),
     ] {
         let kilo_ands = (items * op.ands_per_item()) as f64 / 1e3;

@@ -2,9 +2,9 @@
 //! boundaries, for Delphi- and Cheetah-style engines, on VGG-16 and
 //! VGG-19 under the LAN and WAN network models.
 
-use crate::setup::{dataset, trained_model, DatasetKind};
+use crate::setup::{dataset, trained_model, untrained_model, DatasetKind};
 use crate::Scale;
-use c2pi_core::session::C2pi;
+use c2pi_core::session::{C2pi, C2piSession};
 use c2pi_core::Defense;
 use c2pi_nn::BoundaryId;
 use c2pi_pi::engine::PiBackend;
@@ -72,12 +72,13 @@ pub fn paper_boundaries(network: &str) -> Boundaries {
     }
 }
 
-fn run_cost(
+/// The deployment one cell of the table measures: full PI, or C2PI
+/// split at `boundary`.
+fn session(
     model: &c2pi_nn::Model,
     backend: PiBackend,
     boundary: Option<BoundaryId>,
-    x: &Tensor,
-) -> Cost {
+) -> C2piSession {
     let builder = C2pi::builder(model.clone())
         .backend(backend)
         .defense(Defense::Uniform { magnitude: 0.1 })
@@ -86,7 +87,16 @@ fn run_cost(
         Some(b) => builder.split_at(b),
         None => builder.full_pi(),
     };
-    let mut session = builder.build().expect("valid boundary");
+    builder.build().expect("valid boundary")
+}
+
+fn run_cost(
+    model: &c2pi_nn::Model,
+    backend: PiBackend,
+    boundary: Option<BoundaryId>,
+    x: &Tensor,
+) -> Cost {
+    let mut session = session(model, backend, boundary);
     session.preprocess(2).expect("preprocessing runs");
     // Two runs, keep the faster: damps wall-clock noise from a loaded
     // machine (traffic is identical across runs by construction).
@@ -161,4 +171,85 @@ pub fn print(rows: &[Row]) {
     println!();
     println!("Shape targets (paper): C2PI σ=0.3 beats full PI by up to ~2.9-3.9x latency");
     println!("and ~2.5-2.75x communication; σ=0.2 on VGG16 is ~1x (boundary is very late).");
+}
+
+/// The exact part of one table cell: communication (online plus the
+/// modelled offline traffic, the paper's `Commu. (MB)`) and online
+/// flights. Neither depends on weights, inputs or the machine.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Traffic {
+    /// Communication, megabytes.
+    pub comm_mb: f64,
+    /// Online flights (direction changes on the channel).
+    pub flights: u64,
+}
+
+/// One row of the exact part of the table.
+#[derive(Debug, Clone)]
+pub struct CommRow {
+    /// Model name.
+    pub network: &'static str,
+    /// PI method name.
+    pub method: &'static str,
+    /// Full-PI baseline.
+    pub full: Traffic,
+    /// C2PI with the σ = 0.2 boundary.
+    pub c2pi_02: Traffic,
+    /// C2PI with the σ = 0.3 boundary.
+    pub c2pi_03: Traffic,
+}
+
+/// The table's traffic columns, on the untrained models [`run`] would
+/// train (no byte or flight depends on a weight), so the rows need no
+/// training and come out the same on every run and machine.
+pub fn comm_rows(scale: &Scale) -> Vec<CommRow> {
+    let data = dataset(DatasetKind::Cifar10, scale);
+    let x = &data.images()[0];
+    let mut rows = Vec::new();
+    for network in ["vgg16", "vgg19"] {
+        let model = untrained_model(network, scale, &data);
+        let bounds = paper_boundaries(network);
+        let traffic = |backend, boundary| {
+            let mut session = session(&model, backend, boundary);
+            let report = session.infer(x).expect("inference runs").report;
+            Traffic { comm_mb: report.comm_mb(), flights: report.online.flights }
+        };
+        for backend in [PiBackend::Delphi, PiBackend::Cheetah] {
+            rows.push(CommRow {
+                network: if network == "vgg16" { "VGG16" } else { "VGG19" },
+                method: backend.name(),
+                full: traffic(backend, None),
+                c2pi_02: traffic(backend, Some(bounds.sigma02)),
+                c2pi_03: traffic(backend, Some(bounds.sigma03)),
+            });
+        }
+    }
+    rows
+}
+
+/// Prints the traffic rows, with full ÷ split communication per
+/// boundary.
+pub fn print_comm(rows: &[CommRow]) {
+    println!(
+        "{:<7} {:<8} | {:>20} | {:>30} | {:>30}",
+        "Network",
+        "Method",
+        "Full PI (MB / fl)",
+        "C2PI σ=0.2 (MB / fl, full÷)",
+        "C2PI σ=0.3 (MB / fl, full÷)"
+    );
+    for r in rows {
+        let cell = |t: &Traffic| format!("{:.6} / {}", t.comm_mb, t.flights);
+        let ratio = |t: &Traffic| r.full.comm_mb / t.comm_mb;
+        println!(
+            "{:<7} {:<8} | {:>20} | {:>21} {:>7.3}x | {:>21} {:>7.3}x",
+            r.network,
+            r.method,
+            cell(&r.full),
+            cell(&r.c2pi_02),
+            ratio(&r.c2pi_02),
+            cell(&r.c2pi_03),
+            ratio(&r.c2pi_03),
+        );
+    }
 }

@@ -52,13 +52,7 @@ pub fn dataset(kind: DatasetKind, scale: &Scale) -> Dataset {
 /// Panics when the model name is unknown or training fails — these are
 /// experiment-harness bugs, not runtime conditions.
 pub fn trained_model(name: &str, _kind: DatasetKind, scale: &Scale, data: &Dataset) -> Model {
-    let cfg = ZooConfig {
-        num_classes: data.num_classes(),
-        image_size: 32,
-        width_div: scale.width_div,
-        seed: 42,
-    };
-    let mut model = by_name(name, &cfg).expect("known model name");
+    let mut model = untrained_model(name, scale, data);
     train_classifier(
         model.seq_mut(),
         data.images(),
@@ -75,6 +69,24 @@ pub fn trained_model(name: &str, _kind: DatasetKind, scale: &Scale, data: &Datas
     )
     .expect("training succeeds");
     model
+}
+
+/// The model [`trained_model`] starts from: the zoo architecture at the
+/// scale's width for the dataset's classes, initialised and untrained.
+/// Its protocol traffic is the trained model's, since no byte or flight
+/// depends on a weight.
+///
+/// # Panics
+///
+/// Panics when the model name is unknown.
+pub fn untrained_model(name: &str, scale: &Scale, data: &Dataset) -> Model {
+    let cfg = ZooConfig {
+        num_classes: data.num_classes(),
+        image_size: 32,
+        width_div: scale.width_div,
+        seed: 42,
+    };
+    by_name(name, &cfg).expect("known model name")
 }
 
 /// Prints a figure/table banner with the run parameters.

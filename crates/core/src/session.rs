@@ -206,6 +206,7 @@ impl C2piBuilder {
         }
         Ok(C2piSession {
             pi,
+            crypto_layers: crypto.len(),
             clear,
             split: self.split,
             defense: self.defense,
@@ -221,6 +222,7 @@ impl C2piBuilder {
 #[derive(Debug)]
 pub struct C2piSession {
     pi: PiSession,
+    crypto_layers: usize,
     clear: Sequential,
     split: Split,
     defense: Defense,
@@ -249,9 +251,12 @@ impl C2piSession {
         self.defense
     }
 
-    /// Number of layers executed under MPC.
+    /// Number of the model's layers executed under MPC. The plan may run
+    /// them as fewer steps (a batch norm folds into its convolution, a
+    /// max pool and its ReLU are one unit), so this is the prefix's
+    /// length, not [`PiSession::step_count`].
     pub fn crypto_layer_count(&self) -> usize {
-        self.pi.step_count()
+        self.crypto_layers
     }
 
     /// Number of layers the server executes in the clear.

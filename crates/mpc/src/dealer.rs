@@ -82,7 +82,10 @@ pub struct DealtSeed {
 const DEALT_MAGIC: u16 = 0xD517;
 /// Names the function `seed → material` as much as the byte layout, so
 /// a peer on another function is refused up front instead of expanding
-/// material the other side cannot use: version 4 no longer opens a set
+/// material the other side cannot use: version 5 garbles a max pool and
+/// the ReLU after it as one fused unit from one fork of the stream
+/// (version 4 garbled them as two layers, from two forks, under the same
+/// step metadata and session fingerprint); version 4 no longer opens a set
 /// with 128 base-OT seed pairs nobody read (version 3 drew them first,
 /// so every later draw of either backend sat elsewhere in the stream);
 /// version 3 draws bit triples as 64-bit words (version 2 spent a
@@ -90,7 +93,7 @@ const DEALT_MAGIC: u16 = 0xD517;
 /// fixed-key AES (version 1 garbled under a ChaCha8 hash). One version
 /// covers both backends: one byte for the whole function is simpler
 /// than one per backend.
-const DEALT_VERSION: u8 = 4;
+const DEALT_VERSION: u8 = 5;
 /// Fixed wire overhead of [`DealtSeed::encode`]: magic, version,
 /// reserved byte, seed, nonce, step count.
 const DEALT_HEADER_BYTES: usize = 2 + 1 + 1 + 8 + 8 + 2;

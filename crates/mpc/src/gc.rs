@@ -33,10 +33,10 @@
 //! decode what it computes, and the table-bytes tests pin the two rows
 //! per AND of the half-gates path.
 //!
-//! The module also provides the ReLU and 4-way max circuits the
-//! pre-garbled layers of [`crate::gcpre`] garble: each reconstructs its
-//! inputs from additive shares (`x = x₀ + x₁`) and computes the function
-//! on them. The circuits do not re-mask their result: the projection
+//! The module also provides the ReLU, 4-way max and fused
+//! max-then-ReLU circuits the pre-garbled layers of [`crate::gcpre`]
+//! garble: each reconstructs its inputs from additive shares
+//! (`x = x₀ + x₁`) and computes the function on them. The circuits do not re-mask their result: the projection
 //! decodes output bit `j` as weight `2ʲ` of a ring element that the
 //! garbler's per-item offset already masks with `−r`, so the parties end
 //! with additive shares `f(x) − r` and `r`.
@@ -472,14 +472,21 @@ fn relu_builder(n: usize, bits: usize) -> CircuitBuilder {
         let x0: Vec<WireId> = (0..bits).map(|_| b.evaluator_input()).collect();
         let x1: Vec<WireId> = (0..bits).map(|_| b.garbler_input()).collect();
         let x = b.add_mod2n(&x0, &x1);
-        // drelu = ¬ sign bit; y_i = x_i ∧ drelu.
-        let drelu = b.inv(x[bits - 1]);
-        for &xi in &x[..bits - 1] {
-            let y = b.and(xi, drelu);
-            b.output(y);
-        }
+        relu_outputs(&mut b, &x);
     }
     b
+}
+
+/// Outputs `relu(x)` for the signed value on wires `x`: `drelu = ¬` the
+/// sign bit, `y_i = x_i ∧ drelu` for every bit below it (the sign bit of
+/// the result is 0 and is not an output).
+fn relu_outputs(b: &mut CircuitBuilder, x: &[WireId]) {
+    let (&sign, low) = x.split_last().expect("a value of at least one bit");
+    let drelu = b.inv(sign);
+    for &xi in low {
+        let y = b.and(xi, drelu);
+        b.output(y);
+    }
 }
 
 /// Builds the batched 4-way max circuit used for secure 2×2 max
@@ -496,16 +503,40 @@ pub fn maxpool4_circuit(n: usize, bits: usize) -> Circuit {
 fn maxpool4_builder(n: usize, bits: usize) -> CircuitBuilder {
     let mut b = CircuitBuilder::new();
     for _ in 0..n {
-        let ev: Vec<Vec<WireId>> =
-            (0..4).map(|_| (0..bits).map(|_| b.evaluator_input()).collect()).collect();
-        let ga: Vec<Vec<WireId>> =
-            (0..4).map(|_| (0..bits).map(|_| b.garbler_input()).collect()).collect();
-        let vals: Vec<Vec<WireId>> = (0..4).map(|i| b.add_mod2n(&ev[i], &ga[i])).collect();
-        let m1 = b.max_signed(&vals[0], &vals[1]);
-        let m2 = b.max_signed(&vals[2], &vals[3]);
-        for w in b.max_signed(&m1, &m2) {
+        for w in max4(&mut b, bits) {
             b.output(w);
         }
+    }
+    b
+}
+
+/// One window of [`maxpool4_circuit`]: the inputs of four shared values,
+/// their reconstruction and the two-level tournament. Returns the max's
+/// `bits` wires.
+fn max4(b: &mut CircuitBuilder, bits: usize) -> Vec<WireId> {
+    let ev: Vec<Vec<WireId>> =
+        (0..4).map(|_| (0..bits).map(|_| b.evaluator_input()).collect()).collect();
+    let ga: Vec<Vec<WireId>> =
+        (0..4).map(|_| (0..bits).map(|_| b.garbler_input()).collect()).collect();
+    let vals: Vec<Vec<WireId>> = (0..4).map(|i| b.add_mod2n(&ev[i], &ga[i])).collect();
+    let m1 = b.max_signed(&vals[0], &vals[1]);
+    let m2 = b.max_signed(&vals[2], &vals[3]);
+    b.max_signed(&m1, &m2)
+}
+
+/// Builds the batched fused max-pool-then-ReLU circuit: per window, the
+/// gates of [`maxpool4_circuit`], then a ReLU on the max's own sign bit
+/// (`bits − 1` more ANDs). Same inputs as the max; outputs bits
+/// `0 .. bits − 1` of `max(v₀..v₃, 0)`.
+pub fn maxpool_relu4_circuit(n: usize, bits: usize) -> Circuit {
+    maxpool_relu4_builder(n, bits).build()
+}
+
+fn maxpool_relu4_builder(n: usize, bits: usize) -> CircuitBuilder {
+    let mut b = CircuitBuilder::new();
+    for _ in 0..n {
+        let max = max4(&mut b, bits);
+        relu_outputs(&mut b, &max);
     }
     b
 }
@@ -528,6 +559,13 @@ pub fn relu_unit_circuit() -> &'static Circuit {
 pub fn maxpool4_unit_circuit() -> &'static Circuit {
     static CIRCUIT: OnceLock<Circuit> = OnceLock::new();
     CIRCUIT.get_or_init(|| maxpool4_circuit(1, UNIT_BITS))
+}
+
+/// The single-window 64-bit fused max-then-ReLU circuit, built once per
+/// process (see [`relu_unit_circuit`]).
+pub fn maxpool_relu4_unit_circuit() -> &'static Circuit {
+    static CIRCUIT: OnceLock<Circuit> = OnceLock::new();
+    CIRCUIT.get_or_init(|| maxpool_relu4_circuit(1, UNIT_BITS))
 }
 
 /// Bytes one half-gates AND table occupies (two 128-bit rows).
@@ -1103,6 +1141,11 @@ mod tests {
         assert!(std::ptr::eq(maxpool4_unit_circuit(), maxpool4_unit_circuit()));
         assert_eq!(relu_unit_circuit().and_count(), relu_circuit(1, UNIT_BITS).and_count());
         assert_eq!(maxpool4_unit_circuit().and_count(), maxpool4_circuit(1, UNIT_BITS).and_count());
+        assert!(std::ptr::eq(maxpool_relu4_unit_circuit(), maxpool_relu4_unit_circuit()));
+        assert_eq!(
+            maxpool_relu4_unit_circuit().and_count(),
+            maxpool_relu4_circuit(1, UNIT_BITS).and_count()
+        );
     }
 
     #[test]
@@ -1260,7 +1303,7 @@ mod tests {
         // were one an AND gate's, the evaluator would see two hashes of
         // one label under one tweak, and the CCR argument needs them
         // distinct.
-        for c in [relu_unit_circuit(), maxpool4_unit_circuit()] {
+        for c in [relu_unit_circuit(), maxpool4_unit_circuit(), maxpool_relu4_unit_circuit()] {
             let ands: std::collections::HashSet<u64> = c
                 .gates
                 .iter()
@@ -1287,7 +1330,7 @@ mod tests {
         // hash — and with it every dealt seed's meaning.
         type Kat = (&'static Circuit, [u128; 2], [u128; 2], u64);
         let delta = 0x3b8bbc0980ebfa6cd87234476b2f8b95;
-        let kats: [Kat; 2] = [
+        let kats: [Kat; 3] = [
             (
                 relu_unit_circuit(),
                 [0x7574ce97a4fcf7a68e887847eb193f1a, 0x07b35d58a17858126c6ddd1a51e5349c],
@@ -1299,6 +1342,14 @@ mod tests {
                 [0x9fa3fd4000a6f07501321e8fc58fa2ed, 0x60f83236fd9afb5a52b6742cbbda549a],
                 [0x93ccbb70957eff7688d2c81f0124e061, 0x76a9434fb720f3615a1788525612ea6e],
                 0x9af33875ce1f7029,
+            ),
+            // The fused unit opens with the max's gates, so its first
+            // table is the max's.
+            (
+                maxpool_relu4_unit_circuit(),
+                [0x9fa3fd4000a6f07501321e8fc58fa2ed, 0x60f83236fd9afb5a52b6742cbbda549a],
+                [0xa6bb4615a2062e79c280ab97fe9ae1d6, 0x72905ff517771792290fdfadaa922900],
+                0x19e80fbb5b439a5b,
             ),
         ];
         for (circuit, first, last, decode) in kats {
@@ -1375,9 +1426,16 @@ mod tests {
     fn unit_circuits_renumber_soundly() {
         // ReLU: its 128 inputs and 63 outputs are pinned, so three slots
         // carry every temporary. Max: 512 inputs and 64 outputs pinned.
+        // The fused unit: the max's gates and its ReLU's 64 more, in the
+        // max's slots.
         for (raw, built, wires) in [
             (relu_builder(1, UNIT_BITS).circuit, relu_unit_circuit(), (506, 194)),
             (maxpool4_builder(1, UNIT_BITS).circuit, maxpool4_unit_circuit(), (3289, 771)),
+            (
+                maxpool_relu4_builder(1, UNIT_BITS).circuit,
+                maxpool_relu4_unit_circuit(),
+                (3353, 771),
+            ),
         ] {
             assert_slots_hold_what_is_read(&raw, built);
             assert_eq!((raw.wire_count(), built.wire_count()), wires);
@@ -1550,6 +1608,13 @@ mod maxpool_tests {
         assert_eq!(c.and_count(), 4 * 63 + 3 * (2 * 64 - 1));
         assert_eq!(c.and_count(), 633);
         assert_eq!(c.output_count(), 64);
+        // Fused with the ReLU: one free NOT of the max's sign bit and a
+        // 63-AND mux on the bits below it, which are the outputs.
+        let fused = maxpool_relu4_unit_circuit();
+        assert_eq!(fused.and_count(), 633 + 63);
+        assert_eq!(fused.output_count(), 63);
+        assert_eq!(fused.garbler_input_count(), c.garbler_input_count());
+        assert_eq!(fused.evaluator_input_count(), c.evaluator_input_count());
     }
 
     #[test]
@@ -1583,6 +1648,24 @@ mod maxpool_tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
+        #[test]
+        fn garbled_fused_max_relu_matches_plain_eval(vals in proptest::array::uniform4(-8000i16..8000), seed in any::<u64>()) {
+            let bits = 16;
+            let mask = 0xFFFFu64;
+            let c = maxpool_relu4_circuit(1, bits);
+            let mut prg = Prg::from_u64(seed);
+            let shares0: Vec<u64> = (0..4).map(|_| prg.next_u64() & mask).collect();
+            let shares1: Vec<u64> = vals.iter().zip(shares0.iter())
+                .map(|(&v, &s0)| ((v as i64 as u64).wrapping_sub(s0)) & mask).collect();
+            let e_bits: Vec<bool> = shares0.iter().flat_map(|&s| to_bits(s, bits)).collect();
+            let g_bits: Vec<bool> = shares1.iter().flat_map(|&s| to_bits(s, bits)).collect();
+            let plain = c.eval_plain(&g_bits, &e_bits).unwrap();
+            let garbled = garble_and_eval(&c, &g_bits, &e_bits, seed ^ 0xABCD);
+            prop_assert_eq!(&plain, &garbled);
+            let expect = (*vals.iter().max().unwrap()).max(0) as u64;
+            prop_assert_eq!(from_bits(&garbled), expect);
+        }
+
         #[test]
         fn garbled_max_matches_plain_eval(vals in proptest::array::uniform4(-8000i16..8000), seed in any::<u64>()) {
             let bits = 16;

@@ -58,9 +58,11 @@
 //! half-gates relies on, and `U` is masked by the uniform `r` (DESIGN.md
 //! §9). One round trip per layer, total.
 //!
-//! Items (one ReLU element, one 4-way max window) are garbled and
-//! evaluated **independently** against the process-wide unit circuits
-//! ([`crate::gc::relu_unit_circuit`] / [`crate::gc::maxpool4_unit_circuit`]),
+//! Items (one ReLU element, one 4-way max window, one window with the
+//! ReLU after it) are garbled and evaluated **independently** against
+//! the process-wide unit circuits ([`crate::gc::relu_unit_circuit`],
+//! [`crate::gc::maxpool4_unit_circuit`],
+//! [`crate::gc::maxpool_relu4_unit_circuit`]),
 //! which is what makes both phases embarrassingly parallel and
 //! deterministic: per-item garbling seeds are drawn sequentially from
 //! the dealer PRG, then the band size only controls parallelism — and
@@ -90,7 +92,7 @@
 use crate::dealer::Halves;
 use crate::gc::{
     eval_lanes, eval_projection, garble_lanes, garble_projection, lane, load_lane,
-    maxpool4_unit_circuit, relu_unit_circuit, Circuit, UNIT_BITS,
+    maxpool4_unit_circuit, maxpool_relu4_unit_circuit, relu_unit_circuit, Circuit, UNIT_BITS,
 };
 use crate::prg::Prg;
 use crate::share::ShareVec;
@@ -107,6 +109,9 @@ pub enum MaskedOp {
     /// `max(v₀..v₃) − r` over one 2×2 pool window (four elements) per
     /// item.
     Maxpool4,
+    /// `max(v₀..v₃, 0) − r`: a pool window and the ReLU after it as one
+    /// unit, the max's circuit plus a mux on its sign bit.
+    MaxpoolRelu4,
 }
 
 impl MaskedOp {
@@ -116,6 +121,7 @@ impl MaskedOp {
         match self {
             MaskedOp::Relu => relu_unit_circuit(),
             MaskedOp::Maxpool4 => maxpool4_unit_circuit(),
+            MaskedOp::MaxpoolRelu4 => maxpool_relu4_unit_circuit(),
         }
     }
 
@@ -123,7 +129,7 @@ impl MaskedOp {
     pub fn in_elems(&self) -> usize {
         match self {
             MaskedOp::Relu => 1,
-            MaskedOp::Maxpool4 => 4,
+            MaskedOp::Maxpool4 | MaskedOp::MaxpoolRelu4 => 4,
         }
     }
 
@@ -140,8 +146,8 @@ impl MaskedOp {
     }
 
     /// 64-bit words of arithmetic output projection per item: one `T_j`
-    /// per output wire (63 for a ReLU, whose top bit is always 0; 64 for
-    /// a max) plus the item's offset `U`.
+    /// per output wire (63 for a ReLU or a fused max-then-ReLU, whose top
+    /// bit is always 0; 64 for a max) plus the item's offset `U`.
     pub fn proj_words_per_item(&self) -> usize {
         self.unit_circuit().output_count() + 1
     }
@@ -815,8 +821,8 @@ mod tests {
     #[test]
     fn lock_step_equals_per_item_equals_plaintext_at_every_band_and_remainder() {
         // Item counts on both sides of the lane width (full groups, a
-        // K = 1 tail, both), bands that cut groups short, and both unit
-        // circuits. The material first: every band and every `Halves`
+        // K = 1 tail, both), bands that cut groups short, and every unit
+        // circuit. The material first: every band and every `Halves`
         // garbles, item for item, what the item garbles alone. Then three
         // independent routes to every output share: the lock-step walk,
         // one `K = 1` walk and projection per item, and the plaintext
@@ -826,7 +832,7 @@ mod tests {
         // are one band per core on a multi-core host, the second band
         // ending in a K = 1 tail.
         const BANDS: [usize; 4] = [1, 3, 8, 1024];
-        for op in [MaskedOp::Relu, MaskedOp::Maxpool4] {
+        for op in [MaskedOp::Relu, MaskedOp::Maxpool4, MaskedOp::MaxpoolRelu4] {
             let circuit = op.unit_circuit();
             for items in [1usize, 7, 8, 9, 23, 69] {
                 let seed = 1000 + items as u64;
@@ -872,7 +878,7 @@ mod tests {
                     // And the plaintext circuit means what it should.
                     let signed = x[elems].iter().map(|&v| v as i64);
                     let want = match op {
-                        MaskedOp::Relu => signed.max().unwrap().max(0),
+                        MaskedOp::Relu | MaskedOp::MaxpoolRelu4 => signed.max().unwrap().max(0),
                         MaskedOp::Maxpool4 => signed.max().unwrap(),
                     };
                     assert_eq!(value, want as u64, "{op:?} item {i}");
@@ -915,9 +921,16 @@ mod tests {
                 }
             }
         }
-        // The split's per-layer sizes on two cores: every layer two bands.
-        for (items, halves) in [(1024, 512), (256, 128), (384, 192), (96, 48), (192, 96)] {
+        // The split's per-layer sizes on two cores (two fused pool
+        // layers of 256 and 96 windows, then 192 ReLUs): every layer two
+        // bands. The full model adds 128 ReLUs (two bands) and layers
+        // under two minimum bands, which stay whole: fused 32 and 8,
+        // ReLU 32 and the head's 16.
+        for (items, halves) in [(256, 128), (96, 48), (192, 96), (128, 64)] {
             assert_eq!(band_for(items, 1024, 2), halves, "{items} items");
+        }
+        for items in [32, 8, 16] {
+            assert_eq!(band_for(items, 1024, 2), items, "{items} items stay one band");
         }
         assert_eq!(band_for(32, 1024, 16), 32, "the full model's 32-item layers stay whole");
     }
@@ -927,7 +940,7 @@ mod tests {
         // Skip, don't reorder: whichever halves are kept, each equals
         // the same half of `pregarble` field for field, and the caller's
         // PRG yields the same next word afterwards.
-        for op in [MaskedOp::Relu, MaskedOp::Maxpool4] {
+        for op in [MaskedOp::Relu, MaskedOp::Maxpool4, MaskedOp::MaxpoolRelu4] {
             for items in [1usize, 7, 8, 9, 23] {
                 for band in [1usize, 3, 8, 1024] {
                     let seed = 2000 + items as u64;
@@ -1089,7 +1102,9 @@ mod tests {
         assert_eq!(cmat.expanded_bytes(), (2 * 8 + 2 * 126 * 32 + 2 * 64 * 16 + 2 * 64 * 8) as u64);
         assert_eq!(smat.expanded_bytes(), (2 * 64 * 16 + 2 * 16 + 2 * 8) as u64);
         // The shape arithmetic a sided deal reports is the two halves'.
-        for (op, items) in [(MaskedOp::Relu, 2), (MaskedOp::Maxpool4, 5)] {
+        for (op, items) in
+            [(MaskedOp::Relu, 2), (MaskedOp::Maxpool4, 5), (MaskedOp::MaxpoolRelu4, 3)]
+        {
             let (cmat, smat) = pregarble(op, items, &mut prg, 1);
             assert_eq!(op.expanded_bytes(items), cmat.expanded_bytes() + smat.expanded_bytes());
         }
@@ -1103,19 +1118,26 @@ mod tests {
         // dealt table bytes per item (in either direction) must change
         // these numbers on purpose. ReLU: the reconstruction adder's 63
         // and the mux's 63 (bit 63 is 0). Max: four 63-AND adders and
-        // three 127-AND maxes. Neither re-masks: the projection does.
+        // three 127-AND maxes. The fused unit: the max's 633 and a ReLU
+        // mux's 63, against 633 + 126 as two layers. None re-masks: the
+        // projection does.
         assert_eq!(MaskedOp::Relu.ands_per_item(), 126);
         assert_eq!(MaskedOp::Maxpool4.ands_per_item(), 633);
+        assert_eq!(MaskedOp::MaxpoolRelu4.ands_per_item(), 696);
         assert_eq!(MaskedOp::Relu.proj_words_per_item(), 64);
         assert_eq!(MaskedOp::Maxpool4.proj_words_per_item(), 65);
+        assert_eq!(MaskedOp::MaxpoolRelu4.proj_words_per_item(), 64);
         // And the wire buffer a walk keeps hot, after slot reuse (506 and
         // 3 289 wires, one per gate, before it): eight lanes of 16 B make
         // these 25 kB and 99 kB. A builder change that bloats them shows
-        // here before it shows as cache misses.
+        // here before it shows as cache misses. The fused unit's ReLU
+        // reuses the max's slots.
         assert_eq!(MaskedOp::Relu.unit_circuit().wire_count(), 194);
         assert_eq!(MaskedOp::Maxpool4.unit_circuit().wire_count(), 771);
+        assert_eq!(MaskedOp::MaxpoolRelu4.unit_circuit().wire_count(), 771);
         assert_eq!(MaskedOp::Relu.ands_per_item() * crate::gc::AND_TABLE_BYTES, 4_032);
         assert_eq!(MaskedOp::Maxpool4.ands_per_item() * crate::gc::AND_TABLE_BYTES, 20_256);
+        assert_eq!(MaskedOp::MaxpoolRelu4.ands_per_item() * crate::gc::AND_TABLE_BYTES, 22_272);
     }
 
     #[test]
@@ -1127,7 +1149,7 @@ mod tests {
         // decode bits. The online frames and the garbler's share are
         // functions of exactly these, so they did not move either.
         type Kat = (MaskedOp, [u128; 2], [u128; 2], [u64; 2], u64);
-        let kats: [Kat; 2] = [
+        let kats: [Kat; 3] = [
             (
                 MaskedOp::Relu,
                 [0xbe1c514cd2acda2acd46874979c6357d, 0xff66171ff57ca61df05b793e10bc4dbc],
@@ -1137,6 +1159,15 @@ mod tests {
             ),
             (
                 MaskedOp::Maxpool4,
+                [0xb98868026d67bc439e437755dc647183, 0x0fe43b55c2bc77c7c0e0389bc511552b],
+                [0xf664982af22d0c57dc7d868f6322e153, 0xff0d5b51585b73c2ce0dc085bc23e9e5],
+                [0x50e53c59de0635f3, 0xda86c0bc11bc21c4],
+                0xc506fa240bd69447,
+            ),
+            // The fused unit has the max's inputs, and the garbler's half
+            // is drawn before any gate: it is the max's, word for word.
+            (
+                MaskedOp::MaxpoolRelu4,
                 [0xb98868026d67bc439e437755dc647183, 0x0fe43b55c2bc77c7c0e0389bc511552b],
                 [0xf664982af22d0c57dc7d868f6322e153, 0xff0d5b51585b73c2ce0dc085bc23e9e5],
                 [0x50e53c59de0635f3, 0xda86c0bc11bc21c4],

@@ -2,8 +2,9 @@
 //!
 //! [`PiBackend`] is the only representation of a backend: the session's
 //! [`PiConfig`] carries it, and the engine dispatches on it by `match`.
-//! A backend decides how the non-linear layers (ReLU, 2×2 max pool) are
-//! dealt offline and run online, and which analytic model prices its
+//! A backend decides how the non-linear layers (ReLU, 2×2 max pool, and
+//! a max pool fused with the ReLU after it) are dealt offline and run
+//! online, and which analytic model prices its
 //! offline phase. Both run the linear layers on the one masked-linear
 //! protocol, which the dealer and the walks call directly.
 //!
@@ -12,7 +13,8 @@
 //! * **Cheetah** (`cheetah.rs`) runs comparison protocols on dealt bit
 //!   and Beaver triples.
 //!
-//! The layer is one [`MaskedOp`] argument (ReLU or 4-way max), and its
+//! The layer is one [`MaskedOp`] argument (ReLU, 4-way max, or the max
+//! and its ReLU as one unit), and its
 //! material is typed: a Delphi layer is a pre-garbled half
 //! (`ClientMat::Gc` / `ServerMat::Gc`), a Cheetah layer its comparison
 //! stages (`ClientMat::Cmp` / `ServerMat::Cmp`). Material of the other
@@ -98,7 +100,8 @@ impl PiBackend {
 }
 
 /// Deals the offline material of one non-linear layer — `op` over
-/// `items` elements (ReLU) or windows (max pool) — under `cfg.backend`,
+/// `items` elements (ReLU) or windows (max pool, fused or not) — under
+/// `cfg.backend`,
 /// keeping `halves` and accounting the backend's counts (AND gates and
 /// extended OTs, or bit triples), the same whichever halves are kept.
 pub(crate) fn deal_nl(

@@ -19,8 +19,10 @@ use c2pi_transport::Channel;
 
 /// One comparison stage's correlations: the word-packed DReLU
 /// bit-triple pool plus the two Beaver triple sets the multiplexer
-/// consumes. A ReLU layer is one stage, a 4-way max tournament three;
-/// both parties hold the same shape.
+/// consumes. A ReLU layer is one stage, a 4-way max tournament three, a
+/// fused pool the tournament's three and then the ReLU's one, over the
+/// windows — the draws the two layers made apart, in their order; both
+/// parties hold the same shape.
 pub(crate) type Stage = (BitTriples, TripleShare, TripleShare);
 
 /// Deals one `op` layer's comparison stages over `n` elements each,
@@ -38,6 +40,7 @@ pub(super) fn layer_for(
     let stages = match op {
         MaskedOp::Relu => 1,
         MaskedOp::Maxpool4 => 3,
+        MaskedOp::MaxpoolRelu4 => 4,
     };
     let mut client = halves.client().then(|| Vec::with_capacity(stages));
     let mut server = halves.server().then(|| Vec::with_capacity(stages));
@@ -57,10 +60,13 @@ pub(super) fn layer_for(
     (client, server)
 }
 
-/// One party of a comparison-based `op` layer: the ReLU, or the 4-way
-/// max tournament over the gathered `quads`. The protocol is symmetric:
-/// `is_client` only tells the triple-consuming sub-protocols who sends
-/// first and who adds the public terms.
+/// One party of a comparison-based `op` layer: the ReLU, the 4-way max
+/// tournament over the gathered `quads`, or (fused) the tournament and
+/// then the ReLU of its result — the two protocols run back to back in
+/// one step, with the stages, messages and flights of the two layers.
+/// The protocol is symmetric: `is_client` only tells the
+/// triple-consuming sub-protocols who sends first and who adds the
+/// public terms.
 pub(super) fn party(
     ep: &dyn Channel,
     is_client: bool,
@@ -73,14 +79,29 @@ pub(super) fn party(
         (MaskedOp::Relu, [(bits, ta, tb)]) => {
             Ok(relu_interactive(ep, is_client, share, bits, ta, tb)?)
         }
-        (MaskedOp::Maxpool4, [(bt1, ta1, tb1), (bt2, ta2, tb2), (bt3, ta3, tb3)]) => {
-            let [a, b, c, d] = split_quads(share);
-            let m1 = max_interactive(ep, is_client, &a, &b, bt1, ta1, tb1)?;
-            let m2 = max_interactive(ep, is_client, &c, &d, bt2, ta2, tb2)?;
-            Ok(max_interactive(ep, is_client, &m1, &m2, bt3, ta3, tb3)?)
+        (MaskedOp::Maxpool4, [max1, max2, max3]) => {
+            tournament(ep, is_client, share, [max1, max2, max3])
+        }
+        (MaskedOp::MaxpoolRelu4, [max1, max2, max3, (bits, ta, tb)]) => {
+            let max = tournament(ep, is_client, share, [max1, max2, max3])?;
+            Ok(relu_interactive(ep, is_client, &max, bits, ta, tb)?)
         }
         _ => Err(mismatch(who)),
     }
+}
+
+/// The 4-way max of each window of the gathered `quads`: two maxes of
+/// pairs, then the max of their results, one stage each.
+fn tournament(
+    ep: &dyn Channel,
+    is_client: bool,
+    quads: &ShareVec,
+    [(bt1, ta1, tb1), (bt2, ta2, tb2), (bt3, ta3, tb3)]: [&mut Stage; 3],
+) -> Result<ShareVec> {
+    let [a, b, c, d] = split_quads(quads);
+    let m1 = max_interactive(ep, is_client, &a, &b, bt1, ta1, tb1)?;
+    let m2 = max_interactive(ep, is_client, &c, &d, bt2, ta2, tb2)?;
+    Ok(max_interactive(ep, is_client, &m1, &m2, bt3, ta3, tb3)?)
 }
 
 /// Splits the per-window gathered quads (window-major `a b c d` groups)

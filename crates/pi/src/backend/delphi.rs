@@ -3,7 +3,9 @@
 //! ([`c2pi_mpc::gcpre`]) — dealing a layer garbles its masked circuits
 //! and fixes every input-independent label during preprocessing, so the
 //! online phase is one `δ`/label round trip per layer plus local
-//! evaluation. A server-sided deal keeps Δ, the zero labels and `r` and
+//! evaluation. A max pool and the ReLU after it are one layer here: one
+//! fused unit per window (`MaskedOp::MaxpoolRelu4`, 696 ANDs), so the
+//! pooled ReLU costs no round trip and no labels of its own. A server-sided deal keeps Δ, the zero labels and `r` and
 //! garbles nothing. Heavyweight HE offline (plus the garbled tables and
 //! the OT-extension label transfers a real deployment would run — the
 //! dealer deals the labels directly) modelled by

@@ -72,8 +72,12 @@ impl OnlineCostModel {
     /// the measured online time they read a
     /// `pi.calibrate.default_residual` of 0.82–1.0 (0.77–0.91 on the
     /// parent in the same sitting). A split set, ReLU running after each
-    /// max pool (DESIGN.md §13), is 544 ReLU items and 352 windows,
-    /// 291 360 ANDs.
+    /// max pool (DESIGN.md §13), is 544 ReLU items and 352 windows; the
+    /// 352 pooled ReLUs are fused into their windows, 192 ReLU units of
+    /// 126 ANDs and 352 fused units of 696, 269 184 ANDs. These prices
+    /// still charge a fused window as a window plus a ReLU item (its
+    /// `OpCounts` count both), though the ReLU no longer has a label
+    /// round of its own.
     pub fn delphi() -> Self {
         OnlineCostModel {
             sec_per_mac: 4.0e-9,

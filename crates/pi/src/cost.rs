@@ -69,8 +69,9 @@ impl OfflineCostModel {
     /// three runs on 2026-10-17 read 20.0 / 24.2 / 24.6 ms over a
     /// 424 416-AND set, 47 / 57 / 58 ns per AND (the parent in the same
     /// sitting: 43 / 45 / 56), so 50 ns stands. With ReLU running after
-    /// each max pool (DESIGN.md §13) a split set garbles 291 360 ANDs
-    /// and the full prefix 343 896.
+    /// each max pool, fused with it into one 696-AND unit per window
+    /// (DESIGN.md §13), a split set garbles 269 184 ANDs and the full
+    /// prefix 319 200.
     pub fn delphi() -> Self {
         OfflineCostModel {
             ct_bytes: 131_072,

@@ -9,21 +9,34 @@
 
 use crate::report::OpCounts;
 use crate::{PiError, Result};
+use c2pi_mpc::gcpre::MaskedOp;
 use c2pi_mpc::ring::RingMatrix;
 use c2pi_mpc::FixedPoint;
 use c2pi_nn::LayerSpec;
 use c2pi_tensor::conv::Conv2dGeom;
 
 /// Public per-layer execution plan (both parties know the crypto-prefix
-/// architecture; only weights are server-private).
+/// architecture; only weights are server-private). A `MaxPool` with
+/// `relu` also computes the ReLU that directly follows the pool, as one
+/// non-linear unit per window.
 #[derive(Debug, Clone)]
 pub(crate) enum Step {
     Conv { c: usize, h: usize, w: usize, geom: Conv2dGeom },
     Fc { k: usize },
     Relu { n: usize },
-    MaxPool { c: usize, h: usize, w: usize },
+    MaxPool { c: usize, h: usize, w: usize, relu: bool },
     AvgPool { c: usize, h: usize, w: usize, window: usize, stride: usize },
     Flatten,
+}
+
+/// The masked unit a max-pool step runs per window: the 4-way max, or,
+/// fused with the ReLU after it, `max(v₀..v₃, 0)`.
+pub(crate) fn pool_unit(relu: bool) -> MaskedOp {
+    if relu {
+        MaskedOp::MaxpoolRelu4
+    } else {
+        MaskedOp::Maxpool4
+    }
 }
 
 /// Server-side constants of a step, encoded into the ring once per
@@ -52,7 +65,8 @@ const BASE_OTS_PER_SET: u64 = 128;
 
 /// Compiles layer specs against a `[c, h, w]` input shape: folds batch
 /// norms into their convolutions ([`fold_batch_norm`]), puts max pools
-/// before ReLU ([`pool_before_relu`]), then lowers the specs to steps.
+/// before ReLU ([`pool_before_relu`]), then lowers the specs to steps,
+/// each pool with the ReLU right after it as one step ([`lower`]).
 pub(crate) fn compile(
     specs: &[LayerSpec],
     in_chw: (usize, usize, usize),
@@ -109,9 +123,12 @@ pub(crate) fn pool_before_relu(specs: &mut [LayerSpec]) {
 }
 
 /// Lowers layer specs to steps in the order given: shapes, ring-encoded
-/// server constants and the backend-independent counts. Sessions are
-/// compiled by [`compile`]; the plan lowered in spec order is what the
-/// tests hold the rewrite against.
+/// server constants and the backend-independent counts. A `MaxPool2d`
+/// directly followed by a `Relu` lowers to one fused step, `MaxPool {
+/// relu: true }`: `relu(max(v₀..v₃))` per window, counted as the window
+/// and the ReLU element it stands for (DESIGN.md §13). Sessions are
+/// compiled by [`compile`]; the tests hold the rewrite and the fusion
+/// against the specs lowered one at a time.
 pub(crate) fn lower(
     specs: &[LayerSpec],
     in_chw: (usize, usize, usize),
@@ -125,7 +142,8 @@ pub(crate) fn lower(
     // Current public shape: Some((c,h,w)) for NCHW, or flat length.
     let mut cur_chw: Option<(usize, usize, usize)> = Some((c, h, w));
     let mut cur_flat = c * h * w;
-    for spec in specs {
+    let mut specs = specs.iter().peekable();
+    while let Some(spec) = specs.next() {
         match spec {
             LayerSpec::Conv2d { weight, bias, geom } => {
                 let (cc, hh, ww) =
@@ -182,11 +200,16 @@ pub(crate) fn lower(
                         "secure max pooling supports 2x2 stride-2 on even sizes".into(),
                     ));
                 }
-                counts.pool_windows += cc * (hh / 2) * (ww / 2);
-                steps.push(Step::MaxPool { c: cc, h: hh, w: ww });
+                let windows = cc * (hh / 2) * (ww / 2);
+                let relu = specs.next_if(|s| matches!(s, LayerSpec::Relu)).is_some();
+                counts.pool_windows += windows;
+                if relu {
+                    counts.relu_elems += windows;
+                }
+                steps.push(Step::MaxPool { c: cc, h: hh, w: ww, relu });
                 data.push(StepData::None);
                 cur_chw = Some((cc, hh / 2, ww / 2));
-                cur_flat = cc * (hh / 2) * (ww / 2);
+                cur_flat = windows;
             }
             LayerSpec::AvgPool2d { window, stride } => {
                 let (cc, hh, ww) =
@@ -223,7 +246,8 @@ pub(crate) fn lower(
 
 /// The plan run on unshared ring values: the protocols' arithmetic with
 /// the sharing taken out. The same encoding, weights and `bias2f` as the
-/// walks, signed ReLU and max, and every truncation the shift
+/// walks, signed ReLU and max (a fused pool: the max, then its ReLU), and
+/// every truncation the shift
 /// `beaver::truncate_share` applies to each share, applied here to the
 /// whole value — so a protocol run differs from this only by the ±1 LSB
 /// each local share truncation may add (SecureML).
@@ -251,14 +275,15 @@ pub(crate) fn eval_ring(plan: &Plan, x: &[u64], fp: FixedPoint) -> Vec<u64> {
                 assert_eq!(*n, cur.len(), "ReLU width");
                 cur.iter().map(|&v| signed_max(0, v)).collect()
             }
-            (Step::MaxPool { c, h, w }, StepData::None) => {
+            (Step::MaxPool { c, h, w, relu }, StepData::None) => {
                 let mut out = Vec::with_capacity(c * (h / 2) * (w / 2));
                 for plane in cur.chunks_exact(h * w) {
                     for oy in 0..h / 2 {
                         for ox in 0..w / 2 {
                             let at = 2 * oy * w + 2 * ox;
                             let quad = [plane[at], plane[at + 1], plane[at + w], plane[at + w + 1]];
-                            out.push(quad[1..].iter().fold(quad[0], |m, &v| signed_max(m, v)));
+                            let max = quad[1..].iter().fold(quad[0], |m, &v| signed_max(m, v));
+                            out.push(if *relu { signed_max(0, max) } else { max });
                         }
                     }
                 }
@@ -310,12 +335,14 @@ mod tests {
         s.layers().iter().map(|l| l.spec()).collect()
     }
 
-    /// The plan's steps, one short name each (`relu 48`, `maxpool`, …).
+    /// The plan's steps, one short name each (`relu 48`, `maxpool`,
+    /// `maxpool+relu`, …).
     fn names(plan: &Plan) -> Vec<String> {
         plan.steps
             .iter()
             .map(|s| match s {
                 Step::Relu { n } => format!("relu {n}"),
+                Step::MaxPool { relu: true, .. } => "maxpool+relu".into(),
                 other => format!("{other:?}").split([' ', '{']).next().unwrap().to_lowercase(),
             })
             .collect()
@@ -323,14 +350,30 @@ mod tests {
 
     #[test]
     fn compile_tracks_shapes_and_counts() {
-        let plan = compile(&specs(), (1, 8, 8), FixedPoint::default()).unwrap();
-        assert_eq!(plan.steps.len(), 5);
+        let fp = FixedPoint::default();
+        let plan = compile(&specs(), (1, 8, 8), fp).unwrap();
+        assert_eq!(plan.steps.len(), 4);
         assert_eq!(plan.out_dims, vec![1, 5]);
         // Pooled before the ReLU, which then runs on one element per
-        // window: 3·4·4, not the 3·8·8 of the spec order.
-        assert_eq!(names(&plan), ["conv", "maxpool", "relu 48", "flatten", "fc"]);
+        // window (3·4·4, not the 3·8·8 of the spec order) inside the
+        // pool's own step.
+        assert_eq!(names(&plan), ["conv", "maxpool+relu", "flatten", "fc"]);
+        assert!(matches!(plan.steps[1], Step::MaxPool { c: 3, h: 8, w: 8, relu: true }));
+        // The fused step counts the window and the ReLU element it
+        // stands for, as the two steps did.
         assert_eq!(plan.base_counts.relu_elems, 3 * 4 * 4);
         assert_eq!(plan.base_counts.pool_windows, 3 * 4 * 4);
+        // Of two pools in a row only the one the ReLU directly follows
+        // fuses with it; the counts are the three layers'.
+        let pool = || LayerSpec::MaxPool2d { window: 2, stride: 2 };
+        let twice = lower(&[pool(), pool(), LayerSpec::Relu], (2, 8, 8), fp).unwrap();
+        assert_eq!(names(&twice), ["maxpool", "maxpool+relu"]);
+        assert_eq!(twice.base_counts.pool_windows, 2 * 4 * 4 + 2 * 2 * 2);
+        assert_eq!(twice.base_counts.relu_elems, 2 * 2 * 2);
+        // A ReLU that does not directly follow the pool stays its own step.
+        let avg = LayerSpec::AvgPool2d { window: 2, stride: 2 };
+        let apart = lower(&[pool(), avg, LayerSpec::Relu], (2, 8, 8), fp).unwrap();
+        assert_eq!(names(&apart), ["maxpool", "avgpool", "relu 8"]);
         assert_eq!(plan.base_counts.linear_in_elems.len(), 2);
         // Backend-dependent counts are not filled at compile time.
         assert_eq!(plan.base_counts.and_gates, 0);
@@ -351,11 +394,11 @@ mod tests {
         twice.push(MaxPool2d::new(2, 2));
         twice.push(MaxPool2d::new(2, 2));
         let specs: Vec<LayerSpec> = twice.layers().iter().map(|l| l.spec()).collect();
-        assert_eq!(compiled(&specs, (1, 8, 8)), ["conv", "maxpool", "maxpool", "relu 8"]);
+        assert_eq!(compiled(&specs, (1, 8, 8)), ["conv", "maxpool", "maxpool+relu"]);
         // Within a run of ReLUs and max pools every pool goes first, so
         // the order the pass hands out (`specs_of`'s) compiles unchanged.
         let mut run = [LayerSpec::Relu, pool(), LayerSpec::Relu, pool()];
-        let want = ["maxpool", "maxpool", "relu 4", "relu 4"];
+        let want = ["maxpool", "maxpool+relu", "relu 4"];
         assert_eq!(compiled(&run, (1, 8, 8)), want);
         pool_before_relu(&mut run);
         assert_eq!(names(&lower(&run, (1, 8, 8), fp).unwrap()), want);

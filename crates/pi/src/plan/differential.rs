@@ -3,9 +3,11 @@
 //! compiled, run under [`eval_ring`] and run through both backends. Two
 //! properties:
 //!
-//! * **the pool-before-ReLU rewrite is exact**: the compiled plan and
-//!   the plan lowered in spec order, batch norms folded, agree bit for
-//!   bit under `eval_ring`;
+//! * **the pool-before-ReLU rewrite and the pool–ReLU fusion are
+//!   exact**: the compiled plan and the specs in their own order, batch
+//!   norms folded and each layer lowered on its own (so no step spans
+//!   two layers), agree bit for bit under `eval_ring`, and the plan
+//!   counts the ReLU elements and pool windows of the rewritten specs;
 //! * **the backends compute `eval_ring`**: every reconstructed output
 //!   lies in the interval [`reachable`] gives it — `eval_ring` with each
 //!   truncation free to add 0 or 1 LSB. Its width is 1 LSB after one
@@ -18,7 +20,7 @@
 //!
 //! The inputs are seeded, so every run draws the same cases.
 
-use super::{compile, eval_ring, fold_batch_norm, lower, Plan, Step, StepData};
+use super::{compile, eval_ring, fold_batch_norm, lower, pool_before_relu, Plan, Step, StepData};
 use crate::engine::{PiBackend, PiConfig};
 use crate::session::PiSession;
 use c2pi_mpc::prg::Prg;
@@ -49,7 +51,10 @@ impl Draw {
 /// any order the shapes allow, and batch norms (`Affine`) right after a
 /// convolution, where the plan folds them. A ReLU on a spatial
 /// activation is followed by a pool half the time, so both the rewrite
-/// (`Relu, MaxPool`) and its exclusion (`Relu, AvgPool`) are drawn often.
+/// (`Relu, MaxPool`) and its exclusion (`Relu, AvgPool`) are drawn often;
+/// a pool by a ReLU or another pool half the time, so the fusion
+/// (`MaxPool, Relu`) and the runs it must not reach across (`MaxPool,
+/// MaxPool, Relu`, `MaxPool, AvgPool, Relu`) are drawn often too.
 fn random_prefix(seed: u64) -> (Vec<LayerSpec>, [usize; 3]) {
     let mut d = Draw(Prg::from_u64(seed));
     let chw = [1 + d.below(4), 2 + 2 * d.below(4), 2 + 2 * d.below(4)];
@@ -58,6 +63,8 @@ fn random_prefix(seed: u64) -> (Vec<LayerSpec>, [usize; 3]) {
     let mut specs: Vec<LayerSpec> = Vec::new();
     for _ in 0..2 + d.below(6) {
         let after_relu = matches!(specs.last(), Some(LayerSpec::Relu));
+        let after_pool =
+            matches!(specs.last(), Some(LayerSpec::MaxPool2d { .. } | LayerSpec::AvgPool2d { .. }));
         let after_conv = matches!(specs.last(), Some(LayerSpec::Conv2d { .. }));
         let spec = if let Some(k) = flat {
             if after_relu || d.below(2) == 0 {
@@ -73,6 +80,8 @@ fn random_prefix(seed: u64) -> (Vec<LayerSpec>, [usize; 3]) {
         } else {
             let pick = if after_relu && h >= 2 && w >= 2 && d.below(2) == 0 {
                 2 + d.below(2)
+            } else if after_pool && d.below(2) == 0 {
+                1 + d.below(3)
             } else {
                 d.below(6)
             };
@@ -169,7 +178,8 @@ fn reachable(plan: &Plan, x: &[u64], fp: FixedPoint) -> Vec<(i128, i128)> {
             (Step::Relu { .. }, StepData::None) => {
                 cur.iter().map(|&(lo, hi)| (lo.max(0), hi.max(0))).collect()
             }
-            (Step::MaxPool { c, h, w }, StepData::None) => {
+            (Step::MaxPool { c, h, w, relu }, StepData::None) => {
+                let floor = if *relu { 0 } else { i128::MIN };
                 let mut out = Vec::with_capacity(c * (h / 2) * (w / 2));
                 for plane in cur.chunks_exact(h * w) {
                     for oy in 0..h / 2 {
@@ -177,9 +187,8 @@ fn reachable(plan: &Plan, x: &[u64], fp: FixedPoint) -> Vec<(i128, i128)> {
                             let at = 2 * oy * w + 2 * ox;
                             let quad = [plane[at], plane[at + 1], plane[at + w], plane[at + w + 1]];
                             out.push(
-                                quad.iter().fold((i128::MIN, i128::MIN), |m, q| {
-                                    (m.0.max(q.0), m.1.max(q.1))
-                                }),
+                                quad.iter()
+                                    .fold((floor, floor), |m, q| (m.0.max(q.0), m.1.max(q.1))),
                             );
                         }
                     }
@@ -213,6 +222,32 @@ fn reachable(plan: &Plan, x: &[u64], fp: FixedPoint) -> Vec<(i128, i128)> {
     cur
 }
 
+/// [`eval_ring`] of `specs` in their own order, one layer at a time: each
+/// is lowered alone against the shape the one before it produced, so no
+/// rewrite or fusion can reach across two layers. Also returns the ReLU
+/// elements and pool windows the layers count, summed.
+fn eval_layer_by_layer(
+    specs: &[LayerSpec],
+    mut chw: (usize, usize, usize),
+    x: &[u64],
+    fp: FixedPoint,
+) -> (Vec<u64>, [usize; 2]) {
+    let mut cur = x.to_vec();
+    let mut counts = [0; 2];
+    for spec in specs {
+        let step = lower(std::slice::from_ref(spec), chw, fp).unwrap();
+        cur = eval_ring(&step, &cur, fp);
+        counts[0] += step.base_counts.relu_elems;
+        counts[1] += step.base_counts.pool_windows;
+        chw = match step.out_dims[..] {
+            [_, c, h, w] => (c, h, w),
+            [_, flat] => (flat, 1, 1),
+            ref dims => unreachable!("output dims {dims:?}"),
+        };
+    }
+    (cur, counts)
+}
+
 /// Checks both properties on one prefix and returns the compiled plan's
 /// reference output.
 fn check(specs: &[LayerSpec], [c, h, w]: [usize; 3], x: &Tensor) -> Vec<u64> {
@@ -220,10 +255,18 @@ fn check(specs: &[LayerSpec], [c, h, w]: [usize; 3], x: &Tensor) -> Vec<u64> {
     let compiled = compile(specs, (c, h, w), fp).unwrap();
     let mut folded = specs.to_vec();
     fold_batch_norm(&mut folded);
-    let lowered = lower(&folded, (c, h, w), fp).unwrap();
     let input = fp.encode_tensor(x);
     let want = eval_ring(&compiled, &input, fp);
-    assert_eq!(want, eval_ring(&lowered, &input, fp), "the rewrite changed the ring result");
+    let (spec_order, _) = eval_layer_by_layer(&folded, (c, h, w), &input, fp);
+    assert_eq!(want, spec_order, "the rewrite or the fusion changed the ring result");
+    // A fused step counts the window and the ReLU element it stands for:
+    // the counts are those of the rewritten specs (`specs_of`'s order,
+    // which the frozen benchmark re-derives), layer by layer.
+    let mut rewritten = folded;
+    pool_before_relu(&mut rewritten);
+    let (_, [relu, pool]) = eval_layer_by_layer(&rewritten, (c, h, w), &input, fp);
+    let counts = &compiled.base_counts;
+    assert_eq!([counts.relu_elems, counts.pool_windows], [relu, pool], "the fusion moved a count");
     let bounds = reachable(&compiled, &input, fp);
     for (&v, &(lo, hi)) in want.iter().zip(&bounds) {
         assert!((lo..=hi).contains(&(v as i64 as i128)), "the ring value lies outside its bounds");
@@ -252,6 +295,34 @@ proptest! {
         let (specs, [c, h, w]) = random_prefix(seed);
         let x = Tensor::rand_uniform(&[1, c, h, w], -1.0, 1.0, seed ^ 0x5eed);
         check(&specs, [c, h, w], &x);
+    }
+}
+
+#[test]
+fn pool_relu_runs_match_the_ring_reference() {
+    // The runs a fused step must and must not reach across, each after a
+    // convolution, so windows hold values of both signs: a pool and its
+    // ReLU fuse; of two pools only the second; across an average pool or
+    // a convolution nothing fuses; `Relu, MaxPool, Relu` pools first and
+    // fuses one ReLU.
+    let mut d = Draw(Prg::from_u64(9));
+    let mut conv = |ic: usize| LayerSpec::Conv2d {
+        weight: d.uniform(&[3, ic, 3, 3], 0.5),
+        bias: d.uniform(&[3], 0.1),
+        geom: Conv2dGeom { kernel: 3, stride: 1, padding: 1, dilation: 1 },
+    };
+    let max = || LayerSpec::MaxPool2d { window: 2, stride: 2 };
+    let avg = || LayerSpec::AvgPool2d { window: 2, stride: 2 };
+    let runs = [
+        vec![conv(2), max(), LayerSpec::Relu],
+        vec![conv(2), max(), max(), LayerSpec::Relu],
+        vec![conv(2), max(), avg(), LayerSpec::Relu],
+        vec![conv(2), max(), conv(3), LayerSpec::Relu],
+        vec![conv(2), LayerSpec::Relu, max(), LayerSpec::Relu],
+    ];
+    let x = Tensor::rand_uniform(&[1, 2, 8, 8], -1.0, 1.0, 9);
+    for specs in runs {
+        check(&specs, [2, 8, 8], &x);
     }
 }
 

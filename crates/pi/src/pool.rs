@@ -30,7 +30,7 @@
 
 use crate::backend::{deal_nl, Stage};
 use crate::engine::PiConfig;
-use crate::plan::{Plan, Step, StepData};
+use crate::plan::{pool_unit, Plan, Step, StepData};
 use crate::report::{OpCounts, PreprocessLedger};
 use crate::store::{MaterialStore, RecordKind, RestoreReport};
 use crate::{PiError, Result};
@@ -179,22 +179,31 @@ impl SessionCore {
         &self.cfg
     }
 
-    /// Per-step `(kind, items)` metadata of the plan — the shape a
+    /// Per-layer `(kind, items)` metadata of the plan — the shape a
     /// [`DealtSeed`] carries so the receiving party can validate that
-    /// both sides expand the same stream.
+    /// both sides expand the same stream. A fused pool step is described
+    /// as the two layers it computes, a pool and a ReLU over its
+    /// windows, so the metadata and the session fingerprint hashed from
+    /// it are those of the two layers run apart.
     fn step_meta(&self) -> Vec<(u8, u32)> {
-        self.plan
-            .steps
-            .iter()
-            .map(|s| match s {
-                Step::Conv { c, h, w, .. } => (1u8, (c * h * w) as u32),
-                Step::Fc { k } => (2, *k as u32),
-                Step::Relu { n } => (3, *n as u32),
-                Step::MaxPool { c, h, w } => (4, (c * (h / 2) * (w / 2)) as u32),
-                Step::AvgPool { c, h, w, .. } => (5, (c * h * w) as u32),
-                Step::Flatten => (6, 0),
-            })
-            .collect()
+        let mut meta = Vec::with_capacity(self.plan.steps.len());
+        for step in &self.plan.steps {
+            match *step {
+                Step::Conv { c, h, w, .. } => meta.push((1u8, (c * h * w) as u32)),
+                Step::Fc { k } => meta.push((2, k as u32)),
+                Step::Relu { n } => meta.push((3, n as u32)),
+                Step::MaxPool { c, h, w, relu } => {
+                    let windows = (c * (h / 2) * (w / 2)) as u32;
+                    meta.push((4, windows));
+                    if relu {
+                        meta.push((3, windows));
+                    }
+                }
+                Step::AvgPool { c, h, w, .. } => meta.push((5, (c * h * w) as u32)),
+                Step::Flatten => meta.push((6, 0)),
+            }
+        }
+        meta
     }
 
     /// Stable fingerprint of this deployment: backend, master dealer
@@ -321,16 +330,10 @@ impl SessionCore {
                         deal_nl(&mut dealer, MaskedOp::Relu, *n, &self.cfg, &mut counts, halves);
                     keep(c, s)?;
                 }
-                (Step::MaxPool { c, h, w }, StepData::None) => {
+                (Step::MaxPool { c, h, w, relu }, StepData::None) => {
                     let windows = c * (h / 2) * (w / 2);
-                    let (c, s) = deal_nl(
-                        &mut dealer,
-                        MaskedOp::Maxpool4,
-                        windows,
-                        &self.cfg,
-                        &mut counts,
-                        halves,
-                    );
+                    let op = pool_unit(*relu);
+                    let (c, s) = deal_nl(&mut dealer, op, windows, &self.cfg, &mut counts, halves);
                     keep(c, s)?;
                 }
                 (Step::AvgPool { .. } | Step::Flatten, StepData::None) => {
@@ -903,17 +906,18 @@ mod tests {
 
     #[test]
     fn a_frame_from_an_earlier_dealt_function_is_refused_not_expanded() {
-        // A version-3 peer opened every set with a base-OT draw, a
-        // version-2 peer drew its bit triples a keystream word per bit,
-        // a version-1 peer garbled under a different hash; expanding any
-        // of their seeds here would produce material the other side
-        // cannot use. The frame is otherwise exactly what this
-        // deployment would have dealt.
+        // A version-4 peer garbled a pool and the ReLU after it as two
+        // layers under the same step metadata, a version-3 peer opened
+        // every set with a base-OT draw, a version-2 peer drew its bit
+        // triples a keystream word per bit, a version-1 peer garbled
+        // under a different hash; expanding any of their seeds here
+        // would produce material the other side cannot use. The frame is
+        // otherwise exactly what this deployment would have dealt.
         let core = tiny_core();
         let frame = core.dealt_seed(7).encode();
         assert!(core.expand_dealt(&frame).is_ok());
-        assert_eq!(frame[2], 4, "DealtSeed version byte");
-        for earlier in [1, 2, 3] {
+        assert_eq!(frame[2], 5, "DealtSeed version byte");
+        for earlier in [1, 2, 3, 4] {
             let mut old = frame.clone();
             old[2] = earlier;
             let err = core.expand_dealt(&old).map(|m| m.seed).unwrap_err();
@@ -1063,10 +1067,10 @@ mod tests {
     #[test]
     fn material_dealt_under_the_spec_order_is_refused_under_the_pooled_order() {
         // A deployment compiled before ReLU moved behind the max pool
-        // ran `Relu { 72 }, MaxPool` where this one runs `MaxPool,
-        // Relu { 18 }`. The fingerprint hashes the steps in order, so
-        // neither its dealt seeds nor its store expand here — with no
-        // `DEALT_VERSION` bump.
+        // ran `Relu { 72 }, MaxPool` where this one runs the pool and a
+        // ReLU over its 18 windows (as one fused step). The fingerprint
+        // hashes the layers in order, so neither its dealt seeds nor its
+        // store expand here — with no `DEALT_VERSION` bump.
         use crate::plan::lower;
         let mut seq = Sequential::new();
         seq.push(Conv2d::new(1, 2, 3, 1, 1, 1, 1));
@@ -1081,7 +1085,7 @@ mod tests {
             Arc::new(SessionCore { plan: compile(&specs, (1, 6, 6), cfg.fixed).unwrap(), cfg });
         assert!(matches!(
             pooled.plan.steps[..],
-            [Step::Conv { .. }, Step::MaxPool { .. }, Step::Relu { n: 18 }]
+            [Step::Conv { .. }, Step::MaxPool { c: 2, h: 6, w: 6, relu: true }]
         ));
         assert_ne!(spec_order.session_fingerprint(), pooled.session_fingerprint());
 
@@ -1105,6 +1109,46 @@ mod tests {
             matches!(&err, PiError::Store(why) if why.contains("different deployment")),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn a_fused_pool_is_described_as_its_two_layers_and_a_version_4_frame_is_refused() {
+        // `MaxPool { relu: true }` carries the metadata of the two steps
+        // it replaced, so the session fingerprint did not move — only
+        // the version byte tells a version-4 peer, which garbled the two
+        // layers apart, that this deployment expands its seeds to
+        // other material.
+        let mut seq = Sequential::new();
+        seq.push(Conv2d::new(1, 2, 3, 1, 1, 1, 1));
+        seq.push(Relu::new());
+        seq.push(MaxPool2d::new(2, 2));
+        let cfg = PiConfig { backend: crate::engine::PiBackend::Delphi, ..PiConfig::default() };
+        let fused =
+            SessionCore { plan: compile(&specs_of(&seq), (1, 6, 6), cfg.fixed).unwrap(), cfg };
+        let mut apart = fused.plan.clone();
+        apart.steps = vec![
+            apart.steps[0].clone(),
+            Step::MaxPool { c: 2, h: 6, w: 6, relu: false },
+            Step::Relu { n: 18 },
+        ];
+        apart.data.push(StepData::None);
+        let apart = SessionCore { plan: apart, cfg };
+        assert_eq!(fused.step_meta(), [(1, 36), (4, 18), (3, 18)]);
+        assert_eq!(fused.step_meta(), apart.step_meta());
+        assert_eq!(fused.session_fingerprint(), apart.session_fingerprint());
+
+        let mut v4 = apart.dealt_seed(7).encode();
+        v4[2] = 4;
+        let err = fused.expand_dealt(&v4).map(|m| m.seed).unwrap_err();
+        assert!(
+            matches!(&err, PiError::Mpc(c2pi_mpc::MpcError::Protocol(why))
+                if why == "dealt seed: unsupported version"),
+            "{err:?}"
+        );
+        // The same seed at the current version expands, to one fused
+        // half per pool.
+        let set = fused.expand_dealt(&fused.dealt_seed(7).encode()).unwrap();
+        assert_eq!(set.cmats.map(|m| m.len()), Some(2));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use crate::backend::{nl_client, nl_server};
 use crate::engine::PiConfig;
-use crate::plan::{Plan, Step, StepData};
+use crate::plan::{pool_unit, Plan, Step, StepData};
 use crate::pool::{mismatch, step_mats, ClientMat, ServerMat};
 use crate::{PiError, Result};
 use c2pi_mpc::beaver::{linear_client, linear_server_members, truncate_share};
@@ -110,9 +110,9 @@ pub(crate) fn client_walk(
             (Step::Relu { n: _ }, mat) => {
                 cur = nl_client(ep, MaskedOp::Relu, &cur, mat, cfg)?;
             }
-            (Step::MaxPool { c, h, w }, mat) => {
+            (Step::MaxPool { c, h, w, relu }, mat) => {
                 let quads = gather(&cur, &pool_windows(*c, *h, *w));
-                cur = nl_client(ep, MaskedOp::Maxpool4, &quads, mat, cfg)?;
+                cur = nl_client(ep, pool_unit(*relu), &quads, mat, cfg)?;
             }
             (Step::AvgPool { c, h, w, window, stride }, ClientMat::None) => {
                 cur = avg_pool_share(&cur, (*c, *h, *w), (*window, *stride), true, fp);
@@ -187,10 +187,10 @@ pub(crate) fn server_walk(
             (Step::Relu { n: _ }, StepData::None) => {
                 curs = nl_server(eps, MaskedOp::Relu, &curs, mats, cfg)?;
             }
-            (Step::MaxPool { c, h, w }, StepData::None) => {
+            (Step::MaxPool { c, h, w, relu }, StepData::None) => {
                 let idx = pool_windows(*c, *h, *w);
                 let quads: Vec<ShareVec> = curs.iter().map(|cur| gather(cur, &idx)).collect();
-                curs = nl_server(eps, MaskedOp::Maxpool4, &quads, mats, cfg)?;
+                curs = nl_server(eps, pool_unit(*relu), &quads, mats, cfg)?;
             }
             (Step::AvgPool { c, h, w, window, stride }, StepData::None) => {
                 step_mats(mats, |m| matches!(m, ServerMat::None).then_some(()))?;

@@ -225,6 +225,23 @@ fn delphi_online_flights_are_layer_batched() {
         b.report.online.flights + 1,
         "relu layer should cost exactly one extra online flight"
     );
+    // A max pool and the ReLU after it are one garbled unit: the
+    // conv→relu→maxpool prefix (run as conv, then the fused pool) also
+    // costs exactly one label flight over the bare conv, and its online
+    // bytes are the window's: four δ words and 4 · 64 labels of 16 B,
+    // none for the ReLU.
+    with_relu.push(MaxPool2d::new(2, 2));
+    let c = run_prefix(&specs_of(&with_relu), &x, &cfg).unwrap();
+    assert_eq!(
+        c.report.online.flights,
+        b.report.online.flights + 1,
+        "a pooled relu layer should cost exactly one extra online flight"
+    );
+    let windows = 4 * 4 * 4;
+    assert_eq!(
+        c.report.online.bytes_total(),
+        b.report.online.bytes_total() + windows * 4 * (8 + 64 * 16)
+    );
 }
 
 #[test]
@@ -270,10 +287,12 @@ fn serving_transcripts_match_their_goldens_at_every_entry_point() {
     // the first sets of the same seed stream). The
     // dealt entry points count the `DealtSeed` frame; `infer` has none.
     // The share folds also pin the dealt function `seed → material`
-    // (`DealtSeed` v4: a multiplication's output shares are a function
+    // (`DealtSeed` v5: a multiplication's output shares are a function
     // of its Beaver triple, and where that triple sits in the stream
     // depends on every draw before it); bytes and flights are protocol
-    // facts and survive any re-draw.
+    // facts and survive any re-draw. Delphi runs the pool and its ReLU
+    // as one garbled unit, one δ/label round trip; Cheetah runs them as
+    // two protocols in one step, with the two layers' draws and flights.
     use c2pi_suite::pi::PiSession;
     use c2pi_suite::transport::channel_pair;
 
@@ -302,10 +321,10 @@ fn serving_transcripts_match_their_goldens_at_every_entry_point() {
         (
             PiBackend::Delphi,
             [
-                (0xfcf6_ce27_8172_0abb, 7_040, 245_760, 4),
-                (0xfcf6_ce27_8172_0abb, 7_040, 245_797, 5),
-                (0xfcf6_ce27_8172_0abb, 7_040, 245_797, 5),
-                (0x1bc1_204a_b213_0306, 7_040, 245_797, 5),
+                (0x2fd3_78ed_98ea_59aa, 6_656, 196_608, 2),
+                (0x2fd3_78ed_98ea_59aa, 6_656, 196_645, 3),
+                (0x2fd3_78ed_98ea_59aa, 6_656, 196_645, 3),
+                (0x35c2_9fcf_55c4_3622, 6_656, 196_645, 3),
             ],
         ),
     ];
