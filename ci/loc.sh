@@ -2,9 +2,10 @@
 # Code-size count: the non-blank, non-comment Rust lines of the library
 # and binary sources under crates/ and shims/. Each file is counted up
 # to its first `#[cfg(test)]` (the unit tests that follow are not
-# counted), and files under a `tests/` or `benches/` directory are
-# skipped. Comment lines are those starting with `//` (doc comments
-# included) or lying inside a `/* … */` block.
+# counted), so a test-only module file, which opens with
+# `#![cfg(test)]`, counts nothing; files under a `tests/` or `benches/`
+# directory are skipped. Comment lines are those starting with `//`
+# (doc comments included) or lying inside a `/* … */` block.
 #
 # Usage: ci/loc.sh            # prints the total
 #        ci/loc.sh --by-crate # one line per crate, then the total
@@ -16,7 +17,7 @@ count() {
     awk '
         FNR == 1 { done = 0; block = 0 }
         done { next }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { done = 1; next }
+        /^[[:space:]]*#!?\[cfg\(test\)\]/ { done = 1; next }
         {
             line = $0
             sub(/^[[:space:]]+/, "", line)

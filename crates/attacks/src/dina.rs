@@ -54,9 +54,6 @@ pub struct DinaConfig {
     /// Learning rate (Adam; the paper's full-scale setup uses SGD at
     /// 0.001, which needs far more data/epochs than the CPU scale has).
     pub lr: f32,
-    /// Retained for API compatibility with the paper's SGD setup
-    /// (unused by the Adam trainer).
-    pub momentum: f32,
     /// Mini-batch size.
     pub batch: usize,
     /// Seed for weights and noise.
@@ -69,7 +66,6 @@ impl Default for DinaConfig {
             schedule: CoefficientSchedule::IncreasingC1,
             epochs: 30,
             lr: 0.005,
-            momentum: 0.9,
             batch: 4,
             seed: 31,
         }

@@ -29,9 +29,6 @@ pub struct InaConfig {
     /// images; at the CPU scale of this reproduction Adam converges far
     /// better, so the trainer uses Adam with this rate.
     pub lr: f32,
-    /// Retained for API compatibility with the paper's SGD setup
-    /// (unused by the Adam trainer).
-    pub momentum: f32,
     /// Channel width of the decoder trunk.
     pub base_width: usize,
     /// Mini-batch size.
@@ -46,7 +43,6 @@ impl Default for InaConfig {
             arch: InaArch::Residual,
             epochs: 30,
             lr: 0.005,
-            momentum: 0.9,
             base_width: 16,
             batch: 4,
             seed: 23,
@@ -140,11 +136,6 @@ impl InversionAttack {
     /// The configuration.
     pub fn config(&self) -> InaConfig {
         self.cfg
-    }
-
-    /// Mean training loss of the last epoch, if prepared.
-    pub fn decoder_mut(&mut self) -> Option<&mut Sequential> {
-        self.decoder.as_mut()
     }
 }
 

@@ -283,12 +283,15 @@ impl C2piSession {
     ///
     /// # Errors
     ///
-    /// Returns engine or shape errors.
+    /// Returns [`c2pi_pi::PiError::InputOutOfRange`] (wrapped) for a NaN
+    /// or infinite pixel, before any material is taken, plus engine or
+    /// shape errors.
     pub fn infer(&mut self, x: &Tensor) -> Result<InferenceResult> {
         let noise_seed = defense_seed(self.defense_master, self.inferences as usize);
-        self.inferences += 1;
         let fp = self.pi.config().fixed;
         let outcome = self.pi.infer(x).map_err(C2piError::Pi)?;
+        // A refused input draws no noise: the next inference gets this one's.
+        self.inferences += 1;
         let mut report = outcome.report.clone();
         match self.split {
             Split::Full => {
@@ -380,6 +383,25 @@ mod tests {
         assert!(session.clear_layer_count() > 0);
         assert_eq!(res.report.preprocessing.generated_inline, 0);
         assert_eq!(session.ledger().available, 1);
+    }
+
+    #[test]
+    fn a_non_finite_pixel_is_a_typed_error_and_takes_no_material() {
+        let mut session = C2pi::builder(tiny_model())
+            .split_at(BoundaryId::relu(3))
+            .backend(PiBackend::Cheetah)
+            .build()
+            .unwrap();
+        session.preprocess(1).unwrap();
+        let ledger = session.ledger();
+        let mut x = Tensor::rand_uniform(&[1, 3, 16, 16], 0.0, 1.0, 1);
+        x.as_mut_slice()[0] = f32::INFINITY;
+        let err = session.infer(&x).map(|r| r.prediction).unwrap_err();
+        assert!(
+            matches!(err, C2piError::Pi(c2pi_pi::PiError::InputOutOfRange { index: 0, .. })),
+            "{err:?}"
+        );
+        assert_eq!(session.ledger(), ledger);
     }
 
     #[test]

@@ -54,38 +54,36 @@ impl Halves {
 }
 
 /// The compact artifact a seed-compressed dealer actually ships per
-/// inference: a PRG seed, a session nonce and the per-step item counts
-/// the expansion will walk. Both parties expand their
+/// inference: a PRG seed and a session nonce. Both parties expand their
 /// correlated-randomness halves locally from the same `DealtSeed`
 /// (deterministically, via [`Dealer::for_dealt`]), so the dealt bytes on
-/// the wire are this struct's encoding — tens to hundreds of bytes —
-/// instead of the megabytes of expanded triples, labels and tables.
+/// the wire are this struct's 20-byte encoding instead of the megabytes
+/// of expanded triples, labels and tables.
 ///
 /// The nonce is a fingerprint of the deployment (backend, plan shape,
 /// master configuration) mixed into the expansion PRG: the same 64-bit
 /// seed dealt under two different deployments expands to unrelated
 /// correlations, so persisted seeds cannot be replayed across sessions.
-/// The step metadata lets the receiving party validate that the peer's
-/// plan shape matches its own before expanding anything.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// It is also the whole agreement on the plan: the receiving party
+/// compares it with its own fingerprint before expanding anything.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DealtSeed {
     /// Per-inference PRG seed both parties expand locally.
     pub seed: u64,
     /// Session nonce (deployment fingerprint) domain-separating the
     /// expansion — see the type docs.
     pub nonce: u64,
-    /// Per-step `(kind, items)` metadata of the plan the expansion
-    /// walks.
-    pub steps: Vec<(u8, u32)>,
 }
 
 const DEALT_MAGIC: u16 = 0xD517;
 /// Names the function `seed → material` as much as the byte layout, so
 /// a peer on another function is refused up front instead of expanding
-/// material the other side cannot use: version 5 garbles a max pool and
-/// the ReLU after it as one fused unit from one fork of the stream
-/// (version 4 garbled them as two layers, from two forks, under the same
-/// step metadata and session fingerprint); version 4 no longer opens a set
+/// material the other side cannot use: version 6 drops the per-step
+/// `(kind, items)` list after the nonce, which hashes the same list
+/// (same expansion as version 5); version 5 garbles a max pool and the
+/// ReLU after it as one fused unit from one fork of the stream (version
+/// 4 garbled them as two layers, from two forks, under the same step
+/// metadata and session fingerprint); version 4 no longer opens a set
 /// with 128 base-OT seed pairs nobody read (version 3 drew them first,
 /// so every later draw of either backend sat elsewhere in the stream);
 /// version 3 draws bit triples as 64-bit words (version 2 spent a
@@ -93,25 +91,22 @@ const DEALT_MAGIC: u16 = 0xD517;
 /// fixed-key AES (version 1 garbled under a ChaCha8 hash). One version
 /// covers both backends: one byte for the whole function is simpler
 /// than one per backend.
-const DEALT_VERSION: u8 = 5;
-/// Fixed wire overhead of [`DealtSeed::encode`]: magic, version,
-/// reserved byte, seed, nonce, step count.
-const DEALT_HEADER_BYTES: usize = 2 + 1 + 1 + 8 + 8 + 2;
+const DEALT_VERSION: u8 = 6;
 
 impl DealtSeed {
+    /// Size of the encoded form — magic, version, reserved byte, seed,
+    /// nonce: the bytes a seed-compressed dealer actually ships per
+    /// inference.
+    pub const WIRE_BYTES: u64 = 2 + 1 + 1 + 8 + 8;
+
     /// Serializes to the wire format (little-endian, versioned).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.wire_bytes() as usize);
+        let mut out = Vec::with_capacity(Self::WIRE_BYTES as usize);
         out.extend_from_slice(&DEALT_MAGIC.to_le_bytes());
         out.push(DEALT_VERSION);
         out.push(0);
         out.extend_from_slice(&self.seed.to_le_bytes());
         out.extend_from_slice(&self.nonce.to_le_bytes());
-        out.extend_from_slice(&(self.steps.len() as u16).to_le_bytes());
-        for &(kind, items) in &self.steps {
-            out.push(kind);
-            out.extend_from_slice(&items.to_le_bytes());
-        }
         out
     }
 
@@ -120,10 +115,11 @@ impl DealtSeed {
     /// # Errors
     ///
     /// Returns [`MpcError::Protocol`] for truncated, oversized or
-    /// wrong-version input.
+    /// wrong-version input; the version is checked before the length,
+    /// so a frame of another version is refused as such.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
         let fail = |why: &str| MpcError::Protocol(format!("dealt seed: {why}"));
-        if bytes.len() < DEALT_HEADER_BYTES {
+        if bytes.len() < 4 {
             return Err(fail("truncated header"));
         }
         if u16::from_le_bytes([bytes[0], bytes[1]]) != DEALT_MAGIC {
@@ -132,29 +128,15 @@ impl DealtSeed {
         if bytes[2] != DEALT_VERSION {
             return Err(fail("unsupported version"));
         }
-        let mut w = [0u8; 8];
-        w.copy_from_slice(&bytes[4..12]);
-        let seed = u64::from_le_bytes(w);
-        w.copy_from_slice(&bytes[12..20]);
-        let nonce = u64::from_le_bytes(w);
-        let count = u16::from_le_bytes([bytes[20], bytes[21]]) as usize;
-        if bytes.len() != DEALT_HEADER_BYTES + 5 * count {
-            return Err(fail("step metadata length mismatch"));
+        if bytes.len() as u64 != Self::WIRE_BYTES {
+            return Err(fail("wrong length"));
         }
-        let mut steps = Vec::with_capacity(count);
-        for i in 0..count {
-            let at = DEALT_HEADER_BYTES + 5 * i;
-            let mut items = [0u8; 4];
-            items.copy_from_slice(&bytes[at + 1..at + 5]);
-            steps.push((bytes[at], u32::from_le_bytes(items)));
-        }
-        Ok(DealtSeed { seed, nonce, steps })
-    }
-
-    /// Size of the encoded form — the bytes a seed-compressed dealer
-    /// actually ships per inference.
-    pub fn wire_bytes(&self) -> u64 {
-        (DEALT_HEADER_BYTES + 5 * self.steps.len()) as u64
+        let word = |at: usize| {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(&bytes[at..at + 8]);
+            u64::from_le_bytes(w)
+        };
+        Ok(DealtSeed { seed: word(4), nonce: word(12) })
     }
 }
 
@@ -427,29 +409,38 @@ mod tests {
     }
 
     fn sample_dealt() -> DealtSeed {
-        DealtSeed { seed: 41, nonce: 0xFEED_F00D, steps: vec![(1, 108), (3, 72), (6, 0)] }
+        DealtSeed { seed: 41, nonce: 0xFEED_F00D }
     }
 
     #[test]
-    fn dealt_seed_roundtrips_and_stays_compact() {
+    fn dealt_seed_roundtrips_in_twenty_bytes() {
         let ds = sample_dealt();
         let wire = ds.encode();
-        assert_eq!(wire.len() as u64, ds.wire_bytes());
-        assert!(wire.len() < 100, "dealt seed should be tens of bytes, got {}", wire.len());
+        assert_eq!(wire.len() as u64, DealtSeed::WIRE_BYTES);
+        assert_eq!(wire.len(), 20);
+        assert_eq!(wire[..4], [0x17, 0xD5, 6, 0], "magic, version, reserved");
         assert_eq!(DealtSeed::decode(&wire).unwrap(), ds);
     }
 
     #[test]
     fn dealt_seed_decode_rejects_malformed_input() {
         let wire = sample_dealt().encode();
-        assert!(DealtSeed::decode(&wire[..10]).is_err(), "truncated header");
-        assert!(DealtSeed::decode(&wire[..wire.len() - 1]).is_err(), "truncated steps");
+        let why = |bytes: &[u8]| match DealtSeed::decode(bytes) {
+            Err(MpcError::Protocol(why)) => why,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(why(&wire[..3]), "dealt seed: truncated header");
+        assert_eq!(why(&wire[..wire.len() - 1]), "dealt seed: wrong length");
+        assert_eq!(why(&[&wire[..], &[0]].concat()), "dealt seed: wrong length");
         let mut bad_magic = wire.clone();
         bad_magic[0] ^= 0xFF;
-        assert!(DealtSeed::decode(&bad_magic).is_err(), "bad magic");
-        let mut bad_version = wire.clone();
-        bad_version[2] += 1;
-        assert!(DealtSeed::decode(&bad_version).is_err(), "bad version");
+        assert_eq!(why(&bad_magic), "dealt seed: bad magic");
+        // A version-5 frame: the same header, then a step list after the
+        // nonce. It is refused by its version, not its length.
+        let mut v5 = wire.clone();
+        v5[2] = 5;
+        v5.extend_from_slice(&[1, 0, 3, 72, 0, 0, 0]);
+        assert_eq!(why(&v5), "dealt seed: unsupported version");
     }
 
     #[test]

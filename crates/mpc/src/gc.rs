@@ -271,40 +271,6 @@ impl CircuitBuilder {
         sum
     }
 
-    /// Increment-by-one over a little-endian bit vector (mod 2^len):
-    /// `s₀ = ¬x₀`, carry ripples through AND gates — `len − 2` of them,
-    /// none for a carry out of the top bit.
-    pub fn inc_mod2n(&mut self, x: &[WireId]) -> Vec<WireId> {
-        let mut out = Vec::with_capacity(x.len());
-        let mut carry: Option<WireId> = None;
-        for (i, &xi) in x.iter().enumerate() {
-            let top = i + 1 == x.len();
-            match carry {
-                None => {
-                    out.push(self.inv(xi));
-                    carry = Some(xi);
-                }
-                Some(c) => {
-                    out.push(self.xor(xi, c));
-                    carry = (!top).then(|| self.and(xi, c));
-                }
-            }
-        }
-        out
-    }
-
-    /// Two's-complement subtraction `a − b = a + ¬b + 1` (mod 2^len).
-    ///
-    /// # Panics
-    ///
-    /// Panics when operand widths differ.
-    pub fn sub_mod2n(&mut self, a: &[WireId], b: &[WireId]) -> Vec<WireId> {
-        assert_eq!(a.len(), b.len(), "subtractor width mismatch");
-        let nb: Vec<WireId> = b.iter().map(|&w| self.inv(w)).collect();
-        let t = self.add_mod2n(a, &nb);
-        self.inc_mod2n(&t)
-    }
-
     /// `a ≥ b` over two's-complement bit vectors, as the complement of
     /// the sign of `a − b` — computed from the **carry chain alone**.
     ///
@@ -1535,23 +1501,6 @@ mod maxpool_tests {
     use super::*;
     use crate::prg::Prg;
     use proptest::prelude::*;
-
-    #[test]
-    fn subtractor_matches_wrapping_sub() {
-        let bits = 16;
-        let mut b = CircuitBuilder::new();
-        let a: Vec<WireId> = (0..bits).map(|_| b.garbler_input()).collect();
-        let bb: Vec<WireId> = (0..bits).map(|_| b.evaluator_input()).collect();
-        let d = b.sub_mod2n(&a, &bb);
-        for w in d {
-            b.output(w);
-        }
-        let c = b.build();
-        for (x, y) in [(10u64, 3u64), (3, 10), (0, 0), (65535, 1)] {
-            let out = garble_and_eval(&c, &to_bits(x, bits), &to_bits(y, bits), 1);
-            assert_eq!(from_bits(&out), x.wrapping_sub(y) & 0xFFFF, "{x}-{y}");
-        }
-    }
 
     #[test]
     fn max_signed_picks_larger_twos_complement_value() {

@@ -18,6 +18,15 @@ pub enum PiError {
     UnsupportedLayer(String),
     /// Invalid configuration (batch > 1, odd pool size, …).
     BadConfig(String),
+    /// An input element is not a finite number (NaN or ±∞), which the
+    /// fixed-point encoding cannot represent. Refused on the client
+    /// before any frame is sent or any material is taken.
+    InputOutOfRange {
+        /// Flat index of the first offending element.
+        index: usize,
+        /// Its value.
+        value: f32,
+    },
     /// One of the party threads panicked.
     PartyPanic(&'static str),
     /// The persistent material store failed (I/O, corruption, or a
@@ -33,6 +42,9 @@ impl fmt::Display for PiError {
             PiError::Tensor(e) => write!(f, "tensor error: {e}"),
             PiError::UnsupportedLayer(d) => write!(f, "no secure execution for layer {d}"),
             PiError::BadConfig(msg) => write!(f, "bad configuration: {msg}"),
+            PiError::InputOutOfRange { index, value } => {
+                write!(f, "input element {index} is {value}, not a finite number")
+            }
             PiError::PartyPanic(side) => write!(f, "{side} thread panicked"),
             PiError::Store(msg) => write!(f, "material store: {msg}"),
         }
@@ -82,6 +94,8 @@ mod tests {
     fn display_covers_variants() {
         assert!(PiError::UnsupportedLayer("gelu".into()).to_string().contains("gelu"));
         assert!(PiError::PartyPanic("client").to_string().contains("client"));
+        let nan = PiError::InputOutOfRange { index: 3, value: f32::NAN };
+        assert_eq!(nan.to_string(), "input element 3 is NaN, not a finite number");
     }
 
     #[test]

@@ -10,49 +10,79 @@
 use crate::report::OpCounts;
 use crate::{PiError, Result};
 use c2pi_mpc::gcpre::MaskedOp;
-use c2pi_mpc::ring::RingMatrix;
+use c2pi_mpc::ring::{im2col_ring, RingMatrix};
 use c2pi_mpc::FixedPoint;
 use c2pi_nn::LayerSpec;
 use c2pi_tensor::conv::Conv2dGeom;
 
 /// Public per-layer execution plan (both parties know the crypto-prefix
-/// architecture; only weights are server-private). A `MaxPool` with
-/// `relu` also computes the ReLU that directly follows the pool, as one
-/// non-linear unit per window.
+/// architecture; only the weights a linear step carries are
+/// server-private). Every non-linear layer is one masked `Unit` of
+/// `items` items of `op`: a ReLU per element, a 2×2 max pool per window,
+/// or a pool and the ReLU directly after it as one unit per window. A
+/// pool's `window` is its 2×2 gather, the four input indices of each
+/// window, window-major; a ReLU's is `None`, one input element per item.
 #[derive(Debug, Clone)]
 pub(crate) enum Step {
-    Conv { c: usize, h: usize, w: usize, geom: Conv2dGeom },
-    Fc { k: usize },
-    Relu { n: usize },
-    MaxPool { c: usize, h: usize, w: usize, relu: bool },
+    Conv { c: usize, h: usize, w: usize, geom: Conv2dGeom, lin: Weights },
+    Fc { lin: Weights },
+    Unit { op: MaskedOp, items: usize, window: Option<Vec<[usize; 4]>> },
     AvgPool { c: usize, h: usize, w: usize, window: usize, stride: usize },
     Flatten,
 }
 
-/// The masked unit a max-pool step runs per window: the 4-way max, or,
-/// fused with the ReLU after it, `max(v₀..v₃, 0)`.
-pub(crate) fn pool_unit(relu: bool) -> MaskedOp {
-    if relu {
-        MaskedOp::MaxpoolRelu4
-    } else {
-        MaskedOp::Maxpool4
+/// A linear step's server constants, encoded into the ring once per
+/// session (weights never change between inferences): `w` is `[out,
+/// in]`, `bias2f` one bias per output row at scale `2^{2f}`, and `cols`
+/// the columns of the unfolded input (output pixels of a convolution, 1
+/// for a fully connected layer).
+#[derive(Debug, Clone)]
+pub(crate) struct Weights {
+    pub w: RingMatrix,
+    pub bias2f: Vec<u64>,
+    pub cols: usize,
+}
+
+impl Step {
+    /// A linear step's input as the matrix its weights multiply: im2col
+    /// columns for a convolution, one column for a fully connected layer.
+    pub(crate) fn linear_input(&self, x: &[u64]) -> Result<RingMatrix> {
+        match self {
+            Step::Conv { c, h, w, geom, .. } => Ok(im2col_ring(x, *c, *h, *w, *geom)?),
+            Step::Fc { lin } => Ok(RingMatrix::from_vec(x.to_vec(), lin.w.cols(), 1)?),
+            _ => Err(PiError::BadConfig("not a linear step".into())),
+        }
     }
 }
 
-/// Server-side constants of a step, encoded into the ring once per
-/// session (weights never change between inferences).
-#[derive(Debug, Clone)]
-pub(crate) enum StepData {
-    Lin { w: RingMatrix, bias2f: Vec<u64>, cols: usize },
-    None,
+/// A unit step's inputs, item-major: `x` itself, or its 2×2 windows
+/// gathered through `window` (a public permutation both parties apply).
+pub(crate) fn gather<T: Copy>(window: &Option<Vec<[usize; 4]>>, x: Vec<T>) -> Vec<T> {
+    match window {
+        Some(idx) => idx.iter().flat_map(|quad| quad.map(|i| x[i])).collect(),
+        None => x,
+    }
 }
 
-/// A compiled crypto prefix: steps, per-step server constants, the
+/// The 2×2 stride-2 windows of a `[c, h, w]` activation, window-major.
+fn pool_windows(c: usize, h: usize, w: usize) -> Vec<[usize; 4]> {
+    let mut idx = Vec::with_capacity(c * (h / 2) * (w / 2));
+    for plane in (0..c).map(|ch| ch * h * w) {
+        for oy in 0..h / 2 {
+            for ox in 0..w / 2 {
+                let at = plane + 2 * oy * w + 2 * ox;
+                idx.push([at, at + 1, at + w, at + w + 1]);
+            }
+        }
+    }
+    idx
+}
+
+/// A compiled crypto prefix: steps with their server constants, the
 /// backend-independent cost counts, and the public output shape.
 #[derive(Debug, Clone)]
 pub(crate) struct Plan {
     pub steps: Vec<Step>,
-    pub data: Vec<StepData>,
     pub base_counts: OpCounts,
     pub in_chw: (usize, usize, usize),
     pub out_dims: Vec<usize>,
@@ -124,11 +154,11 @@ pub(crate) fn pool_before_relu(specs: &mut [LayerSpec]) {
 
 /// Lowers layer specs to steps in the order given: shapes, ring-encoded
 /// server constants and the backend-independent counts. A `MaxPool2d`
-/// directly followed by a `Relu` lowers to one fused step, `MaxPool {
-/// relu: true }`: `relu(max(v₀..v₃))` per window, counted as the window
-/// and the ReLU element it stands for (DESIGN.md §13). Sessions are
-/// compiled by [`compile`]; the tests hold the rewrite and the fusion
-/// against the specs lowered one at a time.
+/// directly followed by a `Relu` lowers to one fused unit,
+/// [`MaskedOp::MaxpoolRelu4`]: `relu(max(v₀..v₃))` per window, counted
+/// as the window and the ReLU element it stands for (DESIGN.md §13).
+/// Sessions are compiled by [`compile`]; the tests hold the rewrite and
+/// the fusion against the specs lowered one at a time.
 pub(crate) fn lower(
     specs: &[LayerSpec],
     in_chw: (usize, usize, usize),
@@ -136,7 +166,6 @@ pub(crate) fn lower(
 ) -> Result<Plan> {
     let (c, h, w) = in_chw;
     let mut steps = Vec::with_capacity(specs.len());
-    let mut data = Vec::with_capacity(specs.len());
     let mut counts = OpCounts { base_ots: BASE_OTS_PER_SET, ..OpCounts::default() };
     let scale2 = fp.scale() * fp.scale();
     // Current public shape: Some((c,h,w)) for NCHW, or flat length.
@@ -162,8 +191,8 @@ pub(crate) fn lower(
                 counts.linear_in_elems.push(cc * hh * ww);
                 counts.linear_out_elems.push(oc * oh * ow);
                 counts.macs += (oc * ckk * oh * ow) as u64;
-                steps.push(Step::Conv { c: cc, h: hh, w: ww, geom: *geom });
-                data.push(StepData::Lin { w: w_ring, bias2f, cols: oh * ow });
+                let lin = Weights { w: w_ring, bias2f, cols: oh * ow };
+                steps.push(Step::Conv { c: cc, h: hh, w: ww, geom: *geom, lin });
                 cur_chw = Some((oc, oh, ow));
                 cur_flat = oc * oh * ow;
             }
@@ -182,15 +211,13 @@ pub(crate) fn lower(
                 counts.linear_in_elems.push(k_in);
                 counts.linear_out_elems.push(out);
                 counts.macs += (k_in * out) as u64;
-                steps.push(Step::Fc { k: k_in });
-                data.push(StepData::Lin { w: w_ring, bias2f, cols: 1 });
+                steps.push(Step::Fc { lin: Weights { w: w_ring, bias2f, cols: 1 } });
                 cur_chw = None;
                 cur_flat = out;
             }
             LayerSpec::Relu => {
                 counts.relu_elems += cur_flat;
-                steps.push(Step::Relu { n: cur_flat });
-                data.push(StepData::None);
+                steps.push(Step::Unit { op: MaskedOp::Relu, items: cur_flat, window: None });
             }
             LayerSpec::MaxPool2d { window, stride } => {
                 let (cc, hh, ww) =
@@ -201,13 +228,15 @@ pub(crate) fn lower(
                     ));
                 }
                 let windows = cc * (hh / 2) * (ww / 2);
-                let relu = specs.next_if(|s| matches!(s, LayerSpec::Relu)).is_some();
-                counts.pool_windows += windows;
-                if relu {
+                let op = if specs.next_if(|s| matches!(s, LayerSpec::Relu)).is_some() {
                     counts.relu_elems += windows;
-                }
-                steps.push(Step::MaxPool { c: cc, h: hh, w: ww, relu });
-                data.push(StepData::None);
+                    MaskedOp::MaxpoolRelu4
+                } else {
+                    MaskedOp::Maxpool4
+                };
+                counts.pool_windows += windows;
+                let window = Some(pool_windows(cc, hh, ww));
+                steps.push(Step::Unit { op, items: windows, window });
                 cur_chw = Some((cc, hh / 2, ww / 2));
                 cur_flat = windows;
             }
@@ -220,13 +249,11 @@ pub(crate) fn lower(
                 let oh = (hh - window) / stride + 1;
                 let ow = (ww - window) / stride + 1;
                 steps.push(Step::AvgPool { c: cc, h: hh, w: ww, window: *window, stride: *stride });
-                data.push(StepData::None);
                 cur_chw = Some((cc, oh, ow));
                 cur_flat = cc * oh * ow;
             }
             LayerSpec::Flatten => {
                 steps.push(Step::Flatten);
-                data.push(StepData::None);
                 cur_chw = None;
             }
             LayerSpec::Affine { .. } => {
@@ -241,55 +268,47 @@ pub(crate) fn lower(
         Some((cc, hh, ww)) => vec![1, cc, hh, ww],
         None => vec![1, cur_flat],
     };
-    Ok(Plan { steps, data, base_counts: counts, in_chw, out_dims })
+    Ok(Plan { steps, base_counts: counts, in_chw, out_dims })
 }
 
 /// The plan run on unshared ring values: the protocols' arithmetic with
 /// the sharing taken out. The same encoding, weights and `bias2f` as the
-/// walks, signed ReLU and max (a fused pool: the max, then its ReLU), and
-/// every truncation the shift
-/// `beaver::truncate_share` applies to each share, applied here to the
-/// whole value — so a protocol run differs from this only by the ±1 LSB
-/// each local share truncation may add (SecureML).
+/// walks, signed ReLU and max (a fused unit: the max, then its ReLU),
+/// and every truncation the shift `beaver::truncate_share` applies to
+/// each share, applied here to the whole value — so a protocol run
+/// differs from this only by the ±1 LSB each local share truncation may
+/// add (SecureML).
 #[cfg(test)]
 pub(crate) fn eval_ring(plan: &Plan, x: &[u64], fp: FixedPoint) -> Vec<u64> {
-    use c2pi_mpc::ring::im2col_ring;
     let signed_max = |a: u64, b: u64| if (b as i64) > (a as i64) { b } else { a };
     let mut cur = x.to_vec();
-    for (step, data) in plan.steps.iter().zip(&plan.data) {
-        cur = match (step, data) {
-            (Step::Conv { .. } | Step::Fc { .. }, StepData::Lin { w, bias2f, .. }) => {
-                let input = match step {
-                    Step::Conv { c, h, w, geom } => im2col_ring(&cur, *c, *h, *w, *geom).unwrap(),
-                    _ => RingMatrix::from_vec(cur, w.cols(), 1).unwrap(),
-                };
-                let y = w.matmul(&input).unwrap();
-                let cols = y.cols();
+    for step in &plan.steps {
+        cur = match step {
+            Step::Conv { lin, .. } | Step::Fc { lin } => {
+                let y = lin.w.matmul(&step.linear_input(&cur).unwrap()).unwrap();
                 y.as_slice()
-                    .chunks_exact(cols)
-                    .zip(bias2f)
+                    .chunks_exact(lin.cols)
+                    .zip(&lin.bias2f)
                     .flat_map(|(row, &b)| row.iter().map(move |&v| fp.truncate(v.wrapping_add(b))))
                     .collect()
             }
-            (Step::Relu { n }, StepData::None) => {
-                assert_eq!(*n, cur.len(), "ReLU width");
-                cur.iter().map(|&v| signed_max(0, v)).collect()
-            }
-            (Step::MaxPool { c, h, w, relu }, StepData::None) => {
-                let mut out = Vec::with_capacity(c * (h / 2) * (w / 2));
-                for plane in cur.chunks_exact(h * w) {
-                    for oy in 0..h / 2 {
-                        for ox in 0..w / 2 {
-                            let at = 2 * oy * w + 2 * ox;
-                            let quad = [plane[at], plane[at + 1], plane[at + w], plane[at + w + 1]];
-                            let max = quad[1..].iter().fold(quad[0], |m, &v| signed_max(m, v));
-                            out.push(if *relu { signed_max(0, max) } else { max });
+            Step::Unit { op, items, window } => {
+                let relu = *op != MaskedOp::Maxpool4;
+                let out: Vec<u64> = gather(window, cur)
+                    .chunks_exact(op.in_elems())
+                    .map(|item| {
+                        let max = item[1..].iter().fold(item[0], |m, &v| signed_max(m, v));
+                        if relu {
+                            signed_max(0, max)
+                        } else {
+                            max
                         }
-                    }
-                }
+                    })
+                    .collect();
+                assert_eq!(out.len(), *items, "{op:?} items");
                 out
             }
-            (Step::AvgPool { h, w, window, stride, .. }, StepData::None) => {
+            Step::AvgPool { h, w, window, stride, .. } => {
                 let (oh, ow) = ((h - window) / stride + 1, (w - window) / stride + 1);
                 let coeff = fp.encode(1.0 / (window * window) as f32);
                 let mut out = Vec::new();
@@ -309,14 +328,12 @@ pub(crate) fn eval_ring(plan: &Plan, x: &[u64], fp: FixedPoint) -> Vec<u64> {
                 }
                 out
             }
-            (Step::Flatten, StepData::None) => cur,
-            (step, _) => unreachable!("{step:?} without its data"),
+            Step::Flatten => cur,
         };
     }
     cur
 }
 
-#[cfg(test)]
 mod differential;
 
 #[cfg(test)]
@@ -341,8 +358,9 @@ mod tests {
         plan.steps
             .iter()
             .map(|s| match s {
-                Step::Relu { n } => format!("relu {n}"),
-                Step::MaxPool { relu: true, .. } => "maxpool+relu".into(),
+                Step::Unit { op: MaskedOp::Relu, items, .. } => format!("relu {items}"),
+                Step::Unit { op: MaskedOp::Maxpool4, .. } => "maxpool".into(),
+                Step::Unit { op: MaskedOp::MaxpoolRelu4, .. } => "maxpool+relu".into(),
                 other => format!("{other:?}").split([' ', '{']).next().unwrap().to_lowercase(),
             })
             .collect()
@@ -358,7 +376,15 @@ mod tests {
         // window (3·4·4, not the 3·8·8 of the spec order) inside the
         // pool's own step.
         assert_eq!(names(&plan), ["conv", "maxpool+relu", "flatten", "fc"]);
-        assert!(matches!(plan.steps[1], Step::MaxPool { c: 3, h: 8, w: 8, relu: true }));
+        let Step::Unit { items: 48, window: Some(window), .. } = &plan.steps[1] else {
+            panic!("{:?}", plan.steps[1]);
+        };
+        // The pool's gather reads each 2×2 window of every 8×8 plane.
+        assert_eq!(window.len(), 48);
+        assert_eq!(
+            [window[0], window[5], window[47]],
+            [[0, 1, 8, 9], [18, 19, 26, 27], [182, 183, 190, 191]]
+        );
         // The fused step counts the window and the ReLU element it
         // stands for, as the two steps did.
         assert_eq!(plan.base_counts.relu_elems, 3 * 4 * 4);

@@ -20,9 +20,12 @@
 //!
 //! The inputs are seeded, so every run draws the same cases.
 
-use super::{compile, eval_ring, fold_batch_norm, lower, pool_before_relu, Plan, Step, StepData};
+#![cfg(test)]
+
+use super::{compile, eval_ring, fold_batch_norm, gather, lower, pool_before_relu, Plan, Step};
 use crate::engine::{PiBackend, PiConfig};
 use crate::session::PiSession;
+use c2pi_mpc::gcpre::MaskedOp;
 use c2pi_mpc::prg::Prg;
 use c2pi_mpc::ring::RingMatrix;
 use c2pi_mpc::FixedPoint;
@@ -148,26 +151,22 @@ fn reachable(plan: &Plan, x: &[u64], fp: FixedPoint) -> Vec<(i128, i128)> {
     };
     let mut cur: Vec<(i128, i128)> =
         x.iter().map(|&v| (v as i64 as i128, v as i64 as i128)).collect();
-    for (step, data) in plan.steps.iter().zip(&plan.data) {
-        cur = match (step, data) {
-            (Step::Conv { .. } | Step::Fc { .. }, StepData::Lin { w, bias2f, .. }) => {
+    for step in &plan.steps {
+        cur = match step {
+            Step::Conv { lin, .. } | Step::Fc { lin } => {
                 // Unfolds the bounds as the layer unfolds its input
                 // (padding is an exact zero).
-                let unfold = |end: Vec<u64>| match step {
-                    Step::Conv { c, h, w, geom } => {
-                        c2pi_mpc::ring::im2col_ring(&end, *c, *h, *w, *geom).unwrap()
-                    }
-                    _ => RingMatrix::from_vec(end, w.cols(), 1).unwrap(),
-                };
+                let unfold = |end: Vec<u64>| step.linear_input(&end).unwrap();
                 let lo = unfold(cur.iter().map(|b| b.0 as i64 as u64).collect());
                 let hi = unfold(cur.iter().map(|b| b.1 as i64 as u64).collect());
                 let cols = lo.cols();
                 let at = |m: &RingMatrix, k: usize, j: usize| m.as_slice()[k * cols + j] as i64;
+                let (w, k) = (&lin.w, lin.w.cols());
                 let mut out = Vec::with_capacity(w.rows() * cols);
-                for (row, &b) in w.as_slice().chunks_exact(w.cols()).zip(bias2f) {
+                for (row, &b) in w.as_slice().chunks_exact(k).zip(&lin.bias2f) {
                     for j in 0..cols {
                         let mut column =
-                            (0..w.cols()).map(|k| (at(&lo, k, j) as i128, at(&hi, k, j) as i128));
+                            (0..k).map(|k| (at(&lo, k, j) as i128, at(&hi, k, j) as i128));
                         let (l, h) = dot(row, &mut column);
                         let b = b as i64 as i128;
                         out.push(trunc((l + b, h + b)));
@@ -175,27 +174,16 @@ fn reachable(plan: &Plan, x: &[u64], fp: FixedPoint) -> Vec<(i128, i128)> {
                 }
                 out
             }
-            (Step::Relu { .. }, StepData::None) => {
-                cur.iter().map(|&(lo, hi)| (lo.max(0), hi.max(0))).collect()
+            Step::Unit { op, window, .. } => {
+                let floor = if *op == MaskedOp::Maxpool4 { i128::MIN } else { 0 };
+                gather(window, cur)
+                    .chunks_exact(op.in_elems())
+                    .map(|item| {
+                        item.iter().fold((floor, floor), |m, v| (m.0.max(v.0), m.1.max(v.1)))
+                    })
+                    .collect()
             }
-            (Step::MaxPool { c, h, w, relu }, StepData::None) => {
-                let floor = if *relu { 0 } else { i128::MIN };
-                let mut out = Vec::with_capacity(c * (h / 2) * (w / 2));
-                for plane in cur.chunks_exact(h * w) {
-                    for oy in 0..h / 2 {
-                        for ox in 0..w / 2 {
-                            let at = 2 * oy * w + 2 * ox;
-                            let quad = [plane[at], plane[at + 1], plane[at + w], plane[at + w + 1]];
-                            out.push(
-                                quad.iter()
-                                    .fold((floor, floor), |m, q| (m.0.max(q.0), m.1.max(q.1))),
-                            );
-                        }
-                    }
-                }
-                out
-            }
-            (Step::AvgPool { h, w, window, stride, .. }, StepData::None) => {
+            Step::AvgPool { h, w, window, stride, .. } => {
                 let (oh, ow) = ((h - window) / stride + 1, (w - window) / stride + 1);
                 let coeff = fp.encode(1.0 / (window * window) as f32) as i64 as i128;
                 let mut out = Vec::new();
@@ -215,8 +203,7 @@ fn reachable(plan: &Plan, x: &[u64], fp: FixedPoint) -> Vec<(i128, i128)> {
                 }
                 out
             }
-            (Step::Flatten, StepData::None) => cur,
-            (step, _) => unreachable!("{step:?} without its data"),
+            Step::Flatten => cur,
         };
     }
     cur

@@ -30,7 +30,7 @@
 
 use crate::backend::{deal_nl, Stage};
 use crate::engine::PiConfig;
-use crate::plan::{pool_unit, Plan, Step, StepData};
+use crate::plan::{Plan, Step};
 use crate::report::{OpCounts, PreprocessLedger};
 use crate::store::{MaterialStore, RecordKind, RestoreReport};
 use crate::{PiError, Result};
@@ -179,24 +179,23 @@ impl SessionCore {
         &self.cfg
     }
 
-    /// Per-layer `(kind, items)` metadata of the plan — the shape a
-    /// [`DealtSeed`] carries so the receiving party can validate that
-    /// both sides expand the same stream. A fused pool step is described
-    /// as the two layers it computes, a pool and a ReLU over its
-    /// windows, so the metadata and the session fingerprint hashed from
-    /// it are those of the two layers run apart.
+    /// Per-layer `(kind, items)` metadata of the plan, the plan shape
+    /// the session fingerprint hashes. A fused pool unit is described as
+    /// the two layers it computes, a pool and a ReLU over its windows, so
+    /// the metadata and the fingerprint are those of the two layers run
+    /// apart.
     fn step_meta(&self) -> Vec<(u8, u32)> {
         let mut meta = Vec::with_capacity(self.plan.steps.len());
         for step in &self.plan.steps {
-            match *step {
+            match step {
                 Step::Conv { c, h, w, .. } => meta.push((1u8, (c * h * w) as u32)),
-                Step::Fc { k } => meta.push((2, k as u32)),
-                Step::Relu { n } => meta.push((3, n as u32)),
-                Step::MaxPool { c, h, w, relu } => {
-                    let windows = (c * (h / 2) * (w / 2)) as u32;
-                    meta.push((4, windows));
-                    if relu {
-                        meta.push((3, windows));
+                Step::Fc { lin } => meta.push((2, lin.w.cols() as u32)),
+                Step::Unit { op, items, .. } => {
+                    let items = *items as u32;
+                    match op {
+                        MaskedOp::Relu => meta.push((3, items)),
+                        MaskedOp::Maxpool4 => meta.push((4, items)),
+                        MaskedOp::MaxpoolRelu4 => meta.extend([(4, items), (3, items)]),
                     }
                 }
                 Step::AvgPool { c, h, w, .. } => meta.push((5, (c * h * w) as u32)),
@@ -236,12 +235,13 @@ impl SessionCore {
     /// the server actually ships to the client instead of expanded
     /// correlations.
     pub(crate) fn dealt_seed(&self, seed: u64) -> DealtSeed {
-        DealtSeed { seed, nonce: self.session_fingerprint(), steps: self.step_meta() }
+        DealtSeed { seed, nonce: self.session_fingerprint() }
     }
 
     /// **Dealt contract, client side**: decodes the first frame a server
     /// sent ([`SessionCore::serve_prepared`]), checks that the seed was
-    /// dealt for this exact deployment (nonce and plan shape), and
+    /// dealt for this exact deployment (its nonce is this session's
+    /// fingerprint, which hashes the plan shape), and
     /// expands the **client half** of the material it stands for — the
     /// masks, `c₀` shares, tables and evaluator labels a client walk
     /// reads. Nothing here multiplies by, or otherwise reads the values
@@ -258,7 +258,7 @@ impl SessionCore {
     /// seed dealt under another deployment, plus dealer errors.
     pub fn expand_dealt(&self, frame: &[u8]) -> Result<InferenceMaterial> {
         let dealt = DealtSeed::decode(frame)?;
-        if dealt != self.dealt_seed(dealt.seed) {
+        if dealt.nonce != self.session_fingerprint() {
             return Err(PiError::BadConfig(
                 "dealt seed was not produced for this deployment (backend, plan shape \
                  or master configuration differ)"
@@ -319,30 +319,22 @@ impl SessionCore {
             }
             Ok(())
         };
-        for (step, data) in self.plan.steps.iter().zip(self.plan.data.iter()) {
-            match (step, data) {
-                (Step::Conv { .. } | Step::Fc { .. }, StepData::Lin { w, cols, .. }) => {
-                    let (c, s) = dealer.linear_corr_for(w, *cols, halves)?;
+        for step in &self.plan.steps {
+            match step {
+                Step::Conv { lin, .. } | Step::Fc { lin } => {
+                    let (c, s) = dealer.linear_corr_for(&lin.w, lin.cols, halves)?;
                     keep(c.map(ClientMat::Lin), s.map(ServerMat::Lin))?;
                 }
-                (Step::Relu { n }, StepData::None) => {
-                    let (c, s) =
-                        deal_nl(&mut dealer, MaskedOp::Relu, *n, &self.cfg, &mut counts, halves);
+                Step::Unit { op, items, .. } => {
+                    let (c, s) = deal_nl(&mut dealer, *op, *items, &self.cfg, &mut counts, halves);
                     keep(c, s)?;
                 }
-                (Step::MaxPool { c, h, w, relu }, StepData::None) => {
-                    let windows = c * (h / 2) * (w / 2);
-                    let op = pool_unit(*relu);
-                    let (c, s) = deal_nl(&mut dealer, op, windows, &self.cfg, &mut counts, halves);
-                    keep(c, s)?;
-                }
-                (Step::AvgPool { .. } | Step::Flatten, StepData::None) => {
+                Step::AvgPool { .. } | Step::Flatten => {
                     keep(Some(ClientMat::None), Some(ServerMat::None))?;
                 }
-                _ => return Err(PiError::BadConfig("plan/data mismatch".into())),
             }
         }
-        counts.seed_bytes += dealt.wire_bytes();
+        counts.seed_bytes += DealtSeed::WIRE_BYTES;
         counts.expanded_bytes += dealer.expanded_bytes();
         Ok(InferenceMaterial { seed, cmats, smats, counts })
     }
@@ -863,7 +855,7 @@ fn replenish_loop(pool: &MaterialPool, low: usize, high: usize) -> Result<()> {
 mod tests {
     use super::*;
     use crate::engine::specs_of;
-    use crate::plan::compile;
+    use crate::plan::{compile, Weights};
     use c2pi_nn::layers::{Conv2d, MaxPool2d, Relu};
     use c2pi_nn::Sequential;
     use std::time::Duration;
@@ -906,7 +898,8 @@ mod tests {
 
     #[test]
     fn a_frame_from_an_earlier_dealt_function_is_refused_not_expanded() {
-        // A version-4 peer garbled a pool and the ReLU after it as two
+        // A version-5 peer sends the plan's step list after the nonce, a
+        // version-4 peer garbled a pool and the ReLU after it as two
         // layers under the same step metadata, a version-3 peer opened
         // every set with a base-OT draw, a version-2 peer drew its bit
         // triples a keystream word per bit, a version-1 peer garbled
@@ -916,8 +909,8 @@ mod tests {
         let core = tiny_core();
         let frame = core.dealt_seed(7).encode();
         assert!(core.expand_dealt(&frame).is_ok());
-        assert_eq!(frame[2], 5, "DealtSeed version byte");
-        for earlier in [1, 2, 3, 4] {
+        assert_eq!(frame[2], 6, "DealtSeed version byte");
+        for earlier in [1, 2, 3, 4, 5] {
             let mut old = frame.clone();
             old[2] = earlier;
             let err = core.expand_dealt(&old).map(|m| m.seed).unwrap_err();
@@ -944,12 +937,11 @@ mod tests {
                 .plan
                 .steps
                 .iter()
-                .zip(&core.plan.data)
-                .map(|(step, data)| match (step, data) {
-                    (Step::Conv { .. }, StepData::Lin { w, cols, .. }) => {
+                .map(|step| match step {
+                    Step::Conv { lin: Weights { w, cols, .. }, .. } => {
                         8 * (w.cols() * cols + 2 * w.rows() * cols) as u64
                     }
-                    (Step::Relu { n }, StepData::None) => match backend {
+                    Step::Unit { op: MaskedOp::Relu, items: n, .. } => match backend {
                         PiBackend::Delphi => MaskedOp::Relu.expanded_bytes(*n),
                         // One comparison stage: its bit triples packed,
                         // two Beaver triple sets of 48 B per element.
@@ -957,7 +949,7 @@ mod tests {
                             (6 * n * drelu_bit_triples(63)).div_ceil(8) as u64 + 2 * 48 * *n as u64
                         }
                     },
-                    (other, _) => unreachable!("tiny_core has no {other:?} step"),
+                    other => unreachable!("tiny_core has no {other:?} step"),
                 })
                 .sum();
             assert_eq!(
@@ -1085,7 +1077,7 @@ mod tests {
             Arc::new(SessionCore { plan: compile(&specs, (1, 6, 6), cfg.fixed).unwrap(), cfg });
         assert!(matches!(
             pooled.plan.steps[..],
-            [Step::Conv { .. }, Step::MaxPool { c: 2, h: 6, w: 6, relu: true }]
+            [Step::Conv { .. }, Step::Unit { op: MaskedOp::MaxpoolRelu4, items: 18, .. }]
         ));
         assert_ne!(spec_order.session_fingerprint(), pooled.session_fingerprint());
 
@@ -1113,9 +1105,9 @@ mod tests {
 
     #[test]
     fn a_fused_pool_is_described_as_its_two_layers_and_a_version_4_frame_is_refused() {
-        // `MaxPool { relu: true }` carries the metadata of the two steps
-        // it replaced, so the session fingerprint did not move — only
-        // the version byte tells a version-4 peer, which garbled the two
+        // A fused unit carries the metadata of the two steps it
+        // replaced, so the session fingerprint did not move — only the
+        // version byte tells a version-4 peer, which garbled the two
         // layers apart, that this deployment expands its seeds to
         // other material.
         let mut seq = Sequential::new();
@@ -1126,12 +1118,11 @@ mod tests {
         let fused =
             SessionCore { plan: compile(&specs_of(&seq), (1, 6, 6), cfg.fixed).unwrap(), cfg };
         let mut apart = fused.plan.clone();
-        apart.steps = vec![
-            apart.steps[0].clone(),
-            Step::MaxPool { c: 2, h: 6, w: 6, relu: false },
-            Step::Relu { n: 18 },
-        ];
-        apart.data.push(StepData::None);
+        let Step::Unit { window, .. } = apart.steps.pop().unwrap() else { unreachable!() };
+        apart.steps.extend([
+            Step::Unit { op: MaskedOp::Maxpool4, items: 18, window },
+            Step::Unit { op: MaskedOp::Relu, items: 18, window: None },
+        ]);
         let apart = SessionCore { plan: apart, cfg };
         assert_eq!(fused.step_meta(), [(1, 36), (4, 18), (3, 18)]);
         assert_eq!(fused.step_meta(), apart.step_meta());
@@ -1149,6 +1140,32 @@ mod tests {
         // half per pool.
         let set = fused.expand_dealt(&fused.dealt_seed(7).encode()).unwrap();
         assert_eq!(set.cmats.map(|m| m.len()), Some(2));
+    }
+
+    #[test]
+    fn the_demo_deployments_keep_their_session_fingerprints() {
+        // The fingerprint is the dealt frame's nonce and the store
+        // header's key, so it may move only with the plan's shape, never
+        // with how the plan is represented in memory.
+        use crate::engine::PiBackend;
+        use c2pi_nn::model::{alexnet, ZooConfig};
+        use c2pi_nn::BoundaryId;
+        let demo =
+            alexnet(&ZooConfig { width_div: 32, seed: 3, image_size: 16, ..Default::default() })
+                .unwrap();
+        let split = demo.split_at(BoundaryId::relu(3)).unwrap().0;
+        let pinned = [
+            ("relu(3) split", &split, PiBackend::Delphi, 0x5ce7_9300_c97a_47be),
+            ("relu(3) split", &split, PiBackend::Cheetah, 0x652a_812d_57ba_00de),
+            ("whole model", demo.seq(), PiBackend::Delphi, 0x06d5_a16a_25f1_d3ef),
+            ("whole model", demo.seq(), PiBackend::Cheetah, 0xdf78_941c_f281_b24f),
+        ];
+        for (name, prefix, backend, want) in pinned {
+            let cfg = PiConfig { backend, ..PiConfig::default() };
+            let plan = compile(&specs_of(prefix), (3, 16, 16), cfg.fixed).unwrap();
+            let got = SessionCore { plan, cfg }.session_fingerprint();
+            assert_eq!(got, want, "{name}, {backend:?}: {got:#018x}");
+        }
     }
 
     #[test]

@@ -192,6 +192,9 @@ impl PiSession {
         Replenisher::spawn(Arc::clone(&self.pool), low, high)
     }
 
+    /// The client's check of its own input: the compiled shape, and
+    /// finite elements only (the encoding saturates a NaN or ±∞ into a
+    /// garbage ring value instead of failing).
     fn check_input(&self, x: &Tensor) -> Result<()> {
         let (_, c, h, w) = x.shape().as_nchw()?;
         if (c, h, w) != self.core.plan.in_chw {
@@ -200,7 +203,10 @@ impl PiSession {
                 self.core.plan.in_chw
             )));
         }
-        Ok(())
+        match x.as_slice().iter().position(|v| !v.is_finite()) {
+            Some(index) => Err(PiError::InputOutOfRange { index, value: x.as_slice()[index] }),
+            None => Ok(()),
+        }
     }
 
     /// The cost report of one run that consumed the material `counts`
@@ -231,7 +237,9 @@ impl PiSession {
     ///
     /// # Errors
     ///
-    /// Returns engine, shape or protocol errors.
+    /// Returns [`PiError::InputOutOfRange`] for a NaN or infinite input
+    /// element (before any material is taken), plus engine, shape or
+    /// protocol errors.
     pub fn infer(&self, x: &Tensor) -> Result<PiOutcome> {
         self.check_input(x)?;
         let mut material = self.pool.take()?;
@@ -286,8 +294,10 @@ impl PiSession {
     ///
     /// # Errors
     ///
-    /// Returns engine, shape or protocol errors; one member's failure
-    /// fails the whole fused run.
+    /// Returns [`PiError::InputOutOfRange`] for a NaN or infinite input
+    /// element in any member (before any material is taken), plus
+    /// engine, shape or protocol errors; one member's failure fails the
+    /// whole fused run.
     pub fn infer_batch_dealt(&self, xs: &[Tensor]) -> Result<Vec<PiOutcome>> {
         if xs.is_empty() {
             return Err(PiError::BadConfig("infer_batch_dealt over an empty batch".into()));
@@ -531,6 +541,41 @@ mod tests {
         let session = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
         let bad = Tensor::zeros(&[1, 1, 6, 6]);
         assert!(matches!(session.infer(&bad), Err(PiError::BadConfig(_))));
+    }
+
+    #[test]
+    fn non_finite_inputs_are_refused_before_any_frame_or_material() {
+        use c2pi_transport::channel_pair;
+        let seq = tiny_prefix();
+        for backend in [PiBackend::Delphi, PiBackend::Cheetah] {
+            let cfg = PiConfig { backend, ..PiConfig::default() };
+            let session = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
+            session.preprocess(2).unwrap();
+            let ledger = session.ledger();
+            for value in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let mut x = Tensor::rand_uniform(&[1, 1, 8, 8], 0.0, 1.0, 4);
+                x.as_mut_slice()[9] = value;
+                let refused = |err: PiError| {
+                    assert!(
+                        matches!(err, PiError::InputOutOfRange { index: 9, value: v }
+                            if v.to_bits() == value.to_bits()),
+                        "{backend:?}, {value}: {err:?}"
+                    );
+                };
+                refused(session.infer(&x).map(|o| o.dims).unwrap_err());
+                let fine = Tensor::zeros(&[1, 1, 8, 8]);
+                refused(
+                    session.infer_batch_dealt(&[fine, x.clone()]).map(|o| o.len()).unwrap_err(),
+                );
+                // The dealt client stops before it reads the server's
+                // frame: nothing crosses the channel either way.
+                let (cch, _sch, counter) = channel_pair();
+                refused(session.request_one(&cch, &x).map(|o| o.dims).unwrap_err());
+                let traffic = counter.snapshot();
+                assert_eq!(traffic.bytes_client_to_server + traffic.bytes_server_to_client, 0);
+                assert_eq!(session.ledger(), ledger, "{backend:?}, {value}: the ledger moved");
+            }
+        }
     }
 
     #[test]

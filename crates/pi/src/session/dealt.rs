@@ -82,8 +82,9 @@ impl PiSession {
     /// # Errors
     ///
     /// Returns [`PiError::BadConfig`] when `ch` is not the client end or
-    /// the peer's handshake is malformed, plus engine, shape and
-    /// protocol errors.
+    /// the peer's handshake is malformed, [`PiError::InputOutOfRange`]
+    /// for a NaN or infinite input element (before the dealt frame is
+    /// read), plus engine, shape and protocol errors.
     pub fn request_one(&self, ch: &dyn Channel, x: &Tensor) -> Result<PartyOutcome> {
         if ch.side() != Side::Client {
             return Err(PiError::BadConfig("request_one needs the client channel end".into()));

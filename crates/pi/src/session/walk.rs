@@ -5,42 +5,20 @@
 
 use crate::backend::{nl_client, nl_server};
 use crate::engine::PiConfig;
-use crate::plan::{pool_unit, Plan, Step, StepData};
+use crate::plan::{gather, Plan, Step};
 use crate::pool::{mismatch, step_mats, ClientMat, ServerMat};
 use crate::{PiError, Result};
 use c2pi_mpc::beaver::{linear_client, linear_server_members, truncate_share};
 use c2pi_mpc::dealer::LinearCorrServer;
-use c2pi_mpc::gcpre::MaskedOp;
 use c2pi_mpc::prg::Prg;
-use c2pi_mpc::ring::{im2col_ring, RingMatrix};
+use c2pi_mpc::ring::RingMatrix;
 use c2pi_mpc::share::{share_secret, ShareVec};
 use c2pi_tensor::Tensor;
 use c2pi_transport::Channel;
 
-/// Gathers 2×2 window elements of a `[c, h, w]` share into four parallel
-/// index lists (public permutation, applied by both parties).
-fn pool_windows(c: usize, h: usize, w: usize) -> Vec<[usize; 4]> {
-    let mut idx = Vec::with_capacity(c * (h / 2) * (w / 2));
-    for ch in 0..c {
-        let plane = ch * h * w;
-        for oy in 0..h / 2 {
-            for ox in 0..w / 2 {
-                let base = plane + 2 * oy * w + 2 * ox;
-                idx.push([base, base + 1, base + w, base + w + 1]);
-            }
-        }
-    }
-    idx
-}
-
-fn gather(share: &ShareVec, idx: &[[usize; 4]]) -> ShareVec {
-    let mut out = Vec::with_capacity(idx.len() * 4);
-    for quad in idx {
-        for &i in quad {
-            out.push(share.as_raw()[i]);
-        }
-    }
-    ShareVec::from_raw(out)
+/// A unit step's input share, item-major (see [`gather`]).
+fn unit_input(window: &Option<Vec<[usize; 4]>>, share: ShareVec) -> ShareVec {
+    ShareVec::from_raw(gather(window, share.into_raw()))
 }
 
 fn avg_pool_share(
@@ -73,17 +51,6 @@ fn avg_pool_share(
     truncate_share(&ShareVec::from_raw(out), is_client, fp)
 }
 
-/// A linear step's input share as the matrix its weights multiply:
-/// im2col columns for a convolution, one column for a fully connected
-/// layer.
-fn linear_input(step: &Step, cur: &ShareVec) -> Result<RingMatrix> {
-    match step {
-        Step::Conv { c, h, w, geom } => Ok(im2col_ring(cur.as_raw(), *c, *h, *w, *geom)?),
-        Step::Fc { k } => Ok(RingMatrix::from_vec(cur.as_raw().to_vec(), *k, 1)?),
-        _ => Err(PiError::BadConfig("not a linear step".into())),
-    }
-}
-
 /// The client party of one online inference: shares the input, then
 /// walks the plan over its half of one material set.
 pub(crate) fn client_walk(
@@ -104,15 +71,11 @@ pub(crate) fn client_walk(
     for (step, mat) in plan.steps.iter().zip(mats) {
         match (step, mat) {
             (Step::Conv { .. } | Step::Fc { .. }, ClientMat::Lin(corr)) => {
-                let y = linear_client(ep, &linear_input(step, &cur)?, &corr)?;
+                let y = linear_client(ep, &step.linear_input(cur.as_raw())?, &corr)?;
                 cur = truncate_share(&ShareVec::from_raw(y.into_vec()), true, fp);
             }
-            (Step::Relu { n: _ }, mat) => {
-                cur = nl_client(ep, MaskedOp::Relu, &cur, mat, cfg)?;
-            }
-            (Step::MaxPool { c, h, w, relu }, mat) => {
-                let quads = gather(&cur, &pool_windows(*c, *h, *w));
-                cur = nl_client(ep, pool_unit(*relu), &quads, mat, cfg)?;
+            (Step::Unit { op, window, .. }, mat) => {
+                cur = nl_client(ep, *op, &unit_input(window, cur), mat, cfg)?;
             }
             (Step::AvgPool { c, h, w, window, stride }, ClientMat::None) => {
                 cur = avg_pool_share(&cur, (*c, *h, *w), (*window, *stride), true, fp);
@@ -156,26 +119,28 @@ pub(crate) fn server_walk(
     }
     let mut iters: Vec<std::vec::IntoIter<ServerMat>> =
         mats.into_iter().map(Vec::into_iter).collect();
-    for (step, data) in plan.steps.iter().zip(plan.data.iter()) {
+    for step in &plan.steps {
         let mats: Vec<ServerMat> = iters
             .iter_mut()
             .map(|it| it.next().ok_or_else(|| mismatch("server")))
             .collect::<Result<_>>()?;
-        match (step, data) {
-            (Step::Conv { .. } | Step::Fc { .. }, StepData::Lin { w: w_ring, bias2f, .. }) => {
+        match step {
+            Step::Conv { lin, .. } | Step::Fc { lin } => {
                 let corrs =
                     step_mats(mats, |m| if let ServerMat::Lin(c) = m { Some(c) } else { None })?;
                 let corr_refs: Vec<&LinearCorrServer> = corrs.iter().collect();
-                let xs: Vec<RingMatrix> =
-                    curs.iter().map(|cur| linear_input(step, cur)).collect::<Result<_>>()?;
-                let ys = linear_server_members(eps, w_ring, &xs, &corr_refs)?;
+                let xs: Vec<RingMatrix> = curs
+                    .iter()
+                    .map(|cur| step.linear_input(cur.as_raw()))
+                    .collect::<Result<_>>()?;
+                let ys = linear_server_members(eps, &lin.w, &xs, &corr_refs)?;
                 // One bias per output row (a fully connected layer's
                 // rows are one element wide).
                 curs = ys
                     .into_iter()
                     .map(|mut y| {
                         let cols = y.cols();
-                        for (row, &b) in y.as_mut_slice().chunks_exact_mut(cols).zip(bias2f) {
+                        for (row, &b) in y.as_mut_slice().chunks_exact_mut(cols).zip(&lin.bias2f) {
                             for v in row {
                                 *v = v.wrapping_add(b);
                             }
@@ -184,25 +149,21 @@ pub(crate) fn server_walk(
                     })
                     .collect();
             }
-            (Step::Relu { n: _ }, StepData::None) => {
-                curs = nl_server(eps, MaskedOp::Relu, &curs, mats, cfg)?;
+            Step::Unit { op, window, .. } => {
+                let ins: Vec<ShareVec> =
+                    curs.into_iter().map(|cur| unit_input(window, cur)).collect();
+                curs = nl_server(eps, *op, &ins, mats, cfg)?;
             }
-            (Step::MaxPool { c, h, w, relu }, StepData::None) => {
-                let idx = pool_windows(*c, *h, *w);
-                let quads: Vec<ShareVec> = curs.iter().map(|cur| gather(cur, &idx)).collect();
-                curs = nl_server(eps, pool_unit(*relu), &quads, mats, cfg)?;
-            }
-            (Step::AvgPool { c, h, w, window, stride }, StepData::None) => {
+            Step::AvgPool { c, h, w, window, stride } => {
                 step_mats(mats, |m| matches!(m, ServerMat::None).then_some(()))?;
                 curs = curs
                     .iter()
                     .map(|cur| avg_pool_share(cur, (*c, *h, *w), (*window, *stride), false, fp))
                     .collect();
             }
-            (Step::Flatten, StepData::None) => {
+            Step::Flatten => {
                 step_mats(mats, |m| matches!(m, ServerMat::None).then_some(()))?;
             }
-            _ => return Err(mismatch("server")),
         }
     }
     Ok(curs)

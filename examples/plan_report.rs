@@ -130,12 +130,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let server = plan.reactor_config(4);
     println!(
         "suggested reactor config: {} workers, per-shard pool watermarks {}..{}, \
-         batch window {:.1} ms x{}",
+         retry after {:.1} ms, unbatched",
         server.workers,
         server.pool_low,
         server.pool_high,
-        server.batch_window.as_secs_f64() * 1e3,
-        server.max_batch,
+        server.retry_after.as_secs_f64() * 1e3,
     );
     if ok != smoke.len() {
         return Err("round-trip predictions diverged from the clear model".into());

@@ -6,6 +6,8 @@
 //! Linux machine, where no non-test artefact contains it. A failure
 //! names the offending backend in its test path and its panic message.
 
+#![cfg(test)]
+
 macro_rules! conformance_suite {
     ($backend:ident, $Subject:ty) => {
         mod $backend {

@@ -29,7 +29,6 @@
 #![deny(unsafe_code)] // relaxed from forbid: sys/ holds the scoped allow
 #![warn(missing_docs)]
 
-#[cfg(test)]
 mod conformance;
 #[cfg(any(not(target_os = "linux"), test))]
 mod peek;

@@ -1,8 +1,9 @@
 //! No-op `Serialize`/`Deserialize` derives for the offline build.
 //!
-//! Nothing in the workspace serializes through serde (checkpoints use a
-//! hand-rolled binary format in `c2pi-nn::serialize`), so the derives
-//! only need to exist, not to generate code.
+//! Nothing in the workspace serializes through serde (the deployment
+//! plan writes its JSON by hand in `c2pi_core::planner::DeploymentPlan::to_json`,
+//! and the material store its own binary log), so the derives only need
+//! to exist, not to generate code.
 
 use proc_macro::TokenStream;
 

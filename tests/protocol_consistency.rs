@@ -285,9 +285,10 @@ fn serving_transcripts_match_their_goldens_at_every_entry_point() {
     // run as conv→maxpool→ReLU (the plan pools first); default dealer
     // seed, fixed inputs, fresh session per entry point (each consumes
     // the first sets of the same seed stream). The
-    // dealt entry points count the `DealtSeed` frame; `infer` has none.
-    // The share folds also pin the dealt function `seed → material`
-    // (`DealtSeed` v5: a multiplication's output shares are a function
+    // dealt entry points count the 20-byte `DealtSeed` frame; `infer`
+    // has none. The share folds also pin the dealt function `seed →
+    // material` (`DealtSeed` v5, and v6, which only dropped the frame's
+    // step list: a multiplication's output shares are a function
     // of its Beaver triple, and where that triple sits in the stream
     // depends on every draw before it); bytes and flights are protocol
     // facts and survive any re-draw. Delphi runs the pool and its ReLU
@@ -313,18 +314,18 @@ fn serving_transcripts_match_their_goldens_at_every_entry_point() {
             PiBackend::Cheetah,
             [
                 (0x3c80_68cd_bd76_4ec5, 20_240, 15_120, 72),
-                (0x3c80_68cd_bd76_4ec5, 20_240, 15_157, 73),
-                (0x3c80_68cd_bd76_4ec5, 20_240, 15_157, 73),
-                (0x876a_1f73_97b5_8053, 20_240, 15_157, 73),
+                (0x3c80_68cd_bd76_4ec5, 20_240, 15_140, 73),
+                (0x3c80_68cd_bd76_4ec5, 20_240, 15_140, 73),
+                (0x876a_1f73_97b5_8053, 20_240, 15_140, 73),
             ],
         ),
         (
             PiBackend::Delphi,
             [
                 (0x2fd3_78ed_98ea_59aa, 6_656, 196_608, 2),
-                (0x2fd3_78ed_98ea_59aa, 6_656, 196_645, 3),
-                (0x2fd3_78ed_98ea_59aa, 6_656, 196_645, 3),
-                (0x35c2_9fcf_55c4_3622, 6_656, 196_645, 3),
+                (0x2fd3_78ed_98ea_59aa, 6_656, 196_628, 3),
+                (0x2fd3_78ed_98ea_59aa, 6_656, 196_628, 3),
+                (0x35c2_9fcf_55c4_3622, 6_656, 196_628, 3),
             ],
         ),
     ];
