@@ -7,11 +7,26 @@
 # directory are skipped. Comment lines are those starting with `//`
 # (doc comments included) or lying inside a `/* … */` block.
 #
-# Usage: ci/loc.sh            # prints the total
-#        ci/loc.sh --by-crate # one line per crate, then the total
+# Usage: ci/loc.sh                    # prints the total
+#        ci/loc.sh --by-crate         # one line per crate, then the total
+#        ci/loc.sh [--by-crate] <rev> # the same for a commit, counted from
+#                                     # a `git archive` of it in a temporary
+#                                     # directory (removed afterwards)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+by_crate=0
+if [[ "${1:-}" == "--by-crate" ]]; then
+    by_crate=1
+    shift
+fi
+if [[ -n "${1:-}" ]]; then
+    tmp="$(mktemp -d)"
+    trap 'rm -rf "$tmp"' EXIT
+    git archive "$1" | tar -x -C "$tmp"
+    cd "$tmp"
+fi
 
 count() {
     awk '
@@ -35,7 +50,7 @@ files() {
         -not -path '*/target/*' | sort
 }
 
-if [[ "${1:-}" == "--by-crate" ]]; then
+if ((by_crate)); then
     for dir in crates/* shims/*; do
         [[ -d "$dir" ]] || continue
         mapfile -t fs < <(files "$dir")

@@ -96,7 +96,7 @@ impl ReactorClient {
         let ch =
             TcpChannel::connect_retry(addr, Side::Client, self.connect_timeout).map_err(pi_err)?;
         ch.send_bytes(&Request::Infer.encode()).map_err(pi_err)?;
-        match Reply::decode(&ch.recv_bytes().map_err(pi_err)?)? {
+        match Reply::decode(&ch.recv_bytes_capped(Reply::MAX_INFER_LEN).map_err(pi_err)?)? {
             // The dealt contract after the frame is the same whatever
             // the run's size — sharing a run never changes any member's
             // wire content.
@@ -163,7 +163,7 @@ impl ReactorClient {
         let ch =
             TcpChannel::connect_retry(addr, Side::Client, self.connect_timeout).map_err(pi_err)?;
         ch.send_bytes(&Request::Stats.encode()).map_err(pi_err)?;
-        match Reply::decode(&ch.recv_bytes().map_err(pi_err)?)? {
+        match Reply::decode(&ch.recv_bytes_capped(Reply::MAX_STATS_LEN).map_err(pi_err)?)? {
             Reply::Stats(text) => Ok(text),
             _ => Err(C2piError::BadConfig("unexpected reply to a STATS request".into())),
         }

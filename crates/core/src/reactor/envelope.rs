@@ -106,6 +106,15 @@ pub enum Reply {
 }
 
 impl Reply {
+    /// Length of the longest reply to an infer request (`BUSY`; `OK` is
+    /// at most 3) — what a client caps its read of that reply at.
+    pub const MAX_INFER_LEN: usize = 6;
+
+    /// Ceiling on a `STATS` reply body a client reads: far above any
+    /// exposition (a 2-shard server's is about 4 KB), far below what a
+    /// broken or hostile length prefix could otherwise size.
+    pub const MAX_STATS_LEN: usize = 1 << 20;
+
     /// The reply frame body.
     pub fn encode(&self) -> Vec<u8> {
         match self {
@@ -177,6 +186,9 @@ mod tests {
             Reply::Stats("c2pi_served_total 1\n".into()),
         ] {
             assert_eq!(Reply::decode(&reply.encode()).unwrap(), reply);
+            if !matches!(reply, Reply::Stats(_)) {
+                assert!(reply.encode().len() <= Reply::MAX_INFER_LEN, "{reply:?}");
+            }
         }
         // A run of one announces itself with the 1-byte OK, a fused run
         // with OK ‖ u16; BUSY is 6 bytes.

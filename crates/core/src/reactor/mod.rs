@@ -858,4 +858,41 @@ mod tests {
         assert!(client.infer(addr, &x).is_err());
         assert!(client.stats(addr).is_err());
     }
+
+    #[test]
+    fn client_caps_the_first_reply_at_what_its_request_can_be_answered_with() {
+        // A stand-in server reads the REQ, announces a reply one byte
+        // over the client's cap, and hangs up: the client refuses the
+        // length prefix itself instead of reading on.
+        use std::io::{Read, Write};
+        let client = ReactorClient::new(shared_session());
+        let x = Tensor::zeros(&[1, 1, 8, 8]);
+        for (request, cap) in
+            [(Request::Infer, Reply::MAX_INFER_LEN), (Request::Stats, Reply::MAX_STATS_LEN)]
+        {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let stand_in = std::thread::spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut req = [0u8; 4 + Request::ENCODED_LEN];
+                stream.read_exact(&mut req).unwrap();
+                stream.write_all(&(cap as u32 + 1).to_le_bytes()).unwrap();
+                req[4..] == request.encode()
+            });
+            let err = match request {
+                Request::Infer => client.request(addr, &x).map(|_| ()).unwrap_err(),
+                Request::Stats => client.stats(addr).map(|_| ()).unwrap_err(),
+            };
+            assert!(stand_in.join().unwrap(), "{request:?}: the stand-in read the request");
+            assert!(
+                matches!(
+                    &err,
+                    C2piError::Pi(c2pi_pi::PiError::Mpc(c2pi_mpc::MpcError::Transport(
+                        TransportError::Decode(why)
+                    ))) if why.contains(&format!("{}-byte cap", cap))
+                ),
+                "{request:?}: {err:?}"
+            );
+        }
+    }
 }

@@ -91,11 +91,6 @@ impl SynthDataset {
     pub fn into_dataset(self) -> Dataset {
         self.inner
     }
-
-    /// Borrow the underlying [`Dataset`].
-    pub fn as_dataset(&self) -> &Dataset {
-        &self.inner
-    }
 }
 
 /// Deterministic per-class parameters derived by integer hashing.

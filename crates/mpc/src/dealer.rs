@@ -173,25 +173,43 @@ pub struct LinearCorrServer {
     pub wa_share: RingMatrix,
 }
 
+/// Bytes `n` elementwise Beaver triples occupy expanded, both halves:
+/// six share vectors of `n` words ([`Dealer::beaver_triples`]).
+pub fn beaver_bytes(n: usize) -> u64 {
+    48 * n as u64
+}
+
+/// Bytes the masked-linear correlation of a `w [m, k]` over `n` columns
+/// occupies expanded, both halves: the mask `A [k, n]` and the two
+/// `W·A` shares `[m, n]` ([`Dealer::linear_corr_for`]).
+pub fn linear_corr_bytes(m: usize, k: usize, n: usize) -> u64 {
+    8 * (k * n + 2 * m * n) as u64
+}
+
+/// Bytes `n` boolean AND triples occupy expanded, both halves: the six
+/// vectors bit-packed, `⌈6n/8⌉`, not rounded up to words
+/// ([`Dealer::bit_triples_for`]).
+pub fn bit_triple_bytes(n: usize) -> u64 {
+    (6 * n).div_ceil(8) as u64
+}
+
 /// The trusted dealer.
 ///
-/// Alongside generating correlations, the dealer tallies how many bytes
-/// the generated material occupies in expanded form ([`Dealer::expanded_bytes`]).
-/// Under seed-compressed dealing nothing of that size ever crosses the
-/// wire — the tally is what the pre-compression dealer *would* have
-/// shipped, and the ledger/cost model report it next to the actual
-/// [`DealtSeed`] wire bytes.
+/// Under seed-compressed dealing none of its material crosses the wire;
+/// what the pre-compression dealer *would* have shipped is arithmetic
+/// on the correlations' shapes ([`beaver_bytes`], [`linear_corr_bytes`],
+/// [`bit_triple_bytes`], [`crate::gcpre::MaskedOp::expanded_bytes`]),
+/// reported next to the actual [`DealtSeed`] wire bytes.
 #[derive(Debug)]
 pub struct Dealer {
     prg: Prg,
-    expanded: u64,
 }
 
 impl Dealer {
     /// Creates a dealer from a seed. All correlations are deterministic
     /// in this seed.
     pub fn new(seed: u64) -> Self {
-        Dealer { prg: Prg::from_u64(seed ^ 0xDEA1_DEA1_DEA1_DEA1), expanded: 0 }
+        Dealer { prg: Prg::from_u64(seed ^ 0xDEA1_DEA1_DEA1_DEA1) }
     }
 
     /// Creates the expansion dealer for a [`DealtSeed`]: the PRG key
@@ -203,27 +221,12 @@ impl Dealer {
         let mut key = [0u8; 32];
         key[..8].copy_from_slice(&dealt.seed.to_le_bytes());
         key[8..24].copy_from_slice(b"c2pi/dealt-seed!");
-        Dealer { prg: Prg::from_seed_nonce(key, dealt.nonce), expanded: 0 }
-    }
-
-    /// Records `bytes` of expanded material generated outside the
-    /// dealer's own methods (e.g. pre-garbled tables drawn from a
-    /// [`Dealer::fork_prg`] stream).
-    pub fn note_expanded(&mut self, bytes: u64) {
-        self.expanded += bytes;
-    }
-
-    /// Total bytes the correlations generated so far occupy expanded —
-    /// what dealing would have shipped without seed compression.
-    pub fn expanded_bytes(&self) -> u64 {
-        self.expanded
+        Dealer { prg: Prg::from_seed_nonce(key, dealt.nonce) }
     }
 
     /// Generates `n` elementwise Beaver triples, returning the
     /// (client, server) halves.
     pub fn beaver_triples(&mut self, n: usize) -> (TripleShare, TripleShare) {
-        // Six share vectors of n words across the two halves.
-        self.expanded += 48 * n as u64;
         let a: Vec<u64> = self.prg.next_u64s(n);
         let b: Vec<u64> = self.prg.next_u64s(n);
         let c: Vec<u64> = a.iter().zip(b.iter()).map(|(&x, &y)| x.wrapping_mul(y)).collect();
@@ -265,8 +268,6 @@ impl Dealer {
         halves: Halves,
     ) -> Result<(Option<LinearCorrClient>, Option<LinearCorrServer>)> {
         let (m, k) = (w.rows(), w.cols());
-        // Mask A [k, n] plus the two W·A shares [m, n].
-        self.expanded += 8 * (k * n + 2 * m * n) as u64;
         let mask = RingMatrix::from_vec(self.prg.next_u64s(k * n), k, n)?;
         let c0 = self.prg.next_u64s(m * n);
         let server = if halves.server() {
@@ -310,15 +311,12 @@ impl Dealer {
     /// of `⌈n/64⌉` stream words with the tails masked, and
     /// `c₁ = ((a₀⊕a₁) ∧ (b₀⊕b₁)) ⊕ c₀` is computed 64 triples at a time.
     /// The server half depends on all five runs, so siding saves it
-    /// nothing; the client half is three of them as drawn. The
-    /// expanded-bytes tally counts the six vectors bit-packed, `⌈6n/8⌉`,
-    /// not rounded up to words, whichever halves are kept.
+    /// nothing; the client half is three of them as drawn.
     pub fn bit_triples_for(
         &mut self,
         n: usize,
         halves: Halves,
     ) -> (Option<BitTriples>, Option<BitTriples>) {
-        self.expanded += (6 * n).div_ceil(8) as u64;
         let mut draw = || BitVec::from_words(self.prg.next_u64s(n.div_ceil(64)), n);
         let (a0, a1, b0, b1, c0) = (draw(), draw(), draw(), draw(), draw());
         let server = halves.server().then(|| {
@@ -388,7 +386,6 @@ mod tests {
         assert_eq!((&c.mask, &c.wa_share), (&lc.mask, &lc.wa_share));
         let (c, s) = client.bit_triples_for(130, Halves::Client);
         assert_eq!((c, s), (Some(bc), None));
-        assert_eq!(client.expanded_bytes(), both.expanded_bytes());
         assert_eq!(client.prg.next_u64(), next, "stream position after the client halves");
 
         let mut server = Dealer::new(12);
@@ -397,7 +394,6 @@ mod tests {
         assert_eq!(s.unwrap().wa_share, ls.wa_share);
         let (c, s) = server.bit_triples_for(130, Halves::Server);
         assert_eq!((c, s), (None, Some(bs)));
-        assert_eq!(server.expanded_bytes(), both.expanded_bytes());
         assert_eq!(server.prg.next_u64(), next, "stream position after the server halves");
     }
 
@@ -462,8 +458,8 @@ mod tests {
             assert_eq!((t0.len(), t1.len()), (n, n));
             let (a, b) = (t0.a.xor(&t1.a), t0.b.xor(&t1.b));
             assert_eq!(t0.c.xor(&t1.c), a.and(&b), "c = a ∧ b at n = {n}");
-            // The tally counts packed bits, never whole words.
-            assert_eq!(dealer.expanded_bytes(), (6 * n).div_ceil(8) as u64);
+            // Six vectors of n packed bits, never whole words.
+            assert_eq!(bit_triple_bytes(n), (3 * t0.len() + 3 * t1.len()).div_ceil(8) as u64);
             // Stream bits above n were masked off: a dirty tail word
             // would differ from the same bits repacked.
             for v in [&t0.a, &t0.b, &t0.c, &t1.a, &t1.b, &t1.c] {
@@ -487,15 +483,5 @@ mod tests {
         let mut reference = Dealer::new(8);
         reference.prg.next_u64s(5 * n.div_ceil(64));
         assert_eq!(dealer.prg.next_u64(), reference.prg.next_u64());
-    }
-
-    #[test]
-    fn expanded_bytes_tally_what_dealing_would_have_shipped() {
-        let mut dealer = Dealer::new(11);
-        assert_eq!(dealer.expanded_bytes(), 0);
-        dealer.beaver_triples(10);
-        assert_eq!(dealer.expanded_bytes(), 480);
-        dealer.note_expanded(1000);
-        assert_eq!(dealer.expanded_bytes(), 480 + 1000);
     }
 }

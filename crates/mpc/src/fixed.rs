@@ -84,11 +84,6 @@ impl FixedPoint {
     pub fn truncate(&self, v: u64) -> u64 {
         ((v as i64) >> self.frac_bits) as u64
     }
-
-    /// Largest representable magnitude before overflow.
-    pub fn max_magnitude(&self) -> f32 {
-        (i64::MAX as f32) / self.scale()
-    }
 }
 
 #[cfg(test)]

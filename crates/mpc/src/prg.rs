@@ -98,14 +98,6 @@ impl Prg {
         prg
     }
 
-    /// Creates a generator from a 128-bit seed (zero-padded), the label
-    /// size used by the garbled-circuit module.
-    pub fn from_seed128(seed: u128) -> Self {
-        let mut s = [0u8; 32];
-        s[..16].copy_from_slice(&seed.to_le_bytes());
-        Prg::from_seed(s)
-    }
-
     /// Creates a generator from a `u64` convenience seed.
     pub fn from_u64(seed: u64) -> Self {
         let mut s = [0u8; 32];

@@ -129,15 +129,14 @@ mod tests {
 
     #[test]
     fn spec_free_layers_have_forward_eval_overrides() {
-        // ResidualBlock, ConvTranspose2d and UpsampleNearest have no
-        // protocol-facing spec (the PI engines reject them) but still
-        // support the immutable path, so clear-segment suffixes and
-        // Model::predict work on generator-style models.
-        use crate::layers::{ConvTranspose2d, ResidualBlock, UpsampleNearest};
+        // ResidualBlock and UpsampleNearest have no protocol-facing
+        // spec (the PI engines reject them) but still support the
+        // immutable path, so clear-segment suffixes and Model::predict
+        // work on generator-style models.
+        use crate::layers::{ResidualBlock, UpsampleNearest};
         let mut seq = Sequential::new();
         seq.push(ResidualBlock::new(2, 4, 1));
         seq.push(UpsampleNearest::new(2));
-        seq.push(ConvTranspose2d::new(4, 2, 2, 2, 0, 2));
         let x = Tensor::rand_uniform(&[1, 2, 4, 4], -1.0, 1.0, 3);
         let stateful = seq.forward(&x, false).unwrap();
         let immutable = seq.forward_eval(&x).unwrap();

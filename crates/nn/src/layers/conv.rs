@@ -76,23 +76,6 @@ impl Conv2d {
         &self.bias.value
     }
 
-    /// Replaces the weight tensor (used by tests and model surgery).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the shape differs from `[oc, ic, k, k]`.
-    pub fn set_weight(&mut self, weight: Tensor) -> Result<()> {
-        if weight.dims() != self.weight.value.dims() {
-            return Err(NnError::BadConfig(format!(
-                "weight shape {:?} != {:?}",
-                weight.dims(),
-                self.weight.value.dims()
-            )));
-        }
-        self.weight = Param::new(weight);
-        Ok(())
-    }
-
     fn weight_mat(&self) -> Result<Tensor> {
         let k = self.geom.kernel;
         Ok(self.weight.value.reshape(&[self.out_channels, self.in_channels * k * k])?)

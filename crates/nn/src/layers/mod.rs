@@ -6,7 +6,6 @@
 mod activation;
 mod batchnorm;
 mod conv;
-mod conv_transpose;
 mod flatten;
 mod linear;
 mod pool;
@@ -16,7 +15,6 @@ mod upsample;
 pub use activation::Relu;
 pub use batchnorm::BatchNorm2d;
 pub use conv::Conv2d;
-pub use conv_transpose::ConvTranspose2d;
 pub use flatten::Flatten;
 pub use linear::Linear;
 pub use pool::{AvgPool2d, MaxPool2d};

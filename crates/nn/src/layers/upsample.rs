@@ -4,9 +4,9 @@ use crate::{Layer, LayerKind, NnError, Result};
 use c2pi_tensor::pool;
 use c2pi_tensor::Tensor;
 
-/// Nearest-neighbour upsampling by an integer factor; the cheap
-/// resolution-growing alternative to [`super::ConvTranspose2d`] used
-/// inside the inversion networks.
+/// Nearest-neighbour upsampling by an integer factor: the
+/// resolution-growing layer of the inversion networks, each followed by
+/// a [`super::Conv2d`].
 #[derive(Debug, Clone)]
 pub struct UpsampleNearest {
     factor: usize,

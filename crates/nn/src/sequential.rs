@@ -48,18 +48,6 @@ impl Sequential {
         &self.layers
     }
 
-    /// Mutable access to layer `i`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::UnknownCutPoint`] if `i` is out of range.
-    pub fn layer_mut(&mut self, i: usize) -> Result<&mut Box<dyn Layer>> {
-        let n = self.layers.len();
-        self.layers
-            .get_mut(i)
-            .ok_or_else(|| NnError::UnknownCutPoint(format!("layer index {i} of {n}")))
-    }
-
     /// Full forward pass.
     ///
     /// # Errors

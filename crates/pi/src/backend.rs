@@ -25,10 +25,16 @@
 //! [`deal_nl`] is told which [`Halves`] its caller keeps and returns
 //! `(Option<client>, Option<server>)`, `Some` for every wanted half.
 //! The contract is *skip, don't reorder*: whatever `halves` says, it
-//! leaves the dealer at the same stream position and adds the same
-//! `counts`, and a half it returns equals the same half of
-//! [`Halves::Both`] — which is what lets a client-sided and a
-//! server-sided expansion of one seed meet in one protocol run.
+//! leaves the dealer at the same stream position, and a half it returns
+//! equals the same half of [`Halves::Both`] — which is what lets a
+//! client-sided and a server-sided expansion of one seed meet in one
+//! protocol run.
+//!
+//! **One price.** What an inference costs is a constant of the
+//! deployment: [`price`] builds its [`OpCounts`] once, from the plan's
+//! shapes, when the `SessionCore` is built. Dealing returns material
+//! only, so every deal of a seed, whichever halves it keeps, is priced
+//! by the same counts.
 //!
 //! **One server party.** [`nl_server`] runs `k ≥ 1` members, one
 //! channel, share and material per member in slice order. A member's
@@ -39,11 +45,15 @@
 
 use crate::cost::OfflineCostModel;
 use crate::engine::PiConfig;
+use crate::plan::{Plan, Step};
 use crate::pool::{mismatch, step_mats, ClientMat, ServerMat};
 use crate::report::OpCounts;
 use crate::Result;
-use c2pi_mpc::dealer::{Dealer, Halves};
-use c2pi_mpc::gcpre::MaskedOp;
+use c2pi_mpc::dealer::{
+    beaver_bytes, bit_triple_bytes, linear_corr_bytes, Dealer, DealtSeed, Halves,
+};
+use c2pi_mpc::gc::UNIT_BITS;
+use c2pi_mpc::gcpre::{pregarble_for, MaskedOp};
 use c2pi_mpc::share::ShareVec;
 use c2pi_transport::Channel;
 use serde::{Deserialize, Serialize};
@@ -99,26 +109,61 @@ impl PiBackend {
     }
 }
 
+/// Prices one inference of `plan` under `backend` — the one function
+/// that builds a deployment's [`OpCounts`]: the plan's base counts, each
+/// non-linear unit's backend terms (AND gates, projection words and
+/// extended OTs, or bit triples), the dealt frame's [`DealtSeed`] bytes,
+/// and the bytes every correlation a deal draws occupies expanded, both
+/// halves — what the seed stands for, not what a party holds.
+pub(crate) fn price(plan: &Plan, backend: PiBackend) -> OpCounts {
+    let mut counts = OpCounts { seed_bytes: DealtSeed::WIRE_BYTES, ..plan.base_counts.clone() };
+    for step in &plan.steps {
+        counts.expanded_bytes += match (step, backend) {
+            (Step::Conv { lin, .. } | Step::Fc { lin }, _) => {
+                linear_corr_bytes(lin.w.rows(), lin.w.cols(), lin.cols)
+            }
+            (&Step::Unit { op, items, .. }, PiBackend::Delphi) => {
+                counts.and_gates += (items * op.ands_per_item()) as u64;
+                counts.xor_gates += (items * op.xors_per_item()) as u64;
+                counts.proj_words += (items * op.proj_words_per_item()) as u64;
+                // A real deployment transfers the evaluator's
+                // masked-input labels by OT extension (one transfer per
+                // input bit): a modelled price, the labels themselves
+                // are dealt.
+                counts.ext_ots += (items * op.in_elems() * UNIT_BITS) as u64;
+                op.expanded_bytes(items)
+            }
+            (&Step::Unit { op, items, .. }, PiBackend::Cheetah) => {
+                // Per stage: the bit triples and two Beaver triple sets.
+                let (stages, bits) = cheetah::stages(op, items);
+                counts.bit_triples += (stages * bits) as u64;
+                stages as u64 * (bit_triple_bytes(bits) + 2 * beaver_bytes(items))
+            }
+            (Step::AvgPool { .. } | Step::Flatten, _) => 0,
+        };
+    }
+    counts
+}
+
 /// Deals the offline material of one non-linear layer — `op` over
 /// `items` elements (ReLU) or windows (max pool, fused or not) — under
-/// `cfg.backend`,
-/// keeping `halves` and accounting the backend's counts (AND gates and
-/// extended OTs, or bit triples), the same whichever halves are kept.
+/// `cfg.backend`, keeping `halves`.
 pub(crate) fn deal_nl(
     dealer: &mut Dealer,
     op: MaskedOp,
     items: usize,
     cfg: &PiConfig,
-    counts: &mut OpCounts,
     halves: Halves,
 ) -> (Option<ClientMat>, Option<ServerMat>) {
     match cfg.backend {
         PiBackend::Delphi => {
-            let (c, s) = delphi::prepare_layer(dealer, op, items, cfg, counts, halves);
+            // A server-sided garbling garbles nothing (`pregarble_for`).
+            let mut prg = dealer.fork_prg();
+            let (c, s) = pregarble_for(op, items, &mut prg, cfg.gc_chunk.max(1), halves);
             (c.map(ClientMat::Gc), s.map(ServerMat::Gc))
         }
         PiBackend::Cheetah => {
-            let (c, s) = cheetah::layer_for(dealer, op, items, counts, halves);
+            let (c, s) = cheetah::layer_for(dealer, op, items, halves);
             (c.map(ClientMat::Cmp), s.map(ServerMat::Cmp))
         }
     }

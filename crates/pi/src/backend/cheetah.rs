@@ -8,7 +8,6 @@
 //! (DESIGN.md §12).
 
 use crate::pool::mismatch;
-use crate::report::OpCounts;
 use crate::Result;
 use c2pi_mpc::dealer::{Dealer, Halves, TripleShare};
 use c2pi_mpc::gcpre::MaskedOp;
@@ -25,6 +24,17 @@ use c2pi_transport::Channel;
 /// parties hold the same shape.
 pub(crate) type Stage = (BitTriples, TripleShare, TripleShare);
 
+/// The comparison stages of an `op` layer over `n` elements: how many,
+/// and the DReLU bit triples each consumes.
+pub(super) fn stages(op: MaskedOp, n: usize) -> (usize, usize) {
+    let count = match op {
+        MaskedOp::Relu => 1,
+        MaskedOp::Maxpool4 => 3,
+        MaskedOp::MaxpoolRelu4 => 4,
+    };
+    (count, n * drelu_bit_triples(63))
+}
+
 /// Deals one `op` layer's comparison stages over `n` elements each,
 /// keeping `halves`. Unlike a garbling, the server's half of every
 /// correlation here depends on every draw, so a sided deal saves only
@@ -34,20 +44,13 @@ pub(super) fn layer_for(
     dealer: &mut Dealer,
     op: MaskedOp,
     n: usize,
-    counts: &mut OpCounts,
     halves: Halves,
 ) -> (Option<Vec<Stage>>, Option<Vec<Stage>>) {
-    let stages = match op {
-        MaskedOp::Relu => 1,
-        MaskedOp::Maxpool4 => 3,
-        MaskedOp::MaxpoolRelu4 => 4,
-    };
-    let mut client = halves.client().then(|| Vec::with_capacity(stages));
-    let mut server = halves.server().then(|| Vec::with_capacity(stages));
-    for _ in 0..stages {
-        let need = n * drelu_bit_triples(63);
-        counts.bit_triples += need as u64;
-        let (b0, b1) = dealer.bit_triples_for(need, halves);
+    let (count, bits) = stages(op, n);
+    let mut client = halves.client().then(|| Vec::with_capacity(count));
+    let mut server = halves.server().then(|| Vec::with_capacity(count));
+    for _ in 0..count {
+        let (b0, b1) = dealer.bit_triples_for(bits, halves);
         let (ta0, ta1) = dealer.beaver_triples(n);
         let (tb0, tb1) = dealer.beaver_triples(n);
         if let (Some(stages), Some(b0)) = (client.as_mut(), b0) {

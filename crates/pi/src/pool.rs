@@ -28,11 +28,11 @@
 //! tested): at every quiescent point,
 //! `generated_offline + generated_inline == consumed + available`.
 
-use crate::backend::{deal_nl, Stage};
+use crate::backend::{deal_nl, price, Stage};
 use crate::engine::PiConfig;
 use crate::plan::{Plan, Step};
 use crate::report::{OpCounts, PreprocessLedger};
-use crate::store::{MaterialStore, RecordKind, RestoreReport};
+use crate::store::{fnv1a, MaterialStore, RecordKind, RestoreReport};
 use crate::{PiError, Result};
 use c2pi_mpc::dealer::{Dealer, DealtSeed, Halves, LinearCorrClient, LinearCorrServer};
 use c2pi_mpc::gcpre::{MaskedOp, PreGarbledClient, PreGarbledServer};
@@ -86,13 +86,12 @@ pub(crate) fn step_mats<T>(
 /// A set holds the halves its dealer was asked for ([`Halves`]): both
 /// from a session's own pool, the server's from a
 /// [`crate::ShardedMaterialPool`], the client's from
-/// [`SessionCore::expand_dealt`]. `counts` describe the seed, not the
-/// holdings, and are the same for all three.
+/// [`SessionCore::expand_dealt`]. A set carries no costs: every set of
+/// a deployment is priced by its [`SessionCore`]'s counts.
 pub struct InferenceMaterial {
     pub(crate) seed: u64,
     pub(crate) cmats: Option<Vec<ClientMat>>,
     pub(crate) smats: Option<Vec<ServerMat>>,
-    pub(crate) counts: OpCounts,
 }
 
 impl InferenceMaterial {
@@ -148,8 +147,9 @@ impl std::fmt::Debug for InferenceMaterial {
 }
 
 /// The immutable, shareable part of a compiled session: the execution
-/// plan (including the server's ring-encoded weights) and the engine
-/// configuration, whose `backend` is the protocol backend.
+/// plan (including the server's ring-encoded weights), the engine
+/// configuration, whose `backend` is the protocol backend, and what one
+/// inference costs under the two.
 ///
 /// A `SessionCore` is created once per deployment and shared behind an
 /// `Arc` by the material pool, the background replenisher and every
@@ -157,6 +157,9 @@ impl std::fmt::Debug for InferenceMaterial {
 pub struct SessionCore {
     pub(crate) plan: Plan,
     pub(crate) cfg: PiConfig,
+    /// One inference's counts, priced once from the plan and backend
+    /// ([`price`]); every report and ledger credit reads them.
+    pub(crate) counts: OpCounts,
 }
 
 impl std::fmt::Debug for SessionCore {
@@ -169,6 +172,13 @@ impl std::fmt::Debug for SessionCore {
 }
 
 impl SessionCore {
+    /// Builds the core of a deployment from its compiled plan and
+    /// configuration, pricing one inference once.
+    pub(crate) fn new(plan: Plan, cfg: PiConfig) -> Self {
+        let counts = price(&plan, cfg.backend);
+        SessionCore { plan, cfg, counts }
+    }
+
     /// The backend's engine name.
     pub fn backend_name(&self) -> &'static str {
         self.cfg.backend.name()
@@ -213,22 +223,15 @@ impl SessionCore {
     /// deployment that wrote it. Deliberately excludes knobs documented
     /// as result-invariant (`gc_chunk`).
     pub fn session_fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(b"c2pi/session-fingerprint/v1");
-        eat(self.cfg.backend.name().as_bytes());
-        eat(&self.cfg.dealer_seed.to_le_bytes());
-        eat(&self.cfg.fixed.frac_bits().to_le_bytes());
+        let mut bytes = b"c2pi/session-fingerprint/v1".to_vec();
+        bytes.extend_from_slice(self.cfg.backend.name().as_bytes());
+        bytes.extend_from_slice(&self.cfg.dealer_seed.to_le_bytes());
+        bytes.extend_from_slice(&self.cfg.fixed.frac_bits().to_le_bytes());
         for (kind, items) in self.step_meta() {
-            eat(&[kind]);
-            eat(&items.to_le_bytes());
+            bytes.push(kind);
+            bytes.extend_from_slice(&items.to_le_bytes());
         }
-        h
+        fnv1a(&bytes)
     }
 
     /// The compact dealt artifact for per-inference seed `seed` — what
@@ -285,10 +288,8 @@ impl SessionCore {
     /// the server half of the other's are the two halves of one set, and
     /// neither `DealtSeed`'s version nor the store's moves.
     ///
-    /// The returned counts carry the seed-compression shape: how many
-    /// bytes the dealt artifact occupies on the wire (`seed_bytes`) and
-    /// how many its expansion occupies, both halves (`expanded_bytes` —
-    /// what the seed stands for, equal for every `halves`).
+    /// It returns material only; what the set costs is the core's
+    /// counts, the same for every seed and every `halves`.
     ///
     /// # Errors
     ///
@@ -298,7 +299,6 @@ impl SessionCore {
     pub(crate) fn deal(&self, seed: u64, halves: Halves) -> Result<InferenceMaterial> {
         let dealt = self.dealt_seed(seed);
         let mut dealer = Dealer::for_dealt(&dealt);
-        let mut counts = self.plan.base_counts.clone();
         let steps = self.plan.steps.len();
         let mut cmats = halves.client().then(|| Vec::with_capacity(steps));
         let mut smats = halves.server().then(|| Vec::with_capacity(steps));
@@ -326,7 +326,7 @@ impl SessionCore {
                     keep(c.map(ClientMat::Lin), s.map(ServerMat::Lin))?;
                 }
                 Step::Unit { op, items, .. } => {
-                    let (c, s) = deal_nl(&mut dealer, *op, *items, &self.cfg, &mut counts, halves);
+                    let (c, s) = deal_nl(&mut dealer, *op, *items, &self.cfg, halves);
                     keep(c, s)?;
                 }
                 Step::AvgPool { .. } | Step::Flatten => {
@@ -334,9 +334,7 @@ impl SessionCore {
                 }
             }
         }
-        counts.seed_bytes += DealtSeed::WIRE_BYTES;
-        counts.expanded_bytes += dealer.expanded_bytes();
-        Ok(InferenceMaterial { seed, cmats, smats, counts })
+        Ok(InferenceMaterial { seed, cmats, smats })
     }
 }
 
@@ -566,7 +564,7 @@ impl MaterialPool {
         let elapsed = start.elapsed().as_secs_f64();
         let mut st = self.lock();
         st.ledger.generated_offline += 1;
-        credit_generation(&mut st.ledger, &material.counts, elapsed);
+        credit_generation(&mut st.ledger, &self.core.counts, elapsed);
         push_ready(&mut st, material)?;
         Ok(st)
     }
@@ -614,7 +612,7 @@ impl MaterialPool {
         let material = self.core.deal(seed, self.halves)?;
         let elapsed = start.elapsed().as_secs_f64();
         let mut st = self.lock();
-        credit_generation(&mut st.ledger, &material.counts, elapsed);
+        credit_generation(&mut st.ledger, &self.core.counts, elapsed);
         persist(&mut st, RecordKind::Consumed, seed)?;
         drop(st);
         Ok(material)
@@ -640,11 +638,11 @@ impl MaterialPool {
     /// Records one externally dealt material set (a client generating
     /// its half for a server-dealt seed): dealer time on this party's
     /// critical path, so it counts as consumed + inline.
-    pub(crate) fn note_dealt_inline(&self, seconds: f64, counts: &OpCounts) {
+    pub(crate) fn note_dealt_inline(&self, seconds: f64) {
         let mut st = self.lock();
         st.ledger.consumed += 1;
         st.ledger.generated_inline += 1;
-        credit_generation(&mut st.ledger, counts, seconds);
+        credit_generation(&mut st.ledger, &self.core.counts, seconds);
     }
 
     /// Attaches a persistent [`MaterialStore`] at `path`, warm-booting
@@ -751,9 +749,10 @@ impl MaterialPool {
     }
 }
 
-/// Folds one dealt material set's generation shape into the ledger
-/// (time, OT counts, seed-compression bytes) — everything except the
-/// offline/inline/consumed attribution, which differs per path.
+/// Folds one dealt material set's generation into the ledger (time, and
+/// from the deployment's `counts` the OT counts and seed-compression
+/// bytes) — everything except the offline/inline/consumed attribution,
+/// which differs per path.
 fn credit_generation(ledger: &mut PreprocessLedger, counts: &OpCounts, seconds: f64) {
     ledger.generation_seconds += seconds;
     ledger.base_ots += counts.base_ots;
@@ -855,7 +854,7 @@ fn replenish_loop(pool: &MaterialPool, low: usize, high: usize) -> Result<()> {
 mod tests {
     use super::*;
     use crate::engine::specs_of;
-    use crate::plan::{compile, Weights};
+    use crate::plan::compile;
     use c2pi_nn::layers::{Conv2d, MaxPool2d, Relu};
     use c2pi_nn::Sequential;
     use std::time::Duration;
@@ -866,7 +865,7 @@ mod tests {
         seq.push(Relu::new());
         let cfg = PiConfig::default();
         let plan = compile(&specs_of(&seq), (1, 6, 6), cfg.fixed).unwrap();
-        Arc::new(SessionCore { plan, cfg })
+        Arc::new(SessionCore::new(plan, cfg))
     }
 
     fn wait_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
@@ -922,59 +921,74 @@ mod tests {
         }
     }
 
+    /// Bytes the two halves of one step's material hold: a stage's bit
+    /// triples as packed bits, every other value at its width.
+    fn held_bytes(c: &ClientMat, s: &ServerMat) -> u64 {
+        let words = |m: &c2pi_mpc::ring::RingMatrix| 8 * m.as_slice().len();
+        let beaver = |t: &c2pi_mpc::dealer::TripleShare| 8 * (t.a.len() + t.b.len() + t.c.len());
+        let stages = |(cb, ca, cc): &Stage, (sb, sa, sc): &Stage| {
+            (3 * (cb.len() + sb.len())).div_ceil(8)
+                + [ca, cc, sa, sc].map(beaver).iter().sum::<usize>()
+        };
+        (match (c, s) {
+            (ClientMat::Lin(c), ServerMat::Lin(s)) => {
+                words(&c.mask) + words(&c.wa_share) + words(&s.wa_share)
+            }
+            (ClientMat::Gc(c), ServerMat::Gc(s)) => {
+                (c.expanded_bytes() + s.expanded_bytes()) as usize
+            }
+            (ClientMat::Cmp(c), ServerMat::Cmp(s)) => {
+                c.iter().zip(s).map(|(c, s)| stages(c, s)).sum()
+            }
+            (ClientMat::None, ServerMat::None) => 0,
+            _ => unreachable!("the halves of one step are of one kind"),
+        }) as u64
+    }
+
     #[test]
-    fn a_deal_expands_exactly_the_correlations_its_plan_reads() {
-        // Every expanded byte is one the plan's steps consume, summed
-        // with the per-correlation formulas the mpc tests pin: a draw
-        // no half reads would show up here as a surplus.
+    fn a_two_sided_deal_holds_exactly_the_expanded_bytes_its_core_prices() {
+        // Measured, not re-derived: what a `Halves::Both` set holds adds
+        // up to the compiled `expanded_bytes` (each Cheetah stage's bit
+        // triples packed to whole bytes), over every step kind — linear
+        // and dense layers, a ReLU, a lone pool and a fused one.
         use crate::engine::PiBackend;
-        use c2pi_mpc::relu::drelu_bit_triples;
+        use c2pi_nn::layers::{Flatten, Linear};
+        let mut seq = Sequential::new();
+        seq.push(Conv2d::new(1, 2, 3, 1, 1, 1, 1));
+        seq.push(Relu::new());
+        seq.push(Conv2d::new(2, 2, 3, 1, 1, 1, 2));
+        seq.push(MaxPool2d::new(2, 2));
+        seq.push(Relu::new());
+        seq.push(MaxPool2d::new(2, 2));
+        seq.push(Flatten::new());
+        seq.push(Linear::new(2 * 2 * 2, 3, 3));
         for backend in [PiBackend::Delphi, PiBackend::Cheetah] {
-            let core = tiny_core();
+            let cfg = PiConfig { backend, ..PiConfig::default() };
             let core =
-                SessionCore { plan: core.plan.clone(), cfg: PiConfig { backend, ..core.cfg } };
-            let want: u64 = core
+                SessionCore::new(compile(&specs_of(&seq), (1, 8, 8), cfg.fixed).unwrap(), cfg);
+            let ops: Vec<_> = core
                 .plan
                 .steps
                 .iter()
-                .map(|step| match step {
-                    Step::Conv { lin: Weights { w, cols, .. }, .. } => {
-                        8 * (w.cols() * cols + 2 * w.rows() * cols) as u64
-                    }
-                    Step::Unit { op: MaskedOp::Relu, items: n, .. } => match backend {
-                        PiBackend::Delphi => MaskedOp::Relu.expanded_bytes(*n),
-                        // One comparison stage: its bit triples packed,
-                        // two Beaver triple sets of 48 B per element.
-                        PiBackend::Cheetah => {
-                            (6 * n * drelu_bit_triples(63)).div_ceil(8) as u64 + 2 * 48 * *n as u64
-                        }
-                    },
-                    other => unreachable!("tiny_core has no {other:?} step"),
-                })
-                .sum();
-            assert_eq!(
-                core.deal(7, Halves::Both).unwrap().counts.expanded_bytes,
-                want,
-                "{backend:?}"
-            );
+                .filter_map(|s| if let Step::Unit { op, .. } = s { Some(*op) } else { None })
+                .collect();
+            assert_eq!(ops, [MaskedOp::Relu, MaskedOp::Maxpool4, MaskedOp::MaxpoolRelu4]);
+            let mut set = core.deal(7, Halves::Both).unwrap();
+            let (cmats, smats) = (set.take_client().unwrap(), set.take_server().unwrap());
+            let held: u64 = cmats.iter().zip(&smats).map(|(c, s)| held_bytes(c, s)).sum();
+            assert_eq!(held, core.counts.expanded_bytes, "{backend:?}");
         }
     }
 
     #[test]
     fn sided_deals_describe_the_same_seed_and_name_what_they_hold() {
-        // `counts` (seed and expanded bytes included) are the seed's,
-        // not the holder's: equal for all three deals on both backends.
         use crate::engine::PiBackend;
         for backend in [PiBackend::Delphi, PiBackend::Cheetah] {
             let core = tiny_core();
-            let core =
-                SessionCore { plan: core.plan.clone(), cfg: PiConfig { backend, ..core.cfg } };
+            let core = SessionCore::new(core.plan.clone(), PiConfig { backend, ..core.cfg });
             let mut both = core.deal(7, Halves::Both).unwrap();
             let mut client = core.deal(7, Halves::Client).unwrap();
             let mut server = core.deal(7, Halves::Server).unwrap();
-            assert!(both.counts.expanded_bytes > both.counts.seed_bytes);
-            assert_eq!(client.counts, both.counts, "{backend:?}: client-sided counts");
-            assert_eq!(server.counts, both.counts, "{backend:?}: server-sided counts");
             for (set, held) in
                 [(&both, "client + server"), (&client, "client"), (&server, "server")]
             {
@@ -1072,9 +1086,9 @@ mod tests {
         // The layers' own order: `specs_of` would already pool first.
         let specs: Vec<_> = seq.layers().iter().map(|l| l.spec()).collect();
         let spec_order =
-            Arc::new(SessionCore { plan: lower(&specs, (1, 6, 6), cfg.fixed).unwrap(), cfg });
+            Arc::new(SessionCore::new(lower(&specs, (1, 6, 6), cfg.fixed).unwrap(), cfg));
         let pooled =
-            Arc::new(SessionCore { plan: compile(&specs, (1, 6, 6), cfg.fixed).unwrap(), cfg });
+            Arc::new(SessionCore::new(compile(&specs, (1, 6, 6), cfg.fixed).unwrap(), cfg));
         assert!(matches!(
             pooled.plan.steps[..],
             [Step::Conv { .. }, Step::Unit { op: MaskedOp::MaxpoolRelu4, items: 18, .. }]
@@ -1115,15 +1129,14 @@ mod tests {
         seq.push(Relu::new());
         seq.push(MaxPool2d::new(2, 2));
         let cfg = PiConfig { backend: crate::engine::PiBackend::Delphi, ..PiConfig::default() };
-        let fused =
-            SessionCore { plan: compile(&specs_of(&seq), (1, 6, 6), cfg.fixed).unwrap(), cfg };
+        let fused = SessionCore::new(compile(&specs_of(&seq), (1, 6, 6), cfg.fixed).unwrap(), cfg);
         let mut apart = fused.plan.clone();
         let Step::Unit { window, .. } = apart.steps.pop().unwrap() else { unreachable!() };
         apart.steps.extend([
             Step::Unit { op: MaskedOp::Maxpool4, items: 18, window },
             Step::Unit { op: MaskedOp::Relu, items: 18, window: None },
         ]);
-        let apart = SessionCore { plan: apart, cfg };
+        let apart = SessionCore::new(apart, cfg);
         assert_eq!(fused.step_meta(), [(1, 36), (4, 18), (3, 18)]);
         assert_eq!(fused.step_meta(), apart.step_meta());
         assert_eq!(fused.session_fingerprint(), apart.session_fingerprint());
@@ -1163,8 +1176,54 @@ mod tests {
         for (name, prefix, backend, want) in pinned {
             let cfg = PiConfig { backend, ..PiConfig::default() };
             let plan = compile(&specs_of(prefix), (3, 16, 16), cfg.fixed).unwrap();
-            let got = SessionCore { plan, cfg }.session_fingerprint();
+            let got = SessionCore::new(plan, cfg).session_fingerprint();
             assert_eq!(got, want, "{name}, {backend:?}: {got:#018x}");
+        }
+    }
+
+    #[test]
+    fn the_demo_deployments_price_one_inference_at_their_pinned_counts() {
+        // The compiled counts: `(seed_bytes, expanded_bytes, and_gates,
+        // xor_gates, proj_words, ext_ots, bit_triples)`, the values each
+        // deal used to tally for itself before pricing moved to compile
+        // time.
+        use crate::engine::PiBackend;
+        use c2pi_nn::model::{alexnet, ZooConfig};
+        use c2pi_nn::BoundaryId;
+        let demo =
+            alexnet(&ZooConfig { width_div: 32, seed: 3, image_size: 16, ..Default::default() })
+                .unwrap();
+        let split = demo.split_at(BoundaryId::relu(3)).unwrap().0;
+        let pinned = [
+            (
+                "relu(3) split",
+                &split,
+                PiBackend::Delphi,
+                (20, 12_301_312, 269_184, 735_296, 34_816, 102_400, 0),
+            ),
+            ("relu(3) split", &split, PiBackend::Cheetah, (20, 484_240, 0, 0, 0, 0, 299_200)),
+            (
+                "whole model",
+                demo.seq(),
+                PiBackend::Delphi,
+                (20, 14_741_792, 319_200, 857_552, 48_640, 123_904, 0),
+            ),
+            ("whole model", demo.seq(), PiBackend::Cheetah, (20, 596_996, 0, 0, 0, 0, 362_032)),
+        ];
+        for (name, prefix, backend, want) in pinned {
+            let cfg = PiConfig { backend, ..PiConfig::default() };
+            let plan = compile(&specs_of(prefix), (3, 16, 16), cfg.fixed).unwrap();
+            let c = SessionCore::new(plan, cfg).counts;
+            let got = (
+                c.seed_bytes,
+                c.expanded_bytes,
+                c.and_gates,
+                c.xor_gates,
+                c.proj_words,
+                c.ext_ots,
+                c.bit_triples,
+            );
+            assert_eq!(got, want, "{name}, {backend:?}");
         }
     }
 
@@ -1175,7 +1234,7 @@ mod tests {
         assert_eq!(a.session_fingerprint(), b.session_fingerprint(), "same deployment");
         let mut cfg = a.cfg;
         cfg.dealer_seed += 1;
-        let c = Arc::new(SessionCore { plan: a.plan.clone(), cfg });
+        let c = Arc::new(SessionCore::new(a.plan.clone(), cfg));
         assert_ne!(a.session_fingerprint(), c.session_fingerprint(), "seed must enter");
     }
 }

@@ -4,7 +4,9 @@
 use c2pi_transport::{NetModel, TrafficSnapshot};
 use serde::{Deserialize, Serialize};
 
-/// Operation counts accumulated while walking the crypto-layer prefix.
+/// One inference's operation counts under a deployment: priced once,
+/// from the compiled plan's shapes and the backend, when the session
+/// core is built — a constant of the deployment, not a tally of a deal.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct OpCounts {
     /// Input element count of every linear (conv/fc) layer.
@@ -43,9 +45,10 @@ pub struct OpCounts {
     pub seed_bytes: u64,
     /// Bytes the dealt correlations occupy expanded from the seed,
     /// **both parties' halves** — what pre-compression dealing used to
-    /// ship. It describes the seed, not the holder: a party that
-    /// expanded only its own half (a reactor shard, a remote client)
-    /// reports the same number as one that expanded both.
+    /// ship, summed from each correlation's shape. It describes the
+    /// seed, not the holder: a party that expanded only its own half (a
+    /// reactor shard, a remote client) reports the same number as one
+    /// that expanded both.
     pub expanded_bytes: u64,
 }
 

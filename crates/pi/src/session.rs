@@ -46,8 +46,8 @@
 
 use crate::engine::{PiConfig, PiOutcome};
 use crate::plan::compile;
-use crate::pool::{InferenceMaterial, MaterialPool, Replenisher, SessionCore};
-use crate::report::{OpCounts, PiReport};
+use crate::pool::{MaterialPool, Replenisher, SessionCore};
+use crate::report::PiReport;
 use crate::{PiError, Result};
 use c2pi_mpc::share::ShareVec;
 use c2pi_nn::LayerSpec;
@@ -106,7 +106,7 @@ impl PiSession {
     pub fn new(specs: &[LayerSpec], input_chw: [usize; 3], cfg: PiConfig) -> Result<Self> {
         let [c, h, w] = input_chw;
         let plan = compile(specs, (c, h, w), cfg.fixed)?;
-        let core = Arc::new(SessionCore { plan, cfg });
+        let core = Arc::new(SessionCore::new(plan, cfg));
         let pool = Arc::new(MaterialPool::new(Arc::clone(&core)));
         Ok(PiSession { core, pool, transport: Arc::new(MemTransport) })
     }
@@ -209,22 +209,18 @@ impl PiSession {
         }
     }
 
-    /// The cost report of one run that consumed the material `counts`
-    /// describes.
-    fn report(
-        &self,
-        counts: OpCounts,
-        online: c2pi_transport::TrafficSnapshot,
-        online_seconds: f64,
-    ) -> PiReport {
+    /// The cost report of one run: its measured traffic and time, and
+    /// the deployment's counts.
+    fn report(&self, online: c2pi_transport::TrafficSnapshot, online_seconds: f64) -> PiReport {
         let model = self.core.cfg.backend.cost_model();
+        let counts = &self.core.counts;
         PiReport {
             backend: self.core.backend_name(),
             online,
-            offline: model.offline_traffic(&counts),
+            offline: model.offline_traffic(counts),
             online_seconds,
-            offline_seconds: model.offline_seconds(&counts),
-            counts,
+            offline_seconds: model.offline_seconds(counts),
+            counts: counts.clone(),
             preprocessing: self.ledger(),
         }
     }
@@ -244,7 +240,7 @@ impl PiSession {
         self.check_input(x)?;
         let mut material = self.pool.take()?;
         let (cmats, smats) = (material.take_client()?, material.take_server()?);
-        let InferenceMaterial { seed, counts, .. } = material;
+        let seed = material.seed;
         let (cep, sep, counter) = self.transport.pair()?;
         let plan = &self.core.plan;
         let cfg = self.core.cfg;
@@ -262,7 +258,7 @@ impl PiSession {
             client_share,
             server_share,
             dims: self.core.plan.out_dims.clone(),
-            report: self.report(counts, counter.snapshot(), online_seconds),
+            report: self.report(counter.snapshot(), online_seconds),
         })
     }
 
@@ -310,7 +306,6 @@ impl PiSession {
         for _ in 0..k {
             materials.push(self.pool.take()?);
         }
-        let counts_per: Vec<OpCounts> = materials.iter().map(|m| m.counts.clone()).collect();
         let mut ceps = Vec::with_capacity(k);
         let mut seps = Vec::with_capacity(k);
         let mut counters = Vec::with_capacity(k);
@@ -350,14 +345,13 @@ impl PiSession {
         client_res
             .into_iter()
             .zip(server_shares)
-            .zip(counts_per)
             .zip(counters)
-            .map(|(((client_share, server_share), counts), counter)| {
+            .map(|((client_share, server_share), counter)| {
                 Ok(PiOutcome {
                     client_share: client_share?,
                     server_share,
                     dims: self.core.plan.out_dims.clone(),
-                    report: self.report(counts, counter.snapshot(), online_seconds),
+                    report: self.report(counter.snapshot(), online_seconds),
                 })
             })
             .collect()

@@ -9,7 +9,7 @@
 use super::walk::{client_walk, server_walk};
 use super::PiSession;
 use crate::pool::{InferenceMaterial, SessionCore};
-use crate::report::{OpCounts, PiReport};
+use crate::report::PiReport;
 use crate::{PiError, Result};
 use c2pi_mpc::share::ShareVec;
 use c2pi_tensor::Tensor;
@@ -52,7 +52,6 @@ impl PiSession {
             return Err(PiError::BadConfig("serve_one needs the server channel end".into()));
         }
         let material = self.pool.take()?;
-        let counts = material.counts.clone();
         let before = ch.counter().snapshot();
         let start = Instant::now();
         let share = self
@@ -60,7 +59,7 @@ impl PiSession {
             .serve_prepared(&[ch], vec![material])?
             .pop()
             .expect("one member in, one share out");
-        Ok(self.party_outcome(share, counts, ch, before, start.elapsed().as_secs_f64()))
+        Ok(self.party_outcome(share, ch, before, start.elapsed().as_secs_f64()))
     }
 
     /// **Dealt contract, client side**: requests one inference from a
@@ -95,17 +94,16 @@ impl PiSession {
         let deal_start = Instant::now();
         let mut material = self.core.expand_dealt(&frame)?;
         let cmats = material.take_client()?;
-        let InferenceMaterial { seed, counts, .. } = material;
-        self.pool.note_dealt_inline(deal_start.elapsed().as_secs_f64(), &counts);
+        self.pool.note_dealt_inline(deal_start.elapsed().as_secs_f64());
+        let seed = material.seed;
         let start = Instant::now();
         let share = client_walk(ch, &self.core.plan, cmats, x, &self.core.cfg, seed)?;
-        Ok(self.party_outcome(share, counts, ch, before, start.elapsed().as_secs_f64()))
+        Ok(self.party_outcome(share, ch, before, start.elapsed().as_secs_f64()))
     }
 
     fn party_outcome(
         &self,
         share: ShareVec,
-        counts: OpCounts,
         ch: &dyn Channel,
         before: c2pi_transport::TrafficSnapshot,
         online_seconds: f64,
@@ -114,7 +112,7 @@ impl PiSession {
         PartyOutcome {
             share,
             dims: self.core.plan.out_dims.clone(),
-            report: self.report(counts, online, online_seconds),
+            report: self.report(online, online_seconds),
         }
     }
 }

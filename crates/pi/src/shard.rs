@@ -329,7 +329,7 @@ mod tests {
         seq.push(Relu::new());
         let cfg = PiConfig::default();
         let plan = compile(&specs_of(&seq), (1, 6, 6), cfg.fixed).unwrap();
-        Arc::new(SessionCore { plan, cfg })
+        Arc::new(SessionCore::new(plan, cfg))
     }
 
     #[test]

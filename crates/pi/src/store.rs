@@ -71,7 +71,7 @@ const MAX_PAYLOAD_LEN: u32 = 1 << 16;
 
 /// FNV-1a 64-bit — small, dependency-free, and plenty for torn-write
 /// detection (this is an integrity check, not an authenticity one).
-fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;

@@ -38,15 +38,6 @@ impl Shape {
         &self.0
     }
 
-    /// Size of dimension `i`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] if `i >= rank`.
-    pub fn dim(&self, i: usize) -> Result<usize> {
-        self.0.get(i).copied().ok_or(TensorError::IndexOutOfBounds { index: i, len: self.0.len() })
-    }
-
     /// Row-major strides for this shape.
     ///
     /// ```

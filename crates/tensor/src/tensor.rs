@@ -166,13 +166,6 @@ impl Tensor {
         Tensor { shape: self.shape.clone(), data: self.data.iter().map(|&v| f(v)).collect() }
     }
 
-    /// In-place elementwise map.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Elementwise binary operation.
     ///
     /// # Errors
