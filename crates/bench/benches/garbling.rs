@@ -40,9 +40,11 @@ fn bench_garbling(c: &mut Criterion) {
 }
 
 fn bench_pregarble(c: &mut Criterion) {
-    // The serving split's garbled layers in order (269 184 ANDs a set:
-    // each max pool fused with the ReLU after it, then the last ReLU),
-    // at the largest band `PiConfig::default().gc_chunk`.
+    // The serving split's garbled layers in order at the 24 bits its plan
+    // compiles them to (98 944 ANDs a set: each max pool fused with the
+    // ReLU after it, then the last ReLU), at the largest band
+    // `PiConfig::default().gc_chunk`.
+    const BITS: usize = 24;
     const BAND: usize = 1024;
     let mut group = c.benchmark_group("pregarble");
     group.sample_size(20).measurement_time(std::time::Duration::from_secs(2));
@@ -51,7 +53,7 @@ fn bench_pregarble(c: &mut Criterion) {
         ("fused96", MaskedOp::MaxpoolRelu4, 96),
         ("relu192", MaskedOp::Relu, 192),
     ] {
-        let kilo_ands = (items * op.ands_per_item()) as f64 / 1e3;
+        let kilo_ands = (items * op.ands_per_item(BITS)) as f64 / 1e3;
         for (side, halves) in
             [("both", Halves::Both), ("client", Halves::Client), ("server", Halves::Server)]
         {
@@ -59,7 +61,7 @@ fn bench_pregarble(c: &mut Criterion) {
                 bench.iter_custom(|_| {
                     let mut prg = Prg::from_u64(1);
                     let start = Instant::now();
-                    black_box(pregarble_for(op, items, &mut prg, BAND, halves));
+                    black_box(pregarble_for(op, BITS, items, &mut prg, BAND, halves));
                     start.elapsed().div_f64(kilo_ands)
                 })
             });

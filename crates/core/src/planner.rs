@@ -179,6 +179,9 @@ pub struct CostRow {
     /// Bytes of correlated material each party expands locally from the
     /// dealt seed — what classic expanded dealing would have shipped.
     pub expanded_bytes: u64,
+    /// Each non-linear step's `(bound, bits)`: the bits its inputs
+    /// occupy over the input domain and the width it runs at.
+    pub unit_widths: Vec<(u32, u32)>,
 }
 
 /// One ranked deployment: a boundary, backend and defense priced under
@@ -375,6 +378,20 @@ impl DeploymentPlan {
                 r.expanded_bytes as f64 / 1e6,
             );
         }
+        // Widths are the plan's, the same under either backend: one row
+        // per boundary, `bound/bits` per non-linear step.
+        let _ = writeln!(out, "\nnon-linear steps (input bound / width, bits):");
+        let _ = writeln!(out, "  {:>8}  steps", "boundary");
+        let mut shown = Vec::new();
+        for r in &self.costs {
+            if shown.contains(&r.boundary) {
+                continue;
+            }
+            shown.push(r.boundary);
+            let steps: Vec<String> =
+                r.unit_widths.iter().map(|(b, w)| format!("{b}/{w}")).collect();
+            let _ = writeln!(out, "  {:>8}  {}", r.boundary.to_string(), steps.join(" "));
+        }
         let _ = writeln!(out, "\nranked deployments (cheapest first per net):");
         let _ = writeln!(
             out,
@@ -436,10 +453,11 @@ impl DeploymentPlan {
         for (i, r) in self.costs.iter().enumerate() {
             let _ = writeln!(
                 s,
-                "    {{\"boundary\": \"{}\", \"backend\": \"{}\", \"crypto_layers\": {}, \"clear_layers\": {}, \"online_bytes\": {}, \"online_flights\": {}, \"offline_bytes\": {}, \"offline_flights\": {}, \"online_compute_seconds\": {:.9}, \"offline_compute_seconds\": {:.9}, \"dealt_bytes\": {}, \"expanded_bytes\": {}}}{}",
+                "    {{\"boundary\": \"{}\", \"backend\": \"{}\", \"crypto_layers\": {}, \"clear_layers\": {}, \"online_bytes\": {}, \"online_flights\": {}, \"offline_bytes\": {}, \"offline_flights\": {}, \"online_compute_seconds\": {:.9}, \"offline_compute_seconds\": {:.9}, \"dealt_bytes\": {}, \"expanded_bytes\": {}, \"unit_widths\": [{}]}}{}",
                 r.boundary, r.backend.name(), r.crypto_layers, r.clear_layers, r.online_bytes,
                 r.online_flights, r.offline_bytes, r.offline_flights, r.online_compute_seconds,
                 r.offline_compute_seconds, r.dealt_bytes, r.expanded_bytes,
+                r.unit_widths.iter().map(|(b, w)| format!("[{b}, {w}]")).collect::<Vec<_>>().join(", "),
                 if i + 1 < self.costs.len() { "," } else { "" }
             );
         }
@@ -705,6 +723,11 @@ impl<'a> DeploymentPlanner<'a> {
                     offline_compute_seconds: report.offline_seconds,
                     dealt_bytes: report.counts.seed_bytes,
                     expanded_bytes: report.counts.expanded_bytes,
+                    unit_widths: session
+                        .unit_bounds()
+                        .into_iter()
+                        .zip(session.unit_widths().into_iter().map(|w| w as u32))
+                        .collect(),
                 });
             }
         }

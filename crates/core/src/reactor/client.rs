@@ -102,8 +102,12 @@ impl ReactorClient {
             // wire content.
             Reply::Ok { batch } => {
                 let outcome = self.session.request_one(&ch, x).map_err(C2piError::Pi)?;
-                let server_share =
-                    c2pi_mpc::share::ShareVec::from_raw(ch.recv_u64s().map_err(pi_err)?);
+                // The revealed share is one word per output element, so
+                // the server's length prefix cannot size this read.
+                let out_len = outcome.dims.iter().product();
+                let server_share = c2pi_mpc::share::ShareVec::from_raw(
+                    ch.recv_u64s_capped(out_len).map_err(pi_err)?,
+                );
                 let raw = c2pi_mpc::share::reconstruct(&outcome.share, &server_share);
                 let fp = self.session.config().fixed;
                 let logits = fp.decode_tensor(&raw, &outcome.dims).map_err(C2piError::Tensor)?;

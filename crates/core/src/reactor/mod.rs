@@ -494,6 +494,7 @@ mod tests {
     use c2pi_pi::engine::{specs_of, PiConfig};
     use c2pi_pi::PiSession;
     use c2pi_tensor::Tensor;
+    use c2pi_transport::encode_frame;
     use std::time::Instant;
 
     fn tiny_prefix() -> Sequential {
@@ -892,6 +893,48 @@ mod tests {
                     ))) if why.contains(&format!("{}-byte cap", cap))
                 ),
                 "{request:?}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn client_caps_the_dealt_frame_and_the_revealed_share_at_their_exact_sizes() {
+        // After an `OK`, a stand-in server announces a dealt frame one
+        // byte over its 20; or runs the dealt contract honestly and then
+        // announces a revealed share one byte over its one word per
+        // output element. Either way the client refuses the length
+        // prefix before the payload exists.
+        use std::io::{Read, Write};
+        let session = shared_session();
+        let out_len: usize = session.out_dims().iter().product();
+        let x = Tensor::zeros(&[1, 1, 8, 8]);
+        for (honest_deal, cap) in [(false, 20), (true, 8 * out_len)] {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let server = session.clone();
+            let stand_in = std::thread::spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut req = [0u8; 4 + Request::ENCODED_LEN];
+                stream.read_exact(&mut req).unwrap();
+                let ok = Reply::Ok { batch: 1 }.encode();
+                stream.write_all(&encode_frame(&ok).unwrap()).unwrap();
+                if honest_deal {
+                    let ch = TcpChannel::from_stream(stream.try_clone().unwrap(), Side::Server);
+                    server.serve_one(&ch.unwrap()).unwrap();
+                }
+                stream.write_all(&(cap as u32 + 1).to_le_bytes()).unwrap();
+            });
+            let err =
+                ReactorClient::new(session.clone()).request(addr, &x).map(|_| ()).unwrap_err();
+            stand_in.join().unwrap();
+            assert!(
+                matches!(
+                    &err,
+                    C2piError::Pi(c2pi_pi::PiError::Mpc(c2pi_mpc::MpcError::Transport(
+                        TransportError::Decode(why)
+                    ))) if why.contains(&format!("{cap}-byte cap"))
+                ),
+                "cap {cap}: {err:?}"
             );
         }
     }

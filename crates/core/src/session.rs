@@ -279,6 +279,18 @@ impl C2piSession {
         self.pi.ledger()
     }
 
+    /// The width each non-linear step of the crypto prefix runs at (see
+    /// [`PiSession::unit_widths`]).
+    pub fn unit_widths(&self) -> Vec<usize> {
+        self.pi.unit_widths()
+    }
+
+    /// The bits each non-linear step's inputs occupy over the input
+    /// domain (see [`PiSession::unit_bounds`]).
+    pub fn unit_bounds(&self) -> Vec<u32> {
+        self.pi.unit_bounds()
+    }
+
     /// Online phase: one private inference on a `[1, c, h, w]` input.
     ///
     /// # Errors

@@ -78,7 +78,10 @@ pub struct DealtSeed {
 const DEALT_MAGIC: u16 = 0xD517;
 /// Names the function `seed → material` as much as the byte layout, so
 /// a peer on another function is refused up front instead of expanding
-/// material the other side cannot use: version 6 drops the per-step
+/// material the other side cannot use: version 7 garbles and compares
+/// each non-linear step at its plan width instead of all 64 bits (the
+/// width also enters the session fingerprint, so the nonce moves too);
+/// version 6 drops the per-step
 /// `(kind, items)` list after the nonce, which hashes the same list
 /// (same expansion as version 5); version 5 garbles a max pool and the
 /// ReLU after it as one fused unit from one fork of the stream (version
@@ -91,7 +94,7 @@ const DEALT_MAGIC: u16 = 0xD517;
 /// fixed-key AES (version 1 garbled under a ChaCha8 hash). One version
 /// covers both backends: one byte for the whole function is simpler
 /// than one per backend.
-const DEALT_VERSION: u8 = 6;
+const DEALT_VERSION: u8 = 7;
 
 impl DealtSeed {
     /// Size of the encoded form — magic, version, reserved byte, seed,
@@ -414,7 +417,7 @@ mod tests {
         let wire = ds.encode();
         assert_eq!(wire.len() as u64, DealtSeed::WIRE_BYTES);
         assert_eq!(wire.len(), 20);
-        assert_eq!(wire[..4], [0x17, 0xD5, 6, 0], "magic, version, reserved");
+        assert_eq!(wire[..4], [0x17, 0xD5, 7, 0], "magic, version, reserved");
         assert_eq!(DealtSeed::decode(&wire).unwrap(), ds);
     }
 

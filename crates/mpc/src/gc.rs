@@ -36,10 +36,14 @@
 //! The module also provides the ReLU, 4-way max and fused
 //! max-then-ReLU circuits the pre-garbled layers of [`crate::gcpre`]
 //! garble: each reconstructs its inputs from additive shares
-//! (`x = x₀ + x₁`) and computes the function on them. The circuits do not re-mask their result: the projection
-//! decodes output bit `j` as weight `2ʲ` of a ring element that the
-//! garbler's per-item offset already masks with `−r`, so the parties end
-//! with additive shares `f(x) − r` and `r`.
+//! (`x = x₀ + x₁`) and computes the function on them, at any width from
+//! 2 to 64 bits: a unit fed the low `w` bits of both shares computes on
+//! `x mod 2^w`, which is `x` itself when `|x| < 2^(w−1)` (DESIGN.md §9).
+//! The circuits do not re-mask their result: the projection decodes
+//! output bit `j` as weight `2ʲ` (a `w`-bit value's top bit as
+//! `−2^(w−1)`) of a ring element that the garbler's per-item offset
+//! already masks with `−r`, so the parties end with additive shares
+//! `f(x) − r` and `r` in the 64-bit ring.
 
 use crate::prg::{hash128_many, Prg};
 use crate::{MpcError, Result};
@@ -312,9 +316,9 @@ impl CircuitBuilder {
     /// `2·len − 1` AND gates per max.
     ///
     /// Correct when `|a − b| < 2^(bits−1)` — the difference must not
-    /// overflow. The fixed-point pipeline guarantees this: activations
-    /// live far below `2^62` in the 64-bit ring, the same precondition
-    /// the DReLU carry decomposition relies on.
+    /// overflow. A compiled plan sizes every max unit for this: `compile`
+    /// (in `c2pi-pi`) gives it two bits more than the sound bound of its
+    /// inputs.
     ///
     /// # Panics
     ///
@@ -507,31 +511,59 @@ fn maxpool_relu4_builder(n: usize, bits: usize) -> CircuitBuilder {
     b
 }
 
-/// Ring width of the cached unit circuits (the session ring).
-pub const UNIT_BITS: usize = 64;
+/// One slot per width `1..=64`: a unit circuit is built once per
+/// process per width, on first use. Plans round their widths up to whole
+/// bytes (`compile` in `c2pi-pi`), so at most eight are built per unit.
+type WidthCache = [OnceLock<Circuit>; 64];
 
-/// The single-element 64-bit ReLU circuit, built once per
-/// process. Both the batched circuits and the offline-garbling path are
-/// element-independent, so every consumer (AND-gate counting when a
-/// Delphi layer is dealt, per-element garbling and evaluation)
-/// shares this one topology instead of rebuilding it per call.
+fn cached(
+    cache: &'static WidthCache,
+    bits: usize,
+    build: fn(usize, usize) -> Circuit,
+) -> &'static Circuit {
+    assert!((2..=64).contains(&bits), "a unit circuit is 2 to 64 bits wide, not {bits}");
+    cache[bits - 1].get_or_init(|| build(1, bits))
+}
+
+/// The single-element ReLU circuit at `bits`, built once per process
+/// and width. Both the batched circuits and the offline-garbling path
+/// are element-independent, so every consumer (AND-gate counting when a
+/// Delphi layer is priced, per-element garbling and evaluation) shares
+/// this one topology instead of rebuilding it per call.
+///
+/// # Panics
+///
+/// Panics unless `2 ≤ bits ≤ 64`.
+pub fn relu_unit(bits: usize) -> &'static Circuit {
+    static CACHE: WidthCache = [const { OnceLock::new() }; 64];
+    cached(&CACHE, bits, relu_circuit)
+}
+
+/// [`relu_unit`] over the whole 64-bit ring.
 pub fn relu_unit_circuit() -> &'static Circuit {
-    static CIRCUIT: OnceLock<Circuit> = OnceLock::new();
-    CIRCUIT.get_or_init(|| relu_circuit(1, UNIT_BITS))
+    relu_unit(64)
 }
 
-/// The single-window 64-bit 4-way-max circuit, built once per
-/// process (see [`relu_unit_circuit`]).
-pub fn maxpool4_unit_circuit() -> &'static Circuit {
-    static CIRCUIT: OnceLock<Circuit> = OnceLock::new();
-    CIRCUIT.get_or_init(|| maxpool4_circuit(1, UNIT_BITS))
+/// The single-window 4-way-max circuit at `bits`, built once per process
+/// and width (see [`relu_unit`]).
+///
+/// # Panics
+///
+/// Panics unless `2 ≤ bits ≤ 64`.
+pub fn maxpool4_unit(bits: usize) -> &'static Circuit {
+    static CACHE: WidthCache = [const { OnceLock::new() }; 64];
+    cached(&CACHE, bits, maxpool4_circuit)
 }
 
-/// The single-window 64-bit fused max-then-ReLU circuit, built once per
-/// process (see [`relu_unit_circuit`]).
-pub fn maxpool_relu4_unit_circuit() -> &'static Circuit {
-    static CIRCUIT: OnceLock<Circuit> = OnceLock::new();
-    CIRCUIT.get_or_init(|| maxpool_relu4_circuit(1, UNIT_BITS))
+/// The single-window fused max-then-ReLU circuit at `bits`, built once
+/// per process and width (see [`relu_unit`]).
+///
+/// # Panics
+///
+/// Panics unless `2 ≤ bits ≤ 64`.
+pub fn maxpool_relu4_unit(bits: usize) -> &'static Circuit {
+    static CACHE: WidthCache = [const { OnceLock::new() }; 64];
+    cached(&CACHE, bits, maxpool_relu4_circuit)
 }
 
 /// Bytes one half-gates AND table occupies (two 128-bit rows).
@@ -700,22 +732,26 @@ fn projection_tweak(j: usize) -> u64 {
 }
 
 /// Arithmetic output decoding, garbler side, over `K` garblings in lock
-/// step: output `j` (at most 64 of them) decodes to weight `2ʲ` of one
-/// ring element, so the evaluator reads a ring share off its output
-/// labels instead of bits. `outputs` yields each output wire's zero labels
-/// (one per lane, in output order) and `delta` the lanes' offsets; lane
-/// `k`'s projection words are written to `words[k]`, one per output, and
-/// the return value is what each lane's all-zero output decodes to.
+/// step: the outputs are the low bits of a `bits`-wide two's-complement
+/// value, so output `j` decodes to weight `w_j = 2ʲ` of one ring element,
+/// except that a top output `j = bits − 1` weighs `−2^(bits−1)`, which
+/// sign-extends the value into the 64-bit ring (at 64 bits the two
+/// weights are one). The evaluator reads a ring share off its output
+/// labels instead of bits. `outputs` yields each output wire's zero
+/// labels (one per lane, in output order) and `delta` the lanes'
+/// offsets; lane `k`'s projection words are written to `words[k]`, one
+/// per output, and the return value is what each lane's all-zero output
+/// decodes to.
 ///
 /// With zero label `W⁰`, its permute bit `p = lsb(W⁰)` and
 /// `h_b = low64(H(W⁰ ⊕ b·Δ, τ_j))` under the [`projection_tweak`] `τ_j`,
 ///
 /// ```text
-/// T_j = (−1)^p · (2ʲ − (h₁ − h₀))            (the projection word)
-/// dec(W) = h(W) + lsb(W)·T_j = dec(W⁰) + v·2ʲ  for W = W⁰ ⊕ v·Δ
+/// T_j = (−1)^p · (w_j − (h₁ − h₀))            (the projection word)
+/// dec(W) = h(W) + lsb(W)·T_j = dec(W⁰) + v·w_j  for W = W⁰ ⊕ v·Δ
 /// ```
 ///
-/// so `Σ_j dec(W_j) = Σ_j dec(W⁰_j) + f(x)` with `f(x) = Σ_j v_j·2ʲ`, all
+/// so `Σ_j dec(W_j) = Σ_j dec(W⁰_j) + f(x)` with `f(x) = Σ_j v_j·w_j`, all
 /// mod 2⁶⁴. A caller that hands the evaluator `U = −r − Σ_j dec(W⁰_j)`
 /// leaves it `f(x) − r` (`eval_projection`). Two hashes per output and
 /// lane, issued as two `K`-lane [`hash128_many`] batches (one batch of two
@@ -723,16 +759,19 @@ fn projection_tweak(j: usize) -> u64 {
 ///
 /// # Panics
 ///
-/// Panics when there are more than 64 outputs or a lane's `words` is
-/// shorter than the outputs.
+/// Panics when there are more than `bits` outputs, `bits` exceeds 64, or
+/// a lane's `words` is shorter than the outputs.
 pub(crate) fn garble_projection<const K: usize>(
     outputs: impl Iterator<Item = [u128; K]>,
+    bits: usize,
     delta: [u128; K],
     words: [&mut [u64]; K],
 ) -> [u64; K] {
+    assert!(bits <= 64, "a projection decodes into the 64-bit ring");
     let mut zero_point = [0u64; K];
     for (j, w0) in outputs.enumerate() {
-        assert!(j < 64, "an arithmetic output weighs 2^j: at most 64 outputs");
+        assert!(j < bits, "a {bits}-bit value has at most {bits} outputs");
+        let weight = if j + 1 == bits { (1u64 << j).wrapping_neg() } else { 1 << j };
         let t = projection_tweak(j);
         let (mut h0, mut h1): ([u128; K], [u128; K]) = (w0, from_fn(|k| w0[k] ^ delta[k]));
         if K == 1 {
@@ -745,7 +784,7 @@ pub(crate) fn garble_projection<const K: usize>(
         }
         for k in 0..K {
             let (h0, h1) = (h0[k] as u64, h1[k] as u64);
-            let d = (1u64 << j).wrapping_sub(h1.wrapping_sub(h0));
+            let d = weight.wrapping_sub(h1.wrapping_sub(h0));
             let p = w0[k] & 1 == 1;
             let tj = if p { d.wrapping_neg() } else { d };
             words[k][j] = tj;
@@ -1043,11 +1082,8 @@ mod tests {
     fn garbled_relu_and_maxpool_decode_what_eval_plain_computes() {
         // Same circuit, same inputs: the garbled walk decodes exactly
         // the plaintext evaluation, for both non-linearities.
-        let circuits = [
-            (relu_circuit(2, 16), 4),
-            (relu_circuit(1, UNIT_BITS), 41),
-            (maxpool4_circuit(1, 16), 51),
-        ];
+        let circuits =
+            [(relu_circuit(2, 16), 4), (relu_circuit(1, 64), 41), (maxpool4_circuit(1, 16), 51)];
         for (c, seed) in circuits {
             let mut prg = Prg::from_u64(seed);
             for round in 0..4 {
@@ -1102,16 +1138,23 @@ mod tests {
     }
 
     #[test]
-    fn unit_circuits_are_cached_and_match_fresh_builds() {
-        assert!(std::ptr::eq(relu_unit_circuit(), relu_unit_circuit()));
-        assert!(std::ptr::eq(maxpool4_unit_circuit(), maxpool4_unit_circuit()));
-        assert_eq!(relu_unit_circuit().and_count(), relu_circuit(1, UNIT_BITS).and_count());
-        assert_eq!(maxpool4_unit_circuit().and_count(), maxpool4_circuit(1, UNIT_BITS).and_count());
-        assert!(std::ptr::eq(maxpool_relu4_unit_circuit(), maxpool_relu4_unit_circuit()));
-        assert_eq!(
-            maxpool_relu4_unit_circuit().and_count(),
-            maxpool_relu4_circuit(1, UNIT_BITS).and_count()
-        );
+    fn unit_circuits_are_cached_per_width_and_match_fresh_builds() {
+        assert!(std::ptr::eq(relu_unit_circuit(), relu_unit(64)));
+        for bits in [8, 24, 32, 64] {
+            let units: [(&Circuit, Circuit); 3] = [
+                (relu_unit(bits), relu_circuit(1, bits)),
+                (maxpool4_unit(bits), maxpool4_circuit(1, bits)),
+                (maxpool_relu4_unit(bits), maxpool_relu4_circuit(1, bits)),
+            ];
+            for (cached, fresh) in units {
+                assert_eq!(cached.and_count(), fresh.and_count(), "{bits} bits");
+                assert_eq!(cached.evaluator_input_count(), fresh.evaluator_input_count());
+            }
+            assert!(std::ptr::eq(relu_unit(bits), relu_unit(bits)));
+            assert!(std::ptr::eq(maxpool4_unit(bits), maxpool4_unit(bits)));
+            assert!(std::ptr::eq(maxpool_relu4_unit(bits), maxpool_relu4_unit(bits)));
+        }
+        assert!(!std::ptr::eq(relu_unit(24), relu_unit(32)), "one slot per width");
     }
 
     #[test]
@@ -1164,7 +1207,7 @@ mod tests {
         let mut lanes = words.iter_mut();
         let lanes = from_fn(|_| lanes.next().unwrap().as_mut_slice());
         let outputs = circuit.outputs.iter().map(|&w| zero[w]);
-        let zero_points = garble_projection(outputs, deltas, lanes);
+        let zero_points = garble_projection(outputs, 64, deltas, lanes);
         for k in 0..K {
             let mut prg = Prg::from_u64(seed.wrapping_add(k as u64));
             let lone = garble_open(circuit, &mut prg);
@@ -1172,7 +1215,7 @@ mod tests {
             assert_eq!(tables[k], lone.tables, "lane {k}: tables");
             let mut lone_words = vec![0u64; circuit.output_count()];
             let outputs = lone.output_zero.iter().map(|&l| [l]);
-            let [lone_point] = garble_projection(outputs, [lone.delta], [&mut lone_words]);
+            let [lone_point] = garble_projection(outputs, 64, [lone.delta], [&mut lone_words]);
             assert_eq!(words[k], lone_words, "lane {k}: projection words");
             assert_eq!(zero_points[k], lone_point, "lane {k}: zero point");
             let zeros = |pairs: &[(u128, u128)]| pairs.iter().map(|p| p.0).collect::<Vec<_>>();
@@ -1199,29 +1242,31 @@ mod tests {
     fn each_of_eight_lanes_garbles_what_its_item_garbles_alone() {
         for seed in [3u64, 0xC2B1] {
             assert_lanes_equal_lone_walks(relu_unit_circuit(), seed);
-            assert_lanes_equal_lone_walks(maxpool4_unit_circuit(), seed);
+            assert_lanes_equal_lone_walks(maxpool4_unit(64), seed);
         }
     }
 
-    /// 64 evaluator inputs, each its own output: output `j` is input `j`,
-    /// so its zero label and permute bit are the input's.
-    fn passthrough64() -> Circuit {
+    /// `bits` evaluator inputs, each its own output: output `j` is input
+    /// `j`, so its zero label and permute bit are the input's.
+    fn passthrough(bits: usize) -> Circuit {
         let mut b = CircuitBuilder::new();
-        for _ in 0..64 {
+        for _ in 0..bits {
             let w = b.evaluator_input();
             b.output(w);
         }
         b.build()
     }
 
-    /// Projects `open`'s outputs (the `K = 1` gadget) and returns what the
+    /// Projects `open`'s outputs (the `K = 1` gadget) as the low bits of
+    /// a `circuit.output_count()`-bit value and returns what the
     /// evaluator decodes for evaluator inputs `bits`, less what the
-    /// all-zero output decodes to: exactly `Σ_j bits_j·2ʲ` for
-    /// [`passthrough64`] if the gadget is sound.
+    /// all-zero output decodes to: exactly `Σ_j bits_j·2ʲ`, the top bit at
+    /// `−2ʲ`, for [`passthrough`] if the gadget is sound.
     fn projected(circuit: &Circuit, open: &OpenGarbled, bits: &[bool]) -> u64 {
         let mut words = vec![0u64; circuit.output_count()];
         let outputs = open.output_zero.iter().map(|&l| [l]);
-        let [zero_point] = garble_projection(outputs, [open.delta], [&mut words]);
+        let width = circuit.output_count();
+        let [zero_point] = garble_projection(outputs, width, [open.delta], [&mut words]);
         let mut label = vec![[0u128; 1]; circuit.wire_count()];
         let e = select_labels(&open.evaluator_label_pairs, bits);
         let g =
@@ -1239,7 +1284,7 @@ mod tests {
         // at either end of the word (2⁰, 2¹, 2⁶², 2⁶³ — the last wraps
         // mod 2⁶⁴) must decode exactly. Seeds are drawn until every
         // (weight, permute bit) pair has been exercised.
-        let c = passthrough64();
+        let c = passthrough(64);
         let weights = [0usize, 1, 62, 63];
         let mut seen = [[false; 2]; 4];
         for seed in 0..64u64 {
@@ -1264,12 +1309,28 @@ mod tests {
     }
 
     #[test]
+    fn a_narrow_projection_sign_extends_its_top_output_into_the_ring() {
+        // A 24-bit value's top output weighs −2²³: every 24-bit pattern
+        // decodes to its two's-complement reading in the 64-bit ring.
+        let c = passthrough(24);
+        for seed in 0..16u64 {
+            let open = garble_open(&c, &mut Prg::from_u64(seed));
+            let mut prg = Prg::from_u64(seed ^ 0x24);
+            for v in [0u64, 1, (1 << 23) - 1, 1 << 23, (1 << 24) - 1, prg.next_u64()] {
+                let v = v & ((1 << 24) - 1);
+                let want = ((v << 40) as i64 >> 40) as u64;
+                assert_eq!(projected(&c, &open, &to_bits(v, 24)), want, "seed {seed}, {v:#x}");
+            }
+        }
+    }
+
+    #[test]
     fn projection_tweaks_are_disjoint_from_every_and_tweak() {
         // The projection hashes the output labels under their own tweaks:
         // were one an AND gate's, the evaluator would see two hashes of
         // one label under one tweak, and the CCR argument needs them
         // distinct.
-        for c in [relu_unit_circuit(), maxpool4_unit_circuit(), maxpool_relu4_unit_circuit()] {
+        for c in [relu_unit_circuit(), maxpool4_unit(64), maxpool_relu4_unit(64)] {
             let ands: std::collections::HashSet<u64> = c
                 .gates
                 .iter()
@@ -1304,7 +1365,7 @@ mod tests {
                 0x5b5bbe4b5a528e68,
             ),
             (
-                maxpool4_unit_circuit(),
+                maxpool4_unit(64),
                 [0x9fa3fd4000a6f07501321e8fc58fa2ed, 0x60f83236fd9afb5a52b6742cbbda549a],
                 [0x93ccbb70957eff7688d2c81f0124e061, 0x76a9434fb720f3615a1788525612ea6e],
                 0x9af33875ce1f7029,
@@ -1312,7 +1373,7 @@ mod tests {
             // The fused unit opens with the max's gates, so its first
             // table is the max's.
             (
-                maxpool_relu4_unit_circuit(),
+                maxpool_relu4_unit(64),
                 [0x9fa3fd4000a6f07501321e8fc58fa2ed, 0x60f83236fd9afb5a52b6742cbbda549a],
                 [0xa6bb4615a2062e79c280ab97fe9ae1d6, 0x72905ff517771792290fdfadaa922900],
                 0x19e80fbb5b439a5b,
@@ -1395,13 +1456,9 @@ mod tests {
         // The fused unit: the max's gates and its ReLU's 64 more, in the
         // max's slots.
         for (raw, built, wires) in [
-            (relu_builder(1, UNIT_BITS).circuit, relu_unit_circuit(), (506, 194)),
-            (maxpool4_builder(1, UNIT_BITS).circuit, maxpool4_unit_circuit(), (3289, 771)),
-            (
-                maxpool_relu4_builder(1, UNIT_BITS).circuit,
-                maxpool_relu4_unit_circuit(),
-                (3353, 771),
-            ),
+            (relu_builder(1, 64).circuit, relu_unit_circuit(), (506, 194)),
+            (maxpool4_builder(1, 64).circuit, maxpool4_unit(64), (3289, 771)),
+            (maxpool_relu4_builder(1, 64).circuit, maxpool_relu4_unit(64), (3353, 771)),
         ] {
             assert_slots_hold_what_is_read(&raw, built);
             assert_eq!((raw.wire_count(), built.wire_count()), wires);
@@ -1553,13 +1610,13 @@ mod maxpool_tests {
         // + 3 tournament maxes (127 ANDs each), and no re-mask adder: the
         // projection masks the output. The carry-only comparator is what
         // brings a max from 191 to 127 ANDs.
-        let c = maxpool4_unit_circuit();
+        let c = maxpool4_unit(64);
         assert_eq!(c.and_count(), 4 * 63 + 3 * (2 * 64 - 1));
         assert_eq!(c.and_count(), 633);
         assert_eq!(c.output_count(), 64);
         // Fused with the ReLU: one free NOT of the max's sign bit and a
         // 63-AND mux on the bits below it, which are the outputs.
-        let fused = maxpool_relu4_unit_circuit();
+        let fused = maxpool_relu4_unit(64);
         assert_eq!(fused.and_count(), 633 + 63);
         assert_eq!(fused.output_count(), 63);
         assert_eq!(fused.garbler_input_count(), c.garbler_input_count());

@@ -21,12 +21,17 @@
 //!   input.
 //!
 //! Only the garbler's *value-dependent* input wires stay open: their
-//! label **pairs** go into the garbler's half. Online, per layer:
+//! label **pairs** go into the garbler's half. A layer runs at a width
+//! `w` (its plan step's, at most 64): the circuit reads the low `w` bits
+//! of each value, which reconstruct `x mod 2^w` — `x` itself inside the
+//! step's sound bound. Online, per layer:
 //!
-//! 1. evaluator → garbler: `δ = x₀ − m` (one frame, 8 bytes/element);
-//! 2. garbler → evaluator: the active labels for `g = x₁ + δ = x − m`
-//!    (one frame, 16 bytes/label) — selecting labels is an XOR, the
-//!    garbler does no cryptographic work;
+//! 1. evaluator → garbler: the low `w` bits of `δ = x₀ − m` (one frame,
+//!    `⌈w/8⌉` bytes/element);
+//! 2. garbler → evaluator: the active labels for the low `w` bits of
+//!    `g = x₁ + δ = x − m` (one frame, `w` labels of 16 bytes/element) —
+//!    selecting labels is an XOR, the garbler does no cryptographic
+//!    work. Each party reads the other's frame capped at its exact size;
 //! 3. the evaluator evaluates every item and projects its output labels
 //!    onto its share `U + Σ_j dec(W_j) = f(x) − r`; the garbler's share
 //!    is `r`. Items are cut into one
@@ -51,7 +56,7 @@
 //! are read out of the wire buffer afterwards. No per-item artifact
 //! exists in between.
 //!
-//! `δ` is uniform (masked by `m`) and the labels reveal exactly one
+//! `δ` is uniform mod `2^w` (masked by `m`) and the labels reveal exactly one
 //! circuit path, so the online messages leak nothing beyond the
 //! standard garbled-circuit guarantees. The projection words hide the
 //! inactive label's hash under the same circular correlation robustness
@@ -60,9 +65,8 @@
 //!
 //! Items (one ReLU element, one 4-way max window, one window with the
 //! ReLU after it) are garbled and evaluated **independently** against
-//! the process-wide unit circuits ([`crate::gc::relu_unit_circuit`],
-//! [`crate::gc::maxpool4_unit_circuit`],
-//! [`crate::gc::maxpool_relu4_unit_circuit`]),
+//! the process-wide unit circuits of their width ([`crate::gc::relu_unit`],
+//! [`crate::gc::maxpool4_unit`], [`crate::gc::maxpool_relu4_unit`]),
 //! which is what makes both phases embarrassingly parallel and
 //! deterministic: per-item garbling seeds are drawn sequentially from
 //! the dealer PRG, then the band size only controls parallelism — and
@@ -91,8 +95,8 @@
 
 use crate::dealer::Halves;
 use crate::gc::{
-    eval_lanes, eval_projection, garble_lanes, garble_projection, lane, load_lane,
-    maxpool4_unit_circuit, maxpool_relu4_unit_circuit, relu_unit_circuit, Circuit, UNIT_BITS,
+    eval_lanes, eval_projection, garble_lanes, garble_projection, lane, load_lane, maxpool4_unit,
+    maxpool_relu4_unit, relu_unit, Circuit,
 };
 use crate::prg::Prg;
 use crate::share::ShareVec;
@@ -101,10 +105,15 @@ use c2pi_transport::Channel;
 use rayon::prelude::*;
 use std::array::from_fn;
 
-/// Which masked unit circuit a pre-garbled batch runs.
+/// Which masked unit circuit a pre-garbled batch runs. Each runs at a
+/// width `bits` (2 to 64): its circuit reads the low `bits` bits of
+/// each input share and computes on their two's-complement sum, which is
+/// the ring value itself when that value lies in
+/// `[−2^(bits−1), 2^(bits−1))`. The output share `f(x) − r` stays a
+/// 64-bit ring word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaskedOp {
-    /// `relu(x) − r` over one 64-bit ring element per item.
+    /// `relu(x) − r` over one ring element per item.
     Relu,
     /// `max(v₀..v₃) − r` over one 2×2 pool window (four elements) per
     /// item.
@@ -115,13 +124,18 @@ pub enum MaskedOp {
 }
 
 impl MaskedOp {
-    /// The cached single-item circuit topology: the function itself, on
-    /// additive input shares. The `− r` is the projection's, not a gate.
-    pub fn unit_circuit(&self) -> &'static Circuit {
+    /// The cached single-item circuit topology at `bits`: the function
+    /// itself, on additive input shares. The `− r` is the projection's,
+    /// not a gate.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `2 ≤ bits ≤ 64`.
+    pub fn unit_circuit(&self, bits: usize) -> &'static Circuit {
         match self {
-            MaskedOp::Relu => relu_unit_circuit(),
-            MaskedOp::Maxpool4 => maxpool4_unit_circuit(),
-            MaskedOp::MaxpoolRelu4 => maxpool_relu4_unit_circuit(),
+            MaskedOp::Relu => relu_unit(bits),
+            MaskedOp::Maxpool4 => maxpool4_unit(bits),
+            MaskedOp::MaxpoolRelu4 => maxpool_relu4_unit(bits),
         }
     }
 
@@ -133,36 +147,39 @@ impl MaskedOp {
         }
     }
 
-    /// AND gates garbled per item.
-    pub fn ands_per_item(&self) -> usize {
-        self.unit_circuit().and_count()
+    /// AND gates garbled per item at `bits`: `2·bits − 2` for a ReLU,
+    /// `10·bits − 7` for a max, `11·bits − 8` fused.
+    pub fn ands_per_item(&self, bits: usize) -> usize {
+        self.unit_circuit(bits).and_count()
     }
 
-    /// XOR gates per item — free under free-XOR (no table, no hash);
-    /// counted so cost reports can show what the scheme gets for
+    /// XOR gates per item at `bits` — free under free-XOR (no table, no
+    /// hash); counted so cost reports can show what the scheme gets for
     /// nothing.
-    pub fn xors_per_item(&self) -> usize {
-        self.unit_circuit().xor_count()
+    pub fn xors_per_item(&self, bits: usize) -> usize {
+        self.unit_circuit(bits).xor_count()
     }
 
-    /// 64-bit words of arithmetic output projection per item: one `T_j`
-    /// per output wire (63 for a ReLU or a fused max-then-ReLU, whose top
-    /// bit is always 0; 64 for a max) plus the item's offset `U`.
-    pub fn proj_words_per_item(&self) -> usize {
-        self.unit_circuit().output_count() + 1
+    /// 64-bit words of arithmetic output projection per item at `bits`:
+    /// one `T_j` per output wire (`bits − 1` for a ReLU or a fused
+    /// max-then-ReLU, whose top bit is always 0; `bits` for a max) plus
+    /// the item's offset `U`.
+    pub fn proj_words_per_item(&self, bits: usize) -> usize {
+        self.unit_circuit(bits).output_count() + 1
     }
 
-    /// Bytes a garbling of `items` occupies expanded, **both halves** —
-    /// [`PreGarbledClient::expanded_bytes`] plus
+    /// Bytes a garbling of `items` at `bits` occupies expanded, **both
+    /// halves** — [`PreGarbledClient::expanded_bytes`] plus
     /// [`PreGarbledServer::expanded_bytes`] as arithmetic on the shape,
     /// so a party that expanded only its own half still reports what the
     /// seed stands for.
-    pub fn expanded_bytes(&self, items: usize) -> u64 {
-        let labels = 16 * items * self.in_elems() * UNIT_BITS;
-        let client = 8 * items * self.in_elems()
-            + items * self.ands_per_item() * crate::gc::AND_TABLE_BYTES
+    pub fn expanded_bytes(&self, items: usize, bits: usize) -> u64 {
+        let inputs = items * self.in_elems();
+        let labels = 16 * inputs * bits;
+        let client = inputs * bits.div_ceil(8)
+            + items * self.ands_per_item(bits) * crate::gc::AND_TABLE_BYTES
             + labels
-            + 8 * items * self.proj_words_per_item();
+            + 8 * items * self.proj_words_per_item(bits);
         let server = labels + 16 * items + 8 * items;
         (client + server) as u64
     }
@@ -174,7 +191,10 @@ impl MaskedOp {
 #[derive(Debug, Clone)]
 pub struct PreGarbledClient {
     op: MaskedOp,
-    /// Input masks `m`, one per input element (item-major).
+    /// The width every item's circuit runs at.
+    bits: usize,
+    /// Input masks `m`, one per input element (item-major); only their
+    /// low `bits` bits enter the circuit.
     masks: Vec<u64>,
     /// Two-row half-gates AND tables, item-major.
     tables: Vec<[u128; 2]>,
@@ -194,6 +214,8 @@ pub struct PreGarbledClient {
 #[derive(Debug, Clone)]
 pub struct PreGarbledServer {
     op: MaskedOp,
+    /// The width every item's circuit runs at.
+    bits: usize,
     /// Zero labels for the garbler's online inputs (`x − m` bits),
     /// item-major.
     labels0: Vec<u128>,
@@ -220,9 +242,10 @@ impl PreGarbledClient {
     }
 
     /// Serialized size of this half — what an expanded (pre
-    /// seed-compression) dealer would ship to the evaluator.
+    /// seed-compression) dealer would ship to the evaluator: each mask
+    /// at its `⌈bits/8⌉` bytes.
     pub fn expanded_bytes(&self) -> u64 {
-        (self.masks.len() * 8
+        (self.masks.len() * self.bits.div_ceil(8)
             + self.tables.len() * 32
             + self.eval_labels.len() * 16
             + (self.proj.len() + self.proj_base.len()) * 8) as u64
@@ -242,7 +265,7 @@ impl PreGarbledServer {
 
     /// Number of input ring elements (`items × in_elems`).
     pub fn inputs(&self) -> usize {
-        self.labels0.len() / UNIT_BITS
+        self.labels0.len() / self.bits
     }
 
     /// Serialized size of this half — what an expanded (pre
@@ -253,9 +276,10 @@ impl PreGarbledServer {
         (self.labels0.len() * 16 + self.deltas.len() * 16 + self.out_share.len() * 8) as u64
     }
 
-    /// Selects the active labels for the garbler's online input values
-    /// `g` (item-major ring elements) — the garbler's entire online
-    /// compute: one conditional XOR with Δ per bit, no PRF.
+    /// Selects the active labels for the low `bits` bits of the
+    /// garbler's online input values `g` (item-major ring elements) — the
+    /// garbler's entire online compute: one conditional XOR with Δ per
+    /// bit, no PRF.
     ///
     /// # Errors
     ///
@@ -272,7 +296,7 @@ impl PreGarbledServer {
         let mut labels = Vec::with_capacity(self.labels0.len());
         for (e, &v) in g.iter().enumerate() {
             let delta = self.deltas[e / in_elems];
-            let zeros = &self.labels0[e * UNIT_BITS..(e + 1) * UNIT_BITS];
+            let zeros = &self.labels0[e * self.bits..(e + 1) * self.bits];
             labels.extend(zeros.iter().enumerate().map(|(bit, &l0)| select(l0, delta, v, bit)));
         }
         Ok(labels)
@@ -296,39 +320,48 @@ struct Band<'a> {
     server: Option<(&'a mut [u128], &'a mut [u128])>,
 }
 
-/// Garbles `items` instances of `op`'s unit circuit with fresh
+/// Garbles `items` instances of `op`'s 64-bit unit circuit with fresh
 /// input masks and output shares, fanning the per-item garbling out in
 /// one band per core of at most `par_band` items. The result is a pure
 /// function of the `prg` state — the band size only controls
-/// parallelism. Both halves of [`pregarble_for`].
+/// parallelism. Both halves of [`pregarble_for`] at 64 bits.
 pub fn pregarble(
     op: MaskedOp,
     items: usize,
     prg: &mut Prg,
     par_band: usize,
 ) -> (PreGarbledClient, PreGarbledServer) {
-    let (client, server) = pregarble_for(op, items, prg, par_band, Halves::Both);
+    let (client, server) = pregarble_for(op, 64, items, prg, par_band, Halves::Both);
     (client.expect("both halves garbled"), server.expect("both halves garbled"))
 }
 
-/// [`pregarble`], materialising only `halves`: each kept half is
-/// bit-identical to the same half of the two-sided garbling, and `prg`
-/// ends at the same position whichever halves were asked for.
+/// Garbles `items` instances of `op`'s unit circuit at `bits`,
+/// materialising only `halves`: each kept half is bit-identical to the
+/// same half of the two-sided garbling, and `prg` ends at the same
+/// position whichever halves were asked for. The draws do not depend on
+/// `bits` beyond the labels: one 64-bit mask per input, one 64-bit
+/// output share per item, one seed per item.
 ///
 /// The client half *is* the garbling — tables, projection and the
 /// evaluator's labels all come out of the gate walk — so
 /// [`Halves::Client`] runs that walk and merely never stores Δ or the
 /// garbler's zero labels. The server half depends on no gate at all:
-/// [`Halves::Server`] draws Δ and the first `in_elems · 64` labels of
+/// [`Halves::Server`] draws Δ and the first `in_elems · bits` labels of
 /// each item's own stream and never enters the walk or calls a gate
 /// hash.
+///
+/// # Panics
+///
+/// Panics unless `2 ≤ bits ≤ 64`.
 pub fn pregarble_for(
     op: MaskedOp,
+    bits: usize,
     items: usize,
     prg: &mut Prg,
     par_band: usize,
     halves: Halves,
 ) -> (Option<PreGarbledClient>, Option<PreGarbledServer>) {
+    let circuit = op.unit_circuit(bits);
     let in_elems = op.in_elems();
     let inputs = items * in_elems;
     let masks = prg.next_u64s(inputs);
@@ -340,26 +373,26 @@ pub fn pregarble_for(
             s
         })
         .collect();
-    let online_wires = in_elems * UNIT_BITS;
+    let online_wires = in_elems * bits;
     if halves == Halves::Server {
         // The walk's first draws for an item, in its order: Δ, then the
         // garbler's input labels — of which the online wires come first.
-        let mut labels0 = Vec::with_capacity(inputs * UNIT_BITS);
+        let mut labels0 = Vec::with_capacity(inputs * bits);
         let mut deltas = Vec::with_capacity(items);
         for seed in seeds {
             let mut item = Prg::from_seed(seed);
             deltas.push(item.next_u128() | 1);
             labels0.extend((0..online_wires).map(|_| item.next_u128()));
         }
-        return (None, Some(PreGarbledServer { op, labels0, deltas, out_share }));
+        return (None, Some(PreGarbledServer { op, bits, labels0, deltas, out_share }));
     }
-    let (ands, outs) = (op.ands_per_item(), op.unit_circuit().output_count());
+    let (ands, outs) = (circuit.and_count(), circuit.output_count());
     let band = band_for(items, par_band, rayon::current_num_threads());
     let mut tables = vec![[0u128; 2]; items * ands];
-    let mut eval_labels = vec![0u128; inputs * UNIT_BITS];
+    let mut eval_labels = vec![0u128; inputs * bits];
     let mut proj = vec![0u64; items * outs];
     let mut proj_base = vec![0u64; items];
-    let mut server = halves.server().then(|| (vec![0u128; inputs * UNIT_BITS], vec![0u128; items]));
+    let mut server = halves.server().then(|| (vec![0u128; inputs * bits], vec![0u128; items]));
     let mut server_bands = server.as_mut().map(|(labels0, deltas)| {
         labels0.chunks_mut(band * online_wires).zip(deltas.chunks_mut(band))
     });
@@ -393,17 +426,17 @@ pub fn pregarble_for(
         let (mut wide, mut narrow) = (Vec::new(), Vec::new());
         let mut at = 0;
         while band.seeds.len() - at >= LANES {
-            garble_group::<LANES>(op, band, at, &mut wide);
+            garble_group::<LANES>(op, bits, band, at, &mut wide);
             at += LANES;
         }
         while at < band.seeds.len() {
-            garble_group::<1>(op, band, at, &mut narrow);
+            garble_group::<1>(op, bits, band, at, &mut narrow);
             at += 1;
         }
     });
-    let client = PreGarbledClient { op, masks, tables, eval_labels, proj, proj_base };
+    let client = PreGarbledClient { op, bits, masks, tables, eval_labels, proj, proj_base };
     let server =
-        server.map(|(labels0, deltas)| PreGarbledServer { op, labels0, deltas, out_share });
+        server.map(|(labels0, deltas)| PreGarbledServer { op, bits, labels0, deltas, out_share });
     (Some(client), server)
 }
 
@@ -421,13 +454,14 @@ fn select(l0: u128, delta: u128, v: u64, bit: usize) -> u128 {
 /// out of the wire buffer afterwards.
 fn garble_group<const K: usize>(
     op: MaskedOp,
+    bits: usize,
     band: &mut Band<'_>,
     at: usize,
     zero: &mut Vec<[u128; K]>,
 ) {
-    let circuit = op.unit_circuit();
-    let (ands, outs, in_elems) = (op.ands_per_item(), circuit.output_count(), op.in_elems());
-    let online_wires = in_elems * UNIT_BITS;
+    let circuit = op.unit_circuit(bits);
+    let (ands, outs, in_elems) = (circuit.and_count(), circuit.output_count(), op.in_elems());
+    let online_wires = in_elems * bits;
     zero.resize(circuit.wire_count(), [0; K]);
     let mut prgs: [Prg; K] = from_fn(|k| Prg::from_seed(band.seeds[at + k]));
     let mut tables = band.tables[at * ands..(at + K) * ands].chunks_exact_mut(ands);
@@ -436,7 +470,7 @@ fn garble_group<const K: usize>(
     let mut words = band.proj[at * outs..(at + K) * outs].chunks_exact_mut(outs);
     let words = from_fn(|_| words.next().expect("K items of projection words in the band"));
     let outputs = circuit.outputs().iter().map(|&w| zero[w]);
-    let zero_points = garble_projection(outputs, deltas, words);
+    let zero_points = garble_projection(outputs, bits, deltas, words);
     for (k, &delta) in deltas.iter().enumerate() {
         let i = at + k;
         let online = i * online_wires..(i + 1) * online_wires;
@@ -444,7 +478,7 @@ fn garble_group<const K: usize>(
         let masks = &band.masks[i * in_elems..(i + 1) * in_elems];
         let zeros = lane(circuit.evaluator_inputs(), zero, k).enumerate();
         for (slot, (w, l0)) in band.eval_labels[online.clone()].iter_mut().zip(zeros) {
-            *slot = select(l0, delta, masks[w / UNIT_BITS], w % UNIT_BITS);
+            *slot = select(l0, delta, masks[w / bits], w % bits);
         }
         if let Some((labels0, deltas)) = band.server.as_mut() {
             let zeros = lane(circuit.garbler_inputs(), zero, k);
@@ -456,6 +490,28 @@ fn garble_group<const K: usize>(
     }
 }
 
+/// The low `⌈bits/8⌉` little-endian bytes of each value, back to back:
+/// the `δ` frame.
+fn pack_words(values: &[u64], bits: usize) -> Vec<u8> {
+    let width = bits.div_ceil(8);
+    values.iter().flat_map(|v| v.to_le_bytes().into_iter().take(width)).collect()
+}
+
+/// The inverse of [`pack_words`]: `raw` must hold exactly `n` values.
+fn unpack_words(raw: &[u8], bits: usize, n: usize) -> Result<Vec<u64>> {
+    let width = bits.div_ceil(8);
+    if raw.len() != n * width {
+        return Err(MpcError::Protocol(format!(
+            "expected {n} masked inputs of {width} B, got a {}-byte frame",
+            raw.len()
+        )));
+    }
+    Ok(raw
+        .chunks_exact(width)
+        .map(|c| c.iter().rev().fold(0u64, |acc, &b| (acc << 8) | u64::from(b)))
+        .collect())
+}
+
 fn pack_labels(labels: &[u128]) -> Vec<u8> {
     let mut out = Vec::with_capacity(labels.len() * 16);
     for l in labels {
@@ -464,9 +520,13 @@ fn pack_labels(labels: &[u128]) -> Vec<u8> {
     out
 }
 
-fn unpack_labels(raw: &[u8]) -> Result<Vec<u128>> {
-    if !raw.len().is_multiple_of(16) {
-        return Err(MpcError::Protocol(format!("label frame of {} bytes", raw.len())));
+/// The garbler's active labels: `raw` must hold exactly `n` of them.
+fn unpack_labels(raw: &[u8], n: usize) -> Result<Vec<u128>> {
+    if raw.len() != 16 * n {
+        return Err(MpcError::Protocol(format!(
+            "expected {n} garbler labels, got a {}-byte frame",
+            raw.len()
+        )));
     }
     Ok(raw.chunks_exact(16).map(|c| u128::from_le_bytes(c.try_into().expect("16 bytes"))).collect())
 }
@@ -510,14 +570,9 @@ pub fn pre_gc_garbler_members<C: Channel + ?Sized>(
                 share.len()
             )));
         }
-        let delta = ep.recv_u64s().map_err(MpcError::from)?;
-        if delta.len() != mat.inputs() {
-            return Err(MpcError::Protocol(format!(
-                "expected {} masked inputs, got {}",
-                mat.inputs(),
-                delta.len()
-            )));
-        }
+        let frame = mat.inputs() * mat.bits.div_ceil(8);
+        let raw = ep.recv_bytes_capped(frame).map_err(MpcError::from)?;
+        let delta = unpack_words(&raw, mat.bits, mat.inputs())?;
         let g: Vec<u64> =
             share.as_raw().iter().zip(delta.iter()).map(|(&x1, &d)| x1.wrapping_add(d)).collect();
         gs.push(g);
@@ -574,16 +629,10 @@ pub fn pre_gc_evaluator<C: Channel + ?Sized>(
     }
     let delta: Vec<u64> =
         share.as_raw().iter().zip(mat.masks.iter()).map(|(&x0, &m)| x0.wrapping_sub(m)).collect();
-    ep.send_u64s(&delta).map_err(MpcError::from)?;
-    let garbler_labels = unpack_labels(&ep.recv_bytes().map_err(MpcError::from)?)?;
-    if garbler_labels.len() != mat.inputs() * UNIT_BITS {
-        return Err(MpcError::Protocol(format!(
-            "expected {} garbler labels, got {}",
-            mat.inputs() * UNIT_BITS,
-            garbler_labels.len()
-        )));
-    }
-    eval_pregarbled(mat, &garbler_labels, par_band)
+    ep.send_bytes(&pack_words(&delta, mat.bits)).map_err(MpcError::from)?;
+    let labels = mat.inputs() * mat.bits;
+    let raw = ep.recv_bytes_capped(16 * labels).map_err(MpcError::from)?;
+    eval_pregarbled(mat, &unpack_labels(&raw, labels)?, par_band)
 }
 
 /// Evaluates a pre-garbled batch given the garbler's active online
@@ -599,12 +648,12 @@ pub fn eval_pregarbled(
     par_band: usize,
 ) -> Result<ShareVec> {
     let items = mat.items();
-    let in_elems = mat.op.in_elems();
-    let ands = mat.op.ands_per_item();
-    if garbler_labels.len() != items * in_elems * UNIT_BITS
-        || mat.tables.len() != items * ands
-        || mat.eval_labels.len() != items * in_elems * UNIT_BITS
-        || mat.proj.len() != items * mat.op.unit_circuit().output_count()
+    let wires = mat.inputs() * mat.bits;
+    let circuit = mat.op.unit_circuit(mat.bits);
+    if garbler_labels.len() != wires
+        || mat.tables.len() != items * circuit.and_count()
+        || mat.eval_labels.len() != wires
+        || mat.proj.len() != items * circuit.output_count()
     {
         return Err(MpcError::Protocol("pre-garbled artifact counts disagree".into()));
     }
@@ -659,9 +708,9 @@ fn eval_group<const K: usize>(
     label: &mut Vec<[u128; K]>,
     out: &mut [u64],
 ) {
-    let circuit = mat.op.unit_circuit();
-    let online_wires = mat.op.in_elems() * UNIT_BITS;
-    let (ands, outs) = (mat.op.ands_per_item(), circuit.output_count());
+    let circuit = mat.op.unit_circuit(mat.bits);
+    let online_wires = mat.op.in_elems() * mat.bits;
+    let (ands, outs) = (circuit.and_count(), circuit.output_count());
     label.resize(circuit.wire_count(), [0; K]);
     for k in 0..K {
         let online = (first + k) * online_wires..(first + k + 1) * online_wires;
@@ -680,7 +729,7 @@ fn eval_group<const K: usize>(
 mod tests {
     use super::*;
     use crate::fixed::FixedPoint;
-    use crate::gc::{from_bits, garble_open, select_labels, to_bits};
+    use crate::gc::{garble_open, select_labels, to_bits};
     use crate::share::{reconstruct, share_secret};
     use c2pi_transport::channel_pair;
 
@@ -692,10 +741,23 @@ mod tests {
     ) -> (Vec<u64>, c2pi_transport::TrafficSnapshot) {
         let fp = FixedPoint::default();
         let secret: Vec<u64> = values.iter().map(|&v| fp.encode(v)).collect();
+        run_layer_at(op, 64, &secret, seed, par_band)
+    }
+
+    /// One online round of an `op` layer at `bits` on uniform 64-bit
+    /// shares of `secret`: the reconstructed outputs and the traffic.
+    fn run_layer_at(
+        op: MaskedOp,
+        bits: usize,
+        secret: &[u64],
+        seed: u64,
+        par_band: usize,
+    ) -> (Vec<u64>, c2pi_transport::TrafficSnapshot) {
         let mut prg = Prg::from_u64(seed);
-        let (x0, x1) = share_secret(&secret, &mut prg);
-        let items = values.len() / op.in_elems();
-        let (cmat, smat) = pregarble(op, items, &mut prg, par_band);
+        let (x0, x1) = share_secret(secret, &mut prg);
+        let items = secret.len() / op.in_elems();
+        let (cmat, smat) = pregarble_for(op, bits, items, &mut prg, par_band, Halves::Both);
+        let (cmat, smat) = (cmat.unwrap(), smat.unwrap());
         let (client, server, counter) = channel_pair();
         let t = std::thread::spawn(move || pre_gc_garbler(&server, &smat, &x1).unwrap());
         let y0 = pre_gc_evaluator(&client, &cmat, &x0, par_band).unwrap();
@@ -709,6 +771,7 @@ mod tests {
     /// assembled from the open garbling.
     fn pregarble_per_item(
         op: MaskedOp,
+        bits: usize,
         items: usize,
         prg: &mut Prg,
     ) -> (PreGarbledClient, PreGarbledServer) {
@@ -717,6 +780,7 @@ mod tests {
         let out_share = prg.next_u64s(items);
         let mut client = PreGarbledClient {
             op,
+            bits,
             masks,
             tables: Vec::new(),
             eval_labels: Vec::new(),
@@ -724,16 +788,16 @@ mod tests {
             proj_base: Vec::new(),
         };
         let mut server =
-            PreGarbledServer { op, labels0: Vec::new(), deltas: Vec::new(), out_share };
+            PreGarbledServer { op, bits, labels0: Vec::new(), deltas: Vec::new(), out_share };
         for i in 0..items {
-            let open = garble_open(op.unit_circuit(), &mut prg.fork());
+            let open = garble_open(op.unit_circuit(bits), &mut prg.fork());
             let m_bits: Vec<bool> = client.masks[i * in_elems..(i + 1) * in_elems]
                 .iter()
-                .flat_map(|&m| to_bits(m, UNIT_BITS))
+                .flat_map(|&m| to_bits(m, bits))
                 .collect();
             let mut words = vec![0u64; open.output_zero.len()];
             let outputs = open.output_zero.iter().map(|&l| [l]);
-            let [zero_point] = garble_projection(outputs, [open.delta], [&mut words]);
+            let [zero_point] = garble_projection(outputs, bits, [open.delta], [&mut words]);
             client.eval_labels.extend(select_labels(&open.evaluator_label_pairs, &m_bits));
             client.tables.extend(open.tables);
             client.proj.extend(words);
@@ -747,9 +811,10 @@ mod tests {
     /// Item `i` of `mat` evaluated alone: the `K = 1` walk and the `K = 1`
     /// projection on the item's own slices.
     fn eval_item(mat: &PreGarbledClient, garbler_labels: &[u128], i: usize) -> u64 {
-        let circuit = mat.op.unit_circuit();
-        let (ands, outs) = (mat.op.ands_per_item(), circuit.output_count());
-        let online = i * mat.op.in_elems() * UNIT_BITS..(i + 1) * mat.op.in_elems() * UNIT_BITS;
+        let circuit = mat.op.unit_circuit(mat.bits);
+        let (ands, outs) = (circuit.and_count(), circuit.output_count());
+        let wires = mat.op.in_elems() * mat.bits;
+        let online = i * wires..(i + 1) * wires;
         let mut label = vec![[0u128; 1]; circuit.wire_count()];
         load_lane(
             circuit,
@@ -765,7 +830,7 @@ mod tests {
     }
 
     fn assert_client_eq(got: &PreGarbledClient, want: &PreGarbledClient, at: &str) {
-        assert_eq!(got.op, want.op, "{at}");
+        assert_eq!((got.op, got.bits), (want.op, want.bits), "{at}");
         assert_eq!(got.masks, want.masks, "{at}: masks");
         assert_eq!(got.tables, want.tables, "{at}: tables");
         assert_eq!(got.eval_labels, want.eval_labels, "{at}: evaluator labels");
@@ -774,7 +839,7 @@ mod tests {
     }
 
     fn assert_server_eq(got: &PreGarbledServer, want: &PreGarbledServer, at: &str) {
-        assert_eq!(got.op, want.op, "{at}");
+        assert_eq!((got.op, got.bits), (want.op, want.bits), "{at}");
         assert_eq!(got.labels0, want.labels0, "{at}: zero labels");
         assert_eq!(got.deltas, want.deltas, "{at}: Δ");
         assert_eq!(got.out_share, want.out_share, "{at}: r");
@@ -831,63 +896,88 @@ mod tests {
         // evaluator's hashes open. 69 items at the default band (1 024)
         // are one band per core on a multi-core host, the second band
         // ending in a K = 1 tail.
+        //
+        // At every width the values span the unit's whole domain, edges
+        // first: a ReLU's `[−2^(w−1), 2^(w−1))`, a max's
+        // `[−2^(w−2), 2^(w−2))`, whose extremes differ by the largest
+        // `|a − b| < 2^(w−1)` its comparator is exact for.
         const BANDS: [usize; 4] = [1, 3, 8, 1024];
-        for op in [MaskedOp::Relu, MaskedOp::Maxpool4, MaskedOp::MaxpoolRelu4] {
-            let circuit = op.unit_circuit();
-            for items in [1usize, 7, 8, 9, 23, 69] {
-                let seed = 1000 + items as u64;
-                // Lane k of a group ≡ the item garbled alone, whatever
-                // the band cut and whichever halves were kept.
-                let (cmat, smat) = pregarble_per_item(op, items, &mut Prg::from_u64(seed));
-                for band in BANDS {
-                    for halves in [Halves::Both, Halves::Client, Halves::Server] {
-                        let at = format!("{op:?} × {items} at band {band}, {halves:?}");
-                        let (c, s) =
-                            pregarble_for(op, items, &mut Prg::from_u64(seed), band, halves);
-                        assert_eq!((c.is_some(), s.is_some()), (halves.client(), halves.server()));
-                        if let Some(c) = c {
-                            assert_client_eq(&c, &cmat, &at);
-                        }
-                        if let Some(s) = s {
-                            assert_server_eq(&s, &smat, &at);
-                        }
+        for bits in [8, 24, 32, 64] {
+            for op in [MaskedOp::Relu, MaskedOp::Maxpool4, MaskedOp::MaxpoolRelu4] {
+                lock_step_equals_per_item_equals_plaintext(op, bits, &BANDS);
+            }
+        }
+    }
+
+    /// The values a unit at `bits` is exact on, `n` of them: its two
+    /// extremes first, then uniform draws from between them.
+    fn domain_values(op: MaskedOp, bits: usize, n: usize, seed: u64) -> Vec<u64> {
+        let top = if op == MaskedOp::Relu { bits - 1 } else { bits - 2 };
+        let (lo, span) = (-(1i128 << top), 1u128 << (top + 1));
+        let mut prg = Prg::from_u64(seed);
+        let edges = [lo, -lo - 1].into_iter();
+        let draws = std::iter::repeat_with(|| lo + (u128::from(prg.next_u64()) % span) as i128);
+        edges.chain(draws).take(n).map(|v| v as i64 as u64).collect()
+    }
+
+    /// The ring value a unit's output bits decode to: the projection's
+    /// weights, `2ʲ`, and `−2^(bits−1)` on a top output.
+    fn decode(out: &[bool], bits: usize) -> u64 {
+        out.iter().enumerate().fold(0u64, |acc, (j, &v)| {
+            let weight = if j + 1 == bits { (1u64 << j).wrapping_neg() } else { 1 << j };
+            acc.wrapping_add(if v { weight } else { 0 })
+        })
+    }
+
+    fn lock_step_equals_per_item_equals_plaintext(op: MaskedOp, bits: usize, bands: &[usize]) {
+        let circuit = op.unit_circuit(bits);
+        for items in [1usize, 7, 8, 9, 23, 69] {
+            let seed = 1000 + items as u64;
+            // Lane k of a group ≡ the item garbled alone, whatever the
+            // band cut and whichever halves were kept.
+            let (cmat, smat) = pregarble_per_item(op, bits, items, &mut Prg::from_u64(seed));
+            for &band in bands {
+                for halves in [Halves::Both, Halves::Client, Halves::Server] {
+                    let at = format!("{op:?}@{bits} × {items} at band {band}, {halves:?}");
+                    let (c, s) =
+                        pregarble_for(op, bits, items, &mut Prg::from_u64(seed), band, halves);
+                    assert_eq!((c.is_some(), s.is_some()), (halves.client(), halves.server()));
+                    if let Some(c) = c {
+                        assert_client_eq(&c, &cmat, &at);
+                    }
+                    if let Some(s) = s {
+                        assert_server_eq(&s, &smat, &at);
                     }
                 }
-                // Small signed values, so ReLU and max see both signs.
-                let mut prg = Prg::from_u64(seed ^ 0xABCD);
-                let x: Vec<u64> =
-                    (0..cmat.inputs()).map(|_| (prg.next_u64() as i16) as i64 as u64).collect();
-                let g: Vec<u64> =
-                    x.iter().zip(&cmat.masks).map(|(x, m)| x.wrapping_sub(*m)).collect();
-                let labels = smat.select_garbler_labels(&g).unwrap();
+            }
+            let x = domain_values(op, bits, cmat.inputs(), seed ^ 0xABCD);
+            let g: Vec<u64> = x.iter().zip(&cmat.masks).map(|(x, m)| x.wrapping_sub(*m)).collect();
+            let labels = smat.select_garbler_labels(&g).unwrap();
 
-                let mut per_item = Vec::new();
-                let mut plain = Vec::new();
-                for i in 0..items {
-                    let elems = i * op.in_elems()..(i + 1) * op.in_elems();
-                    per_item.push(eval_item(&cmat, &labels, i));
-                    let bits = |v: &[u64]| -> Vec<bool> {
-                        v.iter().flat_map(|&v| to_bits(v, UNIT_BITS)).collect()
-                    };
-                    let value = from_bits(
-                        &circuit
-                            .eval_plain(&bits(&g[elems.clone()]), &bits(&cmat.masks[elems.clone()]))
-                            .unwrap(),
-                    );
-                    plain.push(value.wrapping_sub(smat.out_share[i]));
-                    // And the plaintext circuit means what it should.
-                    let signed = x[elems].iter().map(|&v| v as i64);
-                    let want = match op {
-                        MaskedOp::Relu | MaskedOp::MaxpoolRelu4 => signed.max().unwrap().max(0),
-                        MaskedOp::Maxpool4 => signed.max().unwrap(),
-                    };
-                    assert_eq!(value, want as u64, "{op:?} item {i}");
-                }
-                assert_eq!(per_item, plain, "{op:?} × {items}");
-                for band in BANDS {
-                    let y = eval_pregarbled(&cmat, &labels, band).unwrap();
-                    assert_eq!(y.as_raw(), &per_item[..], "{op:?} × {items} at band {band}");
-                }
+            let mut per_item = Vec::new();
+            let mut plain = Vec::new();
+            for i in 0..items {
+                let elems = i * op.in_elems()..(i + 1) * op.in_elems();
+                per_item.push(eval_item(&cmat, &labels, i));
+                let low =
+                    |v: &[u64]| -> Vec<bool> { v.iter().flat_map(|&v| to_bits(v, bits)).collect() };
+                let out = circuit
+                    .eval_plain(&low(&g[elems.clone()]), &low(&cmat.masks[elems.clone()]))
+                    .unwrap();
+                let value = decode(&out, bits);
+                plain.push(value.wrapping_sub(smat.out_share[i]));
+                // And the plaintext circuit means what it should.
+                let signed = x[elems].iter().map(|&v| v as i64);
+                let want = match op {
+                    MaskedOp::Relu | MaskedOp::MaxpoolRelu4 => signed.max().unwrap().max(0),
+                    MaskedOp::Maxpool4 => signed.max().unwrap(),
+                };
+                assert_eq!(value, want as u64, "{op:?}@{bits} item {i}");
+            }
+            assert_eq!(per_item, plain, "{op:?}@{bits} × {items}");
+            for &band in bands {
+                let y = eval_pregarbled(&cmat, &labels, band).unwrap();
+                assert_eq!(y.as_raw(), &per_item[..], "{op:?}@{bits} × {items} at band {band}");
             }
         }
     }
@@ -951,19 +1041,21 @@ mod tests {
                     // The two-sided set is itself the per-item garbling,
                     // and ends the layer's stream where that does.
                     let mut lone = Prg::from_u64(seed);
-                    let (c1, s1) = pregarble_per_item(op, items, &mut lone);
+                    let (c1, s1) = pregarble_per_item(op, 64, items, &mut lone);
                     assert_client_eq(&c, &c1, &at);
                     assert_server_eq(&s, &s1, &at);
                     assert_eq!(lone.next_u64(), next, "{at}: stream position per item");
 
                     let mut prg = Prg::from_u64(seed);
-                    let (client, none) = pregarble_for(op, items, &mut prg, band, Halves::Client);
+                    let (client, none) =
+                        pregarble_for(op, 64, items, &mut prg, band, Halves::Client);
                     assert!(none.is_none(), "{at}: a client-sided garbling holds no Δ");
                     assert_client_eq(&client.unwrap(), &c, &at);
                     assert_eq!(prg.next_u64(), next, "{at}: stream position after client");
 
                     let mut prg = Prg::from_u64(seed);
-                    let (none, server) = pregarble_for(op, items, &mut prg, band, Halves::Server);
+                    let (none, server) =
+                        pregarble_for(op, 64, items, &mut prg, band, Halves::Server);
                     assert!(none.is_none(), "{at}: a server-sided garbling holds no tables");
                     assert_server_eq(&server.unwrap(), &s, &at);
                     assert_eq!(prg.next_u64(), next, "{at}: stream position after server");
@@ -1057,36 +1149,102 @@ mod tests {
     }
 
     #[test]
-    fn online_frames_of_the_wrong_size_are_protocol_errors() {
-        // Two ReLU items: the garbler expects two δ words, the evaluator
-        // 2·64 labels of 16 B.
-        let mut prg = Prg::from_u64(31);
-        let (cmat, smat) = pregarble(MaskedOp::Relu, 2, &mut prg, 2);
-        let share = ShareVec::from_raw(vec![5, 7]);
-        for delta in [vec![], vec![0u64], vec![0; 3]] {
-            let (client, server, counter) = channel_pair();
-            client.send_u64s(&delta).unwrap();
-            let r = pre_gc_garbler(&server, &smat, &share);
-            assert!(matches!(r, Err(MpcError::Protocol(_))), "{} δ words: {r:?}", delta.len());
-            assert_eq!(counter.snapshot().bytes_server_to_client, 0, "no labels sent");
-        }
-        let honest = 2 * UNIT_BITS * 16;
-        let malformed: [(&str, usize); 4] = [
-            ("empty", 0),
-            ("one label short", honest - 16),
-            ("one label over", honest + 16),
-            ("not a multiple of 16 B", honest + 8),
-        ];
-        for (what, len) in malformed {
+    fn online_frames_of_the_wrong_size_are_refused_before_any_reply() {
+        // Two ReLU items at each width: the garbler expects two δ values
+        // of ⌈w/8⌉ B, the evaluator 2·w labels of 16 B. A frame over its
+        // exact size is the transport's typed decode error (over TCP the
+        // length prefix is refused before the payload is read); a short
+        // or ragged one is a protocol error.
+        use c2pi_transport::TransportError;
+        let oversize =
+            |r: &Result<ShareVec>| matches!(r, Err(MpcError::Transport(TransportError::Decode(_))));
+        for bits in [8, 24, 32, 64] {
+            let (cmat, smat) =
+                pregarble_for(MaskedOp::Relu, bits, 2, &mut Prg::from_u64(31), 2, Halves::Both);
+            let (cmat, smat) = (cmat.unwrap(), smat.unwrap());
+            let share = ShareVec::from_raw(vec![5, 7]);
+            let honest = 2 * bits.div_ceil(8);
+            for (len, over) in [(0, false), (honest - 1, false), (honest + 1, true)] {
+                let (client, server, counter) = channel_pair();
+                client.send_bytes(&vec![0; len]).unwrap();
+                let r = pre_gc_garbler(&server, &smat, &share);
+                let at = format!("{bits} bits, {len}-byte δ frame: {r:?}");
+                assert!(
+                    if over { oversize(&r) } else { matches!(r, Err(MpcError::Protocol(_))) },
+                    "{at}"
+                );
+                assert_eq!(counter.snapshot().bytes_server_to_client, 0, "{at}: no labels sent");
+            }
+            let honest = 2 * bits * 16;
+            let malformed: [(&str, usize, bool); 4] = [
+                ("empty", 0, false),
+                ("one label short", honest - 16, false),
+                ("not a multiple of 16 B", honest - 8, false),
+                ("one byte over", honest + 1, true),
+            ];
+            for (what, len, over) in malformed {
+                let (client, server, _) = channel_pair();
+                server.send_bytes(&vec![0; len]).unwrap();
+                let r = pre_gc_evaluator(&client, &cmat, &share, 2);
+                let at = format!("{bits} bits, {what} label frame: {r:?}");
+                assert!(
+                    if over { oversize(&r) } else { matches!(r, Err(MpcError::Protocol(_))) },
+                    "{at}"
+                );
+            }
+            // The honest all-zero frame of the same shape goes through.
             let (client, server, _) = channel_pair();
-            server.send_bytes(&vec![0; len]).unwrap();
-            let r = pre_gc_evaluator(&client, &cmat, &share, 2);
-            assert!(matches!(r, Err(MpcError::Protocol(_))), "{what} label frame: {r:?}");
+            server.send_bytes(&vec![0; honest]).unwrap();
+            assert_eq!(pre_gc_evaluator(&client, &cmat, &share, 2).unwrap().len(), 2);
         }
-        // The honest all-zero frame of the same shape goes through.
-        let (client, server, _) = channel_pair();
-        server.send_bytes(&vec![0; honest]).unwrap();
-        assert_eq!(pre_gc_evaluator(&client, &cmat, &share, 2).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn oversize_frames_over_tcp_are_refused_at_the_prefix() {
+        // A stand-in peer on a real socket sends one byte over each read's
+        // exact size: the δ read and the label read return the typed
+        // decode error.
+        use c2pi_transport::{tcp_loopback_pair, TransportError};
+        let bits = 24;
+        let (cmat, smat) =
+            pregarble_for(MaskedOp::Maxpool4, bits, 3, &mut Prg::from_u64(7), 2, Halves::Both);
+        let (cmat, smat) = (cmat.unwrap(), smat.unwrap());
+        let share = ShareVec::from_raw(vec![0; 12]);
+        let decode =
+            |r: Result<ShareVec>| matches!(r, Err(MpcError::Transport(TransportError::Decode(_))));
+        let (client, server, _) = tcp_loopback_pair().unwrap();
+        client.send_bytes(&[0; 12 * 3 + 1]).unwrap();
+        assert!(decode(pre_gc_garbler(&server, &smat, &share)));
+        let (client, server, _) = tcp_loopback_pair().unwrap();
+        server.send_bytes(&vec![0; 12 * bits * 16 + 1]).unwrap();
+        assert!(decode(pre_gc_evaluator(&client, &cmat, &share, 2)));
+    }
+
+    #[test]
+    fn every_width_computes_its_units_online_on_uniform_ring_shares() {
+        // The whole round — δ up, labels down, evaluation and projection
+        // — at each width on shares uniform in the 64-bit ring, at the
+        // domain's edges: a unit reads only the shares' low bits, and its
+        // output share is a ring word. Per input the round moves ⌈w/8⌉ B
+        // of δ and w labels of 16 B.
+        for bits in [8, 24, 32, 64] {
+            for op in [MaskedOp::Relu, MaskedOp::Maxpool4, MaskedOp::MaxpoolRelu4] {
+                let secret = domain_values(op, bits, 4 * 9, 300 + bits as u64);
+                let (y, traffic) = run_layer_at(op, bits, &secret, 17, 8);
+                let want: Vec<u64> = secret
+                    .chunks_exact(op.in_elems())
+                    .map(|item| {
+                        let max = item.iter().map(|&v| v as i64).max().unwrap();
+                        (if op == MaskedOp::Maxpool4 { max } else { max.max(0) }) as u64
+                    })
+                    .collect();
+                assert_eq!(y, want, "{op:?} at {bits} bits");
+                let n = secret.len() as u64;
+                assert_eq!(traffic.bytes_client_to_server, n * bits.div_ceil(8) as u64);
+                assert_eq!(traffic.bytes_server_to_client, n * bits as u64 * 16);
+                assert_eq!(traffic.flights, 2);
+            }
+        }
     }
 
     #[test]
@@ -1096,19 +1254,29 @@ mod tests {
         // half. A classic 4-row/full-pair layout would double both the
         // table term and the server labels.
         let mut prg = Prg::from_u64(37);
-        let (cmat, smat) = pregarble(MaskedOp::Relu, 2, &mut prg, 1);
-        // Per item: its mask, 126 tables, 64 labels and 63 + 1 projection
-        // words.
-        assert_eq!(cmat.expanded_bytes(), (2 * 8 + 2 * 126 * 32 + 2 * 64 * 16 + 2 * 64 * 8) as u64);
-        assert_eq!(smat.expanded_bytes(), (2 * 64 * 16 + 2 * 16 + 2 * 8) as u64);
-        // The shape arithmetic a sided deal reports is the two halves'.
-        for (op, items) in
-            [(MaskedOp::Relu, 2), (MaskedOp::Maxpool4, 5), (MaskedOp::MaxpoolRelu4, 3)]
-        {
-            let (cmat, smat) = pregarble(op, items, &mut prg, 1);
-            assert_eq!(op.expanded_bytes(items), cmat.expanded_bytes() + smat.expanded_bytes());
+        for bits in [8, 24, 32, 64] {
+            let (cmat, smat) = pregarble_for(MaskedOp::Relu, bits, 2, &mut prg, 1, Halves::Both);
+            let (cmat, smat) = (cmat.unwrap(), smat.unwrap());
+            // Per item: its mask at ⌈w/8⌉ B, 2w − 2 tables, w labels and
+            // (w − 1) + 1 projection words.
+            let want =
+                2 * bits.div_ceil(8) + 2 * (2 * bits - 2) * 32 + 2 * bits * 16 + 2 * bits * 8;
+            assert_eq!(cmat.expanded_bytes(), want as u64, "{bits} bits");
+            assert_eq!(
+                smat.expanded_bytes(),
+                (2 * bits * 16 + 2 * 16 + 2 * 8) as u64,
+                "{bits} bits"
+            );
+            // The shape arithmetic a sided deal reports is the two halves'.
+            for (op, items) in
+                [(MaskedOp::Relu, 2), (MaskedOp::Maxpool4, 5), (MaskedOp::MaxpoolRelu4, 3)]
+            {
+                let (cmat, smat) = pregarble_for(op, bits, items, &mut prg, 1, Halves::Both);
+                let held = cmat.unwrap().expanded_bytes() + smat.unwrap().expanded_bytes();
+                assert_eq!(op.expanded_bytes(items, bits), held, "{op:?} at {bits} bits");
+            }
         }
-        assert!(MaskedOp::Relu.xors_per_item() > 0);
+        assert!(MaskedOp::Relu.xors_per_item(64) > 0);
     }
 
     #[test]
@@ -1116,28 +1284,39 @@ mod tests {
         // Half-gates keeps an AND at two 16-byte rows and an XOR at
         // none; a garbling-scheme or circuit change that moves the
         // dealt table bytes per item (in either direction) must change
-        // these numbers on purpose. ReLU: the reconstruction adder's 63
-        // and the mux's 63 (bit 63 is 0). Max: four 63-AND adders and
-        // three 127-AND maxes. The fused unit: the max's 633 and a ReLU
-        // mux's 63, against 633 + 126 as two layers. None re-masks: the
-        // projection does.
-        assert_eq!(MaskedOp::Relu.ands_per_item(), 126);
-        assert_eq!(MaskedOp::Maxpool4.ands_per_item(), 633);
-        assert_eq!(MaskedOp::MaxpoolRelu4.ands_per_item(), 696);
-        assert_eq!(MaskedOp::Relu.proj_words_per_item(), 64);
-        assert_eq!(MaskedOp::Maxpool4.proj_words_per_item(), 65);
-        assert_eq!(MaskedOp::MaxpoolRelu4.proj_words_per_item(), 64);
+        // these numbers on purpose. ReLU at w bits: the reconstruction
+        // adder's w − 1 and the mux's w − 1 (the top bit is 0). Max: four
+        // (w − 1)-AND adders and three (2w − 1)-AND maxes. The fused
+        // unit: the max's and a ReLU mux's w − 1, against the max's and
+        // 2w − 2 as two layers. None re-masks: the projection does.
+        // `(bits, [ANDs], [projection words])` for ReLU, max, fused.
+        let rows: [(usize, [usize; 3], [usize; 3]); 4] = [
+            (8, [14, 73, 80], [8, 9, 8]),
+            (24, [46, 233, 256], [24, 25, 24]),
+            (32, [62, 313, 344], [32, 33, 32]),
+            (64, [126, 633, 696], [64, 65, 64]),
+        ];
+        let ops = [MaskedOp::Relu, MaskedOp::Maxpool4, MaskedOp::MaxpoolRelu4];
+        for (bits, ands, words) in rows {
+            assert_eq!(ops.map(|op| op.ands_per_item(bits)), ands, "{bits} bits");
+            assert_eq!(ops.map(|op| op.proj_words_per_item(bits)), words, "{bits} bits");
+            assert_eq!(ands, [2 * bits - 2, 10 * bits - 7, 11 * bits - 8], "{bits} bits");
+        }
         // And the wire buffer a walk keeps hot, after slot reuse (506 and
         // 3 289 wires, one per gate, before it): eight lanes of 16 B make
         // these 25 kB and 99 kB. A builder change that bloats them shows
         // here before it shows as cache misses. The fused unit's ReLU
         // reuses the max's slots.
-        assert_eq!(MaskedOp::Relu.unit_circuit().wire_count(), 194);
-        assert_eq!(MaskedOp::Maxpool4.unit_circuit().wire_count(), 771);
-        assert_eq!(MaskedOp::MaxpoolRelu4.unit_circuit().wire_count(), 771);
-        assert_eq!(MaskedOp::Relu.ands_per_item() * crate::gc::AND_TABLE_BYTES, 4_032);
-        assert_eq!(MaskedOp::Maxpool4.ands_per_item() * crate::gc::AND_TABLE_BYTES, 20_256);
-        assert_eq!(MaskedOp::MaxpoolRelu4.ands_per_item() * crate::gc::AND_TABLE_BYTES, 22_272);
+        assert_eq!(MaskedOp::Relu.unit_circuit(64).wire_count(), 194);
+        assert_eq!(MaskedOp::Maxpool4.unit_circuit(64).wire_count(), 771);
+        assert_eq!(MaskedOp::MaxpoolRelu4.unit_circuit(64).wire_count(), 771);
+        assert_eq!(MaskedOp::Relu.unit_circuit(24).wire_count(), 74);
+        assert_eq!(MaskedOp::Maxpool4.unit_circuit(24).wire_count(), 291);
+        assert_eq!(MaskedOp::MaxpoolRelu4.unit_circuit(24).wire_count(), 291);
+        assert_eq!(MaskedOp::Relu.ands_per_item(64) * crate::gc::AND_TABLE_BYTES, 4_032);
+        assert_eq!(MaskedOp::Maxpool4.ands_per_item(64) * crate::gc::AND_TABLE_BYTES, 20_256);
+        assert_eq!(MaskedOp::MaxpoolRelu4.ands_per_item(64) * crate::gc::AND_TABLE_BYTES, 22_272);
+        assert_eq!(MaskedOp::MaxpoolRelu4.ands_per_item(24) * crate::gc::AND_TABLE_BYTES, 8_192);
     }
 
     #[test]
@@ -1177,7 +1356,7 @@ mod tests {
         for (op, labels0, deltas, out_share, next) in kats {
             for halves in [Halves::Both, Halves::Server] {
                 let mut prg = Prg::from_u64(0xC2B1);
-                let (_, s) = pregarble_for(op, 9, &mut prg, 1024, halves);
+                let (_, s) = pregarble_for(op, 64, 9, &mut prg, 1024, halves);
                 let s = s.expect("a server half");
                 let at = format!("{op:?}, {halves:?}");
                 assert_eq!([s.labels0[0], s.labels0[s.labels0.len() - 1]], labels0, "{at}");
@@ -1200,7 +1379,7 @@ mod tests {
         let g: Vec<u64> =
             cmat.masks.iter().zip(x0.as_raw()).map(|(&m, &x)| x.wrapping_sub(m)).collect();
         let y0 = eval_pregarbled(&cmat, &smat.select_garbler_labels(&g).unwrap(), 8).unwrap();
-        let outs = MaskedOp::Relu.proj_words_per_item() - 1;
+        let outs = MaskedOp::Relu.proj_words_per_item(64) - 1;
         let distinct = |v: Vec<u64>| v.into_iter().collect::<std::collections::HashSet<_>>().len();
         assert!(distinct(cmat.proj_base.clone()) > 16, "U looks non-uniform");
         for j in [0, 1, outs / 2, outs - 1] {

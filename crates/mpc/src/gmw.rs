@@ -218,29 +218,56 @@ fn millionaire_planes<C: Channel + ?Sized>(
     Ok(lt.pop().expect("at least one plane"))
 }
 
-/// DReLU over additively shared ring values: returns an XOR-sharing of
-/// `[x ≥ 0]` for each element, where `x = my_share + peer_share`
-/// (mod 2^64) holds a two's-complement fixed-point value.
-///
-/// Uses `msb(x) = msb(x0) ⊕ msb(x1) ⊕ carry₆₃`, with the carry computed
-/// by one millionaires' comparison on the low 63 bits: over `n`
-/// elements, exactly `187·n` triples in 14 flights.
+/// [`drelu_batch_at`] over the whole 64-bit ring: `187·n` triples in 14
+/// flights.
 ///
 /// # Errors
 ///
-/// Returns transport and protocol errors or triple exhaustion.
+/// As [`drelu_batch_at`].
 pub fn drelu_batch<C: Channel + ?Sized>(
     ep: &C,
     is_party0: bool,
     my_share: &[u64],
     triples: &mut BitTriples,
 ) -> Result<BitVec> {
-    // carry = (x0_low + x1_low ≥ 2^63) = (v > u) for u = ¬x0_low mod 2^63
-    // and v = x1_low. The tree wants ¬u from party 0 — x0_low again — so
-    // either party's operand is the low 63 planes of its own share, and
-    // the same transpose hands over the msb plane for free.
-    let mut planes = bit_planes(my_share, 64);
-    let msb = planes.pop().expect("64 planes");
+    drelu_batch_at(ep, is_party0, my_share, 64, triples)
+}
+
+/// DReLU over additively shared ring values at width `bits`: returns an
+/// XOR-sharing of `[x ≥ 0]` for each element, where `x = my_share +
+/// peer_share` (mod 2^64) holds a two's-complement fixed-point value
+/// with `|x| < 2^(bits−1)` (or any value at 64 bits). Reducing mod
+/// `2^bits` is a ring map, so the low `bits` bits of the shares add up to
+/// those of `x`, and their top bit is its sign.
+///
+/// Uses `msb(x) = msb(x0) ⊕ msb(x1) ⊕ carry`, bit `bits − 1` of each
+/// share and the carry into it, computed by one millionaires' comparison
+/// on the `bits − 1` bits below: over `n` elements, exactly
+/// `n ·` [`drelu_bit_triples`](crate::relu::drelu_bit_triples)`(bits − 1)`
+/// triples in `2·(1 + ⌈log₂(bits − 1)⌉)` flights — 67 triples in 12
+/// flights at 24 bits, 91 in 12 at 32, 187 in 14 at 64.
+///
+/// # Errors
+///
+/// Returns [`MpcError::BadConfig`] unless `2 ≤ bits ≤ 64`, plus
+/// transport and protocol errors or triple exhaustion.
+pub fn drelu_batch_at<C: Channel + ?Sized>(
+    ep: &C,
+    is_party0: bool,
+    my_share: &[u64],
+    bits: usize,
+    triples: &mut BitTriples,
+) -> Result<BitVec> {
+    if !(2..=64).contains(&bits) {
+        return Err(MpcError::BadConfig(format!("drelu width {bits} not in 2..=64")));
+    }
+    // carry = (x0_low + x1_low ≥ 2^(bits−1)) = (v > u) for u = ¬x0_low
+    // mod 2^(bits−1) and v = x1_low. The tree wants ¬u from party 0 —
+    // x0_low again — so either party's operand is the low bits − 1 planes
+    // of its own share, and the same transpose hands over the msb plane
+    // for free.
+    let mut planes = bit_planes(my_share, bits);
+    let msb = planes.pop().expect("at least two planes");
     let carry = millionaire_planes(ep, is_party0, planes, triples)?;
     // msb share = own msb ⊕ carry share; drelu = ¬msb (party 0 flips).
     let sign = msb.xor(&carry);
@@ -379,18 +406,19 @@ mod oracle {
         ep: &C,
         is_party0: bool,
         my_share: &[u64],
+        bits: u32,
         triples: &mut BoolTriples,
     ) -> Result<Vec<bool>> {
-        const LOW_MASK: u64 = (1u64 << 63) - 1;
+        let low_mask: u64 = (1u64 << (bits - 1)) - 1;
         let inputs: Vec<u64> = my_share
             .iter()
-            .map(|&s| if is_party0 { !s & LOW_MASK } else { s & LOW_MASK })
+            .map(|&s| if is_party0 { !s & low_mask } else { s & low_mask })
             .collect();
-        let carry = millionaire_batch(ep, is_party0, &inputs, 63, triples)?;
+        let carry = millionaire_batch(ep, is_party0, &inputs, bits - 1, triples)?;
         Ok(my_share
             .iter()
             .zip(&carry)
-            .map(|(&s, &c)| ((s >> 63) & 1 == 1) ^ c ^ is_party0)
+            .map(|(&s, &c)| ((s >> (bits - 1)) & 1 == 1) ^ c ^ is_party0)
             .collect())
     }
 }
@@ -437,19 +465,20 @@ mod tests {
     fn drelu_both_ways(
         x0: &[u64],
         x1: &[u64],
+        bits: usize,
         seed: u64,
     ) -> (Vec<bool>, Vec<bool>, TrafficSnapshot) {
         let n = x0.len();
-        let (mut t0, mut t1) = Dealer::new(seed).bit_triples(n * drelu_bit_triples(63));
+        let (mut t0, mut t1) = Dealer::new(seed).bit_triples(n * drelu_bit_triples(bits - 1));
         let (mut o0, mut o1) = (oracle::BoolTriples::from(&t0), oracle::BoolTriples::from(&t1));
         let (w0, w1, traffic) = run_pair(
-            |ep| drelu_batch(ep, true, x0, &mut t0).unwrap(),
-            |ep| drelu_batch(ep, false, x1, &mut t1).unwrap(),
+            |ep| drelu_batch_at(ep, true, x0, bits, &mut t0).unwrap(),
+            |ep| drelu_batch_at(ep, false, x1, bits, &mut t1).unwrap(),
         );
-        assert!(t0.is_empty() && t1.is_empty(), "a pool of exactly 187·n ends empty");
+        assert!(t0.is_empty() && t1.is_empty(), "a pool of exactly n·drelu_bit_triples(w − 1)");
         let (b0, b1, oracle_traffic) = run_pair(
-            |ep| oracle::drelu_batch(ep, true, x0, &mut o0).unwrap(),
-            |ep| oracle::drelu_batch(ep, false, x1, &mut o1).unwrap(),
+            |ep| oracle::drelu_batch(ep, true, x0, bits as u32, &mut o0).unwrap(),
+            |ep| oracle::drelu_batch(ep, false, x1, bits as u32, &mut o1).unwrap(),
         );
         assert_eq!(traffic, oracle_traffic, "the word kernel moves the bool kernel's frames");
         let oracle: Vec<bool> = b0.iter().zip(&b1).map(|(&a, &b)| a ^ b).collect();
@@ -649,7 +678,7 @@ mod tests {
             vec![-5.0, -0.25, -0.0005, 0.0, 0.0005, 0.25, 5.0, 100.0, -100.0, 1.5];
         let secret: Vec<u64> = values.iter().map(|&x| fp.encode(x)).collect();
         let (s0, s1) = share_secret(&secret, &mut Prg::from_u64(77));
-        let (word, oracle, _) = drelu_both_ways(s0.as_raw(), s1.as_raw(), 41);
+        let (word, oracle, _) = drelu_both_ways(s0.as_raw(), s1.as_raw(), 64, 41);
         let want: Vec<bool> = values.iter().map(|&x| x >= 0.0).collect();
         assert_eq!(word, want);
         assert_eq!(oracle, want);
@@ -666,7 +695,7 @@ mod tests {
             for (i, &(e0, e1)) in edges.iter().take(n).enumerate() {
                 (x0[i], x1[i]) = (e0, e1);
             }
-            let (word, oracle, traffic) = drelu_both_ways(&x0, &x1, 100 + n as u64);
+            let (word, oracle, traffic) = drelu_both_ways(&x0, &x1, 64, 100 + n as u64);
             let want = plaintext_sign(&x0, &x1);
             assert_eq!(word, want, "word kernel at n = {n}");
             assert_eq!(oracle, want, "bool oracle at n = {n}");
@@ -677,6 +706,72 @@ mod tests {
             assert_eq!(traffic.bytes_client_to_server, per_direction, "n = {n}");
             assert_eq!(traffic.bytes_server_to_client, per_direction, "n = {n}");
             assert_eq!((traffic.flights, traffic.messages), (14, 14), "n = {n}");
+        }
+    }
+
+    /// The AND layers of a DReLU at `bits`, in positions per element:
+    /// the `bits − 1` leaves, then two ANDs per pair at every tree level.
+    fn and_layers(bits: usize) -> Vec<usize> {
+        let mut layers = vec![bits - 1];
+        let mut width = bits - 1;
+        while width > 1 {
+            layers.push(2 * (width / 2));
+            width = width / 2 + width % 2;
+        }
+        layers
+    }
+
+    #[test]
+    fn drelu_at_every_width_reads_the_sign_of_values_in_its_domain() {
+        // Secrets at the edges of `[−2^(w−1), 2^(w−1))` and uniform
+        // inside it, on shares uniform in the 64-bit ring; then share
+        // pairs whose low w − 1 bits sum to exactly 2^(w−1) − 1 (no
+        // carry into the sign) and 2^(w−1) (a carry). The word kernel,
+        // the bool oracle and the plaintext sign agree, on the formula's
+        // triples and frames.
+        for bits in [8usize, 24, 32, 64] {
+            let half = 1i128 << (bits - 1);
+            let mut prg = Prg::from_u64(bits as u64);
+            let mut secrets: Vec<u64> =
+                [-half, -half + 1, -1, 0, 1, half - 1].map(|v| v as i64 as u64).to_vec();
+            secrets.extend((0..100).map(|_| {
+                (-half + (u128::from(prg.next_u64()) % (2 * half as u128)) as i128) as i64 as u64
+            }));
+            let x0: Vec<u64> = prg.next_u64s(secrets.len());
+            let mut x1: Vec<u64> =
+                secrets.iter().zip(&x0).map(|(s, a)| s.wrapping_sub(*a)).collect();
+            let mut x0 = x0;
+            let low = (half - 1) as u64;
+            for (l0, sum) in [(0, low), (low, low), (low / 3, low + 1), (low, low + 1)] {
+                // Any high bits above the width: the kernel ignores them.
+                let hi = prg.next_u64() & !low;
+                x0.push(l0 | hi);
+                x1.push(sum - l0);
+            }
+            let (word, oracle, traffic) = drelu_both_ways(&x0, &x1, bits, 500 + bits as u64);
+            let want: Vec<bool> = x0
+                .iter()
+                .zip(&x1)
+                .map(|(&a, &b)| (a.wrapping_add(b) << (64 - bits)) as i64 >= 0)
+                .collect();
+            assert_eq!(
+                &want[..secrets.len()],
+                secrets.iter().map(|&s| s as i64 >= 0).collect::<Vec<_>>()
+            );
+            assert_eq!(word, want, "word kernel at {bits} bits");
+            assert_eq!(oracle, want, "bool oracle at {bits} bits");
+            let n = x0.len();
+            let per_direction: u64 =
+                and_layers(bits).iter().map(|k| (2 * k * n).div_ceil(8) as u64).sum();
+            assert_eq!(traffic.bytes_client_to_server, per_direction, "{bits} bits");
+            assert_eq!(traffic.flights, 2 * and_layers(bits).len() as u64, "{bits} bits");
+        }
+        assert_eq!([24, 32, 64].map(|b| 2 * and_layers(b).len()), [12, 12, 14]);
+        assert_eq!([24, 32, 64].map(|b| drelu_bit_triples(b - 1)), [67, 91, 187]);
+        let (client, _server, _) = channel_pair();
+        for bits in [0, 1, 65] {
+            let r = drelu_batch_at(&client, true, &[1], bits, &mut foreign_pools(8, 1).0);
+            assert!(matches!(r, Err(MpcError::BadConfig(_))), "{bits} bits: {r:?}");
         }
     }
 
@@ -716,7 +811,7 @@ mod tests {
                 let i = (edge_at + k) % n;
                 (x0[i], x1[i]) = (e0, e1);
             }
-            let (word, oracle, _) = drelu_both_ways(&x0, &x1, seed ^ 0x5EED);
+            let (word, oracle, _) = drelu_both_ways(&x0, &x1, 64, seed ^ 0x5EED);
             let want = plaintext_sign(&x0, &x1);
             prop_assert_eq!(&word, &want);
             prop_assert_eq!(&oracle, &want);

@@ -12,13 +12,15 @@
 
 use crate::beaver::{b2a, mul_elementwise};
 use crate::dealer::TripleShare;
-use crate::gmw::{drelu_batch, BitTriples};
+use crate::gmw::{drelu_batch_at, BitTriples};
 use crate::share::ShareVec;
 use crate::{MpcError, Result};
 use c2pi_transport::Channel;
 
-/// Exact number of bit triples [`relu_interactive`] consumes per element
-/// (the millionaires' tree over `bits`-wide leaves).
+/// Exact number of bit triples the millionaires' tree over `bits`-wide
+/// leaves consumes per element; a DReLU at width `w` compares `w − 1`
+/// bits, so [`relu_interactive`] at `w` consumes `drelu_bit_triples(w −
+/// 1)`: 67 at 24 bits, 91 at 32 and 187 at 64.
 pub fn drelu_bit_triples(bits: usize) -> usize {
     let mut total = bits; // leaf ANDs
     let mut width = bits;
@@ -30,38 +32,47 @@ pub fn drelu_bit_triples(bits: usize) -> usize {
     total
 }
 
-/// Comparison-based ReLU over additively shared values: returns fresh
-/// additive shares of `relu(x)` per element.
+/// Comparison-based ReLU over additively shared values with
+/// `|x| < 2^(bits−1)`: returns fresh additive shares of `relu(x)` per
+/// element. Only the sign is computed at `bits` ([`drelu_batch_at`]);
+/// the conversion and the multiplication run in the 64-bit ring.
 ///
-/// Consumes [`drelu_bit_triples`]`(63)` bit triples and two arithmetic
-/// triples per element (`t_b2a` and `t_mul` must each hold `n` triples).
+/// Consumes [`drelu_bit_triples`]`(bits − 1)` bit triples and two
+/// arithmetic triples per element (`t_b2a` and `t_mul` must each hold
+/// `n` triples).
 ///
 /// # Errors
 ///
-/// Returns transport errors or triple exhaustion.
+/// Returns transport errors, triple exhaustion, or a config error for a
+/// width outside `2..=64`.
 pub fn relu_interactive<C: Channel + ?Sized>(
     ep: &C,
     is_party0: bool,
     x_share: &ShareVec,
+    bits: usize,
     bit_triples: &mut BitTriples,
     t_b2a: &TripleShare,
     t_mul: &TripleShare,
 ) -> Result<ShareVec> {
-    let sign = drelu_batch(ep, is_party0, x_share.as_raw(), bit_triples)?;
+    let sign = drelu_batch_at(ep, is_party0, x_share.as_raw(), bits, bit_triples)?;
     let b_arith = b2a(ep, is_party0, &sign, t_b2a)?;
     mul_elementwise(ep, is_party0, x_share, &b_arith, t_mul)
 }
 
-/// Secure pairwise maximum: `max(a, b) = b + drelu(a−b)·(a−b)`.
+/// Secure pairwise maximum: `max(a, b) = b + drelu(a−b)·(a−b)`, exact
+/// when `|a − b| < 2^(bits−1)`: the comparison runs on the difference at
+/// `bits`.
 ///
 /// # Errors
 ///
 /// Returns transport errors or triple exhaustion.
+#[allow(clippy::too_many_arguments)]
 pub fn max_interactive<C: Channel + ?Sized>(
     ep: &C,
     is_party0: bool,
     a: &ShareVec,
     b: &ShareVec,
+    bits: usize,
     bit_triples: &mut BitTriples,
     t_b2a: &TripleShare,
     t_mul: &TripleShare,
@@ -70,7 +81,7 @@ pub fn max_interactive<C: Channel + ?Sized>(
         return Err(MpcError::BadConfig("max_interactive length mismatch".into()));
     }
     let diff = a.sub(b);
-    let relu_diff = relu_interactive(ep, is_party0, &diff, bit_triples, t_b2a, t_mul)?;
+    let relu_diff = relu_interactive(ep, is_party0, &diff, bits, bit_triples, t_b2a, t_mul)?;
     Ok(b.add(&relu_diff))
 }
 
@@ -105,9 +116,9 @@ mod tests {
         let (tb0, tb1) = dealer.beaver_triples(n);
         let (client, server, _) = channel_pair();
         let t = std::thread::spawn(move || {
-            relu_interactive(&server, false, &s1, &mut bt1, &ta1, &tb1).unwrap()
+            relu_interactive(&server, false, &s1, 64, &mut bt1, &ta1, &tb1).unwrap()
         });
-        let y0 = relu_interactive(&client, true, &s0, &mut bt0, &ta0, &tb0).unwrap();
+        let y0 = relu_interactive(&client, true, &s0, 64, &mut bt0, &ta0, &tb0).unwrap();
         let y1 = t.join().unwrap();
         let y = reconstruct(&y0, &y1);
         for (i, &v) in values.iter().enumerate() {
@@ -141,9 +152,9 @@ mod tests {
         let (tb0, tb1) = dealer.beaver_triples(n);
         let (client, server, int_counter) = channel_pair();
         let t = std::thread::spawn(move || {
-            relu_interactive(&server, false, &s1, &mut bt1, &ta1, &tb1).unwrap()
+            relu_interactive(&server, false, &s1, 64, &mut bt1, &ta1, &tb1).unwrap()
         });
-        relu_interactive(&client, true, &s0, &mut bt0, &ta0, &tb0).unwrap();
+        relu_interactive(&client, true, &s0, 64, &mut bt0, &ta0, &tb0).unwrap();
         t.join().unwrap();
         let int_bytes = int_counter.snapshot().bytes_total();
         assert!(
@@ -167,13 +178,53 @@ mod tests {
         let (tb0, tb1) = dealer.beaver_triples(n);
         let (client, server, _) = channel_pair();
         let t = std::thread::spawn(move || {
-            max_interactive(&server, false, &a1, &b1, &mut bt1, &ta1, &tb1).unwrap()
+            max_interactive(&server, false, &a1, &b1, 64, &mut bt1, &ta1, &tb1).unwrap()
         });
-        let y0 = max_interactive(&client, true, &a0, &b0, &mut bt0, &ta0, &tb0).unwrap();
+        let y0 = max_interactive(&client, true, &a0, &b0, 64, &mut bt0, &ta0, &tb0).unwrap();
         let y1 = t.join().unwrap();
         let y = reconstruct(&y0, &y1);
         for i in 0..n {
             assert_eq!(y[i], fp.encode(a_vals[i].max(b_vals[i])), "max element {i}");
+        }
+    }
+
+    #[test]
+    fn secure_max_at_every_width_is_exact_at_the_edge_of_its_domain() {
+        // Operands in `[−2^(w−2), 2^(w−2))` on uniform 64-bit shares:
+        // their difference reaches ±(2^(w−1) − 1), the largest the
+        // comparison at `w` reads exactly. Fewer triples at fewer bits.
+        for bits in [8usize, 24, 32, 64] {
+            let q = 1i128 << (bits - 2);
+            let mut prg = Prg::from_u64(bits as u64);
+            let mut draw = || (-q + (u128::from(prg.next_u64()) % (2 * q as u128)) as i128) as i64;
+            let mut a_vals = vec![-q as i64, (q - 1) as i64, 0, -1];
+            let mut b_vals = vec![(q - 1) as i64, -q as i64, -1, 0];
+            for _ in 0..12 {
+                a_vals.push(draw());
+                b_vals.push(draw());
+            }
+            let n = a_vals.len();
+            let ring = |v: &[i64]| v.iter().map(|&x| x as u64).collect::<Vec<_>>();
+            let mut prg = Prg::from_u64(7 + bits as u64);
+            let (a0, a1) = share_secret(&ring(&a_vals), &mut prg);
+            let (b0, b1) = share_secret(&ring(&b_vals), &mut prg);
+            let (mut bt0, mut bt1) = Dealer::new(9).bit_triples(n * drelu_bit_triples(bits - 1));
+            let mut dealer = Dealer::new(10);
+            let (ta0, ta1) = dealer.beaver_triples(n);
+            let (tb0, tb1) = dealer.beaver_triples(n);
+            let (client, server, _) = channel_pair();
+            let t = std::thread::spawn(move || {
+                max_interactive(&server, false, &a1, &b1, bits, &mut bt1, &ta1, &tb1).unwrap()
+            });
+            let y0 = max_interactive(&client, true, &a0, &b0, bits, &mut bt0, &ta0, &tb0).unwrap();
+            let y1 = t.join().unwrap();
+            let want: Vec<u64> =
+                a_vals.iter().zip(&b_vals).map(|(&a, &b)| a.max(b) as u64).collect();
+            assert_eq!(reconstruct(&y0, &y1), want, "{bits} bits");
+            assert!(
+                bt0.is_empty(),
+                "{bits} bits: the pool of n·drelu_bit_triples(w − 1) ends empty"
+            );
         }
     }
 
@@ -189,9 +240,9 @@ mod tests {
         let (tb0, tb1) = dealer.beaver_triples(n);
         let (client, server, counter) = channel_pair();
         let t = std::thread::spawn(move || {
-            relu_interactive(&server, false, &s1, &mut bt1, &ta1, &tb1).unwrap()
+            relu_interactive(&server, false, &s1, 64, &mut bt1, &ta1, &tb1).unwrap()
         });
-        let y0 = relu_interactive(&client, true, &s0, &mut bt0, &ta0, &tb0).unwrap();
+        let y0 = relu_interactive(&client, true, &s0, 64, &mut bt0, &ta0, &tb0).unwrap();
         let y1 = t.join().unwrap();
         let y = reconstruct(&y0, &y1);
         for (i, &v) in values.iter().enumerate() {
@@ -205,8 +256,11 @@ mod tests {
 
     #[test]
     fn drelu_triple_budget_formula() {
-        // 63-bit comparison: 63 leaves + tree merges.
+        // 63-bit comparison: 63 leaves + tree merges; 23 and 31 bits, the
+        // DReLUs at 24 and 32, one level fewer.
         assert_eq!(drelu_bit_triples(63), 63 + 62 + 32 + 16 + 8 + 4 + 2);
+        assert_eq!(drelu_bit_triples(23), 23 + 22 + 12 + 6 + 2 + 2);
+        assert_eq!(drelu_bit_triples(31), 31 + 30 + 16 + 8 + 4 + 2);
         assert_eq!(drelu_bit_triples(1), 1);
         assert_eq!(drelu_bit_triples(2), 2 + 2);
     }

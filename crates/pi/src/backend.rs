@@ -52,7 +52,6 @@ use crate::Result;
 use c2pi_mpc::dealer::{
     beaver_bytes, bit_triple_bytes, linear_corr_bytes, Dealer, DealtSeed, Halves,
 };
-use c2pi_mpc::gc::UNIT_BITS;
 use c2pi_mpc::gcpre::{pregarble_for, MaskedOp};
 use c2pi_mpc::share::ShareVec;
 use c2pi_transport::Channel;
@@ -111,10 +110,11 @@ impl PiBackend {
 
 /// Prices one inference of `plan` under `backend` — the one function
 /// that builds a deployment's [`OpCounts`]: the plan's base counts, each
-/// non-linear unit's backend terms (AND gates, projection words and
-/// extended OTs, or bit triples), the dealt frame's [`DealtSeed`] bytes,
-/// and the bytes every correlation a deal draws occupies expanded, both
-/// halves — what the seed stands for, not what a party holds.
+/// non-linear unit's backend terms at the unit's width (AND gates,
+/// projection words and extended OTs, or bit triples), the dealt frame's
+/// [`DealtSeed`] bytes, and the bytes every correlation a deal draws
+/// occupies expanded, both halves — what the seed stands for, not what a
+/// party holds.
 pub(crate) fn price(plan: &Plan, backend: PiBackend) -> OpCounts {
     let mut counts = OpCounts { seed_bytes: DealtSeed::WIRE_BYTES, ..plan.base_counts.clone() };
     for step in &plan.steps {
@@ -122,22 +122,22 @@ pub(crate) fn price(plan: &Plan, backend: PiBackend) -> OpCounts {
             (Step::Conv { lin, .. } | Step::Fc { lin }, _) => {
                 linear_corr_bytes(lin.w.rows(), lin.w.cols(), lin.cols)
             }
-            (&Step::Unit { op, items, .. }, PiBackend::Delphi) => {
-                counts.and_gates += (items * op.ands_per_item()) as u64;
-                counts.xor_gates += (items * op.xors_per_item()) as u64;
-                counts.proj_words += (items * op.proj_words_per_item()) as u64;
+            (&Step::Unit { op, items, bits, .. }, PiBackend::Delphi) => {
+                counts.and_gates += (items * op.ands_per_item(bits)) as u64;
+                counts.xor_gates += (items * op.xors_per_item(bits)) as u64;
+                counts.proj_words += (items * op.proj_words_per_item(bits)) as u64;
                 // A real deployment transfers the evaluator's
                 // masked-input labels by OT extension (one transfer per
                 // input bit): a modelled price, the labels themselves
                 // are dealt.
-                counts.ext_ots += (items * op.in_elems() * UNIT_BITS) as u64;
-                op.expanded_bytes(items)
+                counts.ext_ots += (items * op.in_elems() * bits) as u64;
+                op.expanded_bytes(items, bits)
             }
-            (&Step::Unit { op, items, .. }, PiBackend::Cheetah) => {
+            (&Step::Unit { op, items, bits, .. }, PiBackend::Cheetah) => {
                 // Per stage: the bit triples and two Beaver triple sets.
-                let (stages, bits) = cheetah::stages(op, items);
-                counts.bit_triples += (stages * bits) as u64;
-                stages as u64 * (bit_triple_bytes(bits) + 2 * beaver_bytes(items))
+                let (stages, triples) = cheetah::stages(op, items, bits);
+                counts.bit_triples += (stages * triples) as u64;
+                stages as u64 * (bit_triple_bytes(triples) + 2 * beaver_bytes(items))
             }
             (Step::AvgPool { .. } | Step::Flatten, _) => 0,
         };
@@ -145,13 +145,12 @@ pub(crate) fn price(plan: &Plan, backend: PiBackend) -> OpCounts {
     counts
 }
 
-/// Deals the offline material of one non-linear layer — `op` over
-/// `items` elements (ReLU) or windows (max pool, fused or not) — under
-/// `cfg.backend`, keeping `halves`.
+/// Deals the offline material of one non-linear layer — `op` at width
+/// `bits` over `items` elements (ReLU) or windows (max pool, fused or
+/// not) — under `cfg.backend`, keeping `halves`.
 pub(crate) fn deal_nl(
     dealer: &mut Dealer,
-    op: MaskedOp,
-    items: usize,
+    (op, items, bits): (MaskedOp, usize, usize),
     cfg: &PiConfig,
     halves: Halves,
 ) -> (Option<ClientMat>, Option<ServerMat>) {
@@ -159,19 +158,20 @@ pub(crate) fn deal_nl(
         PiBackend::Delphi => {
             // A server-sided garbling garbles nothing (`pregarble_for`).
             let mut prg = dealer.fork_prg();
-            let (c, s) = pregarble_for(op, items, &mut prg, cfg.gc_chunk.max(1), halves);
+            let band = cfg.gc_chunk.max(1);
+            let (c, s) = pregarble_for(op, bits, items, &mut prg, band, halves);
             (c.map(ClientMat::Gc), s.map(ServerMat::Gc))
         }
         PiBackend::Cheetah => {
-            let (c, s) = cheetah::layer_for(dealer, op, items, halves);
+            let (c, s) = cheetah::layer_for(dealer, op, items, bits, halves);
             (c.map(ClientMat::Cmp), s.map(ServerMat::Cmp))
         }
     }
 }
 
-/// Client party of one online non-linear layer on its share of the
-/// layer's inputs (for a max pool, the gathered window-major quads);
-/// returns the client's share of the output.
+/// Client party of one online non-linear layer, `op` at width `bits`, on
+/// its share of the layer's inputs (for a max pool, the gathered
+/// window-major quads); returns the client's share of the output.
 ///
 /// # Errors
 ///
@@ -179,20 +179,23 @@ pub(crate) fn deal_nl(
 /// `mat` is not `cfg.backend`'s client half of an `op` layer.
 pub(crate) fn nl_client(
     ep: &dyn Channel,
-    op: MaskedOp,
+    (op, bits): (MaskedOp, usize),
     share: &ShareVec,
     mat: ClientMat,
     cfg: &PiConfig,
 ) -> Result<ShareVec> {
     match (cfg.backend, mat) {
         (PiBackend::Delphi, ClientMat::Gc(m)) => delphi::nl_client(ep, share, &m, cfg),
-        (PiBackend::Cheetah, ClientMat::Cmp(stages)) => cheetah::party(ep, true, op, share, stages),
+        (PiBackend::Cheetah, ClientMat::Cmp(stages)) => {
+            cheetah::party(ep, true, (op, bits), share, stages)
+        }
         _ => Err(mismatch("client")),
     }
 }
 
-/// Server party of one online non-linear layer over `k ≥ 1` members,
-/// one channel, input share and material per member.
+/// Server party of one online non-linear layer, `op` at width `bits`,
+/// over `k ≥ 1` members, one channel, input share and material per
+/// member.
 ///
 /// # Errors
 ///
@@ -201,7 +204,7 @@ pub(crate) fn nl_client(
 /// half of an `op` layer.
 pub(crate) fn nl_server(
     eps: &[&dyn Channel],
-    op: MaskedOp,
+    (op, bits): (MaskedOp, usize),
     shares: &[ShareVec],
     mats: Vec<ServerMat>,
     cfg: &PiConfig,
@@ -216,7 +219,7 @@ pub(crate) fn nl_server(
             eps.iter()
                 .zip(shares)
                 .zip(mats)
-                .map(|((ep, share), stages)| cheetah::party(*ep, false, op, share, stages))
+                .map(|((ep, share), stages)| cheetah::party(*ep, false, (op, bits), share, stages))
                 .collect()
         }
     }

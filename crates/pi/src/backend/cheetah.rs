@@ -4,8 +4,9 @@
 //! circuits; lean lattice offline modelled by
 //! [`crate::cost::OfflineCostModel::cheetah`]. The bit triples are
 //! word-packed from the dealer's draw to the wire (`c2pi_mpc::bitvec`),
-//! 187 per compared element, and the comparison runs bit-sliced on them
-//! (DESIGN.md §12).
+//! `drelu_bit_triples(w − 1)` per compared element at the step's width
+//! `w` (67 at 24 bits, 187 at 64), and the comparison runs bit-sliced on
+//! them (DESIGN.md §12).
 
 use crate::pool::mismatch;
 use crate::Result;
@@ -24,18 +25,21 @@ use c2pi_transport::Channel;
 /// parties hold the same shape.
 pub(crate) type Stage = (BitTriples, TripleShare, TripleShare);
 
-/// The comparison stages of an `op` layer over `n` elements: how many,
-/// and the DReLU bit triples each consumes.
-pub(super) fn stages(op: MaskedOp, n: usize) -> (usize, usize) {
+/// The comparison stages of an `op` layer at width `bits` over `n`
+/// elements: how many, and the DReLU bit triples each consumes. Every
+/// stage compares at the step's width: a max stage's difference and the
+/// fused unit's ReLU of the max both fit it.
+pub(super) fn stages(op: MaskedOp, n: usize, bits: usize) -> (usize, usize) {
     let count = match op {
         MaskedOp::Relu => 1,
         MaskedOp::Maxpool4 => 3,
         MaskedOp::MaxpoolRelu4 => 4,
     };
-    (count, n * drelu_bit_triples(63))
+    (count, n * drelu_bit_triples(bits - 1))
 }
 
-/// Deals one `op` layer's comparison stages over `n` elements each,
+/// Deals one `op` layer's comparison stages at `bits` over `n` elements
+/// each,
 /// keeping `halves`. Unlike a garbling, the server's half of every
 /// correlation here depends on every draw, so a sided deal saves only
 /// the client its `c₁` words and the unwanted Beaver halves are simply
@@ -44,13 +48,14 @@ pub(super) fn layer_for(
     dealer: &mut Dealer,
     op: MaskedOp,
     n: usize,
+    bits: usize,
     halves: Halves,
 ) -> (Option<Vec<Stage>>, Option<Vec<Stage>>) {
-    let (count, bits) = stages(op, n);
+    let (count, triples) = stages(op, n, bits);
     let mut client = halves.client().then(|| Vec::with_capacity(count));
     let mut server = halves.server().then(|| Vec::with_capacity(count));
     for _ in 0..count {
-        let (b0, b1) = dealer.bit_triples_for(bits, halves);
+        let (b0, b1) = dealer.bit_triples_for(triples, halves);
         let (ta0, ta1) = dealer.beaver_triples(n);
         let (tb0, tb1) = dealer.beaver_triples(n);
         if let (Some(stages), Some(b0)) = (client.as_mut(), b0) {
@@ -73,21 +78,21 @@ pub(super) fn layer_for(
 pub(super) fn party(
     ep: &dyn Channel,
     is_client: bool,
-    op: MaskedOp,
+    (op, bits): (MaskedOp, usize),
     share: &ShareVec,
     mut stages: Vec<Stage>,
 ) -> Result<ShareVec> {
     let who = if is_client { "client" } else { "server" };
     match (op, &mut stages[..]) {
-        (MaskedOp::Relu, [(bits, ta, tb)]) => {
-            Ok(relu_interactive(ep, is_client, share, bits, ta, tb)?)
+        (MaskedOp::Relu, [(bt, ta, tb)]) => {
+            Ok(relu_interactive(ep, is_client, share, bits, bt, ta, tb)?)
         }
         (MaskedOp::Maxpool4, [max1, max2, max3]) => {
-            tournament(ep, is_client, share, [max1, max2, max3])
+            tournament(ep, is_client, share, bits, [max1, max2, max3])
         }
-        (MaskedOp::MaxpoolRelu4, [max1, max2, max3, (bits, ta, tb)]) => {
-            let max = tournament(ep, is_client, share, [max1, max2, max3])?;
-            Ok(relu_interactive(ep, is_client, &max, bits, ta, tb)?)
+        (MaskedOp::MaxpoolRelu4, [max1, max2, max3, (bt, ta, tb)]) => {
+            let max = tournament(ep, is_client, share, bits, [max1, max2, max3])?;
+            Ok(relu_interactive(ep, is_client, &max, bits, bt, ta, tb)?)
         }
         _ => Err(mismatch(who)),
     }
@@ -99,12 +104,13 @@ fn tournament(
     ep: &dyn Channel,
     is_client: bool,
     quads: &ShareVec,
+    bits: usize,
     [(bt1, ta1, tb1), (bt2, ta2, tb2), (bt3, ta3, tb3)]: [&mut Stage; 3],
 ) -> Result<ShareVec> {
     let [a, b, c, d] = split_quads(quads);
-    let m1 = max_interactive(ep, is_client, &a, &b, bt1, ta1, tb1)?;
-    let m2 = max_interactive(ep, is_client, &c, &d, bt2, ta2, tb2)?;
-    Ok(max_interactive(ep, is_client, &m1, &m2, bt3, ta3, tb3)?)
+    let m1 = max_interactive(ep, is_client, &a, &b, bits, bt1, ta1, tb1)?;
+    let m2 = max_interactive(ep, is_client, &c, &d, bits, bt2, ta2, tb2)?;
+    Ok(max_interactive(ep, is_client, &m1, &m2, bits, bt3, ta3, tb3)?)
 }
 
 /// Splits the per-window gathered quads (window-major `a b c d` groups)

@@ -4,8 +4,8 @@
 //! its masked circuits and fixes every input-independent label during
 //! preprocessing, so the online phase is one `δ`/label round trip per
 //! layer plus local evaluation. A max pool and the ReLU after it are one
-//! layer here: one fused unit per window (`MaskedOp::MaxpoolRelu4`, 696
-//! ANDs), so the pooled ReLU costs no round trip and no labels of its
+//! layer here: one fused unit per window (`MaskedOp::MaxpoolRelu4`,
+//! `11w − 8` ANDs at the step's width `w`), so the pooled ReLU costs no round trip and no labels of its
 //! own. A server-sided deal keeps Δ, the zero labels and `r` and
 //! garbles nothing. Heavyweight HE offline (plus the garbled tables and
 //! the OT-extension label transfers a real deployment would run — the

@@ -22,9 +22,12 @@
 //! use c2pi_pi::report::OpCounts;
 //! use c2pi_pi::PiBackend;
 //!
-//! let counts = OpCounts { macs: 1_000_000, relu_elems: 4096, ..Default::default() };
-//! let delphi = OnlineCostModel::for_backend(PiBackend::Delphi).online_seconds(&counts);
-//! let cheetah = OnlineCostModel::for_backend(PiBackend::Cheetah).online_seconds(&counts);
+//! // 4096 ReLUs at 64 bits: 126 garbled ANDs each under Delphi, 187
+//! // bit triples each under Cheetah.
+//! let delphi = OpCounts { macs: 1_000_000, and_gates: 4096 * 126, ..Default::default() };
+//! let cheetah = OpCounts { macs: 1_000_000, bit_triples: 4096 * 187, ..Default::default() };
+//! let delphi = OnlineCostModel::for_backend(PiBackend::Delphi).online_seconds(&delphi);
+//! let cheetah = OnlineCostModel::for_backend(PiBackend::Cheetah).online_seconds(&cheetah);
 //! assert!(delphi > cheetah); // GC ReLU dominates Delphi's online phase
 //! ```
 
@@ -44,11 +47,12 @@ pub struct OnlineCostModel {
     /// Seconds per multiply-accumulate of the masked-linear protocol
     /// (local ring arithmetic; identical for both backends).
     pub sec_per_mac: f64,
-    /// Seconds per ReLU element (GC evaluation for Delphi,
-    /// comparison-based DReLU for Cheetah).
-    pub sec_per_relu_elem: f64,
-    /// Seconds per 2×2 max-pool window (four-way secure maximum).
-    pub sec_per_pool_window: f64,
+    /// Seconds per non-linear gate: a garbled AND gate evaluated
+    /// (Delphi's `and_gates`) or a bit triple consumed (Cheetah's
+    /// `bit_triples`). Both counts are taken at each unit's compiled
+    /// width, so a unit's price falls with its width as its run time
+    /// does; a report carries one or the other, never both.
+    pub sec_per_gate: f64,
     /// Fixed per-inference overhead: input sharing, channel setup and
     /// the final share handling.
     pub base_seconds: f64,
@@ -56,46 +60,29 @@ pub struct OnlineCostModel {
 
 impl OnlineCostModel {
     /// Default Delphi-like coefficients. The online phase only
-    /// *evaluates* pre-garbled circuits, so a non-linear item costs its
-    /// AND count times the evaluation kernel's per-AND time. That time
-    /// is read off `c2pi_benchmark`'s traced `solo_delphi_split` run as
-    /// `mpc.gcpre.eval_ms ÷ mpc.gcpre.and_gates_per_inf`: 8.7–12.1 ms
-    /// over 553 952 ANDs, 16–22 ns, on the fixed-key AES gate hash
-    /// evaluated eight items in lock step (two cores at 2.1 GHz, both
-    /// circuits mixed). At 18 ns per AND a ReLU (then 192 ANDs) is 3.5 µs
-    /// and a 2×2 max window (then 701 ANDs) 12.6 µs — about two orders of
+    /// *evaluates* pre-garbled circuits, so a unit costs its AND count
+    /// times the evaluation kernel's per-AND time, which also carries
+    /// the unit's `δ` and label round (both grow with the width, as the
+    /// ANDs do). That time is read off `c2pi_benchmark`'s traced
+    /// `solo_delphi_split` runs as `mpc.gcpre.eval_ms ÷
+    /// mpc.gcpre.and_gates_per_inf`: 16–22 ns on the fixed-key AES gate
+    /// hash evaluated eight items in lock step (two cores at 2.1 GHz).
+    /// At 18 ns a 64-bit ReLU (126 ANDs) is 2.3 µs and a fused 64-bit
+    /// max-then-ReLU window (696 ANDs) 12.5 µs — about two orders of
     /// magnitude above Cheetah's comparison-based path, as published.
-    /// The arithmetic output projection since cut the items to 126 / 633
-    /// ANDs plus one hash per output wire; three runs on 2026-10-17 read
-    /// `eval_ms` 6.6–7.9 ms over a 424 416-AND set. The per-item prices
-    /// were kept: they also carry the layer's label round, and against
-    /// the measured online time they read a
-    /// `pi.calibrate.default_residual` of 0.82–1.0 (0.77–0.91 on the
-    /// parent in the same sitting). A split set, ReLU running after each
-    /// max pool (DESIGN.md §13), is 544 ReLU items and 352 windows; the
-    /// 352 pooled ReLUs are fused into their windows, 192 ReLU units of
-    /// 126 ANDs and 352 fused units of 696, 269 184 ANDs. These prices
-    /// still charge a fused window as a window plus a ReLU item (its
-    /// `OpCounts` count both), though the ReLU no longer has a label
-    /// round of its own.
+    /// The demo split at its compiled widths (98 944 ANDs, 51 840 MACs)
+    /// prices at 3.0 ms against 2.9 ms measured in a traced run.
     pub fn delphi() -> Self {
-        OnlineCostModel {
-            sec_per_mac: 4.0e-9,
-            sec_per_relu_elem: 3.5e-6,
-            sec_per_pool_window: 1.26e-5,
-            base_seconds: 1.0e-3,
-        }
+        OnlineCostModel { sec_per_mac: 4.0e-9, sec_per_gate: 1.8e-8, base_seconds: 1.0e-3 }
     }
 
     /// Default Cheetah-like coefficients: comparison-based
-    /// non-linearities, roughly two orders of magnitude leaner online.
+    /// non-linearities, roughly two orders of magnitude leaner online
+    /// per item. 40 ns per 64-bit ReLU over its 187 bit triples; the
+    /// millionaires' tree's flights, which dominate its measured online
+    /// time, are the network model's to price.
     pub fn cheetah() -> Self {
-        OnlineCostModel {
-            sec_per_mac: 4.0e-9,
-            sec_per_relu_elem: 4.0e-8,
-            sec_per_pool_window: 1.6e-7,
-            base_seconds: 1.0e-3,
-        }
+        OnlineCostModel { sec_per_mac: 4.0e-9, sec_per_gate: 2.14e-10, base_seconds: 1.0e-3 }
     }
 
     /// The default (deterministic) coefficients for a backend tag.
@@ -110,18 +97,17 @@ impl OnlineCostModel {
     pub fn online_seconds(&self, counts: &OpCounts) -> f64 {
         self.base_seconds
             + counts.macs as f64 * self.sec_per_mac
-            + counts.relu_elems as f64 * self.sec_per_relu_elem
-            + counts.pool_windows as f64 * self.sec_per_pool_window
+            + (counts.and_gates + counts.bit_triples) as f64 * self.sec_per_gate
     }
 }
 
 /// Measures per-layer micro-timings of the real protocol and fits an
 /// [`OnlineCostModel`] for this machine.
 ///
-/// The fit runs four tiny prefixes through a [`PiSession`] on the
+/// The fit runs three tiny prefixes through a [`PiSession`] on the
 /// in-memory transport — a convolution at two widths, then the narrow
-/// one followed by a ReLU or by a max pool — and attributes the timing
-/// *differences* to the added operation, so shared overhead cancels.
+/// one followed by a ReLU and a max pool — and attributes the timing
+/// *differences* to the added operations, so shared overhead cancels.
 /// Preprocessing runs ahead of the timed loop; only online seconds are
 /// measured.
 #[derive(Debug, Clone, Copy)]
@@ -170,74 +156,96 @@ impl Calibrator {
         // cancels instead of being folded into the first coefficient —
         // a small conv is dominated by that overhead, and `t/macs`
         // would overprice real prefixes by orders of magnitude.
-        let [lin_small, lin_big, relu, pool] = probes();
+        let [lin_small, lin_big, nonlinear] = probes();
         let (t_small, c_small) = self.time_prefix(&lin_small, backend)?;
         let (t_big, c_big) = self.time_prefix(&lin_big, backend)?;
-        let (t_relu, c_relu) = self.time_prefix(&relu, backend)?;
-        let (t_pool, c_pool) = self.time_prefix(&pool, backend)?;
+        let (t_nl, c_nl) = self.time_prefix(&nonlinear, backend)?;
 
         // Clamp at tiny positive floors so scheduler jitter cannot
         // produce zero or negative coefficients.
         let extra_macs = (c_big.macs.saturating_sub(c_small.macs)).max(1) as f64;
         let sec_per_mac = ((t_big - t_small) / extra_macs).max(1e-12);
-        let relu_elems = c_relu.relu_elems.max(1) as f64;
-        let sec_per_relu_elem = ((t_relu - t_small) / relu_elems).max(1e-12);
-        let windows = c_pool.pool_windows.max(1) as f64;
-        let sec_per_pool_window = ((t_pool - t_small) / windows).max(1e-12);
+        let gates = (c_nl.and_gates + c_nl.bit_triples).max(1) as f64;
+        let sec_per_gate = ((t_nl - t_small) / gates).max(1e-12);
         // The residual of the small prefix is the fixed overhead.
         let base_seconds = (t_small - c_small.macs as f64 * sec_per_mac).max(1e-6);
-        Ok(OnlineCostModel { sec_per_mac, sec_per_relu_elem, sec_per_pool_window, base_seconds })
+        Ok(OnlineCostModel { sec_per_mac, sec_per_gate, base_seconds })
     }
 }
 
 /// The calibration prefixes on a `[1, 16, 16]` input: `[lin_small,
-/// lin_big, relu, pool]`. Each of the last three is `lin_small` plus
-/// exactly the work its coefficient prices — 3× the MACs, a ReLU, or a
-/// max pool. The pool probe has no ReLU: the plan would run it after
-/// the pool on a quarter of the elements, and the difference would then
-/// mix two kinds of work.
-fn probes() -> [Sequential; 4] {
+/// lin_big, nonlinear]`. Each of the last two is `lin_small` plus
+/// exactly the work its coefficient prices — 3× the MACs, or a ReLU and
+/// a max pool, which the plan runs as one fused unit per window, the
+/// commonest unit of the demo prefixes.
+fn probes() -> [Sequential; 3] {
     let conv = |oc| Conv2d::new(1, oc, 3, 1, 1, 1, 5);
     let mut lin_small = Sequential::new();
     lin_small.push(conv(4));
     let mut lin_big = Sequential::new();
     lin_big.push(conv(12));
-    let mut relu = lin_small.clone();
-    relu.push(Relu::new());
-    let mut pool = lin_small.clone();
-    pool.push(MaxPool2d::new(2, 2));
-    [lin_small, lin_big, relu, pool]
+    let mut nonlinear = lin_small.clone();
+    nonlinear.push(Relu::new());
+    nonlinear.push(MaxPool2d::new(2, 2));
+    [lin_small, lin_big, nonlinear]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::price;
+    use crate::plan::{compile, set_unit_widths, Plan};
+
+    fn plan_of(seq: &Sequential) -> Plan {
+        compile(&specs_of(seq), (1, 16, 16), Default::default()).unwrap()
+    }
 
     #[test]
     fn each_probe_adds_only_the_work_its_coefficient_prices() {
-        // The priced fields of `online_seconds`: (MACs, ReLU elements,
-        // pool windows), from the compiled plan — what the timed
+        // The priced fields of `online_seconds`, (MACs, gates), as
+        // `backend::price` counts them for the compiled plan the timed
         // session runs.
-        let priced = |seq: &Sequential| {
-            let plan =
-                crate::plan::compile(&specs_of(seq), (1, 16, 16), Default::default()).unwrap();
-            let c = plan.base_counts;
-            (c.macs, c.relu_elems, c.pool_windows)
-        };
-        let [lin_small, lin_big, relu, pool] = probes();
-        let (macs, relus, windows) = priced(&lin_small);
-        assert_eq!((macs, relus, windows), (4 * 9 * 256, 0, 0));
-        assert_eq!(priced(&lin_big), (3 * macs, relus, windows), "lin_big adds MACs only");
-        assert_eq!(priced(&relu), (macs, 4 * 256, windows), "relu adds ReLU elements only");
-        assert_eq!(priced(&pool), (macs, relus, 4 * 64), "pool adds windows only");
+        for backend in [PiBackend::Delphi, PiBackend::Cheetah] {
+            let priced = |seq: &Sequential| {
+                let c = price(&plan_of(seq), backend);
+                (c.macs, c.and_gates + c.bit_triples)
+            };
+            let [lin_small, lin_big, nonlinear] = probes();
+            let (macs, gates) = priced(&lin_small);
+            assert_eq!((macs, gates), (4 * 9 * 256, 0), "{backend:?}");
+            assert_eq!(priced(&lin_big), (3 * macs, 0), "{backend:?}: lin_big adds MACs only");
+            let (nl_macs, nl_gates) = priced(&nonlinear);
+            assert_eq!(nl_macs, macs, "{backend:?}: nonlinear adds gates only");
+            assert!(nl_gates > 0, "{backend:?}");
+        }
+    }
+
+    /// The non-linear part of `plan`'s default online price.
+    fn nonlinear_seconds(plan: &Plan, backend: PiBackend) -> f64 {
+        let c = price(plan, backend);
+        let m = OnlineCostModel::for_backend(backend);
+        m.online_seconds(&c) - m.online_seconds(&OpCounts { macs: c.macs, ..Default::default() })
     }
 
     #[test]
     fn defaults_keep_the_published_asymmetry() {
-        let counts = OpCounts { relu_elems: 100_000, ..Default::default() };
-        let d = OnlineCostModel::delphi().online_seconds(&counts);
-        let c = OnlineCostModel::cheetah().online_seconds(&counts);
+        let plan = plan_of(&probes()[2]);
+        let d = nonlinear_seconds(&plan, PiBackend::Delphi);
+        let c = nonlinear_seconds(&plan, PiBackend::Cheetah);
         assert!(d > 10.0 * c, "delphi {d} vs cheetah {c}");
+    }
+
+    #[test]
+    fn a_unit_is_priced_at_its_compiled_width() {
+        // The probe's fused unit compiles far below 64 bits; run at the
+        // full ring it garbles and compares more, and costs more.
+        let narrow = plan_of(&probes()[2]);
+        let mut wide = plan_of(&probes()[2]);
+        set_unit_widths(&mut wide, &[64]).unwrap();
+        for backend in [PiBackend::Delphi, PiBackend::Cheetah] {
+            let (n, w) = (nonlinear_seconds(&narrow, backend), nonlinear_seconds(&wide, backend));
+            assert!(w > 1.5 * n, "{backend:?}: 64 bits {w} vs compiled {n}");
+        }
     }
 
     #[test]
@@ -254,9 +262,8 @@ mod tests {
         let cal = Calibrator { reps: 1, seed: 3 };
         let m = cal.measure(PiBackend::Cheetah).unwrap();
         assert!(m.sec_per_mac > 0.0);
-        assert!(m.sec_per_relu_elem > 0.0);
-        assert!(m.sec_per_pool_window > 0.0);
-        let est = m.online_seconds(&OpCounts { macs: 1000, relu_elems: 64, ..Default::default() });
+        assert!(m.sec_per_gate > 0.0);
+        let est = m.online_seconds(&OpCounts { macs: 1000, bit_triples: 64, ..Default::default() });
         assert!(est.is_finite() && est > 0.0);
     }
 }

@@ -249,8 +249,8 @@ mod tests {
         let m = OfflineCostModel::delphi();
         let (op, items) = (MaskedOp::Relu, 1000);
         let c = OpCounts {
-            and_gates: (items * op.ands_per_item()) as u64,
-            proj_words: (items * op.proj_words_per_item()) as u64,
+            and_gates: (items * op.ands_per_item(64)) as u64,
+            proj_words: (items * op.proj_words_per_item(64)) as u64,
             ..counts()
         };
         let gc = m.expanded_traffic(&c).bytes_total() - m.expanded_traffic(&counts()).bytes_total();

@@ -202,25 +202,41 @@ mod tests {
 
     #[test]
     fn a_folded_batch_norm_costs_nothing_over_its_convolution() {
-        let stack = |bn: bool| {
-            let mut seq = Sequential::new();
-            seq.push(Conv2d::new(1, 2, 3, 1, 1, 1, 8));
-            if bn {
-                seq.push(trained_bn());
-            }
-            seq.push(Relu::new());
-            seq.push(MaxPool2d::new(2, 2));
-            seq
+        // Against the convolution the batch norm folds into, folded here
+        // by hand (`W'[o] = s[o]·W[o]`, `b'[o] = s[o]·b[o] + t[o]`): the
+        // unit widths follow the weights' bounds, so it is that
+        // convolution, not the unscaled one, whose cost must match.
+        let mut seq = Sequential::new();
+        seq.push(Conv2d::new(1, 2, 3, 1, 1, 1, 8));
+        seq.push(trained_bn());
+        seq.push(Relu::new());
+        seq.push(MaxPool2d::new(2, 2));
+        // The layers' own specs: the session compiles the fold itself.
+        let with: Vec<LayerSpec> = seq.layers().iter().map(|l| l.spec()).collect();
+        let mut folded = with.clone();
+        let [LayerSpec::Conv2d { weight, bias, .. }, LayerSpec::Affine { scale, shift }, ..] =
+            &mut folded[..]
+        else {
+            panic!("conv, batch norm, …: {with:?}");
         };
-        assert_eq!(specs_of(&stack(true)).len(), specs_of(&stack(false)).len());
+        let per_out = weight.len() / scale.len();
+        for (row, &s) in weight.as_mut_slice().chunks_exact_mut(per_out).zip(scale.iter()) {
+            row.iter_mut().for_each(|v| *v *= s);
+        }
+        for ((b, &s), &t) in bias.as_mut_slice().iter_mut().zip(scale.iter()).zip(shift.iter()) {
+            *b = s * *b + t;
+        }
+        folded.remove(1);
         let x = Tensor::rand_uniform(&[1, 1, 8, 8], -1.0, 1.0, 16);
         for backend in [PiBackend::Cheetah, PiBackend::Delphi] {
-            let (_, _, with) = run_both(&mut stack(true), &x, backend);
-            let (_, _, without) = run_both(&mut stack(false), &x, backend);
+            let cfg = PiConfig { backend, ..Default::default() };
+            let with = run_prefix(&with, &x, &cfg).unwrap().report;
+            let without = run_prefix(&folded, &x, &cfg).unwrap().report;
             // Bytes, messages and flights, online and modelled offline.
             assert_eq!(with.online, without.online, "{backend:?}: online traffic");
             assert_eq!(with.offline, without.offline, "{backend:?}: offline traffic");
-            // Every count, `seed_bytes` and `expanded_bytes` included.
+            // Every count, `seed_bytes`, `expanded_bytes` and the unit
+            // widths included.
             assert_eq!(with.counts, without.counts, "{backend:?}: counts");
             let ledger =
                 |r: &PiReport| (r.preprocessing.seed_bytes, r.preprocessing.expanded_bytes);

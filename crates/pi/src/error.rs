@@ -1,5 +1,6 @@
 //! Error type for PI engine operations.
 
+use crate::plan::INPUT_BOUND;
 use c2pi_mpc::MpcError;
 use c2pi_nn::NnError;
 use c2pi_tensor::TensorError;
@@ -18,9 +19,10 @@ pub enum PiError {
     UnsupportedLayer(String),
     /// Invalid configuration (batch > 1, odd pool size, …).
     BadConfig(String),
-    /// An input element is not a finite number (NaN or ±∞), which the
-    /// fixed-point encoding cannot represent. Refused on the client
-    /// before any frame is sent or any material is taken.
+    /// An input element lies outside the public input domain
+    /// `[−INPUT_BOUND, INPUT_BOUND]` the plan's widths were compiled for,
+    /// or is not a number. Refused on the client before any frame is
+    /// sent or any material is taken.
     InputOutOfRange {
         /// Flat index of the first offending element.
         index: usize,
@@ -43,7 +45,10 @@ impl fmt::Display for PiError {
             PiError::UnsupportedLayer(d) => write!(f, "no secure execution for layer {d}"),
             PiError::BadConfig(msg) => write!(f, "bad configuration: {msg}"),
             PiError::InputOutOfRange { index, value } => {
-                write!(f, "input element {index} is {value}, not a finite number")
+                write!(
+                    f,
+                    "input element {index} is {value}, outside [-{INPUT_BOUND}, {INPUT_BOUND}]"
+                )
             }
             PiError::PartyPanic(side) => write!(f, "{side} thread panicked"),
             PiError::Store(msg) => write!(f, "material store: {msg}"),
@@ -95,7 +100,7 @@ mod tests {
         assert!(PiError::UnsupportedLayer("gelu".into()).to_string().contains("gelu"));
         assert!(PiError::PartyPanic("client").to_string().contains("client"));
         let nan = PiError::InputOutOfRange { index: 3, value: f32::NAN };
-        assert_eq!(nan.to_string(), "input element 3 is NaN, not a finite number");
+        assert_eq!(nan.to_string(), "input element 3 is NaN, outside [-1, 1]");
     }
 
     #[test]

@@ -6,6 +6,14 @@
 //! correlated randomness is *not* generated here — that is the offline
 //! phase (`PiSession::preprocess`), which runs the dealer against this
 //! plan.
+//!
+//! Compilation also sizes every non-linear step. One sound interval pass
+//! ([`bounds`]) carries the public input domain (every element in
+//! `[−INPUT_BOUND, INPUT_BOUND]`) through the prefix, and each unit step
+//! gets the fewest bits its inputs can occupy, rounded up to whole bytes
+//! ([`unit_bits`]). The backends garble and compare only those low bits;
+//! reducing mod `2^w` is a ring map, so they compute on the value itself
+//! (DESIGN.md §9 and §12).
 
 use crate::report::OpCounts;
 use crate::{PiError, Result};
@@ -15,18 +23,28 @@ use c2pi_mpc::FixedPoint;
 use c2pi_nn::LayerSpec;
 use c2pi_tensor::conv::Conv2dGeom;
 
+/// The public input domain of every session: each input element lies in
+/// `[−INPUT_BOUND, INPUT_BOUND]`. It covers every dataset and workload
+/// here (`[0, 1]`) and every test (`[−1, 1]`). The client refuses an
+/// input outside it before anything is sent, since the widths compiled
+/// from it would not hold (`PiError::InputOutOfRange`).
+pub(crate) const INPUT_BOUND: f32 = 1.0;
+
 /// Public per-layer execution plan (both parties know the crypto-prefix
 /// architecture; only the weights a linear step carries are
 /// server-private). Every non-linear layer is one masked `Unit` of
-/// `items` items of `op`: a ReLU per element, a 2×2 max pool per window,
-/// or a pool and the ReLU directly after it as one unit per window. A
-/// pool's `window` is its 2×2 gather, the four input indices of each
-/// window, window-major; a ReLU's is `None`, one input element per item.
+/// `items` items of `op` at width `bits`: a ReLU per element, a 2×2 max
+/// pool per window, or a pool and the ReLU directly after it as one unit
+/// per window. Its inputs occupy `bound` bits over the input domain
+/// (each lies in `[−2^bound, 2^bound)`), the server's headroom figure;
+/// only `bits` is public and reaches the wire. A pool's `window` is its
+/// 2×2 gather, the four input indices of each window, window-major; a
+/// ReLU's is `None`, one input element per item.
 #[derive(Debug, Clone)]
 pub(crate) enum Step {
     Conv { c: usize, h: usize, w: usize, geom: Conv2dGeom, lin: Weights },
     Fc { lin: Weights },
-    Unit { op: MaskedOp, items: usize, window: Option<Vec<[usize; 4]>> },
+    Unit { op: MaskedOp, items: usize, bound: u32, bits: usize, window: Option<Vec<[usize; 4]>> },
     AvgPool { c: usize, h: usize, w: usize, window: usize, stride: usize },
     Flatten,
 }
@@ -95,8 +113,9 @@ const BASE_OTS_PER_SET: u64 = 128;
 
 /// Compiles layer specs against a `[c, h, w]` input shape: folds batch
 /// norms into their convolutions ([`fold_batch_norm`]), puts max pools
-/// before ReLU ([`pool_before_relu`]), then lowers the specs to steps,
-/// each pool with the ReLU right after it as one step ([`lower`]).
+/// before ReLU ([`pool_before_relu`]), lowers the specs to steps, each
+/// pool with the ReLU right after it as one step ([`lower`]), and sizes
+/// every unit step for the input domain ([`size_units`]).
 pub(crate) fn compile(
     specs: &[LayerSpec],
     in_chw: (usize, usize, usize),
@@ -105,7 +124,168 @@ pub(crate) fn compile(
     let mut specs = specs.to_vec();
     fold_batch_norm(&mut specs);
     pool_before_relu(&mut specs);
-    lower(&specs, in_chw, fp)
+    let mut plan = lower(&specs, in_chw, fp)?;
+    size_units(&mut plan, fp);
+    Ok(plan)
+}
+
+/// A signed interval `[lo, hi]` of ring values.
+pub(crate) type Interval = (i128, i128);
+
+/// The smallest `B` with `−2^B ≤ lo` and `hi < 2^B`: the interval fits
+/// `B + 1` two's-complement bits.
+pub(crate) fn magnitude_bits((lo, hi): Interval) -> u32 {
+    let up = if hi > 0 { 128 - hi.leading_zeros() } else { 0 };
+    let down = if lo < 0 { 128 - (-(lo + 1)).leading_zeros() } else { 0 };
+    up.max(down)
+}
+
+/// The width a unit of `op` runs at when its inputs occupy `bound` bits:
+/// a ReLU reads its input's sign, so it needs `bound + 1` bits; a max
+/// compares `a − b`, one bit wider than its inputs, so it (and a fused
+/// max-then-ReLU) needs `bound + 2`. Rounded up to a multiple of 8 —
+/// byte-aligned `δ`, at most eight cached circuits per op, and a public
+/// width that says less about the weights than an exact one — and capped
+/// at the 64-bit ring, so a plan whose bound nears the ring runs every
+/// bit, as it did before widths existed.
+pub(crate) fn unit_bits(op: MaskedOp, bound: u32) -> usize {
+    let need = bound as usize + if op == MaskedOp::Relu { 1 } else { 2 };
+    need.next_multiple_of(8).min(64)
+}
+
+/// Sizes every unit step of `plan` for inputs in the public domain: one
+/// [`bounds`] pass over the box `[−INPUT_BOUND, INPUT_BOUND]` (encoded),
+/// then [`unit_bits`] of each unit's input bound.
+fn size_units(plan: &mut Plan, fp: FixedPoint) {
+    let one = fp.encode(INPUT_BOUND) as i64 as i128;
+    let (c, h, w) = plan.in_chw;
+    let (input_bits, _) = bounds(plan, &vec![(-one, one); c * h * w], fp);
+    for (step, &b) in plan.steps.iter_mut().zip(&input_bits) {
+        if let Step::Unit { op, bound, bits, .. } = step {
+            (*bound, *bits) = (b, unit_bits(*op, b));
+        }
+    }
+}
+
+/// Runs the unit steps of `plan` at `widths`, in plan order: the widths
+/// a deployment publishes, handed to a client that compiled the
+/// architecture without the weights (its own bounds, from zeroed
+/// weights, say nothing about the server's). Each width must be a whole
+/// number of bytes in `8..=64`, and no narrower than this plan's own
+/// bound needs ([`unit_bits`]).
+///
+/// # Errors
+///
+/// [`PiError::BadConfig`] for a count that is not the plan's number of
+/// unit steps, or a width outside those rules.
+pub(crate) fn set_unit_widths(plan: &mut Plan, widths: &[usize]) -> Result<()> {
+    let units = plan.steps.iter().filter(|s| matches!(s, Step::Unit { .. })).count();
+    if widths.len() != units {
+        return Err(PiError::BadConfig(format!(
+            "{} unit widths for a plan of {units} non-linear steps",
+            widths.len()
+        )));
+    }
+    let units = plan.steps.iter_mut().filter_map(|s| match s {
+        Step::Unit { op, bound, bits, .. } => Some((*op, *bound, bits)),
+        _ => None,
+    });
+    for (i, ((op, bound, bits), &w)) in units.zip(widths).enumerate() {
+        let need = unit_bits(op, bound);
+        if w % 8 != 0 || !(need..=64).contains(&w) {
+            return Err(PiError::BadConfig(format!(
+                "unit {i}: width {w} is not a whole number of bytes in {need}..=64"
+            )));
+        }
+        *bits = w;
+    }
+    Ok(())
+}
+
+/// The sound interval pass: runs `plan` on intervals, one per input
+/// element (a box; a point is the box of zero width), and returns the
+/// bits each step's input occupies ([`magnitude_bits`]) and every
+/// output's interval. Any protocol run on an input inside the box
+/// reconstructs values inside these intervals: every local share
+/// truncation returns the floor of the shared value plus 0 or 1
+/// (`beaver::truncate_share`), so a truncation maps `[lo, hi]` to
+/// `[⌊lo / 2^f⌋, ⌊hi / 2^f⌋ + 1]`; linear layers take each weight's sign
+/// into account, and ReLU and max are monotone, so they map the bounds
+/// through. (Beside the interval, each local truncation fails outright
+/// with odds about `2^(ℓ+1−64)` for a value of `ℓ` bits — SecureML's
+/// analysis, not bounded here.)
+///
+/// Intervals are clamped to the signed 64-bit ring after each step: past
+/// it no value is exact and every width is 64 anyway.
+pub(crate) fn bounds(plan: &Plan, input: &[Interval], fp: FixedPoint) -> (Vec<u32>, Vec<Interval>) {
+    let f = fp.frac_bits();
+    let trunc = |(lo, hi): Interval| (lo >> f, (hi >> f) + 1);
+    let ring = |v: i128| v.clamp(i64::MIN.into(), i64::MAX.into());
+    let mut input_bits = Vec::with_capacity(plan.steps.len());
+    let mut cur = input.to_vec();
+    for step in &plan.steps {
+        input_bits.push(cur.iter().map(|&b| magnitude_bits(b)).max().unwrap_or(0));
+        cur = match step {
+            Step::Conv { lin, .. } | Step::Fc { lin } => {
+                // Unfolds the bounds as the layer unfolds its input
+                // (padding is an exact zero); each row then takes `lo`
+                // where its weight is positive and `hi` where it is
+                // negative for the low end, and the other way round.
+                let unfold = |end: Vec<u64>| step.linear_input(&end).expect("a linear step");
+                let lo = unfold(cur.iter().map(|b| b.0 as i64 as u64).collect());
+                let hi = unfold(cur.iter().map(|b| b.1 as i64 as u64).collect());
+                let (k, cols) = (lin.w.cols(), lo.cols());
+                let mut out = Vec::with_capacity(lin.w.rows() * cols);
+                for (row, &b) in lin.w.as_slice().chunks_exact(k).zip(&lin.bias2f) {
+                    let b = b as i64 as i128;
+                    let mut acc = vec![(b, b); cols];
+                    for (kk, &w) in row.iter().enumerate() {
+                        let w = w as i64 as i128;
+                        let lo = &lo.as_slice()[kk * cols..(kk + 1) * cols];
+                        let hi = &hi.as_slice()[kk * cols..(kk + 1) * cols];
+                        for ((a, &l), &h) in acc.iter_mut().zip(lo).zip(hi) {
+                            let (l, h) = (w * l as i64 as i128, w * h as i64 as i128);
+                            *a = (a.0.saturating_add(l.min(h)), a.1.saturating_add(l.max(h)));
+                        }
+                    }
+                    out.extend(acc.into_iter().map(trunc));
+                }
+                out
+            }
+            Step::Unit { op, window, .. } => {
+                let floor = if *op == MaskedOp::Maxpool4 { i128::MIN } else { 0 };
+                gather(window, cur)
+                    .chunks_exact(op.in_elems())
+                    .map(|item| {
+                        item.iter().fold((floor, floor), |m, v| (m.0.max(v.0), m.1.max(v.1)))
+                    })
+                    .collect()
+            }
+            Step::AvgPool { h, w, window, stride, .. } => {
+                let (oh, ow) = ((h - window) / stride + 1, (w - window) / stride + 1);
+                let coeff = fp.encode(1.0 / (window * window) as f32) as i64 as i128;
+                let mut out = Vec::new();
+                for plane in cur.chunks_exact(h * w) {
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let (mut lo, mut hi) = (0, 0);
+                            for ky in 0..*window {
+                                for kx in 0..*window {
+                                    let v = plane[(oy * stride + ky) * w + ox * stride + kx];
+                                    (lo, hi) = (lo + v.0, hi + v.1);
+                                }
+                            }
+                            out.push(trunc((lo * coeff, hi * coeff)));
+                        }
+                    }
+                }
+                out
+            }
+            Step::Flatten => cur,
+        };
+        cur.iter_mut().for_each(|b| *b = (ring(b.0), ring(b.1)));
+    }
+    (input_bits, cur)
 }
 
 /// Folds every batch norm (`Affine { scale, shift }`) that directly
@@ -153,7 +333,8 @@ pub(crate) fn pool_before_relu(specs: &mut [LayerSpec]) {
 }
 
 /// Lowers layer specs to steps in the order given: shapes, ring-encoded
-/// server constants and the backend-independent counts. A `MaxPool2d`
+/// server constants and the backend-independent counts. Every unit runs
+/// the whole 64-bit ring until [`compile`] sizes it. A `MaxPool2d`
 /// directly followed by a `Relu` lowers to one fused unit,
 /// [`MaskedOp::MaxpoolRelu4`]: `relu(max(v₀..v₃))` per window, counted
 /// as the window and the ReLU element it stands for (DESIGN.md §13).
@@ -217,7 +398,8 @@ pub(crate) fn lower(
             }
             LayerSpec::Relu => {
                 counts.relu_elems += cur_flat;
-                steps.push(Step::Unit { op: MaskedOp::Relu, items: cur_flat, window: None });
+                let (op, items) = (MaskedOp::Relu, cur_flat);
+                steps.push(Step::Unit { op, items, bound: 63, bits: 64, window: None });
             }
             LayerSpec::MaxPool2d { window, stride } => {
                 let (cc, hh, ww) =
@@ -236,7 +418,7 @@ pub(crate) fn lower(
                 };
                 counts.pool_windows += windows;
                 let window = Some(pool_windows(cc, hh, ww));
-                steps.push(Step::Unit { op, items: windows, window });
+                steps.push(Step::Unit { op, items: windows, bound: 63, bits: 64, window });
                 cur_chw = Some((cc, hh / 2, ww / 2));
                 cur_flat = windows;
             }
@@ -292,7 +474,7 @@ pub(crate) fn eval_ring(plan: &Plan, x: &[u64], fp: FixedPoint) -> Vec<u64> {
                     .flat_map(|(row, &b)| row.iter().map(move |&v| fp.truncate(v.wrapping_add(b))))
                     .collect()
             }
-            Step::Unit { op, items, window } => {
+            Step::Unit { op, items, window, .. } => {
                 let relu = *op != MaskedOp::Maxpool4;
                 let out: Vec<u64> = gather(window, cur)
                     .chunks_exact(op.in_elems())
@@ -444,6 +626,53 @@ mod tests {
         let (prefix, _) = demo.split_at(c2pi_nn::BoundaryId::relu(1)).unwrap();
         let specs: Vec<LayerSpec> = prefix.layers().iter().map(|l| l.spec()).collect();
         assert_eq!(compiled(&specs, (3, 16, 16)), ["conv", "relu 1024"]);
+    }
+
+    #[test]
+    fn the_demo_plans_pin_their_unit_bounds_and_widths() {
+        // The benchmark's demo AlexNet over the input domain: at the
+        // relu(3) split its two fused pools and its ReLU read values of
+        // 15, 17 and 20 bits (exact widths 17, 19 and 21), all rounded
+        // up to 24; the whole prefix needs 32 bits from its fifth unit
+        // on. A weight change that eats headroom moves these.
+        use c2pi_nn::model::{alexnet, ZooConfig};
+        use c2pi_nn::BoundaryId;
+        let demo =
+            alexnet(&ZooConfig { width_div: 32, seed: 3, image_size: 16, ..Default::default() })
+                .unwrap();
+        let widths = |seq: &Sequential| {
+            let specs: Vec<LayerSpec> = seq.layers().iter().map(|l| l.spec()).collect();
+            let plan = compile(&specs, (3, 16, 16), FixedPoint::default()).unwrap();
+            let units = plan.steps.into_iter().filter_map(|s| match s {
+                Step::Unit { bound, bits, .. } => Some((bound, bits)),
+                _ => None,
+            });
+            units.collect::<Vec<_>>()
+        };
+        let split = demo.split_at(BoundaryId::relu(3)).unwrap().0;
+        assert_eq!(widths(&split), [(15, 24), (17, 24), (20, 24)]);
+        let whole = widths(demo.seq());
+        let bounds = [15, 17, 20, 22, 24, 25, 26, 28];
+        let bits = [24, 24, 24, 24, 32, 32, 32, 32];
+        assert_eq!(whole, bounds.into_iter().zip(bits).collect::<Vec<_>>());
+        // The rule itself: a ReLU needs one bit over its bound, a max
+        // two; whole bytes, at most the ring.
+        assert_eq!(
+            [
+                (MaskedOp::Relu, 0),
+                (MaskedOp::Relu, 7),
+                (MaskedOp::Relu, 8),
+                (MaskedOp::Maxpool4, 6)
+            ]
+            .map(|(op, b)| unit_bits(op, b)),
+            [8, 8, 16, 8]
+        );
+        assert_eq!([22, 23].map(|b| unit_bits(MaskedOp::MaxpoolRelu4, b)), [24, 32]);
+        assert_eq!([62, 63, 100].map(|b| unit_bits(MaskedOp::Relu, b)), [64, 64, 64]);
+        assert_eq!(
+            [(0, 0), (-1, 0), (0, 1), (-2, 1), (-3, 2), (-4, 4), (0, 4)].map(magnitude_bits),
+            [0, 0, 1, 1, 2, 3, 3]
+        );
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //!   two layers), agree bit for bit under `eval_ring`, and the plan
 //!   counts the ReLU elements and pool windows of the rewritten specs;
 //! * **the backends compute `eval_ring`**: every reconstructed output
-//!   lies in the interval [`reachable`] gives it — `eval_ring` with each
-//!   truncation free to add 0 or 1 LSB. Its width is 1 LSB after one
+//!   lies in the interval [`bounds`] gives it over the input's point box
+//!   — `eval_ring` with each truncation free to add 0 or 1 LSB — and every
+//!   unit step's inputs lie inside the bound its width was compiled for
+//!   over the whole input domain. The interval's width is 1 LSB after one
 //!   conv, at most 42 LSB at the benchmark's relu(3) split (5 LSB
 //!   measured), and 0 where a ReLU's whole input interval is negative.
 //!   The whole demo model's logits sum every earlier truncation through
@@ -22,12 +24,14 @@
 
 #![cfg(test)]
 
-use super::{compile, eval_ring, fold_batch_norm, gather, lower, pool_before_relu, Plan, Step};
+use super::{
+    bounds, compile, eval_ring, fold_batch_norm, lower, magnitude_bits, pool_before_relu, Interval,
+    Plan, Step, INPUT_BOUND,
+};
 use crate::engine::{PiBackend, PiConfig};
 use crate::session::PiSession;
 use c2pi_mpc::gcpre::MaskedOp;
 use c2pi_mpc::prg::Prg;
-use c2pi_mpc::ring::RingMatrix;
 use c2pi_mpc::FixedPoint;
 use c2pi_nn::model::{alexnet, ZooConfig};
 use c2pi_nn::{BoundaryId, LayerSpec};
@@ -131,82 +135,11 @@ fn random_prefix(seed: u64) -> (Vec<LayerSpec>, [usize; 3]) {
     (specs, chw)
 }
 
-/// The interval each output of a protocol run of `plan` on `x` must lie
-/// in, as signed `(lo, hi)`. It is [`eval_ring`] on intervals: every
-/// local share truncation returns the floor of the shared value plus 0
-/// or 1 (`beaver::truncate_share`), so a truncation maps `[lo, hi]` to
-/// `[⌊lo / 2^f⌋, ⌊hi / 2^f⌋ + 1]`. Linear layers take each weight's
-/// sign into account, and ReLU and max are monotone, so they map the
-/// bounds through. Zero-width where no truncation reaches an output.
-fn reachable(plan: &Plan, x: &[u64], fp: FixedPoint) -> Vec<(i128, i128)> {
-    let f = fp.frac_bits();
-    let trunc = |(lo, hi): (i128, i128)| (lo >> f, (hi >> f) + 1);
-    // `w · [lo, hi]`: the low end takes `lo` where the weight is
-    // positive and `hi` where it is negative.
-    let dot = |w: &[u64], xs: &mut dyn Iterator<Item = (i128, i128)>| {
-        w.iter().zip(xs).fold((0, 0), |(lo, hi), (&w, (l, h))| {
-            let w = w as i64 as i128;
-            (lo + (w * l).min(w * h), hi + (w * l).max(w * h))
-        })
-    };
-    let mut cur: Vec<(i128, i128)> =
-        x.iter().map(|&v| (v as i64 as i128, v as i64 as i128)).collect();
-    for step in &plan.steps {
-        cur = match step {
-            Step::Conv { lin, .. } | Step::Fc { lin } => {
-                // Unfolds the bounds as the layer unfolds its input
-                // (padding is an exact zero).
-                let unfold = |end: Vec<u64>| step.linear_input(&end).unwrap();
-                let lo = unfold(cur.iter().map(|b| b.0 as i64 as u64).collect());
-                let hi = unfold(cur.iter().map(|b| b.1 as i64 as u64).collect());
-                let cols = lo.cols();
-                let at = |m: &RingMatrix, k: usize, j: usize| m.as_slice()[k * cols + j] as i64;
-                let (w, k) = (&lin.w, lin.w.cols());
-                let mut out = Vec::with_capacity(w.rows() * cols);
-                for (row, &b) in w.as_slice().chunks_exact(k).zip(&lin.bias2f) {
-                    for j in 0..cols {
-                        let mut column =
-                            (0..k).map(|k| (at(&lo, k, j) as i128, at(&hi, k, j) as i128));
-                        let (l, h) = dot(row, &mut column);
-                        let b = b as i64 as i128;
-                        out.push(trunc((l + b, h + b)));
-                    }
-                }
-                out
-            }
-            Step::Unit { op, window, .. } => {
-                let floor = if *op == MaskedOp::Maxpool4 { i128::MIN } else { 0 };
-                gather(window, cur)
-                    .chunks_exact(op.in_elems())
-                    .map(|item| {
-                        item.iter().fold((floor, floor), |m, v| (m.0.max(v.0), m.1.max(v.1)))
-                    })
-                    .collect()
-            }
-            Step::AvgPool { h, w, window, stride, .. } => {
-                let (oh, ow) = ((h - window) / stride + 1, (w - window) / stride + 1);
-                let coeff = fp.encode(1.0 / (window * window) as f32) as i64 as i128;
-                let mut out = Vec::new();
-                for plane in cur.chunks_exact(h * w) {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let (mut lo, mut hi) = (0, 0);
-                            for ky in 0..*window {
-                                for kx in 0..*window {
-                                    let v = plane[(oy * stride + ky) * w + ox * stride + kx];
-                                    (lo, hi) = (lo + v.0, hi + v.1);
-                                }
-                            }
-                            out.push(trunc((lo * coeff, hi * coeff)));
-                        }
-                    }
-                }
-                out
-            }
-            Step::Flatten => cur,
-        };
-    }
-    cur
+/// The zero-width box of an encoded input: [`bounds`] of it is the
+/// interval each output of a protocol run on exactly that input must lie
+/// in.
+fn point(x: &[u64]) -> Vec<Interval> {
+    x.iter().map(|&v| (v as i64 as i128, v as i64 as i128)).collect()
 }
 
 /// [`eval_ring`] of `specs` in their own order, one layer at a time: each
@@ -254,10 +187,11 @@ fn check(specs: &[LayerSpec], [c, h, w]: [usize; 3], x: &Tensor) -> Vec<u64> {
     let (_, [relu, pool]) = eval_layer_by_layer(&rewritten, (c, h, w), &input, fp);
     let counts = &compiled.base_counts;
     assert_eq!([counts.relu_elems, counts.pool_windows], [relu, pool], "the fusion moved a count");
-    let bounds = reachable(&compiled, &input, fp);
+    let (_, bounds) = bounds(&compiled, &point(&input), fp);
     for (&v, &(lo, hi)) in want.iter().zip(&bounds) {
         assert!((lo..=hi).contains(&(v as i64 as i128)), "the ring value lies outside its bounds");
     }
+    assert_units_fit_their_widths(&compiled, &input, fp);
     for backend in [PiBackend::Delphi, PiBackend::Cheetah] {
         let cfg = PiConfig { backend, fixed: fp, ..Default::default() };
         let outcome = PiSession::new(specs, [c, h, w], cfg).unwrap().infer(x).unwrap();
@@ -273,6 +207,23 @@ fn check(specs: &[LayerSpec], [c, h, w]: [usize; 3], x: &Tensor) -> Vec<u64> {
         }
     }
     want
+}
+
+/// The ring values each unit step of `plan` reads on `x`, under
+/// [`eval_ring`] of the steps before it, lie inside the bound the step
+/// was sized for over the input domain — so they fit the step's width.
+fn assert_units_fit_their_widths(plan: &Plan, x: &[u64], fp: FixedPoint) {
+    let one = fp.encode(INPUT_BOUND) as i64 as i128;
+    if x.iter().any(|&v| (v as i64 as i128).abs() > one) {
+        return;
+    }
+    for (at, step) in plan.steps.iter().enumerate() {
+        let Step::Unit { bound, bits, .. } = *step else { continue };
+        let before = Plan { steps: plan.steps[..at].to_vec(), ..plan.clone() };
+        let got = point(&eval_ring(&before, x, fp)).into_iter().map(magnitude_bits);
+        assert!(got.max().unwrap_or(0) <= bound, "step {at}: an input past its {bound}-bit bound");
+        assert!(bits > bound as usize, "step {at}: {bits} bits for a {bound}-bit bound");
+    }
 }
 
 proptest! {
@@ -310,6 +261,54 @@ fn pool_relu_runs_match_the_ring_reference() {
     let x = Tensor::rand_uniform(&[1, 2, 8, 8], -1.0, 1.0, 9);
     for specs in runs {
         check(&specs, [2, 8, 8], &x);
+    }
+}
+
+#[test]
+fn inputs_that_reach_a_units_bound_run_exact_on_both_backends() {
+    // Random inputs stay far inside a unit's bound; these sit at the
+    // corner of the input domain that drives a unit's input to the top
+    // of it. A dense layer's output `o` peaks at `x_k = sign W[k, o]`,
+    // which a ReLU then reads at half its bound or more — the values a
+    // ReLU one bit narrower than `bound + 1` misreads as negative. A 1×1
+    // convolution of a 2×2 window at `±1` gives the max unit inputs `w +
+    // b` and `b − w`, a difference of `2^bound` or more — what a max one
+    // bit narrower than `bound + 2` cannot compare.
+    let fp = FixedPoint::default();
+    let (n, m) = (24, 6);
+    let weight = Draw(Prg::from_u64(21)).uniform(&[n, m], 1.0);
+    let bias = Tensor::from_vec(vec![0.05; m], &[m]).unwrap();
+    let widest = |o: &usize| (0..n).map(|k| weight.as_slice()[k * m + o].abs()).sum::<f32>();
+    let o = (0..m).max_by(|a, b| widest(a).total_cmp(&widest(b))).unwrap();
+    let corner: Vec<f32> = (0..n).map(|k| weight.as_slice()[k * m + o].signum()).collect();
+    let dense = vec![LayerSpec::Flatten, LayerSpec::Linear { weight, bias }, LayerSpec::Relu];
+    let conv = LayerSpec::Conv2d {
+        weight: Tensor::from_vec(vec![0.9], &[1, 1, 1, 1]).unwrap(),
+        bias: Tensor::from_vec(vec![0.01], &[1]).unwrap(),
+        geom: Conv2dGeom { kernel: 1, stride: 1, padding: 0, dilation: 1 },
+    };
+    let max = LayerSpec::MaxPool2d { window: 2, stride: 2 };
+    let window = vec![1.0, -1.0, -1.0, 1.0];
+    let cases = [
+        (dense, [n, 1, 1], corner),
+        (vec![conv.clone(), max.clone(), LayerSpec::Relu], [1, 2, 2], window.clone()),
+        (vec![conv, max], [1, 2, 2], window),
+    ];
+    for (specs, [c, h, w], x) in cases {
+        let x = Tensor::from_vec(x, &[1, c, h, w]).unwrap();
+        let plan = compile(&specs, (c, h, w), fp).unwrap();
+        let at = plan.steps.iter().position(|s| matches!(s, Step::Unit { .. })).unwrap();
+        let Step::Unit { op, bound, .. } = plan.steps[at] else { unreachable!() };
+        let before = Plan { steps: plan.steps[..at].to_vec(), ..plan.clone() };
+        let seen: Vec<i64> =
+            eval_ring(&before, &fp.encode_tensor(&x), fp).iter().map(|&v| v as i64).collect();
+        let (lo, hi) = (*seen.iter().min().unwrap(), *seen.iter().max().unwrap());
+        if op == MaskedOp::Relu {
+            assert!(hi >= 1 << (bound - 1), "{op:?}: {hi} is under half its {bound}-bit bound");
+        } else {
+            assert!(hi - lo >= 1 << bound, "{op:?}: a spread of {} under 2^{bound}", hi - lo);
+        }
+        check(&specs, [c, h, w], &x);
     }
 }
 

@@ -189,27 +189,29 @@ impl SessionCore {
         &self.cfg
     }
 
-    /// Per-layer `(kind, items)` metadata of the plan, the plan shape
-    /// the session fingerprint hashes. A fused pool unit is described as
-    /// the two layers it computes, a pool and a ReLU over its windows, so
-    /// the metadata and the fingerprint are those of the two layers run
-    /// apart.
-    fn step_meta(&self) -> Vec<(u8, u32)> {
+    /// Per-layer `(kind, items, bits)` metadata of the plan, the plan
+    /// shape the session fingerprint hashes: `bits` is a unit's width (0
+    /// for a step that compares nothing), since the width decides what a
+    /// seed expands to. A fused pool unit is described as the two layers
+    /// it computes, a pool and a ReLU over its windows, each at the
+    /// unit's width, so the metadata and the fingerprint are those of the
+    /// two layers run apart at that width.
+    fn step_meta(&self) -> Vec<(u8, u32, u8)> {
         let mut meta = Vec::with_capacity(self.plan.steps.len());
         for step in &self.plan.steps {
             match step {
-                Step::Conv { c, h, w, .. } => meta.push((1u8, (c * h * w) as u32)),
-                Step::Fc { lin } => meta.push((2, lin.w.cols() as u32)),
-                Step::Unit { op, items, .. } => {
-                    let items = *items as u32;
+                Step::Conv { c, h, w, .. } => meta.push((1u8, (c * h * w) as u32, 0)),
+                Step::Fc { lin } => meta.push((2, lin.w.cols() as u32, 0)),
+                Step::Unit { op, items, bits, .. } => {
+                    let (items, bits) = (*items as u32, *bits as u8);
                     match op {
-                        MaskedOp::Relu => meta.push((3, items)),
-                        MaskedOp::Maxpool4 => meta.push((4, items)),
-                        MaskedOp::MaxpoolRelu4 => meta.extend([(4, items), (3, items)]),
+                        MaskedOp::Relu => meta.push((3, items, bits)),
+                        MaskedOp::Maxpool4 => meta.push((4, items, bits)),
+                        MaskedOp::MaxpoolRelu4 => meta.extend([(4, items, bits), (3, items, bits)]),
                     }
                 }
-                Step::AvgPool { c, h, w, .. } => meta.push((5, (c * h * w) as u32)),
-                Step::Flatten => meta.push((6, 0)),
+                Step::AvgPool { c, h, w, .. } => meta.push((5, (c * h * w) as u32, 0)),
+                Step::Flatten => meta.push((6, 0, 0)),
             }
         }
         meta
@@ -227,9 +229,10 @@ impl SessionCore {
         bytes.extend_from_slice(self.cfg.backend.name().as_bytes());
         bytes.extend_from_slice(&self.cfg.dealer_seed.to_le_bytes());
         bytes.extend_from_slice(&self.cfg.fixed.frac_bits().to_le_bytes());
-        for (kind, items) in self.step_meta() {
+        for (kind, items, bits) in self.step_meta() {
             bytes.push(kind);
             bytes.extend_from_slice(&items.to_le_bytes());
+            bytes.push(bits);
         }
         fnv1a(&bytes)
     }
@@ -325,8 +328,8 @@ impl SessionCore {
                     let (c, s) = dealer.linear_corr_for(&lin.w, lin.cols, halves)?;
                     keep(c.map(ClientMat::Lin), s.map(ServerMat::Lin))?;
                 }
-                Step::Unit { op, items, .. } => {
-                    let (c, s) = deal_nl(&mut dealer, *op, *items, &self.cfg, halves);
+                Step::Unit { op, items, bits, .. } => {
+                    let (c, s) = deal_nl(&mut dealer, (*op, *items, *bits), &self.cfg, halves);
                     keep(c, s)?;
                 }
                 Step::AvgPool { .. } | Step::Flatten => {
@@ -897,7 +900,8 @@ mod tests {
 
     #[test]
     fn a_frame_from_an_earlier_dealt_function_is_refused_not_expanded() {
-        // A version-5 peer sends the plan's step list after the nonce, a
+        // A version-6 peer garbles and compares every unit over all 64
+        // bits, a version-5 peer sends the plan's step list after the nonce, a
         // version-4 peer garbled a pool and the ReLU after it as two
         // layers under the same step metadata, a version-3 peer opened
         // every set with a base-OT draw, a version-2 peer drew its bit
@@ -908,8 +912,8 @@ mod tests {
         let core = tiny_core();
         let frame = core.dealt_seed(7).encode();
         assert!(core.expand_dealt(&frame).is_ok());
-        assert_eq!(frame[2], 6, "DealtSeed version byte");
-        for earlier in [1, 2, 3, 4, 5] {
+        assert_eq!(frame[2], 7, "DealtSeed version byte");
+        for earlier in [1, 2, 3, 4, 5, 6] {
             let mut old = frame.clone();
             old[2] = earlier;
             let err = core.expand_dealt(&old).map(|m| m.seed).unwrap_err();
@@ -1120,7 +1124,8 @@ mod tests {
     #[test]
     fn a_fused_pool_is_described_as_its_two_layers_and_a_version_4_frame_is_refused() {
         // A fused unit carries the metadata of the two steps it
-        // replaced, so the session fingerprint did not move — only the
+        // replaced, each at the unit's width, so the session fingerprint
+        // is theirs — only the
         // version byte tells a version-4 peer, which garbled the two
         // layers apart, that this deployment expands its seeds to
         // other material.
@@ -1131,13 +1136,16 @@ mod tests {
         let cfg = PiConfig { backend: crate::engine::PiBackend::Delphi, ..PiConfig::default() };
         let fused = SessionCore::new(compile(&specs_of(&seq), (1, 6, 6), cfg.fixed).unwrap(), cfg);
         let mut apart = fused.plan.clone();
-        let Step::Unit { window, .. } = apart.steps.pop().unwrap() else { unreachable!() };
+        let Step::Unit { window, bound, bits, .. } = apart.steps.pop().unwrap() else {
+            unreachable!()
+        };
         apart.steps.extend([
-            Step::Unit { op: MaskedOp::Maxpool4, items: 18, window },
-            Step::Unit { op: MaskedOp::Relu, items: 18, window: None },
+            Step::Unit { op: MaskedOp::Maxpool4, items: 18, bound, bits, window },
+            Step::Unit { op: MaskedOp::Relu, items: 18, bound, bits, window: None },
         ]);
         let apart = SessionCore::new(apart, cfg);
-        assert_eq!(fused.step_meta(), [(1, 36), (4, 18), (3, 18)]);
+        let w = bits as u8;
+        assert_eq!(fused.step_meta(), [(1, 36, 0), (4, 18, w), (3, 18, w)]);
         assert_eq!(fused.step_meta(), apart.step_meta());
         assert_eq!(fused.session_fingerprint(), apart.session_fingerprint());
 
@@ -1158,8 +1166,9 @@ mod tests {
     #[test]
     fn the_demo_deployments_keep_their_session_fingerprints() {
         // The fingerprint is the dealt frame's nonce and the store
-        // header's key, so it may move only with the plan's shape, never
-        // with how the plan is represented in memory.
+        // header's key, so it may move only with the plan's shape (its
+        // unit widths included), never with how the plan is represented
+        // in memory.
         use crate::engine::PiBackend;
         use c2pi_nn::model::{alexnet, ZooConfig};
         use c2pi_nn::BoundaryId;
@@ -1168,10 +1177,10 @@ mod tests {
                 .unwrap();
         let split = demo.split_at(BoundaryId::relu(3)).unwrap().0;
         let pinned = [
-            ("relu(3) split", &split, PiBackend::Delphi, 0x5ce7_9300_c97a_47be),
-            ("relu(3) split", &split, PiBackend::Cheetah, 0x652a_812d_57ba_00de),
-            ("whole model", demo.seq(), PiBackend::Delphi, 0x06d5_a16a_25f1_d3ef),
-            ("whole model", demo.seq(), PiBackend::Cheetah, 0xdf78_941c_f281_b24f),
+            ("relu(3) split", &split, PiBackend::Delphi, 0xbb74_9ad5_c105_dfd0),
+            ("relu(3) split", &split, PiBackend::Cheetah, 0xf339_1119_72e2_35f0),
+            ("whole model", demo.seq(), PiBackend::Delphi, 0x4171_f72a_f882_6e85),
+            ("whole model", demo.seq(), PiBackend::Cheetah, 0x2fb1_1f78_b1b0_f3e5),
         ];
         for (name, prefix, backend, want) in pinned {
             let cfg = PiConfig { backend, ..PiConfig::default() };
@@ -1184,9 +1193,9 @@ mod tests {
     #[test]
     fn the_demo_deployments_price_one_inference_at_their_pinned_counts() {
         // The compiled counts: `(seed_bytes, expanded_bytes, and_gates,
-        // xor_gates, proj_words, ext_ots, bit_triples)`, the values each
-        // deal used to tally for itself before pricing moved to compile
-        // time.
+        // xor_gates, proj_words, ext_ots, bit_triples)`, at the demo
+        // plans' unit widths (24 bits at the split; 24 then 32 on the
+        // whole prefix).
         use crate::engine::PiBackend;
         use c2pi_nn::model::{alexnet, ZooConfig};
         use c2pi_nn::BoundaryId;
@@ -1199,16 +1208,16 @@ mod tests {
                 "relu(3) split",
                 &split,
                 PiBackend::Delphi,
-                (20, 12_301_312, 269_184, 735_296, 34_816, 102_400, 0),
+                (20, 4_623_552, 98_944, 268_096, 13_056, 38_400, 0),
             ),
-            ("relu(3) split", &split, PiBackend::Cheetah, (20, 484_240, 0, 0, 0, 0, 299_200)),
+            ("relu(3) split", &split, PiBackend::Cheetah, (20, 340_240, 0, 0, 0, 0, 107_200)),
             (
                 "whole model",
                 demo.seq(),
                 PiBackend::Delphi,
-                (20, 14_741_792, 319_200, 857_552, 48_640, 123_904, 0),
+                (20, 5_745_696, 121_568, 324_048, 18_944, 48_128, 0),
             ),
-            ("whole model", demo.seq(), PiBackend::Cheetah, (20, 596_996, 0, 0, 0, 0, 362_032)),
+            ("whole model", demo.seq(), PiBackend::Cheetah, (20, 426_500, 0, 0, 0, 0, 134_704)),
         ];
         for (name, prefix, backend, want) in pinned {
             let cfg = PiConfig { backend, ..PiConfig::default() };

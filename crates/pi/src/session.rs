@@ -45,10 +45,11 @@
 //! [`SessionCore::serve_prepared`]).
 
 use crate::engine::{PiConfig, PiOutcome};
-use crate::plan::compile;
+use crate::plan::{compile, set_unit_widths, Plan, Step, INPUT_BOUND};
 use crate::pool::{MaterialPool, Replenisher, SessionCore};
 use crate::report::PiReport;
 use crate::{PiError, Result};
+use c2pi_mpc::dealer::DealtSeed;
 use c2pi_mpc::share::ShareVec;
 use c2pi_nn::LayerSpec;
 use c2pi_tensor::Tensor;
@@ -105,10 +106,39 @@ impl PiSession {
     /// for prefixes the engine cannot execute.
     pub fn new(specs: &[LayerSpec], input_chw: [usize; 3], cfg: PiConfig) -> Result<Self> {
         let [c, h, w] = input_chw;
-        let plan = compile(specs, (c, h, w), cfg.fixed)?;
+        Ok(Self::from_plan(compile(specs, (c, h, w), cfg.fixed)?, cfg))
+    }
+
+    /// Compiles a session as [`PiSession::new`] does, then runs its
+    /// non-linear steps at `widths`: the [`PiSession::unit_widths`] a
+    /// server publishes beside its architecture. The widths are compiled
+    /// from the weights, so a client that holds only the architecture
+    /// (zeroed weights) needs them to run the server's protocol; with
+    /// them it requests bit-identically to a client that holds the true
+    /// model.
+    ///
+    /// # Errors
+    ///
+    /// As [`PiSession::new`], plus [`PiError::BadConfig`] for a count
+    /// that is not the plan's number of non-linear steps, or a width
+    /// that is not a whole number of bytes, exceeds 64, or is narrower
+    /// than `specs`' own weights need.
+    pub fn with_unit_widths(
+        specs: &[LayerSpec],
+        input_chw: [usize; 3],
+        cfg: PiConfig,
+        widths: &[usize],
+    ) -> Result<Self> {
+        let [c, h, w] = input_chw;
+        let mut plan = compile(specs, (c, h, w), cfg.fixed)?;
+        set_unit_widths(&mut plan, widths)?;
+        Ok(Self::from_plan(plan, cfg))
+    }
+
+    fn from_plan(plan: Plan, cfg: PiConfig) -> Self {
         let core = Arc::new(SessionCore::new(plan, cfg));
         let pool = Arc::new(MaterialPool::new(Arc::clone(&core)));
-        Ok(PiSession { core, pool, transport: Arc::new(MemTransport) })
+        PiSession { core, pool, transport: Arc::new(MemTransport) }
     }
 
     /// Replaces the transport the in-process party threads of
@@ -157,6 +187,28 @@ impl PiSession {
         self.core.plan.steps.len()
     }
 
+    /// The width, in bits, each non-linear step garbles or compares at,
+    /// in plan order. Public — every label frame shows it — and what a
+    /// client without the weights needs ([`PiSession::with_unit_widths`]).
+    pub fn unit_widths(&self) -> Vec<usize> {
+        self.units().map(|(_, bits)| bits).collect()
+    }
+
+    /// The bits each non-linear step's inputs occupy over the input
+    /// domain (each lies in `[−2^bound, 2^bound)`), in plan order: the
+    /// headroom under [`PiSession::unit_widths`], computed from this
+    /// session's weights. A server's figure, not one to publish.
+    pub fn unit_bounds(&self) -> Vec<u32> {
+        self.units().map(|(bound, _)| bound).collect()
+    }
+
+    fn units(&self) -> impl Iterator<Item = (u32, usize)> + '_ {
+        self.core.plan.steps.iter().filter_map(|s| match s {
+            Step::Unit { bound, bits, .. } => Some((*bound, *bits)),
+            _ => None,
+        })
+    }
+
     /// Public shape of the boundary activation.
     pub fn out_dims(&self) -> &[usize] {
         &self.core.plan.out_dims
@@ -193,8 +245,12 @@ impl PiSession {
     }
 
     /// The client's check of its own input: the compiled shape, and
-    /// finite elements only (the encoding saturates a NaN or ±∞ into a
-    /// garbage ring value instead of failing).
+    /// every element inside the public domain `[−INPUT_BOUND,
+    /// INPUT_BOUND]` the plan's widths were compiled for (which also
+    /// refuses a NaN or ±∞, which the encoding would saturate into a
+    /// garbage ring value instead of failing). The server cannot check
+    /// the input and need not: a value outside the domain corrupts only
+    /// the result of the client that sent it (DESIGN.md §9).
     fn check_input(&self, x: &Tensor) -> Result<()> {
         let (_, c, h, w) = x.shape().as_nchw()?;
         if (c, h, w) != self.core.plan.in_chw {
@@ -203,7 +259,7 @@ impl PiSession {
                 self.core.plan.in_chw
             )));
         }
-        match x.as_slice().iter().position(|v| !v.is_finite()) {
+        match x.as_slice().iter().position(|v| v.is_nan() || v.abs() > INPUT_BOUND) {
             Some(index) => Err(PiError::InputOutOfRange { index, value: x.as_slice()[index] }),
             None => Ok(()),
         }
@@ -233,9 +289,9 @@ impl PiSession {
     ///
     /// # Errors
     ///
-    /// Returns [`PiError::InputOutOfRange`] for a NaN or infinite input
-    /// element (before any material is taken), plus engine, shape or
-    /// protocol errors.
+    /// Returns [`PiError::InputOutOfRange`] for an input element outside
+    /// `[−INPUT_BOUND, INPUT_BOUND]` or not a number (before any
+    /// material is taken), plus engine, shape or protocol errors.
     pub fn infer(&self, x: &Tensor) -> Result<PiOutcome> {
         self.check_input(x)?;
         let mut material = self.pool.take()?;
@@ -290,8 +346,9 @@ impl PiSession {
     ///
     /// # Errors
     ///
-    /// Returns [`PiError::InputOutOfRange`] for a NaN or infinite input
-    /// element in any member (before any material is taken), plus
+    /// Returns [`PiError::InputOutOfRange`] for an input element outside
+    /// `[−INPUT_BOUND, INPUT_BOUND]` or not a number in any member
+    /// (before any material is taken), plus
     /// engine, shape or protocol errors; one member's failure fails the
     /// whole fused run.
     pub fn infer_batch_dealt(&self, xs: &[Tensor]) -> Result<Vec<PiOutcome>> {
@@ -327,7 +384,8 @@ impl PiSession {
                 .zip(xs)
                 .map(|(cep, x)| {
                     scope.spawn(move || -> Result<ShareVec> {
-                        let mut material = core.expand_dealt(&cep.recv_bytes()?)?;
+                        let frame = cep.recv_bytes_capped(DealtSeed::WIRE_BYTES as usize)?;
+                        let mut material = core.expand_dealt(&frame)?;
                         let (cmats, seed) = (material.take_client()?, material.seed);
                         client_walk(&*cep, &core.plan, cmats, x, &core.cfg, seed)
                     })
@@ -538,7 +596,7 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_inputs_are_refused_before_any_frame_or_material() {
+    fn inputs_outside_the_domain_are_refused_before_any_frame_or_material() {
         use c2pi_transport::channel_pair;
         let seq = tiny_prefix();
         for backend in [PiBackend::Delphi, PiBackend::Cheetah] {
@@ -546,7 +604,7 @@ mod tests {
             let session = PiSession::new(&specs_of(&seq), [1, 8, 8], cfg).unwrap();
             session.preprocess(2).unwrap();
             let ledger = session.ledger();
-            for value in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for value in [1.0001, -1.5, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
                 let mut x = Tensor::rand_uniform(&[1, 1, 8, 8], 0.0, 1.0, 4);
                 x.as_mut_slice()[9] = value;
                 let refused = |err: PiError| {
@@ -569,6 +627,10 @@ mod tests {
                 assert_eq!(traffic.bytes_client_to_server + traffic.bytes_server_to_client, 0);
                 assert_eq!(session.ledger(), ledger, "{backend:?}, {value}: the ledger moved");
             }
+            // The domain's own edges are inside it.
+            let edges =
+                Tensor::from_vec((0..64).map(|i| [1.0, -1.0][i % 2]).collect(), &[1, 1, 8, 8]);
+            assert!(session.infer(&edges.unwrap()).is_ok(), "{backend:?}: ±1 refused");
         }
     }
 

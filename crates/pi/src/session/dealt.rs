@@ -11,6 +11,7 @@ use super::PiSession;
 use crate::pool::{InferenceMaterial, SessionCore};
 use crate::report::PiReport;
 use crate::{PiError, Result};
+use c2pi_mpc::dealer::DealtSeed;
 use c2pi_mpc::share::ShareVec;
 use c2pi_tensor::Tensor;
 use c2pi_transport::{Channel, Side};
@@ -82,15 +83,18 @@ impl PiSession {
     ///
     /// Returns [`PiError::BadConfig`] when `ch` is not the client end or
     /// the peer's handshake is malformed, [`PiError::InputOutOfRange`]
-    /// for a NaN or infinite input element (before the dealt frame is
-    /// read), plus engine, shape and protocol errors.
+    /// for an input element outside `[−INPUT_BOUND, INPUT_BOUND]` or not
+    /// a number (before the dealt frame is read), plus engine, shape and
+    /// protocol errors. The dealt frame is read capped at its 20 bytes,
+    /// so a longer one is the transport's decode error before its payload
+    /// is allocated.
     pub fn request_one(&self, ch: &dyn Channel, x: &Tensor) -> Result<PartyOutcome> {
         if ch.side() != Side::Client {
             return Err(PiError::BadConfig("request_one needs the client channel end".into()));
         }
         self.check_input(x)?;
         let before = ch.counter().snapshot();
-        let frame = ch.recv_bytes()?;
+        let frame = ch.recv_bytes_capped(DealtSeed::WIRE_BYTES as usize)?;
         let deal_start = Instant::now();
         let mut material = self.core.expand_dealt(&frame)?;
         let cmats = material.take_client()?;

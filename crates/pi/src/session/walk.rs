@@ -74,8 +74,8 @@ pub(crate) fn client_walk(
                 let y = linear_client(ep, &step.linear_input(cur.as_raw())?, &corr)?;
                 cur = truncate_share(&ShareVec::from_raw(y.into_vec()), true, fp);
             }
-            (Step::Unit { op, window, .. }, mat) => {
-                cur = nl_client(ep, *op, &unit_input(window, cur), mat, cfg)?;
+            (Step::Unit { op, bits, window, .. }, mat) => {
+                cur = nl_client(ep, (*op, *bits), &unit_input(window, cur), mat, cfg)?;
             }
             (Step::AvgPool { c, h, w, window, stride }, ClientMat::None) => {
                 cur = avg_pool_share(&cur, (*c, *h, *w), (*window, *stride), true, fp);
@@ -149,10 +149,10 @@ pub(crate) fn server_walk(
                     })
                     .collect();
             }
-            Step::Unit { op, window, .. } => {
+            Step::Unit { op, bits, window, .. } => {
                 let ins: Vec<ShareVec> =
                     curs.into_iter().map(|cur| unit_input(window, cur)).collect();
-                curs = nl_server(eps, *op, &ins, mats, cfg)?;
+                curs = nl_server(eps, (*op, *bits), &ins, mats, cfg)?;
             }
             Step::AvgPool { c, h, w, window, stride } => {
                 step_mats(mats, |m| matches!(m, ServerMat::None).then_some(()))?;

@@ -2,11 +2,13 @@
 //! of that split are pinned here through the public entry points:
 //!
 //! * **a client never needs the weights** — the client half of every
-//!   correlation is raw draws plus the client's own garbling, so a
-//!   session compiled from the public architecture with every weight,
-//!   bias, scale and shift zeroed requests bit-identically to one that
-//!   holds the true model (the paper's client: it knows the
-//!   architecture, never the parameters; DESIGN.md §6);
+//!   correlation is raw draws plus the client's own garbling at the
+//!   plan's unit widths, so a session compiled from the public
+//!   architecture with every weight, bias, scale and shift zeroed, and
+//!   given the widths the server publishes (`PiSession::unit_widths`),
+//!   requests bit-identically to one that holds the true model (the
+//!   paper's client: it knows the architecture, never the parameters;
+//!   DESIGN.md §6);
 //! * **wrong-half material is a typed error** — a client-sided set
 //!   handed to the server entry point is refused by name before a single
 //!   frame is sent.
@@ -80,27 +82,31 @@ fn request(
     cfg: PiConfig,
     client: &PiSession,
     x: &Tensor,
-) -> (PartyOutcome, PartyOutcome, c2pi_transport::TrafficSnapshot) {
+) -> (Result<PartyOutcome, PiError>, PartyOutcome, c2pi_transport::TrafficSnapshot) {
     let server = PiSession::new(server_specs, chw, cfg).unwrap();
     let (cch, sch, counter) = channel_pair();
-    let t = std::thread::spawn(move || server.serve_one(&sch).unwrap());
-    let c = client.request_one(&cch, x).unwrap();
+    let t = std::thread::spawn(move || server.serve_one(&sch));
+    let c = client.request_one(&cch, x);
+    drop(cch);
     let s = t.join().unwrap();
-    (c, s, counter.snapshot())
+    (c, s.unwrap_or_else(|e| panic!("server: {e}")), counter.snapshot())
 }
 
 #[test]
-fn a_client_compiled_from_the_architecture_alone_requests_bit_identically() {
+fn a_client_compiled_from_the_architecture_and_published_widths_requests_bit_identically() {
     for (name, specs, chw) in [demo_prefix(), affine_stack()] {
         let blind_specs = architecture_only(&specs);
         let x = Tensor::rand_uniform(&[1, chw[0], chw[1], chw[2]], 0.0, 1.0, 91);
         for backend in [PiBackend::Delphi, PiBackend::Cheetah] {
             let cfg = PiConfig { backend, ..Default::default() };
+            let at = format!("{name} on {backend:?}");
             let knowing = PiSession::new(&specs, chw, cfg).unwrap();
-            let blind = PiSession::new(&blind_specs, chw, cfg).unwrap();
+            let published = knowing.unit_widths();
+            let blind = PiSession::with_unit_widths(&blind_specs, chw, cfg, &published).unwrap();
+            assert_eq!(blind.unit_widths(), published, "{at}: widths");
             let (want_c, want_s, want_traffic) = request(&specs, chw, cfg, &knowing, &x);
             let (got_c, got_s, got_traffic) = request(&specs, chw, cfg, &blind, &x);
-            let at = format!("{name} on {backend:?}");
+            let (want_c, got_c) = (want_c.unwrap(), got_c.unwrap());
             assert_eq!(got_c.share.as_raw(), want_c.share.as_raw(), "{at}: client share");
             assert_eq!(got_s.share.as_raw(), want_s.share.as_raw(), "{at}: server share");
             assert_eq!(got_c.dims, want_c.dims, "{at}: dims");
@@ -108,6 +114,49 @@ fn a_client_compiled_from_the_architecture_alone_requests_bit_identically() {
             assert_eq!(got_c.report.counts, want_c.report.counts, "{at}: counts");
         }
     }
+}
+
+#[test]
+fn a_client_without_the_published_widths_is_refused_by_fingerprint() {
+    // The widths enter the session fingerprint: a blind client that
+    // sizes its units from zeroed weights runs narrower steps than the
+    // server, and refuses the dealt seed instead of misreading it.
+    let (name, specs, chw) = demo_prefix();
+    let x = Tensor::rand_uniform(&[1, chw[0], chw[1], chw[2]], 0.0, 1.0, 91);
+    for backend in [PiBackend::Delphi, PiBackend::Cheetah] {
+        let cfg = PiConfig { backend, ..Default::default() };
+        let blind = PiSession::new(&architecture_only(&specs), chw, cfg).unwrap();
+        let knowing = PiSession::new(&specs, chw, cfg).unwrap();
+        assert_ne!(blind.unit_widths(), knowing.unit_widths(), "{name}: zeroed weights");
+        let server = knowing.clone();
+        let (cch, sch, _) = channel_pair();
+        let t = std::thread::spawn(move || server.serve_one(&sch));
+        let refused = blind.request_one(&cch, &x);
+        drop(cch);
+        let _ = t.join().unwrap();
+        assert!(
+            matches!(&refused, Err(PiError::BadConfig(why)) if why.contains("not produced for this deployment")),
+            "{name} on {backend:?}: {:?}",
+            refused.map(|o| o.dims)
+        );
+    }
+}
+
+#[test]
+fn published_widths_must_fit_the_plan() {
+    let (_, specs, chw) = demo_prefix();
+    let cfg = PiConfig::default();
+    let widths = PiSession::new(&specs, chw, cfg).unwrap().unit_widths();
+    let refused = |w: &[usize]| {
+        matches!(PiSession::with_unit_widths(&specs, chw, cfg, w), Err(PiError::BadConfig(_)))
+    };
+    assert!(refused(&widths[1..]), "one width short");
+    let narrow: Vec<usize> = widths.iter().map(|w| w - 8).collect();
+    assert!(refused(&narrow), "below what the weights need");
+    assert!(refused(&[widths[0] + 1, widths[1], widths[2]]), "not whole bytes");
+    assert!(refused(&[72, widths[1], widths[2]]), "past the ring");
+    let wider = PiSession::with_unit_widths(&specs, chw, cfg, &[64, 64, 64]).unwrap();
+    assert_eq!(wider.unit_widths(), [64, 64, 64]);
 }
 
 #[test]

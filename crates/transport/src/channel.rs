@@ -207,6 +207,24 @@ pub trait Channel: Send + std::fmt::Debug {
     /// or [`TransportError::Io`] for transport-level failures.
     fn recv_bytes(&self) -> Result<Vec<u8>>;
 
+    /// Receives the next byte frame, refusing one longer than `cap`
+    /// bytes — for a reader that knows how large the frame can
+    /// legitimately be. This default checks the frame once it has
+    /// arrived (an in-process channel already holds it);
+    /// [`crate::TcpChannel`] checks the length prefix before the payload
+    /// is allocated or read, so a peer's four bytes cannot size the
+    /// reader's allocation.
+    ///
+    /// # Errors
+    ///
+    /// [`TransportError::Decode`] when the frame exceeds `cap`;
+    /// otherwise as [`Channel::recv_bytes`].
+    fn recv_bytes_capped(&self, cap: usize) -> Result<Vec<u8>> {
+        let raw = self.recv_bytes()?;
+        check_frame_len(raw.len(), cap)?;
+        Ok(raw)
+    }
+
     /// Handle to the traffic counters this channel charges.
     fn counter(&self) -> TrafficCounter;
 
@@ -230,20 +248,46 @@ pub trait Channel: Send + std::fmt::Debug {
     /// Returns a decode error when the frame length is not a multiple of
     /// 8, or the errors of [`Channel::recv_bytes`].
     fn recv_u64s(&self) -> Result<Vec<u64>> {
-        let raw = self.recv_bytes()?;
-        if raw.len() % 8 != 0 {
-            return Err(TransportError::Decode(format!(
-                "frame of {} bytes is not a u64 sequence",
-                raw.len()
-            )));
-        }
-        let mut buf = Bytes::from(raw);
-        let mut out = Vec::with_capacity(buf.len() / 8);
-        while buf.has_remaining() {
-            out.push(buf.get_u64_le());
-        }
-        Ok(out)
+        decode_u64s(self.recv_bytes()?)
     }
+
+    /// [`Channel::recv_u64s`] of a frame of at most `max` elements, read
+    /// through [`Channel::recv_bytes_capped`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Channel::recv_u64s`], and [`TransportError::Decode`] for a
+    /// frame longer than `max` elements.
+    fn recv_u64s_capped(&self, max: usize) -> Result<Vec<u64>> {
+        decode_u64s(self.recv_bytes_capped(max.saturating_mul(8))?)
+    }
+}
+
+/// The single authority on frame-size caps, shared by every capped
+/// read and the TCP encode path.
+pub(crate) fn check_frame_len(len: usize, cap: usize) -> Result<()> {
+    if len > cap {
+        return Err(TransportError::Decode(format!(
+            "frame of {len} bytes exceeds the {cap}-byte cap"
+        )));
+    }
+    Ok(())
+}
+
+/// A frame of little-endian `u64` ring elements.
+fn decode_u64s(raw: Vec<u8>) -> Result<Vec<u64>> {
+    if !raw.len().is_multiple_of(8) {
+        return Err(TransportError::Decode(format!(
+            "frame of {} bytes is not a u64 sequence",
+            raw.len()
+        )));
+    }
+    let mut buf = Bytes::from(raw);
+    let mut out = Vec::with_capacity(buf.len() / 8);
+    while buf.has_remaining() {
+        out.push(buf.get_u64_le());
+    }
+    Ok(out)
 }
 
 impl<C: Channel + ?Sized> Channel for Box<C> {
@@ -257,6 +301,10 @@ impl<C: Channel + ?Sized> Channel for Box<C> {
 
     fn recv_bytes(&self) -> Result<Vec<u8>> {
         (**self).recv_bytes()
+    }
+
+    fn recv_bytes_capped(&self, cap: usize) -> Result<Vec<u8>> {
+        (**self).recv_bytes_capped(cap)
     }
 
     fn counter(&self) -> TrafficCounter {

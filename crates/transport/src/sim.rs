@@ -67,7 +67,11 @@ impl<C: Channel> Channel for SimChannel<C> {
     }
 
     fn recv_bytes(&self) -> Result<Vec<u8>> {
-        let frame = self.inner.recv_bytes()?;
+        self.recv_bytes_capped(usize::MAX)
+    }
+
+    fn recv_bytes_capped(&self, cap: usize) -> Result<Vec<u8>> {
+        let frame = self.inner.recv_bytes_capped(cap)?;
         self.mid_flight.store(false, Ordering::SeqCst);
         Ok(frame)
     }

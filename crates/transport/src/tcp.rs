@@ -8,13 +8,13 @@
 //! exactly that many payload bytes. The prefix is capped at
 //! [`MAX_FRAME_BYTES`] so a corrupted or adversarial peer cannot force
 //! an absurd allocation. [`encode_frame`] writes a frame;
-//! [`TcpChannel::recv_bytes_capped`] reads one straight off the stream.
+//! its [`Channel::recv_bytes_capped`] reads one straight off the stream.
 //! `tests/conformance.rs` property-tests that read path on frames
 //! written to a raw loopback stream in random chunks: they arrive intact
 //! and in order, a truncated tail is [`TransportError::Disconnected`]
 //! and an oversized prefix [`TransportError::Decode`].
 
-use crate::channel::{Channel, Side, TrafficCounter};
+use crate::channel::{check_frame_len, Channel, Side, TrafficCounter};
 use crate::{Result, TransportError};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -37,17 +37,6 @@ pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>> {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
     Ok(out)
-}
-
-/// The single authority on the frame-size cap, shared by the encode and
-/// read paths: [`MAX_FRAME_BYTES`], or a reader's own tighter `cap`.
-fn check_frame_len(len: usize, cap: usize) -> Result<()> {
-    if len > cap {
-        return Err(TransportError::Decode(format!(
-            "frame of {len} bytes exceeds the {cap}-byte cap"
-        )));
-    }
-    Ok(())
 }
 
 fn io_error(e: std::io::Error) -> TransportError {
@@ -159,31 +148,6 @@ impl TcpChannel {
             .expect("tcp writer mutex poisoned")
             .set_write_timeout(timeout)
             .map_err(io_error)
-    }
-
-    /// [`Channel::recv_bytes`] for a reader that knows how large the
-    /// next frame can legitimately be: a length prefix above `cap` is
-    /// rejected **before** the payload is allocated or read. A server
-    /// reads an unauthenticated peer's first frame this way, so the
-    /// peer's four bytes cannot size the server's allocation.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Decode`] when the prefix exceeds `cap` (or
-    /// [`MAX_FRAME_BYTES`]); otherwise as [`Channel::recv_bytes`].
-    pub fn recv_bytes_capped(&self, cap: usize) -> Result<Vec<u8>> {
-        let mut reader = self.reader.lock().expect("tcp reader mutex poisoned");
-        let mut prefix = [0u8; 4];
-        reader.read_exact(&mut prefix).map_err(io_error)?;
-        let len = u32::from_le_bytes(prefix) as usize;
-        check_frame_len(len, cap.min(MAX_FRAME_BYTES))?;
-        let mut payload = vec![0u8; len];
-        reader.read_exact(&mut payload).map_err(io_error)?;
-        drop(reader);
-        if self.charge_peer_on_recv {
-            self.counter.record_send(self.side.peer(), len as u64);
-        }
-        Ok(payload)
     }
 
     /// Connects to a listening peer.
@@ -349,6 +313,26 @@ impl Channel for TcpChannel {
 
     fn recv_bytes(&self) -> Result<Vec<u8>> {
         self.recv_bytes_capped(MAX_FRAME_BYTES)
+    }
+
+    /// Reads the frame straight off the stream: a length prefix above
+    /// `cap` (or [`MAX_FRAME_BYTES`]) is rejected **before** the payload
+    /// is allocated or read. A server reads an unauthenticated peer's
+    /// first frame this way, so the peer's four bytes cannot size the
+    /// server's allocation.
+    fn recv_bytes_capped(&self, cap: usize) -> Result<Vec<u8>> {
+        let mut reader = self.reader.lock().expect("tcp reader mutex poisoned");
+        let mut prefix = [0u8; 4];
+        reader.read_exact(&mut prefix).map_err(io_error)?;
+        let len = u32::from_le_bytes(prefix) as usize;
+        check_frame_len(len, cap.min(MAX_FRAME_BYTES))?;
+        let mut payload = vec![0u8; len];
+        reader.read_exact(&mut payload).map_err(io_error)?;
+        drop(reader);
+        if self.charge_peer_on_recv {
+            self.counter.record_send(self.side.peer(), len as u64);
+        }
+        Ok(payload)
     }
 
     fn counter(&self) -> TrafficCounter {

@@ -66,6 +66,28 @@ fn round_trip_typed_frames_both_directions() {
 }
 
 #[test]
+fn capped_reads_refuse_one_byte_over_the_cap_and_admit_the_cap() {
+    // TCP refuses the length prefix and leaves the payload unread, so
+    // the stream is mid-frame afterwards: every check runs on a fresh
+    // pair.
+    for (name, make) in implementations() {
+        let (c, s, _) = make();
+        c.send_bytes(&[7; 7]).unwrap();
+        let over = s.recv_bytes_capped(6);
+        assert!(matches!(over, Err(TransportError::Decode(_))), "{name}: {over:?}");
+        let (c, s, _) = make();
+        s.send_u64s(&[1, 2, 3]).unwrap();
+        let over = c.recv_u64s_capped(2);
+        assert!(matches!(over, Err(TransportError::Decode(_))), "{name}: {over:?}");
+        let (c, s, _) = make();
+        c.send_bytes(b"sixby!").unwrap();
+        assert_eq!(s.recv_bytes_capped(6).unwrap(), b"sixby!", "{name}");
+        s.send_u64s(&[4, 5]).unwrap();
+        assert_eq!(c.recv_u64s_capped(2).unwrap(), [4, 5], "{name}");
+    }
+}
+
+#[test]
 fn frames_arrive_in_send_order() {
     for (name, make) in implementations() {
         let (c, s, _) = make();

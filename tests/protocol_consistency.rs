@@ -8,6 +8,7 @@ use c2pi_suite::nn::layers::{AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d, Relu
 use c2pi_suite::nn::model::{alexnet, ZooConfig};
 use c2pi_suite::nn::{BoundaryId, Sequential};
 use c2pi_suite::pi::engine::{run_prefix, specs_of, PiBackend, PiConfig};
+use c2pi_suite::pi::PiSession;
 use c2pi_tensor::Tensor;
 
 fn assert_close(a: &Tensor, b: &Tensor, tol: f32) {
@@ -78,10 +79,16 @@ fn traffic_scales_with_relu_count_not_just_layers() {
     without_relu.push(Conv2d::new(2, 4, 3, 1, 1, 1, 8));
     let a = run_prefix(&specs_of(&with_relu), &x, &cfg).unwrap();
     let b = run_prefix(&specs_of(&without_relu), &x, &cfg).unwrap();
+    // The whole difference is the ReLU layer's δ/label round, ⌈w/8⌉ B
+    // and w labels of 16 B per element at the layer's width w, and it
+    // outweighs the linear-only prefix.
+    let relus = 4 * 8 * 8;
+    let w = PiSession::new(&specs_of(&with_relu), [2, 8, 8], cfg).unwrap().unit_widths()[0] as u64;
+    let relu_bytes = relus * (w.div_ceil(8) + w * 16);
+    assert_eq!(a.report.online.bytes_total(), b.report.online.bytes_total() + relu_bytes);
     assert!(
-        a.report.online.bytes_total() > 10 * b.report.online.bytes_total(),
-        "relu {} vs linear-only {}",
-        a.report.online.bytes_total(),
+        relu_bytes > b.report.online.bytes_total(),
+        "relu {relu_bytes} vs linear-only {}",
         b.report.online.bytes_total()
     );
 }
@@ -228,8 +235,8 @@ fn delphi_online_flights_are_layer_batched() {
     // A max pool and the ReLU after it are one garbled unit: the
     // conv→relu→maxpool prefix (run as conv, then the fused pool) also
     // costs exactly one label flight over the bare conv, and its online
-    // bytes are the window's: four δ words and 4 · 64 labels of 16 B,
-    // none for the ReLU.
+    // bytes are the window's at the unit's width w: four δ values of
+    // ⌈w/8⌉ B and 4 · w labels of 16 B, none for the ReLU.
     with_relu.push(MaxPool2d::new(2, 2));
     let c = run_prefix(&specs_of(&with_relu), &x, &cfg).unwrap();
     assert_eq!(
@@ -238,9 +245,10 @@ fn delphi_online_flights_are_layer_batched() {
         "a pooled relu layer should cost exactly one extra online flight"
     );
     let windows = 4 * 4 * 4;
+    let w = PiSession::new(&specs_of(&with_relu), [2, 8, 8], cfg).unwrap().unit_widths()[0] as u64;
     assert_eq!(
         c.report.online.bytes_total(),
-        b.report.online.bytes_total() + windows * 4 * (8 + 64 * 16)
+        b.report.online.bytes_total() + windows * 4 * (w.div_ceil(8) + w * 16)
     );
 }
 
@@ -287,13 +295,14 @@ fn serving_transcripts_match_their_goldens_at_every_entry_point() {
     // the first sets of the same seed stream). The
     // dealt entry points count the 20-byte `DealtSeed` frame; `infer`
     // has none. The share folds also pin the dealt function `seed →
-    // material` (`DealtSeed` v5, and v6, which only dropped the frame's
-    // step list: a multiplication's output shares are a function
-    // of its Beaver triple, and where that triple sits in the stream
-    // depends on every draw before it); bytes and flights are protocol
-    // facts and survive any re-draw. Delphi runs the pool and its ReLU
-    // as one garbled unit, one δ/label round trip; Cheetah runs them as
-    // two protocols in one step, with the two layers' draws and flights.
+    // material` (`DealtSeed` v7: a multiplication's output shares are a
+    // function of its Beaver triple, and where that triple sits in the
+    // stream depends on every draw before it); bytes and flights are
+    // protocol facts and survive any re-draw. The fused unit runs at the
+    // 16 bits its compiled bound needs: Delphi as one garbled unit, one
+    // δ/label round trip of 2 B and 16 labels per input; Cheetah as two
+    // protocols in one step, with the two layers' draws and flights, each
+    // DReLU five AND layers deep.
     use c2pi_suite::pi::PiSession;
     use c2pi_suite::transport::channel_pair;
 
@@ -313,19 +322,19 @@ fn serving_transcripts_match_their_goldens_at_every_entry_point() {
         (
             PiBackend::Cheetah,
             [
-                (0x3c80_68cd_bd76_4ec5, 20_240, 15_120, 72),
-                (0x3c80_68cd_bd76_4ec5, 20_240, 15_140, 73),
-                (0x3c80_68cd_bd76_4ec5, 20_240, 15_140, 73),
-                (0x876a_1f73_97b5_8053, 20_240, 15_140, 73),
+                (0x8769_7da0_2d08_6969, 13_328, 8_208, 56),
+                (0x8769_7da0_2d08_6969, 13_328, 8_228, 57),
+                (0x8769_7da0_2d08_6969, 13_328, 8_228, 57),
+                (0x8740_5939_a67d_78c7, 13_328, 8_228, 57),
             ],
         ),
         (
             PiBackend::Delphi,
             [
-                (0x2fd3_78ed_98ea_59aa, 6_656, 196_608, 2),
-                (0x2fd3_78ed_98ea_59aa, 6_656, 196_628, 3),
-                (0x2fd3_78ed_98ea_59aa, 6_656, 196_628, 3),
-                (0x35c2_9fcf_55c4_3622, 6_656, 196_628, 3),
+                (0x585b_5f7a_0d4a_ec4e, 5_504, 49_152, 2),
+                (0x585b_5f7a_0d4a_ec4e, 5_504, 49_172, 3),
+                (0x585b_5f7a_0d4a_ec4e, 5_504, 49_172, 3),
+                (0x2d9c_da5d_5cfa_b1a6, 5_504, 49_172, 3),
             ],
         ),
     ];
