@@ -1,6 +1,6 @@
 //! Microbenchmark: garbling and evaluating the ReLU circuit (Delphi's
 //! per-ReLU cost driver), and the offline garbling kernel
-//! `pregarble_for` at the serving split's layer sizes.
+//! `pregarble_for` at the serving split's layer sizes and unit widths.
 //!
 //! The `pregarble/*` rows time one layer-sized call — the calls the
 //! split's offline set makes, cut into bands as serving cuts them — and
@@ -14,6 +14,10 @@ use c2pi_mpc::dealer::Halves;
 use c2pi_mpc::gc::{evaluate, garble_open, relu_circuit, select_labels, to_bits};
 use c2pi_mpc::gcpre::{pregarble_for, MaskedOp};
 use c2pi_mpc::prg::Prg;
+use c2pi_nn::model::{alexnet, ZooConfig};
+use c2pi_nn::BoundaryId;
+use c2pi_pi::engine::specs_of;
+use c2pi_pi::{PiConfig, PiSession};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Instant;
 
@@ -39,21 +43,34 @@ fn bench_garbling(c: &mut Criterion) {
     group.finish();
 }
 
+/// The unit widths serving compiles for the demo split: the benchmark's
+/// narrow AlexNet on 16×16 inputs, cut after its third ReLU.
+fn demo_split_widths() -> Vec<usize> {
+    let demo = alexnet(&ZooConfig { width_div: 32, seed: 3, image_size: 16, ..Default::default() })
+        .expect("the demo model builds");
+    let (prefix, _) = demo.split_at(BoundaryId::relu(3)).expect("the demo split");
+    PiSession::new(&specs_of(&prefix), [3, 16, 16], PiConfig::default())
+        .expect("the demo split compiles")
+        .unit_widths()
+}
+
 fn bench_pregarble(c: &mut Criterion) {
-    // The serving split's garbled layers in order at the 24 bits its plan
-    // compiles them to (98 944 ANDs a set: each max pool fused with the
-    // ReLU after it, then the last ReLU), at the largest band
+    // The serving split's garbled layers in order, each at the width its
+    // plan compiles it to (each max pool fused with the ReLU after it,
+    // then the last ReLU), at the largest band
     // `PiConfig::default().gc_chunk`.
-    const BITS: usize = 24;
     const BAND: usize = 1024;
-    let mut group = c.benchmark_group("pregarble");
-    group.sample_size(20).measurement_time(std::time::Duration::from_secs(2));
-    for (name, op, items) in [
+    let layers = [
         ("fused256", MaskedOp::MaxpoolRelu4, 256),
         ("fused96", MaskedOp::MaxpoolRelu4, 96),
         ("relu192", MaskedOp::Relu, 192),
-    ] {
-        let kilo_ands = (items * op.ands_per_item(BITS)) as f64 / 1e3;
+    ];
+    let widths = demo_split_widths();
+    assert_eq!(widths.len(), layers.len(), "one width per garbled layer of the split");
+    let mut group = c.benchmark_group("pregarble");
+    group.sample_size(20).measurement_time(std::time::Duration::from_secs(2));
+    for ((name, op, items), bits) in layers.into_iter().zip(widths) {
+        let kilo_ands = (items * op.ands_per_item(bits)) as f64 / 1e3;
         for (side, halves) in
             [("both", Halves::Both), ("client", Halves::Client), ("server", Halves::Server)]
         {
@@ -61,7 +78,7 @@ fn bench_pregarble(c: &mut Criterion) {
                 bench.iter_custom(|_| {
                     let mut prg = Prg::from_u64(1);
                     let start = Instant::now();
-                    black_box(pregarble_for(op, BITS, items, &mut prg, BAND, halves));
+                    black_box(pregarble_for(op, bits, items, &mut prg, BAND, halves));
                     start.elapsed().div_f64(kilo_ands)
                 })
             });

@@ -9,7 +9,7 @@ use crate::C2piError;
 use c2pi_transport::{Channel, Side, TcpChannel, TransportError};
 use std::net::TcpStream;
 use std::sync::mpsc::Receiver;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// One worker thread: pull a job, run it to completion. All
@@ -18,7 +18,7 @@ use std::time::Instant;
 pub(super) fn worker_loop(worker: usize, rx: &Mutex<Receiver<Job>>, shared: &Shared) {
     loop {
         // Hold the receiver lock only for the dequeue itself.
-        let job = { rx.lock().expect("dispatch queue mutex poisoned").recv() };
+        let job = { rx.lock().unwrap_or_else(PoisonError::into_inner).recv() };
         match job {
             Ok(Job::Conn(stream)) => serve_connection(worker, stream, shared),
             Ok(Job::Batch(chs, reason)) => serve_run(worker, chs, reason, shared),

@@ -44,9 +44,9 @@ pub fn mul_elementwise<C: Channel + ?Sized>(
     let peer;
     if is_initiator {
         ep.send_u64s(&opened)?;
-        peer = ep.recv_u64s()?;
+        peer = ep.recv_u64s_capped(2 * n)?;
     } else {
-        peer = ep.recv_u64s()?;
+        peer = ep.recv_u64s_capped(2 * n)?;
         ep.send_u64s(&opened)?;
     }
     if peer.len() != 2 * n {
@@ -121,7 +121,7 @@ pub fn linear_server_members<C: Channel + ?Sized>(
     }
     let mut maskeds = Vec::with_capacity(k);
     for (ep, x1) in eps.iter().zip(x1s) {
-        let raw = ep.recv_u64s()?;
+        let raw = ep.recv_u64s_capped(x1.rows() * x1.cols())?;
         maskeds.push(RingMatrix::from_vec(raw, x1.rows(), x1.cols())?);
     }
     let widths: Vec<usize> = x1s.iter().map(RingMatrix::cols).collect();
@@ -234,6 +234,43 @@ mod tests {
         let z = reconstruct(&z0, &z1);
         for i in 0..n {
             assert_eq!(z[i], x[i].wrapping_mul(y[i]), "element {i}");
+        }
+    }
+
+    #[test]
+    fn opened_frames_over_their_size_are_typed_errors() {
+        // Each opening is read capped at its known size: `2n` words for a
+        // multiplication, `rows · cols` for a masked linear input. A
+        // frame one word over is the transport's typed decode error; a
+        // short one is refused by the protocol's own length check.
+        use c2pi_transport::TransportError;
+        let oversize =
+            |r: &Result<Vec<u64>>| matches!(r, Err(MpcError::Transport(TransportError::Decode(_))));
+        let n = 5;
+        let (t0, _) = Dealer::new(53).beaver_triples(n);
+        let x = ShareVec::from_raw(vec![3; n]);
+        for (len, over) in [(2 * n - 1, false), (2 * n + 1, true)] {
+            for is_initiator in [true, false] {
+                let (client, server, _) = channel_pair();
+                server.send_u64s(&vec![0; len]).unwrap();
+                let r = mul_elementwise(&client, is_initiator, &x, &x, &t0)
+                    .map(|z| z.as_raw().to_vec());
+                let at = format!("{len} words, initiator {is_initiator}: {r:?}");
+                assert!(
+                    if over { oversize(&r) } else { matches!(r, Err(MpcError::Protocol(_))) },
+                    "{at}"
+                );
+            }
+        }
+        let (w, x1) = (RingMatrix::zeros(2, 3), RingMatrix::zeros(3, 4));
+        let (_, corr) = Dealer::new(54).linear_corr(&w, 4).unwrap();
+        for (len, over) in [(11, false), (12, false), (13, true)] {
+            let (client, server, _) = channel_pair();
+            client.send_u64s(&vec![0; len]).unwrap();
+            let r = linear_server_members(&[&server], &w, std::slice::from_ref(&x1), &[&corr])
+                .map(|ys| ys[0].as_slice().to_vec());
+            let at = format!("{len} words: {r:?}");
+            assert!(if over { oversize(&r) } else { (len == 12) == r.is_ok() }, "{at}");
         }
     }
 

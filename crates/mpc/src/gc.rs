@@ -1140,7 +1140,7 @@ mod tests {
     #[test]
     fn unit_circuits_are_cached_per_width_and_match_fresh_builds() {
         assert!(std::ptr::eq(relu_unit_circuit(), relu_unit(64)));
-        for bits in [8, 24, 32, 64] {
+        for bits in crate::TEST_WIDTHS {
             let units: [(&Circuit, Circuit); 3] = [
                 (relu_unit(bits), relu_circuit(1, bits)),
                 (maxpool4_unit(bits), maxpool4_circuit(1, bits)),

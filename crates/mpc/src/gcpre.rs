@@ -902,7 +902,7 @@ mod tests {
         // `[−2^(w−2), 2^(w−2))`, whose extremes differ by the largest
         // `|a − b| < 2^(w−1)` its comparator is exact for.
         const BANDS: [usize; 4] = [1, 3, 8, 1024];
-        for bits in [8, 24, 32, 64] {
+        for bits in crate::TEST_WIDTHS {
             for op in [MaskedOp::Relu, MaskedOp::Maxpool4, MaskedOp::MaxpoolRelu4] {
                 lock_step_equals_per_item_equals_plaintext(op, bits, &BANDS);
             }
@@ -1158,7 +1158,7 @@ mod tests {
         use c2pi_transport::TransportError;
         let oversize =
             |r: &Result<ShareVec>| matches!(r, Err(MpcError::Transport(TransportError::Decode(_))));
-        for bits in [8, 24, 32, 64] {
+        for bits in crate::TEST_WIDTHS {
             let (cmat, smat) =
                 pregarble_for(MaskedOp::Relu, bits, 2, &mut Prg::from_u64(31), 2, Halves::Both);
             let (cmat, smat) = (cmat.unwrap(), smat.unwrap());
@@ -1227,7 +1227,7 @@ mod tests {
         // domain's edges: a unit reads only the shares' low bits, and its
         // output share is a ring word. Per input the round moves ⌈w/8⌉ B
         // of δ and w labels of 16 B.
-        for bits in [8, 24, 32, 64] {
+        for bits in crate::TEST_WIDTHS {
             for op in [MaskedOp::Relu, MaskedOp::Maxpool4, MaskedOp::MaxpoolRelu4] {
                 let secret = domain_values(op, bits, 4 * 9, 300 + bits as u64);
                 let (y, traffic) = run_layer_at(op, bits, &secret, 17, 8);
@@ -1254,7 +1254,7 @@ mod tests {
         // half. A classic 4-row/full-pair layout would double both the
         // table term and the server labels.
         let mut prg = Prg::from_u64(37);
-        for bits in [8, 24, 32, 64] {
+        for bits in crate::TEST_WIDTHS {
             let (cmat, smat) = pregarble_for(MaskedOp::Relu, bits, 2, &mut prg, 1, Halves::Both);
             let (cmat, smat) = (cmat.unwrap(), smat.unwrap());
             // Per item: its mask at ⌈w/8⌉ B, 2w − 2 tables, w labels and

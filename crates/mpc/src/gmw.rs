@@ -80,9 +80,10 @@ impl BitTriples {
 /// # Errors
 ///
 /// Returns transport errors, triple-pool exhaustion, a config error
-/// when `x` and `y` differ in length, and a protocol error — before any
-/// arithmetic on it — when the peer's frame is not exactly `⌈2n/8⌉`
-/// bytes or sets a padding bit above `2n` in its last byte.
+/// when `x` and `y` differ in length, a transport decode error when the
+/// peer's frame is longer than `⌈2n/8⌉` bytes (read capped at that
+/// size), and a protocol error — before any arithmetic on it — when it
+/// is shorter or sets a padding bit above `2n` in its last byte.
 pub fn and_batch<C: Channel + ?Sized>(
     ep: &C,
     is_initiator: bool,
@@ -101,7 +102,7 @@ pub fn and_batch<C: Channel + ?Sized>(
     if is_initiator {
         ep.send_bytes(&frame)?;
     }
-    let theirs = BitVec::from_bytes(&ep.recv_bytes()?, 2 * n)?;
+    let theirs = BitVec::from_bytes(&ep.recv_bytes_capped((2 * n).div_ceil(8))?, 2 * n)?;
     if !is_initiator {
         ep.send_bytes(&frame)?;
     }
@@ -581,16 +582,20 @@ mod tests {
     #[test]
     fn and_batch_accepts_only_the_exact_canonical_frame() {
         // 13 positions: a 26-bit opening, four bytes, six padding bits.
+        // A frame over its exact size is the transport's typed decode
+        // error (over TCP the length prefix is refused before the
+        // payload is read); a short or dirty one is a protocol error.
+        use c2pi_transport::TransportError;
         let n = 13;
         let honest = || BitVec::zeros(2 * n).to_bytes();
         assert_eq!(honest().len(), 4);
-        let malformed: [(&str, Vec<u8>); 4] = [
-            ("short", honest()[..3].to_vec()),
-            ("over-long", [honest(), vec![0]].concat()),
-            ("dirty padding", vec![0, 0, 0, 0b0000_0100]),
-            ("empty", Vec::new()),
+        let malformed: [(&str, Vec<u8>, bool); 4] = [
+            ("short", honest()[..3].to_vec(), false),
+            ("one byte over", [honest(), vec![0]].concat(), true),
+            ("dirty padding", vec![0, 0, 0, 0b0000_0100], false),
+            ("empty", Vec::new(), false),
         ];
-        for (what, frame) in malformed {
+        for (what, frame, over) in malformed {
             for is_initiator in [true, false] {
                 let (mut tc, _) = Dealer::new(44).bit_triples(n);
                 let (client, server, _) = channel_pair();
@@ -598,7 +603,11 @@ mod tests {
                 let x = BitVec::zeros(n);
                 let r = and_batch(&client, is_initiator, &x, &x, &mut tc);
                 assert!(
-                    matches!(r, Err(MpcError::Protocol(_))),
+                    if over {
+                        matches!(r, Err(MpcError::Transport(TransportError::Decode(_))))
+                    } else {
+                        matches!(r, Err(MpcError::Protocol(_)))
+                    },
                     "{what} frame, initiator {is_initiator}: {r:?}"
                 );
             }
@@ -729,7 +738,7 @@ mod tests {
         // carry into the sign) and 2^(w−1) (a carry). The word kernel,
         // the bool oracle and the plaintext sign agree, on the formula's
         // triples and frames.
-        for bits in [8usize, 24, 32, 64] {
+        for bits in crate::TEST_WIDTHS {
             let half = 1i128 << (bits - 1);
             let mut prg = Prg::from_u64(bits as u64);
             let mut secrets: Vec<u64> =

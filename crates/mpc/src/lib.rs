@@ -63,3 +63,9 @@ pub use share::ShareVec;
 
 /// Convenience result alias for MPC operations.
 pub type Result<T> = std::result::Result<T, MpcError>;
+
+/// The unit widths every width sweep in this crate's tests runs: the
+/// narrowest a unit runs at (2, 3), whole bytes, odd widths a plan
+/// compiles to (17, 19, 21), one bit past 32 and one short of 64.
+#[cfg(test)]
+pub(crate) const TEST_WIDTHS: [usize; 11] = [2, 3, 8, 17, 19, 21, 24, 32, 33, 63, 64];

@@ -193,7 +193,7 @@ mod tests {
         // Operands in `[−2^(w−2), 2^(w−2))` on uniform 64-bit shares:
         // their difference reaches ±(2^(w−1) − 1), the largest the
         // comparison at `w` reads exactly. Fewer triples at fewer bits.
-        for bits in [8usize, 24, 32, 64] {
+        for bits in crate::TEST_WIDTHS {
             let q = 1i128 << (bits - 2);
             let mut prg = Prg::from_u64(bits as u64);
             let mut draw = || (-q + (u128::from(prg.next_u64()) % (2 * q as u128)) as i128) as i64;

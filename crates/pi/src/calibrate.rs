@@ -70,8 +70,9 @@ impl OnlineCostModel {
     /// At 18 ns a 64-bit ReLU (126 ANDs) is 2.3 µs and a fused 64-bit
     /// max-then-ReLU window (696 ANDs) 12.5 µs — about two orders of
     /// magnitude above Cheetah's comparison-based path, as published.
-    /// The demo split at its compiled widths (98 944 ANDs, 51 840 MACs)
-    /// prices at 3.0 ms against 2.9 ms measured in a traced run.
+    /// The demo split at its exact compiled widths 17/19/21 (72 800 ANDs,
+    /// 51 840 MACs) prices at 2.5 ms against 2.0–2.8 ms measured in three
+    /// traced runs (`pi.calibrate.default_residual` 0.89–1.24).
     pub fn delphi() -> Self {
         OnlineCostModel { sec_per_mac: 4.0e-9, sec_per_gate: 1.8e-8, base_seconds: 1.0e-3 }
     }

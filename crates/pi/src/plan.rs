@@ -10,10 +10,10 @@
 //! Compilation also sizes every non-linear step. One sound interval pass
 //! ([`bounds`]) carries the public input domain (every element in
 //! `[−INPUT_BOUND, INPUT_BOUND]`) through the prefix, and each unit step
-//! gets the fewest bits its inputs can occupy, rounded up to whole bytes
-//! ([`unit_bits`]). The backends garble and compare only those low bits;
-//! reducing mod `2^w` is a ring map, so they compute on the value itself
-//! (DESIGN.md §9 and §12).
+//! gets exactly the bits its inputs need, with no rounding to whole
+//! bytes ([`unit_bits`]). The backends garble and compare only those low
+//! bits; reducing mod `2^w` is a ring map, so they compute on the value
+//! itself (DESIGN.md §9 and §12).
 
 use crate::report::OpCounts;
 use crate::{PiError, Result};
@@ -143,14 +143,15 @@ pub(crate) fn magnitude_bits((lo, hi): Interval) -> u32 {
 /// The width a unit of `op` runs at when its inputs occupy `bound` bits:
 /// a ReLU reads its input's sign, so it needs `bound + 1` bits; a max
 /// compares `a − b`, one bit wider than its inputs, so it (and a fused
-/// max-then-ReLU) needs `bound + 2`. Rounded up to a multiple of 8 —
-/// byte-aligned `δ`, at most eight cached circuits per op, and a public
-/// width that says less about the weights than an exact one — and capped
-/// at the 64-bit ring, so a plan whose bound nears the ring runs every
+/// max-then-ReLU) needs `bound + 2`. Exactly that, with no rounding: the
+/// width is public, but it is a per-deployment constant of the server's
+/// weights that says nothing about client data (DESIGN.md §9). Clamped
+/// to `2..=64`: two bits are the narrowest unit the circuits and the
+/// comparison tree run, and a plan whose bound nears the ring runs every
 /// bit, as it did before widths existed.
 pub(crate) fn unit_bits(op: MaskedOp, bound: u32) -> usize {
     let need = bound as usize + if op == MaskedOp::Relu { 1 } else { 2 };
-    need.next_multiple_of(8).min(64)
+    need.clamp(2, 64)
 }
 
 /// Sizes every unit step of `plan` for inputs in the public domain: one
@@ -170,9 +171,9 @@ fn size_units(plan: &mut Plan, fp: FixedPoint) {
 /// Runs the unit steps of `plan` at `widths`, in plan order: the widths
 /// a deployment publishes, handed to a client that compiled the
 /// architecture without the weights (its own bounds, from zeroed
-/// weights, say nothing about the server's). Each width must be a whole
-/// number of bytes in `8..=64`, and no narrower than this plan's own
-/// bound needs ([`unit_bits`]).
+/// weights, say nothing about the server's). Each width must lie in
+/// `need..=64`, where `need` is what this plan's own bound needs
+/// ([`unit_bits`]).
 ///
 /// # Errors
 ///
@@ -192,10 +193,8 @@ pub(crate) fn set_unit_widths(plan: &mut Plan, widths: &[usize]) -> Result<()> {
     });
     for (i, ((op, bound, bits), &w)) in units.zip(widths).enumerate() {
         let need = unit_bits(op, bound);
-        if w % 8 != 0 || !(need..=64).contains(&w) {
-            return Err(PiError::BadConfig(format!(
-                "unit {i}: width {w} is not a whole number of bytes in {need}..=64"
-            )));
+        if !(need..=64).contains(&w) {
+            return Err(PiError::BadConfig(format!("unit {i}: width {w} is not in {need}..=64")));
         }
         *bits = w;
     }
@@ -632,9 +631,8 @@ mod tests {
     fn the_demo_plans_pin_their_unit_bounds_and_widths() {
         // The benchmark's demo AlexNet over the input domain: at the
         // relu(3) split its two fused pools and its ReLU read values of
-        // 15, 17 and 20 bits (exact widths 17, 19 and 21), all rounded
-        // up to 24; the whole prefix needs 32 bits from its fifth unit
-        // on. A weight change that eats headroom moves these.
+        // 15, 17 and 20 bits and run at exactly 17, 19 and 21. A weight
+        // change that eats headroom moves these.
         use c2pi_nn::model::{alexnet, ZooConfig};
         use c2pi_nn::BoundaryId;
         let demo =
@@ -650,29 +648,49 @@ mod tests {
             units.collect::<Vec<_>>()
         };
         let split = demo.split_at(BoundaryId::relu(3)).unwrap().0;
-        assert_eq!(widths(&split), [(15, 24), (17, 24), (20, 24)]);
+        assert_eq!(widths(&split), [(15, 17), (17, 19), (20, 21)]);
         let whole = widths(demo.seq());
         let bounds = [15, 17, 20, 22, 24, 25, 26, 28];
-        let bits = [24, 24, 24, 24, 32, 32, 32, 32];
+        let bits = [17, 19, 21, 23, 26, 26, 28, 29];
         assert_eq!(whole, bounds.into_iter().zip(bits).collect::<Vec<_>>());
         // The rule itself: a ReLU needs one bit over its bound, a max
-        // two; whole bytes, at most the ring.
+        // two; exact, at least 2 and at most the ring.
         assert_eq!(
             [
                 (MaskedOp::Relu, 0),
                 (MaskedOp::Relu, 7),
                 (MaskedOp::Relu, 8),
+                (MaskedOp::Maxpool4, 0),
                 (MaskedOp::Maxpool4, 6)
             ]
             .map(|(op, b)| unit_bits(op, b)),
-            [8, 8, 16, 8]
+            [2, 8, 9, 2, 8]
         );
-        assert_eq!([22, 23].map(|b| unit_bits(MaskedOp::MaxpoolRelu4, b)), [24, 32]);
-        assert_eq!([62, 63, 100].map(|b| unit_bits(MaskedOp::Relu, b)), [64, 64, 64]);
+        assert_eq!([22, 23].map(|b| unit_bits(MaskedOp::MaxpoolRelu4, b)), [24, 25]);
+        assert_eq!([62, 63, 100].map(|b| unit_bits(MaskedOp::Relu, b)), [63, 64, 64]);
         assert_eq!(
             [(0, 0), (-1, 0), (0, 1), (-2, 1), (-3, 2), (-4, 4), (0, 4)].map(magnitude_bits),
             [0, 0, 1, 1, 2, 3, 3]
         );
+    }
+
+    #[test]
+    fn a_unit_whose_inputs_need_no_magnitude_bits_runs_at_two() {
+        // Zero weights and a bias of −2^(−2f) put every value the ReLU
+        // reads in [−1, 0] (the truncation's floor, plus 0 or 1): a bound
+        // of 0, one bit of sign, yet the unit runs at the two bits the
+        // circuits and the comparison tree need at least.
+        use c2pi_tensor::Tensor;
+        let fp = FixedPoint::default();
+        let bias = -(2f32).powi(-2 * fp.frac_bits() as i32);
+        let weight = Tensor::zeros(&[4, 3]);
+        let bias = Tensor::from_vec(vec![bias; 3], &[3]).unwrap();
+        let specs = [LayerSpec::Flatten, LayerSpec::Linear { weight, bias }, LayerSpec::Relu];
+        let plan = compile(&specs, (1, 2, 2), fp).unwrap();
+        let Some(Step::Unit { bound: 0, bits, .. }) = plan.steps.last() else {
+            panic!("{:?}", plan.steps.last());
+        };
+        assert_eq!(*bits, 2);
     }
 
     #[test]

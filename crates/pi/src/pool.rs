@@ -39,7 +39,7 @@ use c2pi_mpc::gcpre::{MaskedOp, PreGarbledClient, PreGarbledServer};
 use c2pi_mpc::prg::SeedSequence;
 use std::collections::VecDeque;
 use std::path::Path;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -383,21 +383,21 @@ impl SeedAllocator {
 
     /// Hands out the next seed with its 1-based stream position.
     pub fn next(&self) -> (u64, u64) {
-        let mut st = self.inner.lock().expect("seed allocator mutex poisoned");
+        let mut st = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         st.drawn += 1;
         (st.drawn, st.seq.next())
     }
 
     /// The stream position: seeds allocated so far.
     pub fn drawn(&self) -> u64 {
-        self.inner.lock().expect("seed allocator mutex poisoned").drawn
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner).drawn
     }
 
     /// Advances the stream to `position` (a warm boot discarding every
     /// seed a previous process already drew). No-op when the stream is
     /// already at or past it.
     pub(crate) fn fast_forward_to(&self, position: u64) {
-        let mut st = self.inner.lock().expect("seed allocator mutex poisoned");
+        let mut st = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         while st.drawn < position {
             st.drawn += 1;
             st.seq.next();
@@ -521,7 +521,7 @@ impl MaterialPool {
     }
 
     fn lock(&self) -> MutexGuard<'_, PoolState> {
-        self.state.lock().expect("material pool mutex poisoned")
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Material sets currently pooled for future inferences.
@@ -842,7 +842,7 @@ fn replenish_loop(pool: &MaterialPool, low: usize, high: usize) -> Result<()> {
     let mut st = pool.lock();
     loop {
         while !st.shutdown && st.ready.len() >= low {
-            st = pool.drained.wait(st).expect("material pool mutex poisoned");
+            st = pool.drained.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
         if st.shutdown {
             return Ok(());
@@ -896,6 +896,27 @@ mod tests {
         assert_eq!(l.consumed, 3);
         assert_eq!(l.available, 0);
         assert_eq!(l.generated_offline + l.generated_inline, l.consumed + l.available);
+    }
+
+    #[test]
+    fn a_panic_under_the_pool_lock_does_not_stop_later_takes() {
+        // A thread that panics while holding the pool's lock poisons it;
+        // every later lock recovers the guard, so the pooled sets and
+        // the inline path still serve and the ledger still balances.
+        let pool = Arc::new(MaterialPool::new(tiny_core()));
+        pool.preprocess(2).unwrap();
+        let holder = Arc::clone(&pool);
+        let panicked = std::thread::spawn(move || {
+            let _st = holder.lock();
+            panic!("a holder of the pool lock panics");
+        })
+        .join();
+        assert!(panicked.is_err() && pool.state.is_poisoned());
+        for _ in 0..3 {
+            pool.take().unwrap();
+        }
+        let l = pool.ledger();
+        assert_eq!((l.generated_offline, l.generated_inline, l.consumed), (2, 1, 3));
     }
 
     #[test]
@@ -1177,10 +1198,10 @@ mod tests {
                 .unwrap();
         let split = demo.split_at(BoundaryId::relu(3)).unwrap().0;
         let pinned = [
-            ("relu(3) split", &split, PiBackend::Delphi, 0xbb74_9ad5_c105_dfd0),
-            ("relu(3) split", &split, PiBackend::Cheetah, 0xf339_1119_72e2_35f0),
-            ("whole model", demo.seq(), PiBackend::Delphi, 0x4171_f72a_f882_6e85),
-            ("whole model", demo.seq(), PiBackend::Cheetah, 0x2fb1_1f78_b1b0_f3e5),
+            ("relu(3) split", &split, PiBackend::Delphi, 0x2bca_e5c3_95e3_1eef),
+            ("relu(3) split", &split, PiBackend::Cheetah, 0x5d3a_9c4b_509f_e08f),
+            ("whole model", demo.seq(), PiBackend::Delphi, 0x37b7_828f_7bcc_e472),
+            ("whole model", demo.seq(), PiBackend::Cheetah, 0xddcb_3871_e808_7f52),
         ];
         for (name, prefix, backend, want) in pinned {
             let cfg = PiConfig { backend, ..PiConfig::default() };
@@ -1194,8 +1215,8 @@ mod tests {
     fn the_demo_deployments_price_one_inference_at_their_pinned_counts() {
         // The compiled counts: `(seed_bytes, expanded_bytes, and_gates,
         // xor_gates, proj_words, ext_ots, bit_triples)`, at the demo
-        // plans' unit widths (24 bits at the split; 24 then 32 on the
-        // whole prefix).
+        // plans' exact unit widths (17/19/21 bits at the split; 17 to 29
+        // on the whole prefix).
         use crate::engine::PiBackend;
         use c2pi_nn::model::{alexnet, ZooConfig};
         use c2pi_nn::BoundaryId;
@@ -1208,16 +1229,16 @@ mod tests {
                 "relu(3) split",
                 &split,
                 PiBackend::Delphi,
-                (20, 4_623_552, 98_944, 268_096, 13_056, 38_400, 0),
+                (20, 3_454_912, 72_800, 195_360, 10_208, 28_736, 0),
             ),
-            ("relu(3) split", &split, PiBackend::Cheetah, (20, 340_240, 0, 0, 0, 0, 107_200)),
+            ("relu(3) split", &split, PiBackend::Cheetah, (20, 318_496, 0, 0, 0, 0, 78_208)),
             (
                 "whole model",
                 demo.seq(),
                 PiBackend::Delphi,
-                (20, 5_745_696, 121_568, 324_048, 18_944, 48_128, 0),
+                (20, 4_429_472, 92_224, 242_896, 15_504, 37_200, 0),
             ),
-            ("whole model", demo.seq(), PiBackend::Cheetah, (20, 426_500, 0, 0, 0, 0, 134_704)),
+            ("whole model", demo.seq(), PiBackend::Cheetah, (20, 401_912, 0, 0, 0, 0, 101_920)),
         ];
         for (name, prefix, backend, want) in pinned {
             let cfg = PiConfig { backend, ..PiConfig::default() };

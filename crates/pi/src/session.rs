@@ -121,8 +121,8 @@ impl PiSession {
     ///
     /// As [`PiSession::new`], plus [`PiError::BadConfig`] for a count
     /// that is not the plan's number of non-linear steps, or a width
-    /// that is not a whole number of bytes, exceeds 64, or is narrower
-    /// than `specs`' own weights need.
+    /// that exceeds 64 or is narrower than `specs`' own weights need
+    /// (any width between runs, whole bytes or not).
     pub fn with_unit_widths(
         specs: &[LayerSpec],
         input_chw: [usize; 3],
@@ -743,6 +743,29 @@ mod tests {
         );
         assert_eq!(client.ledger().generated_inline, 0);
         assert_eq!(counter.snapshot().bytes_client_to_server, 0);
+    }
+
+    #[test]
+    fn an_input_share_over_the_plans_input_length_is_a_typed_error() {
+        // The server reads the client's input share capped at the plan's
+        // 64 input elements: one word over is the transport's typed
+        // decode error, before any layer runs.
+        use c2pi_transport::{channel_pair, TransportError};
+        let seq = tiny_prefix();
+        let server = PiSession::new(&specs_of(&seq), [1, 8, 8], PiConfig::default()).unwrap();
+        server.preprocess(1).unwrap();
+        let (cch, sch, counter) = channel_pair();
+        let srv = server.clone();
+        let t = std::thread::spawn(move || srv.serve_one(&sch).map(|o| o.share.len()));
+        let _dealt = cch.recv_bytes().unwrap();
+        cch.send_u64s(&[0; 65]).unwrap();
+        let err = t.join().unwrap().unwrap_err();
+        assert!(
+            matches!(&err, PiError::Mpc(c2pi_mpc::MpcError::Transport(TransportError::Decode(_)))),
+            "{err:?}"
+        );
+        let sent = counter.snapshot().bytes_server_to_client;
+        assert_eq!(sent, c2pi_mpc::dealer::DealtSeed::WIRE_BYTES, "only the dealt frame");
     }
 
     #[test]

@@ -113,9 +113,10 @@ pub(crate) fn server_walk(
         )));
     }
     let fp = cfg.fixed;
+    let (c, h, w) = plan.in_chw;
     let mut curs = Vec::with_capacity(k);
     for ep in eps {
-        curs.push(ShareVec::from_raw(ep.recv_u64s()?));
+        curs.push(ShareVec::from_raw(ep.recv_u64s_capped(c * h * w)?));
     }
     let mut iters: Vec<std::vec::IntoIter<ServerMat>> =
         mats.into_iter().map(Vec::into_iter).collect();

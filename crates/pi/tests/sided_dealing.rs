@@ -151,10 +151,13 @@ fn published_widths_must_fit_the_plan() {
         matches!(PiSession::with_unit_widths(&specs, chw, cfg, w), Err(PiError::BadConfig(_)))
     };
     assert!(refused(&widths[1..]), "one width short");
-    let narrow: Vec<usize> = widths.iter().map(|w| w - 8).collect();
+    let narrow: Vec<usize> = widths.iter().map(|w| w - 1).collect();
     assert!(refused(&narrow), "below what the weights need");
-    assert!(refused(&[widths[0] + 1, widths[1], widths[2]]), "not whole bytes");
     assert!(refused(&[72, widths[1], widths[2]]), "past the ring");
+    // Any width from what the weights need up to the ring runs, whole
+    // bytes or not.
+    let odd = [widths[0] + 1, widths[1], widths[2]];
+    assert_eq!(PiSession::with_unit_widths(&specs, chw, cfg, &odd).unwrap().unit_widths(), odd);
     let wider = PiSession::with_unit_widths(&specs, chw, cfg, &[64, 64, 64]).unwrap();
     assert_eq!(wider.unit_widths(), [64, 64, 64]);
 }

@@ -18,7 +18,7 @@ use crate::channel::{check_frame_len, Channel, Side, TrafficCounter};
 use crate::{Result, TransportError};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Largest accepted frame payload (1 GiB). The MPC protocols' biggest
@@ -127,7 +127,7 @@ impl TcpChannel {
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> Result<()> {
         self.reader
             .lock()
-            .expect("tcp reader mutex poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .set_read_timeout(timeout)
             .map_err(io_error)
     }
@@ -145,7 +145,7 @@ impl TcpChannel {
     pub fn set_write_timeout(&self, timeout: Option<Duration>) -> Result<()> {
         self.writer
             .lock()
-            .expect("tcp writer mutex poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .set_write_timeout(timeout)
             .map_err(io_error)
     }
@@ -299,7 +299,7 @@ impl Channel for TcpChannel {
     fn send_bytes(&self, data: &[u8]) -> Result<()> {
         check_frame_len(data.len(), MAX_FRAME_BYTES)?;
         self.counter.record_send(self.side, data.len() as u64);
-        let mut writer = self.writer.lock().expect("tcp writer mutex poisoned");
+        let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         // Small frames coalesce prefix + payload into one write (one
         // packet under TCP_NODELAY); large frames skip the O(n) copy.
         if data.len() <= 8192 {
@@ -321,7 +321,7 @@ impl Channel for TcpChannel {
     /// first frame this way, so the peer's four bytes cannot size the
     /// server's allocation.
     fn recv_bytes_capped(&self, cap: usize) -> Result<Vec<u8>> {
-        let mut reader = self.reader.lock().expect("tcp reader mutex poisoned");
+        let mut reader = self.reader.lock().unwrap_or_else(PoisonError::into_inner);
         let mut prefix = [0u8; 4];
         reader.read_exact(&mut prefix).map_err(io_error)?;
         let len = u32::from_le_bytes(prefix) as usize;
